@@ -17,6 +17,14 @@ Two source shapes are understood:
 * multi-family files (a ``families`` mapping of per-experiment entries, as
   written by ``bench_stage_batch_speedup.py``).
 
+Every entry is stamped with the ``machine`` it was measured on: commit, CPU
+count (``nproc``) and python/numpy versions.  A result file written with a
+``machine`` block (see :func:`machine_stamp`) carries its own.  For an older
+file, the commit is the one that last changed it (``git log``), the CPU count
+comes from its ``host`` block if it has one, and versions it never recorded
+are ``null``; a file with uncommitted changes was just measured here, so it
+gets the current stamp.
+
 Run directly (``python benchmarks/collect_results.py``) or let the benchmark
 suite do it: the pytest session-finish hook in ``benchmarks/conftest.py``
 regenerates the summary after every benchmark run.
@@ -25,15 +33,66 @@ regenerates the summary after every benchmark run.
 from __future__ import annotations
 
 import json
+import os
+import platform
+import subprocess
 from pathlib import Path
 from typing import Any, Dict, List, Optional
 
+import numpy as np
+
+REPO_ROOT = Path(__file__).resolve().parents[1]
 RESULTS_DIR = Path(__file__).parent / "results"
-SUMMARY_PATH = Path(__file__).resolve().parents[1] / "BENCH_SUMMARY.json"
+SUMMARY_PATH = REPO_ROOT / "BENCH_SUMMARY.json"
 
 
-def _entry(source: str, payload: Dict[str, Any]) -> Dict[str, Any]:
-    """One summary entry: experiment label, wall times, speedups."""
+def _git(*args: str) -> Optional[str]:
+    """Output of one git command in the repo, or ``None`` if it fails."""
+    try:
+        completed = subprocess.run(
+            ["git", *args], cwd=REPO_ROOT, capture_output=True, text=True, timeout=10, check=True
+        )
+    except (OSError, subprocess.SubprocessError):
+        return None
+    return completed.stdout.strip() or None
+
+
+def machine_stamp() -> Dict[str, Any]:
+    """Where a measurement runs now: commit, CPU count, python and numpy versions.
+
+    The commit gets a ``-dirty`` suffix when the tree has uncommitted changes;
+    ``nproc`` counts the CPUs this process may run on, as ``nproc`` does.
+    """
+    commit = _git("rev-parse", "--short", "HEAD")
+    if commit is not None and _git("status", "--porcelain") is not None:
+        commit += "-dirty"
+    nproc = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return {
+        "commit": commit,
+        "nproc": nproc,
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+    }
+
+
+def _recorded_machine(path: Path, payload: Dict[str, Any]) -> Dict[str, Any]:
+    """The machine stamp of one result file (see the module docstring)."""
+    machine = payload.get("machine")
+    if isinstance(machine, dict):
+        return machine
+    if _git("status", "--porcelain", "--", str(path)) is not None:
+        return machine_stamp()
+    host = payload.get("host")
+    return {
+        "commit": _git("log", "-1", "--format=%h", "--", str(path)),
+        "nproc": host.get("cpu_count") if isinstance(host, dict) else None,
+        "python": None,
+        "numpy": None,
+    }
+
+
+def _entry(source: str, payload: Dict[str, Any], machine: Dict[str, Any]) -> Dict[str, Any]:
+    """One summary entry: experiment label, wall times, speedups, machine."""
     workload = payload.get("workload", {})
     return {
         "source": source,
@@ -41,6 +100,7 @@ def _entry(source: str, payload: Dict[str, Any]) -> Dict[str, Any]:
         "workload": workload,
         "seconds": payload.get("seconds", {}),
         "speedup_vs_serial": payload.get("speedup_vs_serial", {}),
+        "machine": machine,
     }
 
 
@@ -64,17 +124,16 @@ def collect(
         if not isinstance(payload, dict):
             skipped.append(path.name)
             continue
+        machine = _recorded_machine(path, payload)
         families = payload.get("families")
         if isinstance(families, dict):
             for family, family_payload in sorted(families.items()):
-                family_entry = _entry(f"{path.name}#{family}", family_payload)
-                entries.append(family_entry)
+                entries.append(_entry(f"{path.name}#{family}", family_payload, machine))
         else:
-            entries.append(_entry(path.name, payload))
+            entries.append(_entry(path.name, payload, machine))
 
-    repo_root = Path(__file__).resolve().parents[1]
     try:
-        results_label = str(results_dir.resolve().relative_to(repo_root))
+        results_label = str(results_dir.resolve().relative_to(REPO_ROOT))
     except ValueError:
         results_label = str(results_dir)
     summary = {

@@ -44,6 +44,7 @@ False)`` is the SIGTERM drain: running jobs finish, still-queued jobs are
 
 from __future__ import annotations
 
+import logging
 import queue as queue_module
 import threading
 import time
@@ -59,6 +60,8 @@ from ..testing import chaos
 from .journal import JobJournal, revive_literals
 
 __all__ = ["JobState", "Job", "JobQueue", "QueueSaturated", "RecoveryReport"]
+
+_LOG = logging.getLogger("repro.service.jobs")
 
 
 class QueueSaturated(ExperimentError):
@@ -504,14 +507,14 @@ class JobQueue:
             del self._in_flight[job.fingerprint]
 
     def _notify(self, job: Job) -> None:
-        """Invoke the finish callback outside the lock (errors swallowed —
-        a metrics bug must not take a worker thread down)."""
+        """Invoke the finish callback outside the lock (errors logged, not
+        raised — a metrics bug must not take a worker thread down)."""
         if self._on_finish is None:
             return
         try:
             self._on_finish(job)
-        except Exception:  # pragma: no cover - defensive
-            pass
+        except Exception:
+            _LOG.exception("finish callback failed for job %s", job.job_id)
 
     def _worker_loop(self) -> None:
         """One worker: pull job ids, execute, record outcome, repeat.

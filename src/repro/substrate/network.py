@@ -252,11 +252,19 @@ class PushGossipNetwork:
         # Collision resolution: each recipient keeps one uniformly random
         # message among those addressed to it this round.  Permuting the
         # message order and keeping the first occurrence per target is an
-        # unbiased implementation of that rule.
-        order = rng.permutation(senders.size)
+        # unbiased implementation of that rule.  The first occurrence is the
+        # minimum permuted position per target, scattered with
+        # ``np.minimum.at`` in O(n) (no sort, and no reliance on the order
+        # numpy applies repeated-index assignments in); targets nobody
+        # addressed keep the sentinel ``k``, and ``flatnonzero`` lists the
+        # recipients in ascending order.
+        k = senders.size
+        order = rng.permutation(k)
         permuted_targets = targets[order]
-        recipients, first_position = np.unique(permuted_targets, return_index=True)
-        accepted = order[first_position]
+        first = np.full(self.size, k)
+        np.minimum.at(first, permuted_targets, np.arange(k))
+        recipients = np.flatnonzero(first < k)
+        accepted = order[first[recipients]]
 
         accepted_bits = channel.transmit(bits[accepted], rng)
 
@@ -930,7 +938,11 @@ class PushGossipNetwork:
             return
         if senders.min() < 0 or senders.max() >= self.size:
             raise ProtocolError("sender index out of range")
-        if np.unique(senders).size != senders.size:
+        # O(n) duplicate check: mark each sender once; a repeat leaves fewer
+        # marked agents than senders.
+        marked = np.zeros(self.size, dtype=bool)
+        marked[senders] = True
+        if np.count_nonzero(marked) != senders.size:
             raise ProtocolError("an agent may send at most one message per round")
         if bits.min() < 0 or bits.max() > 1:
             raise ProtocolError("message bits must be 0 or 1")

@@ -33,6 +33,17 @@ GRID = [
     ("E9", False, {"n": 250, "epsilon": 0.3, "skews": (4,), "trials": 2}),
 ]
 
+#: Serial runs of E4 and E5 on their batch configurations.  E1's report holds
+#: only mean rounds and success rate, so its serial digest equals the batch
+#: one and cannot see a changed draw.  These reports hold per-phase
+#: observables of the serial ``PushGossipNetwork.deliver`` path, which shift
+#: with ``base_seed``.
+SERIAL_DRAW_GRID = [
+    (experiment_id, False, overrides)
+    for experiment_id, batch, overrides in GRID
+    if batch and experiment_id in ("E4", "E5")
+]
+
 
 def grid_digest(
     experiment_id: str, batch: bool, overrides: dict, config: ExecutionConfig = None

@@ -9,6 +9,7 @@ of timing.
 
 from __future__ import annotations
 
+import logging
 import threading
 
 import pytest
@@ -148,6 +149,32 @@ class TestLifeCycle:
         finally:
             queue.close()
         assert (job.job_id, JobState.DONE) in finished
+
+    def test_failing_on_finish_callback_is_logged_not_raised(self, tmp_path, caplog):
+        def broken_metrics(job):
+            raise RuntimeError("metrics exploded")
+
+        queue = JobQueue(
+            tmp_path / "store",
+            workers=1,
+            run=lambda s, config=None, **o: _artifact(s),
+            on_finish=broken_metrics,
+        )
+        with caplog.at_level(logging.ERROR, logger="repro.service.jobs"):
+            try:
+                first, _ = queue.submit("E1", FP_A, {}, config=_config(tmp_path))
+                assert _wait_terminal(queue, first.job_id) == JobState.DONE
+                # The worker thread survived the callback and runs the next job.
+                second, _ = queue.submit("E2", FP_B, {}, config=_config(tmp_path))
+                assert _wait_terminal(queue, second.job_id) == JobState.DONE
+            finally:
+                queue.close()
+        records = [r for r in caplog.records if r.name == "repro.service.jobs"]
+        assert [r.getMessage() for r in records] == [
+            f"finish callback failed for job {first.job_id}",
+            f"finish callback failed for job {second.job_id}",
+        ]
+        assert all(r.exc_info and r.exc_info[0] is RuntimeError for r in records)
 
 
 class TestCancellation:

@@ -272,3 +272,118 @@ class TestDeliverAllBatch:
             network.deliver_all_batch(
                 np.ones((2, 10), dtype=bool), np.full((2, 10), 3, dtype=np.int8), perfect, rng
             )
+
+
+def _unique_deliver(network, senders, bits, channel, rng):
+    """Oracle: ``deliver``'s draws resolved with the sort-based collision rule.
+
+    The same ``integers`` / ``permutation`` / ``transmit`` draws in the same
+    order, with each recipient's first permuted occurrence found by
+    ``np.unique(..., return_index=True)`` (a stable sort) instead of the
+    O(n) ``np.minimum.at`` scatter.  Counters are left alone.
+    """
+    senders = np.asarray(senders, dtype=np.int64)
+    bits = np.asarray(bits, dtype=np.int8)
+    if senders.size == 0:
+        return DeliveryReport.empty()
+    if network.allow_self_messages:
+        targets = rng.integers(0, network.size, size=senders.size)
+    else:
+        draws = rng.integers(0, network.size - 1, size=senders.size)
+        targets = draws + (draws >= senders)
+    order = rng.permutation(senders.size)
+    recipients, first_position = np.unique(targets[order], return_index=True)
+    accepted = order[first_position]
+    accepted_bits = channel.transmit(bits[accepted], rng)
+    sent, delivered = int(senders.size), int(recipients.size)
+    return DeliveryReport(
+        recipients=recipients.astype(np.int64),
+        bits=accepted_bits.astype(np.int8),
+        senders=senders[accepted],
+        messages_sent=sent,
+        messages_delivered=delivered,
+        messages_dropped=sent - delivered,
+    )
+
+
+class TestDeliverMatchesUniqueOracle:
+    """``deliver`` resolves collisions with a first-occurrence scatter; it must
+    reproduce the sort-based rule field for field, dtypes included, and
+    leave the generator in the same state."""
+
+    SEEDS = range(12)
+
+    @pytest.mark.parametrize("n", [2, 3, 50, 2000])
+    @pytest.mark.parametrize("allow_self", [False, True])
+    @pytest.mark.parametrize("count", ["zero", "one", "random", "all"])
+    def test_report_is_bit_identical(self, n, allow_self, count):
+        from repro.substrate.noise import BinarySymmetricChannel
+
+        channel = BinarySymmetricChannel(epsilon=0.2)
+        for seed in self.SEEDS:
+            picker = np.random.default_rng([seed, n])
+            k = {"zero": 0, "one": 1, "random": int(picker.integers(0, n + 1)), "all": n}[count]
+            senders = picker.choice(n, size=k, replace=False)
+            bits = picker.integers(0, 2, size=k).astype(np.int8)
+
+            network = PushGossipNetwork(size=n, allow_self_messages=allow_self)
+            rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            report = network.deliver(senders, bits, channel, rng)
+            expected = _unique_deliver(network, senders, bits, channel, oracle_rng)
+
+            for name in ("recipients", "bits", "senders"):
+                got, want = getattr(report, name), getattr(expected, name)
+                assert got.dtype == want.dtype, (name, seed)
+                assert np.array_equal(got, want), (name, seed)
+            for name in ("messages_sent", "messages_delivered", "messages_dropped"):
+                assert type(getattr(report, name)) is int, (name, seed)
+                assert getattr(report, name) == getattr(expected, name), (name, seed)
+            assert rng.bit_generator.state == oracle_rng.bit_generator.state, seed
+            assert np.all(np.diff(report.recipients) > 0), "recipients stay ascending"
+
+
+class TestValidationOnEverySerialPath:
+    """The O(n) duplicate-sender check keeps the validator's errors, messages
+    and check order on all five serial entry points."""
+
+    @staticmethod
+    def _entry_points(network, perfect, rng):
+        from repro.substrate.topology import DegreeLimitedTopology
+
+        ring = DegreeLimitedTopology(degree=2)
+        return {
+            "deliver": lambda s, b: network.deliver(s, b, perfect, rng),
+            "deliver_all": lambda s, b: network.deliver_all(s, b, perfect, rng),
+            "deliver_resilient": lambda s, b: network.deliver(s, b, perfect, rng, topology=ring),
+            "deliver_all_resilient": lambda s, b: network.deliver_all(
+                s, b, perfect, rng, topology=ring
+            ),
+            "deliver_reference": lambda s, b: network.deliver_reference(s, b, perfect, rng),
+        }
+
+    @pytest.mark.parametrize(
+        "senders, bits, message",
+        [
+            ([1, 1], [0, 1], "at most one message"),
+            ([0, 9, 0], [1, 1, 1], "at most one message"),
+            ([10], [1], "out of range"),
+            ([-1], [1], "out of range"),
+            ([10, 10], [1, 1], "out of range"),  # range is checked before duplicates
+            ([3], [3], "0 or 1"),
+            ([2], [-1], "0 or 1"),
+            ([4, 4], [2, 2], "at most one message"),  # duplicates before bits
+        ],
+    )
+    def test_bad_inputs_raise(self, perfect, rng, senders, bits, message):
+        network = PushGossipNetwork(size=10)
+        for name, entry in self._entry_points(network, perfect, rng).items():
+            with pytest.raises(ProtocolError, match=message):
+                entry(np.asarray(senders), np.asarray(bits, dtype=np.int8))
+            assert network.rounds_executed == 0, name
+
+    def test_distinct_senders_pass(self, perfect, rng):
+        network = PushGossipNetwork(size=10)
+        entries = self._entry_points(network, perfect, rng)
+        for entry in entries.values():
+            entry(np.asarray([9, 0, 4]), np.asarray([1, 0, 1], dtype=np.int8))
+        assert network.rounds_executed == len(entries)

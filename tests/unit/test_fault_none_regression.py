@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import pytest
 
-from _golden_grid import GRID, grid_digest
+from _golden_grid import GRID, SERIAL_DRAW_GRID, grid_digest
 
 #: sha256 digests of the full rendered reports, captured pre-fault-layer.
 GOLDEN_DIGESTS = {
@@ -39,6 +39,15 @@ GOLDEN_DIGESTS = {
     ("E9", False): "0d15a43f921d88c53a56b7582b92d40e8811d6a20126b8bca32251742965da52",
 }
 
+#: Draw-sensitive serial pins, captured at commit b09a3f0 (the parent of the
+#: O(n) collision-rule change to ``PushGossipNetwork.deliver``).  They move
+#: with ``base_seed``, so a changed serial draw, or a different choice of
+#: which colliding message a recipient keeps, shows up here.
+SERIAL_DRAW_DIGESTS = {
+    ("E4", False): "466d16e76acd279dee70bf9600726cf4d66373198c524f87e1392d0d566e7774",
+    ("E5", False): "1af43b1037ce98f7102cc2f74a789394bde60413c5c573397f07a06b5ee85b11",
+}
+
 
 def test_grid_covers_every_pre_fault_driver():
     """All eleven pre-fault drivers are pinned, plus serial spot checks."""
@@ -55,3 +64,15 @@ def test_grid_covers_every_pre_fault_driver():
 def test_no_fault_path_matches_pre_fault_golden(experiment_id, batch, overrides):
     """Each driver's no-fault output is bit-identical to the seed revision."""
     assert grid_digest(experiment_id, batch, overrides) == GOLDEN_DIGESTS[(experiment_id, batch)]
+
+
+@pytest.mark.parametrize(
+    "experiment_id, batch, overrides",
+    SERIAL_DRAW_GRID,
+    ids=[f"{e}-serial" for e, _, _ in SERIAL_DRAW_GRID],
+)
+def test_serial_delivery_draws_match_pinned_digest(experiment_id, batch, overrides):
+    """Serial E4/E5 reports are bit-identical to the pre-scatter revision."""
+    assert {(e, b) for e, b, _ in SERIAL_DRAW_GRID} == set(SERIAL_DRAW_DIGESTS)
+    digest = grid_digest(experiment_id, batch, overrides)
+    assert digest == SERIAL_DRAW_DIGESTS[(experiment_id, batch)]

@@ -288,6 +288,14 @@ class TestStageBenchAndAggregatorSmoke:
             assert "batch" in entry["speedup_vs_serial"], family
         module._assert_sweep_physics(payload["families"])
 
+    def test_deliver_serial_bench_speed_ratio_at_toy_size(self):
+        """The O(n) deliver must beat the np.unique rule; only the ratio of
+        the two (median over alternating repeats) is checked, never seconds."""
+        module = _load_script(BENCHMARKS_DIR / "bench_deliver_serial.py", "_smoke_deliver_bench")
+        payload = module.measure(module.build_workloads(toy=True))
+        assert payload["speedup_vs_serial"]["deliver_vs_unique_oracle"] >= 1.5
+        assert set(payload["machine"]) == {"commit", "nproc", "python", "numpy"}
+
     def test_collect_results_aggregates_both_shapes(self, tmp_path):
         results = tmp_path / "results"
         results.mkdir()
@@ -314,6 +322,15 @@ class TestStageBenchAndAggregatorSmoke:
                 }
             )
         )
+        (results / "stamped.json").write_text(
+            json.dumps(
+                {
+                    "workload": {"experiment": "stamped workload"},
+                    "machine": {"commit": "abc1234", "nproc": 2, "python": "3.11.7", "numpy": "2.4.6"},
+                    "seconds": {"serial": 1.0},
+                }
+            )
+        )
         (results / "broken.json").write_text("not json {")
         module = _load_script(BENCHMARKS_DIR / "collect_results.py", "_smoke_collect")
         summary_path = tmp_path / "BENCH_SUMMARY.json"
@@ -321,16 +338,23 @@ class TestStageBenchAndAggregatorSmoke:
         assert [entry["source"] for entry in summary["entries"]] == [
             "multi.json#E4",
             "single.json",
+            "stamped.json",
         ]
         assert summary["skipped"] == ["broken.json"]
         reloaded = json.loads(summary_path.read_text(), parse_constant=_reject_constant)
         assert reloaded["entries"][1]["speedup_vs_serial"]["batch"] == 2.0
+        # Every entry carries a machine stamp; a recorded one is kept as is.
+        for entry in reloaded["entries"]:
+            assert set(entry["machine"]) == {"commit", "nproc", "python", "numpy"}
+        assert reloaded["entries"][2]["machine"]["commit"] == "abc1234"
 
     def test_top_level_summary_is_committed_and_strict_json(self):
         summary_path = BENCHMARKS_DIR.parent / "BENCH_SUMMARY.json"
         payload = json.loads(summary_path.read_text(), parse_constant=_reject_constant)
         sources = [entry["source"] for entry in payload["entries"]]
         assert any(source.startswith("stage_batch_speedup.json#") for source in sources)
+        assert "deliver_serial.json" in sources
+        assert all(entry["machine"]["nproc"] for entry in payload["entries"])
 
 
 class TestBenchmarkScriptsImport:
