@@ -6,9 +6,8 @@ the historical dispatch path spawned (and tore down) a fresh
 sweep-point family — while :class:`~repro.exec.backends.local.LocalPoolBackend`
 spawns once per run and reuses the pool across families.  This benchmark
 measures exactly that difference on a many-families / cheap-tasks workload
-(the regime where spawn-up dominates), alongside the in-process reference
-and the remote work-stealing backend's queue overhead, and records the
-numbers in ``benchmarks/results/backend_dispatch.json``.
+(the regime where spawn-up dominates), alongside the in-process reference,
+and records the numbers in ``benchmarks/results/backend_dispatch.json``.
 
 The task function is :func:`math.hypot` — stdlib, importable from any
 spawned worker subprocess, and cheap enough that the measured time is almost
@@ -30,16 +29,11 @@ import time
 from pathlib import Path
 from typing import Any, Dict, List
 
-from repro.exec.backends import (
-    InProcessBackend,
-    LocalPoolBackend,
-    RemoteWorkerBackend,
-    Task,
-)
+from repro.exec.backends import InProcessBackend, LocalPoolBackend, Task
 
 RESULTS_PATH = Path(__file__).parent / "results" / "backend_dispatch.json"
 
-POOL_JOBS = 2  #: worker count of the local pool / remote fleet under test.
+POOL_JOBS = 2  #: worker count of the local pool under test.
 
 
 def build_workloads(toy: bool = False) -> Dict[str, Any]:
@@ -83,7 +77,7 @@ def measure(workload: Dict[str, Any]) -> Dict[str, Any]:
         # The historical semantics: one fresh pool per family dispatch.
         results = []
         for tasks in families:
-            with LocalPoolBackend(jobs=jobs) as backend:
+            with LocalPoolBackend(workers=jobs) as backend:
                 results.append(backend.submit(tasks))
         return results
 
@@ -91,16 +85,10 @@ def measure(workload: Dict[str, Any]) -> Dict[str, Any]:
 
     def reused() -> List[List[Any]]:
         # The backend-layer semantics: one pool serves every family.
-        with LocalPoolBackend(jobs=jobs) as backend:
+        with LocalPoolBackend(workers=jobs) as backend:
             return [backend.submit(tasks) for tasks in families]
 
     reuse_seconds = timed("local_reuse", reused)
-
-    def remote() -> List[List[Any]]:
-        with RemoteWorkerBackend(workers=jobs, chunk_size=4, startup_timeout=60) as backend:
-            return [backend.submit(tasks) for tasks in families]
-
-    remote_seconds = timed("remote", remote)
 
     reference = outputs["in_process"]
     for label, produced in outputs.items():
@@ -119,7 +107,6 @@ def measure(workload: Dict[str, Any]) -> Dict[str, Any]:
             "serial": round(in_process_seconds, 3),
             "local_per_call": round(per_call_seconds, 3),
             "local_reuse": round(reuse_seconds, 3),
-            "remote": round(remote_seconds, 3),
         },
         "speedup_vs_serial": {
             # The acceptance number: pool reuse must beat per-call spawn-up.
@@ -127,7 +114,6 @@ def measure(workload: Dict[str, Any]) -> Dict[str, Any]:
         },
         "dispatch_overhead_ms_per_task": {
             "local_reuse": round(1e3 * reuse_seconds / total_tasks, 3),
-            "remote": round(1e3 * remote_seconds / total_tasks, 3),
         },
     }
 

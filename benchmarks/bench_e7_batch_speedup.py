@@ -5,9 +5,12 @@ argues against: immediate forwarding, the noisy voter dynamics and the
 direct-from-source reference) three ways — serial reference (one
 :class:`~repro.substrate.engine.SimulationEngine` per trial), vectorised
 batch (:func:`repro.exec.batching.run_baseline_batch` via the ``baseline``
-shape of :func:`~repro.exec.batching.run_sweep_batched`), and batch combined
-with point-level parallelism (``point_jobs``) — and records wall-clock times
-and speedups in ``benchmarks/results/e7_batch_speedup.json``.
+shape of :func:`~repro.exec.batching.run_sweep_batched`), and batch with its
+points on the ``local`` process-pool backend (one worker per CPU, installed
+for the sweep as :func:`repro.api.run_experiment` installs it; the workload
+is the comparator sub-grid, which no registered experiment runs alone) —
+and records wall-clock times and speedups in
+``benchmarks/results/e7_batch_speedup.json``.
 
 The baselines were the slowest remaining serial workload: hundreds of
 pure-Python engine rounds per trial (the voter's budget alone is hundreds of
@@ -26,6 +29,7 @@ import time
 from pathlib import Path
 
 from repro.analysis.experiments import run_trials
+from repro.exec.backends import LocalPoolBackend, use_backend
 from repro.exec.batching import run_sweep_batched
 from repro.experiments.e7_baselines import _direct_trial, _forwarding_trial, _voter_trial
 
@@ -68,17 +72,22 @@ def _run_serial() -> dict:
     }
 
 
-def _run_batched(point_jobs=None):
+def _run_batched(pooled: bool = False):
     """The same comparator family through the batched baseline simulator."""
-    return run_sweep_batched(
+    sweep = functools.partial(
+        run_sweep_batched,
         name="e7-batch-speedup",
         points=_baseline_points(),
         trials_per_point=TRIALS,
         base_seed=BASE_SEED,
         defaults={"n": N, "epsilon": EPSILON},
         shape="baseline",
-        point_jobs=point_jobs,
     )
+    if not pooled:
+        return sweep()
+    backend = LocalPoolBackend()
+    with backend, use_backend(backend):
+        return sweep()
 
 
 def test_e7_batch_speedup(print_report):
@@ -92,13 +101,13 @@ def test_e7_batch_speedup(print_report):
     batch_seconds = time.perf_counter() - start
 
     start = time.perf_counter()
-    pooled_sweep = _run_batched(point_jobs=0)
+    pooled_sweep = _run_batched(pooled=True)
     pooled_seconds = time.perf_counter() - start
 
     # Statistical-equivalence contract: deterministic round budgets match the
     # serial path exactly (the forwarding budget and the direct-source
     # sampling budget are fixed by (n, epsilon); the noisy voter exhausts its
-    # budget under noise on both paths), the point-parallel batch is
+    # budget under noise on both paths), the pooled batch is
     # bit-identical to the in-process batch, and the baselines stay near the
     # coin flip while the direct reference converges.
     assert [r.to_dict() for r in pooled_sweep.results] == [

@@ -1,32 +1,29 @@
-"""Speedup of the batched majority-consensus path on an E8-style sweep.
+"""Speedup of the batched majority-consensus path on an E8 sweep.
 
-Runs the same Monte-Carlo sweep (majority consensus over a grid of
-``(|A|, bias)`` points) three ways — serial reference, vectorised batch
-(:func:`repro.exec.batching.run_majority_batch` via
-:func:`~repro.exec.batching.run_sweep_batched`), and batch combined with
-point-level parallelism (``point_jobs``) — and records wall-clock times and
-speedups in ``benchmarks/results/e8_batch_speedup.json``.
+Runs the same E8 Monte-Carlo sweep (majority consensus over a grid of
+``(|A|, bias)`` points) three ways through :func:`repro.api.run_experiment`
+— in-process reference, vectorised batch (``ExecutionConfig(batch=True)``,
+:func:`repro.exec.batching.run_majority_batch` per point), and batch with
+its points on a local process pool (``ExecutionConfig(batch=True,
+backend="local")``) — and records wall-clock times and speedups in
+``benchmarks/results/e8_batch_speedup.json``.
 
 The batch path amortises Python-level per-round overhead across all
 replicates of a sweep point and delivers its speedup even on a single core;
-``point_jobs`` additionally scales with the number of CPUs by running
-independent grid points concurrently (on a 1-CPU host it degenerates
-gracefully to roughly batch speed).  The test asserts the PR's headline
-claim: at least a 2x single-core batch speedup over the serial reference on
-this workload.
+the pool additionally scales with the number of CPUs by running independent
+grid points concurrently (on a 1-CPU host it degenerates gracefully to
+roughly batch speed).  The test asserts the headline claim: at least a 2x
+single-core batch speedup over the serial reference on this workload.
 """
 
 from __future__ import annotations
 
-import functools
 import json
 import os
 import time
 from pathlib import Path
 
-from repro.analysis.sweeps import parameter_grid, run_sweep
-from repro.exec.batching import run_sweep_batched
-from repro.experiments.e8_majority import _majority_trial
+from repro.api import ExecutionConfig, run_experiment
 
 N = 1000
 EPSILON = 0.25
@@ -37,64 +34,42 @@ BASE_SEED = 808
 RESULTS_PATH = Path(__file__).parent / "results" / "e8_batch_speedup.json"
 
 
-def _points() -> list:
-    return parameter_grid(set_size=list(SET_SIZES), bias=list(BIASES))
-
-
-def _run_serial():
-    """The E8-style sweep through ``run_sweep`` with the serial reference."""
-    return run_sweep(
-        name="e8-batch-speedup",
-        points=_points(),
-        trial_fn=functools.partial(_majority_trial, n=N, epsilon=EPSILON),
-        trials_per_point=TRIALS,
+def _timed_run(config: ExecutionConfig):
+    """One E8 sweep with the given execution settings, and its wall time."""
+    start = time.perf_counter()
+    artifact = run_experiment(
+        "E8",
+        config=config,
+        n=N,
+        epsilon=EPSILON,
+        set_sizes=SET_SIZES,
+        biases=BIASES,
+        trials=TRIALS,
         base_seed=BASE_SEED,
     )
-
-
-def _run_batched(point_jobs=None):
-    """The same sweep through the batched majority simulator."""
-    return run_sweep_batched(
-        name="e8-batch-speedup",
-        points=_points(),
-        trials_per_point=TRIALS,
-        base_seed=BASE_SEED,
-        defaults={"n": N, "epsilon": EPSILON},
-        shape="majority",
-        point_jobs=point_jobs,
-    )
+    return artifact.report.rows, time.perf_counter() - start
 
 
 def test_e8_batch_speedup(print_report):
-    """Measure serial vs batched vs batched+point-parallel and record the JSON."""
-    start = time.perf_counter()
-    serial_sweep = _run_serial()
-    serial_seconds = time.perf_counter() - start
-
-    start = time.perf_counter()
-    batched_sweep = _run_batched()
-    batch_seconds = time.perf_counter() - start
-
-    start = time.perf_counter()
-    pooled_sweep = _run_batched(point_jobs=0)
-    pooled_seconds = time.perf_counter() - start
+    """Measure serial vs batched vs batched-on-a-pool and record the JSON."""
+    serial_rows, serial_seconds = _timed_run(ExecutionConfig())
+    batched_rows, batch_seconds = _timed_run(ExecutionConfig(batch=True))
+    pooled_rows, pooled_seconds = _timed_run(ExecutionConfig(batch=True, backend="local"))
 
     # Statistical-equivalence contract: the majority schedule is fixed by
     # (parameters, start_phase), so per-point round counts match the serial
-    # path exactly; the point-parallel batch is bit-identical to the
-    # in-process batch; and well-initialised points succeed on both paths.
-    assert [r.to_dict() for r in pooled_sweep.results] == [
-        r.to_dict() for r in batched_sweep.results
-    ]
-    for serial_result, batched_result in zip(serial_sweep.results, batched_sweep.results):
-        assert serial_result.mean("rounds") == batched_result.mean("rounds")
-        if batched_result.config["bias"] >= 0.3:
-            assert batched_result.rate("success") >= 0.5
-            assert serial_result.rate("success") >= 0.5
+    # path exactly; the pooled batch is bit-identical to the in-process
+    # batch; and well-initialised points succeed on both paths.
+    assert pooled_rows == batched_rows
+    for serial_row, batched_row in zip(serial_rows, batched_rows):
+        assert serial_row["mean_rounds"] == batched_row["mean_rounds"]
+        if batched_row["initial_bias"] >= 0.3:
+            assert batched_row["success_rate"] >= 0.5
+            assert serial_row["success_rate"] >= 0.5
 
     payload = {
         "workload": {
-            "experiment": "E8-style majority-consensus sweep",
+            "experiment": "E8 majority-consensus sweep",
             "n": N,
             "epsilon": EPSILON,
             "set_sizes": list(SET_SIZES),

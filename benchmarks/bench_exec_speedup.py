@@ -1,10 +1,11 @@
 """Speedup of the trial-execution subsystem on an E1-style broadcast sweep.
 
-Runs the same Monte-Carlo sweep (noisy broadcast over a grid of population
-sizes) three ways — serial reference, process-parallel
-(:class:`~repro.exec.runner.ParallelTrialRunner`), and vectorised batch
-(:mod:`repro.exec.batching`) — and records wall-clock times and speedups in
-``benchmarks/results/exec_speedup.json``.
+Runs the same Monte-Carlo sweep (E1: noisy broadcast over a grid of
+population sizes) three ways through :func:`repro.api.run_experiment` —
+in-process reference, one task per trial on a local process pool
+(``ExecutionConfig(backend="local")``), and vectorised batch
+(``ExecutionConfig(batch=True)``) — and records wall-clock times and
+speedups in ``benchmarks/results/exec_speedup.json``.
 
 The batch path amortises Python-level per-round overhead across all
 replicates of a sweep point and delivers its speedup even on a single core;
@@ -21,11 +22,7 @@ import os
 import time
 from pathlib import Path
 
-from repro.analysis.sweeps import run_sweep
-from repro.exec import ParallelTrialRunner, SerialTrialRunner, run_broadcast_sweep_batched
-from repro.experiments.e1_rounds_vs_n import _broadcast_trial
-
-import functools
+from repro.api import ExecutionConfig, run_experiment
 
 SIZES = (500, 1000, 2000)
 EPSILON = 0.25
@@ -34,58 +31,39 @@ BASE_SEED = 101
 RESULTS_PATH = Path(__file__).parent / "results" / "exec_speedup.json"
 
 
-def _run_once(runner) -> "object":
-    """One E1-style sweep through ``run_sweep`` with the given runner."""
-    return run_sweep(
-        name="exec-speedup",
-        points=[{"n": n} for n in SIZES],
-        trial_fn=functools.partial(_broadcast_trial, epsilon=EPSILON),
-        trials_per_point=TRIALS,
-        base_seed=BASE_SEED,
-        runner=runner,
+def _timed_run(config: ExecutionConfig):
+    """One E1 sweep with the given execution settings, and its wall time."""
+    start = time.perf_counter()
+    artifact = run_experiment(
+        "E1", config=config, sizes=SIZES, epsilon=EPSILON, trials=TRIALS, base_seed=BASE_SEED
     )
+    return artifact, time.perf_counter() - start
 
 
 def test_exec_speedup(print_report):
     """Measure serial vs parallel vs batched wall-clock and record the JSON."""
-    start = time.perf_counter()
-    serial_sweep = _run_once(SerialTrialRunner())
-    serial_seconds = time.perf_counter() - start
+    serial, serial_seconds = _timed_run(ExecutionConfig())
+    parallel, parallel_seconds = _timed_run(ExecutionConfig(backend="local"))
+    batched, batch_seconds = _timed_run(ExecutionConfig(batch=True))
 
-    parallel_runner = ParallelTrialRunner(jobs=None)
-    start = time.perf_counter()
-    parallel_sweep = _run_once(parallel_runner)
-    parallel_seconds = time.perf_counter() - start
-
-    start = time.perf_counter()
-    batched_sweep = run_broadcast_sweep_batched(
-        name="exec-speedup",
-        points=[{"n": n} for n in SIZES],
-        trials_per_point=TRIALS,
-        base_seed=BASE_SEED,
-        defaults={"epsilon": EPSILON},
-    )
-    batch_seconds = time.perf_counter() - start
-
-    # Identical-results contract: the parallel sweep is bit-identical to the
-    # serial one; the batched sweep reproduces every schedule-determined
+    # Identical-results contract: the pooled run is bit-identical to the
+    # in-process one; the batched run reproduces every schedule-determined
     # observable exactly (the round count is fixed by (n, epsilon)).
-    assert [r.to_dict() for r in parallel_sweep.results] == [
-        r.to_dict() for r in serial_sweep.results
-    ]
-    for serial_result, batched_result in zip(serial_sweep.results, batched_sweep.results):
-        assert serial_result.mean("rounds") == batched_result.mean("rounds")
-        assert batched_result.rate("success") >= 0.8
+    assert parallel.report.rows == serial.report.rows
+    for serial_row, batched_row in zip(serial.report.rows, batched.report.rows):
+        assert serial_row["mean_rounds"] == batched_row["mean_rounds"]
+        assert batched_row["success_rate"] >= 0.8
 
+    pool = parallel.execution["backend"]
     payload = {
         "workload": {
-            "experiment": "E1-style broadcast sweep",
+            "experiment": "E1 broadcast sweep",
             "sizes": list(SIZES),
             "epsilon": EPSILON,
             "trials_per_point": TRIALS,
             "base_seed": BASE_SEED,
         },
-        "host": {"cpu_count": os.cpu_count(), "parallel_jobs": parallel_runner.effective_jobs},
+        "host": {"cpu_count": os.cpu_count(), "parallel_jobs": pool["workers"]},
         "seconds": {
             "serial": round(serial_seconds, 3),
             "parallel": round(parallel_seconds, 3),
@@ -95,7 +73,7 @@ def test_exec_speedup(print_report):
             "parallel": round(serial_seconds / parallel_seconds, 2),
             "batch": round(serial_seconds / batch_seconds, 2),
         },
-        "parallel_fallback_reason": parallel_runner.last_fallback_reason,
+        "parallel_tasks": pool["tasks"],
     }
     RESULTS_PATH.parent.mkdir(parents=True, exist_ok=True)
     RESULTS_PATH.write_text(json.dumps(payload, indent=2) + "\n")

@@ -7,9 +7,9 @@ experiment (E8's majority-consensus sweep, batch path) three ways —
 * **cold** — empty store: compute + persist under the fingerprint;
 * **warm** — same request again: served from the store as a cache hit,
   no execution backend created, byte-identical report;
-* **warm_cross_jobs** — same request with a different ``jobs`` setting:
-  must *still* hit, because execution strategy is excluded from the
-  fingerprint by the determinism contract —
+* **warm_cross_jobs** — same request on the two-worker ``local`` backend
+  (what ``--jobs 2`` selects): must *still* hit, because the execution
+  backend is excluded from the fingerprint by the determinism contract —
 
 and records wall times, the warm/cold speedup and the hit statistics in
 ``benchmarks/results/store_cache.json`` (flattened into the top-level
@@ -75,7 +75,14 @@ def measure(workload: Dict[str, Any]) -> Dict[str, Any]:
 
         start = time.perf_counter()
         cross = run_experiment(
-            experiment, config=ExecutionConfig(batch=True, store_path=store_root, jobs=2), **overrides
+            experiment,
+            config=ExecutionConfig(
+                batch=True,
+                store_path=store_root,
+                backend="local",
+                backend_options={"workers": 2},
+            ),
+            **overrides,
         )
         cross_seconds = time.perf_counter() - start
         cross_hit = cross.execution["cache"] == "hit"

@@ -12,22 +12,18 @@ timings and the pass/fail assertions.)
 
 Execution strategy comes from one place: the ``exec_config`` fixture builds
 an :class:`repro.api.ExecutionConfig` from the ``REPRO_BENCH_JOBS``
-environment variable (``0`` = one worker per CPU, ``k`` = ``k`` workers,
-unset = serial) — results are identical either way, only the wall-clock
-changes.  Two companions select the execution backend
-(:mod:`repro.exec.backends`): ``REPRO_BACKEND`` names it (``in-process``,
-``local`` or ``remote``; unset = the historical per-call dispatch) and
-``REPRO_WORKERS`` sets its worker count (pool size for ``local``,
-auto-spawned localhost workers for ``remote``) — e.g.
-``REPRO_BACKEND=local REPRO_WORKERS=4 pytest benchmarks/`` runs every
-benchmark on one persistent four-worker pool.  Results are bit-identical on
-every backend.  ``benchmarks/bench_backend_dispatch.py`` measures the
-dispatch overhead of each backend and the persistent pool's reuse win over
+environment variable with the CLI's ``--jobs`` convention (``0`` = a local
+process pool with one worker per CPU, ``k >= 2`` = ``k`` workers, unset or
+``1`` = in-process) — e.g. ``REPRO_BENCH_JOBS=4 pytest benchmarks/`` runs
+every benchmark on one persistent four-worker pool per run.  Results are
+bit-identical either way, only the wall-clock changes.
+``benchmarks/bench_backend_dispatch.py`` measures the dispatch overhead of
+the in-process and pool backends and the persistent pool's reuse win over
 per-call spawn-up.  ``benchmarks/bench_exec_speedup.py``,
 ``benchmarks/bench_e7_batch_speedup.py``,
 ``benchmarks/bench_e8_batch_speedup.py`` and
 ``benchmarks/bench_stage_batch_speedup.py`` measure the speedups of the
-parallel, batched and point-parallel paths explicitly and record them as
+pooled, batched and batched-on-a-pool paths explicitly and record them as
 JSON under ``benchmarks/results/``; at the end of every benchmark session
 ``benchmarks/collect_results.py`` merges those files into the top-level
 ``BENCH_SUMMARY.json`` so the perf trajectory stays machine-readable across

@@ -9,7 +9,7 @@ the run while every later invocation of this script (same parameters, same
 package version) is served from the store as a **cache hit** — no
 simulation, byte-identical tables.  Execution strategy still comes from an
 :class:`repro.api.ExecutionConfig` (the vectorised batch path here; pass
-``jobs=`` to fan sweep points over worker processes), and deliberately does
+``backend="local"`` to fan sweep points over worker processes), and deliberately does
 not participate in the cache key.
 
 It is the quickest way to see Theorem 2.17's scaling with your own eyes
@@ -57,7 +57,7 @@ def run_study(store: RunStore, config: ExecutionConfig) -> None:
 def main() -> int:
     store_root = Path(sys.argv[1]) if len(sys.argv) > 1 else Path(tempfile.mkdtemp(prefix="repro-scaling-")) / "store"
     store = RunStore(store_root)
-    config = ExecutionConfig(batch=True)  # vectorised trials; add jobs=0 for all CPUs
+    config = ExecutionConfig(batch=True)  # vectorised trials; add backend="local" for all CPUs
 
     print("=== first pass (cold store: computes and persists) ===\n")
     run_study(store, config)

@@ -8,24 +8,20 @@ base seed, calls the trial function, and collects the returned measurements
 into an :class:`ExperimentResult` that can be summarised, tabulated and
 serialised.
 
-*Where* the trials execute is delegated to the trial runners in
-:mod:`repro.exec.runner`: the default :class:`~repro.exec.runner.SerialTrialRunner`
-reproduces the historical in-process loop exactly, while
-:class:`~repro.exec.runner.ParallelTrialRunner` fans trials out over a
-process pool with an identical-results-for-identical-seeds guarantee.
+*Where* the trials execute is delegated to the run's execution backend
+(:mod:`repro.exec.backends`): one task per trial, seeds derived before
+dispatch and results collected in trial order, so the in-process default
+and a process pool return identical results.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable, Dict, List, Mapping, Optional
+from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence
 
 from ..errors import ExperimentError
 from .estimators import ScalarSummary, summarize_scalar
 from .statistics import BernoulliSummary, summarize_bernoulli
-
-if TYPE_CHECKING:  # pragma: no cover - avoids an import cycle with repro.exec
-    from ..exec.runner import TrialRunner
 
 __all__ = ["TrialResult", "ExperimentResult", "run_trials"]
 
@@ -116,7 +112,7 @@ class ExperimentResult:
 
     # ------------------------------------------------------------------
     def to_dict(self) -> Dict[str, Any]:
-        """JSON-serialisable representation (used by :mod:`repro.analysis.resultsio`)."""
+        """JSON-serialisable representation (used by :mod:`repro.store`)."""
         return {
             "name": self.name,
             "config": self.config,
@@ -129,6 +125,31 @@ class ExperimentResult:
                 for trial in self.trials
             ],
         }
+
+    @classmethod
+    def from_trials(
+        cls,
+        name: str,
+        config: Optional[Mapping[str, Any]],
+        seeds: Sequence[int],
+        raw_measurements: Sequence[Any],
+    ) -> "ExperimentResult":
+        """Assemble a result from per-trial seeds and raw return values.
+
+        Validates that every trial returned a mapping, so a bad trial
+        function fails with the same message on every backend.
+        """
+        result = cls(name=name, config=dict(config or {}))
+        for trial_index, (seed, measurements) in enumerate(zip(seeds, raw_measurements)):
+            if not isinstance(measurements, Mapping):
+                raise ExperimentError(
+                    f"trial function for {name!r} must return a mapping, "
+                    f"got {type(measurements).__name__}"
+                )
+            result.trials.append(
+                TrialResult(trial_index=trial_index, seed=seed, measurements=dict(measurements))
+            )
+        return result
 
     @classmethod
     def from_dict(cls, payload: Mapping[str, Any]) -> "ExperimentResult":
@@ -150,7 +171,6 @@ def run_trials(
     num_trials: int,
     base_seed: int = 0,
     config: Optional[Mapping[str, Any]] = None,
-    runner: Optional["TrialRunner"] = None,
 ) -> ExperimentResult:
     """Run ``num_trials`` independent trials of ``trial_fn`` and collect the results.
 
@@ -168,18 +188,18 @@ def run_trials(
         Root seed; fixing it makes the whole experiment reproducible.
     config:
         Arbitrary configuration metadata stored alongside the results.
-    runner:
-        Trial-execution strategy from :mod:`repro.exec.runner`; ``None``
-        selects the serial runner.  Runners derive identical per-trial seeds,
-        so the result does not depend on which one executes the trials (for
-        a picklable ``trial_fn``, parallel results are bit-identical).
-    """
-    if runner is None:
-        # Imported late: repro.exec.runner imports this module for the result
-        # containers, so a top-level import either way would be circular.
-        from ..exec.runner import SerialTrialRunner
 
-        runner = SerialTrialRunner()
-    return runner.run(
-        name=name, trial_fn=trial_fn, num_trials=num_trials, base_seed=base_seed, config=config
-    )
+    Each trial is one task on the active execution backend
+    (:func:`repro.exec.backends.active_backend`); seeds are derived before
+    dispatch, so the result does not depend on where the trials run.
+    """
+    if num_trials < 1:
+        raise ExperimentError("num_trials must be at least 1")
+    # Imported late: repro.exec imports this module for the result
+    # containers, so a top-level import either way would be circular.
+    from ..exec.pool import run_trial_groups
+    from ..exec.runner import trial_seeds
+
+    seeds = trial_seeds(base_seed, name, num_trials)
+    (raw,) = run_trial_groups([(name, trial_fn, seeds)])
+    return ExperimentResult.from_trials(name, config, seeds, raw)

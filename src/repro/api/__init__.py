@@ -4,13 +4,11 @@ This package is the declarative entry point to the reproduction's
 experiments (the E1–E11 table in ``README.md``):
 
 * :mod:`repro.api.spec` — the :class:`ExperimentSpec` registry: id, title,
-  paper claim, capability flags (``supports_batch`` /
-  ``supports_point_jobs`` / ``supports_runner``) and declared parameters
-  with defaults, replacing signature introspection everywhere;
-* :mod:`repro.api.config` — the frozen :class:`ExecutionConfig` (jobs,
-  batch, seed/trial overrides) that resolves itself into a runner +
-  batching :class:`ExecutionPlan` exactly once, validated against the spec
-  flags;
+  paper claim, batch capability (``supports_batch``) and declared
+  parameters with defaults, replacing signature introspection everywhere;
+* :mod:`repro.api.config` — the frozen :class:`ExecutionConfig` (batch,
+  backend, seed/trial overrides, store) that resolves itself into an
+  :class:`ExecutionPlan` exactly once, validated against the spec;
 * :mod:`repro.api.run` — :func:`run_experiment`, the single programmatic
   entry point, returning a :class:`~repro.store.RunArtifact`
   that :func:`~repro.store.save_run` /
@@ -24,7 +22,7 @@ Typical use::
 
     from repro.api import ExecutionConfig, run_experiment, save_run
 
-    artifact = run_experiment("E8", config=ExecutionConfig(jobs=0, batch=True))
+    artifact = run_experiment("E8", config=ExecutionConfig(batch=True, backend="local"))
     print(artifact.report.render())
     save_run(artifact, "runs/e8-batched")
 
@@ -41,7 +39,13 @@ from __future__ import annotations
 
 from ..analysis.sweeps import sweep_point_names
 from ..store import RunArtifact, RunStore, load_run, run_fingerprint, save_run
-from .config import SERVICE_EXECUTION_KEYS, ExecutionConfig, ExecutionPlan, resolve_run_options
+from .config import (
+    SERVICE_EXECUTION_KEYS,
+    ExecutionConfig,
+    ExecutionPlan,
+    backend_for_jobs,
+    resolve_run_options,
+)
 from .run import ResolvedRun, resolve_run_inputs, run_experiment
 from .spec import (
     REGISTRY,
@@ -64,6 +68,7 @@ __all__ = [
     "ExecutionConfig",
     "ExecutionPlan",
     "SERVICE_EXECUTION_KEYS",
+    "backend_for_jobs",
     "resolve_run_options",
     "ResolvedRun",
     "resolve_run_inputs",

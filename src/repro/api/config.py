@@ -1,43 +1,38 @@
 """Execution settings: a frozen :class:`ExecutionConfig` resolved exactly once.
 
 An :class:`ExecutionConfig` captures *how* an experiment should execute —
-worker count, batch mode, seed and trial-count overrides — independently of
-*which* experiment runs.  Calling :meth:`ExecutionConfig.resolve` against an
-:class:`~repro.api.spec.ExperimentSpec` turns it into an
-:class:`ExecutionPlan`: the runner instance, batch flag and point-parallel
-worker count the driver will actually use, validated against the spec's
-capability flags.  This is the one place execution concerns are mapped onto
-driver keyword arguments; the CLI, :func:`repro.api.run_experiment` and the
-benchmark helpers all resolve through it, so a capability error (``--batch``
-on a driver without a batch path) carries the same message everywhere and
-can never drift from the registry.
+batch mode, the execution backend, seed and trial-count overrides, the run
+store — independently of *which* experiment runs.  Only ``batch`` changes
+results (and the run fingerprint); the backend only decides where the
+pre-seeded tasks run.  Calling :meth:`ExecutionConfig.resolve` against an
+:class:`~repro.api.spec.ExperimentSpec` validates the settings — types
+included, since they may come from an untrusted service request — against
+the spec's capability flags and turns them into an :class:`ExecutionPlan`.
+The CLI, :func:`repro.api.run_experiment`, the service and the benchmark
+helpers all resolve through it, so an invalid setting carries the same
+message everywhere.
 
-:func:`resolve_run_options` is the shim the experiment drivers call at the
-top of ``run``: it accepts either the new ``config=`` object (an
-:class:`ExecutionConfig`, or an already-resolved :class:`ExecutionPlan` so
-the resolution genuinely happens once per run) or the legacy ``runner=`` /
-``batch=`` / ``point_jobs=`` keyword arguments, which keep working
-bit-identically but emit a single :class:`DeprecationWarning`.
+:func:`resolve_run_options` is what the experiment drivers call at the top
+of ``run``: it accepts an :class:`ExecutionConfig`, or an already-resolved
+:class:`ExecutionPlan` so the resolution genuinely happens once per run.
 """
 
 from __future__ import annotations
 
+import numbers
 import os
-import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Dict, List, Mapping, Optional, Tuple, Union
+from typing import Any, Dict, Mapping, Optional, Union
 
 from ..errors import ExperimentError
 from .spec import ExperimentSpec, batchable_experiment_ids, get_spec
-
-if TYPE_CHECKING:  # pragma: no cover - avoids importing the exec layer eagerly
-    from ..exec.runner import TrialRunner
 
 __all__ = [
     "SERVICE_EXECUTION_KEYS",
     "ExecutionConfig",
     "ExecutionPlan",
+    "backend_for_jobs",
     "resolve_run_options",
 ]
 
@@ -45,7 +40,27 @@ __all__ = [
 #: experiment-shaping subset of :class:`ExecutionConfig`.  ``store_path``
 #: and ``cache`` are deliberately absent: the service owns its store, and
 #: requests must not redirect persistence or disable memoization.
-SERVICE_EXECUTION_KEYS = ("jobs", "batch", "trials", "base_seed", "backend", "backend_options")
+SERVICE_EXECUTION_KEYS = ("batch", "trials", "base_seed", "backend", "backend_options")
+
+
+def _is_int(value: Any) -> bool:
+    """True for Python/numpy integers, false for ``bool`` (an ``int`` subclass)."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def backend_for_jobs(jobs: Optional[int]) -> Dict[str, Any]:
+    """Map a ``--jobs N`` worker count onto :class:`ExecutionConfig` backend fields.
+
+    Unset or ``1`` runs in-process; ``0`` (one worker per CPU) or ``N >= 2``
+    runs on a local process pool of that many workers.
+    """
+    if jobs is None or jobs == 1:
+        return {"backend": "in-process", "backend_options": None}
+    if not _is_int(jobs) or jobs < 0:
+        raise ExperimentError(
+            f"jobs must be a non-negative integer (0 = one worker per CPU), got {jobs!r}"
+        )
+    return {"backend": "local", "backend_options": {"workers": int(jobs)}}
 
 
 @dataclass(frozen=True)
@@ -54,40 +69,32 @@ class ExecutionConfig:
 
     Attributes
     ----------
-    jobs:
-        Worker-process count with the CLI's ``--jobs`` convention: ``None``
-        (default) = serial, ``0`` = one worker per CPU, ``k`` = ``k``
-        workers.  On the batch path this becomes point parallelism.
     batch:
         Use the vectorised batch simulators instead of one engine per trial.
+        The one execution setting that changes results, hence the one the
+        run fingerprint covers.
     base_seed:
         Override the driver's default root seed (``None`` = keep default).
     trials:
         Override the driver's default trial count (``None`` = keep default).
     backend:
-        Execution backend for the run (``"in-process"``, ``"local"``,
-        ``"remote"``; see :mod:`repro.exec.backends`).  ``None`` (default)
-        keeps the historical behaviour: in-process execution with a
-        throwaway local pool per parallel dispatch.  Naming a backend makes
-        :func:`repro.api.run_experiment` build it once, install it for the
-        whole run, and record it in the run manifest; results are
-        bit-identical on every backend.
+        Where the run's tasks execute: ``"in-process"`` (default) or
+        ``"local"``, a process pool built once per run by
+        :func:`repro.api.run_experiment` and recorded, with the number of
+        tasks it ran, in the run manifest.  Results are bit-identical on
+        both (see :mod:`repro.exec.backends`).
     backend_options:
-        Backend-specific options (e.g. ``{"workers": 4}``, or for an
-        externally reachable worker fleet ``{"endpoint": "0.0.0.0:7777",
-        "authkey": "..."}`` — a non-loopback endpoint requires an explicit
-        authkey, since the queue transport would otherwise accept pickles
-        from anyone who can reach the port); validated against the
-        backend's recognised option names at resolution time.
+        Backend options; ``local`` takes ``{"workers": k}`` (``0`` = one per
+        CPU, the default).
     store_path:
         Root directory of a content-addressed run store
         (:class:`repro.store.RunStore`).  When set,
         :func:`repro.api.run_experiment` consults the store *before*
         creating any execution backend — an identical semantic request
-        (same spec, version, resolved parameters and batch flag; ``jobs``
-        and ``backend`` deliberately excluded) is served from the store as
-        a cache hit, and a miss is computed and persisted under its
-        fingerprint.  ``None`` (default) keeps the uncached behaviour.
+        (same spec, version, resolved parameters and batch flag; the
+        backend deliberately excluded) is served from the store as a cache
+        hit, and a miss is computed and persisted under its fingerprint.
+        ``None`` (default) keeps the uncached behaviour.
     cache:
         Whether the store lookup is consulted (``True``, default).
         ``cache=False`` with a ``store_path`` is the refresh mode (the
@@ -95,11 +102,10 @@ class ExecutionConfig:
         the stored artifact.  Without a ``store_path`` the flag is inert.
     """
 
-    jobs: Optional[int] = None
     batch: bool = False
     base_seed: Optional[int] = None
     trials: Optional[int] = None
-    backend: Optional[str] = None
+    backend: str = "in-process"
     backend_options: Optional[Mapping[str, Any]] = None
     store_path: Optional[Union[str, Path]] = None
     cache: bool = True
@@ -108,38 +114,32 @@ class ExecutionConfig:
     def from_env(cls, variable: str = "REPRO_JOBS", *, batch: bool = False) -> "ExecutionConfig":
         """Build a config from the execution environment variables.
 
-        The single place ``REPRO_BENCH_JOBS``-style knobs are interpreted:
-        ``variable`` holds ``--jobs`` (unset/empty → serial, ``0`` → one
-        worker per CPU, ``k`` → ``k`` workers — exactly the CLI
-        convention).  Two companions select the execution backend:
-
-        * ``REPRO_BACKEND`` — ``in-process``, ``local`` or ``remote``
-          (unset/empty → the historical per-call dispatch);
-        * ``REPRO_WORKERS`` — worker count handed to that backend (pool
-          size for ``local``, auto-spawned localhost workers for
-          ``remote``), overriding the jobs variable for the backend.
-
-        Two more select the run store:
+        ``variable`` holds a worker count with the CLI's ``--jobs``
+        convention (see :func:`backend_for_jobs`; unset/empty →
+        in-process).  Two more select the run store:
 
         * ``REPRO_STORE`` — root directory of a content-addressed run
-          store (unset/empty → no store, the historical behaviour);
+          store (unset/empty → no store);
         * ``REPRO_CACHE`` — set to ``0``/``false``/``no``/``off`` to skip
           the store lookup (the ``--no-cache`` refresh mode); anything
           else, or unset, keeps caching on.
         """
         raw = os.environ.get(variable, "").strip()
-        backend = os.environ.get("REPRO_BACKEND", "").strip() or None
-        workers_raw = os.environ.get("REPRO_WORKERS", "").strip()
-        backend_options = {"workers": int(workers_raw)} if workers_raw and backend else None
+        try:
+            jobs = int(raw) if raw else None
+            backend = backend_for_jobs(jobs)
+        except (ValueError, ExperimentError):
+            raise ExperimentError(
+                f"{variable} must be a non-negative worker count "
+                f"(0 = one per CPU), got {raw!r}"
+            ) from None
         store_raw = os.environ.get("REPRO_STORE", "").strip()
         cache_raw = os.environ.get("REPRO_CACHE", "").strip().lower()
         return cls(
-            jobs=int(raw) if raw else None,
             batch=batch,
-            backend=backend,
-            backend_options=backend_options,
             store_path=store_raw or None,
             cache=cache_raw not in ("0", "false", "no", "off"),
+            **backend,
         )
 
     @classmethod
@@ -156,11 +156,10 @@ class ExecutionConfig:
         the whole point of serving is that repeated parameter points are
         hits), and the execution options come from an untrusted JSON body,
         so only the whitelisted keys in :data:`SERVICE_EXECUTION_KEYS` are
-        accepted (``jobs``, ``batch``, ``trials``, ``base_seed``,
-        ``backend``, ``backend_options``).  Anything else — notably
-        ``store_path``/``cache`` themselves, which a request must not
-        redirect — raises a labelled :class:`~repro.errors.ExperimentError`
-        that the service maps to a ``400``.
+        accepted.  Anything else — notably ``store_path``/``cache``
+        themselves, which a request must not redirect — raises a labelled
+        :class:`~repro.errors.ExperimentError` that the service maps to a
+        ``400``; so do badly typed values, via :meth:`resolve`.
         """
         settings = dict(options or {})
         unknown = sorted(set(settings) - set(SERVICE_EXECUTION_KEYS))
@@ -172,37 +171,31 @@ class ExecutionConfig:
         return cls(store_path=Path(store_path), cache=True, **settings)
 
     def resolve(self, spec_or_id: Union[str, ExperimentSpec]) -> "ExecutionPlan":
-        """Resolve into the runner + batching plan for one experiment.
+        """Validate against one experiment and resolve into its plan.
 
-        Validation is driven entirely by the spec's capability flags:
+        Raises :class:`~repro.errors.ExperimentError` when:
 
-        * ``batch=True`` against a spec without a batch path raises
-          :class:`~repro.errors.ExperimentError` naming the batchable ids;
-        * ``trials`` / ``base_seed`` overrides against a spec that does not
-          declare those parameters raise likewise (E10 counts repetitions
-          with ``monte_carlo_reps``);
-        * ``jobs`` on an experiment that cannot use them resolves to an
-          inert plan carrying an explanatory note (surfaced by the CLI)
-          instead of silently implying parallelism;
-        * ``backend`` names and ``backend_options`` keys are validated
-          against the backend registry (:mod:`repro.exec.backends`), and a
-          parallel backend with no ``jobs`` resolves as ``jobs=0`` so
-          installing a worker fleet actually engages it.
+        * ``batch`` is not a bool, ``trials`` is not an integer ``>= 1``, or
+          ``base_seed`` is not an integer;
+        * ``batch=True`` names a spec without a batch path (the message
+          lists the batchable ids);
+        * a ``trials`` / ``base_seed`` override names a parameter the spec
+          does not declare (E10 counts repetitions with
+          ``monte_carlo_reps``);
+        * the ``backend`` name, its option keys or its ``workers`` value
+          are invalid (see :func:`repro.exec.backends.validate_backend_spec`);
+        * ``store_path`` exists but is not a directory.
         """
-        from ..exec import resolve_runner
         from ..exec.backends import validate_backend_spec
 
         spec = get_spec(spec_or_id)
-        if self.jobs is not None and self.jobs < 0:
-            raise ExperimentError(
-                f"jobs must be non-negative (0 = one worker per CPU), got {self.jobs}"
-            )
-        if self.backend is not None:
-            validate_backend_spec(self.backend, self.backend_options)
-        elif self.backend_options:
-            raise ExperimentError(
-                "backend_options were given without a backend; set backend= too"
-            )
+        if not isinstance(self.batch, bool):
+            raise ExperimentError(f"batch must be true or false, got {self.batch!r}")
+        if self.trials is not None and (not _is_int(self.trials) or self.trials < 1):
+            raise ExperimentError(f"trials must be a positive integer, got {self.trials!r}")
+        if self.base_seed is not None and not _is_int(self.base_seed):
+            raise ExperimentError(f"base_seed must be an integer, got {self.base_seed!r}")
+        validate_backend_spec(self.backend, self.backend_options)
         store_path: Optional[Path] = None
         if self.store_path is not None:
             store_path = Path(self.store_path)
@@ -222,105 +215,58 @@ class ExecutionConfig:
                     f"settable parameters are: {', '.join(spec.parameter_names)}"
                 )
 
-        # A parallel backend without an explicit --jobs still means "use the
-        # workers": resolve as the all-CPUs convention so the runner /
-        # point-parallel machinery routes its tasks to the installed backend
-        # (which owns the real worker count).
-        effective_jobs = self.jobs
-        if effective_jobs is None and self.backend not in (None, "in-process"):
-            effective_jobs = 0
-
-        runner: Optional["TrialRunner"] = None
-        point_jobs: Optional[int] = None
-        notes: List[str] = []
-        if effective_jobs is not None:
-            if self.batch:
-                if spec.supports_point_jobs:
-                    point_jobs = effective_jobs
-                else:
-                    notes.append(
-                        f"{spec.experiment_id} --batch vectorises its whole Monte-Carlo "
-                        "in-process; --jobs has no effect"
-                    )
-            elif spec.supports_runner:
-                runner = resolve_runner(effective_jobs)
-            else:
-                notes.append(
-                    f"{spec.experiment_id} vectorises its Monte-Carlo in-process rather than "
-                    "running per-trial simulations; --jobs has no effect"
-                )
-
         return ExecutionPlan(
             spec=spec,
-            jobs=self.jobs,
             batch=self.batch,
-            runner=runner,
-            point_jobs=point_jobs,
-            trials=self.trials,
-            base_seed=self.base_seed,
+            trials=None if self.trials is None else int(self.trials),
+            base_seed=None if self.base_seed is None else int(self.base_seed),
             backend=self.backend,
             backend_options=dict(self.backend_options) if self.backend_options else None,
             store_path=store_path,
             cache=self.cache,
-            notes=tuple(notes),
         )
 
 
 @dataclass(frozen=True)
 class ExecutionPlan:
-    """A resolved execution strategy for one specific experiment.
+    """A validated execution strategy for one specific experiment.
 
-    Produced by :meth:`ExecutionConfig.resolve` (or by the legacy-kwarg shim
-    in :func:`resolve_run_options`); drivers read the ``runner`` / ``batch``
-    / ``point_jobs`` triple from it and apply the ``trials`` / ``base_seed``
-    overrides, so the mapping from settings to behaviour lives here once.
+    Produced by :meth:`ExecutionConfig.resolve`; drivers read ``batch`` from
+    it and apply the ``trials`` / ``base_seed`` overrides, and
+    :func:`repro.api.run_experiment` builds the backend from it.
     """
 
     spec: ExperimentSpec
-    jobs: Optional[int] = None
     batch: bool = False
-    runner: Optional["TrialRunner"] = None
-    point_jobs: Optional[int] = None
     trials: Optional[int] = None
     base_seed: Optional[int] = None
-    backend: Optional[str] = None
+    backend: str = "in-process"
     backend_options: Optional[Dict[str, Any]] = None
     store_path: Optional[Path] = None
     cache: bool = True
-    notes: Tuple[str, ...] = field(default_factory=tuple)
 
-    def create_backend(self) -> Optional[Any]:
-        """Build the plan's execution backend, or ``None`` for the default.
+    def create_backend(self) -> Any:
+        """Build the plan's execution backend (not yet started).
 
-        Called exactly once per run by :func:`repro.api.run_experiment`;
-        the returned backend is not yet started.
+        Called exactly once per run by :func:`repro.api.run_experiment`.
         """
-        if self.backend is None:
-            return None
         from ..exec.backends import create_backend
 
-        return create_backend(self.backend, self.backend_options, jobs=self.jobs)
+        return create_backend(self.backend, self.backend_options)
 
     def describe(self) -> Dict[str, Any]:
-        """JSON-friendly summary of the plan (stored in run manifests)."""
-        if self.runner is None:
-            runner_label = "batch" if self.batch else "serial"
-        else:
-            runner_label = type(self.runner).__name__
+        """JSON-friendly summary of the plan (stored in run manifests).
+
+        The ``backend`` entry is added by :func:`repro.api.run_experiment`
+        from the live backend (resolved worker count, tasks executed).
+        """
         return {
-            "jobs": self.jobs,
             "batch": self.batch,
-            "runner": runner_label,
-            "point_jobs": self.point_jobs,
             "trials": self.trials,
             "base_seed": self.base_seed,
-            "backend": {"name": self.backend, "options": dict(self.backend_options or {})}
-            if self.backend
-            else None,
             "store": {"path": str(self.store_path), "cache": self.cache}
             if self.store_path
             else None,
-            "notes": list(self.notes),
         }
 
 
@@ -328,55 +274,28 @@ def resolve_run_options(
     experiment_id: str,
     *,
     config: Optional[Union[ExecutionConfig, ExecutionPlan]] = None,
-    runner: Optional["TrialRunner"] = None,
-    batch: bool = False,
-    point_jobs: Optional[int] = None,
 ) -> ExecutionPlan:
-    """Resolve a driver's execution arguments into one :class:`ExecutionPlan`.
+    """Resolve a driver's ``config=`` argument into its :class:`ExecutionPlan`.
 
-    Called at the top of every driver ``run``.  Exactly one of the two
-    styles may be used:
-
-    * ``config=`` — an :class:`ExecutionConfig` (resolved here against the
-      registry spec) or an already-resolved :class:`ExecutionPlan` (passed
-      through, so :func:`repro.api.run_experiment` resolves exactly once);
-    * the legacy ``runner=`` / ``batch=`` / ``point_jobs=`` keywords — kept
-      bit-identical for backwards compatibility, but any use emits a single
-      :class:`DeprecationWarning` pointing at the unified API.
+    Called at the top of every driver ``run``: an :class:`ExecutionConfig`
+    (``None`` = the defaults) is resolved here against the registry spec; an
+    already-resolved :class:`ExecutionPlan` is passed through, so
+    :func:`repro.api.run_experiment` resolves exactly once.
     """
-    legacy = runner is not None or bool(batch) or point_jobs is not None
-    if config is not None:
-        if legacy:
-            raise ExperimentError(
-                f"{experiment_id}.run() received both config= and legacy execution "
-                "kwargs (runner=/batch=/point_jobs=); pass one or the other"
-            )
-        if isinstance(config, ExecutionPlan):
-            plan = config
-        elif isinstance(config, ExecutionConfig):
-            plan = config.resolve(experiment_id)
-        else:
-            raise ExperimentError(
-                f"config must be an ExecutionConfig or ExecutionPlan, "
-                f"got {type(config).__name__}"
-            )
-        if plan.spec.experiment_id != experiment_id:
-            raise ExperimentError(
-                f"execution plan was resolved for {plan.spec.experiment_id}, "
-                f"not {experiment_id}"
-            )
-        return plan
-
-    if legacy:
-        warnings.warn(
-            f"passing runner=/batch=/point_jobs= directly to {experiment_id}.run() is "
-            "deprecated; use repro.api.run_experiment with an ExecutionConfig",
-            DeprecationWarning,
-            stacklevel=3,
+    if config is None:
+        config = ExecutionConfig()
+    if isinstance(config, ExecutionPlan):
+        plan = config
+    elif isinstance(config, ExecutionConfig):
+        plan = config.resolve(experiment_id)
+    else:
+        raise ExperimentError(
+            f"config must be an ExecutionConfig or ExecutionPlan, "
+            f"got {type(config).__name__}"
         )
-    return ExecutionPlan(
-        spec=get_spec(experiment_id),
-        batch=bool(batch),
-        runner=runner,
-        point_jobs=point_jobs,
-    )
+    if plan.spec.experiment_id != experiment_id:
+        raise ExperimentError(
+            f"execution plan was resolved for {plan.spec.experiment_id}, "
+            f"not {experiment_id}"
+        )
+    return plan

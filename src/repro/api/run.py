@@ -1,6 +1,6 @@
 """The single programmatic entry point: :func:`run_experiment`.
 
-``run_experiment("E8", config=ExecutionConfig(jobs=0, batch=True),
+``run_experiment("E8", config=ExecutionConfig(batch=True, backend="local"),
 set_sizes=(50, 200))`` resolves the experiment spec from the registry,
 resolves the execution settings into a plan exactly once, validates the
 parameter overrides against the spec's declared parameters, invokes the
@@ -14,8 +14,8 @@ When the plan names a store (``ExecutionConfig(store_path=...)``, the
 CLI's ``--store``, or ``REPRO_STORE``), the run is memoized through the
 content-addressed :class:`~repro.store.RunStore`: the run fingerprint —
 sha256 over spec id, package version, resolved parameters and the
-``batch`` flag, excluding ``jobs``/``backend`` because the determinism
-contract proves them result-irrelevant — is looked up *before* any
+``batch`` flag, excluding the backend because the determinism contract
+proves it result-irrelevant — is looked up *before* any
 execution backend is created.  A hit loads, verifies and returns the
 stored artifact (``execution["cache"] == "hit"``); a miss computes
 normally and persists the artifact under its fingerprint.  The miss path
@@ -33,9 +33,9 @@ picks them up, guaranteed to agree with what ``run_experiment`` would
 compute because ``run_experiment`` itself goes through it.
 
 The CLI (``repro-flip experiment``), the benchmark scripts and the examples
-all call this function; per-driver ``run(...)`` signatures remain available
-but are a deprecation-shimmed compatibility path (see
-:func:`repro.api.config.resolve_run_options`).
+all call this function.  A driver's own ``run(config=...)`` still works,
+but dispatches to whatever backend is active on the calling thread (the
+in-process default) instead of building the configured one.
 """
 
 from __future__ import annotations
@@ -116,26 +116,19 @@ def resolve_run_inputs(
 def _execute(resolved: ResolvedRun, execution: Dict[str, Any], **param_overrides: Any) -> RunArtifact:
     """Drive the experiment described by ``resolved`` and package the artifact."""
     from .. import __version__
+    from ..exec.backends import use_backend
 
     plan = resolved.plan
     backend = plan.create_backend()
     started = time.perf_counter()
-    if backend is None:
+    # One backend per run: started once, installed on this thread for every
+    # dispatch the driver performs (trials, sweep points, cells), closed
+    # when the driver returns — the local pool is spawned once here instead
+    # of per sweep-point family.
+    with backend, use_backend(backend):
         report = resolved.spec.driver().run(config=plan, **param_overrides)
-    else:
-        # One backend per run: started once, installed for every dispatch
-        # the driver performs (trial fan-outs, point-parallel sweeps,
-        # batched task lists), closed when the driver returns.  This is
-        # where the persistent backends earn their keep — the local pool is
-        # spawned once here instead of per sweep-point family, and remote
-        # workers serve the whole run.
-        from ..exec.backends import use_backend
-
-        with backend, use_backend(backend):
-            report = resolved.spec.driver().run(config=plan, **param_overrides)
-            # Record the *live* summary (resolved endpoint, spawned workers,
-            # chunks dispatched) before close() tears the backend down.
-            execution["backend"] = backend.describe()
+        # The live summary: resolved worker count and tasks executed.
+        execution["backend"] = backend.describe()
     wall_time = time.perf_counter() - started
 
     return RunArtifact(
@@ -163,9 +156,9 @@ def run_experiment(
         An experiment id (``"E1"``..``"E12"``) or an
         :class:`~repro.api.spec.ExperimentSpec` from the registry.
     config:
-        Execution settings; ``None`` means the serial defaults.  An
-        :class:`~repro.api.config.ExecutionConfig` is resolved into a
-        runner + batching plan exactly once, here, and the resolved plan is
+        Execution settings; ``None`` means the in-process defaults.  An
+        :class:`~repro.api.config.ExecutionConfig` is resolved into an
+        execution plan exactly once, here, and the resolved plan is
         handed to the driver; an already-resolved
         :class:`~repro.api.config.ExecutionPlan` for the same experiment is
         accepted as-is.

@@ -2,8 +2,8 @@
 
 Every reproduced claim (the E1–E12 table in ``README.md``) is described here
 *declaratively*: its id, title, the paper statement it reproduces, the
-capability flags of its driver (``supports_runner`` / ``supports_batch`` /
-``supports_point_jobs``) and its tunable parameters with their defaults.
+batch capability of its driver (``supports_batch``) and its tunable
+parameters with their defaults.
 
 The registry is the single source of truth that used to be scattered across
 the bare ``DRIVERS`` dict, per-driver ``inspect.signature`` probing in the
@@ -63,14 +63,8 @@ class ExperimentSpec:
         The paper statement being reproduced (theorem / claim / section).
     module:
         Dotted path of the driver module, imported lazily by :meth:`driver`.
-    supports_runner:
-        Whether ``run`` accepts a per-trial :class:`~repro.exec.runner.TrialRunner`
-        (the CLI's plain ``--jobs``).
     supports_batch:
         Whether ``run`` has a vectorised batch path (the CLI's ``--batch``).
-    supports_point_jobs:
-        Whether ``run`` can spread independent sweep points over a shared
-        process pool (the CLI's ``--jobs`` combined with ``--batch``).
     parameters:
         The driver's tunable parameters, in signature order, with defaults.
     """
@@ -79,9 +73,7 @@ class ExperimentSpec:
     title: str
     claim: str
     module: str
-    supports_runner: bool = True
     supports_batch: bool = False
-    supports_point_jobs: bool = False
     parameters: Tuple[ParameterSpec, ...] = field(default_factory=tuple)
 
     def driver(self) -> ModuleType:
@@ -135,7 +127,6 @@ REGISTRY: Dict[str, ExperimentSpec] = {
             "Theorem 2.17: O(log n / eps^2) rounds, all agents correct w.h.p.",
             "e1_rounds_vs_n",
             supports_batch=True,
-            supports_point_jobs=True,
             parameters=_parameters(
                 ("sizes", (250, 500, 1000, 2000, 4000), "population sizes swept"),
                 ("epsilon", 0.2, "noise margin (flip prob = 1/2 - epsilon)"),
@@ -149,7 +140,6 @@ REGISTRY: Dict[str, ExperimentSpec] = {
             "Theorem 2.17: O(log n / eps^2) rounds, all agents correct w.h.p.",
             "e2_rounds_vs_eps",
             supports_batch=True,
-            supports_point_jobs=True,
             parameters=_parameters(
                 ("epsilons", (0.1, 0.15, 0.2, 0.3, 0.4), "noise margins swept"),
                 ("n", 1000, "population size"),
@@ -163,7 +153,6 @@ REGISTRY: Dict[str, ExperimentSpec] = {
             "Theorem 2.17: O(n log n / eps^2) messages in total",
             "e3_messages",
             supports_batch=True,
-            supports_point_jobs=True,
             parameters=_parameters(
                 ("sizes", (500, 1000, 2000), "population sizes of the grid"),
                 ("epsilons", (0.15, 0.25), "noise margins of the grid"),
@@ -177,7 +166,6 @@ REGISTRY: Dict[str, ExperimentSpec] = {
             "Claim 2.2: beta_s/3 <= X0 <= beta_s and eps_0 >= eps/2, w.h.p.",
             "e4_phase0",
             supports_batch=True,
-            supports_point_jobs=True,
             parameters=_parameters(
                 ("n", 4000, "population size"),
                 ("epsilons", (0.1, 0.2, 0.3), "noise margins measured"),
@@ -223,7 +211,6 @@ REGISTRY: Dict[str, ExperimentSpec] = {
             "the paper's protocol reaches full correct consensus",
             "e7_baselines",
             supports_batch=True,
-            supports_point_jobs=True,
             parameters=_parameters(
                 ("n", 2000, "population size"),
                 ("epsilons", (0.1, 0.2), "noise margins compared"),
@@ -239,7 +226,6 @@ REGISTRY: Dict[str, ExperimentSpec] = {
             "bias = Omega(sqrt(log n / |A|)); below the bias threshold the majority is not recoverable",
             "e8_majority",
             supports_batch=True,
-            supports_point_jobs=True,
             parameters=_parameters(
                 ("n", 2000, "population size"),
                 ("epsilon", 0.2, "noise margin"),
@@ -255,7 +241,6 @@ REGISTRY: Dict[str, ExperimentSpec] = {
             "Theorem 3.1: additive O(log^2 n) rounds, unchanged message complexity",
             "e9_async",
             supports_batch=True,
-            supports_point_jobs=True,
             parameters=_parameters(
                 ("n", 1000, "population size"),
                 ("epsilon", 0.25, "noise margin"),
@@ -269,7 +254,6 @@ REGISTRY: Dict[str, ExperimentSpec] = {
             "Majority of gamma noisy samples from a delta-biased population",
             "Lemma 2.11: P(majority correct) >= min(1/2 + 4 delta, 1/2 + 1/100)",
             "e10_majority_lemma",
-            supports_runner=False,
             supports_batch=True,
             parameters=_parameters(
                 ("epsilon", 0.2, "noise margin"),
@@ -286,7 +270,6 @@ REGISTRY: Dict[str, ExperimentSpec] = {
             "direct scheme needs that many rounds, and listen-only broadcast needs Theta(n log n / eps^2) rounds",
             "e11_lower_bounds",
             supports_batch=True,
-            supports_point_jobs=True,
             parameters=_parameters(
                 ("n", 400, "population size"),
                 ("epsilon", 0.25, "noise margin"),
@@ -302,7 +285,6 @@ REGISTRY: Dict[str, ExperimentSpec] = {
             "approximate-consensus algorithm designed to tolerate exactly f faulty servers",
             "e12_faults",
             supports_batch=True,
-            supports_point_jobs=True,
             parameters=_parameters(
                 ("n", 600, "population size"),
                 ("epsilon", 0.25, "noise margin"),

@@ -7,7 +7,7 @@ Installed as ``repro-flip``.  Three subcommands cover the common workflows:
 * ``repro-flip majority --n 2000 --epsilon 0.2 --set-size 300 --bias 0.1`` —
   run the noisy majority-consensus protocol once;
 * ``repro-flip experiment E1 --jobs 4`` — run one of the experiment drivers
-  (the E1–E11 table in ``README.md``) and print its report.
+  (the E1–E12 table in ``README.md``) and print its report.
 
 The ``experiment`` subcommand is a thin shell over the unified experiment
 API (:mod:`repro.api`): the experiment registry supplies the valid ids,
@@ -15,7 +15,9 @@ capability help/error text (``--batch`` support comes from
 :attr:`~repro.api.spec.ExperimentSpec.supports_batch` flags, never from
 signature introspection) and the parameter names ``--set key=value`` may
 override; :class:`~repro.api.config.ExecutionConfig` resolves ``--jobs`` /
-``--batch`` / ``--trials`` / ``--seed`` into an execution plan; and
+``--batch`` / ``--trials`` / ``--seed`` into an execution plan (``--jobs N``
+is the one parallelism flag: ``0`` or ``N >= 2`` runs the tasks on a local
+process pool of ``N`` workers, see :func:`~repro.api.config.backend_for_jobs`); and
 ``--save DIR`` persists the returned
 :class:`~repro.store.RunArtifact` (manifest + report payload)
 for later reloading with :func:`~repro.store.load_run`.
@@ -38,10 +40,19 @@ from __future__ import annotations
 import argparse
 import ast
 import sys
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, Optional, Sequence
 
 from .analysis.tables import render_kv, render_table
-from .api import ExecutionConfig, RunStore, batchable_experiment_ids, experiment_ids, get_spec, run_experiment, save_run
+from .api import (
+    ExecutionConfig,
+    RunStore,
+    backend_for_jobs,
+    batchable_experiment_ids,
+    experiment_ids,
+    get_spec,
+    run_experiment,
+    save_run,
+)
 from .core.broadcast import solve_noisy_broadcast
 from .core.majority import solve_noisy_majority_consensus
 from .core.synchronizer import run_clock_free_broadcast
@@ -80,8 +91,9 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         metavar="N",
-        help="run Monte-Carlo trials across N worker processes (0 = one per CPU, default: serial); "
-        "results are identical to a serial run for the same seeds",
+        help="run the experiment's tasks (trials, sweep points or cells) on a local pool of N "
+        "worker processes (0 = one per CPU; default and 1: in-process); results are "
+        "identical to an in-process run. Env equivalent: REPRO_JOBS",
     )
     experiment.add_argument(
         "--batch",
@@ -90,34 +102,6 @@ def build_parser() -> argparse.ArgumentParser:
         f"({batchable_experiment_ids()}; deterministic per base seed, but drawn from a "
         "batch-level random stream instead of per-trial streams); combine with --jobs to "
         "additionally run independent sweep points across worker processes",
-    )
-    experiment.add_argument(
-        "--backend",
-        choices=["in-process", "local", "remote"],
-        default=None,
-        help="execution backend for the run (default: in-process with a throwaway pool per "
-        "parallel dispatch). 'local' keeps one persistent process pool for the whole run; "
-        "'remote' opens a work-stealing task queue that `python -m repro.worker` processes "
-        "attach to (combine with --jobs to auto-spawn that many localhost workers). "
-        "Results are bit-identical on every backend. Env equivalents: REPRO_BACKEND / "
-        "REPRO_WORKERS (see ExecutionConfig.from_env)",
-    )
-    experiment.add_argument(
-        "--workers-endpoint",
-        metavar="HOST:PORT",
-        default=None,
-        help="with --backend remote: bind the worker task queue here (default 127.0.0.1 with "
-        "an OS-assigned port); point external workers at it with "
-        "`python -m repro.worker --endpoint HOST:PORT`",
-    )
-    experiment.add_argument(
-        "--workers-authkey",
-        metavar="KEY",
-        default=None,
-        help="with --backend remote: shared secret workers must present (required for a "
-        "non-loopback --workers-endpoint; default: a random per-run key that only "
-        "auto-spawned localhost workers know). External workers pass it via "
-        "`python -m repro.worker --authkey KEY` or REPRO_WORKER_AUTHKEY",
     )
     experiment.add_argument(
         "--trials",
@@ -156,7 +140,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="memoize the run through the content-addressed run store rooted here: an "
         "identical semantic request (same experiment, parameters and batch flag — "
-        "--jobs/--backend deliberately excluded) is served from the store as a cache "
+        "--jobs deliberately excluded) is served from the store as a cache "
         "hit; a miss is computed and persisted under its fingerprint. Env equivalent: "
         "REPRO_STORE",
     )
@@ -321,25 +305,19 @@ def _parse_overrides(
 
 def _run_experiment(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     """Run one experiment through :func:`repro.api.run_experiment`."""
-    backend_options = {}
-    if args.workers_endpoint is not None:
-        backend_options["endpoint"] = args.workers_endpoint
-    if args.workers_authkey is not None:
-        backend_options["authkey"] = args.workers_authkey
-    if backend_options and args.backend != "remote":
-        parser.error("--workers-endpoint/--workers-authkey only apply to --backend remote")
-    backend_options = backend_options or None
     if args.no_cache and args.store is None:
         parser.error("--no-cache only applies together with --store")
+    try:
+        backend = backend_for_jobs(args.jobs)
+    except ExperimentError as error:
+        parser.error(str(error))
     config = ExecutionConfig(
-        jobs=args.jobs,
         batch=args.batch,
         trials=args.trials,
         base_seed=args.seed,
-        backend=args.backend,
-        backend_options=backend_options,
         store_path=args.store,
         cache=not args.no_cache,
+        **backend,
     )
     overrides = _parse_overrides(args.overrides, parser)
     try:
@@ -350,8 +328,6 @@ def _run_experiment(args: argparse.Namespace, parser: argparse.ArgumentParser) -
         artifact = run_experiment(args.experiment_id, config=config, **overrides)
     except ExperimentError as error:
         parser.error(str(error))
-    for note in artifact.execution.get("notes", []):
-        print(f"note: {note}", file=sys.stderr)
     if args.store is not None:
         print(
             f"store: cache {artifact.execution.get('cache', '?')} "
@@ -446,12 +422,7 @@ def _list_experiments() -> int:
     """Print the registry: one line per experiment, parameters indented."""
     for experiment_id in experiment_ids():
         spec = get_spec(experiment_id)
-        capabilities: List[str] = []
-        if spec.supports_batch:
-            capabilities.append("--batch")
-        if spec.supports_runner or spec.supports_point_jobs:
-            capabilities.append("--jobs")
-        suffix = f"  [{' '.join(capabilities)}]" if capabilities else ""
+        suffix = "  [--batch]" if spec.supports_batch else ""
         print(f"{experiment_id}: {spec.title}{suffix}")
         settable = ", ".join(
             f"{parameter.name}={parameter.default!r}" for parameter in spec.parameters

@@ -1,27 +1,21 @@
-"""Trial-execution subsystem: serial, process-parallel and batched runners.
+"""Trial-execution subsystem: dispatch, backends and batched kernels.
 
 The analysis layer (:mod:`repro.analysis`) defines *what* a Monte-Carlo
 experiment is — trial functions, seed bookkeeping, result containers.  This
 package defines *how* the trials execute:
 
-* :mod:`repro.exec.runner` — :class:`SerialTrialRunner` (the deterministic
-  reference) and :class:`ParallelTrialRunner` (a process-pool fan-out with an
-  identical-results-for-identical-seeds contract and automatic serial
-  fallback for unpicklable trial functions);
-* :mod:`repro.exec.backends` — the pluggable execution-backend layer ("who
-  runs a task list"): the in-process reference, a persistent local process
-  pool reused across sweep-point families, and a remote work-stealing
-  backend that ``python -m repro.worker`` processes attach to — all behind
-  one ordered-results contract, so every backend is bit-identical;
-* :mod:`repro.exec.pool` — the dispatch plumbing between the runners/sweeps
-  and the backends (task construction, picklability probing, backend
-  routing with the historical per-call pool as the fallback);
+* :mod:`repro.exec.runner` — :func:`trial_seed`, the one per-trial seed
+  derivation every path shares;
+* :mod:`repro.exec.backends` — "who runs a task list": the in-process
+  reference (the default) and a persistent local process pool, behind one
+  ordered-results contract, so both are bit-identical;
+* :mod:`repro.exec.pool` — the dispatch plumbing between the trials/sweeps
+  and the active backend (task construction, picklability probing);
 * :mod:`repro.exec.batching` — a vectorised path that simulates ``R``
   independent replicates of the noisy push-gossip protocols (broadcast,
   majority consensus *and* the Section 1.6 / Section 1.4 baseline family)
   as ``(R, n)`` NumPy grids instead of one engine per trial, plus a generic
-  batched sweep dispatcher with an optional point-parallel mode (one shared
-  pool across independent grid points);
+  batched sweep dispatcher (one task per grid point);
 * :mod:`repro.exec.stage_batching` — the instrumented ``(R, n)`` stage
   kernels underneath the batched protocols: Stage I / Stage II round loops
   with per-phase replicate-vector measurements (``X_i`` / ``Y_i`` /
@@ -32,16 +26,13 @@ package defines *how* the trials execute:
   non-uniform contact topology) and the batched phased approximate-consensus
   comparator, both differentially pinned against their serial references.
 
-Experiment drivers accept a ``runner=`` argument (surfaced as ``--jobs`` on
-the CLI) and — every driver, E1–E12 — a ``batch=`` flag (surfaced as
-``--batch``; ``--jobs`` composes with it via point parallelism where the
-driver sweeps independent cells); see ``docs/ARCHITECTURE.md`` for the
-determinism contract of each path.
+Execution is chosen per run by :class:`repro.api.ExecutionConfig`: ``batch``
+(surfaced as ``--batch``) picks the vectorised path, and ``backend``
+(``--jobs N`` on the CLI) picks where the tasks run; see
+``docs/ARCHITECTURE.md`` for the determinism contract of each path.
 """
 
 from __future__ import annotations
-
-import os
 
 from .batching import (
     BatchBaselineResult,
@@ -77,31 +68,17 @@ from .backends import (
     ExecutionBackend,
     InProcessBackend,
     LocalPoolBackend,
-    RemoteWorkerBackend,
     Task,
     active_backend,
     create_backend,
     use_backend,
 )
-from .runner import (
-    ParallelTrialRunner,
-    SerialTrialRunner,
-    TrialRunner,
-    resolve_runner,
-    trial_seed,
-    trial_seeds,
-)
+from .runner import trial_seed, trial_seeds
 
 __all__ = [
-    "TrialRunner",
-    "SerialTrialRunner",
-    "ParallelTrialRunner",
-    "resolve_runner",
-    "runner_from_env",
     "ExecutionBackend",
     "InProcessBackend",
     "LocalPoolBackend",
-    "RemoteWorkerBackend",
     "Task",
     "active_backend",
     "create_backend",
@@ -134,15 +111,3 @@ __all__ = [
     "run_consensus_comparator_batch",
 ]
 
-
-def runner_from_env(variable: str = "REPRO_JOBS") -> TrialRunner:
-    """Build a runner from an environment variable (used by the benchmarks).
-
-    The variable holds the worker count with the same convention as the CLI's
-    ``--jobs`` flag: unset or ``1`` → serial, ``0`` → one worker per CPU,
-    ``k > 1`` → ``k`` workers.
-    """
-    raw = os.environ.get(variable, "").strip()
-    if not raw:
-        return SerialTrialRunner()
-    return resolve_runner(int(raw))

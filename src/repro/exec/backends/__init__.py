@@ -1,38 +1,32 @@
 """Pluggable execution backends: who runs a task list, behind one interface.
 
-The dispatch sites of the execution layer (:mod:`repro.exec.pool`,
-:class:`~repro.exec.runner.ParallelTrialRunner`, the sweep dispatchers) used
-to hard-code a throwaway local process pool.  They now build
+The dispatch sites of the execution layer (:mod:`repro.exec.pool`) build
 :class:`~repro.exec.backends.base.Task` lists and hand them to whichever
-:class:`~repro.exec.backends.base.ExecutionBackend` is installed for the
-run:
+:class:`~repro.exec.backends.base.ExecutionBackend` is active for the run:
 
-* ``in-process`` — :class:`~repro.exec.backends.local.InProcessBackend`,
-  the serial reference (exact historical semantics);
-* ``local`` — :class:`~repro.exec.backends.local.LocalPoolBackend`, the
-  historical process pool, but created once per run and reused across
-  sweep-point families;
-* ``remote`` — :class:`~repro.exec.backends.remote.RemoteWorkerBackend`,
-  a socket task queue that external ``python -m repro.worker`` processes
-  attach to, with chunked work-stealing dispatch, capped retry on worker
-  death and heartbeat-based eviction.
+* ``in-process`` — :class:`~repro.exec.backends.base.InProcessBackend`,
+  the serial reference and the default;
+* ``local`` — :class:`~repro.exec.backends.local.LocalPoolBackend`, one
+  process pool created per run and reused across sweep-point families
+  (option ``workers``: the pool size, ``0`` = one per CPU).
 
-All three satisfy the same contract — seeds derived in the parent, results
+Both satisfy the same contract — seeds derived in the parent, results
 assembled in task order — so they are interchangeable at the bit level;
-``tests/unit/exec/test_backends.py`` and the smoke gates pin the digests.
+``tests/unit/test_fault_none_regression.py`` pins the digests.
 
 :func:`create_backend` is the one factory the API layer uses; it validates
-backend names and option keys so ``--backend`` typos fail with the same
-message everywhere.
+backend names and options so a typo fails with the same message everywhere.
 """
 
 from __future__ import annotations
 
+import numbers
 from typing import Any, Mapping, Optional
 
 from ...errors import ExperimentError
 from .base import (
     ExecutionBackend,
+    InProcessBackend,
     Task,
     active_backend,
     run_task,
@@ -40,9 +34,7 @@ from .base import (
     task_label,
     use_backend,
 )
-from .dispatch import DispatchSettings, chunk_tasks, dispatch_chunks, drain_queue
-from .local import InProcessBackend, LocalPoolBackend, chunksize_for, default_jobs
-from .remote import AUTHKEY_ENV, RemoteWorkerBackend
+from .local import LocalPoolBackend, chunksize_for, default_jobs
 
 __all__ = [
     "Task",
@@ -52,14 +44,8 @@ __all__ = [
     "ExecutionBackend",
     "InProcessBackend",
     "LocalPoolBackend",
-    "RemoteWorkerBackend",
-    "DispatchSettings",
-    "chunk_tasks",
-    "dispatch_chunks",
-    "drain_queue",
     "chunksize_for",
     "default_jobs",
-    "AUTHKEY_ENV",
     "active_backend",
     "use_backend",
     "backend_names",
@@ -71,18 +57,6 @@ __all__ = [
 _BACKEND_OPTIONS = {
     "in-process": frozenset(),
     "local": frozenset({"workers"}),
-    "remote": frozenset(
-        {
-            "workers",
-            "endpoint",
-            "authkey",
-            "chunk_size",
-            "chunk_timeout",
-            "heartbeat_timeout",
-            "max_attempts",
-            "startup_timeout",
-        }
-    ),
 }
 
 
@@ -91,17 +65,21 @@ def backend_names() -> str:
     return ", ".join(sorted(_BACKEND_OPTIONS))
 
 
-def validate_backend_spec(name: str, options: Optional[Mapping[str, Any]] = None) -> None:
-    """Reject unknown backend names or option keys without building anything.
+def validate_backend_spec(name: Any, options: Optional[Mapping[str, Any]] = None) -> None:
+    """Reject unknown backend names, option keys or option values.
 
-    Called by :meth:`repro.api.config.ExecutionConfig.resolve` so a typo'd
-    ``--backend`` or backend option fails at plan-resolution time with the
-    same message the factory would raise.
+    Called by :meth:`repro.api.config.ExecutionConfig.resolve` so a bad
+    backend request fails at plan-resolution time (a ``400`` from the
+    service) with the same message the factory would raise.
     """
-    recognised = _BACKEND_OPTIONS.get(name)
+    recognised = _BACKEND_OPTIONS.get(name) if isinstance(name, str) else None
     if recognised is None:
         raise ExperimentError(
             f"unknown execution backend {name!r}; registered backends: {backend_names()}"
+        )
+    if options is not None and not isinstance(options, Mapping):
+        raise ExperimentError(
+            f"backend options must be a mapping, got {type(options).__name__}"
         )
     unknown = sorted(set(options or {}) - recognised)
     if unknown:
@@ -109,48 +87,17 @@ def validate_backend_spec(name: str, options: Optional[Mapping[str, Any]] = None
             f"backend {name!r} has no option(s) {', '.join(unknown)}; "
             f"recognised options: {', '.join(sorted(recognised)) or '(none)'}"
         )
+    workers = (options or {}).get("workers", 0)
+    if not isinstance(workers, numbers.Integral) or isinstance(workers, bool) or workers < 0:
+        raise ExperimentError(
+            f"backend {name!r} workers must be a non-negative integer "
+            f"(0 = one per CPU), got {workers!r}"
+        )
 
 
-def create_backend(
-    name: str,
-    options: Optional[Mapping[str, Any]] = None,
-    *,
-    jobs: Optional[int] = None,
-) -> ExecutionBackend:
-    """Build a backend from its name and options (not yet started).
-
-    ``jobs`` is the config-level ``--jobs`` value, used as the worker count
-    when the options do not name one explicitly (``0`` means one per CPU,
-    matching the CLI convention everywhere else).
-    """
+def create_backend(name: str, options: Optional[Mapping[str, Any]] = None) -> ExecutionBackend:
+    """Build a backend from its name and options (not yet started)."""
     validate_backend_spec(name, options)
-    resolved = dict(options or {})
-    if "workers" not in resolved and jobs is not None and name != "in-process":
-        # --jobs 0 means "one per CPU" everywhere; an explicit workers=0 on
-        # the remote backend instead means "attach external workers only".
-        resolved["workers"] = default_jobs() if jobs == 0 else jobs
-
-    if name == "in-process":
-        return InProcessBackend()
     if name == "local":
-        workers = resolved.get("workers")
-        if workers is not None and workers < 0:
-            raise ExperimentError(
-                f"backend 'local' workers must be non-negative (0 = one per CPU), got {workers}"
-            )
-        return LocalPoolBackend(jobs=None if not workers else int(workers))
-    authkey = resolved.get("authkey")
-    chunk_timeout = resolved.get("chunk_timeout")
-    return RemoteWorkerBackend(
-        endpoint=str(resolved.get("endpoint", "127.0.0.1:0")),
-        workers=int(resolved.get("workers") or 0),
-        # None = a random per-run key; non-loopback endpoints require an
-        # explicit one (enforced by the backend).
-        authkey=None if authkey is None else str(authkey),
-        chunk_size=int(resolved.get("chunk_size", 1)),
-        # None = no hard per-chunk budget; heartbeats govern liveness.
-        chunk_timeout=None if chunk_timeout is None else float(chunk_timeout),
-        heartbeat_timeout=float(resolved.get("heartbeat_timeout", 15.0)),
-        max_attempts=int(resolved.get("max_attempts", 2)),
-        startup_timeout=float(resolved.get("startup_timeout", 60.0)),
-    )
+        return LocalPoolBackend(workers=int((options or {}).get("workers", 0)))
+    return InProcessBackend()

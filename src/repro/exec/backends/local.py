@@ -1,17 +1,11 @@
-"""The two local backends: an in-process loop and a persistent process pool.
+"""The persistent local process pool backend.
 
-:class:`InProcessBackend` is the reference implementation of the
-:class:`~repro.exec.backends.base.ExecutionBackend` contract — a plain
-ordered loop in the calling process, byte-for-byte the historical serial
-semantics (including raw exception propagation).
-
-:class:`LocalPoolBackend` is the historical
-:class:`concurrent.futures.ProcessPoolExecutor` fan-out with one crucial
-difference: the pool is created once in :meth:`~LocalPoolBackend.start` and
+:class:`LocalPoolBackend` is a :class:`concurrent.futures.ProcessPoolExecutor`
+fan-out whose pool is created once in :meth:`~LocalPoolBackend.start` and
 reused across every :meth:`~LocalPoolBackend.submit` call of the run,
 instead of being re-spawned per dispatch.  Multi-family drivers (a sweep
-family per epsilon, per protocol, per fault model ...) used to pay a full
-interpreter spawn-up per family; ``benchmarks/bench_backend_dispatch.py``
+family per epsilon, per protocol, per fault model ...) would otherwise pay a
+full interpreter spawn-up per family; ``benchmarks/bench_backend_dispatch.py``
 records the reuse win.  Every submission is chunked with
 :func:`chunksize_for` so large task lists amortise per-task IPC.
 """
@@ -23,9 +17,9 @@ from concurrent.futures import ProcessPoolExecutor
 from typing import Any, Dict, List, Optional, Sequence
 
 from ...errors import ExperimentError
-from .base import ExecutionBackend, Task, run_task, task_failure_error
+from .base import ExecutionBackend, Task, clear_active_backend, run_task, task_failure_error
 
-__all__ = ["default_jobs", "chunksize_for", "InProcessBackend", "LocalPoolBackend"]
+__all__ = ["default_jobs", "chunksize_for", "LocalPoolBackend"]
 
 #: Target number of chunks handed to each worker, to amortise IPC overhead
 #: while keeping the pool load-balanced.
@@ -42,56 +36,40 @@ def chunksize_for(num_tasks: int, jobs: int) -> int:
     return max(1, num_tasks // max(1, jobs * CHUNKS_PER_WORKER))
 
 
-class InProcessBackend(ExecutionBackend):
-    """Execute every task in the calling process, in order.
-
-    The deterministic reference: exactly the loop the dispatch sites ran
-    before the backend layer existed, so exceptions propagate raw (no
-    wrapping) and no pickling constraint applies to the task callables.
-    """
-
-    name = "in-process"
-
-    def submit(self, tasks: Sequence[Task]) -> List[Any]:
-        """Run the tasks sequentially in the current process."""
-        return [run_task(task) for task in tasks]
-
-
 class LocalPoolBackend(ExecutionBackend):
     """Fan tasks out over one persistent local process pool.
 
     Parameters
     ----------
-    jobs:
-        Worker-process count; ``None`` means one per CPU.
+    workers:
+        Worker-process count; ``0`` (default) means one per CPU.
 
     Attributes
     ----------
     last_chunksize:
         The ``chunksize`` handed to the most recent ``pool.map`` — every
         submission is chunked (``tests/unit/exec/test_backends.py`` pins
-        this, closing the historical gap where two of the three dispatch
-        helpers paid per-task IPC).
+        this).
     """
 
     name = "local"
 
-    def __init__(self, jobs: Optional[int] = None) -> None:
-        if jobs is not None and jobs < 1:
-            raise ExperimentError(f"local backend jobs must be a positive integer, got {jobs}")
-        self.jobs = jobs
+    def __init__(self, workers: int = 0) -> None:
+        super().__init__()
+        if workers < 0:
+            raise ExperimentError(
+                f"local backend workers must be non-negative (0 = one per CPU), got {workers}"
+            )
+        self.workers = workers or default_jobs()
         self.last_chunksize: Optional[int] = None
         self._pool: Optional[ProcessPoolExecutor] = None
-
-    @property
-    def effective_jobs(self) -> int:
-        """The worker count actually used (resolves ``jobs=None`` to the CPU count)."""
-        return self.jobs if self.jobs is not None else default_jobs()
 
     def start(self) -> "LocalPoolBackend":
         """Spawn the worker pool (idempotent); reused by every ``submit``."""
         if self._pool is None:
-            self._pool = ProcessPoolExecutor(max_workers=self.effective_jobs)
+            self._pool = ProcessPoolExecutor(
+                max_workers=self.workers, initializer=clear_active_backend
+            )
         return self
 
     def close(self) -> None:
@@ -111,7 +89,8 @@ class LocalPoolBackend(ExecutionBackend):
         """
         self.start()
         assert self._pool is not None  # for the type checker; start() just ran
-        self.last_chunksize = chunksize_for(len(tasks), self.effective_jobs)
+        self.tasks += len(tasks)
+        self.last_chunksize = chunksize_for(len(tasks), self.workers)
         results: List[Any] = []
         iterator = self._pool.map(run_task, tasks, chunksize=self.last_chunksize)
         while True:
@@ -126,4 +105,4 @@ class LocalPoolBackend(ExecutionBackend):
 
     def describe(self) -> Dict[str, Any]:
         """JSON-friendly summary of the backend (recorded in run manifests)."""
-        return {"name": self.name, "jobs": self.effective_jobs}
+        return {"name": self.name, "workers": self.workers, "tasks": self.tasks}

@@ -1,217 +1,32 @@
-"""Trial runners: serial and process-parallel Monte-Carlo execution.
+"""Per-trial seed derivation, shared by every execution path.
 
 Every experiment in this reproduction is a set of independent trials, each
-fully determined by ``(seed, trial_index)``.  A *trial runner* is the policy
-object that decides **where** those trials execute:
-
-* :class:`SerialTrialRunner` — the deterministic reference: an in-process
-  loop, byte-for-byte identical to the historical behaviour of
-  :func:`repro.analysis.experiments.run_trials`.
-* :class:`ParallelTrialRunner` — a worker fan-out with the
-  **identical-results contract**: per-trial seeds are derived in the parent
-  exactly as the serial runner derives them, and results are collected in
-  trial order, so for the same ``(name, trial_fn, num_trials, base_seed)``
-  both runners return equal
-  :class:`~repro.analysis.experiments.ExperimentResult` objects.  *Where*
-  the trials execute is delegated to an execution backend
-  (:mod:`repro.exec.backends`): the backend installed for the run when
-  there is one — a persistent local pool, remote work-stealing workers —
-  and a per-call local process pool otherwise (the historical behaviour).
-  Trial functions that cannot be pickled fall back to serial execution
-  (recorded in :attr:`ParallelTrialRunner.last_fallback_reason`) rather
-  than failing.
-
-Seed derivation is the single function :func:`trial_seed`, shared by both
-runners and by the batched path in :mod:`repro.exec.batching`; it is the same
-:class:`numpy.random.SeedSequence` machinery that
-:meth:`repro.substrate.rng.RandomSource.child` uses, so per-trial streams are
-statistically independent and stable across processes and platforms.
+fully determined by ``(seed, trial_index)``.  :func:`trial_seed` is the one
+function that maps ``(base_seed, experiment name, trial index)`` to a
+trial's seed; the serial trial dispatch
+(:func:`repro.analysis.experiments.run_trials`,
+:func:`repro.analysis.sweeps.run_sweep`) and the batched path in
+:mod:`repro.exec.batching` both derive through it, before any task is
+dispatched, so *where* a trial runs can never change which seed it gets.
+It is the same :class:`numpy.random.SeedSequence` machinery that
+:meth:`repro.substrate.rng.RandomSource.child` uses, so per-trial streams
+are statistically independent and stable across processes and platforms.
 """
 
 from __future__ import annotations
 
-import abc
-from dataclasses import dataclass, field
-from typing import Any, Callable, List, Mapping, Optional
+from typing import List
 
-from ..errors import ExperimentError
 from ..substrate.rng import derive_seed, derive_seeds
-from . import pool
 
-__all__ = [
-    "trial_seed",
-    "trial_seeds",
-    "TrialRunner",
-    "SerialTrialRunner",
-    "ParallelTrialRunner",
-    "resolve_runner",
-]
-
-#: Signature of a trial function: ``(seed, trial_index) -> measurements``.
-TrialFunction = Callable[[int, int], Mapping[str, Any]]
+__all__ = ["trial_seed", "trial_seeds"]
 
 
 def trial_seed(base_seed: int, name: str, trial_index: int) -> int:
-    """Seed of trial ``trial_index`` of experiment ``name``.
-
-    Single source of truth used by every runner (serial, parallel and
-    batched), guaranteeing that switching runners never changes which seed a
-    given trial receives.
-    """
+    """Seed of trial ``trial_index`` of experiment ``name``."""
     return derive_seed(base_seed, name, trial_index)
 
 
 def trial_seeds(base_seed: int, name: str, num_trials: int) -> List[int]:
     """All per-trial seeds of an experiment, in trial order."""
     return [int(seed) for seed in derive_seeds(base_seed, num_trials, name)]
-
-
-class TrialRunner(abc.ABC):
-    """Strategy interface for executing the trials of one experiment."""
-
-    @abc.abstractmethod
-    def run(
-        self,
-        name: str,
-        trial_fn: TrialFunction,
-        num_trials: int,
-        base_seed: int = 0,
-        config: Optional[Mapping[str, Any]] = None,
-    ) -> "Any":
-        """Run ``num_trials`` trials and return an ``ExperimentResult``.
-
-        Implementations must derive per-trial seeds with :func:`trial_seed`
-        and preserve trial order in the returned result.
-        """
-
-    # ------------------------------------------------------------------
-    @staticmethod
-    def _validate(name: str, num_trials: int) -> None:
-        if num_trials < 1:
-            raise ExperimentError("num_trials must be at least 1")
-
-    @staticmethod
-    def _package(
-        name: str,
-        config: Optional[Mapping[str, Any]],
-        seeds: List[int],
-        raw_measurements: List[Any],
-    ) -> "Any":
-        """Assemble an ``ExperimentResult``, validating each trial's return value."""
-        # Imported late: repro.analysis.experiments delegates to this module,
-        # so a top-level import either way would be circular.
-        from ..analysis.experiments import ExperimentResult, TrialResult
-
-        result = ExperimentResult(name=name, config=dict(config or {}))
-        for trial_index, (seed, measurements) in enumerate(zip(seeds, raw_measurements)):
-            if not isinstance(measurements, Mapping):
-                raise ExperimentError(
-                    f"trial function for {name!r} must return a mapping, "
-                    f"got {type(measurements).__name__}"
-                )
-            result.trials.append(
-                TrialResult(trial_index=trial_index, seed=seed, measurements=dict(measurements))
-            )
-        return result
-
-
-@dataclass
-class SerialTrialRunner(TrialRunner):
-    """Run every trial in-process, in order — the deterministic reference."""
-
-    def run(
-        self,
-        name: str,
-        trial_fn: TrialFunction,
-        num_trials: int,
-        base_seed: int = 0,
-        config: Optional[Mapping[str, Any]] = None,
-    ) -> "Any":
-        """Execute the trials sequentially in the current process."""
-        self._validate(name, num_trials)
-        seeds = trial_seeds(base_seed, name, num_trials)
-        raw = [trial_fn(seed, index) for index, seed in enumerate(seeds)]
-        return self._package(name, config, seeds, raw)
-
-
-@dataclass
-class ParallelTrialRunner(TrialRunner):
-    """Fan trials out over a process pool; equal results to the serial runner.
-
-    Parameters
-    ----------
-    jobs:
-        Number of worker processes; ``None`` means one per CPU.  ``jobs=1``
-        short-circuits to the serial path (no pool overhead).
-
-    Attributes
-    ----------
-    last_fallback_reason:
-        After :meth:`run`: ``None`` when the pool was used, otherwise a short
-        human-readable reason why the runner fell back to serial execution
-        (e.g. an unpicklable closure).  The results are identical either way;
-        the attribute exists so benchmarks and tests can assert which path
-        actually executed.
-    """
-
-    jobs: Optional[int] = None
-    last_fallback_reason: Optional[str] = field(default=None, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        if self.jobs is not None and self.jobs < 1:
-            raise ExperimentError(f"jobs must be a positive integer, got {self.jobs}")
-
-    @property
-    def effective_jobs(self) -> int:
-        """The worker count actually used (resolves ``jobs=None`` to the CPU count)."""
-        return self.jobs if self.jobs is not None else pool.default_jobs()
-
-    def run(
-        self,
-        name: str,
-        trial_fn: TrialFunction,
-        num_trials: int,
-        base_seed: int = 0,
-        config: Optional[Mapping[str, Any]] = None,
-    ) -> "Any":
-        """Execute the trials across worker processes (serial fallback if needed)."""
-        self._validate(name, num_trials)
-        seeds = trial_seeds(base_seed, name, num_trials)
-
-        # A run-level backend owns its own worker fleet (remote workers may
-        # not even be local CPUs), so the local-pool economics below do not
-        # apply: always dispatch through it.
-        backend_installed = pool.active_backend() is not None
-        jobs = min(self.effective_jobs, num_trials)
-        if jobs <= 1 and not backend_installed:
-            self.last_fallback_reason = "single worker requested; pool not worth spawning"
-            raw = [trial_fn(seed, index) for index, seed in enumerate(seeds)]
-            return self._package(name, config, seeds, raw)
-
-        pickle_problem = pool.picklability_error(trial_fn)
-        if pickle_problem is not None:
-            self.last_fallback_reason = f"trial function is not picklable ({pickle_problem})"
-            raw = [trial_fn(seed, index) for index, seed in enumerate(seeds)]
-            return self._package(name, config, seeds, raw)
-
-        self.last_fallback_reason = None
-        # Delegates to the run's execution backend: the active backend when
-        # one is installed (persistent local pool, remote workers), else a
-        # per-call local pool with this runner's worker count.
-        raw = pool.run_trials_in_pool(trial_fn, seeds, jobs, name=name)
-        return self._package(name, config, seeds, raw)
-
-
-def resolve_runner(jobs: Optional[int]) -> TrialRunner:
-    """Map a ``--jobs`` style option to a runner instance.
-
-    ``None`` or ``1`` selects :class:`SerialTrialRunner`; anything larger (or
-    ``0``, meaning "all CPUs") selects a :class:`ParallelTrialRunner`.
-    """
-    if jobs is None or jobs == 1:
-        return SerialTrialRunner()
-    if jobs == 0:
-        return ParallelTrialRunner(jobs=None)
-    if jobs < 0:
-        raise ExperimentError(f"jobs must be non-negative, got {jobs}")
-    return ParallelTrialRunner(jobs=jobs)

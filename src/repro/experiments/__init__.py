@@ -4,9 +4,8 @@ Each driver exposes a ``run(...)`` function returning an
 :class:`~repro.experiments.report.ExperimentReport`.  The preferred way to
 invoke them is the unified API (:func:`repro.api.run_experiment` with an
 :class:`~repro.api.config.ExecutionConfig`), which resolves capabilities and
-defaults from the declarative registry in :mod:`repro.api.spec`; the
-per-driver ``run`` keyword arguments ``runner=`` / ``batch=`` /
-``point_jobs=`` remain as a deprecation-shimmed compatibility path.  The
+defaults from the declarative registry in :mod:`repro.api.spec` and
+installs the configured execution backend for the run.  The
 benchmark files in ``benchmarks/`` run the drivers through the unified API
 and print the rendered reports; ``benchmarks/results/`` records
 representative outputs.

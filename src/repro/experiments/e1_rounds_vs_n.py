@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import functools
 import math
-from typing import TYPE_CHECKING, Mapping, Optional, Sequence, Union
+from typing import Mapping, Optional, Sequence, Union
 
 from ..analysis.scaling import fit_log_n_scaling
 from ..analysis.sweeps import run_sweep
@@ -19,9 +19,6 @@ from ..api.config import ExecutionConfig, ExecutionPlan, resolve_run_options
 from ..core.broadcast import solve_noisy_broadcast
 from ..core.theory import broadcast_round_bound
 from .report import ExperimentReport
-
-if TYPE_CHECKING:  # pragma: no cover
-    from ..exec.runner import TrialRunner
 
 __all__ = ["run"]
 
@@ -45,28 +42,19 @@ def run(
     epsilon: float = 0.2,
     trials: int = 5,
     base_seed: int = 101,
-    runner: Optional["TrialRunner"] = None,
-    batch: bool = False,
-    point_jobs: Optional[int] = None,
     config: Optional[Union[ExecutionConfig, ExecutionPlan]] = None,
 ) -> ExperimentReport:
     """Run the E1 sweep and return its report.
 
     ``config`` carries the execution strategy (see
     :class:`repro.api.config.ExecutionConfig`); the preferred entry point is
-    :func:`repro.api.run_experiment`.  The legacy keywords remain a
-    deprecation-shimmed path: ``runner`` selects the trial-execution
-    strategy (serial by default; process-parallel when a
-    :class:`~repro.exec.runner.ParallelTrialRunner` is passed);
-    ``batch=True`` instead simulates all trials of each grid point
-    simultaneously via :mod:`repro.exec.batching`; ``point_jobs`` spreads
-    independent grid points over worker processes on either path (taking
-    precedence over ``runner`` where both are given).
+    :func:`repro.api.run_experiment`.  By default each trial is one task on
+    the run's execution backend; ``batch=True`` instead simulates all trials
+    of each grid point simultaneously via :mod:`repro.exec.batching`, one
+    task per point.
     """
-    plan = resolve_run_options(
-        "E1", config=config, runner=runner, batch=batch, point_jobs=point_jobs
-    )
-    runner, batch, point_jobs = plan.runner, plan.batch, plan.point_jobs
+    plan = resolve_run_options("E1", config=config)
+    batch = plan.batch
     trials = plan.trials if plan.trials is not None else trials
     base_seed = plan.base_seed if plan.base_seed is not None else base_seed
     if batch:
@@ -78,7 +66,6 @@ def run(
             trials_per_point=trials,
             base_seed=base_seed,
             defaults={"epsilon": epsilon},
-            point_jobs=point_jobs,
         )
     else:
         sweep = run_sweep(
@@ -87,8 +74,6 @@ def run(
             trial_fn=functools.partial(_broadcast_trial, epsilon=epsilon),
             trials_per_point=trials,
             base_seed=base_seed,
-            runner=runner,
-            point_jobs=point_jobs,
         )
 
     report = ExperimentReport(

@@ -8,7 +8,7 @@ measures rounds and success, and fits ``rounds ~ a / eps^2 + b``.
 from __future__ import annotations
 
 import functools
-from typing import TYPE_CHECKING, Mapping, Optional, Sequence, Union
+from typing import Mapping, Optional, Sequence, Union
 
 from ..analysis.scaling import fit_inverse_square_epsilon
 from ..analysis.sweeps import run_sweep
@@ -16,9 +16,6 @@ from ..api.config import ExecutionConfig, ExecutionPlan, resolve_run_options
 from ..core.broadcast import solve_noisy_broadcast
 from ..core.theory import broadcast_round_bound
 from .report import ExperimentReport
-
-if TYPE_CHECKING:  # pragma: no cover
-    from ..exec.runner import TrialRunner
 
 __all__ = ["run"]
 
@@ -41,21 +38,15 @@ def run(
     n: int = 1000,
     trials: int = 5,
     base_seed: int = 202,
-    runner: Optional["TrialRunner"] = None,
-    batch: bool = False,
-    point_jobs: Optional[int] = None,
     config: Optional[Union[ExecutionConfig, ExecutionPlan]] = None,
 ) -> ExperimentReport:
     """Run the E2 sweep and return its report.
 
-    ``config`` and the deprecation-shimmed ``runner`` / ``batch`` /
-    ``point_jobs`` keywords select the execution strategy exactly as in
+    ``config`` selects the execution strategy exactly as in
     :func:`repro.experiments.e1_rounds_vs_n.run`.
     """
-    plan = resolve_run_options(
-        "E2", config=config, runner=runner, batch=batch, point_jobs=point_jobs
-    )
-    runner, batch, point_jobs = plan.runner, plan.batch, plan.point_jobs
+    plan = resolve_run_options("E2", config=config)
+    batch = plan.batch
     trials = plan.trials if plan.trials is not None else trials
     base_seed = plan.base_seed if plan.base_seed is not None else base_seed
     if batch:
@@ -67,7 +58,6 @@ def run(
             trials_per_point=trials,
             base_seed=base_seed,
             defaults={"n": n},
-            point_jobs=point_jobs,
         )
     else:
         sweep = run_sweep(
@@ -76,8 +66,6 @@ def run(
             trial_fn=functools.partial(_broadcast_trial, n=n),
             trials_per_point=trials,
             base_seed=base_seed,
-            runner=runner,
-            point_jobs=point_jobs,
         )
 
     report = ExperimentReport(

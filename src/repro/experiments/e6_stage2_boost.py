@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import functools
 import math
-from typing import TYPE_CHECKING, Any, Optional, Union
+from typing import Any, Optional, Union
 
 from ..analysis.experiments import run_trials
 from ..api.config import ExecutionConfig, ExecutionPlan, resolve_run_options
@@ -29,9 +29,6 @@ from ..core.parameters import ProtocolParameters, StageTwoParameters, initial_bi
 from ..core.stage2 import execute_stage_two
 from ..substrate.engine import SimulationEngine
 from .report import ExperimentReport
-
-if TYPE_CHECKING:  # pragma: no cover
-    from ..exec.runner import TrialRunner
 
 __all__ = ["run"]
 
@@ -104,18 +101,15 @@ def run(
     initial_bias: Optional[float] = None,
     trials: int = 10,
     base_seed: int = 606,
-    runner: Optional["TrialRunner"] = None,
-    batch: bool = False,
     config: Optional[Union[ExecutionConfig, ExecutionPlan]] = None,
 ) -> ExperimentReport:
     """Run the E6 Stage-II-only measurement and return its report.
 
-    ``config`` carries the execution strategy (the keywords below are the
-    deprecation-shimmed legacy path); ``batch=True`` simulates all trials at
-    once via the instrumented Stage-II batch kernel.
+    ``config`` carries the execution strategy; ``batch=True`` simulates all
+    trials at once via the instrumented Stage-II batch kernel.
     """
-    plan = resolve_run_options("E6", config=config, runner=runner, batch=batch)
-    runner, batch = plan.runner, plan.batch
+    plan = resolve_run_options("E6", config=config)
+    batch = plan.batch
     trials = plan.trials if plan.trials is not None else trials
     base_seed = plan.base_seed if plan.base_seed is not None else base_seed
     if initial_bias is None:
@@ -139,7 +133,6 @@ def run(
             ),
             num_trials=trials,
             base_seed=base_seed,
-            runner=runner,
         )
 
     report = ExperimentReport(

@@ -369,7 +369,6 @@ class ExperimentService:
                     "title": spec.title,
                     "claim": spec.claim,
                     "supports_batch": spec.supports_batch,
-                    "supports_jobs": spec.supports_runner or spec.supports_point_jobs,
                     "parameters": [
                         {
                             "name": parameter.name,

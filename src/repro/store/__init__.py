@@ -1,9 +1,8 @@
 """repro.store — persistence and the content-addressed run store.
 
-This package is the persistence layer of the reproduction, carved out of
-the old ``repro.analysis.resultsio`` module (which remains as a deprecated
-re-export shim) and extended into a content-addressed, cache-before-compute
-run store:
+This package is the persistence layer of the reproduction: strict-JSON
+result files extended into a content-addressed, cache-before-compute run
+store:
 
 * :mod:`repro.store.serialization` — the strict-JSON codecs
   (:func:`to_jsonable`, :func:`encode_nonfinite` / :func:`decode_nonfinite`)
@@ -12,7 +11,7 @@ run store:
   :func:`save_sweep`/:func:`load_sweep`);
 * :mod:`repro.store.fingerprint` — :func:`run_fingerprint`, the canonical
   sha256 over a run's *semantic* inputs (spec id, package version, resolved
-  parameters, the ``batch`` flag — explicitly not ``jobs``/``backend``,
+  parameters, the ``batch`` flag — explicitly not the execution backend,
   which the determinism contract proves result-irrelevant);
 * :mod:`repro.store.artifact` — :class:`RunArtifact` plus the atomic
   :func:`save_run` / fingerprint-verifying :func:`load_run` pair;

@@ -132,7 +132,7 @@ class RunArtifact:
 
         Hashes exactly the semantic inputs the fingerprint contract names:
         spec id, package version, resolved parameters and the execution
-        summary's ``batch`` flag — never ``jobs``/``backend``/cache state.
+        summary's ``batch`` flag — never the backend or cache state.
         ``save_run`` records this in the manifest and ``load_run`` verifies
         it, so the two must (and do) derive from the same fields.
         """

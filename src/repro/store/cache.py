@@ -5,10 +5,10 @@ A :class:`RunStore` wraps a content-addressed store root (see
 needs: identical requests must become cache hits, not recomputes.  The
 lookup key is the run fingerprint (:mod:`repro.store.fingerprint`), which
 covers exactly the semantic inputs — spec id, package version, resolved
-parameters, the ``batch`` flag — and deliberately excludes ``jobs`` /
+parameters, the ``batch`` flag — and deliberately excludes the execution
 ``backend``: the determinism contract proves results bit-identical across
-execution strategies, so a run computed serially is a valid hit for a
-remote-fleet request and vice versa.
+backends, so a run computed in-process is a valid hit for a pooled request
+and vice versa.
 
 The policy, as implemented by :meth:`RunStore.get_or_run` (a thin wrapper
 arranging for :func:`repro.api.run_experiment` to consult this store):

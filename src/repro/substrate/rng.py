@@ -60,8 +60,8 @@ def derive_seed(root_seed: int, *tokens: object) -> int:
 def derive_seeds(root_seed: int, count: int, *tokens: object) -> np.ndarray:
     """Derive ``count`` independent child seeds, one per index.
 
-    Batch-aware counterpart of :func:`derive_seed` used by the trial runners
-    in :mod:`repro.exec`: element ``i`` equals
+    Batch-aware counterpart of :func:`derive_seed` used by the trial seed
+    derivation in :mod:`repro.exec.runner`: element ``i`` equals
     ``derive_seed(root_seed, *tokens, i)`` exactly, so a batch of trials and a
     serial loop over the same indices see identical per-trial seeds.
 

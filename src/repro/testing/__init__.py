@@ -6,8 +6,7 @@ systems-layer sibling of the simulation-layer
 injector perturbs *messages inside a simulation* (crashed senders,
 Byzantine noise), the chaos registry perturbs the *infrastructure running
 the simulations* — a store write that raises mid-``put``, a job-queue
-worker that dies without recording an outcome, a remote worker's completed
-chunk vanishing in flight.
+worker that dies without recording an outcome.
 
 Production modules guard well-known **fault points** with
 :func:`repro.testing.chaos.fire`; the call is a no-op dictionary miss until

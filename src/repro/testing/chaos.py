@@ -1,4 +1,4 @@
-"""A fault-point registry for chaos-testing the serving/store/dispatch stack.
+"""A fault-point registry for chaos-testing the serving and store stack.
 
 The simulation layer already has a first-class fault story
 (:mod:`repro.substrate.faults`); this module gives the *systems* layers the
@@ -9,7 +9,7 @@ fail with a named **fault point**::
     chaos.fire("store.put", fingerprint=fingerprint)   # no-op unless armed
 
 and tests arm those points with faults — an exception to raise, a delay to
-insert, a message to drop, a worker to kill — either in-process::
+insert, a worker to kill — either in-process::
 
     with chaos.inject("store.put", raises=OSError("disk full"), times=1):
         ...   # the next store put fails exactly once
@@ -37,10 +37,6 @@ point               instrumented site
                     kills the worker thread leaving the job in-flight —
                     the crash the journal replay must recover; ``sleep``
                     widens the kill window for ``kill -9`` tests)
-``dispatch.done``   :func:`repro.exec.backends.dispatch.dispatch_chunks`, on
-                    receiving a chunk completion (``drop`` discards it —
-                    a remote worker killed after computing but before its
-                    result survived transport)
 ==================  ========================================================
 
 Faults fire a bounded number of ``times`` (or without limit when ``None``)
@@ -74,10 +70,10 @@ __all__ = [
 
 #: Every fault point production code guards with :func:`fire`; installs
 #: against any other name are rejected so a typo cannot silently never fire.
-KNOWN_POINTS = frozenset({"store.put", "journal.append", "queue.worker", "dispatch.done"})
+KNOWN_POINTS = frozenset({"store.put", "journal.append", "queue.worker"})
 
 #: Actions a fault may perform when its point fires.
-_ACTIONS = ("raise", "sleep", "drop", "die")
+_ACTIONS = ("raise", "sleep", "die")
 
 #: Exception names accepted by the ``REPRO_CHAOS`` ``raise`` action.
 _ENV_EXCEPTIONS = {"oserror": OSError, "experimenterror": ExperimentError}
@@ -88,9 +84,9 @@ class ChaosFault:
     """One armed fault: what a fault point does while this is installed.
 
     ``action`` is one of ``raise`` (raise ``exception``), ``sleep`` (delay
-    ``seconds`` then continue), or the site-interpreted directives ``drop``
-    / ``die`` (returned to the instrumented call site, which knows what
-    dropping a message or dying means locally).  ``times`` bounds how often
+    ``seconds`` then continue), or the site-interpreted directive ``die``
+    (returned to the instrumented call site, which knows what dying means
+    locally).  ``times`` bounds how often
     the fault fires before disarming itself (``None`` = every time).
     """
 
@@ -161,7 +157,7 @@ def inject(
     """Arm a fault for the ``with`` body and disarm it on exit.
 
     Exactly one behaviour must be given: ``raises=SomeError(...)``,
-    ``sleep=seconds``, or ``action="drop"``/``"die"``.
+    ``sleep=seconds``, or ``action="die"``.
     """
     if sum((raises is not None, sleep > 0, action is not None)) != 1:
         raise ExperimentError("chaos.inject needs exactly one of raises=, sleep=, action=")
@@ -183,9 +179,9 @@ def fire(point: str, **context: Any) -> Optional[str]:
 
     Returns ``None`` when no fault is armed (the overwhelmingly common
     case), raises the armed exception for ``raise`` faults, blocks for
-    ``sleep`` faults, and returns the directive string for ``drop``/``die``
-    faults — the call site interprets those.  ``context`` keyword arguments
-    (job ids, fingerprints, chunk ids) exist for debuggability; they are
+    ``sleep`` faults, and returns the directive string for ``die`` faults —
+    the call site interprets it.  ``context`` keyword arguments
+    (job ids, fingerprints) exist for debuggability; they are
     attached to raised exceptions via ``exception.chaos_context``.
     """
     if not _FAULTS:  # fast path: nothing armed anywhere
@@ -213,11 +209,10 @@ def install_from_env(environ: Optional[Mapping[str, str]] = None) -> List[ChaosF
     The format is a comma-separated list of ``point:action[:arg][:times]``
     clauses; ``arg`` is the exception name for ``raise`` (``oserror`` /
     ``experimenterror``) and the seconds for ``sleep``, and is absent for
-    ``drop``/``die`` (whose third field, when present, is ``times``)::
+    ``die`` (whose third field, when present, is ``times``)::
 
         REPRO_CHAOS="store.put:raise:oserror:1"     one OSError from put
         REPRO_CHAOS="queue.worker:sleep:5"          every job starts 5s late
-        REPRO_CHAOS="dispatch.done:drop:1"          first chunk result lost
 
     ``repro-flip serve`` calls this on startup so the chaos CI gate (and
     any operator rehearsing a failure) can arm faults inside the served

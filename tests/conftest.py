@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.exec.backends import LocalPoolBackend, use_backend
 from repro.substrate import BinarySymmetricChannel, PushGossipNetwork, SimulationEngine
 
 
@@ -34,6 +35,23 @@ def make_engine():
         return SimulationEngine.create(n=n, epsilon=epsilon, seed=seed, source=source, **kwargs)
 
     return _make
+
+
+@pytest.fixture
+def on_local_pool():
+    """Call ``fn(*args, **kwargs)`` with a two-worker local pool as this thread's backend.
+
+    The pool is built, installed, and closed around the one call — what
+    :func:`repro.api.run_experiment` does for ``backend="local"`` — so
+    library-level sweeps can be compared against their in-process results.
+    """
+
+    def _call(fn, *args, **kwargs):
+        backend = LocalPoolBackend(workers=2)
+        with backend, use_backend(backend):
+            return fn(*args, **kwargs)
+
+    return _call
 
 
 @pytest.fixture

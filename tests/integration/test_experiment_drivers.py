@@ -6,7 +6,7 @@ the expected columns, and renders — so that a broken driver is caught by
 ``pytest tests/`` and not only by the benchmark run.
 """
 
-
+from repro.api import ExecutionConfig, run_experiment
 from repro.experiments import (
     e1_rounds_vs_n,
     e2_rounds_vs_eps,
@@ -110,9 +110,15 @@ def test_e12_driver_small():
 
 
 def test_e12_driver_small_batch_and_byzantine():
-    report = e12_faults.run(
-        n=150, epsilon=0.3, fault_fractions=(0.1,), fault_kind="byzantine", trials=2, batch=True
-    )
+    report = run_experiment(
+        "E12",
+        config=ExecutionConfig(batch=True),
+        n=150,
+        epsilon=0.3,
+        fault_fractions=(0.1,),
+        fault_kind="byzantine",
+        trials=2,
+    ).report
     assert_renders(report, "E12")
     assert [row["protocol"] for row in report.rows] == [
         "breathe-before-speaking",

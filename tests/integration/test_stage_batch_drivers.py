@@ -2,14 +2,11 @@
 
 Each driver must produce, under ``batch=True``, a report with exactly the
 serial row/column structure (the row builders are shared between the two
-paths), honour the single-``DeprecationWarning`` legacy-kwarg contract, and
-— where the driver sweeps independent cells — return bit-identical reports
-when the cells are spread over a worker pool (``point_jobs``).
+paths), and — where the driver sweeps independent cells — return
+bit-identical reports when the cells run on a local process pool.
 """
 
 from __future__ import annotations
-
-import warnings
 
 import pytest
 
@@ -25,7 +22,7 @@ WORKLOADS = {
     "E11": dict(n=80, epsilon=0.3, trials=2),
 }
 
-POINT_JOB_IDS = ("E4", "E9", "E11")
+CELL_IDS = ("E4", "E9", "E11")
 
 
 @pytest.mark.parametrize("experiment_id", sorted(WORKLOADS, key=lambda eid: int(eid[1:])))
@@ -43,23 +40,25 @@ def test_batch_report_has_the_serial_structure(experiment_id):
     assert batched.render()
 
 
-@pytest.mark.parametrize("experiment_id", POINT_JOB_IDS)
-def test_batch_point_jobs_is_bit_identical_to_in_process(experiment_id):
+@pytest.mark.parametrize("experiment_id", CELL_IDS)
+def test_batch_cells_on_a_pool_are_bit_identical_to_in_process(experiment_id):
     overrides = WORKLOADS[experiment_id]
     in_process = run_experiment(
         experiment_id, config=ExecutionConfig(batch=True), **overrides
     ).report
     pooled = run_experiment(
-        experiment_id, config=ExecutionConfig(batch=True, jobs=2), **overrides
+        experiment_id,
+        config=ExecutionConfig(batch=True, backend="local", backend_options={"workers": 2}),
+        **overrides,
     ).report
     assert pooled.rows == in_process.rows
 
 
 def test_e4_batch_reproduces_claim_2_2_statistics():
     serial = e4_phase0.run(n=600, epsilons=(0.3,), trials=8)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DeprecationWarning)
-        batched = e4_phase0.run(n=600, epsilons=(0.3,), trials=8, batch=True)
+    batched = run_experiment(
+        "E4", config=ExecutionConfig(batch=True), n=600, epsilons=(0.3,), trials=8
+    ).report
     serial_row, batch_row = serial.rows[0], batched.rows[0]
     assert batch_row["beta_s"] == serial_row["beta_s"]
     assert batch_row["mean_x0"] == pytest.approx(serial_row["mean_x0"], rel=0.3)
@@ -110,17 +109,3 @@ def test_e11_batch_keeps_the_never_converged_convention():
     # Listen-only is far slower than the direct reference, on the batch path too.
     assert silent_row["mean_rounds"] > direct_row["mean_rounds"]
 
-
-@pytest.mark.parametrize(
-    "driver, kwargs",
-    [
-        (e5_stage1_growth, dict(n=300, epsilon=0.35, beta_override=4, trials=2)),
-        (e6_stage2_boost, dict(n=200, epsilon=0.3, trials=2)),
-        (e9_async, dict(n=150, epsilon=0.3, skews=(4,), trials=1)),
-        (e11_lower_bounds, dict(n=60, epsilon=0.3, trials=1)),
-    ],
-)
-def test_legacy_batch_kwarg_emits_a_single_deprecation_warning(driver, kwargs):
-    with pytest.warns(DeprecationWarning, match="deprecated") as caught:
-        driver.run(batch=True, **kwargs)
-    assert len([w for w in caught if issubclass(w.category, DeprecationWarning)]) == 1

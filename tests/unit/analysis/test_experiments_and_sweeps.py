@@ -114,47 +114,34 @@ class TestSweeps:
         with pytest.raises(ExperimentError, match="has no parameter 'missing'"):
             sweep.rates("missing", "ok")
 
-    def test_run_sweep_point_jobs_bit_identical(self):
-        """The shared-pool point-parallel mode returns the same sweep as serial."""
+    def test_run_sweep_on_a_pool_bit_identical(self, on_local_pool):
+        """A pooled sweep returns the same sweep as the in-process one."""
         serial = run_sweep(
             "demo", [{"x": 1}, {"x": 5}], _double_trial, trials_per_point=3, base_seed=4
         )
-        pooled = run_sweep(
-            "demo",
-            [{"x": 1}, {"x": 5}],
-            _double_trial,
-            trials_per_point=3,
-            base_seed=4,
-            point_jobs=2,
+        pooled = on_local_pool(
+            run_sweep, "demo", [{"x": 1}, {"x": 5}], _double_trial, trials_per_point=3, base_seed=4
         )
         assert [r.to_dict() for r in pooled.results] == [r.to_dict() for r in serial.results]
 
-    def test_run_sweep_point_jobs_falls_back_for_unpicklable_trials(self):
+    def test_run_sweep_on_a_pool_falls_back_for_unpicklable_trials(self, on_local_pool):
         """A closure cannot cross a process boundary; the sweep still runs."""
         offset = 3.0
-        sweep = run_sweep(
-            "demo",
-            [{"x": 1}],
-            lambda p, s, i: {"y": p["x"] + offset},
-            trials_per_point=2,
-            point_jobs=2,
+        sweep = on_local_pool(
+            run_sweep, "demo", [{"x": 1}], lambda p, s, i: {"y": p["x"] + offset}, trials_per_point=2
         )
         assert sweep.results[0].mean("y") == pytest.approx(4.0)
 
-    def test_run_sweep_point_jobs_falls_back_for_unpicklable_point_values(self):
+    def test_run_sweep_on_a_pool_falls_back_for_unpicklable_point_values(self, on_local_pool):
         """The point parameters cross the process boundary too: an
-        unpicklable point value triggers the same graceful serial fallback
-        as an unpicklable trial function."""
+        unpicklable point value triggers the same graceful in-process
+        fallback as an unpicklable trial function."""
         import threading
 
         points = [{"x": 1, "tag": threading.Lock()}, {"x": 5, "tag": None}]
-        sweep = run_sweep("demo", points, _double_trial, trials_per_point=2, point_jobs=2)
+        sweep = on_local_pool(run_sweep, "demo", points, _double_trial, trials_per_point=2)
         _, doubles = sweep.series("x", "double")
         assert doubles == [2.0, 10.0]
-
-    def test_run_sweep_negative_point_jobs_rejected(self):
-        with pytest.raises(ExperimentError):
-            run_sweep("demo", [{"x": 1}], _double_trial, trials_per_point=1, point_jobs=-2)
 
     def test_sweep_point_label(self):
         point = SweepPoint.from_mapping({"n": 100, "eps": 0.1})
@@ -262,7 +249,7 @@ class TestSweepPointNames:
         assert first_seeds != second_seeds
         assert sweep.results[0].values("seed") != sweep.results[1].values("seed")
 
-    def test_serial_and_point_jobs_agree_on_duplicates(self):
+    def test_serial_and_pool_agree_on_duplicates(self, on_local_pool):
         kwargs = dict(
             name="S",
             points=[{"x": 1}, {"x": 1}],
@@ -271,7 +258,7 @@ class TestSweepPointNames:
             base_seed=5,
         )
         serial = run_sweep(**kwargs)
-        pooled = run_sweep(point_jobs=2, **kwargs)
+        pooled = on_local_pool(run_sweep, **kwargs)
         assert [r.to_dict() for r in serial.results] == [r.to_dict() for r in pooled.results]
 
     def test_batched_sweep_agrees_on_duplicate_seed_derivation(self):

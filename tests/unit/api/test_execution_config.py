@@ -4,34 +4,29 @@ from __future__ import annotations
 
 import dataclasses
 
+import numpy as np
 import pytest
 
-from repro.api import ExecutionConfig, ExecutionPlan, get_spec, resolve_run_options
+from repro.api import ExecutionConfig, ExecutionPlan, backend_for_jobs, get_spec, resolve_run_options
 from repro.errors import ExperimentError
-from repro.exec import ParallelTrialRunner, SerialTrialRunner
 
 
 class TestResolution:
-    def test_default_config_is_serial(self):
+    def test_default_config_is_in_process(self):
         plan = ExecutionConfig().resolve("E1")
-        assert plan.runner is None and not plan.batch and plan.point_jobs is None
+        assert not plan.batch and plan.backend == "in-process"
         assert plan.spec is get_spec("E1")
-        assert plan.notes == ()
 
-    def test_jobs_map_to_runners_like_the_cli(self):
-        assert isinstance(ExecutionConfig(jobs=1).resolve("E1").runner, SerialTrialRunner)
-        parallel = ExecutionConfig(jobs=4).resolve("E1").runner
-        assert isinstance(parallel, ParallelTrialRunner) and parallel.jobs == 4
-        all_cpus = ExecutionConfig(jobs=0).resolve("E1").runner
-        assert isinstance(all_cpus, ParallelTrialRunner) and all_cpus.jobs is None
-
-    def test_negative_jobs_rejected(self):
-        with pytest.raises(ExperimentError, match="non-negative"):
-            ExecutionConfig(jobs=-2).resolve("E1")
-
-    def test_batch_with_jobs_becomes_point_parallelism(self):
-        plan = ExecutionConfig(jobs=3, batch=True).resolve("E8")
-        assert plan.batch and plan.point_jobs == 3 and plan.runner is None
+    def test_config_has_seven_fields(self):
+        assert [field.name for field in dataclasses.fields(ExecutionConfig)] == [
+            "batch",
+            "base_seed",
+            "trials",
+            "backend",
+            "backend_options",
+            "store_path",
+            "cache",
+        ]
 
     def test_batch_on_unsupported_experiment_names_the_batchable_ones(self):
         # Every registered experiment is batchable since the stage kernels
@@ -39,16 +34,6 @@ class TestResolution:
         unbatchable = dataclasses.replace(get_spec("E4"), supports_batch=False)
         with pytest.raises(ExperimentError, match=r"E1, E2, E3, E4, E5, E6, E7, E8, E9, E10, E11"):
             ExecutionConfig(batch=True).resolve(unbatchable)
-
-    def test_jobs_on_batch_only_experiment_yield_a_note_not_parallelism(self):
-        plan = ExecutionConfig(jobs=2, batch=True).resolve("E10")
-        assert plan.point_jobs is None and plan.runner is None
-        assert any("--jobs has no effect" in note for note in plan.notes)
-
-    def test_jobs_on_runnerless_experiment_yield_a_note(self):
-        plan = ExecutionConfig(jobs=2).resolve("E10")
-        assert plan.runner is None
-        assert any("--jobs has no effect" in note for note in plan.notes)
 
     def test_trials_override_requires_a_trials_parameter(self):
         assert ExecutionConfig(trials=7).resolve("E1").trials == 7
@@ -58,20 +43,15 @@ class TestResolution:
     def test_config_is_frozen(self):
         config = ExecutionConfig()
         with pytest.raises(dataclasses.FrozenInstanceError):
-            config.jobs = 3  # type: ignore[misc]
+            config.batch = True  # type: ignore[misc]
 
     def test_describe_summarises_the_plan(self):
-        summary = ExecutionConfig(jobs=2, batch=True, trials=3, base_seed=9).resolve("E8").describe()
+        summary = ExecutionConfig(batch=True, trials=3, base_seed=9).resolve("E8").describe()
         assert summary == {
-            "jobs": 2,
             "batch": True,
-            "runner": "batch",
-            "point_jobs": 2,
             "trials": 3,
             "base_seed": 9,
-            "backend": None,
             "store": None,
-            "notes": [],
         }
 
     def test_store_path_flows_into_the_plan_and_describe(self, tmp_path):
@@ -88,103 +68,132 @@ class TestResolution:
             ExecutionConfig(store_path=target).resolve("E8")
 
 
+class TestTypeChecks:
+    """Execution inputs may come from an untrusted JSON body: type-check them."""
+
+    @pytest.mark.parametrize("value", ["false", 1, None])
+    def test_batch_must_be_a_bool(self, value):
+        with pytest.raises(ExperimentError, match="batch must be true or false"):
+            ExecutionConfig(batch=value).resolve("E1")  # type: ignore[arg-type]
+
+    @pytest.mark.parametrize("value", ["3", 2.0, True, 0, -1])
+    def test_trials_must_be_a_positive_integer(self, value):
+        with pytest.raises(ExperimentError, match="trials must be a positive integer"):
+            ExecutionConfig(trials=value).resolve("E1")  # type: ignore[arg-type]
+
+    @pytest.mark.parametrize("value", ["7", 7.5, False])
+    def test_base_seed_must_be_an_integer(self, value):
+        with pytest.raises(ExperimentError, match="base_seed must be an integer"):
+            ExecutionConfig(base_seed=value).resolve("E1")  # type: ignore[arg-type]
+
+    @pytest.mark.parametrize("value", ["2", 1.5, -1, True])
+    def test_workers_must_be_a_non_negative_integer(self, value):
+        with pytest.raises(ExperimentError, match="workers must be a non-negative integer"):
+            ExecutionConfig(backend="local", backend_options={"workers": value}).resolve("E1")
+
+    def test_numpy_integers_are_integers(self):
+        plan = ExecutionConfig(
+            trials=np.int64(3),
+            base_seed=np.int32(5),
+            backend="local",
+            backend_options={"workers": np.int64(2)},
+        ).resolve("E1")
+        assert plan.trials == 3 and type(plan.trials) is int
+        assert plan.base_seed == 5 and type(plan.base_seed) is int
+
+
+class TestForService:
+    """A service request's body may set only the experiment-shaping options."""
+
+    @pytest.mark.parametrize("key", ["store_path", "cache", "jobs"])
+    def test_request_may_not_set(self, tmp_path, key):
+        with pytest.raises(ExperimentError, match=f"unknown execution option\\(s\\) {key};"):
+            ExecutionConfig.for_service(tmp_path, {key: 2})
+
+    def test_the_service_store_is_always_consulted(self, tmp_path):
+        config = ExecutionConfig.for_service(
+            tmp_path, {"batch": True, "backend": "local", "backend_options": {"workers": 2}}
+        )
+        assert config.store_path == tmp_path and config.cache is True
+        assert config.batch and config.backend == "local"
+        assert config.backend_options == {"workers": 2}
+
+
 class TestBackendResolution:
-    def test_default_config_has_no_backend(self):
+    def test_default_backend_is_in_process(self):
+        from repro.exec.backends import InProcessBackend
+
         plan = ExecutionConfig().resolve("E1")
-        assert plan.backend is None and plan.backend_options is None
-        assert plan.create_backend() is None
-        assert plan.describe()["backend"] is None
+        assert isinstance(plan.create_backend(), InProcessBackend)
 
     def test_unknown_backend_is_rejected_naming_the_valid_ones(self):
-        with pytest.raises(ExperimentError, match="in-process.*local.*remote"):
+        with pytest.raises(ExperimentError, match="registered backends: in-process, local$"):
             ExecutionConfig(backend="threads").resolve("E1")
+        with pytest.raises(ExperimentError, match="unknown execution backend None"):
+            ExecutionConfig(backend=None).resolve("E1")  # type: ignore[arg-type]
 
     def test_unknown_backend_option_is_rejected(self):
         with pytest.raises(ExperimentError, match="chunk_size"):
             ExecutionConfig(backend="local", backend_options={"chunk_size": 3}).resolve("E1")
 
-    def test_backend_options_without_backend_are_rejected(self):
-        with pytest.raises(ExperimentError, match="without a backend"):
+    def test_in_process_backend_takes_no_options(self):
+        with pytest.raises(ExperimentError, match="no option"):
             ExecutionConfig(backend_options={"workers": 2}).resolve("E1")
 
-    def test_parallel_backend_without_jobs_engages_the_parallel_machinery(self):
-        plan = ExecutionConfig(backend="local").resolve("E8")
-        assert isinstance(plan.runner, ParallelTrialRunner)
-        assert plan.jobs is None  # the *requested* jobs stay untouched
-
-    def test_in_process_backend_stays_serial(self):
-        plan = ExecutionConfig(backend="in-process").resolve("E8")
-        assert plan.runner is None and plan.point_jobs is None
-
-    def test_explicit_jobs_win_over_the_backend_default(self):
-        plan = ExecutionConfig(jobs=3, backend="local").resolve("E8")
-        assert isinstance(plan.runner, ParallelTrialRunner) and plan.runner.jobs == 3
-
     def test_create_backend_builds_the_named_backend(self):
-        from repro.exec.backends import InProcessBackend, LocalPoolBackend, RemoteWorkerBackend
+        from repro.exec.backends import LocalPoolBackend, default_jobs
 
-        assert isinstance(
-            ExecutionConfig(backend="in-process").resolve("E1").create_backend(),
-            InProcessBackend,
-        )
         local = ExecutionConfig(backend="local", backend_options={"workers": 2}).resolve(
             "E1"
         ).create_backend()
-        assert isinstance(local, LocalPoolBackend) and local.jobs == 2
-        remote = ExecutionConfig(
-            backend="remote", backend_options={"workers": 2, "chunk_size": 4}
-        ).resolve("E1").create_backend()
-        assert isinstance(remote, RemoteWorkerBackend)
-        assert remote.workers == 2 and remote.settings.chunk_size == 4
+        assert isinstance(local, LocalPoolBackend) and local.workers == 2
+        all_cpus = ExecutionConfig(backend="local").resolve("E1").create_backend()
+        assert all_cpus.workers == default_jobs()
 
-    def test_describe_records_the_backend(self):
-        summary = ExecutionConfig(
-            backend="remote", backend_options={"workers": 2}
-        ).resolve("E8").describe()
-        assert summary["backend"] == {"name": "remote", "options": {"workers": 2}}
+
+class TestBackendForJobs:
+    """``--jobs N`` is the one parallelism flag; this is its mapping."""
+
+    @pytest.mark.parametrize("jobs", [None, 1])
+    def test_unset_and_one_mean_in_process(self, jobs):
+        assert backend_for_jobs(jobs) == {"backend": "in-process", "backend_options": None}
+
+    @pytest.mark.parametrize("jobs", [0, 2, 5])
+    def test_zero_and_many_mean_a_local_pool(self, jobs):
+        assert backend_for_jobs(jobs) == {"backend": "local", "backend_options": {"workers": jobs}}
+
+    def test_negative_jobs_rejected(self):
+        with pytest.raises(ExperimentError, match="non-negative"):
+            backend_for_jobs(-2)
 
 
 class TestFromEnv:
-    def test_unset_means_serial(self, monkeypatch):
+    def test_unset_means_in_process(self, monkeypatch):
         monkeypatch.delenv("REPRO_TEST_JOBS", raising=False)
-        assert ExecutionConfig.from_env("REPRO_TEST_JOBS").jobs is None
+        config = ExecutionConfig.from_env("REPRO_TEST_JOBS")
+        assert config.backend == "in-process" and config.backend_options is None
 
-    def test_set_value_is_parsed_as_jobs(self, monkeypatch):
+    def test_set_value_selects_a_local_pool(self, monkeypatch):
         monkeypatch.setenv("REPRO_TEST_JOBS", " 3 ")
         config = ExecutionConfig.from_env("REPRO_TEST_JOBS", batch=True)
-        assert config.jobs == 3 and config.batch
+        assert config.backend == "local" and config.backend_options == {"workers": 3}
+        assert config.batch
 
-    def test_repro_backend_selects_the_backend(self, monkeypatch):
+    @pytest.mark.parametrize("raw", ["two", "-1", "1.5"])
+    def test_bad_value_names_the_variable(self, monkeypatch, raw):
+        monkeypatch.setenv("REPRO_TEST_JOBS", raw)
+        with pytest.raises(ExperimentError, match=f"REPRO_TEST_JOBS .*got '{raw}'"):
+            ExecutionConfig.from_env("REPRO_TEST_JOBS")
+
+    def test_backend_variables_are_gone(self, monkeypatch):
         monkeypatch.delenv("REPRO_TEST_JOBS", raising=False)
         monkeypatch.setenv("REPRO_BACKEND", "local")
-        monkeypatch.delenv("REPRO_WORKERS", raising=False)
-        config = ExecutionConfig.from_env("REPRO_TEST_JOBS")
-        assert config.backend == "local" and config.backend_options is None
-
-    def test_repro_workers_becomes_a_backend_option(self, monkeypatch):
-        monkeypatch.delenv("REPRO_TEST_JOBS", raising=False)
-        monkeypatch.setenv("REPRO_BACKEND", "remote")
-        monkeypatch.setenv("REPRO_WORKERS", " 4 ")
-        config = ExecutionConfig.from_env("REPRO_TEST_JOBS")
-        assert config.backend == "remote"
-        assert config.backend_options == {"workers": 4}
-
-    def test_repro_workers_without_backend_is_ignored(self, monkeypatch):
-        monkeypatch.delenv("REPRO_TEST_JOBS", raising=False)
-        monkeypatch.delenv("REPRO_BACKEND", raising=False)
         monkeypatch.setenv("REPRO_WORKERS", "4")
         config = ExecutionConfig.from_env("REPRO_TEST_JOBS")
-        assert config.backend is None and config.backend_options is None
-
-    def test_empty_backend_variable_means_default_dispatch(self, monkeypatch):
-        monkeypatch.delenv("REPRO_TEST_JOBS", raising=False)
-        monkeypatch.setenv("REPRO_BACKEND", "  ")
-        config = ExecutionConfig.from_env("REPRO_TEST_JOBS")
-        assert config.backend is None
+        assert config.backend == "in-process" and config.backend_options is None
 
     def test_repro_store_selects_the_run_store(self, monkeypatch):
         monkeypatch.delenv("REPRO_TEST_JOBS", raising=False)
-        monkeypatch.delenv("REPRO_BACKEND", raising=False)
         monkeypatch.setenv("REPRO_STORE", " runs/store ")
         monkeypatch.delenv("REPRO_CACHE", raising=False)
         config = ExecutionConfig.from_env("REPRO_TEST_JOBS")
@@ -192,7 +201,6 @@ class TestFromEnv:
 
     def test_repro_cache_falsy_values_disable_the_lookup(self, monkeypatch):
         monkeypatch.delenv("REPRO_TEST_JOBS", raising=False)
-        monkeypatch.delenv("REPRO_BACKEND", raising=False)
         monkeypatch.delenv("REPRO_STORE", raising=False)
         for raw in ("0", "false", "No", "OFF"):
             monkeypatch.setenv("REPRO_CACHE", raw)
@@ -204,10 +212,6 @@ class TestFromEnv:
 
 
 class TestResolveRunOptions:
-    def test_config_and_legacy_kwargs_are_mutually_exclusive(self):
-        with pytest.raises(ExperimentError, match="both config= and legacy"):
-            resolve_run_options("E1", config=ExecutionConfig(), batch=True)
-
     def test_resolved_plan_passes_through_unchanged(self):
         plan = ExecutionConfig(batch=True).resolve("E1")
         assert resolve_run_options("E1", config=plan) is plan
@@ -221,13 +225,7 @@ class TestResolveRunOptions:
         with pytest.raises(ExperimentError, match="ExecutionConfig or ExecutionPlan"):
             resolve_run_options("E1", config=object())  # type: ignore[arg-type]
 
-    def test_legacy_kwargs_warn_once_and_flow_through(self):
-        with pytest.warns(DeprecationWarning, match="run_experiment"):
-            plan = resolve_run_options("E8", batch=True, point_jobs=2)
-        assert isinstance(plan, ExecutionPlan)
-        assert plan.batch and plan.point_jobs == 2
-
-    def test_no_arguments_neither_warn_nor_resolve_parallelism(self, recwarn):
+    def test_no_config_resolves_the_defaults(self):
         plan = resolve_run_options("E8")
-        assert not plan.batch and plan.runner is None and plan.point_jobs is None
-        assert not [w for w in recwarn.list if w.category is DeprecationWarning]
+        assert isinstance(plan, ExecutionPlan)
+        assert not plan.batch and plan.backend == "in-process"

@@ -1,51 +1,15 @@
-"""Tests for run_experiment and the drivers' deprecation-shimmed legacy path.
-
-The equivalence class here is the satellite contract of the API redesign:
-calling a driver's ``run`` directly with the legacy ``runner=`` / ``batch=``
-/ ``point_jobs=`` keywords must (a) emit exactly one
-:class:`DeprecationWarning` and (b) return a report bit-identical to
-:func:`repro.api.run_experiment` with the equivalent
-:class:`~repro.api.ExecutionConfig` — for every one of the eleven drivers.
-"""
+"""Tests for run_experiment: artifacts, validation and per-run backends."""
 
 from __future__ import annotations
 
-import warnings
+import threading
 
 import pytest
 
 import repro
 from repro.api import ExecutionConfig, run_experiment
 from repro.errors import ExperimentError
-from repro.exec import SerialTrialRunner
-from repro.experiments import DRIVERS
-
-#: Tiny per-driver configurations (mirroring the integration tests) plus the
-#: legacy execution kwargs each driver supports and the equivalent config.
-SHIM_CASES = {
-    "E1": (dict(sizes=(200, 400), epsilon=0.3, trials=2),
-           dict(batch=True, point_jobs=2), ExecutionConfig(jobs=2, batch=True)),
-    "E2": (dict(epsilons=(0.25, 0.45), n=300, trials=2),
-           dict(batch=True), ExecutionConfig(batch=True)),
-    "E3": (dict(sizes=(300,), epsilons=(0.3,), trials=2),
-           dict(runner=SerialTrialRunner()), ExecutionConfig(jobs=1)),
-    "E4": (dict(n=600, epsilons=(0.3,), trials=4),
-           dict(runner=SerialTrialRunner()), ExecutionConfig(jobs=1)),
-    "E5": (dict(n=1500, epsilon=0.4, beta_override=6, trials=2),
-           dict(runner=SerialTrialRunner()), ExecutionConfig(jobs=1)),
-    "E6": (dict(n=800, epsilon=0.3, trials=2),
-           dict(runner=SerialTrialRunner()), ExecutionConfig(jobs=1)),
-    "E7": (dict(n=250, epsilons=(0.3,), trials=2, voter_rounds=32),
-           dict(batch=True), ExecutionConfig(batch=True)),
-    "E8": (dict(n=400, epsilon=0.3, set_sizes=(120,), biases=(0.05, 0.3), trials=2),
-           dict(batch=True), ExecutionConfig(batch=True)),
-    "E9": (dict(n=250, epsilon=0.3, skews=(4,), trials=2),
-           dict(runner=SerialTrialRunner()), ExecutionConfig(jobs=1)),
-    "E10": (dict(epsilon=0.25, deltas=(0.01, 0.1), monte_carlo_reps=2000),
-            dict(batch=True), ExecutionConfig(batch=True)),
-    "E11": (dict(n=120, epsilon=0.35, trials=2),
-            dict(runner=SerialTrialRunner()), ExecutionConfig(jobs=1)),
-}
+from repro.exec.backends import InProcessBackend
 
 
 class TestRunExperiment:
@@ -57,7 +21,8 @@ class TestRunExperiment:
         assert artifact.wall_time_seconds > 0
         assert artifact.parameters["monte_carlo_reps"] == 2000
         assert artifact.parameters["base_seed"] == 1010  # spec default resolved in
-        assert artifact.execution["runner"] == "serial"
+        # E10 vectorises its Monte-Carlo in-process: it dispatches no task.
+        assert artifact.execution["backend"] == {"name": "in-process", "tasks": 0}
 
     def test_config_overrides_are_recorded_in_parameters(self):
         artifact = run_experiment(
@@ -82,10 +47,6 @@ class TestRunExperiment:
         with pytest.raises(ExperimentError, match="pass it once"):
             run_experiment("E11", config=ExecutionConfig(trials=2), trials=3)
 
-    def test_driver_rejects_config_plus_legacy_kwargs(self):
-        with pytest.raises(ExperimentError, match="both config= and legacy"):
-            DRIVERS["E1"].run(sizes=(200,), trials=1, config=ExecutionConfig(), batch=True)
-
     def test_accepts_an_already_resolved_plan(self):
         plan = ExecutionConfig(batch=True).resolve("E10")
         artifact = run_experiment("E10", config=plan, deltas=(0.01, 0.1), monte_carlo_reps=2000)
@@ -97,23 +58,55 @@ class TestRunExperiment:
             run_experiment("E10", config=plan)
 
 
-@pytest.mark.parametrize("experiment_id", sorted(SHIM_CASES, key=lambda key: int(key[1:])))
-class TestDeprecationShim:
-    def test_legacy_kwargs_bit_identical_and_warn_once(self, experiment_id):
-        tiny, legacy_kwargs, config = SHIM_CASES[experiment_id]
-
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            artifact = run_experiment(experiment_id, config=config, **tiny)
-        assert not [w for w in caught if w.category is DeprecationWarning], (
-            "the unified API must not trip its own deprecation shim"
+    def test_manifest_shows_when_jobs_dispatched_nothing(self):
+        artifact = run_experiment(
+            "E10",
+            config=ExecutionConfig(batch=True, backend="local", backend_options={"workers": 2}),
+            deltas=(0.01,),
+            monte_carlo_reps=500,
         )
+        assert artifact.execution["backend"] == {"name": "local", "workers": 2, "tasks": 0}
 
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            legacy_report = DRIVERS[experiment_id].run(**tiny, **legacy_kwargs)
-        deprecations = [w for w in caught if w.category is DeprecationWarning]
-        assert len(deprecations) == 1, f"expected exactly one DeprecationWarning, got {deprecations}"
-        assert "run_experiment" in str(deprecations[0].message)
+    def test_serial_sweep_is_one_task_per_trial(self):
+        artifact = run_experiment("E1", sizes=(64, 96), epsilon=0.3, trials=3)
+        assert artifact.execution["backend"] == {"name": "in-process", "tasks": 6}
 
-        assert legacy_report.render() == artifact.report.render()
+
+class TestConcurrentRuns:
+    def test_two_threads_each_install_their_own_backend(self, monkeypatch):
+        """Concurrent runs naming a backend must not collide (service workers do this)."""
+        barrier = threading.Barrier(2, timeout=60)
+        submit = InProcessBackend.submit
+
+        def submit_when_both_runs_hold_a_backend(self, tasks):
+            barrier.wait()
+            return submit(self, tasks)
+
+        monkeypatch.setattr(InProcessBackend, "submit", submit_when_both_runs_hold_a_backend)
+        artifacts, errors = [None, None], []
+
+        def run(slot):
+            try:
+                artifacts[slot] = run_experiment(
+                    "E1",
+                    config=ExecutionConfig(backend="in-process"),
+                    sizes=(64, 96),
+                    epsilon=0.3,
+                    trials=1,
+                )
+            except BaseException as error:  # surfaced by the assertion below
+                errors.append(error)
+                barrier.abort()
+
+        threads = [threading.Thread(target=run, args=(slot,)) for slot in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert not errors, errors
+        first, second = artifacts
+        assert first.report.rows == second.report.rows
+        assert first.execution["backend"] == second.execution["backend"] == {
+            "name": "in-process",
+            "tasks": 2,
+        }

@@ -1,11 +1,11 @@
 """Drift pins for the experiment registry.
 
-The registry (:mod:`repro.api.spec`) *declares* capability flags and
+The registry (:mod:`repro.api.spec`) *declares* the batch capability and
 parameter defaults so that nothing needs to introspect driver signatures at
 runtime.  These tests are the other half of that contract: they introspect
-the signatures *here, once, in the test suite* and fail if a declared flag
-or default ever disagrees with a driver's actual ``run`` signature — or if
-the README experiment table stops matching the registry.
+the signatures *here, once, in the test suite* and fail if a declared
+default ever disagrees with a driver's actual ``run`` signature — or if the
+README experiment table stops matching the registry.
 """
 
 from __future__ import annotations
@@ -27,8 +27,8 @@ from repro.api import (
 from repro.errors import ExperimentError
 from repro.experiments import DRIVERS
 
-#: run() keywords owned by the execution layer, not declared as parameters.
-EXECUTION_KWARGS = {"runner", "batch", "point_jobs", "config"}
+#: The one run() keyword owned by the execution layer, not declared as a parameter.
+EXECUTION_KWARGS = {"config"}
 
 README = Path(__file__).resolve().parents[3] / "README.md"
 
@@ -65,15 +65,12 @@ class TestRegistryShape:
 
 @pytest.mark.parametrize("experiment_id", [f"E{i}" for i in range(1, 13)])
 class TestSpecsCannotDriftFromDrivers:
-    """The satellite contract: every spec flag matches the driver's behaviour."""
+    """Every spec matches its driver's ``run`` signature."""
 
-    def test_capability_flags_match_run_signature(self, experiment_id):
-        spec = REGISTRY[experiment_id]
-        parameters = inspect.signature(spec.driver().run).parameters
-        assert spec.supports_runner == ("runner" in parameters)
-        assert spec.supports_batch == ("batch" in parameters)
-        assert spec.supports_point_jobs == ("point_jobs" in parameters)
+    def test_execution_reaches_the_driver_only_through_config(self, experiment_id):
+        parameters = inspect.signature(REGISTRY[experiment_id].driver().run).parameters
         assert "config" in parameters, "every driver must accept config="
+        assert not {"runner", "batch", "point_jobs"} & set(parameters)
 
     def test_declared_parameters_match_run_signature(self, experiment_id):
         spec = REGISTRY[experiment_id]
@@ -110,18 +107,15 @@ class TestReadmeTableMatchesRegistry:
         )
 
     def test_readme_batch_coverage_matrix_matches_registry(self):
-        """The batch-coverage matrix (experiment x capability flags) is pinned
+        """The batch-coverage matrix (experiment x ``supports_batch``) is pinned
         against the registry row by row, like the experiment table."""
         matrix_rows = re.findall(
-            r"^\|\s*(E\d+)\s*\|\s*(yes|no)\s*\|\s*(yes|no)\s*\|\s*(yes|no)\s*\|",
+            r"^\|\s*(E\d+)\s*\|\s*(yes|no)\s*\|",
             README.read_text(),
             re.MULTILINE,
         )
         assert [row[0] for row in matrix_rows] == experiment_ids(), (
             "README.md must contain one batch-coverage matrix row per registered experiment"
         )
-        for experiment_id, runner, batch, point_jobs in matrix_rows:
-            spec = REGISTRY[experiment_id]
-            assert (runner == "yes") == spec.supports_runner, experiment_id
-            assert (batch == "yes") == spec.supports_batch, experiment_id
-            assert (point_jobs == "yes") == spec.supports_point_jobs, experiment_id
+        for experiment_id, batch in matrix_rows:
+            assert (batch == "yes") == REGISTRY[experiment_id].supports_batch, experiment_id

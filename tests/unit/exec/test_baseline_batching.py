@@ -14,6 +14,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.api import ExecutionConfig, run_experiment
 from repro.errors import ExperimentError
 from repro.exec.batching import (
     batchable_baselines,
@@ -25,6 +26,9 @@ from repro.protocols.naive_forward import ImmediateForwardingBroadcast
 from repro.protocols.noisy_voter import NoisyVoterBroadcast
 from repro.substrate.engine import SimulationEngine
 from repro.substrate.noise import PerfectChannel
+
+#: ExecutionConfig fields of a two-worker local pool.
+POOL = {"backend": "local", "backend_options": {"workers": 2}}
 
 
 def _serial_runs(protocol_factory, n, epsilon, seeds, channel=None):
@@ -226,7 +230,7 @@ class TestBaselineSweepShape:
                 defaults={"n": 150, "epsilon": 0.3},
             )
 
-    def test_point_jobs_is_bit_identical_to_in_process(self):
+    def test_pool_is_bit_identical_to_in_process(self, on_local_pool):
         kwargs = dict(
             name="B",
             points=[{"protocol": "immediate-forwarding"}, {"protocol": "noisy-voter", "max_rounds": 24}],
@@ -235,7 +239,7 @@ class TestBaselineSweepShape:
             defaults={"n": 150, "epsilon": 0.3},
         )
         in_process = run_sweep_batched(**kwargs)
-        pooled = run_sweep_batched(point_jobs=2, **kwargs)
+        pooled = on_local_pool(run_sweep_batched, **kwargs)
         assert [r.to_dict() for r in pooled.results] == [
             r.to_dict() for r in in_process.results
         ]
@@ -245,11 +249,9 @@ class TestE7DriverBatchMode:
     def test_e7_batch_report_matches_serial_schedule(self):
         """E7 in batch mode reproduces the schedule-determined columns exactly
         and applies the same never-converged convention as the serial driver."""
-        from repro.experiments import e7_baselines
-
         kwargs = dict(n=300, epsilons=(0.3,), trials=2, voter_rounds=48)
-        serial = e7_baselines.run(**kwargs)
-        batched = e7_baselines.run(batch=True, **kwargs)
+        serial = run_experiment("E7", **kwargs).report
+        batched = run_experiment("E7", config=ExecutionConfig(batch=True), **kwargs).report
         serial_rows = {row["protocol"]: row for row in serial.rows}
         batched_rows = {row["protocol"]: row for row in batched.rows}
         assert list(serial_rows) == list(batched_rows)
@@ -262,22 +264,13 @@ class TestE7DriverBatchMode:
             assert rows["noisy-voter"]["all_correct_rate"] == 0.0
             assert rows["direct-source-reference"]["all_correct_rate"] == 1.0
 
-    def test_e7_batch_point_jobs_identical(self):
-        from repro.experiments import e7_baselines
-
-        kwargs = dict(n=250, epsilons=(0.3,), trials=2, voter_rounds=32, batch=True)
-        in_process = e7_baselines.run(**kwargs)
-        pooled = e7_baselines.run(point_jobs=2, **kwargs)
-        assert _rows_equal(in_process.rows, pooled.rows)
-
-    def test_e7_serial_point_jobs_identical(self):
-        """point_jobs is honoured on the non-batch path too (bit-identical)."""
-        from repro.experiments import e7_baselines
-
+    @pytest.mark.parametrize("batch", [True, False], ids=["batch", "serial"])
+    def test_e7_cells_on_a_pool_identical(self, batch):
         kwargs = dict(n=250, epsilons=(0.3,), trials=2, voter_rounds=32)
-        serial = e7_baselines.run(**kwargs)
-        pooled = e7_baselines.run(point_jobs=2, **kwargs)
-        assert _rows_equal(serial.rows, pooled.rows)
+        in_process = run_experiment("E7", config=ExecutionConfig(batch=batch), **kwargs)
+        pooled = run_experiment("E7", config=ExecutionConfig(batch=batch, **POOL), **kwargs)
+        assert pooled.execution["backend"]["tasks"] == 4  # one per protocol cell
+        assert _rows_equal(in_process.report.rows, pooled.report.rows)
 
 
 def _rows_equal(left_rows, right_rows):

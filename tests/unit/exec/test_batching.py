@@ -11,6 +11,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.api import ExecutionConfig, run_experiment
 from repro.core.broadcast import solve_noisy_broadcast
 from repro.core.majority import solve_noisy_majority_consensus
 from repro.errors import ExperimentError, ParameterError, ProtocolError
@@ -402,8 +403,8 @@ class TestSweepDispatch:
         assert all(0.0 <= y <= 1.0 for y in ys)
 
 
-class TestPointParallelBatchedSweep:
-    def test_point_jobs_is_bit_identical_to_in_process(self):
+class TestPooledBatchedSweep:
+    def test_pool_is_bit_identical_to_in_process(self, on_local_pool):
         kwargs = dict(
             name="P",
             points=[{"n": 250}, {"n": 300}],
@@ -412,29 +413,18 @@ class TestPointParallelBatchedSweep:
             defaults={"epsilon": 0.3},
         )
         in_process = run_broadcast_sweep_batched(**kwargs)
-        pooled = run_broadcast_sweep_batched(point_jobs=2, **kwargs)
+        pooled = on_local_pool(run_broadcast_sweep_batched, **kwargs)
         assert [r.to_dict() for r in pooled.results] == [
             r.to_dict() for r in in_process.results
         ]
-
-    def test_negative_point_jobs_rejected(self):
-        with pytest.raises(ExperimentError):
-            run_broadcast_sweep_batched(
-                name="P",
-                points=[{"n": 250}],
-                trials_per_point=2,
-                defaults={"epsilon": 0.3},
-                point_jobs=-1,
-            )
 
 
 class TestDriverBatchMode:
     def test_e1_batch_report_matches_serial_schedule(self):
         """E1 in batch mode reproduces the schedule-determined columns exactly."""
-        from repro.experiments import e1_rounds_vs_n
-
-        serial = e1_rounds_vs_n.run(sizes=(250, 400), epsilon=0.3, trials=2)
-        batched = e1_rounds_vs_n.run(sizes=(250, 400), epsilon=0.3, trials=2, batch=True)
+        kwargs = dict(sizes=(250, 400), epsilon=0.3, trials=2)
+        serial = run_experiment("E1", **kwargs).report
+        batched = run_experiment("E1", config=ExecutionConfig(batch=True), **kwargs).report
         assert [row["mean_rounds"] for row in batched.rows] == [
             row["mean_rounds"] for row in serial.rows
         ]
@@ -444,11 +434,9 @@ class TestDriverBatchMode:
         """E8 in batch mode is statistically equivalent to the serial driver:
         the schedule-determined columns match exactly and well-initialised
         points succeed on both paths."""
-        from repro.experiments import e8_majority
-
         kwargs = dict(n=400, epsilon=0.3, set_sizes=(40, 100), biases=(0.3,), trials=2)
-        serial = e8_majority.run(**kwargs)
-        batched = e8_majority.run(batch=True, **kwargs)
+        serial = run_experiment("E8", **kwargs).report
+        batched = run_experiment("E8", config=ExecutionConfig(batch=True), **kwargs).report
         assert [row["mean_rounds"] for row in batched.rows] == [
             row["mean_rounds"] for row in serial.rows
         ]
@@ -457,30 +445,27 @@ class TestDriverBatchMode:
         ]
         assert all(row["success_rate"] >= 0.5 for row in batched.rows)
 
-    def test_e8_batch_point_jobs_identical(self):
-        from repro.experiments import e8_majority
-
+    @pytest.mark.parametrize(
+        "batch, tasks", [(True, 2), (False, 4)], ids=["batch-point-tasks", "serial-trial-tasks"]
+    )
+    def test_e8_on_a_pool_identical(self, batch, tasks):
         kwargs = dict(n=300, epsilon=0.3, set_sizes=(40,), biases=(0.3, 0.35), trials=2)
-        batched = e8_majority.run(batch=True, **kwargs)
-        pooled = e8_majority.run(batch=True, point_jobs=2, **kwargs)
-        assert batched.rows == pooled.rows
-
-    def test_e8_serial_point_jobs_identical(self):
-        """point_jobs is honoured on the non-batch path too (bit-identical)."""
-        from repro.experiments import e8_majority
-
-        kwargs = dict(n=300, epsilon=0.3, set_sizes=(40,), biases=(0.3, 0.35), trials=2)
-        serial = e8_majority.run(**kwargs)
-        pooled = e8_majority.run(point_jobs=2, **kwargs)
-        assert serial.rows == pooled.rows
+        in_process = run_experiment("E8", config=ExecutionConfig(batch=batch), **kwargs)
+        pooled = run_experiment(
+            "E8",
+            config=ExecutionConfig(
+                batch=batch, backend="local", backend_options={"workers": 2}
+            ),
+            **kwargs,
+        )
+        assert pooled.execution["backend"] == {"name": "local", "workers": 2, "tasks": tasks}
+        assert in_process.report.rows == pooled.report.rows
 
     def test_e10_batch_mode_statistically_equivalent(self):
         """E10's batched Monte-Carlo grid agrees with the per-delta loop."""
-        from repro.experiments import e10_majority_lemma
-
         kwargs = dict(epsilon=0.25, deltas=(0.02, 0.1), monte_carlo_reps=20_000)
-        serial = e10_majority_lemma.run(**kwargs)
-        batched = e10_majority_lemma.run(batch=True, **kwargs)
+        serial = run_experiment("E10", **kwargs).report
+        batched = run_experiment("E10", config=ExecutionConfig(batch=True), **kwargs).report
         assert batched.config["batch"] is True
         for serial_row, batched_row in zip(serial.rows, batched.rows):
             assert batched_row["exact_majority_prob"] == serial_row["exact_majority_prob"]

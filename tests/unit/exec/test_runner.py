@@ -1,17 +1,14 @@
-"""Unit tests for repro.exec.runner: serial/parallel equality and fallbacks."""
+"""Unit tests for trial seeds and trial dispatch: equal results on every backend."""
 
 from __future__ import annotations
 
 import pytest
 
+from repro.analysis.experiments import run_trials
+from repro.analysis.sweeps import run_sweep
 from repro.errors import ExperimentError
-from repro.exec.runner import (
-    ParallelTrialRunner,
-    SerialTrialRunner,
-    resolve_runner,
-    trial_seed,
-    trial_seeds,
-)
+from repro.exec.backends import LocalPoolBackend, use_backend
+from repro.exec.runner import trial_seed, trial_seeds
 from repro.substrate.rng import derive_seed, spawn_generator
 
 
@@ -40,16 +37,16 @@ def _sweep_trial(point, seed, index):
 
 class TestSeedDerivation:
     def test_trial_seed_matches_historical_derivation(self):
-        """Runners must use the same seeds run_trials always derived."""
+        """Every path must use the same seeds run_trials always derived."""
         assert trial_seed(7, "E1", 3) == derive_seed(7, "E1", 3)
 
     def test_trial_seeds_vector_matches_scalar(self):
         assert trial_seeds(11, "X", 5) == [trial_seed(11, "X", i) for i in range(5)]
 
 
-class TestSerialRunner:
+class TestRunTrials:
     def test_result_structure_and_seeds(self):
-        result = SerialTrialRunner().run("exp", _cheap_trial, 4, base_seed=9, config={"k": 1})
+        result = run_trials("exp", _cheap_trial, 4, base_seed=9, config={"k": 1})
         assert result.num_trials == 4
         assert result.config == {"k": 1}
         for index, trial in enumerate(result.trials):
@@ -59,94 +56,49 @@ class TestSerialRunner:
 
     def test_rejects_zero_trials(self):
         with pytest.raises(ExperimentError):
-            SerialTrialRunner().run("exp", _cheap_trial, 0)
+            run_trials("exp", _cheap_trial, 0)
 
     def test_rejects_non_mapping_measurements(self):
         with pytest.raises(ExperimentError, match="must return a mapping"):
-            SerialTrialRunner().run("exp", _bad_trial, 1)
+            run_trials("exp", _bad_trial, 1)
 
 
-class TestParallelRunner:
-    def test_identical_results_to_serial(self):
+class TestPooledTrials:
+    def test_identical_results_to_in_process(self):
         """The acceptance criterion: equal ExperimentResults for equal seeds."""
-        serial = SerialTrialRunner().run("par", _cheap_trial, 8, base_seed=4, config={"a": 2})
-        runner = ParallelTrialRunner(jobs=3)
-        parallel = runner.run("par", _cheap_trial, 8, base_seed=4, config={"a": 2})
-        assert runner.last_fallback_reason is None, "expected the pool to be used"
+        serial = run_trials("par", _cheap_trial, 8, base_seed=4, config={"a": 2})
+        with LocalPoolBackend(workers=3) as backend, use_backend(backend):
+            parallel = run_trials("par", _cheap_trial, 8, base_seed=4, config={"a": 2})
+        assert backend.tasks == 8, "expected one pool task per trial"
         assert serial.to_dict() == parallel.to_dict()
 
-    def test_unpicklable_trial_falls_back_to_serial_with_equal_results(self):
+    def test_unpicklable_trial_runs_in_process_with_equal_results(self):
         captured = 3
 
         def closure_trial(seed, trial_index):
             return {"value": (seed + trial_index) % captured}
 
-        runner = ParallelTrialRunner(jobs=2)
-        parallel = runner.run("fb", closure_trial, 5, base_seed=1)
-        assert runner.last_fallback_reason is not None
-        assert "picklable" in runner.last_fallback_reason
-        serial = SerialTrialRunner().run("fb", closure_trial, 5, base_seed=1)
+        with LocalPoolBackend(workers=2) as backend, use_backend(backend):
+            parallel = run_trials("fb", closure_trial, 5, base_seed=1)
+        assert backend.tasks == 0, "an unpicklable trial must not reach the pool"
+        serial = run_trials("fb", closure_trial, 5, base_seed=1)
         assert serial.to_dict() == parallel.to_dict()
 
-    def test_single_job_short_circuits_without_pool(self):
-        runner = ParallelTrialRunner(jobs=1)
-        result = runner.run("one", _cheap_trial, 3, base_seed=2)
-        assert runner.last_fallback_reason is not None
-        assert result.num_trials == 3
+    def test_more_workers_than_trials_is_fine(self):
+        with LocalPoolBackend(workers=64) as backend, use_backend(backend):
+            result = run_trials("few", _cheap_trial, 2, base_seed=6)
+        assert result.to_dict() == run_trials("few", _cheap_trial, 2, base_seed=6).to_dict()
 
-    def test_more_jobs_than_trials_is_fine(self):
-        runner = ParallelTrialRunner(jobs=64)
-        result = runner.run("few", _cheap_trial, 2, base_seed=6)
-        assert result.to_dict() == SerialTrialRunner().run("few", _cheap_trial, 2, base_seed=6).to_dict()
+    def test_bad_measurements_are_rejected_in_the_parent(self):
+        with LocalPoolBackend(workers=2) as backend, use_backend(backend):
+            with pytest.raises(ExperimentError, match="must return a mapping"):
+                run_trials("bad", _bad_trial, 4, base_seed=0)
 
-    def test_worker_exception_propagates(self):
-        with pytest.raises(ExperimentError, match="must return a mapping"):
-            ParallelTrialRunner(jobs=2).run("bad", _bad_trial, 4, base_seed=0)
-
-    def test_invalid_jobs_rejected(self):
-        with pytest.raises(ExperimentError):
-            ParallelTrialRunner(jobs=-2)
-
-
-class TestResolveRunner:
-    def test_none_and_one_mean_serial(self):
-        assert isinstance(resolve_runner(None), SerialTrialRunner)
-        assert isinstance(resolve_runner(1), SerialTrialRunner)
-
-    def test_zero_means_all_cpus(self):
-        runner = resolve_runner(0)
-        assert isinstance(runner, ParallelTrialRunner)
-        assert runner.jobs is None
-        assert runner.effective_jobs >= 1
-
-    def test_explicit_worker_count(self):
-        runner = resolve_runner(5)
-        assert isinstance(runner, ParallelTrialRunner)
-        assert runner.jobs == 5
-
-    def test_negative_rejected(self):
-        with pytest.raises(ExperimentError):
-            resolve_runner(-1)
-
-
-class TestRunTrialsIntegration:
-    def test_run_trials_accepts_runner(self):
-        """run_trials(runner=...) routes through the given runner."""
-        from repro.analysis.experiments import run_trials
-
-        default = run_trials("rt", _cheap_trial, 4, base_seed=5)
-        parallel = run_trials("rt", _cheap_trial, 4, base_seed=5, runner=ParallelTrialRunner(jobs=2))
-        assert default.to_dict() == parallel.to_dict()
-
-    def test_run_sweep_accepts_runner(self):
-        """run_sweep(runner=...) produces identical sweeps, through the real pool."""
-        from repro.analysis.sweeps import run_sweep
-
+    def test_run_sweep_submits_every_trial_of_every_point_at_once(self):
         points = [{"scale": 1.0}, {"scale": 2.5}]
         serial = run_sweep("sw", points, _sweep_trial, trials_per_point=3, base_seed=8)
-        runner = ParallelTrialRunner(jobs=2)
-        parallel = run_sweep(
-            "sw", points, _sweep_trial, trials_per_point=3, base_seed=8, runner=runner
-        )
-        assert runner.last_fallback_reason is None, "point-bound trials must be picklable"
+        backend = LocalPoolBackend(workers=2)
+        with backend, use_backend(backend):
+            parallel = run_sweep("sw", points, _sweep_trial, trials_per_point=3, base_seed=8)
+        assert backend.tasks == 6 and backend.last_chunksize == 1
         assert serial.to_dict() == parallel.to_dict()

@@ -178,6 +178,31 @@ class TestValidationAndErrors:
         assert excinfo.value.status == 400
         assert "store_path" in excinfo.value.payload["error"]
 
+    @pytest.mark.parametrize(
+        "execution, message",
+        [
+            ({"batch": "false"}, "batch must be true or false"),
+            ({"trials": "3"}, "trials must be a positive integer"),
+            ({"trials": 0}, "trials must be a positive integer"),
+            ({"base_seed": "7"}, "base_seed must be an integer"),
+            ({"backend": "local", "backend_options": {"workers": "2"}}, "workers must be"),
+            ({"backend": "local", "backend_options": {"workers": -1}}, "workers must be"),
+            ({"backend": "remote"}, "unknown execution backend"),
+            ({"jobs": 2}, "unknown execution option(s) jobs"),
+        ],
+        ids=["batch-str", "trials-str", "trials-zero", "seed-str", "workers-str",
+             "workers-negative", "remote", "jobs"],
+    )
+    def test_badly_typed_execution_option_is_400_at_submission(
+        self, server_factory, execution, message
+    ):
+        server, client = server_factory()
+        with pytest.raises(ServiceError) as excinfo:
+            client.submit("E1", execution=execution)
+        assert excinfo.value.status == 400
+        assert message in excinfo.value.payload["error"]
+        assert client.jobs() == [], "a rejected request must not queue a job"
+
     def test_double_specified_trials_is_400(self, server_factory):
         # ``trials`` may arrive as a parameter override or an execution
         # option, but not both — plan resolution rejects it at POST time.
@@ -241,6 +266,7 @@ class TestDiscoveryAndHealth:
         assert e1["title"] == spec.title
         assert [p["name"] for p in e1["parameters"]] == list(spec.parameter_names)
         assert e1["supports_batch"] == spec.supports_batch
+        assert "supports_jobs" not in e1
 
     def test_healthz_reports_queue_gauges(self, server_factory):
         server, client = server_factory()

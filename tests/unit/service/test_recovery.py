@@ -101,14 +101,14 @@ class TestChaosRegistry:
 
     def test_install_from_env_parses_every_clause_shape(self):
         installed = chaos.install_from_env(
-            {"REPRO_CHAOS": "store.put:raise:oserror:1, queue.worker:sleep:0.01, dispatch.done:drop:2"}
+            {"REPRO_CHAOS": "store.put:raise:oserror:1, queue.worker:sleep:0.01, journal.append:die:2"}
         )
         by_point = {fault.point: fault for fault in installed}
         assert isinstance(by_point["store.put"].exception, OSError)
         assert by_point["store.put"].times == 1
         assert by_point["queue.worker"].seconds == 0.01
-        assert by_point["dispatch.done"].action == "drop"
-        assert by_point["dispatch.done"].times == 2
+        assert by_point["journal.append"].action == "die"
+        assert by_point["journal.append"].times == 2
 
     def test_install_from_env_rejects_malformed_clauses(self):
         with pytest.raises(ExperimentError, match="malformed REPRO_CHAOS"):

@@ -4,7 +4,7 @@ The fingerprint is the cache address: two requests must hash identically
 exactly when the determinism contract says their results are bit-identical.
 These tests pin both directions — canonicalization invariances (dict key
 order, tuple-vs-list, non-finite floats, default-vs-explicit overrides,
-``jobs``/``backend`` changes) must collapse to one fingerprint, while
+backend changes) must collapse to one fingerprint, while
 semantic changes (parameters, version, the ``batch`` flag) must not.
 """
 
@@ -17,13 +17,16 @@ from pathlib import Path
 import pytest
 
 from repro import __version__
-from repro.api import ExecutionConfig, run_experiment
+from repro.api import ExecutionConfig, experiment_ids, resolve_run_inputs, run_experiment
 from repro.errors import ExperimentError
 from repro.store import (
     EXCLUDED_PLAN_FIELDS,
     FINGERPRINT_FIELDS,
+    RunStore,
     canonical_json,
+    load_run,
     run_fingerprint,
+    save_run,
 )
 
 PARAMS = {"n": 100, "epsilon": 0.3, "sizes": (10, 20)}
@@ -73,8 +76,7 @@ class TestSemanticSensitivity:
 
     def test_contract_constants_name_the_ins_and_outs(self):
         assert "execution.batch" in FINGERPRINT_FIELDS
-        for excluded in ("jobs", "backend"):
-            assert excluded in EXCLUDED_PLAN_FIELDS
+        assert EXCLUDED_PLAN_FIELDS == ("backend", "store", "cache")
 
 
 class TestResolvedRunInvariance:
@@ -98,23 +100,21 @@ class TestResolvedRunInvariance:
         assert via_param.fingerprint == via_config.fingerprint
         assert via_config.execution["cache"] == "hit"
 
-    def test_jobs_and_backend_do_not_change_the_fingerprint(self, tmp_path):
+    def test_backend_does_not_change_the_fingerprint(self, tmp_path):
         store = tmp_path / "store"
         serial = run_experiment(
             "E1", config=ExecutionConfig(store_path=store), **self.E1_TOY
         )
         parallel = run_experiment(
-            "E1", config=ExecutionConfig(store_path=store, jobs=2), **self.E1_TOY
-        )
-        in_process = run_experiment(
             "E1",
-            config=ExecutionConfig(store_path=store, backend="in-process"),
+            config=ExecutionConfig(
+                store_path=store, backend="local", backend_options={"workers": 2}
+            ),
             **self.E1_TOY,
         )
-        assert serial.fingerprint == parallel.fingerprint == in_process.fingerprint
+        assert serial.fingerprint == parallel.fingerprint
         assert serial.execution["cache"] == "miss"
         assert parallel.execution["cache"] == "hit"
-        assert in_process.execution["cache"] == "hit"
 
     def test_cross_backend_hit_serves_the_golden_digest(self, tmp_path):
         """A run stored serially must satisfy a local-pool request — and the
@@ -144,3 +144,67 @@ class TestResolvedRunInvariance:
         a = run_experiment("E1", **self.E1_TOY)
         assert a.fingerprint == run_fingerprint("E1", __version__, a.parameters)
         assert not math.isnan(a.wall_time_seconds)
+
+
+class TestEverySpecFingerprint:
+    """The fingerprint contract holds for every registered experiment."""
+
+    @pytest.mark.parametrize("experiment_id", experiment_ids())
+    def test_backend_is_excluded(self, experiment_id):
+        pooled = ExecutionConfig(backend="local", backend_options={"workers": 2})
+        assert (
+            resolve_run_inputs(experiment_id, config=pooled).fingerprint
+            == resolve_run_inputs(experiment_id).fingerprint
+        )
+
+    @pytest.mark.parametrize("experiment_id", experiment_ids())
+    def test_batch_is_covered(self, experiment_id):
+        assert (
+            resolve_run_inputs(experiment_id, config=ExecutionConfig(batch=True)).fingerprint
+            != resolve_run_inputs(experiment_id).fingerprint
+        )
+
+
+class TestFingerprintsArePinned:
+    """Fingerprints captured at version 1.0.0 before the execution knobs were cut.
+
+    Removing execution settings must not move a single cache address: every
+    artifact stored before keeps hitting.
+    """
+
+    def test_e1_batch_fingerprint_is_unchanged(self):
+        resolved = resolve_run_inputs("E1", config=ExecutionConfig(batch=True))
+        assert resolved.fingerprint == (
+            "4e6f348d1fdb24fda025e8977d1b2077589d611fbe61e41912e02c53ed762514"
+        )
+
+    def test_e8_default_fingerprint_is_unchanged(self):
+        assert resolve_run_inputs("E8").fingerprint == (
+            "14b41f652ff292900a13c83c088bce106574d6d8343ddd9decfd0e1771ea78e7"
+        )
+
+    def test_manifest_with_the_old_execution_keys_loads_and_hits(self, tmp_path):
+        e1_toy = {"sizes": (64, 96), "epsilon": 0.3, "trials": 1}
+        artifact = run_experiment("E1", **e1_toy)
+        # The execution summary an older release recorded for `--jobs 2`.
+        artifact.execution = {
+            "jobs": 2,
+            "batch": False,
+            "runner": "ParallelTrialRunner",
+            "point_jobs": None,
+            "trials": None,
+            "base_seed": None,
+            "backend": None,
+            "store": None,
+            "notes": [],
+        }
+        loaded = load_run(save_run(artifact, tmp_path / "saved"))
+        assert loaded.execution["runner"] == "ParallelTrialRunner"
+        assert loaded.fingerprint == artifact.fingerprint
+
+        store = tmp_path / "store"
+        RunStore(store).put(artifact)
+        hit = run_experiment("E1", config=ExecutionConfig(store_path=store), **e1_toy)
+        assert hit.execution["cache"] == "hit"
+        assert hit.execution["point_jobs"] is None and hit.execution["jobs"] == 2
+        assert hit.report.render() == artifact.report.render()

@@ -105,6 +105,27 @@ class TestCli:
         out = capsys.readouterr().out
         assert "x0_bound_rate" in out
 
+    def test_jobs_is_the_one_parallelism_flag(self, capsys, tmp_path):
+        """--jobs N >= 2 runs on a local pool of N workers; the manifest shows it."""
+        import json
+
+        toy = ["experiment", "E8", "--batch", "--trials", "2", "--set", "n=150",
+               "--set", "set_sizes=(40, 60)", "--set", "biases=(0.4,)"]
+        assert main([*toy, "--jobs", "2", "--save", str(tmp_path / "pooled")]) == 0
+        pooled = capsys.readouterr().out
+        assert main(toy) == 0
+        assert capsys.readouterr().out == pooled
+        manifest = json.loads((tmp_path / "pooled" / "manifest.json").read_text())
+        assert manifest["execution"]["backend"] == {"name": "local", "workers": 2, "tasks": 2}
+        for gone in ("--backend", "--workers-endpoint", "--workers-authkey"):
+            with pytest.raises(SystemExit):
+                main([*toy, gone, "x"])
+
+    def test_negative_jobs_rejected(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["experiment", "E10", "--jobs", "-1"])
+        assert "non-negative" in capsys.readouterr().err
+
     def test_trials_override_rejected_where_not_declared(self, capsys):
         with pytest.raises(SystemExit):
             main(["experiment", "E10", "--trials", "2"])

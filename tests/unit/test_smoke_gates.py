@@ -193,11 +193,10 @@ class TestCliStoreCacheGate:
 class TestBackendSmoke:
     """The execution-backend CI gate: one toy sweep per backend, equal digests.
 
-    A lighter-weight companion to the full differential in
-    ``tests/unit/exec/test_remote_backend.py``: every ``--backend`` value —
-    in-process, the persistent local pool, and the remote queue with two
-    localhost workers — must produce the byte-identical artifact the default
-    dispatch produces.
+    A lighter-weight companion to the per-dispatch-site differential in
+    ``tests/unit/exec/test_backends.py``: every backend — in-process and the
+    persistent local pool — must produce the byte-identical artifact the
+    default run produces.
     """
 
     E8_TOY = dict(n=60, epsilon=0.3, set_sizes=(10,), biases=(0.2,), trials=2, base_seed=5)
@@ -207,7 +206,6 @@ class TestBackendSmoke:
         [
             ("in-process", None),
             ("local", {"workers": 2}),
-            ("remote", {"workers": 2, "chunk_size": 1}),
         ],
     )
     def test_backend_run_matches_the_default_digest(self, backend, options):
@@ -250,7 +248,6 @@ class TestStageBenchAndAggregatorSmoke:
         payload = module.measure(module.build_workloads(toy=True))
         assert payload["seconds"]["local_per_call"] > 0
         assert payload["seconds"]["local_reuse"] > 0
-        assert payload["seconds"]["remote"] > 0
         assert "local_reuse_vs_per_call" in payload["speedup_vs_serial"]
 
     def test_store_cache_bench_measures_at_toy_sizes(self):
