@@ -4,8 +4,8 @@ This package is the declarative entry point to the reproduction's
 experiments (the E1–E11 table in ``README.md``):
 
 * :mod:`repro.api.spec` — the :class:`ExperimentSpec` registry: id, title,
-  paper claim, batch capability (``supports_batch``) and declared
-  parameters with defaults, replacing signature introspection everywhere;
+  paper claim and declared parameters with defaults, replacing signature
+  introspection everywhere;
 * :mod:`repro.api.config` — the frozen :class:`ExecutionConfig` (batch,
   backend, seed/trial overrides, store) that resolves itself into an
   :class:`ExecutionPlan` exactly once, validated against the spec;
@@ -51,7 +51,6 @@ from .spec import (
     REGISTRY,
     ExperimentSpec,
     ParameterSpec,
-    batchable_experiment_ids,
     experiment_ids,
     get_spec,
     iter_specs,
@@ -64,7 +63,6 @@ __all__ = [
     "get_spec",
     "iter_specs",
     "experiment_ids",
-    "batchable_experiment_ids",
     "ExecutionConfig",
     "ExecutionPlan",
     "SERVICE_EXECUTION_KEYS",

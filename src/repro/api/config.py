@@ -26,7 +26,7 @@ from pathlib import Path
 from typing import Any, Dict, Mapping, Optional, Union
 
 from ..errors import ExperimentError
-from .spec import ExperimentSpec, batchable_experiment_ids, get_spec
+from .spec import ExperimentSpec, get_spec
 
 __all__ = [
     "SERVICE_EXECUTION_KEYS",
@@ -177,8 +177,6 @@ class ExecutionConfig:
 
         * ``batch`` is not a bool, ``trials`` is not an integer ``>= 1``, or
           ``base_seed`` is not an integer;
-        * ``batch=True`` names a spec without a batch path (the message
-          lists the batchable ids);
         * a ``trials`` / ``base_seed`` override names a parameter the spec
           does not declare (E10 counts repetitions with
           ``monte_carlo_reps``);
@@ -203,11 +201,6 @@ class ExecutionConfig:
                 raise ExperimentError(
                     f"store path {store_path} exists but is not a directory"
                 )
-        if self.batch and not spec.supports_batch:
-            raise ExperimentError(
-                f"{spec.experiment_id} has no vectorised batch path; --batch supports the "
-                f"batchable experiments ({batchable_experiment_ids()})"
-            )
         for name, value in (("trials", self.trials), ("base_seed", self.base_seed)):
             if value is not None and name not in spec.parameter_names:
                 raise ExperimentError(

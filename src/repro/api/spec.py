@@ -1,16 +1,14 @@
 """The experiment registry: one declarative :class:`ExperimentSpec` per driver.
 
 Every reproduced claim (the E1–E12 table in ``README.md``) is described here
-*declaratively*: its id, title, the paper statement it reproduces, the
-batch capability of its driver (``supports_batch``) and its tunable
-parameters with their defaults.
+*declaratively*: its id, title, the paper statement it reproduces and its
+tunable parameters with their defaults.
 
 The registry is the single source of truth that used to be scattered across
 the bare ``DRIVERS`` dict, per-driver ``inspect.signature`` probing in the
-CLI, and copy-pasted help text.  Capability questions ("which experiments
-take ``--batch``?") and parameter questions ("what can ``--set`` override on
-E8?") are answered from the spec, never by introspecting a ``run``
-signature; ``tests/unit/api/test_spec_registry.py`` pins every flag and default
+CLI, and copy-pasted help text.  Parameter questions ("what can ``--set``
+override on E8?") are answered from the spec, never by introspecting a
+``run`` signature; ``tests/unit/api/test_spec_registry.py`` pins every default
 against the actual driver signatures so the two can never drift.
 
 Driver modules are resolved lazily (:meth:`ExperimentSpec.driver` imports on
@@ -35,7 +33,6 @@ __all__ = [
     "get_spec",
     "iter_specs",
     "experiment_ids",
-    "batchable_experiment_ids",
 ]
 
 
@@ -63,8 +60,6 @@ class ExperimentSpec:
         The paper statement being reproduced (theorem / claim / section).
     module:
         Dotted path of the driver module, imported lazily by :meth:`driver`.
-    supports_batch:
-        Whether ``run`` has a vectorised batch path (the CLI's ``--batch``).
     parameters:
         The driver's tunable parameters, in signature order, with defaults.
     """
@@ -73,7 +68,6 @@ class ExperimentSpec:
     title: str
     claim: str
     module: str
-    supports_batch: bool = False
     parameters: Tuple[ParameterSpec, ...] = field(default_factory=tuple)
 
     def driver(self) -> ModuleType:
@@ -126,7 +120,6 @@ REGISTRY: Dict[str, ExperimentSpec] = {
             "Broadcast round complexity versus n at fixed epsilon",
             "Theorem 2.17: O(log n / eps^2) rounds, all agents correct w.h.p.",
             "e1_rounds_vs_n",
-            supports_batch=True,
             parameters=_parameters(
                 ("sizes", (250, 500, 1000, 2000, 4000), "population sizes swept"),
                 ("epsilon", 0.2, "noise margin (flip prob = 1/2 - epsilon)"),
@@ -139,7 +132,6 @@ REGISTRY: Dict[str, ExperimentSpec] = {
             "Broadcast round complexity versus epsilon at fixed n",
             "Theorem 2.17: O(log n / eps^2) rounds, all agents correct w.h.p.",
             "e2_rounds_vs_eps",
-            supports_batch=True,
             parameters=_parameters(
                 ("epsilons", (0.1, 0.15, 0.2, 0.3, 0.4), "noise margins swept"),
                 ("n", 1000, "population size"),
@@ -152,7 +144,6 @@ REGISTRY: Dict[str, ExperimentSpec] = {
             "Total message (bit) complexity of the broadcast protocol",
             "Theorem 2.17: O(n log n / eps^2) messages in total",
             "e3_messages",
-            supports_batch=True,
             parameters=_parameters(
                 ("sizes", (500, 1000, 2000), "population sizes of the grid"),
                 ("epsilons", (0.15, 0.25), "noise margins of the grid"),
@@ -165,7 +156,6 @@ REGISTRY: Dict[str, ExperimentSpec] = {
             "Phase 0: agents activated directly by the source and their bias",
             "Claim 2.2: beta_s/3 <= X0 <= beta_s and eps_0 >= eps/2, w.h.p.",
             "e4_phase0",
-            supports_batch=True,
             parameters=_parameters(
                 ("n", 4000, "population size"),
                 ("epsilons", (0.1, 0.2, 0.3), "noise margins measured"),
@@ -179,7 +169,6 @@ REGISTRY: Dict[str, ExperimentSpec] = {
             "Claims 2.4/2.8, Corollaries 2.5-2.7: X_i grows geometrically "
             "(within [1/16, 1] of (beta+1)^i X_0), eps_i >= eps^(i+1)/2, all agents activated",
             "e5_stage1_growth",
-            supports_batch=True,
             parameters=_parameters(
                 ("n", 8000, "population size"),
                 ("epsilon", 0.35, "noise margin"),
@@ -194,7 +183,6 @@ REGISTRY: Dict[str, ExperimentSpec] = {
             "Lemma 2.14 / Corollary 2.15: each phase multiplies a small bias by >= 1.7 "
             "(up to a constant), after which the final phase makes all agents correct w.h.p.",
             "e6_stage2_boost",
-            supports_batch=True,
             parameters=_parameters(
                 ("n", 4000, "population size"),
                 ("epsilon", 0.2, "noise margin"),
@@ -210,7 +198,6 @@ REGISTRY: Dict[str, ExperimentSpec] = {
             "(1/2 + (2 eps)^Theta(log n)); adopt-the-last-bit voter dynamics do not converge; "
             "the paper's protocol reaches full correct consensus",
             "e7_baselines",
-            supports_batch=True,
             parameters=_parameters(
                 ("n", 2000, "population size"),
                 ("epsilons", (0.1, 0.2), "noise margins compared"),
@@ -225,7 +212,6 @@ REGISTRY: Dict[str, ExperimentSpec] = {
             "Corollary 2.18: success w.h.p. when |A| = Omega(log n / eps^2) and "
             "bias = Omega(sqrt(log n / |A|)); below the bias threshold the majority is not recoverable",
             "e8_majority",
-            supports_batch=True,
             parameters=_parameters(
                 ("n", 2000, "population size"),
                 ("epsilon", 0.2, "noise margin"),
@@ -240,7 +226,6 @@ REGISTRY: Dict[str, ExperimentSpec] = {
             "Cost of removing the global clock (bounded skew and activation phase)",
             "Theorem 3.1: additive O(log^2 n) rounds, unchanged message complexity",
             "e9_async",
-            supports_batch=True,
             parameters=_parameters(
                 ("n", 1000, "population size"),
                 ("epsilon", 0.25, "noise margin"),
@@ -254,7 +239,6 @@ REGISTRY: Dict[str, ExperimentSpec] = {
             "Majority of gamma noisy samples from a delta-biased population",
             "Lemma 2.11: P(majority correct) >= min(1/2 + 4 delta, 1/2 + 1/100)",
             "e10_majority_lemma",
-            supports_batch=True,
             parameters=_parameters(
                 ("epsilon", 0.2, "noise margin"),
                 ("deltas", (0.002, 0.005, 0.02, 0.05, 0.1, 0.25), "population biases measured"),
@@ -269,7 +253,6 @@ REGISTRY: Dict[str, ExperimentSpec] = {
             "Section 1.4: every agent needs Omega(log n / eps^2) source samples, so even the idealised "
             "direct scheme needs that many rounds, and listen-only broadcast needs Theta(n log n / eps^2) rounds",
             "e11_lower_bounds",
-            supports_batch=True,
             parameters=_parameters(
                 ("n", 400, "population size"),
                 ("epsilon", 0.25, "noise margin"),
@@ -284,7 +267,6 @@ REGISTRY: Dict[str, ExperimentSpec] = {
             "or Byzantine agents, contrasting the protocol (no fault budget) with a classic "
             "approximate-consensus algorithm designed to tolerate exactly f faulty servers",
             "e12_faults",
-            supports_batch=True,
             parameters=_parameters(
                 ("n", 600, "population size"),
                 ("epsilon", 0.25, "noise margin"),
@@ -328,16 +310,3 @@ def experiment_ids() -> List[str]:
     """All registered experiment ids, sorted numerically (E1..E12)."""
     return sorted(REGISTRY, key=lambda key: int(key[1:]))
 
-
-def batchable_experiment_ids() -> str:
-    """Comma-separated ids of the experiments with a vectorised batch path.
-
-    Derived from the :attr:`ExperimentSpec.supports_batch` flags — the same
-    flags :class:`repro.api.config.ExecutionConfig` validates against — so
-    ``--batch`` help and error text can never drift from what actually runs.
-    """
-    return ", ".join(
-        experiment_id
-        for experiment_id in experiment_ids()
-        if REGISTRY[experiment_id].supports_batch
-    )

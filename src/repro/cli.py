@@ -10,11 +10,9 @@ Installed as ``repro-flip``.  Three subcommands cover the common workflows:
   (the E1–E12 table in ``README.md``) and print its report.
 
 The ``experiment`` subcommand is a thin shell over the unified experiment
-API (:mod:`repro.api`): the experiment registry supplies the valid ids,
-capability help/error text (``--batch`` support comes from
-:attr:`~repro.api.spec.ExperimentSpec.supports_batch` flags, never from
-signature introspection) and the parameter names ``--set key=value`` may
-override; :class:`~repro.api.config.ExecutionConfig` resolves ``--jobs`` /
+API (:mod:`repro.api`): the experiment registry supplies the valid ids and
+the parameter names ``--set key=value`` may override (never signature
+introspection); :class:`~repro.api.config.ExecutionConfig` resolves ``--jobs`` /
 ``--batch`` / ``--trials`` / ``--seed`` into an execution plan (``--jobs N``
 is the one parallelism flag: ``0`` or ``N >= 2`` runs the tasks on a local
 process pool of ``N`` workers, see :func:`~repro.api.config.backend_for_jobs`); and
@@ -47,7 +45,6 @@ from .api import (
     ExecutionConfig,
     RunStore,
     backend_for_jobs,
-    batchable_experiment_ids,
     experiment_ids,
     get_spec,
     run_experiment,
@@ -99,7 +96,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--batch",
         action="store_true",
         help="simulate all trials of each sweep point at once with the vectorised batch path "
-        f"({batchable_experiment_ids()}; deterministic per base seed, but drawn from a "
+        "(every experiment; deterministic per base seed, but drawn from a "
         "batch-level random stream instead of per-trial streams); combine with --jobs to "
         "additionally run independent sweep points across worker processes",
     )
@@ -422,8 +419,7 @@ def _list_experiments() -> int:
     """Print the registry: one line per experiment, parameters indented."""
     for experiment_id in experiment_ids():
         spec = get_spec(experiment_id)
-        suffix = "  [--batch]" if spec.supports_batch else ""
-        print(f"{experiment_id}: {spec.title}{suffix}")
+        print(f"{experiment_id}: {spec.title}")
         settable = ", ".join(
             f"{parameter.name}={parameter.default!r}" for parameter in spec.parameters
         )

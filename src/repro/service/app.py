@@ -360,7 +360,7 @@ class ExperimentService:
         return 200, {"jobs": self.queue.jobs()}
 
     def list_experiments(self) -> Tuple[int, Dict[str, Any]]:
-        """``GET /v1/experiments``: the registry with parameters and flags."""
+        """``GET /v1/experiments``: the registry with its parameters."""
         experiments: List[Dict[str, Any]] = []
         for spec in iter_specs():
             experiments.append(
@@ -368,7 +368,6 @@ class ExperimentService:
                     "id": spec.experiment_id,
                     "title": spec.title,
                     "claim": spec.claim,
-                    "supports_batch": spec.supports_batch,
                     "parameters": [
                         {
                             "name": parameter.name,

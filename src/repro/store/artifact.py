@@ -122,11 +122,6 @@ class RunArtifact:
         _validate_payload_key(key)
         self.sweeps[key] = sweep
 
-    def attach_result(self, key: str, result: "ExperimentResult") -> None:
-        """Attach a raw result payload under a file-name-safe key."""
-        _validate_payload_key(key)
-        self.results[key] = result
-
     def compute_fingerprint(self) -> str:
         """Recompute the content fingerprint from this artifact's fields.
 

@@ -144,7 +144,6 @@ class SimulationEngine:
         senders: np.ndarray,
         bits: np.ndarray,
         correct_opinion: Optional[int] = None,
-        multi_accept: bool = False,
     ) -> DeliveryReport:
         """Execute one synchronous round of noisy push gossip.
 
@@ -155,22 +154,11 @@ class SimulationEngine:
         correct_opinion:
             When given (and time series recording is on) the engine records
             the fraction of agents holding this opinion after the round.
-        multi_accept:
-            Use :meth:`PushGossipNetwork.deliver_all` instead of the Flip
-            model's single-accept rule.  Only idealised baselines outside the
-            Flip model set this.
         """
-        delivery_rng = self.random.stream("delivery")
-        if multi_accept:
-            report = self.network.deliver_all(
-                senders, bits, self.channel, delivery_rng,
-                faults=self.faults, topology=self.topology,
-            )
-        else:
-            report = self.network.deliver(
-                senders, bits, self.channel, delivery_rng,
-                faults=self.faults, topology=self.topology,
-            )
+        report = self.network.deliver(
+            senders, bits, self.channel, self.random.stream("delivery"),
+            faults=self.faults, topology=self.topology,
+        )
         self.clock.tick()
 
         correct_fraction = None

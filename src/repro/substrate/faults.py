@@ -188,10 +188,11 @@ class FaultInjector:
     The injector owns all fault state — who is prone/Byzantine, who has
     crashed, which replicates are currently in a noise burst — plus marginal
     counters that the property tests compare against the configured rates.
-    Serial call sites use ``num_replicates=1`` and the ``*_serial`` helpers;
-    the batch kernels use the grid methods directly.  All randomness comes
-    from the single ``rng`` handed to the constructor (the dedicated fault
-    stream); the injector never touches a delivery or noise generator.
+    The delivery kernel calls the grid methods; a serial round is a
+    ``num_replicates=1`` grid, so serial and batch runs share them.  All
+    randomness comes from the single ``rng`` handed to the constructor (the
+    dedicated fault stream); the injector never touches a delivery or noise
+    generator.
     """
 
     def __init__(
@@ -278,15 +279,6 @@ class FaultInjector:
             return send_mask
         return send_mask & ~self.crashed
 
-    def filter_senders_serial(
-        self, senders: np.ndarray, bits: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Drop crashed agents from a serial ``(senders, bits)`` pair."""
-        alive = ~self.crashed[0, senders]
-        if alive.all():
-            return senders, bits
-        return senders[alive], bits[alive]
-
     def corrupt_outgoing_grid(self, bits: np.ndarray, send_mask: np.ndarray) -> np.ndarray:
         """Replace Byzantine members' outgoing bits (positional fault draws).
 
@@ -302,20 +294,6 @@ class FaultInjector:
             fake = np.full_like(bits, model.adversarial_bit)
         self.counters["byzantine_messages"] += int((self.byzantine & send_mask).sum())
         return np.where(self.byzantine, fake, bits)
-
-    def corrupt_outgoing_serial(self, senders: np.ndarray, bits: np.ndarray) -> np.ndarray:
-        """Serial counterpart of :meth:`corrupt_outgoing_grid`."""
-        model = self.model
-        if not isinstance(model, ByzantineSenders):
-            return bits
-        if model.mode == "random":
-            fake_row = self._rng.integers(0, 2, size=self.size, dtype=bits.dtype)
-            fake = fake_row[senders]
-        else:
-            fake = np.full_like(bits, model.adversarial_bit)
-        member = self.byzantine[0, senders]
-        self.counters["byzantine_messages"] += int(member.sum())
-        return np.where(member, fake, bits)
 
     # ------------------------------------------------------------------
     # channel-side hooks
@@ -334,43 +312,6 @@ class FaultInjector:
         draws = self._rng.random(bits.shape)
         affected = accepted & self.bursting[:, None]
         flips = affected & (draws < model.flip_probability)
-        self.counters["burst_flip_opportunities"] += int(affected.sum())
-        self.counters["burst_flips"] += int(flips.sum())
-        return np.where(flips, bits ^ 1, bits)
-
-    def corrupt_delivered_serial(
-        self, recipients: np.ndarray, bits: np.ndarray
-    ) -> np.ndarray:
-        """Serial counterpart of :meth:`corrupt_delivered_grid`."""
-        model = self.model
-        if not isinstance(model, BurstNoise):
-            return bits
-        draws_row = self._rng.random(self.size)
-        if not self.bursting[0]:
-            return bits
-        flips = draws_row[recipients] < model.flip_probability
-        self.counters["burst_flip_opportunities"] += int(recipients.size)
-        self.counters["burst_flips"] += int(flips.sum())
-        return np.where(flips, bits ^ 1, bits)
-
-    def corrupt_delivered_messages(
-        self, replicates: np.ndarray, recipients: np.ndarray, bits: np.ndarray
-    ) -> np.ndarray:
-        """Burst-corrupt a message-aligned delivery (multi-accept paths).
-
-        Draws one positional ``(num_replicates, size)`` fault grid keyed by
-        recipient cell; messages landing on the same recipient in the same
-        round share a flip decision, which preserves the per-message marginal
-        flip rate.
-        """
-        model = self.model
-        if not isinstance(model, BurstNoise):
-            return bits
-        draws = self._rng.random((self.num_replicates, self.size))
-        if not bits.size:
-            return bits
-        affected = self.bursting[replicates]
-        flips = affected & (draws[replicates, recipients] < model.flip_probability)
         self.counters["burst_flip_opportunities"] += int(affected.sum())
         self.counters["burst_flips"] += int(flips.sum())
         return np.where(flips, bits ^ 1, bits)

@@ -67,13 +67,6 @@ class ContactTopology(abc.ABC):
         sitting out this round, or ``None`` when the topology has no churn.
         """
 
-    def draw_round(
-        self, size: int, rng: np.random.Generator
-    ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
-        """Serial convenience: one replicate's round, as flat ``(size,)`` arrays."""
-        targets, offline = self.draw_round_grid(1, size, rng)
-        return targets[0], None if offline is None else offline[0]
-
 
 @dataclass(frozen=True)
 class DegreeLimitedTopology(ContactTopology):

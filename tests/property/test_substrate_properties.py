@@ -1,7 +1,6 @@
 """Property-based tests (hypothesis) for the simulation substrate."""
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -98,83 +97,3 @@ class TestRngProperties:
         children = [source.child("trial", index).seed for index in range(4)]
         assert len(set(children + [source.seed])) == 5
 
-
-@st.composite
-def batch_round_inputs(draw):
-    """A network size, replicate count and per-replicate send masks."""
-    size = draw(st.integers(min_value=2, max_value=30))
-    replicates = draw(st.integers(min_value=1, max_value=6))
-    mask_bits = draw(
-        st.lists(st.booleans(), min_size=size * replicates, max_size=size * replicates)
-    )
-    seed = draw(st.integers(0, 2**31))
-    mask = np.asarray(mask_bits, dtype=bool).reshape(replicates, size)
-    bits = np.asarray(draw(st.lists(st.integers(0, 1), min_size=size * replicates, max_size=size * replicates)), dtype=np.int8).reshape(replicates, size)
-    return size, mask, bits, seed
-
-
-class TestDeliverAllBatchMarginals:
-    """deliver_all_batch must reproduce deliver_all's per-replicate marginals:
-    every message delivered, uniform targets over the other agents, noise per
-    message — with replicates never interacting."""
-
-    @given(batch_round_inputs())
-    @settings(max_examples=60, deadline=None)
-    def test_per_replicate_invariants_match_deliver_all(self, data):
-        size, mask, bits, seed = data
-        network = PushGossipNetwork(size=size)
-        report = network.deliver_all_batch(
-            mask, bits, PerfectChannel(), np.random.default_rng(seed)
-        )
-        # Multi-accept: per replicate, delivered == sent == row senders.
-        assert np.array_equal(report.messages_sent, mask.sum(axis=1))
-        assert np.array_equal(report.messages_delivered, report.messages_sent)
-        for replicate in range(mask.shape[0]):
-            in_replicate = report.replicates == replicate
-            assert np.array_equal(
-                np.sort(report.senders[in_replicate]), np.flatnonzero(mask[replicate])
-            )
-        # Targets stay in range and never equal the sender (the deliver_all rule).
-        if report.recipients.size:
-            assert report.recipients.min() >= 0 and report.recipients.max() < size
-            assert not np.any(report.recipients == report.senders)
-        # Noiseless bits pass through exactly, as deliver_all's transmit does.
-        assert np.array_equal(report.bits, bits[mask])
-
-    def test_target_and_flip_marginals_match_deliver_all(self):
-        """Empirical received-count and flip-rate marginals agree with a
-        serial deliver_all loop over the same workload."""
-        n, rounds, replicates = 150, 12, 6
-        channel = BinarySymmetricChannel(epsilon=0.2)
-        senders = np.arange(n)
-        bits = np.ones(n, dtype=np.int8)
-
-        serial_rng = np.random.default_rng(11)
-        serial_network = PushGossipNetwork(size=n)
-        serial_received = np.zeros(n, dtype=np.int64)
-        serial_flipped = serial_total = 0
-        for _ in range(rounds * replicates):
-            report = serial_network.deliver_all(senders, bits, channel, serial_rng)
-            np.add.at(serial_received, report.recipients, 1)
-            serial_flipped += int((report.bits == 0).sum())
-            serial_total += report.bits.size
-
-        batch_rng = np.random.default_rng(12)
-        batch_network = PushGossipNetwork(size=n)
-        batch_received = np.zeros(n, dtype=np.int64)
-        batch_flipped = batch_total = 0
-        mask = np.ones((replicates, n), dtype=bool)
-        grid_bits = np.ones((replicates, n), dtype=np.int8)
-        for _ in range(rounds):
-            report = batch_network.deliver_all_batch(mask, grid_bits, channel, batch_rng)
-            batch_received += report.delivery_counts(n).sum(axis=0)
-            batch_flipped += int((report.bits == 0).sum())
-            batch_total += report.bits.size
-
-        assert batch_total == serial_total == rounds * replicates * n
-        # Per-agent mean received count: every agent averages one message per round.
-        assert batch_received.mean() == pytest.approx(serial_received.mean(), rel=1e-12)
-        assert batch_received.std() == pytest.approx(serial_received.std(), rel=0.25)
-        # Flip rate matches the channel's crossover probability on both paths.
-        assert batch_flipped / batch_total == pytest.approx(0.3, abs=0.02)
-        assert serial_flipped / serial_total == pytest.approx(0.3, abs=0.02)

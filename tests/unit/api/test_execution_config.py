@@ -28,13 +28,6 @@ class TestResolution:
             "cache",
         ]
 
-    def test_batch_on_unsupported_experiment_names_the_batchable_ones(self):
-        # Every registered experiment is batchable since the stage kernels
-        # landed, so the guard is exercised through a synthetic spec.
-        unbatchable = dataclasses.replace(get_spec("E4"), supports_batch=False)
-        with pytest.raises(ExperimentError, match=r"E1, E2, E3, E4, E5, E6, E7, E8, E9, E10, E11"):
-            ExecutionConfig(batch=True).resolve(unbatchable)
-
     def test_trials_override_requires_a_trials_parameter(self):
         assert ExecutionConfig(trials=7).resolve("E1").trials == 7
         with pytest.raises(ExperimentError, match="no 'trials' parameter"):

@@ -1,8 +1,7 @@
 """Drift pins for the experiment registry.
 
-The registry (:mod:`repro.api.spec`) *declares* the batch capability and
-parameter defaults so that nothing needs to introspect driver signatures at
-runtime.  These tests are the other half of that contract: they introspect
+The registry (:mod:`repro.api.spec`) *declares* the parameter defaults so
+that nothing needs to introspect driver signatures at runtime.  These tests are the other half of that contract: they introspect
 the signatures *here, once, in the test suite* and fail if a declared
 default ever disagrees with a driver's actual ``run`` signature — or if the
 README experiment table stops matching the registry.
@@ -18,7 +17,6 @@ import pytest
 
 from repro.api import (
     REGISTRY,
-    batchable_experiment_ids,
     experiment_ids,
     get_spec,
     iter_specs,
@@ -53,9 +51,6 @@ class TestRegistryShape:
         assert get_spec(spec) is spec
         with pytest.raises(ExperimentError, match="unknown experiment"):
             get_spec("E99")
-
-    def test_batchable_ids_derived_from_flags(self):
-        assert batchable_experiment_ids() == "E1, E2, E3, E4, E5, E6, E7, E8, E9, E10, E11, E12"
 
     def test_canonical_point_naming_helper_exposed(self):
         from repro.analysis.sweeps import sweep_point_names as analysis_helper
@@ -100,22 +95,3 @@ class TestReadmeTableMatchesRegistry:
         for experiment_id, stem in self._table_rows():
             assert REGISTRY[experiment_id].module == f"repro.experiments.{stem}"
 
-    def test_readme_batch_list_matches_flags(self):
-        text = README.read_text()
-        assert batchable_experiment_ids() in text, (
-            "README must name the batchable experiments exactly as the registry derives them"
-        )
-
-    def test_readme_batch_coverage_matrix_matches_registry(self):
-        """The batch-coverage matrix (experiment x ``supports_batch``) is pinned
-        against the registry row by row, like the experiment table."""
-        matrix_rows = re.findall(
-            r"^\|\s*(E\d+)\s*\|\s*(yes|no)\s*\|",
-            README.read_text(),
-            re.MULTILINE,
-        )
-        assert [row[0] for row in matrix_rows] == experiment_ids(), (
-            "README.md must contain one batch-coverage matrix row per registered experiment"
-        )
-        for experiment_id, batch in matrix_rows:
-            assert (batch == "yes") == REGISTRY[experiment_id].supports_batch, experiment_id

@@ -265,7 +265,7 @@ class TestDiscoveryAndHealth:
         spec = get_spec("E1")
         assert e1["title"] == spec.title
         assert [p["name"] for p in e1["parameters"]] == list(spec.parameter_names)
-        assert e1["supports_batch"] == spec.supports_batch
+        assert "supports_batch" not in e1
         assert "supports_jobs" not in e1
 
     def test_healthz_reports_queue_gauges(self, server_factory):

@@ -77,11 +77,6 @@ class TestGossipRound:
         assert len(engine.metrics.correct_fraction_series) == 1
         assert engine.metrics.correct_fraction_series[0] == pytest.approx(1 / 20)
 
-    def test_multi_accept_round(self, small_engine):
-        senders = np.arange(10)
-        report = small_engine.gossip_round(senders, np.zeros(10, dtype=np.int8), multi_accept=True)
-        assert report.messages_delivered == 10
-
     def test_trace_records_deliveries_when_enabled(self):
         engine = SimulationEngine.create(n=20, epsilon=0.3, seed=5, trace_events=True)
         engine.gossip_round(np.asarray([0, 1]), np.asarray([1, 0], dtype=np.int8))

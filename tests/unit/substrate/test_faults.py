@@ -98,14 +98,10 @@ class TestCrashMechanics:
 
     def test_crashes_are_permanent_and_silence_senders(self):
         injector = _injector(CrashStop(forced={0: (1, 4)}), size=8)
-        injector.begin_round()
-        senders = np.arange(8)
-        bits = np.ones(8, dtype=np.int8)
-        kept, kept_bits = injector.filter_senders_serial(senders, bits)
-        assert set(kept.tolist()) == set(range(8)) - {1, 4}
-        assert kept_bits.size == 6
-        mask = injector.filter_send_mask(np.ones((1, 8), dtype=bool))
-        assert not mask[0, [1, 4]].any() and mask.sum() == 6
+        for _ in range(2):
+            injector.begin_round()
+            mask = injector.filter_send_mask(np.ones((1, 8), dtype=bool))
+            assert not mask[0, [1, 4]].any() and mask.sum() == 6
 
     def test_empirical_crash_rate_matches_configuration(self):
         crash_probability, rounds = 0.1, 12
@@ -130,10 +126,9 @@ class TestByzantineMechanics:
         injector = _injector(
             ByzantineSenders(fraction=0.5, mode="adversarial", adversarial_bit=0), size=10
         )
-        senders = np.arange(10)
-        bits = np.ones(10, dtype=np.int8)
-        corrupted = injector.corrupt_outgoing_serial(senders, bits)
-        members = injector.byzantine[0]
+        bits = np.ones((1, 10), dtype=np.int8)
+        corrupted = injector.corrupt_outgoing_grid(bits, np.ones((1, 10), dtype=bool))
+        members = injector.byzantine
         assert (corrupted[members] == 0).all()
         assert (corrupted[~members] == 1).all()
 
@@ -150,16 +145,20 @@ class TestByzantineMechanics:
             injector = _injector(ByzantineSenders(fraction=0.5), size=40, seed=seed)
             members = injector.byzantine[0]
             for _ in range(5):
-                bits = np.ones(40, dtype=np.int8)
-                corrupted = injector.corrupt_outgoing_serial(np.arange(40), bits)
+                bits = np.ones((1, 40), dtype=np.int8)
+                corrupted = injector.corrupt_outgoing_grid(bits, np.ones((1, 40), dtype=bool))[0]
                 disagree += int((corrupted[members] == 0).sum())
                 total += int(members.sum())
         assert abs(disagree / total - 0.5) < 0.04
 
     def test_counter_counts_member_messages_only(self):
         injector = _injector(ByzantineSenders(fraction=0.25), size=16)
-        injector.corrupt_outgoing_serial(np.arange(16), np.zeros(16, dtype=np.int8))
-        assert injector.counters["byzantine_messages"] == int(injector.byzantine.sum())
+        send_mask = np.zeros((1, 16), dtype=bool)
+        send_mask[0, ::2] = True
+        injector.corrupt_outgoing_grid(np.zeros((1, 16), dtype=np.int8), send_mask)
+        assert injector.counters["byzantine_messages"] == int(
+            (injector.byzantine & send_mask).sum()
+        )
 
 
 class TestBurstMechanics:
@@ -185,8 +184,8 @@ class TestBurstMechanics:
                                  size=30, seed=seed)
             injector.begin_round()
             assert injector.bursting.all()
-            recipients = np.arange(30)
-            injector.corrupt_delivered_serial(recipients, np.ones(30, dtype=np.int8))
+            accepted = np.ones((1, 30), dtype=bool)
+            injector.corrupt_delivered_grid(np.ones((1, 30), dtype=np.int8), accepted)
             flips += injector.counters["burst_flips"]
             opportunities += injector.counters["burst_flip_opportunities"]
         assert abs(flips / opportunities - flip) < 0.03
@@ -194,8 +193,9 @@ class TestBurstMechanics:
     def test_quiet_state_never_flips(self):
         injector = _injector(BurstNoise(start_probability=0.0), size=12)
         injector.begin_round()
-        bits = np.ones(12, dtype=np.int8)
-        assert (injector.corrupt_delivered_serial(np.arange(12), bits) == bits).all()
+        bits = np.ones((1, 12), dtype=np.int8)
+        accepted = np.ones((1, 12), dtype=bool)
+        assert (injector.corrupt_delivered_grid(bits, accepted) == bits).all()
 
 
 class TestDedicatedStream:

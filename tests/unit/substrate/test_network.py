@@ -117,16 +117,6 @@ class TestCollisionStatistics:
         assert wins_for_zero / collisions == pytest.approx(0.5, abs=0.06)
 
 
-class TestDeliverAll:
-    def test_multi_accept_keeps_every_message(self, perfect, rng):
-        network = PushGossipNetwork(size=10)
-        senders = np.arange(10)
-        report = network.deliver_all(senders, np.ones(10, dtype=np.int8), perfect, rng)
-        assert report.messages_delivered == 10
-        assert report.messages_dropped == 0
-        assert report.recipients.size == 10
-
-
 class TestReferenceImplementation:
     def test_reference_agrees_statistically_with_vectorised(self, perfect):
         """The pure-Python reference and the vectorised path have the same delivery distribution."""
@@ -191,87 +181,6 @@ class TestDeliverBatchNoiseStreamOrder:
         assert np.array_equal(reference, noisy.bits)
         # And the generators end in the same state (no hidden extra draws).
         assert np.array_equal(rng_clean.integers(0, 1 << 30, 8), rng_noisy.integers(0, 1 << 30, 8))
-
-
-class TestDeliverAllBatch:
-    """The batch-aware multi-accept companion: invariants, marginals and the
-    transmit_batch noise-stream reuse it documents."""
-
-    def test_every_message_delivered_per_replicate(self, perfect):
-        network = PushGossipNetwork(size=12)
-        rng = np.random.default_rng(3)
-        mask = np.zeros((4, 12), dtype=bool)
-        mask[:, :5] = True
-        mask[2, :] = False  # a silent replicate stays silent
-        bits = np.ones((4, 12), dtype=np.int8)
-        report = network.deliver_all_batch(mask, bits, perfect, rng)
-        assert np.array_equal(report.messages_sent, mask.sum(axis=1))
-        assert np.array_equal(report.messages_delivered, report.messages_sent)
-        # Message-aligned arrays cover exactly the senders, replicate-major.
-        rows, cols = np.nonzero(mask)
-        assert np.array_equal(report.replicates, rows)
-        assert np.array_equal(report.senders, cols)
-        assert not np.any(report.recipients == report.senders), "no self-delivery"
-        counts = report.delivery_counts(12)
-        assert np.array_equal(counts.sum(axis=1), report.messages_sent)
-
-    def test_noiseless_bits_pass_through(self, perfect):
-        network = PushGossipNetwork(size=10)
-        rng = np.random.default_rng(5)
-        mask = np.ones((3, 10), dtype=bool)
-        bits = (np.arange(30).reshape(3, 10) % 2).astype(np.int8)
-        report = network.deliver_all_batch(mask, bits, perfect, rng)
-        assert np.array_equal(report.bits, bits[mask])
-
-    def test_noise_stream_reuses_transmit_batch_bit_for_bit(self):
-        """Targets are drawn first, then the noise is literally one
-        transmit_batch call over the sender grid — replayable exactly."""
-        from repro.substrate.noise import BinarySymmetricChannel
-
-        n, R, seed = 30, 5, 99
-        mask = np.random.default_rng(0).random((R, n)) < 0.6
-        bits = np.ones((R, n), dtype=np.int8)
-
-        rng = np.random.default_rng(seed)
-        report = PushGossipNetwork(size=n).deliver_all_batch(
-            mask, bits, BinarySymmetricChannel(epsilon=0.2), rng
-        )
-
-        replay = np.random.default_rng(seed)
-        rows, cols = np.nonzero(mask)
-        draws = replay.integers(0, n - 1, size=rows.size)
-        expected_targets = draws + (draws >= cols)
-        expected_noisy = BinarySymmetricChannel(epsilon=0.2).transmit_batch(bits, mask, replay)
-        assert np.array_equal(report.recipients, expected_targets)
-        assert np.array_equal(report.bits, expected_noisy[mask])
-        assert np.array_equal(rng.integers(0, 1 << 30, 8), replay.integers(0, 1 << 30, 8))
-
-    def test_counters_and_empty_round(self, perfect):
-        network = PushGossipNetwork(size=8)
-        rng = np.random.default_rng(1)
-        report = network.deliver_all_batch(
-            np.zeros((2, 8), dtype=bool), np.zeros((2, 8), dtype=np.int8), perfect, rng
-        )
-        assert report.num_replicates == 2
-        assert report.replicates.size == 0
-        assert network.messages_sent_total == 0
-        assert network.rounds_executed == 1
-
-    def test_validation(self, perfect):
-        network = PushGossipNetwork(size=10)
-        rng = np.random.default_rng(0)
-        with pytest.raises(ProtocolError):
-            network.deliver_all_batch(
-                np.ones(10, dtype=bool), np.ones(10, dtype=np.int8), perfect, rng
-            )
-        with pytest.raises(ProtocolError):
-            network.deliver_all_batch(
-                np.ones((2, 8), dtype=bool), np.ones((2, 8), dtype=np.int8), perfect, rng
-            )
-        with pytest.raises(ProtocolError):
-            network.deliver_all_batch(
-                np.ones((2, 10), dtype=bool), np.full((2, 10), 3, dtype=np.int8), perfect, rng
-            )
 
 
 def _unique_deliver(network, senders, bits, channel, rng):
@@ -344,7 +253,8 @@ class TestDeliverMatchesUniqueOracle:
 
 class TestValidationOnEverySerialPath:
     """The O(n) duplicate-sender check keeps the validator's errors, messages
-    and check order on all five serial entry points."""
+    and check order on all three serial entry points, and bits are
+    range-checked before any cast could wrap or truncate them."""
 
     @staticmethod
     def _entry_points(network, perfect, rng):
@@ -353,11 +263,7 @@ class TestValidationOnEverySerialPath:
         ring = DegreeLimitedTopology(degree=2)
         return {
             "deliver": lambda s, b: network.deliver(s, b, perfect, rng),
-            "deliver_all": lambda s, b: network.deliver_all(s, b, perfect, rng),
             "deliver_resilient": lambda s, b: network.deliver(s, b, perfect, rng, topology=ring),
-            "deliver_all_resilient": lambda s, b: network.deliver_all(
-                s, b, perfect, rng, topology=ring
-            ),
             "deliver_reference": lambda s, b: network.deliver_reference(s, b, perfect, rng),
         }
 
@@ -372,13 +278,19 @@ class TestValidationOnEverySerialPath:
             ([3], [3], "0 or 1"),
             ([2], [-1], "0 or 1"),
             ([4, 4], [2, 2], "at most one message"),  # duplicates before bits
+            # An int8 cast would turn these into 0, 1, 1 and 0.
+            ([1], [256], "0 or 1"),
+            ([1], [257], "0 or 1"),
+            ([1], [-255], "0 or 1"),
+            ([1], [0.9], "0 or 1"),
+            ([1, 2], [1.0, 0.0], "dtype float64"),  # non-integer dtypes are refused
         ],
     )
     def test_bad_inputs_raise(self, perfect, rng, senders, bits, message):
         network = PushGossipNetwork(size=10)
         for name, entry in self._entry_points(network, perfect, rng).items():
             with pytest.raises(ProtocolError, match=message):
-                entry(np.asarray(senders), np.asarray(bits, dtype=np.int8))
+                entry(np.asarray(senders), np.asarray(bits))
             assert network.rounds_executed == 0, name
 
     def test_distinct_senders_pass(self, perfect, rng):
@@ -386,4 +298,19 @@ class TestValidationOnEverySerialPath:
         entries = self._entry_points(network, perfect, rng)
         for entry in entries.values():
             entry(np.asarray([9, 0, 4]), np.asarray([1, 0, 1], dtype=np.int8))
-        assert network.rounds_executed == len(entries)
+            entry(np.asarray([2, 3]), np.asarray([True, False]))
+        assert network.rounds_executed == 2 * len(entries)
+
+    @pytest.mark.parametrize("faults", [False, True], ids=["fault-free", "resilient"])
+    def test_batch_rejects_bits_a_cast_would_change(self, perfect, faults):
+        from repro.substrate.faults import CrashStop, FaultInjector
+
+        network = PushGossipNetwork(size=6)
+        rng = np.random.default_rng(0)
+        injector = FaultInjector(CrashStop(), 6, rng, num_replicates=2) if faults else None
+        mask = np.ones((2, 6), dtype=bool)
+        with pytest.raises(ProtocolError, match="dtype float64"):
+            network.deliver_batch(mask, np.full((2, 6), 0.9), perfect, rng, faults=injector)
+        with pytest.raises(ProtocolError, match="0 or 1"):
+            network.deliver_batch(mask, np.full((2, 6), 256), perfect, rng, faults=injector)
+        assert network.rounds_executed == 0

@@ -123,26 +123,3 @@ class TestChurn:
             saw_drop = saw_drop or report.messages_sent < 12
         assert saw_drop
 
-
-class TestSerialGridAgreement:
-    @pytest.mark.parametrize(
-        "topology",
-        [
-            DegreeLimitedTopology(degree=4),
-            TwoClusterTopology(cross_probability=0.1),
-            ChurnTopology(offline_probability=0.2),
-        ],
-        ids=["degree", "two-cluster", "churn"],
-    )
-    def test_draw_round_matches_grid_marginals(self, topology):
-        """The serial draw is the R=1 row of the grid draw (same stream)."""
-        size = 16
-        grid_targets, grid_offline = topology.draw_round_grid(
-            1, size, np.random.default_rng(99)
-        )
-        serial_targets, serial_offline = topology.draw_round(size, np.random.default_rng(99))
-        assert np.array_equal(serial_targets, grid_targets[0])
-        if grid_offline is None:
-            assert serial_offline is None
-        else:
-            assert np.array_equal(serial_offline, grid_offline[0])

@@ -70,31 +70,12 @@ class TestCli:
         assert main(["list-experiments"]) == 0
         out = capsys.readouterr().out
         assert "E1:" in out and "E11:" in out
-        # The listing comes from the registry: titles, parameters, capabilities.
-        assert "parameters:" in out and "--batch" in out
+        # The listing comes from the registry: titles and parameters.
+        assert "parameters:" in out
 
     def test_unknown_experiment_rejected(self):
         with pytest.raises(SystemExit):
             main(["experiment", "E99"])
-
-    def test_batch_help_text_derives_from_spec_flags(self, capsys):
-        """--batch help names the batchable ids straight from the registry.
-
-        Every registered experiment is batchable since the stage kernels
-        landed, so the former can't-batch CLI error is unreachable through a
-        real id (ExecutionConfig still guards it — see
-        tests/unit/api/test_execution_config.py); what remains CLI-visible is
-        the registry-derived help text.
-        """
-        from repro.api import batchable_experiment_ids
-        from repro.cli import build_parser
-
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["experiment", "--help"])
-        # argparse wraps help to the terminal width; normalise before matching.
-        help_text = " ".join(capsys.readouterr().out.split())
-        assert batchable_experiment_ids() == "E1, E2, E3, E4, E5, E6, E7, E8, E9, E10, E11, E12"
-        assert "E4, E5, E6" in help_text and "E9, E10, E11, E12" in help_text
 
     def test_batch_runs_a_stage_level_experiment_from_the_cli(self, capsys):
         exit_code = main(
