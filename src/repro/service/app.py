@@ -23,8 +23,8 @@ GET       ``/v1/runs``                list job manifests
 GET       ``/v1/runs/<job-id>``       poll one job; the artifact payload is
                                       attached once the state is ``done``
 DELETE    ``/v1/runs/<job-id>``       cancel a *queued* job (``409`` otherwise)
-GET       ``/v1/experiments``         the experiment registry, parameters and
-                                      capability flags included
+GET       ``/v1/experiments``         the experiment registry, parameters
+                                      included
 GET       ``/v1/store/<fp-prefix>``   fetch a stored artifact by fingerprint
                                       prefix (``409`` lists the matches when
                                       ambiguous)

@@ -530,7 +530,9 @@ class PushGossipNetwork:
         is_first = np.empty(order.size, dtype=bool)
         is_first[0] = True
         is_first[1:] = sorted_buckets[1:] != sorted_buckets[:-1]
-        return order[is_first], sorted_buckets[is_first]
+        winners = order[is_first]
+        # A gather is several times cheaper than a second boolean-mask pass.
+        return winners, buckets[winners]
 
     @staticmethod
     def _check_bits(bits: np.ndarray) -> None:
