@@ -477,6 +477,8 @@ def run_clock_free_broadcast(
     """Convenience wrapper: build an engine and run the clock-free protocol once."""
     if parameters is None:
         parameters = ProtocolParameters.calibrated(n, epsilon, **calibration_overrides)
+    if parameters.n != n:
+        raise SimulationError(f"parameters were built for n={parameters.n}, not n={n}")
     engine = SimulationEngine.create(n=n, epsilon=epsilon, seed=seed)
     return ClockFreeBroadcastProtocol(parameters, guard=guard).run(engine, correct_opinion)
 
@@ -499,6 +501,8 @@ def run_with_bounded_skew(
         raise ParameterError("max_skew must be at least 1")
     if parameters is None:
         parameters = ProtocolParameters.calibrated(n, epsilon, **calibration_overrides)
+    if parameters.n != n:
+        raise SimulationError(f"parameters were built for n={parameters.n}, not n={n}")
     engine = SimulationEngine.create(n=n, epsilon=epsilon, seed=seed)
     engine.population.set_source_opinion(correct_opinion)
     offsets = engine.random.stream("clock-skew").integers(0, max_skew, size=n).astype(np.int64)

@@ -984,6 +984,8 @@ def run_bounded_skew_batch(
     correct_opinion = validate_opinion(correct_opinion)
     if parameters is None:
         parameters = ProtocolParameters.calibrated(n, epsilon, **calibration_overrides)
+    if parameters.n != n:
+        raise SimulationError(f"parameters were built for n={parameters.n}, not n={n}")
     if channel is None:
         channel = BinarySymmetricChannel(epsilon=epsilon)
 
@@ -1035,6 +1037,8 @@ def run_clock_free_batch(
     correct_opinion = validate_opinion(correct_opinion)
     if parameters is None:
         parameters = ProtocolParameters.calibrated(n, epsilon, **calibration_overrides)
+    if parameters.n != n:
+        raise SimulationError(f"parameters were built for n={parameters.n}, not n={n}")
     if channel is None:
         channel = BinarySymmetricChannel(epsilon=epsilon)
 

@@ -15,6 +15,7 @@ from repro.core.synchronizer import (
     run_with_bounded_skew,
 )
 from repro.errors import ParameterError, SimulationError
+from repro.exec.stage_batching import run_bounded_skew_batch, run_clock_free_batch
 from repro.substrate import SimulationEngine
 
 
@@ -160,3 +161,21 @@ class TestClockFreeProtocol:
         engine = SimulationEngine.create(n=100, epsilon=0.3, seed=44, source=None)
         with pytest.raises(SimulationError):
             ClockFreeBroadcastProtocol(parameters).run(engine)
+
+
+@pytest.mark.parametrize(
+    "entry_point, settings",
+    [
+        (run_with_bounded_skew, {"max_skew": 4, "seed": 0}),
+        (run_clock_free_broadcast, {"seed": 0}),
+        (run_bounded_skew_batch, {"max_skew": 4, "num_replicates": 2}),
+        (run_clock_free_batch, {"num_replicates": 2}),
+    ],
+    ids=["serial-skew", "serial-clock-free", "batch-skew", "batch-clock-free"],
+)
+def test_parameters_built_for_another_n_are_rejected(entry_point, settings):
+    """Like the synchronous protocols, the Section-3 entry points refuse to
+    run the schedule of another population size."""
+    foreign = ProtocolParameters.calibrated(2000, 0.3)
+    with pytest.raises(SimulationError, match="built for n=2000, not n=120"):
+        entry_point(n=120, epsilon=0.3, parameters=foreign, **settings)
