@@ -61,11 +61,6 @@ class BroadcastResult:
     stage2: StageTwoResult
 
     @property
-    def bits_sent(self) -> int:
-        """Total bits transmitted (each message is one bit)."""
-        return self.messages_sent
-
-    @property
     def messages_per_agent(self) -> float:
         """Average number of messages sent per agent."""
         return self.messages_sent / self.n

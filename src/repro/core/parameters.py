@@ -19,7 +19,7 @@ constants, via two presets:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 from ..errors import ParameterError
@@ -304,14 +304,6 @@ class ProtocolParameters:
     def message_upper_bound(self) -> int:
         """Crude upper bound on total messages: every agent speaks every round."""
         return self.n * self.total_rounds
-
-    def with_stage1(self, **changes: int) -> "ProtocolParameters":
-        """Return a copy with some Stage-I fields replaced."""
-        return replace(self, stage1=replace(self.stage1, **changes))
-
-    def with_stage2(self, **changes: int) -> "ProtocolParameters":
-        """Return a copy with some Stage-II fields replaced."""
-        return replace(self, stage2=replace(self.stage2, **changes))
 
     def describe(self) -> dict:
         """Plain-dict description used by the CLI and experiment records."""

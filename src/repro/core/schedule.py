@@ -91,13 +91,6 @@ class PhaseSchedule:
         """Total rounds covered."""
         return self.end - self.start
 
-    def phase_at(self, round_index: int) -> PhaseInterval:
-        """Return the phase containing ``round_index``."""
-        for phase in self.phases:
-            if phase.contains(round_index):
-                return phase
-        raise ScheduleError(f"round {round_index} is outside the {self.stage} schedule")
-
     def dilated(self, guard: int) -> "PhaseSchedule":
         """Insert ``guard`` idle rounds before each phase (Section 3.1's ``i*D`` shifts).
 

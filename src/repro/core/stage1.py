@@ -127,10 +127,6 @@ class ReceptionAccumulator:
             raise SimulationError("requested chosen bit of an agent that heard nothing")
         return bits
 
-    def message_counts(self) -> np.ndarray:
-        """Copy of the per-agent message counts (diagnostics only)."""
-        return self._counts.copy()
-
     def reset(self) -> None:
         """Clear the accumulator for the next phase."""
         self._counts.fill(0)

@@ -82,29 +82,9 @@ class LocalClocks:
         """Boolean mask of agents whose clocks are running."""
         return self.offsets >= 0
 
-    def local_time(self, global_time: int) -> np.ndarray:
-        """Vector of local clock readings at ``global_time``.
-
-        Agents whose clocks have not started read ``-1``.
-        """
-        readings = np.where(self.offsets >= 0, global_time - self.offsets, -1)
-        return readings.astype(np.int64)
-
     def skew(self) -> int:
         """Maximum difference between any two running clocks (the paper's ``D``)."""
         running = self.offsets[self.offsets >= 0]
         if running.size == 0:
             return 0
         return int(running.max() - running.min())
-
-    def initialise_uniform(
-        self, rng: np.random.Generator, max_offset: int, global_time: int = 0
-    ) -> None:
-        """Start every clock at a zero-point drawn uniformly from ``[global_time, global_time + max_offset)``.
-
-        Models the relaxed setting of Section 3.1 where all clocks are known
-        to be within a window of ``D = max_offset`` rounds of each other.
-        """
-        if max_offset < 1:
-            raise ParameterError("max_offset must be at least 1")
-        self.offsets = global_time + rng.integers(0, max_offset, size=self.size).astype(np.int64)

@@ -188,7 +188,3 @@ class SimulationEngine:
     def protocol_rng(self) -> np.random.Generator:
         """Random stream reserved for protocol decisions (message choices etc.)."""
         return self.random.stream("protocol")
-
-    def spawn_subengine_seed(self, *tokens: object) -> int:
-        """Derive a reproducible seed for an auxiliary component."""
-        return self.random.child(*tokens).seed

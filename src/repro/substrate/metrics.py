@@ -106,10 +106,6 @@ class MetricsCollector:
         """All phase records belonging to ``stage``, in order."""
         return [record for record in self.phases if record.stage == stage]
 
-    def total_bits(self) -> int:
-        """Total bits transmitted (messages are single-bit, so equals messages)."""
-        return self.messages_sent
-
     def summary(self) -> Dict[str, float]:
         """Plain-dict summary used by the experiment harness and CLI."""
         return {

@@ -156,10 +156,6 @@ class Population:
         """Number of activated agents (the paper's ``X_i`` at phase boundaries)."""
         return int(np.count_nonzero(self.activated))
 
-    def num_dormant(self) -> int:
-        """Number of agents that have never received a message."""
-        return self.size - self.num_activated()
-
     def opinionated(self) -> np.ndarray:
         """Boolean mask of agents that currently hold an opinion."""
         return self.opinions != NO_OPINION

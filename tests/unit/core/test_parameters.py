@@ -117,14 +117,6 @@ class TestCalibratedPreset:
         params = ProtocolParameters.calibrated(1000, 0.25)
         assert params.message_upper_bound == 1000 * params.total_rounds
 
-    def test_with_stage_replacements(self):
-        params = ProtocolParameters.calibrated(1000, 0.25)
-        modified = params.with_stage1(beta_s=50).with_stage2(num_boost_phases=2)
-        assert modified.stage1.beta_s == 50
-        assert modified.stage2.num_boost_phases == 2
-        # The original is untouched (immutability).
-        assert params.stage1.beta_s != 50
-
     def test_describe_is_serialisable(self):
         description = ProtocolParameters.calibrated(1000, 0.25).describe()
         assert description["n"] == 1000

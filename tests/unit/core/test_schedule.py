@@ -64,15 +64,6 @@ class TestStage1Schedule:
         with pytest.raises(ParameterError):
             build_stage1_schedule(stage1_params, start_phase=4)
 
-    def test_phase_at(self, stage1_params):
-        schedule = build_stage1_schedule(stage1_params)
-        assert schedule.phase_at(0).index == 0
-        assert schedule.phase_at(22).index == 1
-        assert schedule.phase_at(59).index == 3
-        with pytest.raises(ScheduleError):
-            schedule.phase_at(60)
-
-
 class TestStage2Schedule:
     def test_phases_are_one_based_and_contiguous(self, stage2_params):
         schedule = build_stage2_schedule(stage2_params, start_round=7)

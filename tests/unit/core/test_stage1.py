@@ -21,8 +21,6 @@ class TestReceptionAccumulator:
         accumulator.observe(np.asarray([1]), np.asarray([0], dtype=np.int8), rng)
         heard = accumulator.heard_anything()
         assert heard[1] and heard[2] and not heard[0]
-        counts = accumulator.message_counts()
-        assert counts[1] == 2 and counts[2] == 1
         # Agent 2 heard a single 0 message, so its choice is forced.
         assert accumulator.chosen_bits(np.asarray([2]))[0] == 0
 

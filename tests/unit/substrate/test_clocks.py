@@ -26,7 +26,6 @@ class TestLocalClocks:
         clocks = LocalClocks(size=5)
         assert not clocks.started().any()
         assert clocks.skew() == 0
-        np.testing.assert_array_equal(clocks.local_time(10), np.full(5, -1))
 
     def test_start_is_idempotent(self):
         clocks = LocalClocks(size=5)
@@ -41,32 +40,11 @@ class TestLocalClocks:
         clocks.reset(np.asarray([1]), global_time=10)
         assert clocks.offsets[1] == 10
 
-    def test_local_time_readings(self):
-        clocks = LocalClocks(size=3)
-        clocks.start(np.asarray([0]), global_time=2)
-        clocks.start(np.asarray([1]), global_time=5)
-        readings = clocks.local_time(9)
-        assert readings[0] == 7
-        assert readings[1] == 4
-        assert readings[2] == -1
-
     def test_skew(self):
         clocks = LocalClocks(size=4)
         clocks.start(np.asarray([0, 1, 2]), global_time=0)
         clocks.reset(np.asarray([2]), global_time=6)
         assert clocks.skew() == 6
-
-    def test_initialise_uniform(self, rng):
-        clocks = LocalClocks(size=1000)
-        clocks.initialise_uniform(rng, max_offset=16)
-        assert clocks.started().all()
-        assert clocks.skew() <= 15
-        # Offsets should actually spread across the window.
-        assert clocks.skew() >= 10
-
-    def test_initialise_uniform_invalid_window(self, rng):
-        with pytest.raises(ParameterError):
-            LocalClocks(size=3).initialise_uniform(rng, max_offset=0)
 
     def test_size_must_be_positive(self):
         with pytest.raises(ParameterError):

@@ -84,8 +84,3 @@ class TestGossipRound:
 
     def test_protocol_rng_is_stable_stream(self, small_engine):
         assert small_engine.protocol_rng() is small_engine.protocol_rng()
-
-    def test_spawn_subengine_seed_deterministic(self):
-        first = SimulationEngine.create(n=10, epsilon=0.3, seed=4)
-        second = SimulationEngine.create(n=10, epsilon=0.3, seed=4)
-        assert first.spawn_subengine_seed("x") == second.spawn_subengine_seed("x")

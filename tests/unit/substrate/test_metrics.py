@@ -26,7 +26,6 @@ class TestMetricsCollector:
         assert metrics.messages_sent == 15
         assert metrics.messages_delivered == 13
         assert metrics.messages_dropped == 2
-        assert metrics.total_bits() == 15
 
     def test_time_series_only_recorded_when_enabled(self):
         silent = MetricsCollector(record_time_series=False)

@@ -18,7 +18,6 @@ class TestConstruction:
     def test_initial_state_without_source(self):
         population = Population(size=10, source=None)
         assert population.num_activated() == 0
-        assert population.num_dormant() == 10
 
     def test_too_small_population_rejected(self):
         with pytest.raises(ParameterError):
@@ -88,7 +87,6 @@ class TestActivation:
         population = Population(size=10, source=0)
         population.activate(np.asarray([1, 2, 3]), phase=1, round_index=1)
         assert population.num_activated() == 4
-        assert population.num_dormant() == 6
 
 
 class TestOpinionAccounting:
