@@ -30,7 +30,7 @@ from pathlib import Path
 
 from repro.analysis.experiments import run_trials
 from repro.exec.backends import LocalPoolBackend, use_backend
-from repro.exec.batching import run_sweep_batched
+from repro.exec.batching import run_baseline_batch, run_sweep_batched
 from repro.experiments.e7_baselines import _direct_trial, _forwarding_trial, _voter_trial
 
 N = 1000
@@ -78,10 +78,10 @@ def _run_batched(pooled: bool = False):
         run_sweep_batched,
         name="e7-batch-speedup",
         points=_baseline_points(),
+        batch_fn=run_baseline_batch,
         trials_per_point=TRIALS,
         base_seed=BASE_SEED,
         defaults={"n": N, "epsilon": EPSILON},
-        shape="baseline",
     )
     if not pooled:
         return sweep()

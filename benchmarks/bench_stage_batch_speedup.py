@@ -30,9 +30,11 @@ from typing import Any, Callable, Dict, Tuple
 from repro.analysis.experiments import run_trials
 from repro.api import ExecutionConfig, run_experiment
 from repro.core.parameters import ProtocolParameters
-from repro.experiments.e4_phase0 import _phase0_batch_result, _phase0_only_parameters, _phase0_trial
-from repro.experiments.e5_stage1_growth import _stage1_batch_result, _stage1_trial
-from repro.experiments.e6_stage2_boost import _stage2_batch_result, _stage2_trial
+from repro.exec.batching import run_batch_cell
+from repro.exec.stage_batching import run_stage1_instrumented, run_stage2_instrumented
+from repro.experiments.e4_phase0 import _phase0_only_parameters, _phase0_rows, _phase0_trial
+from repro.experiments.e5_stage1_growth import _stage1_rows, _stage1_trial
+from repro.experiments.e6_stage2_boost import _stage2_rows, _stage2_trial
 
 BASE_SEED = 42
 RESULTS_PATH = Path(__file__).parent / "results" / "stage_batch_speedup.json"
@@ -89,8 +91,17 @@ def build_workloads(toy: bool = False) -> Dict[str, Dict[str, Any]]:
                 num_trials=e4["trials"],
                 base_seed=BASE_SEED,
             ),
-            "batch": lambda: _phase0_batch_result(
-                "stage-bench-e4", e4["n"], e4["epsilon"], e4["trials"], BASE_SEED, e4_parameters
+            "batch": lambda: run_batch_cell(
+                "stage-bench-e4",
+                run_stage1_instrumented,
+                e4["trials"],
+                base_seed=BASE_SEED,
+                measure=functools.partial(
+                    _phase0_rows, epsilon=e4["epsilon"], parameters=e4_parameters
+                ),
+                n=e4["n"],
+                epsilon=e4["epsilon"],
+                parameters=e4_parameters,
             ),
         },
         "E5": {
@@ -104,8 +115,15 @@ def build_workloads(toy: bool = False) -> Dict[str, Dict[str, Any]]:
                 num_trials=e5["trials"],
                 base_seed=BASE_SEED,
             ),
-            "batch": lambda: _stage1_batch_result(
-                "stage-bench-e5", e5["n"], e5["epsilon"], e5["trials"], BASE_SEED, e5_parameters
+            "batch": lambda: run_batch_cell(
+                "stage-bench-e5",
+                run_stage1_instrumented,
+                e5["trials"],
+                base_seed=BASE_SEED,
+                measure=_stage1_rows,
+                n=e5["n"],
+                epsilon=e5["epsilon"],
+                parameters=e5_parameters,
             ),
         },
         "E6": {
@@ -123,9 +141,16 @@ def build_workloads(toy: bool = False) -> Dict[str, Dict[str, Any]]:
                 num_trials=e6["trials"],
                 base_seed=BASE_SEED,
             ),
-            "batch": lambda: _stage2_batch_result(
-                "stage-bench-e6", e6["n"], e6["epsilon"], e6["trials"], BASE_SEED,
-                e6_bias, e6_parameters,
+            "batch": lambda: run_batch_cell(
+                "stage-bench-e6",
+                run_stage2_instrumented,
+                e6["trials"],
+                base_seed=BASE_SEED,
+                measure=_stage2_rows,
+                n=e6["n"],
+                epsilon=e6["epsilon"],
+                initial_bias=e6_bias,
+                parameters=e6_parameters,
             ),
         },
         "E9": {

@@ -14,8 +14,10 @@ package defines *how* the trials execute:
 * :mod:`repro.exec.batching` — a vectorised path that simulates ``R``
   independent replicates of the noisy push-gossip protocols (broadcast,
   majority consensus *and* the Section 1.6 / Section 1.4 baseline family)
-  as ``(R, n)`` NumPy grids instead of one engine per trial, plus a generic
-  batched sweep dispatcher (one task per grid point);
+  as ``(R, n)`` NumPy grids instead of one engine per trial, plus
+  :func:`~repro.exec.batching.run_batch_cell` (all trials of one named cell
+  as one batch, the batched counterpart of ``run_trials``) and the batched
+  sweep dispatcher built on it (one task per grid point);
 * :mod:`repro.exec.stage_batching` — the instrumented ``(R, n)`` stage
   kernels underneath the batched protocols: Stage I / Stage II round loops
   with per-phase replicate-vector measurements (``X_i`` / ``Y_i`` /
@@ -38,10 +40,9 @@ from .batching import (
     BatchBaselineResult,
     BatchBroadcastResult,
     BatchMajorityResult,
-    batch_to_experiment_result,
     batchable_baselines,
-    measurements_to_experiment_result,
     run_baseline_batch,
+    run_batch_cell,
     run_broadcast_batch,
     run_broadcast_sweep_batched,
     run_majority_batch,
@@ -92,8 +93,7 @@ __all__ = [
     "run_majority_batch",
     "run_baseline_batch",
     "batchable_baselines",
-    "batch_to_experiment_result",
-    "measurements_to_experiment_result",
+    "run_batch_cell",
     "run_sweep_batched",
     "run_broadcast_sweep_batched",
     "StageOneBatchResult",

@@ -33,8 +33,13 @@ The Stage-I/Stage-II round loops underneath :func:`run_broadcast_batch` and
 batched transcription of each stage rule, shared with the instrumented
 stage-level experiments E4–E6 and the windowed E9 executors).
 
+:func:`run_batch_cell` is the batched counterpart of
+:func:`repro.analysis.experiments.run_trials`: it runs every trial of one
+named cell as a single batch call and packages one row per replicate as an
+:class:`~repro.analysis.experiments.ExperimentResult`.  Every batched sweep
+point and every batched driver cell (E4–E7, E9, E11, E12) goes through it.
 :func:`run_sweep_batched` dispatches whole sweeps point-by-point onto the
-right batch simulator, forwarding *every* recognised point setting
+named batch simulator, forwarding *every* recognised point setting
 (``correct_opinion``, ``allow_self_messages``, ``initial_set_size``,
 ``majority_bias``, calibration overrides, ...) and rejecting unrecognised
 ones — the same strictness a serial ``run_sweep`` trial function gets by
@@ -46,8 +51,11 @@ Determinism contract
 --------------------
 * A batch run is fully determined by ``(n, epsilon, num_replicates,
   base_seed, parameters)`` (plus the instance settings for the majority
-  shape): two identical calls return identical arrays.  Pooled sweeps
-  preserve this bit-for-bit: per-point batch seeds are derived in the
+  shape): two identical calls return identical arrays.  A batched cell
+  named ``name`` seeds its batch with ``derive_seed(base_seed, name,
+  "batch")`` and records replicate ``i`` under ``trial_seed(base_seed,
+  name, i)``; both rules live in :func:`run_batch_cell` only.  Pooled
+  sweeps preserve this bit-for-bit: cell names and seeds are fixed in the
   parent before dispatch and results are assembled in point order.
 * Per-replicate dynamics are *statistically* equivalent to
   :func:`repro.core.broadcast.solve_noisy_broadcast` /
@@ -104,8 +112,7 @@ __all__ = [
     "run_majority_batch",
     "run_baseline_batch",
     "batchable_baselines",
-    "batch_to_experiment_result",
-    "measurements_to_experiment_result",
+    "run_batch_cell",
     "run_sweep_batched",
     "run_broadcast_sweep_batched",
 ]
@@ -941,85 +948,48 @@ def run_baseline_batch(
     )
 
 
-def measurements_to_experiment_result(
+def run_batch_cell(
     name: str,
-    measurements: Sequence[Mapping[str, Any]],
+    batch_fn: Callable[..., Any],
+    num_trials: int,
     base_seed: int = 0,
     config: Optional[Mapping[str, Any]] = None,
+    measure: Optional[Callable[[Any], Sequence[Mapping[str, Any]]]] = None,
+    **settings: Any,
 ) -> "Any":
-    """Package per-replicate measurement mappings as an ``ExperimentResult``.
+    """Run every trial of the cell ``name`` as one batch; the batched
+    counterpart of :func:`repro.analysis.experiments.run_trials`.
 
-    Replicate ``i``'s measurements are recorded under the same identifying
-    seed ``trial_seed(base_seed, name, i)`` that a serial run would use, so
-    downstream summaries, tables and serialisation treat batched and serial
-    experiments uniformly.  (The seed identifies the trial; the batch's
-    randomness comes from the batch stream — see the module docstring's
-    determinism contract.)  This is the assembly step shared by
-    :func:`batch_to_experiment_result` and the stage-instrumented drivers
-    (E4–E6), whose measurement keys are driver-specific.
+    Calls ``batch_fn(num_replicates=num_trials, base_seed=..., **settings)``
+    once and packages one row per replicate as an
+    :class:`~repro.analysis.experiments.ExperimentResult`.  The two seed
+    rules that keep a batched run replayable live here and nowhere else:
+
+    * the batch stream is seeded with ``derive_seed(base_seed, name, "batch")``;
+    * replicate ``i`` is recorded under ``trial_seed(base_seed, name, i)``,
+      the seed serial trial ``i`` of ``name`` runs with.  (It identifies the
+      trial; the randomness comes from the batch stream.)
+
+    The rows are ``measure(batch)`` when ``measure`` is given (a driver whose
+    measurement keys differ from the simulator's), otherwise
+    ``batch.measurements(i)`` for every replicate.
     """
-    from ..analysis.experiments import ExperimentResult, TrialResult
+    from ..analysis.experiments import ExperimentResult
 
-    seeds = trial_seeds(base_seed, name, len(measurements))
-    result = ExperimentResult(name=name, config=dict(config or {}))
-    for index, (seed, trial_measurements) in enumerate(zip(seeds, measurements)):
-        result.trials.append(
-            TrialResult(trial_index=index, seed=seed, measurements=dict(trial_measurements))
-        )
-    return result
-
-
-def batch_to_experiment_result(
-    name: str,
-    batch: Any,
-    base_seed: int = 0,
-    config: Optional[Mapping[str, Any]] = None,
-) -> "Any":
-    """Package a batch as an :class:`~repro.analysis.experiments.ExperimentResult`.
-
-    ``batch`` is any batch result exposing ``num_replicates`` and
-    ``measurements`` (:class:`BatchBroadcastResult`,
-    :class:`BatchMajorityResult`, :class:`BatchBaselineResult`, or the E9
-    :class:`~repro.exec.stage_batching.BatchWindowedResult`); see
-    :func:`measurements_to_experiment_result` for the seed contract.
-    """
-    return measurements_to_experiment_result(
-        name,
-        [batch.measurements(index) for index in range(batch.num_replicates)],
-        base_seed=base_seed,
-        config=config,
+    batch = batch_fn(
+        num_replicates=num_trials, base_seed=derive_seed(base_seed, name, "batch"), **settings
     )
+    if measure is not None:
+        rows = measure(batch)
+    else:
+        rows = [batch.measurements(index) for index in range(num_trials)]
+    seeds = trial_seeds(base_seed, name, num_trials)
+    return ExperimentResult.from_trials(name, config, seeds, rows)
 
 
 # ----------------------------------------------------------------------
 # Sweep dispatch: full settings forwarding plus point-level parallelism
 # ----------------------------------------------------------------------
-
-#: Instance settings understood by the broadcast batch simulator.
-_BROADCAST_SETTINGS = frozenset({"n", "epsilon", "correct_opinion", "allow_self_messages"})
-
-#: Instance settings understood by the majority batch simulator.
-_MAJORITY_SETTINGS = frozenset(
-    {
-        "n",
-        "epsilon",
-        "initial_set_size",
-        "majority_bias",
-        "majority_opinion",
-        "allow_self_messages",
-        "start_phase",
-    }
-)
-
-#: Grid-key aliases used by the serial E8 driver, normalised on dispatch.
-_MAJORITY_ALIASES: Dict[str, str] = {"set_size": "initial_set_size", "bias": "majority_bias"}
-
-#: Instance settings understood by the baseline batch simulator: the shared
-#: instance settings plus the union of every per-protocol option (the exact
-#: per-protocol subsets are enforced by run_baseline_batch itself).
-_BASELINE_SETTINGS = frozenset(
-    {"n", "epsilon", "protocol", "correct_opinion", "allow_self_messages"}
-) | frozenset().union(*(options for _, options in _BASELINE_BATCH_RULES.values()))
 
 #: Calibration overrides forwarded to ProtocolParameters.calibrated, derived
 #: from its signature so the two can never drift apart.
@@ -1031,7 +1001,29 @@ _CALIBRATION_SETTINGS = frozenset(
     if parameter.kind is inspect.Parameter.KEYWORD_ONLY
 )
 
-_SHAPES = ("auto", "broadcast", "majority", "baseline")
+#: The point settings each sweepable simulator requires and the further ones
+#: it understands.  The baseline simulator's entry is the union of every
+#: per-protocol option; run_baseline_batch enforces the exact subsets.
+_SWEEP_SETTINGS: Dict[Callable[..., Any], Tuple[Tuple[str, ...], frozenset]] = {
+    run_broadcast_batch: (
+        ("n", "epsilon"),
+        frozenset({"correct_opinion", "allow_self_messages"}) | _CALIBRATION_SETTINGS,
+    ),
+    run_majority_batch: (
+        ("n", "epsilon", "initial_set_size", "majority_bias"),
+        frozenset({"majority_opinion", "allow_self_messages", "start_phase"})
+        | _CALIBRATION_SETTINGS,
+    ),
+    run_baseline_batch: (
+        ("n", "epsilon", "protocol"),
+        frozenset({"correct_opinion", "allow_self_messages"}).union(
+            *(options for _, options in _BASELINE_BATCH_RULES.values())
+        ),
+    ),
+}
+
+#: Grid-key aliases used by the serial E8 driver, normalised on dispatch.
+_MAJORITY_ALIASES: Dict[str, str] = {"set_size": "initial_set_size", "bias": "majority_bias"}
 
 
 def _normalise_majority_aliases(settings: Dict[str, Any], context: str) -> Dict[str, Any]:
@@ -1053,53 +1045,32 @@ def _normalise_majority_aliases(settings: Dict[str, Any], context: str) -> Dict[
 
 def _resolve_batch_task(
     point_name: str,
+    point: Any,
     settings: Dict[str, Any],
+    batch_fn: Callable[..., Any],
     trials_per_point: int,
     base_seed: int,
-    shape: str,
 ) -> Tuple[Callable[..., Any], Dict[str, Any]]:
-    """Map one grid point's merged (alias-normalised) settings onto
-    ``(batch_fn, kwargs)``.
+    """Map one grid point's merged (alias-normalised) settings onto a
+    :func:`run_batch_cell` task.
 
-    Auto-detects the protocol shape when asked, checks required settings,
-    and rejects anything unrecognised so that a typo'd or unsupported
-    setting fails loudly instead of being silently dropped (the regression
-    the serial path never had).
+    Checks required settings and rejects anything unrecognised, so that a
+    typo'd or unsupported setting fails loudly instead of being silently
+    dropped (the regression the serial path never had).
     """
-    resolved_shape = shape
-    if resolved_shape == "auto":
-        majority_markers = {"initial_set_size", "majority_bias"}
-        if "protocol" in settings:
-            resolved_shape = "baseline"
-        elif majority_markers & set(settings):
-            resolved_shape = "majority"
-        else:
-            resolved_shape = "broadcast"
-
-    if resolved_shape == "broadcast":
-        recognised = _BROADCAST_SETTINGS | _CALIBRATION_SETTINGS
-        required = ("n", "epsilon")
-        batch_fn: Callable[..., Any] = run_broadcast_batch
-    elif resolved_shape == "baseline":
-        recognised = _BASELINE_SETTINGS
-        required = ("n", "epsilon", "protocol")
-        batch_fn = run_baseline_batch
-    else:
-        recognised = _MAJORITY_SETTINGS | _CALIBRATION_SETTINGS
-        required = ("n", "epsilon", "initial_set_size", "majority_bias")
-        batch_fn = run_majority_batch
-
+    required, optional = _SWEEP_SETTINGS[batch_fn]
     missing = [key for key in required if key not in settings]
     if missing:
         raise ExperimentError(
-            f"batched {resolved_shape} sweep point {point_name} must define "
-            + ", ".join(missing)
+            f"batched sweep point {point_name} must define {', '.join(missing)} "
+            f"for {batch_fn.__name__}"
         )
+    recognised = optional.union(required)
     unrecognised = sorted(set(settings) - recognised)
     if unrecognised:
         raise ExperimentError(
-            f"batched {resolved_shape} sweep point {point_name} has unrecognised "
-            f"setting(s) {unrecognised}; recognised settings are {sorted(recognised)}"
+            f"batched sweep point {point_name} has unrecognised setting(s) {unrecognised} "
+            f"for {batch_fn.__name__}; recognised settings are {sorted(recognised)}"
         )
 
     # Coerce the numeric settings exactly as the serial trial functions do
@@ -1117,55 +1088,58 @@ def _resolve_batch_task(
     for round_setting in ("max_rounds", "check_every", "rounds", "threshold"):
         if kwargs.get(round_setting) is not None:
             kwargs[round_setting] = int(kwargs[round_setting])
-    kwargs["num_replicates"] = trials_per_point
-    kwargs["base_seed"] = derive_seed(base_seed, point_name, "batch")
-    return batch_fn, kwargs
+    return run_batch_cell, {
+        "name": point_name,
+        "batch_fn": batch_fn,
+        "num_trials": trials_per_point,
+        "base_seed": base_seed,
+        "config": point.as_dict(),
+        **kwargs,
+    }
 
 
 def run_sweep_batched(
     name: str,
     points: Iterable[Mapping[str, Any]],
+    batch_fn: Callable[..., Any],
     trials_per_point: int,
     base_seed: int = 0,
     defaults: Optional[Mapping[str, Any]] = None,
-    shape: str = "auto",
 ) -> "Any":
     """Batched counterpart of :func:`repro.analysis.sweeps.run_sweep`.
 
-    Every grid point (merged over ``defaults``) is dispatched as a single
-    :func:`run_broadcast_batch`, :func:`run_majority_batch` or
-    :func:`run_baseline_batch` call with *all* its settings forwarded;
-    unrecognised settings raise :class:`~repro.errors.ExperimentError`.
-    Point naming and per-point seed derivation mirror ``run_sweep``
-    (including the duplicate-label disambiguation of
-    :func:`repro.analysis.sweeps.sweep_point_names`) so batched sweeps slot
-    into the existing report builders unchanged.
+    Every grid point (merged over ``defaults``) is one :func:`run_batch_cell`
+    call of ``batch_fn`` — :func:`run_broadcast_batch`,
+    :func:`run_majority_batch` or :func:`run_baseline_batch` — with *all*
+    its settings forwarded; a missing required or an unrecognised setting
+    raises :class:`~repro.errors.ExperimentError`, and so does any other
+    ``batch_fn``.  The serial E8 grid keys ``set_size``/``bias`` are accepted
+    as aliases of the majority simulator's settings.  Point naming and
+    per-point seeding mirror ``run_sweep`` (including the duplicate-label
+    disambiguation of :func:`repro.analysis.sweeps.sweep_point_names`) so
+    batched sweeps slot into the existing report builders unchanged.
 
-    Parameters
-    ----------
-    name, points, trials_per_point, base_seed, defaults:
-        As in :func:`repro.analysis.sweeps.run_sweep`; ``defaults`` supplies
-        settings shared by every point, with per-point settings winning.
-    shape:
-        ``"broadcast"``, ``"majority"``, ``"baseline"``, or ``"auto"``
-        (default) which picks the baseline simulator whenever a point names
-        a ``protocol``, the majority simulator whenever a point defines an
-        initial opinionated set, and the broadcast simulator otherwise.
+    ``name``, ``points``, ``trials_per_point`` and ``base_seed`` are as in
+    :func:`repro.analysis.sweeps.run_sweep`; ``defaults`` supplies settings
+    shared by every point, with per-point settings winning.
 
-    Each point is one task on the active execution backend; per-point batch
-    seeds are derived here, before dispatch, and results are assembled in
-    point order, so the sweep is bit-identical on every backend.
+    Each point is one task on the active execution backend; point names and
+    seeds are fixed before dispatch and results are assembled in point
+    order, so the sweep is bit-identical on every backend.
     """
     from ..analysis.sweeps import SweepPoint, SweepResult, sweep_point_names
 
+    if batch_fn not in _SWEEP_SETTINGS:
+        raise ExperimentError(
+            f"run_sweep_batched cannot dispatch {batch_fn!r}; the sweepable simulators are "
+            + ", ".join(simulator.__name__ for simulator in _SWEEP_SETTINGS)
+        )
     if trials_per_point < 1:
         raise ExperimentError("trials_per_point must be at least 1")
-    if shape not in _SHAPES:
-        raise ExperimentError(f"shape must be one of {_SHAPES}, got {shape!r}")
     # Alias keys only mean something to the majority simulator; leaving them
-    # alone on a forced-broadcast sweep keeps "unrecognised setting" errors
-    # pointing at the key the caller actually wrote.
-    normalise = shape not in ("broadcast", "baseline")
+    # alone elsewhere keeps "unrecognised setting" errors pointing at the key
+    # the caller actually wrote.
+    normalise = batch_fn is run_majority_batch
     merged_defaults = dict(defaults or {})
     if normalise:
         _normalise_majority_aliases(merged_defaults, f"batched sweep {name!r} defaults")
@@ -1179,20 +1153,9 @@ def run_sweep_batched(
             _normalise_majority_aliases(point_settings, f"batched sweep point {point_name}")
         settings = {**merged_defaults, **point_settings}
         tasks.append(
-            _resolve_batch_task(point_name, settings, trials_per_point, base_seed, shape)
+            _resolve_batch_task(point_name, point, settings, batch_fn, trials_per_point, base_seed)
         )
-
-    batches = pool.run_point_tasks(tasks)
-
-    sweep = SweepResult(name=name)
-    for point, point_name, batch in zip(sweep_points, point_names, batches):
-        sweep.points.append(point)
-        sweep.results.append(
-            batch_to_experiment_result(
-                point_name, batch, base_seed=base_seed, config=point.as_dict()
-            )
-        )
-    return sweep
+    return SweepResult(name=name, points=sweep_points, results=pool.run_point_tasks(tasks))
 
 
 def run_broadcast_sweep_batched(
@@ -1212,8 +1175,8 @@ def run_broadcast_sweep_batched(
     return run_sweep_batched(
         name=name,
         points=points,
+        batch_fn=run_broadcast_batch,
         trials_per_point=trials_per_point,
         base_seed=base_seed,
         defaults=defaults,
-        shape="broadcast",
     )

@@ -98,12 +98,14 @@ def run_trial_groups(
 def run_point_tasks(tasks: Sequence[Tuple[Callable[..., Any], Mapping[str, Any]]]) -> List[Any]:
     """Run pre-resolved ``(fn, kwargs)`` tasks — one per point or cell — in order.
 
-    Shared by :func:`repro.exec.batching.run_sweep_batched` (one whole-point
-    batch simulation per task) and the cell-structured drivers (E4, E7, E9,
-    E11, E12).  Every kwarg, including the per-point seed, was resolved in
-    the parent, so the results are identical on every backend.  Failure
-    context is read off the kwargs (the tasks carry ``name`` and ``seed`` or
-    ``base_seed``).
+    Every cell is a :func:`repro.analysis.experiments.run_trials` or
+    :func:`repro.exec.batching.run_batch_cell` call and returns an
+    :class:`~repro.analysis.experiments.ExperimentResult`: the batched sweep
+    points of :func:`repro.exec.batching.run_sweep_batched` and the cells of
+    the cell-structured drivers (E4, E7, E9, E11, E12).  Every kwarg was
+    resolved in the parent, so the results are identical on every backend.
+    Failure context is read off the kwargs (the cell's ``name`` and its
+    ``seed`` or ``base_seed``).
     """
     return submit_tasks(
         [

@@ -82,48 +82,17 @@ def _silent_trial(seed: int, _index: int, n: int, epsilon: float, threshold: int
     }
 
 
-def _direct_batch_result(name: str, n: int, epsilon: float, trials: int, base_seed: int) -> "Any":
-    """All direct-from-source trials at once (module-level, hence picklable)."""
-    from ..exec.batching import batch_to_experiment_result, run_baseline_batch
-    from ..substrate.rng import derive_seed
-
-    batch = run_baseline_batch(
-        "direct-source-reference",
-        n=n,
-        epsilon=epsilon,
-        num_replicates=trials,
-        base_seed=derive_seed(base_seed, name, "batch"),
-    )
-    return batch_to_experiment_result(name, batch, base_seed=base_seed)
-
-
-def _silent_batch_result(
-    name: str, n: int, epsilon: float, trials: int, base_seed: int, threshold: int
-) -> "Any":
-    """All silent-wait trials at once (module-level, hence picklable).
+def _silent_rows(batch: "Any") -> List[dict]:
+    """Every replicate of a silent-wait batch, keyed like :func:`_silent_trial`.
 
     The batched rule's extra vector is named after the serial protocol's
     internal marker (``first_round_with_two_messages``); the serial E11
-    trial records it as ``first_two_messages_round``, so the batch
-    measurements are re-keyed to match before packaging.
+    trial records it as ``first_two_messages_round``.
     """
-    from ..exec.batching import measurements_to_experiment_result, run_baseline_batch
-    from ..substrate.rng import derive_seed
-
-    batch = run_baseline_batch(
-        "silent-wait",
-        n=n,
-        epsilon=epsilon,
-        num_replicates=trials,
-        base_seed=derive_seed(base_seed, name, "batch"),
-        threshold=threshold,
-    )
-    measurements = []
-    for index in range(trials):
-        trial = batch.measurements(index)
-        trial["first_two_messages_round"] = trial.pop("first_round_with_two_messages")
-        measurements.append(trial)
-    return measurements_to_experiment_result(name, measurements, base_seed=base_seed)
+    rows = [batch.measurements(index) for index in range(batch.num_replicates)]
+    for row in rows:
+        row["first_two_messages_round"] = row.pop("first_round_with_two_messages")
+    return rows
 
 
 def run(
@@ -157,28 +126,30 @@ def run(
 
     tasks: List[Tuple[str, Callable[..., Any], Dict[str, Any]]]
     if batch:
+        from ..exec.batching import run_baseline_batch, run_batch_cell
+
+        shared = {
+            "batch_fn": run_baseline_batch,
+            "num_trials": trials,
+            "base_seed": base_seed,
+            "n": n,
+            "epsilon": epsilon,
+        }
         tasks = [
             (
                 "direct",
-                _direct_batch_result,
-                {
-                    "name": "E11-direct-source",
-                    "n": n,
-                    "epsilon": epsilon,
-                    "trials": trials,
-                    "base_seed": base_seed,
-                },
+                run_batch_cell,
+                {"name": "E11-direct-source", "protocol": "direct-source-reference", **shared},
             ),
             (
                 "silent",
-                _silent_batch_result,
+                run_batch_cell,
                 {
                     "name": "E11-silent-wait",
-                    "n": n,
-                    "epsilon": epsilon,
-                    "trials": trials,
-                    "base_seed": base_seed,
+                    "protocol": "silent-wait",
                     "threshold": threshold,
+                    "measure": _silent_rows,
+                    **shared,
                 },
             ),
         ]

@@ -207,41 +207,37 @@ def _batch_tasks(
     trials: int,
     base_seed: int,
 ) -> List[Tuple[str, Callable[..., Any], Dict[str, Any]]]:
-    """The per-protocol batched simulator tasks of one fraction, in row order.
-
-    Per-cell batch seeds derive from the same experiment names the serial
-    path uses, exactly as in the E7 driver.
-    """
+    """The per-protocol :func:`~repro.exec.batching.run_batch_cell` tasks of
+    one fraction, in row order, named like the serial cells."""
+    from ..exec.batching import run_batch_cell
     from ..exec.fault_batching import run_consensus_comparator_batch, run_faulty_broadcast_batch
-    from ..substrate.rng import derive_seed
 
-    def batch_seed(protocol: str) -> int:
-        return derive_seed(base_seed, _task_name(protocol, fraction), "batch")
-
+    cells: Dict[str, Dict[str, Any]] = {
+        "breathe-before-speaking": {
+            "batch_fn": run_faulty_broadcast_batch,
+            "epsilon": epsilon,
+            "model": paper_fault_model(fault_kind, fraction, crash_probability),
+        },
+        "phased-approximate-consensus": {
+            "batch_fn": run_consensus_comparator_batch,
+            "model": comparator_fault_model(fault_kind, fraction, crash_probability),
+            "initial_range": INITIAL_RANGE,
+            "agreement_eps": consensus_eps,
+        },
+    }
     return [
         (
-            "breathe-before-speaking",
-            run_faulty_broadcast_batch,
+            protocol,
+            run_batch_cell,
             {
+                "name": _task_name(protocol, fraction),
+                "num_trials": trials,
+                "base_seed": base_seed,
                 "n": n,
-                "epsilon": epsilon,
-                "num_replicates": trials,
-                "model": paper_fault_model(fault_kind, fraction, crash_probability),
-                "base_seed": batch_seed("breathe-before-speaking"),
+                **cells[protocol],
             },
-        ),
-        (
-            "phased-approximate-consensus",
-            run_consensus_comparator_batch,
-            {
-                "n": n,
-                "num_replicates": trials,
-                "model": comparator_fault_model(fault_kind, fraction, crash_probability),
-                "base_seed": batch_seed("phased-approximate-consensus"),
-                "initial_range": INITIAL_RANGE,
-                "agreement_eps": consensus_eps,
-            },
-        ),
+        )
+        for protocol in PROTOCOL_ORDER
     ]
 
 
@@ -297,7 +293,6 @@ def run(
     row order.
     """
     from ..exec import pool
-    from ..exec.batching import batch_to_experiment_result
 
     plan = resolve_run_options("E12", config=config)
     batch = plan.batch
@@ -333,14 +328,9 @@ def run(
         )
     ]
 
-    raw_results = pool.run_point_tasks([(fn, kwargs) for _, _, fn, kwargs in tasks])
+    results = pool.run_point_tasks([(fn, kwargs) for _, _, fn, kwargs in tasks])
 
-    for (fraction, protocol, _, _), raw in zip(tasks, raw_results):
-        result = (
-            batch_to_experiment_result(_task_name(protocol, fraction), raw, base_seed=base_seed)
-            if batch
-            else raw
-        )
+    for (fraction, protocol, _, _), result in zip(tasks, results):
         if protocol == "breathe-before-speaking":
             model = paper_fault_model(fault_kind, fraction, crash_probability)
         else:

@@ -67,37 +67,18 @@ def _phase0_trial(
     )
 
 
-def _phase0_batch_result(
-    name: str, n: int, epsilon: float, trials: int, base_seed: int, parameters: StageOneParameters
-) -> "Any":
-    """All trials of one epsilon at once on ``(R, n)`` grids (module-level, picklable).
-
-    The per-cell batch seed is derived from the same experiment name the
-    serial path uses, exactly as :func:`repro.exec.batching.run_sweep_batched`
-    derives per-point batch seeds.
-    """
-    from ..exec.batching import measurements_to_experiment_result
-    from ..exec.stage_batching import run_stage1_instrumented
-    from ..substrate.rng import derive_seed
-
-    batch = run_stage1_instrumented(
-        n=n,
-        epsilon=epsilon,
-        num_replicates=trials,
-        base_seed=derive_seed(base_seed, name, "batch"),
-        parameters=parameters,
-    )
+def _phase0_rows(batch: "Any", epsilon: float, parameters: StageOneParameters) -> List[dict]:
+    """Claim 2.2's observables for every replicate of an instrumented Stage-I batch."""
     phase0 = batch.phase(0)
-    measurements = [
+    return [
         _phase0_measurements(
             int(phase0.activated_total[index]) - 1,
             float(phase0.bias_of_new[index]),
             epsilon,
             parameters,
         )
-        for index in range(trials)
+        for index in range(batch.num_replicates)
     ]
-    return measurements_to_experiment_result(name, measurements, base_seed=base_seed)
 
 
 def run(
@@ -115,6 +96,8 @@ def run(
     with results assembled in cell order.
     """
     from ..exec import pool
+    from ..exec.batching import run_batch_cell
+    from ..exec.stage_batching import run_stage1_instrumented
 
     plan = resolve_run_options("E4", config=config)
     batch = plan.batch
@@ -132,13 +115,15 @@ def run(
         parameters = _phase0_only_parameters(n, epsilon)
         name = f"E4-phase0-eps={epsilon}"
         if batch:
-            fn: Callable[..., Any] = _phase0_batch_result
+            fn: Callable[..., Any] = run_batch_cell
             kwargs: Dict[str, Any] = {
                 "name": name,
+                "batch_fn": run_stage1_instrumented,
+                "num_trials": trials,
+                "base_seed": base_seed,
+                "measure": functools.partial(_phase0_rows, epsilon=epsilon, parameters=parameters),
                 "n": n,
                 "epsilon": epsilon,
-                "trials": trials,
-                "base_seed": base_seed,
                 "parameters": parameters,
             }
         else:

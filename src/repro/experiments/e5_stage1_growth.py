@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import functools
 import math
-from typing import Any, Optional, Union
+from typing import Any, List, Optional, Union
 
 from ..analysis.experiments import run_trials
 from ..api.config import ExecutionConfig, ExecutionPlan, resolve_run_options
@@ -61,33 +61,20 @@ def _stage1_trial(
     return measurements
 
 
-def _stage1_batch_result(
-    name: str, n: int, epsilon: float, trials: int, base_seed: int, parameters: StageOneParameters
-) -> "Any":
-    """All trials at once on ``(R, n)`` grids, with the serial measurement keys."""
-    from ..exec.batching import measurements_to_experiment_result
-    from ..exec.stage_batching import run_stage1_instrumented
-    from ..substrate.rng import derive_seed
-
-    batch = run_stage1_instrumented(
-        n=n,
-        epsilon=epsilon,
-        num_replicates=trials,
-        base_seed=derive_seed(base_seed, name, "batch"),
-        parameters=parameters,
-    )
-    measurements = []
-    for index in range(trials):
-        trial = {
+def _stage1_rows(batch: "Any") -> List[dict]:
+    """Every replicate of an instrumented Stage-I batch, with the serial measurement keys."""
+    rows = []
+    for index in range(batch.num_replicates):
+        row = {
             "all_activated": bool(batch.all_activated[index]),
             "final_bias": float(batch.final_bias[index]),
         }
         for phase in batch.phases:
-            trial[f"x_{phase.phase}"] = int(phase.activated_total[index])
-            trial[f"y_{phase.phase}"] = int(phase.newly_activated[index])
-            trial[f"bias_{phase.phase}"] = float(phase.bias_of_new[index])
-        measurements.append(trial)
-    return measurements_to_experiment_result(name, measurements, base_seed=base_seed)
+            row[f"x_{phase.phase}"] = int(phase.activated_total[index])
+            row[f"y_{phase.phase}"] = int(phase.newly_activated[index])
+            row[f"bias_{phase.phase}"] = float(phase.bias_of_new[index])
+        rows.append(row)
+    return rows
 
 
 def run(
@@ -111,8 +98,18 @@ def run(
     stage1_params = parameters.stage1
 
     if batch:
-        result = _stage1_batch_result(
-            "E5-stage1-growth", n, epsilon, trials, base_seed, stage1_params
+        from ..exec.batching import run_batch_cell
+        from ..exec.stage_batching import run_stage1_instrumented
+
+        result = run_batch_cell(
+            name="E5-stage1-growth",
+            batch_fn=run_stage1_instrumented,
+            num_trials=trials,
+            base_seed=base_seed,
+            measure=_stage1_rows,
+            n=n,
+            epsilon=epsilon,
+            parameters=stage1_params,
         )
     else:
         result = run_trials(

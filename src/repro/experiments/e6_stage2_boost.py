@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import functools
 import math
-from typing import Any, Optional, Union
+from typing import Any, List, Optional, Union
 
 from ..analysis.experiments import run_trials
 from ..api.config import ExecutionConfig, ExecutionPlan, resolve_run_options
@@ -59,40 +59,20 @@ def _stage2_trial(
     return measurements
 
 
-def _stage2_batch_result(
-    name: str,
-    n: int,
-    epsilon: float,
-    trials: int,
-    base_seed: int,
-    initial_bias: float,
-    parameters: StageTwoParameters,
-) -> "Any":
-    """All trials at once on ``(R, n)`` grids, with the serial measurement keys."""
-    from ..exec.batching import measurements_to_experiment_result
-    from ..exec.stage_batching import run_stage2_instrumented
-    from ..substrate.rng import derive_seed
-
-    batch = run_stage2_instrumented(
-        n=n,
-        epsilon=epsilon,
-        num_replicates=trials,
-        initial_bias=initial_bias,
-        base_seed=derive_seed(base_seed, name, "batch"),
-        parameters=parameters,
-    )
-    measurements = []
-    for index in range(trials):
-        trial = {
+def _stage2_rows(batch: "Any") -> List[dict]:
+    """Every replicate of an instrumented Stage-II batch, with the serial measurement keys."""
+    rows = []
+    for index in range(batch.num_replicates):
+        row = {
             "success": bool(batch.consensus_reached[index]),
             "final_bias": float(batch.final_bias[index]),
             "final_fraction": float(batch.final_correct_fraction[index]),
         }
         for phase in batch.phases:
-            trial[f"bias_after_{phase.phase}"] = float(phase.bias_after[index])
-            trial[f"successful_{phase.phase}"] = int(phase.successful_agents[index])
-        measurements.append(trial)
-    return measurements_to_experiment_result(name, measurements, base_seed=base_seed)
+            row[f"bias_after_{phase.phase}"] = float(phase.bias_after[index])
+            row[f"successful_{phase.phase}"] = int(phase.successful_agents[index])
+        rows.append(row)
+    return rows
 
 
 def run(
@@ -118,8 +98,19 @@ def run(
     stage2_params = parameters.stage2
 
     if batch:
-        result = _stage2_batch_result(
-            "E6-stage2-boost", n, epsilon, trials, base_seed, initial_bias, stage2_params
+        from ..exec.batching import run_batch_cell
+        from ..exec.stage_batching import run_stage2_instrumented
+
+        result = run_batch_cell(
+            name="E6-stage2-boost",
+            batch_fn=run_stage2_instrumented,
+            num_trials=trials,
+            base_seed=base_seed,
+            measure=_stage2_rows,
+            n=n,
+            epsilon=epsilon,
+            initial_bias=initial_bias,
+            parameters=stage2_params,
         )
     else:
         result = run_trials(

@@ -148,53 +148,40 @@ def _serial_tasks(
 def _batch_tasks(
     n: int, epsilon: float, trials: int, voter_rounds: int, base_seed: int
 ) -> List[Tuple[str, Callable[..., Any], Dict[str, Any]]]:
-    """The per-protocol batched simulator tasks of one epsilon, in row order.
+    """The per-protocol :func:`~repro.exec.batching.run_batch_cell` tasks of
+    one epsilon, in row order, named like the serial cells."""
+    from ..exec.batching import run_baseline_batch, run_batch_cell, run_broadcast_batch
 
-    Per-protocol batch seeds are derived from the same experiment names the
-    serial path uses, exactly as :func:`repro.exec.batching.run_sweep_batched`
-    derives per-point batch seeds.
-    """
-    from ..exec.batching import run_baseline_batch, run_broadcast_batch
-    from ..substrate.rng import derive_seed
-
-    def batch_seed(protocol: str) -> int:
-        return derive_seed(base_seed, f"E7-{protocol}-eps={epsilon}", "batch")
-
-    shared = {"n": n, "epsilon": epsilon, "num_replicates": trials}
+    cells: Dict[str, Dict[str, Any]] = {
+        "breathe-before-speaking": {"batch_fn": run_broadcast_batch},
+        "immediate-forwarding": {
+            "batch_fn": run_baseline_batch,
+            "protocol": "immediate-forwarding",
+        },
+        "noisy-voter": {
+            "batch_fn": run_baseline_batch,
+            "protocol": "noisy-voter",
+            "max_rounds": voter_rounds,
+        },
+        "direct-source-reference": {
+            "batch_fn": run_baseline_batch,
+            "protocol": "direct-source-reference",
+        },
+    }
     return [
         (
-            "breathe-before-speaking",
-            run_broadcast_batch,
-            {**shared, "base_seed": batch_seed("breathe-before-speaking")},
-        ),
-        (
-            "immediate-forwarding",
-            run_baseline_batch,
+            protocol,
+            run_batch_cell,
             {
-                **shared,
-                "protocol": "immediate-forwarding",
-                "base_seed": batch_seed("immediate-forwarding"),
+                "name": f"E7-{protocol}-eps={epsilon}",
+                "num_trials": trials,
+                "base_seed": base_seed,
+                "n": n,
+                "epsilon": epsilon,
+                **cells[protocol],
             },
-        ),
-        (
-            "noisy-voter",
-            run_baseline_batch,
-            {
-                **shared,
-                "protocol": "noisy-voter",
-                "max_rounds": voter_rounds,
-                "base_seed": batch_seed("noisy-voter"),
-            },
-        ),
-        (
-            "direct-source-reference",
-            run_baseline_batch,
-            {
-                **shared,
-                "protocol": "direct-source-reference",
-                "base_seed": batch_seed("direct-source-reference"),
-            },
-        ),
+        )
+        for protocol in PROTOCOL_ORDER
     ]
 
 
@@ -250,7 +237,6 @@ def run(
     ``all_correct_rate`` column instead.
     """
     from ..exec import pool
-    from ..exec.batching import batch_to_experiment_result
 
     plan = resolve_run_options("E7", config=config)
     batch = plan.batch
@@ -277,15 +263,7 @@ def run(
         for protocol, fn, kwargs in make_tasks(n, epsilon, trials, voter_rounds, base_seed)
     ]
 
-    raw_results = pool.run_point_tasks([(fn, kwargs) for _, _, fn, kwargs in tasks])
-
-    results: List[ExperimentResult] = []
-    for (epsilon, protocol, _, _), raw in zip(tasks, raw_results):
-        if batch:
-            raw = batch_to_experiment_result(
-                f"E7-{protocol}-eps={epsilon}", raw, base_seed=base_seed
-            )
-        results.append(raw)
+    results = pool.run_point_tasks([(fn, kwargs) for _, _, fn, kwargs in tasks])
 
     for (epsilon, protocol, _, _), result in zip(tasks, results):
         _add_protocol_row(report, protocol, epsilon, result)

@@ -66,15 +66,15 @@ def run(
     trials = plan.trials if plan.trials is not None else trials
     base_seed = plan.base_seed if plan.base_seed is not None else base_seed
     if batch:
-        from ..exec.batching import run_sweep_batched
+        from ..exec.batching import run_majority_batch, run_sweep_batched
 
         sweep = run_sweep_batched(
             name="E8-majority-consensus",
             points=parameter_grid(set_size=list(set_sizes), bias=list(biases)),
+            batch_fn=run_majority_batch,
             trials_per_point=trials,
             base_seed=base_seed,
             defaults={"n": n, "epsilon": epsilon},
-            shape="majority",
         )
     else:
         sweep = run_sweep(

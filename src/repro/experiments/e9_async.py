@@ -69,66 +69,6 @@ def _clock_free_trial(seed: int, _index: int, n: int, epsilon: float, parameters
     }
 
 
-def _sync_batch_result(
-    name: str, n: int, epsilon: float, trials: int, base_seed: int, parameters: ProtocolParameters
-) -> "Any":
-    """All synchronous trials at once (module-level, hence picklable)."""
-    from ..exec.batching import batch_to_experiment_result, run_broadcast_batch
-    from ..substrate.rng import derive_seed
-
-    batch = run_broadcast_batch(
-        n=n,
-        epsilon=epsilon,
-        num_replicates=trials,
-        base_seed=derive_seed(base_seed, name, "batch"),
-        parameters=parameters,
-    )
-    return batch_to_experiment_result(name, batch, base_seed=base_seed)
-
-
-def _skew_batch_result(
-    name: str,
-    n: int,
-    epsilon: float,
-    trials: int,
-    base_seed: int,
-    skew: int,
-    parameters: ProtocolParameters,
-) -> "Any":
-    """All bounded-skew trials at once (module-level, hence picklable)."""
-    from ..exec.batching import batch_to_experiment_result
-    from ..exec.stage_batching import run_bounded_skew_batch
-    from ..substrate.rng import derive_seed
-
-    batch = run_bounded_skew_batch(
-        n=n,
-        epsilon=epsilon,
-        num_replicates=trials,
-        max_skew=skew,
-        base_seed=derive_seed(base_seed, name, "batch"),
-        parameters=parameters,
-    )
-    return batch_to_experiment_result(name, batch, base_seed=base_seed)
-
-
-def _clock_free_batch_result(
-    name: str, n: int, epsilon: float, trials: int, base_seed: int, parameters: ProtocolParameters
-) -> "Any":
-    """All clock-free trials at once (module-level, hence picklable)."""
-    from ..exec.batching import batch_to_experiment_result
-    from ..exec.stage_batching import run_clock_free_batch
-    from ..substrate.rng import derive_seed
-
-    batch = run_clock_free_batch(
-        n=n,
-        epsilon=epsilon,
-        num_replicates=trials,
-        base_seed=derive_seed(base_seed, name, "batch"),
-        parameters=parameters,
-    )
-    return batch_to_experiment_result(name, batch, base_seed=base_seed)
-
-
 def _variant_tasks(
     n: int,
     epsilon: float,
@@ -138,25 +78,30 @@ def _variant_tasks(
     parameters: ProtocolParameters,
     batch: bool,
 ) -> List[Tuple[str, Callable[..., Any], Dict[str, Any]]]:
-    """The per-variant tasks, in report-row order (synchronous first).
-
-    Per-variant batch seeds are derived from the same experiment names the
-    serial path uses, exactly as :func:`repro.exec.batching.run_sweep_batched`
-    derives per-point batch seeds.
-    """
+    """The per-variant tasks, in report-row order (synchronous first)."""
     shared: Dict[str, Any] = {"n": n, "epsilon": epsilon, "parameters": parameters}
-    tasks: List[Tuple[str, Callable[..., Any], Dict[str, Any]]] = []
     if batch:
-        batch_shared = {**shared, "trials": trials, "base_seed": base_seed}
-        tasks.append(("synchronous", _sync_batch_result, {"name": "E9-synchronous", **batch_shared}))
-        for skew in skews:
-            tasks.append(
-                ("skew", _skew_batch_result, {"name": f"E9-skew-{skew}", "skew": skew, **batch_shared})
+        from ..exec.batching import run_batch_cell, run_broadcast_batch
+        from ..exec.stage_batching import run_bounded_skew_batch, run_clock_free_batch
+
+        batch_shared = {**shared, "num_trials": trials, "base_seed": base_seed}
+        cells = [("synchronous", "E9-synchronous", run_broadcast_batch, {})]
+        cells += [
+            ("skew", f"E9-skew-{skew}", run_bounded_skew_batch, {"max_skew": skew})
+            for skew in skews
+        ]
+        cells.append(("clock-free", "E9-clock-free", run_clock_free_batch, {}))
+        return [
+            (
+                variant,
+                run_batch_cell,
+                {"name": name, "batch_fn": batch_fn, **batch_shared, **settings},
             )
-        tasks.append(("clock-free", _clock_free_batch_result, {"name": "E9-clock-free", **batch_shared}))
-        return tasks
+            for variant, name, batch_fn, settings in cells
+        ]
 
     serial_shared = {"num_trials": trials, "base_seed": base_seed}
+    tasks: List[Tuple[str, Callable[..., Any], Dict[str, Any]]] = []
     tasks.append(
         (
             "synchronous",

@@ -264,15 +264,15 @@ class TestSweepPointNames:
     def test_batched_sweep_agrees_on_duplicate_seed_derivation(self):
         """The batched dispatcher derives per-point batch seeds from the same
         disambiguated names, so duplicate points get independent batches."""
-        from repro.exec.batching import run_sweep_batched
+        from repro.exec.batching import run_broadcast_batch, run_sweep_batched
 
         sweep = run_sweep_batched(
             name="S",
             points=[{"n": 250}, {"n": 250}],
+            batch_fn=run_broadcast_batch,
             trials_per_point=2,
             base_seed=3,
             defaults={"epsilon": 0.3},
-            shape="broadcast",
         )
         assert sweep.results[0].name == "S[n=250]"
         assert sweep.results[1].name == "S[n=250]#1"

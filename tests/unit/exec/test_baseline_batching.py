@@ -189,10 +189,11 @@ class TestDirectSourceDifferential:
 
 
 class TestBaselineSweepShape:
-    def test_auto_detects_baseline_points(self):
+    def test_baseline_points_record_baseline_measurements(self):
         sweep = run_sweep_batched(
             name="B",
             points=[{"protocol": "immediate-forwarding"}],
+            batch_fn=run_baseline_batch,
             trials_per_point=2,
             base_seed=0,
             defaults={"n": 150, "epsilon": 0.3},
@@ -204,10 +205,10 @@ class TestBaselineSweepShape:
         sweep = run_sweep_batched(
             name="B",
             points=[{"protocol": "noisy-voter", "max_rounds": 32.0}],
+            batch_fn=run_baseline_batch,
             trials_per_point=2,
             base_seed=0,
             defaults={"n": 150, "epsilon": 0.3},
-            shape="baseline",
         )
         assert sweep.results[0].mean("rounds") == 32
 
@@ -216,16 +217,17 @@ class TestBaselineSweepShape:
             run_sweep_batched(
                 name="B",
                 points=[{"n": 150}],
+                batch_fn=run_baseline_batch,
                 trials_per_point=2,
                 defaults={"epsilon": 0.3},
-                shape="baseline",
-            )
+                )
 
     def test_unrecognised_setting_raises(self):
         with pytest.raises(ExperimentError, match="unrecognised"):
             run_sweep_batched(
                 name="B",
                 points=[{"protocol": "noisy-voter", "turbo": True}],
+                batch_fn=run_baseline_batch,
                 trials_per_point=2,
                 defaults={"n": 150, "epsilon": 0.3},
             )
@@ -234,6 +236,7 @@ class TestBaselineSweepShape:
         kwargs = dict(
             name="B",
             points=[{"protocol": "immediate-forwarding"}, {"protocol": "noisy-voter", "max_rounds": 24}],
+            batch_fn=run_baseline_batch,
             trials_per_point=2,
             base_seed=5,
             defaults={"n": 150, "epsilon": 0.3},

@@ -15,15 +15,18 @@ from repro.api import ExecutionConfig, run_experiment
 from repro.core.broadcast import solve_noisy_broadcast
 from repro.core.majority import solve_noisy_majority_consensus
 from repro.errors import ExperimentError, ParameterError, ProtocolError
+from repro.exec import batching
 from repro.exec.batching import (
-    batch_to_experiment_result,
+    run_batch_cell,
     run_broadcast_batch,
     run_broadcast_sweep_batched,
     run_majority_batch,
     run_sweep_batched,
 )
 from repro.exec.runner import trial_seed
+from repro.exec.stage_batching import run_stage1_instrumented
 from repro.substrate.network import PushGossipNetwork
+from repro.substrate.rng import derive_seed
 from repro.substrate.noise import AdversarialFlipBudgetChannel, BinarySymmetricChannel, PerfectChannel
 
 
@@ -179,14 +182,61 @@ class TestBatchedBroadcast:
         assert measurements["messages_per_agent"] == pytest.approx(measurements["messages"] / 250)
 
 
-class TestBatchAdapters:
-    def test_experiment_result_records_identifying_seeds(self):
-        batch = run_broadcast_batch(n=250, epsilon=0.3, num_replicates=3, base_seed=5)
-        result = batch_to_experiment_result("B", batch, base_seed=5, config={"n": 250})
-        assert result.num_trials == 3
-        assert [t.seed for t in result.trials] == [trial_seed(5, "B", i) for i in range(3)]
-        assert result.mean("rounds") == batch.rounds
+class TestRunBatchCell:
+    def test_batch_fn_gets_the_replicate_count_and_the_cell_batch_seed(self):
+        captured = {}
 
+        def fake_batch(**kwargs):
+            captured.update(kwargs)
+            return run_broadcast_batch(**kwargs)
+
+        run_batch_cell("B", fake_batch, 3, base_seed=5, n=250, epsilon=0.3)
+        assert captured == {
+            "num_replicates": 3,
+            "base_seed": derive_seed(5, "B", "batch"),
+            "n": 250,
+            "epsilon": 0.3,
+        }
+
+    def test_replicates_are_recorded_under_the_serial_trial_seeds(self):
+        result = run_batch_cell(
+            "B", run_broadcast_batch, 3, base_seed=5, config={"n": 250}, n=250, epsilon=0.3
+        )
+        batch = run_broadcast_batch(
+            n=250, epsilon=0.3, num_replicates=3, base_seed=derive_seed(5, "B", "batch")
+        )
+        assert (result.name, result.config, result.num_trials) == ("B", {"n": 250}, 3)
+        assert [t.trial_index for t in result.trials] == [0, 1, 2]
+        assert [t.seed for t in result.trials] == [trial_seed(5, "B", i) for i in range(3)]
+        assert [t.measurements for t in result.trials] == [
+            batch.measurements(i) for i in range(3)
+        ]
+
+    def test_measure_overrides_the_batch_measurements(self):
+        def phase_counts(batch):
+            return [{"phases": len(batch.phases)} for _ in range(batch.num_replicates)]
+
+        result = run_batch_cell(
+            "S", run_stage1_instrumented, 2, measure=phase_counts, n=250, epsilon=0.3
+        )
+        batch = run_stage1_instrumented(n=250, epsilon=0.3, num_replicates=2)
+        assert [t.measurements for t in result.trials] == phase_counts(batch)
+        assert [t.seed for t in result.trials] == [trial_seed(0, "S", i) for i in range(2)]
+
+    def test_failing_cell_on_a_pool_is_named_in_the_error(self, on_local_pool):
+        with pytest.raises(ExperimentError) as excinfo:
+            on_local_pool(
+                run_sweep_batched,
+                name="M",
+                points=[{"set_size": 30, "bias": 0.3}, {"set_size": 400, "bias": 0.3}],
+                batch_fn=run_majority_batch,
+                trials_per_point=2,
+                defaults={"n": 250, "epsilon": 0.3},
+            )
+        assert "name='M[set_size=400, bias=0.3]'" in str(excinfo.value)
+
+
+class TestBatchAdapters:
     def test_batched_sweep_mirrors_run_sweep_naming(self):
         sweep = run_broadcast_sweep_batched(
             name="S",
@@ -308,10 +358,13 @@ class TestSweepDispatch:
             captured.update(kwargs)
             return run_broadcast_batch(n=kwargs["n"], epsilon=kwargs["epsilon"], num_replicates=2)
 
-        monkeypatch.setattr("repro.exec.batching.run_broadcast_batch", fake_batch)
+        monkeypatch.setitem(
+            batching._SWEEP_SETTINGS, fake_batch, batching._SWEEP_SETTINGS[run_broadcast_batch]
+        )
         run_sweep_batched(
             name="S",
             points=[{"n": 250, "correct_opinion": 0}],
+            batch_fn=fake_batch,
             trials_per_point=2,
             base_seed=0,
             defaults={"epsilon": 0.3, "allow_self_messages": True, "b0": 2.5},
@@ -326,6 +379,7 @@ class TestSweepDispatch:
         sweep = run_sweep_batched(
             name="M",
             points=[{"set_size": 30.0, "bias": 0.3}],
+            batch_fn=run_majority_batch,
             trials_per_point=2,
             base_seed=0,
             defaults={"n": 250.0, "epsilon": 0.3},
@@ -337,6 +391,7 @@ class TestSweepDispatch:
         sweep = run_sweep_batched(
             name="M",
             points=[{"set_size": 50, "bias": 0.3}],
+            batch_fn=run_majority_batch,
             trials_per_point=2,
             base_seed=0,
             defaults={"n": 250, "epsilon": 0.3, "initial_set_size": 30},
@@ -353,23 +408,26 @@ class TestSweepDispatch:
                 defaults={"epsilon": 0.3},
             )
 
-    def test_auto_shape_detects_majority_points(self):
+    def test_majority_sweep_keeps_the_driver_grid_keys(self):
         sweep = run_sweep_batched(
             name="M",
             points=[{"set_size": 30, "bias": 0.3}],
+            batch_fn=run_majority_batch,
             trials_per_point=2,
             base_seed=0,
             defaults={"n": 250, "epsilon": 0.3},
         )
         assert "start_phase" in sweep.results[0].trials[0].measurements
-        # The grid keeps the driver's original grid keys.
+        # The grid and the recorded config keep the driver's original grid keys.
         assert sweep.points[0].as_dict() == {"set_size": 30, "bias": 0.3}
+        assert sweep.results[0].config == {"set_size": 30, "bias": 0.3}
 
     def test_alias_conflict_and_missing_settings_raise(self):
         with pytest.raises(ExperimentError, match="both"):
             run_sweep_batched(
                 name="M",
                 points=[{"set_size": 30, "initial_set_size": 30, "bias": 0.3}],
+                batch_fn=run_majority_batch,
                 trials_per_point=2,
                 defaults={"n": 250, "epsilon": 0.3},
             )
@@ -377,19 +435,35 @@ class TestSweepDispatch:
             run_sweep_batched(
                 name="M",
                 points=[{"set_size": 30}],
+                batch_fn=run_majority_batch,
                 trials_per_point=2,
                 defaults={"n": 250, "epsilon": 0.3},
-                shape="majority",
             )
-        with pytest.raises(ExperimentError, match="shape"):
+
+    def test_aliases_are_majority_settings_only(self):
+        with pytest.raises(ExperimentError, match=r"unrecognised setting\(s\) \['set_size'\]"):
+            run_broadcast_sweep_batched(
+                name="S",
+                points=[{"set_size": 30}],
+                trials_per_point=2,
+                defaults={"n": 250, "epsilon": 0.3},
+            )
+
+    def test_batch_fn_without_a_settings_entry_raises(self):
+        with pytest.raises(ExperimentError, match="cannot dispatch"):
             run_sweep_batched(
-                name="M", points=[{"n": 250}], trials_per_point=2, shape="gossip"
+                name="S",
+                points=[{"n": 250}],
+                batch_fn=run_stage1_instrumented,
+                trials_per_point=2,
+                defaults={"epsilon": 0.3},
             )
 
     def test_majority_sweep_mirrors_run_sweep_naming(self):
         sweep = run_sweep_batched(
             name="M",
             points=[{"set_size": 30, "bias": 0.35}, {"set_size": 60, "bias": 0.35}],
+            batch_fn=run_majority_batch,
             trials_per_point=2,
             base_seed=3,
             defaults={"n": 250, "epsilon": 0.3},
