@@ -116,9 +116,9 @@ def _assert_sweep_physics(families: Dict[str, Any]) -> None:
                         assert row["success_rate"] >= 0.5, (family, path, row)
 
 
-def test_e12_fault_sweep(print_report):
+def test_e12_fault_sweep(print_report, machine_stamp):
     """Measure the E12 sweep per fault kind and record the JSON payload."""
-    payload = measure(build_workloads())
+    payload = {**measure(build_workloads()), "machine": machine_stamp}
     RESULTS_PATH.parent.mkdir(parents=True, exist_ok=True)
     RESULTS_PATH.write_text(json.dumps(payload, indent=2) + "\n")
 

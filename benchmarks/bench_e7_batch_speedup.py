@@ -90,7 +90,7 @@ def _run_batched(pooled: bool = False):
         return sweep()
 
 
-def test_e7_batch_speedup(print_report):
+def test_e7_batch_speedup(print_report, machine_stamp):
     """Measure serial vs batched vs batched+point-parallel and record the JSON."""
     start = time.perf_counter()
     serial_results = _run_serial()
@@ -133,6 +133,7 @@ def test_e7_batch_speedup(print_report):
             "base_seed": BASE_SEED,
         },
         "host": {"cpu_count": os.cpu_count()},
+        "machine": machine_stamp,
         "seconds": {
             "serial": round(serial_seconds, 3),
             "batch": round(batch_seconds, 3),

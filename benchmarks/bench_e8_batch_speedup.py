@@ -50,7 +50,7 @@ def _timed_run(config: ExecutionConfig):
     return artifact.report.rows, time.perf_counter() - start
 
 
-def test_e8_batch_speedup(print_report):
+def test_e8_batch_speedup(print_report, machine_stamp):
     """Measure serial vs batched vs batched-on-a-pool and record the JSON."""
     serial_rows, serial_seconds = _timed_run(ExecutionConfig())
     batched_rows, batch_seconds = _timed_run(ExecutionConfig(batch=True))
@@ -78,6 +78,7 @@ def test_e8_batch_speedup(print_report):
             "base_seed": BASE_SEED,
         },
         "host": {"cpu_count": os.cpu_count()},
+        "machine": machine_stamp,
         "seconds": {
             "serial": round(serial_seconds, 3),
             "batch": round(batch_seconds, 3),

@@ -197,9 +197,9 @@ def measure(workloads: Dict[str, Dict[str, Any]]) -> Dict[str, Any]:
     }
 
 
-def test_stage_batch_speedup(print_report):
+def test_stage_batch_speedup(print_report, machine_stamp):
     """Measure serial vs batched for every stage-level family and record the JSON."""
-    payload = measure(build_workloads())
+    payload = {**measure(build_workloads()), "machine": machine_stamp}
     RESULTS_PATH.parent.mkdir(parents=True, exist_ok=True)
     RESULTS_PATH.write_text(json.dumps(payload, indent=2) + "\n")
 

@@ -24,7 +24,9 @@ per-call spawn-up.  ``benchmarks/bench_exec_speedup.py``,
 ``benchmarks/bench_e8_batch_speedup.py`` and
 ``benchmarks/bench_stage_batch_speedup.py`` measure the speedups of the
 pooled, batched and batched-on-a-pool paths explicitly and record them as
-JSON under ``benchmarks/results/``; at the end of every benchmark session
+JSON under ``benchmarks/results/`` (stamped through the ``machine_stamp``
+fixture with the commit, CPU count and versions they ran on); at the end of
+every benchmark session
 ``benchmarks/collect_results.py`` merges those files into the top-level
 ``BENCH_SUMMARY.json`` so the perf trajectory stays machine-readable across
 PRs.
@@ -37,8 +39,8 @@ import pytest
 from repro.api import ExecutionConfig
 
 
-def pytest_sessionfinish(session, exitstatus):
-    """Regenerate the top-level BENCH_SUMMARY.json after a benchmark run."""
+def _collect_results():
+    """``benchmarks/collect_results.py``, imported by path (benchmarks/ is not a package)."""
     import importlib.util
     from pathlib import Path
 
@@ -46,8 +48,24 @@ def pytest_sessionfinish(session, exitstatus):
     spec = importlib.util.spec_from_file_location("_bench_collect_results", script)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
+    return module
+
+
+def pytest_sessionfinish(session, exitstatus):
+    """Regenerate the top-level BENCH_SUMMARY.json after a benchmark run."""
+    module = _collect_results()
     if module.RESULTS_DIR.is_dir() and any(module.RESULTS_DIR.glob("*.json")):
         module.collect()
+
+
+@pytest.fixture(scope="session")
+def machine_stamp():
+    """Commit, CPU count, python and numpy of this benchmark session.
+
+    Taken once, before any result file of the session is written, so the
+    commit carries no ``-dirty`` suffix from the session's own output.
+    """
+    return _collect_results().machine_stamp()
 
 
 @pytest.fixture
