@@ -24,12 +24,13 @@ per-call spawn-up.  ``benchmarks/bench_exec_speedup.py``,
 ``benchmarks/bench_e8_batch_speedup.py`` and
 ``benchmarks/bench_stage_batch_speedup.py`` measure the speedups of the
 pooled, batched and batched-on-a-pool paths explicitly and record them as
-JSON under ``benchmarks/results/`` (stamped through the ``machine_stamp``
-fixture with the commit, CPU count and versions they ran on); at the end of
-every benchmark session
+JSON under ``benchmarks/results/``; at the end of every benchmark session
 ``benchmarks/collect_results.py`` merges those files into the top-level
 ``BENCH_SUMMARY.json`` so the perf trajectory stays machine-readable across
 PRs.
+
+The stage, E7, E8 and E12 result files record the commit, CPU count and
+versions they were measured on, from the ``machine_stamp`` fixture.
 """
 
 from __future__ import annotations
@@ -37,6 +38,13 @@ from __future__ import annotations
 import pytest
 
 from repro.api import ExecutionConfig
+
+
+def pytest_sessionfinish(session, exitstatus):
+    """Regenerate the top-level BENCH_SUMMARY.json after a benchmark run."""
+    module = _collect_results()
+    if module.RESULTS_DIR.is_dir() and any(module.RESULTS_DIR.glob("*.json")):
+        module.collect()
 
 
 def _collect_results():
@@ -51,19 +59,12 @@ def _collect_results():
     return module
 
 
-def pytest_sessionfinish(session, exitstatus):
-    """Regenerate the top-level BENCH_SUMMARY.json after a benchmark run."""
-    module = _collect_results()
-    if module.RESULTS_DIR.is_dir() and any(module.RESULTS_DIR.glob("*.json")):
-        module.collect()
-
-
 @pytest.fixture(scope="session")
 def machine_stamp():
-    """Commit, CPU count, python and numpy of this benchmark session.
+    """Commit, CPU count, python and numpy of this benchmark run.
 
-    Taken once, before any result file of the session is written, so the
-    commit carries no ``-dirty`` suffix from the session's own output.
+    Taken once, before any result file of the run is written, so the commit
+    carries no ``-dirty`` suffix from the run's own output.
     """
     return _collect_results().machine_stamp()
 

@@ -37,7 +37,7 @@ stage-level experiments E4–E6 and the windowed E9 executors).
 :func:`repro.analysis.experiments.run_trials`: it runs every trial of one
 named cell as a single batch call and packages one row per replicate as an
 :class:`~repro.analysis.experiments.ExperimentResult`.  Every batched sweep
-point and every batched driver cell (E4–E7, E9, E11, E12) goes through it.
+point and every batched experiment cell (E4–E7, E9, E11, E12) goes through it.
 :func:`run_sweep_batched` dispatches whole sweeps point-by-point onto the
 named batch simulator, forwarding *every* recognised point setting
 (``correct_opinion``, ``allow_self_messages``, ``initial_set_size``,
@@ -970,8 +970,8 @@ def run_batch_cell(
       the seed serial trial ``i`` of ``name`` runs with.  (It identifies the
       trial; the randomness comes from the batch stream.)
 
-    The rows are ``measure(batch)`` when ``measure`` is given (a driver whose
-    measurement keys differ from the simulator's), otherwise
+    The rows are ``measure(batch)`` when ``measure`` is given (for an
+    experiment whose measurement keys differ from the simulator's), otherwise
     ``batch.measurements(i)`` for every replicate.
     """
     from ..analysis.experiments import ExperimentResult
@@ -1022,7 +1022,7 @@ _SWEEP_SETTINGS: Dict[Callable[..., Any], Tuple[Tuple[str, ...], frozenset]] = {
     ),
 }
 
-#: Grid-key aliases used by the serial E8 driver, normalised on dispatch.
+#: Grid-key aliases of the serial E8 sweep, normalised on dispatch.
 _MAJORITY_ALIASES: Dict[str, str] = {"set_size": "initial_set_size", "bias": "majority_bias"}
 
 
@@ -1117,7 +1117,7 @@ def run_sweep_batched(
     as aliases of the majority simulator's settings.  Point naming and
     per-point seeding mirror ``run_sweep`` (including the duplicate-label
     disambiguation of :func:`repro.analysis.sweeps.sweep_point_names`) so
-    batched sweeps slot into the existing report builders unchanged.
+    batched sweeps feed the existing reports unchanged.
 
     ``name``, ``points``, ``trials_per_point`` and ``base_seed`` are as in
     :func:`repro.analysis.sweeps.run_sweep`; ``defaults`` supplies settings

@@ -102,7 +102,7 @@ def run_point_tasks(tasks: Sequence[Tuple[Callable[..., Any], Mapping[str, Any]]
     :func:`repro.exec.batching.run_batch_cell` call and returns an
     :class:`~repro.analysis.experiments.ExperimentResult`: the batched sweep
     points of :func:`repro.exec.batching.run_sweep_batched` and the cells of
-    the cell-structured drivers (E4, E7, E9, E11, E12).  Every kwarg was
+    the cell-structured experiments (E4, E7, E9, E11, E12).  Every kwarg was
     resolved in the parent, so the results are identical on every backend.
     Failure context is read off the kwargs (the cell's ``name`` and its
     ``seed`` or ``base_seed``).

@@ -408,7 +408,7 @@ class TestSweepDispatch:
                 defaults={"epsilon": 0.3},
             )
 
-    def test_majority_sweep_keeps_the_driver_grid_keys(self):
+    def test_majority_sweep_keeps_the_serial_grid_keys(self):
         sweep = run_sweep_batched(
             name="M",
             points=[{"set_size": 30, "bias": 0.3}],
@@ -418,7 +418,7 @@ class TestSweepDispatch:
             defaults={"n": 250, "epsilon": 0.3},
         )
         assert "start_phase" in sweep.results[0].trials[0].measurements
-        # The grid and the recorded config keep the driver's original grid keys.
+        # The grid and the recorded config keep the serial E8 grid keys.
         assert sweep.points[0].as_dict() == {"set_size": 30, "bias": 0.3}
         assert sweep.results[0].config == {"set_size": 30, "bias": 0.3}
 

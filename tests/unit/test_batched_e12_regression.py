@@ -1,6 +1,6 @@
 """Determinism regression: batched E12 reports are pinned across commits.
 
-``E12_SERIAL_DIGESTS`` pins the serial driver, and the fault-batching tests
+``E12_SERIAL_DIGESTS`` pins serial E12, and the fault-batching tests
 compare batch rules within one commit at ``f = 0`` only, so nothing else
 notices a change in what a batched fault cell draws or how its trials are
 seeded and packaged.  On the serial pin's configuration the batched crash
