@@ -118,9 +118,9 @@ def measure(workload: Dict[str, Any]) -> Dict[str, Any]:
     }
 
 
-def test_backend_dispatch_overhead():
+def test_backend_dispatch_overhead(machine_stamp):
     """Measure the dispatch strategies and record the JSON perf record."""
-    payload = measure(build_workloads())
+    payload = {**measure(build_workloads()), "machine": machine_stamp}
     RESULTS_PATH.parent.mkdir(parents=True, exist_ok=True)
     RESULTS_PATH.write_text(json.dumps(payload, indent=2) + "\n")
 

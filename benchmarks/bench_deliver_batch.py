@@ -1,0 +1,183 @@
+"""Batched push-gossip delivery: O(m) scatter-min vs the sort-based collision rule.
+
+:meth:`repro.substrate.network.PushGossipNetwork.deliver_batch` runs once per
+round of every batched simulation, over an ``(R, n)`` replicate grid.  It
+used to pick each (replicate, recipient) bucket's winner with one argsort of
+the combined float key ``bucket + priority`` and to index messages by 2-D
+``np.nonzero`` coordinates.  It now scatter-mins the raw priorities per bucket
+(``np.minimum.at``), reads the winners back from an owner grid, and indexes
+messages by flat grid position, skipping the search when every agent speaks.
+This benchmark times one round at ``R = 8``, ``n = 2000`` both ways on the
+same generator seed, at full send (every Stage-II round) and at 10% send,
+and records the microseconds per round in
+``benchmarks/results/deliver_batch.json``.
+
+The sort-based rule survives only here and in the unit tests, as
+:func:`argsort_deliver_batch`.  Both paths make the same draws, so
+``measure`` first asserts that they return identical reports before it times
+anything.  Repeats alternate between the two paths, and the speedup is the
+median of the per-repeat ratios, so slow drift in machine speed cancels out.
+
+``build_workloads(toy=True)`` shrinks the round and repeat counts so the
+smoke gate in ``tests/unit/test_smoke_gates.py`` can check the full-send
+speed *ratio* in about a second.
+"""
+
+from __future__ import annotations
+
+import json
+import statistics
+import time
+from pathlib import Path
+from typing import Any, Callable, Dict
+
+import numpy as np
+
+from repro.substrate.network import BatchDeliveryReport, PushGossipNetwork
+from repro.substrate.noise import BinarySymmetricChannel, NoiseChannel
+
+RESULTS_PATH = Path(__file__).parent / "results" / "deliver_batch.json"
+
+#: Minimum full-send speedup the full-size run asserts (the smoke gate asserts 1.1x).
+MIN_SPEEDUP = 1.25
+
+#: Send densities timed: the share of agents that speak in the round.
+SEND_FRACTIONS = {"full_send": 1.0, "send_10pct": 0.1}
+
+
+def argsort_deliver_batch(
+    network: PushGossipNetwork,
+    send_mask: np.ndarray,
+    bits: np.ndarray,
+    channel: NoiseChannel,
+    rng: np.random.Generator,
+) -> BatchDeliveryReport:
+    """The sort-based ``deliver_batch``: same draws, combined-key argsort.
+
+    Kept as the timing reference only; it checks bits like the network does
+    but skips the shape checks and the network's counters, which cost the
+    same on both paths.
+    """
+    num_replicates, size = send_mask.shape
+    network._check_bits(bits[send_mask])
+    sent = send_mask.sum(axis=1).astype(np.int64)
+    accepted = np.zeros((num_replicates, size), dtype=bool)
+    accepted_bits = np.zeros((num_replicates, size), dtype=np.int8)
+    accepted_senders = np.full((num_replicates, size), -1, dtype=np.int64)
+    rows, cols = np.nonzero(send_mask)
+    if rows.size:
+        if network.allow_self_messages:
+            targets = rng.integers(0, size, size=rows.size)
+        else:
+            draws = rng.integers(0, size - 1, size=rows.size)
+            targets = draws + (draws >= cols)
+        priorities = rng.random(rows.size)
+        buckets = rows * size + targets
+        order = np.argsort(buckets + priorities)
+        sorted_buckets = buckets[order]
+        is_first = np.ones(order.size, dtype=bool)
+        is_first[1:] = sorted_buckets[1:] != sorted_buckets[:-1]
+        winners = order[is_first]
+        winning_buckets = buckets[winners]
+        accepted.reshape(-1)[winning_buckets] = True
+        accepted_senders.reshape(-1)[winning_buckets] = cols[winners]
+        noisy = channel.transmit(bits[rows[winners], cols[winners]], rng)
+        accepted_bits.reshape(-1)[winning_buckets] = noisy
+    return BatchDeliveryReport(
+        accepted=accepted,
+        bits=accepted_bits,
+        senders=accepted_senders,
+        messages_sent=sent,
+        messages_delivered=accepted.sum(axis=1).astype(np.int64),
+    )
+
+
+def build_workloads(toy: bool = False) -> Dict[str, Any]:
+    """The one-round workload (``toy=True`` = smoke-gate scale)."""
+    if toy:
+        return {"n": 2000, "replicates": 8, "epsilon": 0.2, "rounds": 20, "repeats": 7, "seed": 7}
+    return {"n": 2000, "replicates": 8, "epsilon": 0.2, "rounds": 200, "repeats": 11, "seed": 7}
+
+
+def _measure_density(workload: Dict[str, Any], fraction: float) -> Dict[str, Any]:
+    """Check both paths agree on one send density, then time them alternately."""
+    n, replicates = workload["n"], workload["replicates"]
+    rounds, seed = workload["rounds"], workload["seed"]
+    network = PushGossipNetwork(size=n)
+    channel = BinarySymmetricChannel(epsilon=workload["epsilon"])
+    picker = np.random.default_rng(seed)
+    send_mask = picker.random((replicates, n)) < fraction
+    bits = picker.integers(0, 2, size=(replicates, n)).astype(np.int8)
+
+    paths: Dict[str, Callable[..., BatchDeliveryReport]] = {
+        "deliver_batch": network.deliver_batch,
+        "argsort_oracle": lambda m, b, c, r: argsort_deliver_batch(network, m, b, c, r),
+    }
+    new = paths["deliver_batch"](send_mask, bits, channel, np.random.default_rng(seed))
+    old = paths["argsort_oracle"](send_mask, bits, channel, np.random.default_rng(seed))
+    for name in ("accepted", "bits", "senders", "messages_sent", "messages_delivered"):
+        assert np.array_equal(getattr(new, name), getattr(old, name)), name
+        assert getattr(new, name).dtype == getattr(old, name).dtype, name
+
+    def per_round_us(label: str) -> float:
+        deliver = paths[label]
+        rng = np.random.default_rng(seed)
+        start = time.perf_counter()
+        for _ in range(rounds):
+            deliver(send_mask, bits, channel, rng)
+        return 1e6 * (time.perf_counter() - start) / rounds
+
+    for label in paths:  # warm-up: first-call allocation and import costs
+        per_round_us(label)
+    samples: Dict[str, list] = {label: [] for label in paths}
+    for _ in range(workload["repeats"]):
+        for label in paths:
+            samples[label].append(per_round_us(label))
+    ratios = [old / new for old, new in zip(samples["argsort_oracle"], samples["deliver_batch"])]
+
+    return {
+        "description": (
+            f"deliver_batch at {fraction:.0%} send: O(m) scatter-min vs argsort collision rule"
+        ),
+        "workload": {
+            "experiment": "one push-gossip round over an (R, n) grid",
+            "send_fraction": fraction,
+            **workload,
+        },
+        "us_per_round": {
+            label: round(statistics.median(times), 1) for label, times in samples.items()
+        },
+        "seconds": {
+            label: round(sum(times) * rounds / 1e6, 3) for label, times in samples.items()
+        },
+        "speedup_vs_serial": {
+            "deliver_batch_vs_argsort_oracle": round(statistics.median(ratios), 2)
+        },
+    }
+
+
+def measure(workload: Dict[str, Any]) -> Dict[str, Any]:
+    """One family per send density."""
+    return {
+        "families": {
+            family: _measure_density(workload, fraction)
+            for family, fraction in SEND_FRACTIONS.items()
+        }
+    }
+
+
+def test_deliver_batch_speedup(machine_stamp):
+    """Measure both delivery paths at both densities and record the JSON perf record."""
+    payload = {**measure(build_workloads()), "machine": machine_stamp}
+    RESULTS_PATH.parent.mkdir(parents=True, exist_ok=True)
+    RESULTS_PATH.write_text(json.dumps(payload, indent=2) + "\n")
+
+    print()
+    print(json.dumps(payload, indent=2))
+
+    full = payload["families"]["full_send"]["speedup_vs_serial"]
+    speedup = full["deliver_batch_vs_argsort_oracle"]
+    assert speedup >= MIN_SPEEDUP, (
+        f"expected the scatter-min deliver_batch to beat the argsort rule by {MIN_SPEEDUP}x "
+        f"at full send, got {speedup}x (recorded in {RESULTS_PATH})"
+    )

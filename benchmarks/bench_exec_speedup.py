@@ -40,7 +40,7 @@ def _timed_run(config: ExecutionConfig):
     return artifact, time.perf_counter() - start
 
 
-def test_exec_speedup(print_report):
+def test_exec_speedup(print_report, machine_stamp):
     """Measure serial vs parallel vs batched wall-clock and record the JSON."""
     serial, serial_seconds = _timed_run(ExecutionConfig())
     parallel, parallel_seconds = _timed_run(ExecutionConfig(backend="local"))
@@ -64,6 +64,7 @@ def test_exec_speedup(print_report):
             "base_seed": BASE_SEED,
         },
         "host": {"cpu_count": os.cpu_count(), "parallel_jobs": pool["workers"]},
+        "machine": machine_stamp,
         "seconds": {
             "serial": round(serial_seconds, 3),
             "parallel": round(parallel_seconds, 3),

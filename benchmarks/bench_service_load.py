@@ -159,9 +159,9 @@ def measure(workload: Dict[str, Any]) -> Dict[str, Any]:
     }
 
 
-def test_service_load():
+def test_service_load(machine_stamp):
     """Measure cold vs warm service throughput and record the JSON record."""
-    payload = measure(build_workloads())
+    payload = {**measure(build_workloads()), "machine": machine_stamp}
     RESULTS_PATH.parent.mkdir(parents=True, exist_ok=True)
     RESULTS_PATH.write_text(json.dumps(payload, indent=2) + "\n")
 

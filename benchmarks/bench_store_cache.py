@@ -114,9 +114,9 @@ def measure(workload: Dict[str, Any]) -> Dict[str, Any]:
     }
 
 
-def test_store_cache_speedup():
+def test_store_cache_speedup(machine_stamp):
     """Measure cold vs warm store costs and record the JSON perf record."""
-    payload = measure(build_workloads())
+    payload = {**measure(build_workloads()), "machine": machine_stamp}
     RESULTS_PATH.parent.mkdir(parents=True, exist_ok=True)
     RESULTS_PATH.write_text(json.dumps(payload, indent=2) + "\n")
 

@@ -29,8 +29,10 @@ JSON under ``benchmarks/results/``; at the end of every benchmark session
 ``BENCH_SUMMARY.json`` so the perf trajectory stays machine-readable across
 PRs.
 
-The stage, E7, E8 and E12 result files record the commit, CPU count and
-versions they were measured on, from the ``machine_stamp`` fixture.
+Every result file records the commit, CPU count and versions it was
+measured on, from the ``machine_stamp`` fixture
+(``bench_deliver_serial.py`` takes the same stamp directly, so its smoke
+gate checks it too).
 """
 
 from __future__ import annotations

@@ -268,10 +268,10 @@ class PushGossipNetwork:
         Per replicate the semantics are exactly those of :meth:`deliver` —
         uniform recipient choice, single-accept with a uniformly random winner
         among colliding messages, channel noise on accepted bits — and
-        replicates never interact.  The collision winner is selected by
-        assigning each message an i.i.d. uniform priority and keeping the
-        minimum per (replicate, recipient) pair, which is an unbiased
-        implementation of the uniform-winner rule.
+        replicates never interact.  Each message draws an i.i.d. uniform
+        priority and the lowest one per (replicate, recipient) bucket wins, an
+        unbiased uniform-winner rule that :meth:`_resolve_collisions` applies
+        in O(m) for m messages by scatter-min, with no sort.
 
         Randomness is drawn from the single ``rng`` for the whole batch, so
         results are deterministic given the generator state but not
@@ -282,8 +282,8 @@ class PushGossipNetwork:
         Parameters
         ----------
         send_mask:
-            ``(R, n)`` boolean grid: which agents speak this round in each
-            replicate.
+            ``(R, n)`` grid of dtype ``bool``: which agents speak this round
+            in each replicate (any other dtype raises :class:`ProtocolError`).
         bits:
             ``(R, n)`` integer grid with the bit each agent would push
             (entries outside ``send_mask`` are ignored).
@@ -308,27 +308,30 @@ class PushGossipNetwork:
         accepted_bits = np.zeros((num_replicates, size), dtype=np.int8)
         accepted_senders = np.full((num_replicates, size), -1, dtype=np.int64)
 
-        rows, cols = np.nonzero(send_mask)
-        if rows.size:
-            # One flat bucket per (replicate, recipient) pair keeps the
-            # replicates independent while resolving every collision in a
-            # single sort.
+        # Message i is the sender at flat position positions[i] (the order
+        # np.nonzero lists), so its bucket is positions - cols + target; when
+        # every agent speaks, positions covers every cell with no search.
+        if sent.sum() == send_mask.size:
+            positions = np.arange(send_mask.size)
+            cols = np.tile(np.arange(size), num_replicates)
+        else:
+            positions = np.flatnonzero(send_mask)
+            cols = positions % size
+        if positions.size:
             if self.allow_self_messages:
-                targets = rng.integers(0, size, size=rows.size)
+                targets = rng.integers(0, size, size=positions.size)
             else:
-                draws = rng.integers(0, size - 1, size=rows.size)
+                draws = rng.integers(0, size - 1, size=positions.size)
                 targets = draws + (draws >= cols)
-            priorities = rng.random(rows.size)
+            priorities = rng.random(positions.size)
             winners, winning_buckets = self._resolve_collisions(
-                rows, targets, priorities, num_replicates
+                positions - cols + targets, priorities, num_replicates
             )
             accepted.reshape(-1)[winning_buckets] = True
             accepted_senders.reshape(-1)[winning_buckets] = cols[winners]
-            # winning_buckets is ascending (one winner per sorted bucket), so
-            # noising the winner bits directly consumes the channel stream in
-            # the same replicate-major, recipient-ascending order as
-            # NoiseChannel.transmit_batch — bit-identical, minus a grid copy.
-            noisy = channel.transmit(bits[rows[winners], cols[winners]], rng)
+            # Ascending winning_buckets noise the winners in the replicate-major,
+            # recipient-ascending order of NoiseChannel.transmit_batch.
+            noisy = channel.transmit(bits.reshape(-1)[positions[winners]], rng)
             accepted_bits.reshape(-1)[winning_buckets] = noisy
 
         delivered = accepted.sum(axis=1).astype(np.int64)
@@ -410,7 +413,7 @@ class PushGossipNetwork:
         candidate = np.zeros((num_replicates, size), dtype=np.int8)
         if rows.size:
             winners, winning_buckets = self._resolve_collisions(
-                rows, targets, priorities_grid[rows, cols], num_replicates
+                rows * size + targets, priorities_grid[rows, cols], num_replicates
             )
             accepted.reshape(-1)[winning_buckets] = True
             accepted_senders.reshape(-1)[winning_buckets] = cols[winners]
@@ -503,36 +506,30 @@ class PushGossipNetwork:
 
     def _resolve_collisions(
         self,
-        rows: np.ndarray,
-        targets: np.ndarray,
+        buckets: np.ndarray,
         priorities: np.ndarray,
         num_replicates: int,
     ) -> tuple:
         """Keep one uniformly random message per (replicate, recipient) bucket.
 
-        Message ``i`` goes to flat bucket ``rows[i] * size + targets[i]``; the
-        message with the lowest i.i.d. uniform priority in a bucket wins.
-        Returns ``(winners, buckets)``: the winning message indices and their
-        buckets, in ascending bucket order.  Needs at least one message.
+        Message ``i`` goes to flat bucket ``buckets[i]`` (``row * size +
+        target``); the message with the lowest i.i.d. uniform priority in a
+        bucket wins.  Returns ``(winners, buckets)``: the winning message
+        indices and their buckets, in ascending bucket order.
         """
-        buckets = rows * self.size + targets
-        # Sorting by bucket with random tie-breaking picks a uniform winner
-        # per bucket.  A single combined float key (integer bucket +
-        # fractional priority) is an order of magnitude faster than
-        # np.lexsort and exact while bucket ids fit the 53-bit float64
-        # mantissa; batches anywhere near that size are unreachable in
-        # practice.
-        if num_replicates * self.size < 2**52:
-            order = np.argsort(buckets + priorities)
-        else:  # pragma: no cover - astronomically large batches
-            order = np.lexsort((priorities, buckets))
-        sorted_buckets = buckets[order]
-        is_first = np.empty(order.size, dtype=bool)
-        is_first[0] = True
-        is_first[1:] = sorted_buckets[1:] != sorted_buckets[:-1]
-        winners = order[is_first]
-        # A gather is several times cheaper than a second boolean-mask pass.
-        return winners, buckets[winners]
+        cells = num_replicates * self.size
+        # O(m), no sort: scatter-min each bucket's lowest priority (2.0 marks
+        # an empty bucket), keep the messages holding it, and let them write
+        # their index into an owner grid.  Reading the grid back lists the
+        # winners in ascending bucket order; an exact tie between two raw
+        # priorities still leaves one owner per bucket.
+        best = np.full(cells, 2.0)
+        np.minimum.at(best, buckets, priorities)
+        minimal = np.flatnonzero(priorities == best[buckets])
+        owner = np.full(cells, -1, dtype=np.int64)
+        owner[buckets[minimal]] = minimal
+        winning_buckets = np.flatnonzero(owner >= 0)
+        return owner[winning_buckets], winning_buckets
 
     @staticmethod
     def _check_bits(bits: np.ndarray) -> None:
@@ -550,8 +547,11 @@ class PushGossipNetwork:
 
     def _validate_grid_inputs(self, send_mask: np.ndarray, bits: np.ndarray) -> tuple:
         """Check one round's ``(R, n)`` grids; return them as arrays."""
-        send_mask = np.asarray(send_mask, dtype=bool)
+        send_mask = np.asarray(send_mask)
         bits = np.asarray(bits)
+        if send_mask.dtype != bool:
+            # A cast would let an opinion grid's -1 agents speak.
+            raise ProtocolError(f"send_mask must be a boolean grid, got dtype {send_mask.dtype}")
         if send_mask.ndim != 2:
             raise ProtocolError("send_mask must be a 2-D (replicates, agents) grid")
         if send_mask.shape != bits.shape:

@@ -139,6 +139,9 @@ class TestDeliverBatch:
         bad_bits = np.full((2, 10), 3, dtype=np.int8)
         with pytest.raises(ProtocolError):
             network.deliver_batch(np.ones((2, 10), dtype=bool), bad_bits, channel, rng)
+        opinions = np.full((2, 10), -1, dtype=np.int8)  # no agent holds an opinion
+        with pytest.raises(ProtocolError, match="boolean"):
+            network.deliver_batch(opinions, np.zeros((2, 10), dtype=np.int8), channel, rng)
 
 
 class TestBatchedBroadcast:

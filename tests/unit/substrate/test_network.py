@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ParameterError, ProtocolError
-from repro.substrate.network import DeliveryReport, PushGossipNetwork
+from repro.substrate.network import BatchDeliveryReport, DeliveryReport, PushGossipNetwork
 from repro.substrate.noise import PerfectChannel
 
 
@@ -251,6 +251,109 @@ class TestDeliverMatchesUniqueOracle:
             assert np.all(np.diff(report.recipients) > 0), "recipients stay ascending"
 
 
+def _argsort_deliver_batch(network, send_mask, bits, channel, rng):
+    """Oracle: ``deliver_batch``'s draws resolved with the sort-based rule.
+
+    The same ``integers`` / ``random`` / ``transmit`` draws in the same order,
+    with each (replicate, recipient) bucket's winner found by one argsort of
+    the combined float key ``bucket + priority`` instead of the O(m)
+    scatter-min.  Fault-free rounds only; counters are left alone.
+    """
+    num_replicates, size = send_mask.shape
+    sent = send_mask.sum(axis=1).astype(np.int64)
+    accepted = np.zeros((num_replicates, size), dtype=bool)
+    accepted_bits = np.zeros((num_replicates, size), dtype=np.int8)
+    accepted_senders = np.full((num_replicates, size), -1, dtype=np.int64)
+    rows, cols = np.nonzero(send_mask)
+    if rows.size:
+        if network.allow_self_messages:
+            targets = rng.integers(0, size, size=rows.size)
+        else:
+            draws = rng.integers(0, size - 1, size=rows.size)
+            targets = draws + (draws >= cols)
+        priorities = rng.random(rows.size)
+        buckets = rows * size + targets
+        order = np.argsort(buckets + priorities)
+        sorted_buckets = buckets[order]
+        is_first = np.ones(order.size, dtype=bool)
+        is_first[1:] = sorted_buckets[1:] != sorted_buckets[:-1]
+        winners = order[is_first]
+        winning_buckets = buckets[winners]
+        accepted.reshape(-1)[winning_buckets] = True
+        accepted_senders.reshape(-1)[winning_buckets] = cols[winners]
+        noisy = channel.transmit(bits[rows[winners], cols[winners]], rng)
+        accepted_bits.reshape(-1)[winning_buckets] = noisy
+    return BatchDeliveryReport(
+        accepted=accepted,
+        bits=accepted_bits,
+        senders=accepted_senders,
+        messages_sent=sent,
+        messages_delivered=accepted.sum(axis=1).astype(np.int64),
+    )
+
+
+class TestDeliverBatchMatchesSortOracle:
+    """``deliver_batch`` resolves collisions with a scatter-min over flat
+    buckets; it must reproduce the combined-key argsort rule field for field,
+    dtypes included, and leave the generator in the same state."""
+
+    SEEDS = range(6)
+    BIT_DTYPES = (np.int8, np.int64, bool)
+
+    @pytest.mark.parametrize("n", [2, 3, 50, 2000])
+    @pytest.mark.parametrize("replicates", [1, 3, 8])
+    @pytest.mark.parametrize("allow_self", [False, True])
+    @pytest.mark.parametrize("density", ["none", "one", "random", "all"])
+    def test_report_is_bit_identical(self, n, replicates, allow_self, density):
+        from repro.substrate.noise import BinarySymmetricChannel
+
+        channel = BinarySymmetricChannel(epsilon=0.2)
+        for seed in self.SEEDS:
+            picker = np.random.default_rng([seed, n, replicates])
+            mask = np.zeros((replicates, n), dtype=bool)
+            if density == "one":
+                mask[picker.integers(0, replicates), picker.integers(0, n)] = True
+            elif density == "random":
+                mask = picker.random((replicates, n)) < picker.random()
+            elif density == "all":
+                mask[:] = True
+            dtype = self.BIT_DTYPES[seed % len(self.BIT_DTYPES)]
+            bits = picker.integers(0, 2, size=(replicates, n)).astype(dtype)
+
+            network = PushGossipNetwork(size=n, allow_self_messages=allow_self)
+            rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            report = network.deliver_batch(mask, bits, channel, rng)
+            expected = _argsort_deliver_batch(network, mask, bits, channel, oracle_rng)
+
+            for name in ("accepted", "bits", "senders", "messages_sent", "messages_delivered"):
+                got, want = getattr(report, name), getattr(expected, name)
+                assert got.dtype == want.dtype, (name, seed)
+                assert np.array_equal(got, want), (name, seed)
+            assert rng.bit_generator.state == oracle_rng.bit_generator.state, seed
+
+    def test_exact_priority_tie_keeps_one_winner(self):
+        network = PushGossipNetwork(size=10)
+        buckets = np.array([5, 5, 7, 5])
+        priorities = np.array([0.25, 0.25, 0.5, 0.75])
+        winners, winning_buckets = network._resolve_collisions(buckets, priorities, 1)
+        assert winning_buckets.tolist() == [5, 7]
+        assert winners[0] in (0, 1) and winners[1] == 2
+
+    def test_gap_below_the_combined_key_spacing_keeps_the_true_minimum(self):
+        """At bucket 15999 of an (8, 2000) grid, priorities 2^-45 apart round
+        to one combined key; the scatter-min still picks the smaller one."""
+        network = PushGossipNetwork(size=2000)
+        bucket, low = 8 * 2000 - 1, 0.5
+        high = low + 2.0**-45
+        assert bucket + low == bucket + high  # the old key could not tell them apart
+        buckets = np.array([bucket, bucket, 3])
+        winners, winning_buckets = network._resolve_collisions(
+            buckets, np.array([high, low, 0.9]), 8
+        )
+        assert winning_buckets.tolist() == [3, bucket]
+        assert winners.tolist() == [2, 1]
+
+
 class TestValidationOnEverySerialPath:
     """The O(n) duplicate-sender check keeps the validator's errors, messages
     and check order on all three serial entry points, and bits are
@@ -313,4 +416,20 @@ class TestValidationOnEverySerialPath:
             network.deliver_batch(mask, np.full((2, 6), 0.9), perfect, rng, faults=injector)
         with pytest.raises(ProtocolError, match="0 or 1"):
             network.deliver_batch(mask, np.full((2, 6), 256), perfect, rng, faults=injector)
+        assert network.rounds_executed == 0
+
+    @pytest.mark.parametrize("faults", [False, True], ids=["fault-free", "resilient"])
+    @pytest.mark.parametrize("dtype", [np.int8, np.int64, np.float64])
+    def test_batch_rejects_a_non_boolean_send_mask(self, perfect, faults, dtype):
+        """An opinion grid (-1 = no opinion) passed as the mask must not be
+        cast: that would make the -1 agents speak and the 0 agents silent."""
+        from repro.substrate.faults import CrashStop, FaultInjector
+
+        network = PushGossipNetwork(size=6)
+        rng = np.random.default_rng(0)
+        injector = FaultInjector(CrashStop(), 6, rng, num_replicates=2) if faults else None
+        opinions = np.array([[-1, 0, 1, -1, 0, 1], [1, 1, 0, 0, -1, -1]], dtype=dtype)
+        bits = np.zeros((2, 6), dtype=np.int8)
+        with pytest.raises(ProtocolError, match="send_mask must be a boolean grid"):
+            network.deliver_batch(opinions, bits, perfect, rng, faults=injector)
         assert network.rounds_executed == 0

@@ -293,6 +293,16 @@ class TestStageBenchAndAggregatorSmoke:
         assert payload["speedup_vs_serial"]["deliver_vs_unique_oracle"] >= 1.5
         assert set(payload["machine"]) == {"commit", "nproc", "python", "numpy"}
 
+    def test_deliver_batch_bench_speed_ratio_at_toy_size(self):
+        """The scatter-min deliver_batch must beat the argsort rule at full
+        send; only the ratio of the two (median over alternating repeats) is
+        checked, never seconds."""
+        module = _load_script(BENCHMARKS_DIR / "bench_deliver_batch.py", "_smoke_batch_bench")
+        payload = module.measure(module.build_workloads(toy=True))
+        assert set(payload["families"]) == {"full_send", "send_10pct"}
+        full = payload["families"]["full_send"]["speedup_vs_serial"]
+        assert full["deliver_batch_vs_argsort_oracle"] >= 1.1
+
     def test_collect_results_aggregates_both_shapes(self, tmp_path):
         results = tmp_path / "results"
         results.mkdir()
