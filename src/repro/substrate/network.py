@@ -309,7 +309,8 @@ class PushGossipNetwork:
         accepted_senders = np.full((num_replicates, size), -1, dtype=np.int64)
 
         # Message i is the sender at flat position positions[i] (the order
-        # np.nonzero lists), so its bucket is positions - cols + target; when
+        # np.nonzero lists), so its bucket is target + positions - cols, added
+        # in place (a fresh (R, n) temporary page-faults every round); when
         # every agent speaks, positions covers every cell with no search.
         if sent.sum() == send_mask.size:
             positions = np.arange(send_mask.size)
@@ -319,14 +320,14 @@ class PushGossipNetwork:
             cols = positions % size
         if positions.size:
             if self.allow_self_messages:
-                targets = rng.integers(0, size, size=positions.size)
+                buckets = rng.integers(0, size, size=positions.size)
             else:
-                draws = rng.integers(0, size - 1, size=positions.size)
-                targets = draws + (draws >= cols)
+                buckets = rng.integers(0, size - 1, size=positions.size)
+                buckets += buckets >= cols
             priorities = rng.random(positions.size)
-            winners, winning_buckets = self._resolve_collisions(
-                positions - cols + targets, priorities, num_replicates
-            )
+            buckets += positions
+            buckets -= cols
+            winners, winning_buckets = self._resolve_collisions(buckets, priorities, num_replicates)
             accepted.reshape(-1)[winning_buckets] = True
             accepted_senders.reshape(-1)[winning_buckets] = cols[winners]
             # Ascending winning_buckets noise the winners in the replicate-major,
@@ -340,7 +341,7 @@ class PushGossipNetwork:
         self.messages_dropped_total += int((sent - delivered).sum())
         return BatchDeliveryReport(
             accepted=accepted,
-            bits=accepted_bits.astype(np.int8),
+            bits=accepted_bits,
             senders=accepted_senders,
             messages_sent=sent,
             messages_delivered=delivered,
@@ -520,9 +521,8 @@ class PushGossipNetwork:
         cells = num_replicates * self.size
         # O(m), no sort: scatter-min each bucket's lowest priority (2.0 marks
         # an empty bucket), keep the messages holding it, and let them write
-        # their index into an owner grid.  Reading the grid back lists the
-        # winners in ascending bucket order; an exact tie between two raw
-        # priorities still leaves one owner per bucket.
+        # their index into an owner grid, read back in ascending bucket order.
+        # An exact tie between two raw priorities still leaves one owner.
         best = np.full(cells, 2.0)
         np.minimum.at(best, buckets, priorities)
         minimal = np.flatnonzero(priorities == best[buckets])
