@@ -303,6 +303,21 @@ class TestStageBenchAndAggregatorSmoke:
         full = payload["families"]["full_send"]["speedup_vs_serial"]
         assert full["deliver_batch_vs_argsort_oracle"] >= 1.1
 
+    def test_perfbench_pairs_summary_counts_wins_and_quartiles(self):
+        module = _load_script(BENCHMARKS_DIR / "perfbench_pairs.py", "_smoke_pairs")
+
+        def pair(parent, change):
+            return {side: {"metrics": {"run_s.p50": value}} for side, value in
+                    (("parent", parent), ("change", change))}
+
+        summary = module.summarize([pair(1.5, 1.0), pair(1.4, 1.4), pair(1.2, 1.3), pair(1.6, 0.9)])
+        assert summary["pairs"] == 4
+        assert summary["change_wins"] == 2  # the tie counts for neither side
+        assert summary["parent"]["median"] == 1.45
+        assert summary["change"]["median"] == 1.15
+        low, high = summary["parent"]["quartiles"]
+        assert 1.2 <= low < 1.45 < high <= 1.6
+
     def test_collect_results_aggregates_both_shapes(self, tmp_path):
         results = tmp_path / "results"
         results.mkdir()
