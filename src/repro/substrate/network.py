@@ -269,9 +269,8 @@ class PushGossipNetwork:
         uniform recipient choice, single-accept with a uniformly random winner
         among colliding messages, channel noise on accepted bits — and
         replicates never interact.  Each message draws an i.i.d. uniform
-        priority and the lowest one per (replicate, recipient) bucket wins, an
-        unbiased uniform-winner rule that :meth:`_resolve_collisions` applies
-        in O(m) for m messages by scatter-min, with no sort.
+        priority and the lowest per (replicate, recipient) bucket wins (an
+        unbiased uniform-winner rule; :meth:`_resolve_collisions`, no sort).
 
         Randomness is drawn from the single ``rng`` for the whole batch, so
         results are deterministic given the generator state but not
@@ -304,14 +303,12 @@ class PushGossipNetwork:
         num_replicates, size = send_mask.shape
         self.rounds_executed += 1
         sent = send_mask.sum(axis=1).astype(np.int64)
-        accepted = np.zeros((num_replicates, size), dtype=bool)
         accepted_bits = np.zeros((num_replicates, size), dtype=np.int8)
         accepted_senders = np.full((num_replicates, size), -1, dtype=np.int64)
 
-        # Message i is the sender at flat position positions[i] (the order
-        # np.nonzero lists), so its bucket is target + positions - cols, added
-        # in place (a fresh (R, n) temporary page-faults every round); when
-        # every agent speaks, positions covers every cell with no search.
+        # Message i is the sender at flat position positions[i] (np.nonzero's
+        # order); its bucket, target + positions - cols, is formed in place.
+        # When every agent speaks, positions covers every cell: no search.
         if sent.sum() == send_mask.size:
             positions = np.arange(send_mask.size)
             cols = np.tile(np.arange(size), num_replicates)
@@ -327,14 +324,14 @@ class PushGossipNetwork:
             priorities = rng.random(positions.size)
             buckets += positions
             buckets -= cols
-            winners, winning_buckets = self._resolve_collisions(buckets, priorities, num_replicates)
-            accepted.reshape(-1)[winning_buckets] = True
+            winners, winning_buckets = self._resolve_collisions(buckets, priorities, accepted_senders)
             accepted_senders.reshape(-1)[winning_buckets] = cols[winners]
             # Ascending winning_buckets noise the winners in the replicate-major,
             # recipient-ascending order of NoiseChannel.transmit_batch.
             noisy = channel.transmit(bits.reshape(-1)[positions[winners]], rng)
             accepted_bits.reshape(-1)[winning_buckets] = noisy
 
+        accepted = accepted_senders >= 0
         delivered = accepted.sum(axis=1).astype(np.int64)
         self.messages_sent_total += int(sent.sum())
         self.messages_delivered_total += int(delivered.sum())
@@ -409,16 +406,15 @@ class PushGossipNetwork:
             reachable = ~offline[rows, targets]
             rows, cols, targets = rows[reachable], cols[reachable], targets[reachable]
 
-        accepted = np.zeros((num_replicates, size), dtype=bool)
         accepted_senders = np.full((num_replicates, size), -1, dtype=np.int64)
         candidate = np.zeros((num_replicates, size), dtype=np.int8)
         if rows.size:
             winners, winning_buckets = self._resolve_collisions(
-                rows * size + targets, priorities_grid[rows, cols], num_replicates
+                rows * size + targets, priorities_grid[rows, cols], accepted_senders
             )
-            accepted.reshape(-1)[winning_buckets] = True
             accepted_senders.reshape(-1)[winning_buckets] = cols[winners]
             candidate.reshape(-1)[winning_buckets] = bits[rows[winners], cols[winners]]
+        accepted = accepted_senders >= 0
 
         # Full-grid channel pass (every cell noised, acceptance masked after)
         # keeps noise consumption positional too.
@@ -509,24 +505,28 @@ class PushGossipNetwork:
         self,
         buckets: np.ndarray,
         priorities: np.ndarray,
-        num_replicates: int,
+        senders: np.ndarray,
     ) -> tuple:
         """Keep one uniformly random message per (replicate, recipient) bucket.
 
         Message ``i`` goes to flat bucket ``buckets[i]`` (``row * size +
-        target``); the message with the lowest i.i.d. uniform priority in a
-        bucket wins.  Returns ``(winners, buckets)``: the winning message
-        indices and their buckets, in ascending bucket order.
+        target``); the lowest i.i.d. uniform priority in a bucket wins.
+        Returns ``(winners, buckets)``, the winning message indices and their
+        buckets in ascending bucket order, and leaves each winner's index in
+        its cell of ``senders`` (the caller's fresh ``(R, n)`` int64 grid), -1
+        elsewhere.
         """
-        cells = num_replicates * self.size
-        # O(m), no sort: scatter-min each bucket's lowest priority (2.0 marks
-        # an empty bucket), keep the messages holding it, and let them write
-        # their index into an owner grid, read back in ascending bucket order.
-        # An exact tie between two raw priorities still leaves one owner.
-        best = np.full(cells, 2.0)
+        # No sort: scatter-min each bucket's lowest priority (2.0 = empty) into
+        # the senders grid's own memory (a fresh grid would page-fault every
+        # round), keep the messages holding it, and let them write their index
+        # into the grid, read back in ascending bucket order.  An exact tie
+        # between two raw priorities still leaves one owner.
+        owner = senders.reshape(-1)
+        best = owner.view(np.float64)
+        best.fill(2.0)
         np.minimum.at(best, buckets, priorities)
         minimal = np.flatnonzero(priorities == best[buckets])
-        owner = np.full(cells, -1, dtype=np.int64)
+        owner.fill(-1)
         owner[buckets[minimal]] = minimal
         winning_buckets = np.flatnonzero(owner >= 0)
         return owner[winning_buckets], winning_buckets

@@ -335,9 +335,13 @@ class TestDeliverBatchMatchesSortOracle:
         network = PushGossipNetwork(size=10)
         buckets = np.array([5, 5, 7, 5])
         priorities = np.array([0.25, 0.25, 0.5, 0.75])
-        winners, winning_buckets = network._resolve_collisions(buckets, priorities, 1)
+        senders = np.full((1, 10), -1, dtype=np.int64)
+        winners, winning_buckets = network._resolve_collisions(buckets, priorities, senders)
         assert winning_buckets.tolist() == [5, 7]
         assert winners[0] in (0, 1) and winners[1] == 2
+        expected = np.full(10, -1)
+        expected[winning_buckets] = winners
+        assert np.array_equal(senders[0], expected), "winners left in their cells, -1 elsewhere"
 
     def test_gap_below_the_combined_key_spacing_keeps_the_true_minimum(self):
         """At bucket 15999 of an (8, 2000) grid, priorities 2^-45 apart round
@@ -347,8 +351,9 @@ class TestDeliverBatchMatchesSortOracle:
         high = low + 2.0**-45
         assert bucket + low == bucket + high  # the old key could not tell them apart
         buckets = np.array([bucket, bucket, 3])
+        senders = np.full((8, 2000), -1, dtype=np.int64)
         winners, winning_buckets = network._resolve_collisions(
-            buckets, np.array([high, low, 0.9]), 8
+            buckets, np.array([high, low, 0.9]), senders
         )
         assert winning_buckets.tolist() == [3, bucket]
         assert winners.tolist() == [2, 1]
