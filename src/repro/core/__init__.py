@@ -4,12 +4,13 @@ Public surface:
 
 * parameters and schedules — :class:`ProtocolParameters`, phase schedules;
 * Stage I / Stage II executors — :func:`execute_stage_one`,
-  :func:`execute_stage_two`;
+  :func:`execute_stage_two`, on a global clock or on skewed local clocks;
 * the complete protocols — :class:`NoisyBroadcastProtocol`,
   :class:`NoisyMajorityConsensusProtocol`, and their one-call wrappers
   :func:`solve_noisy_broadcast` / :func:`solve_noisy_majority_consensus`;
 * the Section-3 clock-free variants — :class:`ClockFreeBroadcastProtocol`,
-  :func:`run_clock_free_broadcast`, :func:`run_with_bounded_skew`;
+  :func:`run_clock_free_broadcast`, :func:`run_with_bounded_skew`, and their
+  guard-dilated schedules :func:`guarded_schedules`;
 * closed-form theoretical predictions — :mod:`repro.core.theory`.
 """
 
@@ -55,8 +56,7 @@ from .synchronizer import (
     ClockFreeBroadcastProtocol,
     ClockFreeBroadcastResult,
     default_guard,
-    execute_stage_one_windowed,
-    execute_stage_two_windowed,
+    guarded_schedules,
     run_activation_phase,
     run_clock_free_broadcast,
     run_with_bounded_skew,
@@ -105,8 +105,7 @@ __all__ = [
     "ClockFreeBroadcastProtocol",
     "ClockFreeBroadcastResult",
     "default_guard",
-    "execute_stage_one_windowed",
-    "execute_stage_two_windowed",
+    "guarded_schedules",
     "run_activation_phase",
     "run_clock_free_broadcast",
     "run_with_bounded_skew",

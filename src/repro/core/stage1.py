@@ -20,7 +20,7 @@ on when the global clock is removed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -30,6 +30,7 @@ from ..substrate.metrics import PhaseRecord
 from ..substrate.population import NO_OPINION
 from .opinions import bias_from_counts, validate_opinion
 from .parameters import StageOneParameters
+from .schedule import PhaseSchedule, build_stage1_schedule, gossip_phase, phase_windows
 
 __all__ = ["StageOnePhaseSummary", "StageOneResult", "ReceptionAccumulator", "execute_stage_one"]
 
@@ -138,6 +139,8 @@ def execute_stage_one(
     parameters: StageOneParameters,
     correct_opinion: int,
     start_phase: int = 0,
+    offsets: Optional[np.ndarray] = None,
+    schedule: Optional[PhaseSchedule] = None,
 ) -> StageOneResult:
     """Run Stage I of the protocol on ``engine``.
 
@@ -152,7 +155,14 @@ def execute_stage_one(
     correct_opinion:
         The opinion ``B`` (used only for measurement, never by agents).
     start_phase:
-        First phase to execute (Corollary 2.18).
+        First phase to execute (Corollary 2.18); must be a phase of the
+        stage.
+    offsets, schedule:
+        The agents' clocks (Section 3): agent ``a`` runs local round ``t``
+        of the local-time ``schedule`` at global round ``offsets[a] + t``
+        (see :func:`~repro.core.schedule.phase_windows`).  By default every
+        clock reads zero now and the schedule is the synchronous one from
+        ``start_phase`` on; a given ``schedule`` replaces ``start_phase``.
 
     Returns
     -------
@@ -168,14 +178,20 @@ def execute_stage_one(
         raise SimulationError(
             "Stage I needs at least one initially opinionated agent (source or seeded set)"
         )
+    if schedule is None:
+        schedule = build_stage1_schedule(parameters, start_phase=start_phase)
+    offsets, windows = phase_windows(schedule, offsets, population.size, engine.now)
 
     summaries = []
     total_messages_before = engine.metrics.messages_sent
     start_round = engine.now
+    # Fault/topology runs use the positional reservoir so a crash cannot
+    # shift other agents' protocol-stream draws; the default path is
+    # byte-identical to the pre-fault code.
+    resilient = engine.faults is not None or engine.topology is not None
+    observe = accumulator.observe_positional if resilient else accumulator.observe
 
-    for phase in range(start_phase, parameters.num_phases):
-        phase_length = parameters.phase_length(phase)
-        phase_start_round = engine.now
+    for phase, window, interior in windows:
         messages_before = engine.metrics.messages_sent
 
         # Agents that speak during this phase: everyone already activated
@@ -186,13 +202,11 @@ def execute_stage_one(
         sender_bits = population.opinions[senders].astype(np.int8)
 
         accumulator.reset()
-        # Fault/topology runs use the positional reservoir so a crash cannot
-        # shift other agents' protocol-stream draws; the default path is
-        # byte-identical to the pre-fault code.
-        resilient = engine.faults is not None or engine.topology is not None
-        observe = accumulator.observe_positional if resilient else accumulator.observe
-        for _ in range(phase_length):
-            report = engine.gossip_round(senders, sender_bits, correct_opinion=correct_opinion)
+        peak_senders = 0
+        for speakers, report in gossip_phase(
+            engine, phase, window, interior, offsets, senders, sender_bits, correct_opinion
+        ):
+            peak_senders = max(peak_senders, speakers)
             if resilient or report.recipients.size:
                 dormant_mask = ~population.activated[report.recipients]
                 dormant_recipients = report.recipients[dormant_mask]
@@ -201,16 +215,16 @@ def execute_stage_one(
 
         newly_heard = np.flatnonzero(accumulator.heard_anything() & ~population.activated)
         chosen_bits = accumulator.chosen_bits(newly_heard)
-        population.activate(newly_heard, phase=phase, round_index=engine.now)
+        population.activate(newly_heard, phase=phase.index, round_index=engine.now)
         population.set_opinions(newly_heard, chosen_bits)
 
         newly_correct = int(np.count_nonzero(chosen_bits == correct_opinion))
         bias_of_new = bias_from_counts(newly_correct, int(newly_heard.size) - newly_correct)
         messages_in_phase = engine.metrics.messages_sent - messages_before
         summary = StageOnePhaseSummary(
-            phase=phase,
-            rounds=phase_length,
-            senders=int(senders.size),
+            phase=phase.index,
+            rounds=len(window),
+            senders=peak_senders,
             activated_total=population.num_activated(),
             newly_activated=int(newly_heard.size),
             newly_correct=newly_correct,
@@ -221,8 +235,8 @@ def execute_stage_one(
         engine.metrics.observe_phase(
             PhaseRecord(
                 stage="stage1",
-                phase=phase,
-                start_round=phase_start_round,
+                phase=phase.index,
+                start_round=window.start,
                 end_round=engine.now,
                 activated_total=summary.activated_total,
                 newly_activated=summary.newly_activated,
@@ -231,7 +245,7 @@ def execute_stage_one(
                 messages_sent=summary.messages_sent,
             )
         )
-        engine.trace.record(engine.now, "stage1_phase_end", phase=phase, activated=summary.activated_total)
+        engine.trace.record(engine.now, "stage1_phase_end", phase=phase.index, activated=summary.activated_total)
 
     initially_correct = population.count_opinion(correct_opinion)
     opinionated = population.num_opinionated()

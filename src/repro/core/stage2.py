@@ -25,7 +25,7 @@ Implementation notes
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -34,6 +34,7 @@ from ..substrate.metrics import PhaseRecord
 from ..substrate.population import NO_OPINION
 from .opinions import validate_opinion
 from .parameters import StageTwoParameters
+from .schedule import PhaseSchedule, build_stage2_schedule, gossip_phase, phase_windows
 
 __all__ = [
     "StageTwoPhaseSummary",
@@ -152,6 +153,8 @@ def execute_stage_two(
     engine: SimulationEngine,
     parameters: StageTwoParameters,
     correct_opinion: int,
+    offsets: Optional[np.ndarray] = None,
+    schedule: Optional[PhaseSchedule] = None,
 ) -> StageTwoResult:
     """Run Stage II of the protocol on ``engine``.
 
@@ -160,20 +163,26 @@ def execute_stage_two(
     send but still collect samples and adopt the majority of a random subset
     if they turn out successful, which makes the executor usable as a
     standalone majority-consensus dynamic as well.
+
+    ``offsets``/``schedule`` are the agents' clocks and local-time phase
+    schedule on skewed clocks (Section 3), exactly as in
+    :func:`~repro.core.stage1.execute_stage_one`; by default every clock
+    reads zero now and the schedule is the synchronous one.
     """
     correct_opinion = validate_opinion(correct_opinion)
     population = engine.population
     protocol_rng = engine.protocol_rng()
     accumulator = SampleAccumulator(population.size)
+    if schedule is None:
+        schedule = build_stage2_schedule(parameters)
+    offsets, windows = phase_windows(schedule, offsets, population.size, engine.now)
 
     summaries = []
     messages_at_start = engine.metrics.messages_sent
     start_round = engine.now
 
-    for phase in range(1, parameters.num_phases + 1):
-        phase_length = parameters.phase_length(phase)
-        subset_size = phase_length // 2
-        phase_start_round = engine.now
+    for phase, window, interior in windows:
+        subset_size = phase.length // 2
         messages_before = engine.metrics.messages_sent
         bias_before = population.bias(correct_opinion)
 
@@ -183,8 +192,9 @@ def execute_stage_two(
         sender_bits = opinions_at_start[senders].astype(np.int8)
 
         accumulator.reset()
-        for _ in range(phase_length):
-            report = engine.gossip_round(senders, sender_bits, correct_opinion=correct_opinion)
+        for _, report in gossip_phase(
+            engine, phase, window, interior, offsets, senders, sender_bits, correct_opinion
+        ):
             accumulator.observe(report.recipients, report.bits)
 
         successful = np.flatnonzero(accumulator.totals >= subset_size)
@@ -196,14 +206,14 @@ def execute_stage_two(
                 protocol_rng,
             )
             population.set_opinions(successful, new_opinions)
-            population.activate(successful, phase=phase, round_index=engine.now)
+            population.activate(successful, phase=phase.index, round_index=engine.now)
 
         bias_after = population.bias(correct_opinion)
         correct_fraction = population.correct_fraction(correct_opinion)
         messages_in_phase = engine.metrics.messages_sent - messages_before
         summary = StageTwoPhaseSummary(
-            phase=phase,
-            rounds=phase_length,
+            phase=phase.index,
+            rounds=len(window),
             successful_agents=int(successful.size),
             bias_before=bias_before,
             bias_after=bias_after,
@@ -214,8 +224,8 @@ def execute_stage_two(
         engine.metrics.observe_phase(
             PhaseRecord(
                 stage="stage2",
-                phase=phase,
-                start_round=phase_start_round,
+                phase=phase.index,
+                start_round=window.start,
                 end_round=engine.now,
                 activated_total=population.num_activated(),
                 newly_activated=0,
@@ -224,7 +234,7 @@ def execute_stage_two(
                 messages_sent=messages_in_phase,
             )
         )
-        engine.trace.record(engine.now, "stage2_phase_end", phase=phase, bias=bias_after)
+        engine.trace.record(engine.now, "stage2_phase_end", phase=phase.index, bias=bias_after)
 
     final_correct_fraction = population.correct_fraction(correct_opinion)
     return StageTwoResult(

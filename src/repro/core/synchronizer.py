@@ -21,38 +21,37 @@ The total overhead is an additive ``O(log^2 n)`` rounds (Theorem 3.1) while
 the message complexity is unchanged, because the modification only inserts
 silent rounds.
 
-This module implements both steps.  The windowed executors re-implement the
-per-round sending rule (an agent speaks only while its *own* clock is inside
-the current phase's shifted interval) but reuse the same phase-end decision
-rules as the synchronous executors, which is exactly what makes the paper's
-equivalence argument go through.
+This module implements both steps on top of the synchronous executors:
+:func:`~repro.core.stage1.execute_stage_one` and
+:func:`~repro.core.stage2.execute_stage_two` take the agents' clock offsets
+and a guard-dilated local schedule (:func:`guarded_schedules`), and run the
+same phases, senders and phase-end rules shifted in time.  An agent speaks
+only while its *own* clock is inside the current phase, which is exactly
+what makes the paper's equivalence argument go through.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Tuple
 
 import numpy as np
 
 from ..errors import ParameterError, SimulationError
 from ..substrate.engine import SimulationEngine
-from ..substrate.metrics import PhaseRecord
-from ..substrate.population import NO_OPINION
-from .opinions import bias_from_counts, validate_opinion
+from .opinions import validate_opinion
 from .parameters import ProtocolParameters
 from .schedule import PhaseSchedule, build_stage1_schedule, build_stage2_schedule
-from .stage1 import ReceptionAccumulator, StageOnePhaseSummary, StageOneResult
-from .stage2 import SampleAccumulator, StageTwoPhaseSummary, StageTwoResult, majority_of_random_subset
+from .stage1 import StageOneResult, execute_stage_one
+from .stage2 import StageTwoResult, execute_stage_two
 
 __all__ = [
     "ActivationPhaseResult",
     "ClockFreeBroadcastResult",
     "default_guard",
+    "guarded_schedules",
     "run_activation_phase",
-    "execute_stage_one_windowed",
-    "execute_stage_two_windowed",
     "ClockFreeBroadcastProtocol",
     "run_clock_free_broadcast",
     "run_with_bounded_skew",
@@ -64,6 +63,19 @@ def default_guard(n: int) -> int:
     if n < 2:
         raise ParameterError("n must be at least 2")
     return 2 * int(math.ceil(math.log2(n)))
+
+
+def guarded_schedules(
+    parameters: ProtocolParameters, guard: int
+) -> Tuple[PhaseSchedule, PhaseSchedule]:
+    """Both stages' local schedules with ``guard`` silent rounds before every phase.
+
+    Section 3.1's ``i * D`` shifts: Stage I dilated by ``guard``, then a
+    Stage-II schedule starting where it ends, also dilated.
+    """
+    stage1 = build_stage1_schedule(parameters.stage1).dilated(guard)
+    stage2 = build_stage2_schedule(parameters.stage2, start_round=stage1.end).dilated(guard)
+    return stage1, stage2
 
 
 @dataclass(frozen=True)
@@ -189,225 +201,42 @@ def run_activation_phase(
 
 
 # ----------------------------------------------------------------------
-# Windowed (local-clock) stage executors
-# ----------------------------------------------------------------------
-def _idle_until(engine: SimulationEngine, target_round: int) -> None:
-    while engine.now < target_round:
-        engine.idle_round()
-
-
-def execute_stage_one_windowed(
-    engine: SimulationEngine,
-    parameters,
-    correct_opinion: int,
-    offsets: np.ndarray,
-    guard: int,
-    schedule: Optional[PhaseSchedule] = None,
-    start_phase: int = 0,
-) -> StageOneResult:
-    """Stage I where each agent follows its own clock (offset by ``offsets``).
-
-    ``schedule`` is the *local-time* phase schedule (already dilated by
-    ``guard``); when omitted it is built from ``parameters`` and dilated.
-    """
-    correct_opinion = validate_opinion(correct_opinion)
-    offsets = np.asarray(offsets, dtype=np.int64)
-    population = engine.population
-    if offsets.shape != (population.size,):
-        raise ParameterError("offsets must contain one entry per agent")
-    if guard < int(offsets.max() - offsets.min()):
-        raise ParameterError("guard must be at least the clock skew")
-    if schedule is None:
-        schedule = build_stage1_schedule(parameters, start_phase=start_phase).dilated(guard)
-
-    protocol_rng = engine.protocol_rng()
-    accumulator = ReceptionAccumulator(population.size)
-    min_offset = int(offsets.min())
-    max_offset = int(offsets.max())
-
-    # Sending eligibility by "level": initially opinionated agents behave as
-    # level ``first_phase - 1`` (they may speak from the first scheduled
-    # phase onwards); agents activated in phase i get level i.
-    first_phase = schedule.phases[0].index
-    levels = np.full(population.size, np.iinfo(np.int32).max, dtype=np.int64)
-    initially_opinionated = population.activated & (population.opinions != NO_OPINION)
-    levels[initially_opinionated] = first_phase - 1
-
-    summaries = []
-    messages_at_start = engine.metrics.messages_sent
-    start_round = engine.now
-
-    for phase in schedule:
-        window_start = phase.start + min_offset
-        window_end = phase.end + max_offset
-        _idle_until(engine, window_start)
-        phase_start_round = engine.now
-        messages_before = engine.metrics.messages_sent
-        accumulator.reset()
-
-        sender_count_peak = 0
-        while engine.now < window_end:
-            local = engine.now - offsets
-            in_window = (local >= phase.start) & (local < phase.end)
-            sender_mask = in_window & (levels < phase.index) & (population.opinions != NO_OPINION)
-            senders = np.flatnonzero(sender_mask)
-            sender_count_peak = max(sender_count_peak, int(senders.size))
-            if senders.size == 0:
-                engine.idle_round()
-                continue
-            bits = population.opinions[senders].astype(np.int8)
-            report = engine.gossip_round(senders, bits, correct_opinion=correct_opinion)
-            if report.recipients.size:
-                dormant_mask = ~population.activated[report.recipients]
-                accumulator.observe(
-                    report.recipients[dormant_mask], report.bits[dormant_mask], protocol_rng
-                )
-
-        newly_heard = np.flatnonzero(accumulator.heard_anything() & ~population.activated)
-        chosen_bits = accumulator.chosen_bits(newly_heard)
-        population.activate(newly_heard, phase=phase.index, round_index=engine.now)
-        population.set_opinions(newly_heard, chosen_bits)
-        levels[newly_heard] = phase.index
-
-        newly_correct = int(np.count_nonzero(chosen_bits == correct_opinion))
-        summary = StageOnePhaseSummary(
-            phase=phase.index,
-            rounds=engine.now - phase_start_round,
-            senders=sender_count_peak,
-            activated_total=population.num_activated(),
-            newly_activated=int(newly_heard.size),
-            newly_correct=newly_correct,
-            bias_of_new=bias_from_counts(newly_correct, int(newly_heard.size) - newly_correct),
-            messages_sent=engine.metrics.messages_sent - messages_before,
-        )
-        summaries.append(summary)
-        engine.metrics.observe_phase(
-            PhaseRecord(
-                stage="stage1",
-                phase=phase.index,
-                start_round=phase_start_round,
-                end_round=engine.now,
-                activated_total=summary.activated_total,
-                newly_activated=summary.newly_activated,
-                bias=summary.bias_of_new,
-                correct_fraction=population.correct_fraction(correct_opinion),
-                messages_sent=summary.messages_sent,
-            )
-        )
-
-    initially_correct = population.count_opinion(correct_opinion)
-    opinionated = population.num_opinionated()
-    return StageOneResult(
-        phases=tuple(summaries),
-        rounds=engine.now - start_round,
-        messages_sent=engine.metrics.messages_sent - messages_at_start,
-        all_activated=population.num_activated() == population.size,
-        initially_correct=initially_correct,
-        initially_correct_fraction=initially_correct / population.size,
-        final_bias=bias_from_counts(initially_correct, opinionated - initially_correct),
-    )
-
-
-def execute_stage_two_windowed(
-    engine: SimulationEngine,
-    parameters,
-    correct_opinion: int,
-    offsets: np.ndarray,
-    guard: int,
-    schedule: Optional[PhaseSchedule] = None,
-    local_start_round: int = 0,
-) -> StageTwoResult:
-    """Stage II where each agent follows its own clock (offset by ``offsets``)."""
-    correct_opinion = validate_opinion(correct_opinion)
-    offsets = np.asarray(offsets, dtype=np.int64)
-    population = engine.population
-    if offsets.shape != (population.size,):
-        raise ParameterError("offsets must contain one entry per agent")
-    if guard < int(offsets.max() - offsets.min()):
-        raise ParameterError("guard must be at least the clock skew")
-    if schedule is None:
-        schedule = build_stage2_schedule(parameters, start_round=local_start_round).dilated(guard)
-
-    protocol_rng = engine.protocol_rng()
-    accumulator = SampleAccumulator(population.size)
-    min_offset = int(offsets.min())
-    max_offset = int(offsets.max())
-
-    summaries = []
-    messages_at_start = engine.metrics.messages_sent
-    start_round = engine.now
-
-    for phase in schedule:
-        subset_size = phase.length // 2
-        window_start = phase.start + min_offset
-        window_end = phase.end + max_offset
-        _idle_until(engine, window_start)
-        phase_start_round = engine.now
-        messages_before = engine.metrics.messages_sent
-        bias_before = population.bias(correct_opinion)
-
-        opinions_at_start = population.opinions.copy()
-        accumulator.reset()
-        while engine.now < window_end:
-            local = engine.now - offsets
-            in_window = (local >= phase.start) & (local < phase.end)
-            sender_mask = in_window & (opinions_at_start != NO_OPINION)
-            senders = np.flatnonzero(sender_mask)
-            if senders.size == 0:
-                engine.idle_round()
-                continue
-            bits = opinions_at_start[senders].astype(np.int8)
-            report = engine.gossip_round(senders, bits, correct_opinion=correct_opinion)
-            accumulator.observe(report.recipients, report.bits)
-
-        successful = np.flatnonzero(accumulator.totals >= subset_size)
-        if successful.size:
-            new_opinions = majority_of_random_subset(
-                accumulator.totals[successful],
-                accumulator.ones[successful],
-                subset_size,
-                protocol_rng,
-            )
-            population.set_opinions(successful, new_opinions)
-            population.activate(successful, phase=phase.index, round_index=engine.now)
-
-        summary = StageTwoPhaseSummary(
-            phase=phase.index,
-            rounds=engine.now - phase_start_round,
-            successful_agents=int(successful.size),
-            bias_before=bias_before,
-            bias_after=population.bias(correct_opinion),
-            correct_fraction_after=population.correct_fraction(correct_opinion),
-            messages_sent=engine.metrics.messages_sent - messages_before,
-        )
-        summaries.append(summary)
-        engine.metrics.observe_phase(
-            PhaseRecord(
-                stage="stage2",
-                phase=phase.index,
-                start_round=phase_start_round,
-                end_round=engine.now,
-                activated_total=population.num_activated(),
-                newly_activated=0,
-                bias=summary.bias_after,
-                correct_fraction=summary.correct_fraction_after,
-                messages_sent=summary.messages_sent,
-            )
-        )
-
-    return StageTwoResult(
-        phases=tuple(summaries),
-        rounds=engine.now - start_round,
-        messages_sent=engine.metrics.messages_sent - messages_at_start,
-        final_correct_fraction=population.correct_fraction(correct_opinion),
-        final_bias=population.bias(correct_opinion),
-        consensus_reached=population.all_correct(correct_opinion),
-    )
-
-
-# ----------------------------------------------------------------------
 # Full clock-free protocol
 # ----------------------------------------------------------------------
+def _run_guarded_stages(
+    engine: SimulationEngine,
+    parameters: ProtocolParameters,
+    correct_opinion: int,
+    offsets: np.ndarray,
+    guard: int,
+    activation: Optional[ActivationPhaseResult],
+) -> ClockFreeBroadcastResult:
+    """Both stages on the agents' clocks, each phase behind a ``guard``-round gap."""
+    stage1_schedule, stage2_schedule = guarded_schedules(parameters, guard)
+    stage1 = execute_stage_one(
+        engine, parameters.stage1, correct_opinion, offsets=offsets, schedule=stage1_schedule
+    )
+    stage2 = execute_stage_two(
+        engine, parameters.stage2, correct_opinion, offsets=offsets, schedule=stage2_schedule
+    )
+    # The activation phase, if any, ran right before Stage I.
+    activation_rounds = activation.rounds if activation else 0
+    activation_messages = activation.messages_sent if activation else 0
+    return ClockFreeBroadcastResult(
+        success=engine.population.all_correct(correct_opinion),
+        correct_opinion=correct_opinion,
+        n=engine.n,
+        epsilon=engine.epsilon,
+        rounds=activation_rounds + stage1.rounds + stage2.rounds,
+        messages_sent=activation_messages + stage1.messages_sent + stage2.messages_sent,
+        final_correct_fraction=engine.population.correct_fraction(correct_opinion),
+        guard=guard,
+        activation=activation,
+        stage1=stage1,
+        stage2=stage2,
+    )
+
+
 class ClockFreeBroadcastProtocol:
     """Noisy broadcast without the global-clock assumption (Theorem 3.1)."""
 
@@ -423,45 +252,10 @@ class ClockFreeBroadcastProtocol:
         if engine.population.source is None:
             raise SimulationError("clock-free broadcast requires a source agent")
         engine.population.set_source_opinion(correct_opinion)
-        start_round = engine.now
-        messages_at_start = engine.metrics.messages_sent
-
         activation = run_activation_phase(engine)
         guard = self.guard if self.guard is not None else max(default_guard(engine.n), activation.skew)
-
-        stage1_schedule = build_stage1_schedule(self.parameters.stage1).dilated(guard)
-        stage2_schedule = build_stage2_schedule(
-            self.parameters.stage2, start_round=stage1_schedule.end
-        ).dilated(guard)
-
-        stage1 = execute_stage_one_windowed(
-            engine,
-            self.parameters.stage1,
-            correct_opinion,
-            offsets=activation.offsets,
-            guard=guard,
-            schedule=stage1_schedule,
-        )
-        stage2 = execute_stage_two_windowed(
-            engine,
-            self.parameters.stage2,
-            correct_opinion,
-            offsets=activation.offsets,
-            guard=guard,
-            schedule=stage2_schedule,
-        )
-        return ClockFreeBroadcastResult(
-            success=engine.population.all_correct(correct_opinion),
-            correct_opinion=correct_opinion,
-            n=engine.n,
-            epsilon=engine.epsilon,
-            rounds=engine.now - start_round,
-            messages_sent=engine.metrics.messages_sent - messages_at_start,
-            final_correct_fraction=engine.population.correct_fraction(correct_opinion),
-            guard=guard,
-            activation=activation,
-            stage1=stage1,
-            stage2=stage2,
+        return _run_guarded_stages(
+            engine, self.parameters, correct_opinion, activation.offsets, guard, activation
         )
 
 
@@ -506,30 +300,4 @@ def run_with_bounded_skew(
     engine = SimulationEngine.create(n=n, epsilon=epsilon, seed=seed)
     engine.population.set_source_opinion(correct_opinion)
     offsets = engine.random.stream("clock-skew").integers(0, max_skew, size=n).astype(np.int64)
-
-    start_round = engine.now
-    messages_at_start = engine.metrics.messages_sent
-    guard = max_skew
-    stage1_schedule = build_stage1_schedule(parameters.stage1).dilated(guard)
-    stage2_schedule = build_stage2_schedule(
-        parameters.stage2, start_round=stage1_schedule.end
-    ).dilated(guard)
-    stage1 = execute_stage_one_windowed(
-        engine, parameters.stage1, correct_opinion, offsets, guard, schedule=stage1_schedule
-    )
-    stage2 = execute_stage_two_windowed(
-        engine, parameters.stage2, correct_opinion, offsets, guard, schedule=stage2_schedule
-    )
-    return ClockFreeBroadcastResult(
-        success=engine.population.all_correct(correct_opinion),
-        correct_opinion=correct_opinion,
-        n=n,
-        epsilon=epsilon,
-        rounds=engine.now - start_round,
-        messages_sent=engine.metrics.messages_sent - messages_at_start,
-        final_correct_fraction=engine.population.correct_fraction(correct_opinion),
-        guard=guard,
-        activation=None,
-        stage1=stage1,
-        stage2=stage2,
-    )
+    return _run_guarded_stages(engine, parameters, correct_opinion, offsets, max_skew, None)

@@ -31,7 +31,7 @@ Three protocol shapes are covered:
 The Stage-I/Stage-II round loops underneath :func:`run_broadcast_batch` and
 :func:`run_majority_batch` live in :mod:`repro.exec.stage_batching` (one
 batched transcription of each stage rule, shared with the instrumented
-stage-level experiments E4–E6 and the windowed E9 executors).
+stage-level experiments E4–E6 and the skewed-clock E9 runs).
 
 :func:`run_batch_cell` is the batched counterpart of
 :func:`repro.analysis.experiments.run_trials`: it runs every trial of one

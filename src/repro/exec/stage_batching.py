@@ -26,12 +26,16 @@ simulators in :mod:`repro.exec.batching` delegate their stage loops here, so
 there is exactly one batched transcription of each stage rule in the
 repository.
 
-On top of the synchronous kernels, the module batches the Section-3
-executors used by experiment E9: :func:`run_bounded_skew_batch` (Section 3.1
+The same two kernels run the Section-3 executors used by experiment E9 on
+skewed clocks: given an ``(R, n)`` grid of clock offsets and one
+guard-dilated schedule per replicate, a phase runs over the global rounds
+in which any agent's clock is inside it.  Its interior rounds (every clock
+inside) send exactly as the synchronous loop does, and only its edge
+rounds compute which agents' clocks are in the phase; with equal clocks
+every round is interior.  :func:`run_bounded_skew_batch` (Section 3.1
 guard windows) and :func:`run_clock_free_batch` (Section 3.2 activation
-phase followed by guarded stages), both mirroring
-:mod:`repro.core.synchronizer` with per-replicate clock offsets, schedules
-and guards.
+phase followed by guarded stages) mirror :mod:`repro.core.synchronizer`
+with per-replicate clock offsets, schedules and guards.
 
 Determinism contract
 --------------------
@@ -54,7 +58,7 @@ both halves phase by phase.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -65,7 +69,7 @@ from ..core.parameters import (
 )
 from ..core.opinions import counts_from_bias, opposite, validate_opinion
 from ..core.schedule import PhaseSchedule, build_stage1_schedule, build_stage2_schedule
-from ..core.synchronizer import default_guard
+from ..core.synchronizer import default_guard, guarded_schedules
 from ..errors import ExperimentError, ParameterError, SimulationError
 from ..substrate.network import PushGossipNetwork
 from ..substrate.noise import BinarySymmetricChannel, NoiseChannel
@@ -288,6 +292,87 @@ def _bias_of_new_grid(newly_correct: np.ndarray, newly_activated: np.ndarray) ->
 
 
 # ----------------------------------------------------------------------
+# Phase windows on the agents' clocks (Section 3.1)
+# ----------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class _GridPhase:
+    """One phase position of the replicates' schedules, in global rounds.
+
+    Agent ``a`` of replicate ``r`` runs local round ``t`` at global round
+    ``offsets[r, a] + t``.  ``rounds`` spans every global round in which
+    some replicate's agent is inside the phase; in the ``interior`` rounds
+    every agent of every replicate is.  With equal clocks the two coincide.
+    """
+
+    index: int
+    length: int
+    starts: np.ndarray
+    ends: np.ndarray
+    offsets: np.ndarray
+    rounds: range
+    interior: range
+
+    def send_masks(
+        self, eligible: np.ndarray, senders: np.ndarray
+    ) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
+        """Yield ``(send_mask, senders_per_replicate)`` for each round of the phase.
+
+        Interior rounds send from every ``eligible`` agent, exactly as the
+        synchronous loop does; edge rounds only from agents whose own clock
+        is inside the phase, and are skipped — no randomness drawn — when
+        nobody's is.
+        """
+        for now in self.rounds:
+            if now in self.interior:
+                yield eligible, senders
+                continue
+            local = now - self.offsets
+            send_mask = eligible & (local >= self.starts) & (local < self.ends)
+            if send_mask.any():
+                yield send_mask, send_mask.sum(axis=1)
+
+
+def _grid_phases(
+    state: BatchState,
+    schedule: PhaseSchedule,
+    offsets: Optional[np.ndarray],
+    schedules: Optional[Sequence[PhaseSchedule]],
+) -> List[_GridPhase]:
+    """The phases a stage kernel runs: ``schedule`` on equal clocks reading
+    zero at ``state.rounds``, or each replicate's schedule on its clocks."""
+    if offsets is None and schedules is None:
+        offsets, schedules = np.full((1, 1), state.rounds, dtype=np.int64), [schedule]
+    elif offsets is None or schedules is None:
+        raise ParameterError("skewed clocks need both offsets and one schedule per replicate")
+    else:
+        offsets = np.asarray(offsets, dtype=np.int64)
+        if offsets.shape != state.shape or len(schedules) != state.shape[0]:
+            raise ParameterError("need an (R, n) offsets grid and one schedule per replicate")
+    starts = np.array([[phase.start for phase in each] for each in schedules], dtype=np.int64)
+    ends = np.array([[phase.end for phase in each] for each in schedules], dtype=np.int64)
+    earliest = offsets.min(axis=1, keepdims=True)
+    latest = offsets.max(axis=1, keepdims=True)
+    if np.any(starts[:, 1:] + earliest < ends[:, :-1] + latest):
+        raise ParameterError("the guard before each phase must be at least the clock skew")
+    first, last = (starts + earliest).min(axis=0), (ends + latest).max(axis=0)
+    inner_first, inner_last = (starts + latest).max(axis=0), (ends + earliest).min(axis=0)
+    return [
+        _GridPhase(
+            index=phase.index,
+            length=phase.length,
+            starts=starts[:, [position]],
+            ends=ends[:, [position]],
+            offsets=offsets,
+            rounds=range(int(first[position]), int(last[position])),
+            interior=range(int(inner_first[position]), int(inner_last[position])),
+        )
+        for position, phase in enumerate(schedules[0])
+    ]
+
+
+# ----------------------------------------------------------------------
 # Stage I — spreading in synchronized layers (Section 2.1)
 # ----------------------------------------------------------------------
 
@@ -322,6 +407,8 @@ def run_stage1_batch(
     start_phase: int = 0,
     faults=None,
     topology=None,
+    offsets: Optional[np.ndarray] = None,
+    schedules: Optional[Sequence[PhaseSchedule]] = None,
 ) -> StageOneBatchResult:
     """Stage I on ``(R, n)`` grids, mirroring :func:`repro.core.stage1.execute_stage_one`.
 
@@ -340,7 +427,7 @@ def run_stage1_batch(
         The opinion ``B`` (used only for measurement, never by agents).
     start_phase:
         First phase to execute (Corollary 2.18), exactly as in the serial
-        executor.
+        executor; must be a phase of the stage.
     faults, topology:
         Optional :class:`~repro.substrate.faults.FaultInjector` /
         :class:`~repro.substrate.topology.ContactTopology`.  When either is
@@ -349,6 +436,15 @@ def run_stage1_batch(
         a full ``(R, n)`` grid per round, so main-stream consumption is
         independent of the crash/churn pattern.  With both ``None`` the
         original code path runs byte for byte.
+    offsets, schedules:
+        Skewed clocks (Section 3): an ``(R, n)`` grid of the global rounds
+        at which each agent's clock reads zero and one local-time schedule
+        per replicate (they may differ in their guards), replacing
+        ``start_phase``.  By default every clock reads zero at
+        ``state.rounds`` and the schedule is the synchronous one.
+        ``state.rounds`` then advances by each phase's global window, and
+        a replicate's own round count is its schedule's end plus its
+        largest offset.
 
     Returns
     -------
@@ -362,28 +458,29 @@ def run_stage1_batch(
         raise SimulationError(
             "Stage I needs at least one initially opinionated agent (source or seeded set)"
         )
+    schedule = build_stage1_schedule(parameters, start_phase=start_phase)
+    phases = _grid_phases(state, schedule, offsets, schedules)
 
     scratch = _ReservoirScratch((R, n))
     summaries: List[StageOnePhaseBatchSummary] = []
     messages_before = state.messages_sent.copy()
     start_round = state.rounds
+    resilient = faults is not None or topology is not None
 
-    for phase in range(start_phase, parameters.num_phases):
-        phase_length = parameters.phase_length(phase)
+    for phase in phases:
         # Senders are fixed at phase start: activated and opinionated agents.
         # Newly contacted agents stay silent ("breathe") until the next phase.
-        send_mask = state.activated & (state.opinions != NO_OPINION)
-        bits = np.where(send_mask, state.opinions, 0).astype(np.int8)
+        eligible = state.activated & (state.opinions != NO_OPINION)
+        bits = np.where(eligible, state.opinions, 0).astype(np.int8)
         dormant = ~state.activated
-        senders_per_replicate = send_mask.sum(axis=1)
+        senders_per_replicate = eligible.sum(axis=1)
 
         # Per-agent reservoir sampling over the messages heard this phase,
         # exactly as ReceptionAccumulator does serially: the m-th accepted
         # message replaces the current choice with probability 1/m.
         scratch.reset()
         heard_counts, chosen = scratch.heard_counts, scratch.chosen
-        resilient = faults is not None or topology is not None
-        for _ in range(phase_length):
+        for send_mask, senders in phase.send_masks(eligible, senders_per_replicate):
             report = network.deliver_batch(
                 send_mask, bits, channel, rng, faults=faults, topology=topology
             )
@@ -402,8 +499,8 @@ def run_stage1_batch(
                     replace = rng.random(rows.size) < 1.0 / counts
                 keep_rows, keep_cols = rows[replace], cols[replace]
                 chosen[keep_rows, keep_cols] = report.bits[keep_rows, keep_cols]
-            state.messages_sent += report.messages_sent if resilient else senders_per_replicate
-            state.rounds += 1
+            state.messages_sent += report.messages_sent if resilient else senders
+        state.rounds += len(phase.rounds)
 
         newly = (heard_counts > 0) & dormant
         state.activated |= newly
@@ -413,14 +510,14 @@ def run_stage1_batch(
         newly_correct = (newly & (chosen == correct_opinion)).sum(axis=1)
         summaries.append(
             StageOnePhaseBatchSummary(
-                phase=phase,
-                rounds=phase_length,
+                phase=phase.index,
+                rounds=len(phase.rounds),
                 senders=senders_per_replicate,
                 activated_total=state.activated.sum(axis=1),
                 newly_activated=newly_activated,
                 newly_correct=newly_correct,
                 bias_of_new=_bias_of_new_grid(newly_correct, newly_activated),
-                messages_sent=senders_per_replicate * phase_length,
+                messages_sent=senders_per_replicate * phase.length,
             )
         )
 
@@ -494,6 +591,8 @@ def run_stage2_batch(
     correct_opinion: int,
     faults=None,
     topology=None,
+    offsets: Optional[np.ndarray] = None,
+    schedules: Optional[Sequence[PhaseSchedule]] = None,
 ) -> StageTwoBatchResult:
     """Stage II on ``(R, n)`` grids, mirroring :func:`repro.core.stage2.execute_stage_two`.
 
@@ -507,37 +606,38 @@ def run_stage2_batch(
     (see :func:`run_stage1_batch`); the phase-end hypergeometric subset draw
     consumes a data-dependent number of variates by construction and is
     documented as outside the per-round RNG-stability guarantee (it is an
-    order-invariant aggregate per Remark 2.10).
+    order-invariant aggregate per Remark 2.10).  ``offsets``/``schedules``
+    run the stage on skewed clocks, as in :func:`run_stage1_batch`.
     """
     correct_opinion = validate_opinion(correct_opinion)
     R, n = state.shape
+    phases = _grid_phases(state, build_stage2_schedule(parameters), offsets, schedules)
     scratch = _SampleScratch((R, n))
     summaries: List[StageTwoPhaseBatchSummary] = []
     messages_before = state.messages_sent.copy()
     start_round = state.rounds
+    resilient = faults is not None or topology is not None
 
-    for phase in range(1, parameters.num_phases + 1):
-        phase_length = parameters.phase_length(phase)
-        subset_size = phase_length // 2
+    for phase in phases:
+        subset_size = phase.length // 2
         bias_before = population_bias_grid(state.opinions, correct_opinion)
 
         # Messages sent during the phase all carry the phase-start opinion.
         snapshot = state.opinions.copy()
-        send_mask = snapshot != NO_OPINION
-        bits = np.where(send_mask, snapshot, 0).astype(np.int8)
-        senders_per_replicate = send_mask.sum(axis=1)
+        eligible = snapshot != NO_OPINION
+        bits = np.where(eligible, snapshot, 0).astype(np.int8)
+        senders_per_replicate = eligible.sum(axis=1)
 
         scratch.reset()
         totals, ones = scratch.totals, scratch.ones
-        resilient = faults is not None or topology is not None
-        for _ in range(phase_length):
+        for send_mask, senders in phase.send_masks(eligible, senders_per_replicate):
             report = network.deliver_batch(
                 send_mask, bits, channel, rng, faults=faults, topology=topology
             )
             totals += report.accepted
             ones += report.bits  # zero wherever nothing was accepted
-            state.messages_sent += report.messages_sent if resilient else senders_per_replicate
-            state.rounds += 1
+            state.messages_sent += report.messages_sent if resilient else senders
+        state.rounds += len(phase.rounds)
 
         successful = totals >= subset_size
         majority = _majority_of_random_subset_grid(totals, ones, successful, subset_size, rng)
@@ -547,13 +647,13 @@ def run_stage2_batch(
         correct_now = (state.opinions == correct_opinion).sum(axis=1)
         summaries.append(
             StageTwoPhaseBatchSummary(
-                phase=phase,
-                rounds=phase_length,
+                phase=phase.index,
+                rounds=len(phase.rounds),
                 successful_agents=successful.sum(axis=1),
                 bias_before=bias_before,
                 bias_after=population_bias_grid(state.opinions, correct_opinion),
                 correct_fraction_after=correct_now / n,
-                messages_sent=senders_per_replicate * phase_length,
+                messages_sent=senders_per_replicate * phase.length,
             )
         )
 
@@ -770,129 +870,6 @@ def _run_activation_phase_batch(
     return offsets, rounds, messages, all_informed
 
 
-def _phase_windows(
-    schedules: List[PhaseSchedule], position: int, min_offset: np.ndarray, max_offset: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, int]:
-    """Per-replicate local bounds and global window of phase ``position``."""
-    starts = np.array([schedule.phases[position].start for schedule in schedules], dtype=np.int64)
-    ends = np.array([schedule.phases[position].end for schedule in schedules], dtype=np.int64)
-    global_start = int((starts + min_offset).min())
-    global_end = int((ends + max_offset).max())
-    index = schedules[0].phases[position].index
-    return starts, ends, global_start, global_end, index
-
-
-def _execute_stage_one_windowed_batch(
-    state: BatchState,
-    network: PushGossipNetwork,
-    channel: NoiseChannel,
-    rng: np.random.Generator,
-    schedules: List[PhaseSchedule],
-    offsets: np.ndarray,
-) -> None:
-    """Stage I where each agent follows its own clock, on ``(R, n)`` grids.
-
-    Mirrors :func:`repro.core.synchronizer.execute_stage_one_windowed`: an
-    agent of level ``i`` speaks only while its *local* clock is inside phase
-    ``j > i``'s (guard-dilated) interval, and phase-end decisions reuse the
-    reservoir rule of the synchronous kernel.  Each replicate carries its own
-    schedule (its guard can differ) and its own offsets; replicates whose
-    window has not started or already ended simply field no senders at that
-    global round, which is exactly the serial executor's idle round.
-    """
-    R, n = state.shape
-    min_offset = offsets.min(axis=1)
-    max_offset = offsets.max(axis=1)
-
-    first_phase = schedules[0].phases[0].index
-    levels = np.full((R, n), np.iinfo(np.int32).max, dtype=np.int64)
-    initially_opinionated = state.activated & (state.opinions != NO_OPINION)
-    levels = np.where(initially_opinionated, first_phase - 1, levels)
-
-    scratch = _ReservoirScratch((R, n))
-    for position in range(len(schedules[0].phases)):
-        starts, ends, global_start, global_end, phase_index = _phase_windows(
-            schedules, position, min_offset, max_offset
-        )
-        scratch.reset()
-        heard_counts, chosen = scratch.heard_counts, scratch.chosen
-        dormant = ~state.activated
-        # Opinions and levels only change at phase boundaries, so sender
-        # eligibility and message bits are fixed for the whole phase.
-        eligible = (levels < phase_index) & (state.opinions != NO_OPINION)
-        bits_full = np.where(eligible, state.opinions, 0).astype(np.int8)
-        for now in range(global_start, global_end):
-            local = now - offsets
-            in_window = (local >= starts[:, None]) & (local < ends[:, None])
-            send_mask = in_window & eligible
-            if not send_mask.any():
-                continue  # the serial executor idles; no randomness is consumed
-            report = network.deliver_batch(send_mask, bits_full, channel, rng)
-            rows, cols = np.nonzero(report.accepted & dormant)
-            if rows.size:
-                counts = heard_counts[rows, cols] + 1
-                heard_counts[rows, cols] = counts
-                replace = rng.random(rows.size) < 1.0 / counts
-                keep_rows, keep_cols = rows[replace], cols[replace]
-                chosen[keep_rows, keep_cols] = report.bits[keep_rows, keep_cols]
-            state.messages_sent += send_mask.sum(axis=1)
-
-        newly = (heard_counts > 0) & dormant
-        state.activated |= newly
-        state.opinions = np.where(newly, chosen, state.opinions)
-        levels = np.where(newly, phase_index, levels)
-
-
-def _execute_stage_two_windowed_batch(
-    state: BatchState,
-    network: PushGossipNetwork,
-    channel: NoiseChannel,
-    rng: np.random.Generator,
-    schedules: List[PhaseSchedule],
-    offsets: np.ndarray,
-) -> None:
-    """Stage II where each agent follows its own clock, on ``(R, n)`` grids.
-
-    Mirrors :func:`repro.core.synchronizer.execute_stage_two_windowed`:
-    messages carry the phase-start opinion snapshot, successful agents (at
-    least ``m_i / 2`` samples) adopt the majority of a random
-    ``m_i / 2``-subset at their phase end.  Opinions only change at phase
-    boundaries, so snapshotting at the global window start is identical to
-    each replicate snapshotting at its own window start.
-    """
-    R, n = state.shape
-    min_offset = offsets.min(axis=1)
-    max_offset = offsets.max(axis=1)
-    scratch = _SampleScratch((R, n))
-
-    for position in range(len(schedules[0].phases)):
-        starts, ends, global_start, global_end, _index = _phase_windows(
-            schedules, position, min_offset, max_offset
-        )
-        subset_size = schedules[0].phases[position].length // 2
-        snapshot = state.opinions.copy()
-        opinionated = snapshot != NO_OPINION
-        bits_full = np.where(opinionated, snapshot, 0).astype(np.int8)
-
-        scratch.reset()
-        totals, ones = scratch.totals, scratch.ones
-        for now in range(global_start, global_end):
-            local = now - offsets
-            in_window = (local >= starts[:, None]) & (local < ends[:, None])
-            send_mask = in_window & opinionated
-            if not send_mask.any():
-                continue  # the serial executor idles; no randomness is consumed
-            report = network.deliver_batch(send_mask, bits_full, channel, rng)
-            totals += report.accepted
-            ones += report.bits
-            state.messages_sent += send_mask.sum(axis=1)
-
-        successful = totals >= subset_size
-        majority = _majority_of_random_subset_grid(totals, ones, successful, subset_size, rng)
-        state.opinions = np.where(successful, majority, state.opinions)
-        state.activated |= successful
-
-
 def _run_windowed_broadcast_batch(
     variant: str,
     n: int,
@@ -911,8 +888,8 @@ def _run_windowed_broadcast_batch(
 ) -> BatchWindowedResult:
     """Shared tail of the two Section-3 batch entry points: guarded stages.
 
-    Builds each replicate's guard-dilated schedules, runs both windowed
-    stages and assembles the result.  ``rounds`` per replicate is the end of
+    Builds each replicate's guard-dilated schedules, runs both stage kernels
+    on the replicates' clocks and assembles the result.  ``rounds`` per replicate is the end of
     its Stage-II schedule plus its largest offset — exactly where the serial
     executor's clock stops — with the activation rounds already inside that
     span for the clock-free variant (offsets are absolute global rounds).
@@ -921,19 +898,17 @@ def _run_windowed_broadcast_batch(
     state = source_batch_state(n, num_replicates, correct_opinion)
     state.messages_sent += activation_messages
 
-    stage1_schedules: List[PhaseSchedule] = []
-    stage2_schedules: List[PhaseSchedule] = []
-    for guard in guards.tolist():
-        stage1_schedule = build_stage1_schedule(parameters.stage1).dilated(int(guard))
-        stage1_schedules.append(stage1_schedule)
-        stage2_schedules.append(
-            build_stage2_schedule(parameters.stage2, start_round=stage1_schedule.end).dilated(
-                int(guard)
-            )
-        )
-
-    _execute_stage_one_windowed_batch(state, network, channel, rng, stage1_schedules, offsets)
-    _execute_stage_two_windowed_batch(state, network, channel, rng, stage2_schedules, offsets)
+    stage1_schedules, stage2_schedules = zip(
+        *(guarded_schedules(parameters, guard) for guard in guards.tolist())
+    )
+    run_stage1_batch(
+        state, network, channel, rng, parameters.stage1, correct_opinion,
+        offsets=offsets, schedules=stage1_schedules,
+    )
+    run_stage2_batch(
+        state, network, channel, rng, parameters.stage2, correct_opinion,
+        offsets=offsets, schedules=stage2_schedules,
+    )
 
     max_offset = offsets.max(axis=1)
     rounds = (
@@ -1048,13 +1023,11 @@ def run_clock_free_batch(
     offsets, activation_rounds, activation_messages, all_informed = _run_activation_phase_batch(
         n, R, activation_network, channel, rng
     )
-    skew = offsets.max(axis=1) - offsets.min(axis=1)
     if guard is not None:
         guards = np.full(R, guard, dtype=np.int64)
     else:
+        skew = offsets.max(axis=1) - offsets.min(axis=1)
         guards = np.maximum(default_guard(n), skew).astype(np.int64)
-    if np.any(guards < skew):
-        raise ParameterError("guard must be at least the clock skew")
     return _run_windowed_broadcast_batch(
         "clock-free",
         n,

@@ -18,7 +18,7 @@ the synchronous run, message ratio, and success rate.
 With ``batch=True`` every variant simulates all of its trials at once on
 ``(R, n)`` grids: the synchronous run through
 :func:`repro.exec.batching.run_broadcast_batch` and the Section-3 variants
-through the windowed batch executors
+through the stage kernels run on skewed clocks
 (:func:`repro.exec.stage_batching.run_bounded_skew_batch` /
 :func:`repro.exec.stage_batching.run_clock_free_batch`), each replicate
 carrying its own clock offsets, guard and dilated schedule exactly as the

@@ -117,6 +117,17 @@ class TestProtocolClass:
         assert result.start_phase == last_phase
         assert result.stage1.phases[0].phase == last_phase
 
+    def test_start_phase_past_stage1_rejected(self, rng):
+        """n = 200, eps = 0.3 has two Stage-I phases; starting at phase 5 used
+        to run Stage I for zero rounds."""
+        parameters = ProtocolParameters.calibrated(200, 0.3)
+        assert parameters.stage1.num_phases == 2
+        engine = SimulationEngine.create(n=200, epsilon=0.3, seed=13, source=None)
+        instance = MajorityInstance.generate(n=200, size=60, bias=0.25, majority_opinion=1, rng=rng)
+        protocol = NoisyMajorityConsensusProtocol(parameters, start_phase=5)
+        with pytest.raises(ParameterError, match="start_phase 5 out of range"):
+            protocol.run(engine, instance)
+
     def test_rejects_mismatched_engine(self, rng):
         parameters = ProtocolParameters.calibrated(300, 0.3)
         engine = SimulationEngine.create(n=100, epsilon=0.3, seed=13, source=None)

@@ -23,11 +23,8 @@ def stage2_params():
 
 
 class TestPhaseInterval:
-    def test_length_and_contains(self):
-        interval = PhaseInterval(index=1, start=5, end=9)
-        assert interval.length == 4
-        assert interval.contains(5) and interval.contains(8)
-        assert not interval.contains(9) and not interval.contains(4)
+    def test_length(self):
+        assert PhaseInterval(index=1, start=5, end=9).length == 4
 
     def test_shifted(self):
         assert PhaseInterval(0, 2, 4).shifted(10) == PhaseInterval(0, 12, 14)

@@ -5,7 +5,7 @@ import pytest
 
 from repro.core.parameters import StageOneParameters
 from repro.core.stage1 import ReceptionAccumulator, execute_stage_one
-from repro.errors import SimulationError
+from repro.errors import ParameterError, SimulationError
 from repro.substrate import SimulationEngine
 from repro.substrate.noise import PerfectChannel
 
@@ -62,7 +62,7 @@ class TestExecuteStageOne:
         assert [summary.phase for summary in result.phases] == [0, 1, 2]
         assert [summary.rounds for summary in result.phases] == [60, 20, 120]
         assert result.messages_sent == engine.metrics.messages_sent
-        assert len(engine.metrics.phases_for("stage1")) == 3
+        assert sum(record.stage == "stage1" for record in engine.metrics.phases) == 3
 
     def test_phase0_only_source_speaks(self):
         engine = SimulationEngine.create(n=300, epsilon=0.25, seed=7)
@@ -123,6 +123,15 @@ class TestExecuteStageOne:
         assert [summary.phase for summary in result.phases] == [1, 2]
         assert result.rounds == params.phase_length(1) + params.phase_length(2)
         assert result.all_activated
+
+    @pytest.mark.parametrize("start_phase", [-1, 3, 5])
+    def test_start_phase_outside_the_stage_rejected(self, start_phase):
+        """A start phase the stage does not have is an error, not a skipped stage."""
+        engine = SimulationEngine.create(n=300, epsilon=0.25, seed=29)
+        engine.population.set_source_opinion(1)
+        with pytest.raises(ParameterError, match="out of range"):
+            execute_stage_one(engine, small_stage1_params(), correct_opinion=1, start_phase=start_phase)
+        assert engine.now == 0
 
     def test_dormant_agents_never_send(self):
         """In every phase the number of senders equals the agents activated before it."""

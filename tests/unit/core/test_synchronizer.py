@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 
 from repro.core.parameters import ProtocolParameters, StageOneParameters, StageTwoParameters
-from repro.core.schedule import build_stage1_schedule
+from repro.core.schedule import build_stage1_schedule, build_stage2_schedule
+from repro.core.stage1 import execute_stage_one
+from repro.core.stage2 import execute_stage_two
 from repro.core.synchronizer import (
     ClockFreeBroadcastProtocol,
     default_guard,
-    execute_stage_one_windowed,
-    execute_stage_two_windowed,
+    guarded_schedules,
     run_activation_phase,
     run_clock_free_broadcast,
     run_with_bounded_skew,
@@ -72,44 +73,70 @@ class TestActivationPhase:
         assert result.messages_sent <= 300 * duration
 
 
-class TestWindowedExecutors:
-    def test_zero_skew_windowed_stage1_matches_synchronous_schedule(self):
-        """With identical offsets the windowed executor behaves like the synchronous one."""
-        stage1 = StageOneParameters(beta_s=40, beta=10, beta_f=80, num_intermediate_phases=1)
-        engine = SimulationEngine.create(n=250, epsilon=0.3, seed=31)
-        engine.population.set_source_opinion(1)
-        offsets = np.zeros(250, dtype=np.int64)
-        result = execute_stage_one_windowed(
-            engine, stage1, correct_opinion=1, offsets=offsets, guard=0,
-            schedule=build_stage1_schedule(stage1),
-        )
-        assert result.all_activated
-        assert result.rounds == stage1.total_rounds
-        assert result.final_bias > 0
+class TestStagesOnSkewedClocks:
+    """The synchronous stage executors run on per-agent clock offsets."""
 
-    def test_windowed_stage1_with_skew_still_activates_everyone(self):
-        stage1 = StageOneParameters(beta_s=40, beta=10, beta_f=80, num_intermediate_phases=1)
-        engine = SimulationEngine.create(n=250, epsilon=0.3, seed=32)
+    STAGE1 = StageOneParameters(beta_s=40, beta=10, beta_f=80, num_intermediate_phases=1)
+
+    def _source_engine(self, seed, n=250):
+        engine = SimulationEngine.create(n=n, epsilon=0.3, seed=seed)
         engine.population.set_source_opinion(1)
+        return engine
+
+    def test_equal_clocks_reproduce_the_synchronous_run(self):
+        """With identical offsets and the undilated schedule, the run is the
+        synchronous one, draw for draw."""
+        synchronous = execute_stage_one(self._source_engine(31), self.STAGE1, correct_opinion=1)
+        skewed = execute_stage_one(
+            self._source_engine(31), self.STAGE1, correct_opinion=1,
+            offsets=np.zeros(250, dtype=np.int64), schedule=build_stage1_schedule(self.STAGE1),
+        )
+        assert skewed == synchronous
+        assert skewed.all_activated
+        assert skewed.rounds == self.STAGE1.total_rounds
+
+    def test_stage1_with_skew_still_activates_everyone(self):
+        engine = self._source_engine(32)
         skew = 12
         offsets = engine.random.stream("skew").integers(0, skew, size=250).astype(np.int64)
-        result = execute_stage_one_windowed(
-            engine, stage1, correct_opinion=1, offsets=offsets, guard=skew
+        result = execute_stage_one(
+            engine, self.STAGE1, correct_opinion=1, offsets=offsets,
+            schedule=build_stage1_schedule(self.STAGE1).dilated(skew),
         )
         assert result.all_activated
         # Guard gaps cost extra rounds on top of the base schedule.
-        assert result.rounds >= stage1.total_rounds
+        assert result.rounds >= self.STAGE1.total_rounds
+        # Each phase's global window is its length plus the realised skew.
+        realised = int(offsets.max() - offsets.min())
+        assert [summary.rounds for summary in result.phases] == [
+            phase.length + realised for phase in build_stage1_schedule(self.STAGE1)
+        ]
 
     def test_guard_smaller_than_skew_rejected(self):
         stage1 = StageOneParameters(beta_s=10, beta=5, beta_f=10, num_intermediate_phases=0)
-        engine = SimulationEngine.create(n=100, epsilon=0.3, seed=33)
-        engine.population.set_source_opinion(1)
+        engine = self._source_engine(33, n=100)
         offsets = np.zeros(100, dtype=np.int64)
         offsets[5] = 30
-        with pytest.raises(ParameterError):
-            execute_stage_one_windowed(engine, stage1, 1, offsets=offsets, guard=10)
+        with pytest.raises(ParameterError, match="at least the clock skew"):
+            execute_stage_one(
+                engine, stage1, 1, offsets=offsets,
+                schedule=build_stage1_schedule(stage1).dilated(10),
+            )
+        assert engine.now == 0, "rejected before any round runs"
 
-    def test_windowed_stage2_boosts_bias(self):
+    def test_stage2_window_must_start_after_stage1_ends(self):
+        """The gap before a stage's first phase must absorb the skew too."""
+        stage2 = StageTwoParameters(gamma=15, num_boost_phases=3, final_phase_rounds=120)
+        engine = SimulationEngine.create(n=100, epsilon=0.3, seed=36, source=None)
+        engine.population.seed_opinionated_set(np.arange(100), np.ones(100, dtype=np.int8))
+        engine.idle_round()
+        with pytest.raises(ParameterError):
+            execute_stage_two(
+                engine, stage2, 1, offsets=np.zeros(100, dtype=np.int64),
+                schedule=build_stage2_schedule(stage2),
+            )
+
+    def test_stage2_on_skewed_clocks_boosts_bias(self):
         stage2 = StageTwoParameters(gamma=15, num_boost_phases=3, final_phase_rounds=120)
         engine = SimulationEngine.create(n=250, epsilon=0.3, seed=34, source=None)
         members = np.arange(250)
@@ -117,17 +144,26 @@ class TestWindowedExecutors:
         engine.population.seed_opinionated_set(members, opinions)
         skew = 9
         offsets = engine.random.stream("skew").integers(0, skew, size=250).astype(np.int64)
-        result = execute_stage_two_windowed(
-            engine, stage2, correct_opinion=1, offsets=offsets, guard=skew
+        result = execute_stage_two(
+            engine, stage2, correct_opinion=1, offsets=offsets,
+            schedule=build_stage2_schedule(stage2).dilated(skew),
         )
         assert result.final_correct_fraction > 0.95
 
     def test_offsets_shape_validated(self):
         stage1 = StageOneParameters(beta_s=10, beta=5, beta_f=10, num_intermediate_phases=0)
-        engine = SimulationEngine.create(n=100, epsilon=0.3, seed=35)
-        engine.population.set_source_opinion(1)
-        with pytest.raises(ParameterError):
-            execute_stage_one_windowed(engine, stage1, 1, offsets=np.zeros(5), guard=10)
+        engine = self._source_engine(35, n=100)
+        with pytest.raises(ParameterError, match="one entry per agent"):
+            execute_stage_one(
+                engine, stage1, 1, offsets=np.zeros(5),
+                schedule=build_stage1_schedule(stage1).dilated(10),
+            )
+
+    def test_guarded_schedules_dilate_both_stages(self):
+        parameters = small_parameters()
+        stage1, stage2 = guarded_schedules(parameters, 7)
+        assert stage1 == build_stage1_schedule(parameters.stage1).dilated(7)
+        assert stage2 == build_stage2_schedule(parameters.stage2, start_round=stage1.end).dilated(7)
 
 
 class TestClockFreeProtocol:
@@ -151,6 +187,12 @@ class TestClockFreeProtocol:
         assert result.success
         assert result.guard == 16
         assert result.activation is None
+
+    @pytest.mark.parametrize("entry_point", [run_clock_free_broadcast, run_clock_free_batch])
+    def test_guard_below_the_activation_skew_rejected(self, entry_point):
+        settings = {"seed": 3} if entry_point is run_clock_free_broadcast else {"num_replicates": 2}
+        with pytest.raises(ParameterError, match="at least the clock skew"):
+            entry_point(n=150, epsilon=0.3, guard=1, **settings)
 
     def test_bounded_skew_validation(self):
         with pytest.raises(ParameterError):

@@ -14,6 +14,7 @@ import pytest
 from repro.api import ExecutionConfig, run_experiment
 from repro.core.broadcast import solve_noisy_broadcast
 from repro.core.majority import solve_noisy_majority_consensus
+from repro.core.parameters import ProtocolParameters
 from repro.errors import ExperimentError, ParameterError, ProtocolError
 from repro.exec import batching
 from repro.exec.batching import (
@@ -302,11 +303,23 @@ class TestBatchedMajority:
 
     def test_start_phase_override_shortens_schedule(self):
         """A forced late start skips early Stage-I phases, exactly as serially."""
-        base = dict(n=400, epsilon=0.25, num_replicates=2, initial_set_size=60, majority_bias=0.3)
+        base = dict(n=400, epsilon=0.4, num_replicates=2, initial_set_size=60, majority_bias=0.3,
+                    s0=1.0, beta_override=4)
+        parameters = ProtocolParameters.calibrated(400, 0.4, s0=1.0, beta_override=4)
         default = run_majority_batch(base_seed=1, **base)
         late = run_majority_batch(base_seed=1, start_phase=default.start_phase + 1, **base)
-        assert late.start_phase == default.start_phase + 1
-        assert late.rounds < default.rounds
+        assert late.start_phase == default.start_phase + 1 < parameters.stage1.num_phases
+        assert late.rounds == default.rounds - parameters.stage1.phase_length(default.start_phase)
+
+    @pytest.mark.parametrize("start_phase", [2, 5])
+    def test_start_phase_past_stage1_rejected(self, start_phase):
+        """n = 200, eps = 0.3 has two Stage-I phases; starting past them used
+        to return a Stage-II-only run."""
+        with pytest.raises(ParameterError, match="out of range"):
+            run_majority_batch(
+                n=200, epsilon=0.3, num_replicates=2, initial_set_size=60,
+                majority_bias=0.25, start_phase=start_phase,
+            )
 
     def test_validation(self):
         with pytest.raises(ExperimentError):

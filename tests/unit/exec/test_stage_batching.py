@@ -24,7 +24,7 @@ from repro.core.schedule import build_stage1_schedule, build_stage2_schedule
 from repro.core.stage1 import ReceptionAccumulator, execute_stage_one
 from repro.core.stage2 import SampleAccumulator, execute_stage_two
 from repro.core.synchronizer import default_guard, run_with_bounded_skew
-from repro.errors import SimulationError
+from repro.errors import ParameterError, SimulationError
 from repro.exec.batching import run_baseline_batch, run_broadcast_batch
 from repro.exec.stage_batching import (
     BatchState,
@@ -290,6 +290,66 @@ class TestCompositionBitIdentity:
 
 
 class TestWindowedBatch:
+    """The Section-3 batch entry points run the stage kernels on skewed clocks."""
+
+    @staticmethod
+    def _stages(seed, offsets=None, guard=None):
+        parameters = _parameters()
+        R = 3
+        rng = spawn_generator(seed, "skewed-kernels", N)
+        network = PushGossipNetwork(size=N)
+        channel = BinarySymmetricChannel(epsilon=EPSILON)
+        state = source_batch_state(N, R, 1)
+        skewed = {}
+        if offsets is not None:
+            stage1_schedule = build_stage1_schedule(parameters.stage1).dilated(guard)
+            stage2_schedule = build_stage2_schedule(
+                parameters.stage2, start_round=stage1_schedule.end
+            ).dilated(guard)
+            skewed = dict(offsets=offsets, schedules=[stage1_schedule] * R)
+        stage1 = run_stage1_batch(state, network, channel, rng, parameters.stage1, 1, **skewed)
+        if offsets is not None:
+            skewed["schedules"] = [stage2_schedule] * R
+        stage2 = run_stage2_batch(state, network, channel, rng, parameters.stage2, 1, **skewed)
+        return stage1, stage2, state
+
+    def test_equal_clocks_reproduce_the_synchronous_kernels(self):
+        """Identical offsets and undilated schedules: every round is an
+        interior round, so the run is the synchronous one, draw for draw."""
+        synchronous = self._stages(4)
+        equal_clocks = self._stages(4, offsets=np.zeros((3, N), dtype=np.int64), guard=0)
+        for sync_stage, skewed_stage in zip(synchronous[:2], equal_clocks[:2]):
+            assert skewed_stage.rounds == sync_stage.rounds
+            for sync_phase, skewed_phase in zip(sync_stage.phases, skewed_stage.phases):
+                for field in sync_phase.__dataclass_fields__:
+                    assert np.array_equal(getattr(sync_phase, field), getattr(skewed_phase, field))
+        assert np.array_equal(synchronous[2].opinions, equal_clocks[2].opinions)
+        assert np.array_equal(synchronous[2].messages_sent, equal_clocks[2].messages_sent)
+
+    def test_guard_smaller_than_skew_rejected(self):
+        offsets = np.zeros((3, N), dtype=np.int64)
+        offsets[1, 7] = 12
+        with pytest.raises(ParameterError, match="at least the clock skew"):
+            self._stages(4, offsets=offsets, guard=11)
+
+    def test_skewed_clocks_need_offsets_and_one_schedule_per_replicate(self):
+        parameters = _parameters()
+        network = PushGossipNetwork(size=N)
+        channel = BinarySymmetricChannel(epsilon=EPSILON)
+        schedule = build_stage1_schedule(parameters.stage1)
+        offsets = np.zeros((3, N), dtype=np.int64)
+        for skewed in (
+            dict(offsets=offsets),
+            dict(schedules=[schedule] * 3),
+            dict(offsets=offsets, schedules=[schedule] * 2),
+            dict(offsets=offsets[:, :5], schedules=[schedule] * 3),
+        ):
+            with pytest.raises(ParameterError):
+                run_stage1_batch(
+                    source_batch_state(N, 3, 1), network, channel, np.random.default_rng(0),
+                    parameters.stage1, 1, **skewed,
+                )
+
     def test_skew_one_rounds_are_exact(self):
         """With max_skew=1 every offset is 0, so the guarded schedule is the
         whole story: rounds are bit-identical to the serial executor."""
