@@ -8,7 +8,7 @@ the paper as a reproducible, vectorised simulator:
 * :mod:`~repro.substrate.population` — per-agent opinion/activation state;
 * :mod:`~repro.substrate.network` — uniform push gossip with single-accept
   collision semantics;
-* :mod:`~repro.substrate.clocks` — global and per-agent clocks;
+* :mod:`~repro.substrate.clocks` — the global round clock;
 * :mod:`~repro.substrate.scheduler` — round-budgeted driver for
   run-until-convergence protocols;
 * :mod:`~repro.substrate.faults` — fault models (crash-stop, Byzantine
@@ -20,7 +20,7 @@ the paper as a reproducible, vectorised simulator:
 * :mod:`~repro.substrate.engine` — the wired-together simulation engine.
 """
 
-from .clocks import GlobalClock, LocalClocks
+from .clocks import GlobalClock
 from .engine import SimulationEngine
 from .faults import (
     NONE,
@@ -56,7 +56,6 @@ from .trace import EventTrace, TraceEvent
 
 __all__ = [
     "GlobalClock",
-    "LocalClocks",
     "SimulationEngine",
     "MetricsCollector",
     "PhaseRecord",

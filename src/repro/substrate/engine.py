@@ -17,7 +17,7 @@ from typing import Optional
 import numpy as np
 
 from ..errors import ConfigurationError
-from .clocks import GlobalClock, LocalClocks
+from .clocks import GlobalClock
 from .faults import FaultInjector, FaultModel, build_injector
 from .metrics import MetricsCollector
 from .network import DeliveryReport, PushGossipNetwork
@@ -45,7 +45,6 @@ class SimulationEngine:
     metrics: MetricsCollector = field(default_factory=MetricsCollector)
     trace: EventTrace = field(default_factory=EventTrace)
     clock: GlobalClock = field(default_factory=GlobalClock)
-    local_clocks: Optional[LocalClocks] = None
     faults: Optional[FaultInjector] = None
     topology: Optional[ContactTopology] = None
 
@@ -68,7 +67,6 @@ class SimulationEngine:
         record_time_series: bool = False,
         trace_events: bool = False,
         allow_self_messages: bool = False,
-        with_local_clocks: bool = False,
         faults: Optional[FaultModel] = None,
         topology: Optional[ContactTopology] = None,
     ) -> "SimulationEngine":
@@ -94,8 +92,6 @@ class SimulationEngine:
             Enable the (bounded) event trace.
         allow_self_messages:
             Allow agents to push messages to themselves.
-        with_local_clocks:
-            Attach a :class:`LocalClocks` instance (used by Section-3 runs).
         faults:
             Optional :data:`~repro.substrate.faults.FaultModel`; anything but
             :class:`~repro.substrate.faults.NoFaults` attaches a
@@ -116,7 +112,6 @@ class SimulationEngine:
             random=random,
             metrics=MetricsCollector(record_time_series=record_time_series),
             trace=EventTrace(enabled=trace_events),
-            local_clocks=LocalClocks(size=n) if with_local_clocks else None,
             faults=build_injector(faults, n, random.stream("faults")),
             topology=topology,
         )
