@@ -31,10 +31,6 @@ class LinearFit:
     intercept: float
     r_squared: float
 
-    def predict(self, x: float) -> float:
-        """Evaluate the fitted line at ``x``."""
-        return self.slope * x + self.intercept
-
 
 def _as_arrays(x: Sequence[float], y: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
     x_array = np.asarray(list(x), dtype=float)

@@ -59,10 +59,6 @@ class ExperimentReport:
             raise ExperimentError(f"experiment {self.experiment_id} produced no rows")
         return list(self.rows[0].keys())
 
-    def row_values(self, column: str) -> List[Any]:
-        """All values of one column across the rows."""
-        return [row.get(column) for row in self.rows]
-
     def render(self, float_digits: int = 3) -> str:
         """Render the full report (title, claim, table, notes) as text."""
         if not self.rows:

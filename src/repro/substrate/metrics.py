@@ -102,10 +102,6 @@ class MetricsCollector:
         self.phases.append(record)
 
     # ------------------------------------------------------------------
-    def phases_for(self, stage: str) -> List[PhaseRecord]:
-        """All phase records belonging to ``stage``, in order."""
-        return [record for record in self.phases if record.stage == stage]
-
     def summary(self) -> Dict[str, float]:
         """Plain-dict summary used by the experiment harness and CLI."""
         return {

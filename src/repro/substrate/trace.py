@@ -61,10 +61,6 @@ class EventTrace:
             return
         self.events.append(TraceEvent(round_index=round_index, kind=kind, payload=payload))
 
-    def of_kind(self, kind: str) -> List[TraceEvent]:
-        """All stored events of the given ``kind`` in order."""
-        return [event for event in self.events if event.kind == kind]
-
     def __len__(self) -> int:
         return len(self.events)
 

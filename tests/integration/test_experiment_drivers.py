@@ -39,7 +39,7 @@ def test_e1_driver_small():
 def test_e2_driver_small():
     report = e2_rounds_vs_eps.run(epsilons=(0.25, 0.45), n=300, trials=2)
     assert_renders(report, "E2")
-    rounds = report.row_values("mean_rounds")
+    rounds = [row["mean_rounds"] for row in report.rows]
     assert rounds[0] > rounds[-1]
 
 
@@ -58,7 +58,7 @@ def test_e4_driver_small():
 def test_e5_driver_small():
     report = e5_stage1_growth.run(n=1500, epsilon=0.4, beta_override=6, trials=2)
     assert_renders(report, "E5")
-    sizes = report.row_values("mean_X_i")
+    sizes = [row["mean_X_i"] for row in report.rows]
     assert sizes == sorted(sizes)
 
 
@@ -71,7 +71,7 @@ def test_e6_driver_small():
 def test_e7_driver_small():
     report = e7_baselines.run(n=400, epsilons=(0.3,), trials=2, voter_rounds=100)
     assert_renders(report, "E7")
-    protocols = set(report.row_values("protocol"))
+    protocols = set([row["protocol"] for row in report.rows])
     assert "breathe-before-speaking" in protocols and "immediate-forwarding" in protocols
 
 
@@ -84,7 +84,7 @@ def test_e8_driver_small():
 def test_e9_driver_small():
     report = e9_async.run(n=300, epsilon=0.3, skews=(8,), trials=2)
     assert_renders(report, "E9")
-    variants = report.row_values("variant")
+    variants = [row["variant"] for row in report.rows]
     assert "fully-synchronous" in variants and "bounded-skew" in variants
 
 

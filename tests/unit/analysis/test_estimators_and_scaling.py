@@ -70,7 +70,6 @@ class TestScalingFits:
         assert fit.slope == pytest.approx(3.0)
         assert fit.intercept == pytest.approx(2.0)
         assert fit.r_squared == pytest.approx(1.0)
-        assert fit.predict(4) == pytest.approx(14.0)
 
     def test_power_law_fit_recovers_exponent(self):
         x = np.asarray([10, 20, 40, 80, 160], dtype=float)

@@ -72,7 +72,7 @@ class TestExecuteStageTwo:
         assert result.rounds == params.total_rounds == engine.now
         assert [summary.phase for summary in result.phases] == [1, 2, 3, 4, 5]
         assert result.messages_sent == engine.metrics.messages_sent
-        assert len(engine.metrics.phases_for("stage2")) == 5
+        assert sum(record.stage == "stage2" for record in engine.metrics.phases) == 5
 
     def test_boosts_bias_to_consensus(self):
         engine = seeded_engine(seed=7, bias=0.15)

@@ -37,14 +37,6 @@ class TestMetricsCollector:
         assert recording.correct_fraction_series == [0.5]
         assert recording.activated_series == [3]
 
-    def test_phase_records_filtered_by_stage(self):
-        metrics = MetricsCollector()
-        metrics.observe_phase(make_phase(stage="stage1", phase=0))
-        metrics.observe_phase(make_phase(stage="stage2", phase=1))
-        metrics.observe_phase(make_phase(stage="stage1", phase=1))
-        assert [record.phase for record in metrics.phases_for("stage1")] == [0, 1]
-        assert len(metrics.phases_for("stage2")) == 1
-
     def test_phase_record_duration(self):
         assert make_phase().duration == 5
 

@@ -18,13 +18,6 @@ class TestEventTrace:
         assert trace.events[0].payload == {"count": 3}
         assert trace.events[1].round_index == 2
 
-    def test_of_kind_filters(self):
-        trace = EventTrace(enabled=True)
-        trace.record(1, "a")
-        trace.record(2, "b")
-        trace.record(3, "a")
-        assert [event.round_index for event in trace.of_kind("a")] == [1, 3]
-
     def test_cap_counts_dropped_events(self):
         trace = EventTrace(enabled=True, max_events=2)
         for index in range(5):

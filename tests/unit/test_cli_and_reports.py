@@ -19,7 +19,7 @@ class TestExperimentReport:
         assert "paper claim: something holds" in text
         assert "note: a remark" in text
         assert report.columns() == ["n", "value"]
-        assert report.row_values("n") == [10, 20]
+        assert [row["n"] for row in report.rows] == [10, 20]
 
     def test_empty_report_rejected_at_render(self):
         report = ExperimentReport(experiment_id="EX", title="demo", claim="c")
