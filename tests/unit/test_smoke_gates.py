@@ -1,11 +1,12 @@
 """Smoke gates: persistence round-trips, CLI artifacts, benchmark imports.
 
-Three things in this repository rot silently: the JSON persistence layer (a
+Four things in this repository rot silently: the JSON persistence layer (a
 measurement nobody serialises in the unit suite can break ``save``/``load``
 without any test noticing), the CLI-to-artifact pipeline (the one path an
-end user actually drives), and the ``benchmarks/bench_*.py`` scripts (they
-only execute when someone runs the benchmark harness by hand).  This module
-gates all three in the tier-1 suite:
+end user actually drives), the ``benchmarks/bench_*.py`` scripts (they
+only execute when someone runs the benchmark harness by hand), and the
+functions the repo benchmark's layer trace wraps by name.  This module
+gates all four in the tier-1 suite:
 
 * every persistence entry point (``save_result``/``load_result``/
   ``save_sweep``/``load_sweep``) must round-trip a freshly produced result,
@@ -17,11 +18,14 @@ gates all three in the tier-1 suite:
   step, see ``.github/workflows/ci.yml``);
 * every benchmark script must *import* cleanly — a no-op check that catches
   renamed driver functions, stale imports and syntax errors without paying
-  for a benchmark run — and define at least one test for the harness.
+  for a benchmark run — and define at least one test for the harness;
+* every ``FUNCTIONS``/``METHODS`` target of ``perfbench/spans.py`` must
+  still exist.
 """
 
 from __future__ import annotations
 
+import importlib
 import importlib.util
 import json
 import math
@@ -403,6 +407,27 @@ class TestBenchmarkScriptsImport:
             assert test_functions, f"{script.name} defines no test_* function"
         finally:
             sys.modules.pop(module_name, None)
+
+
+class TestPerfbenchSpanTargets:
+    """The repo benchmark's layer trace wraps ``repro`` functions by name
+    (``perfbench/spans.py``); a renamed or deleted kernel would otherwise
+    only surface when someone runs that benchmark."""
+
+    def test_every_span_target_resolves(self):
+        spans_path = BENCHMARKS_DIR.parent / "perfbench" / "spans.py"
+        spec = importlib.util.spec_from_file_location("_perfbench_spans_smoke", spans_path)
+        spans = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(spans)
+        assert spans.FUNCTIONS and spans.METHODS
+        for module_name, attribute, _name in spans.FUNCTIONS:
+            target = getattr(importlib.import_module(module_name), attribute, None)
+            assert callable(target), f"{module_name}.{attribute} is gone"
+        for module_name, class_name, method, _name, _attr in spans.METHODS:
+            cls = getattr(importlib.import_module(module_name), class_name, None)
+            assert cls is not None, f"{module_name}.{class_name} is gone"
+            # The tracer patches the method the class itself defines.
+            assert callable(vars(cls).get(method)), f"{class_name}.{method} is gone"
 
 
 def _reject_constant(name: str):
