@@ -300,11 +300,6 @@ class ProtocolParameters:
         """Total rounds of Stage I plus Stage II."""
         return self.stage1.total_rounds + self.stage2.total_rounds
 
-    @property
-    def message_upper_bound(self) -> int:
-        """Crude upper bound on total messages: every agent speaks every round."""
-        return self.n * self.total_rounds
-
     def describe(self) -> dict:
         """Plain-dict description used by the CLI and experiment records."""
         return {

@@ -49,10 +49,6 @@ class PhaseInterval:
         """Number of rounds in the phase."""
         return self.end - self.start
 
-    def shifted(self, offset: int) -> "PhaseInterval":
-        """The same phase shifted by ``offset`` rounds."""
-        return PhaseInterval(self.index, self.start + offset, self.end + offset)
-
 
 @dataclass(frozen=True)
 class PhaseSchedule:

@@ -113,10 +113,6 @@ class TestCalibratedPreset:
         assert params.stage1.beta == 8
         assert params.stage1.num_intermediate_phases >= 1
 
-    def test_message_upper_bound(self):
-        params = ProtocolParameters.calibrated(1000, 0.25)
-        assert params.message_upper_bound == 1000 * params.total_rounds
-
     def test_describe_is_serialisable(self):
         description = ProtocolParameters.calibrated(1000, 0.25).describe()
         assert description["n"] == 1000

@@ -26,9 +26,6 @@ class TestPhaseInterval:
     def test_length(self):
         assert PhaseInterval(index=1, start=5, end=9).length == 4
 
-    def test_shifted(self):
-        assert PhaseInterval(0, 2, 4).shifted(10) == PhaseInterval(0, 12, 14)
-
     def test_empty_interval_rejected(self):
         with pytest.raises(ScheduleError):
             PhaseInterval(index=0, start=5, end=5)
