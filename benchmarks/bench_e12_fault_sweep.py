@@ -2,9 +2,11 @@
 
 Runs the E12 driver's sweep for both fault kinds (crash-stop and Byzantine
 senders) two ways — the serial per-trial path and the batched ``(R, n)``
-rules of :mod:`repro.exec.fault_batching` — and records wall times and
-speedups per fault family in ``benchmarks/results/e12_fault_sweep.json``
-(aggregated into ``BENCH_SUMMARY.json`` by ``collect_results.py``).
+rules (:func:`repro.exec.batching.run_broadcast_batch` under the fault
+model, :mod:`repro.exec.fault_batching` for the comparator) — and records
+wall times and speedups per fault family in
+``benchmarks/results/e12_fault_sweep.json`` (aggregated into
+``BENCH_SUMMARY.json`` by ``collect_results.py``).
 
 The test asserts the sweep's physics, not a speedup floor (the comparator is
 cheap, so the family mixes very different per-trial costs): the f=0 column

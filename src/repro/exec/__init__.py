@@ -23,10 +23,11 @@ package defines *how* the trials execute:
   with per-phase replicate-vector measurements (``X_i`` / ``Y_i`` /
   ``eps_i`` / ``delta_i``) for the stage-level experiments E4–E6, and the
   batched Section-3 executors (bounded skew, clock-free) for E9;
-* :mod:`repro.exec.fault_batching` — the fault-injected ``(R, n)`` rules for
-  E12: the paper protocol under a :mod:`repro.substrate.faults` model (or a
-  non-uniform contact topology) and the batched phased approximate-consensus
-  comparator, both differentially pinned against their serial references.
+* :mod:`repro.exec.fault_batching` — E12's batched phased
+  approximate-consensus comparator, differentially pinned against its
+  serial reference (E12's paper-protocol column is
+  :func:`~repro.exec.batching.run_broadcast_batch` under a
+  :mod:`repro.substrate.faults` model).
 
 Execution is chosen per run by :class:`repro.api.ExecutionConfig`: ``batch``
 (surfaced as ``--batch``) picks the vectorised path, and ``backend``
@@ -50,9 +51,7 @@ from .batching import (
 )
 from .fault_batching import (
     BatchConsensusResult,
-    BatchFaultBroadcastResult,
     run_consensus_comparator_batch,
-    run_faulty_broadcast_batch,
 )
 from .stage_batching import (
     BatchWindowedResult,
@@ -105,9 +104,7 @@ __all__ = [
     "run_stage2_instrumented",
     "run_bounded_skew_batch",
     "run_clock_free_batch",
-    "BatchFaultBroadcastResult",
     "BatchConsensusResult",
-    "run_faulty_broadcast_batch",
     "run_consensus_comparator_batch",
 ]
 

@@ -12,7 +12,8 @@ call per round replaces ``R`` engine rounds.
 Three protocol shapes are covered:
 
 * :func:`run_broadcast_batch` — Theorem 2.17's two-stage broadcast
-  (mirroring :func:`repro.core.broadcast.solve_noisy_broadcast`);
+  (mirroring :func:`repro.core.broadcast.solve_noisy_broadcast`), also
+  under E12's fault models and contact topologies;
 * :func:`run_majority_batch` — Corollary 2.18's majority-consensus variant
   (mirroring :func:`repro.core.majority.solve_noisy_majority_consensus`):
   a random initially-opinionated set per replicate, Stage I entered at the
@@ -86,18 +87,21 @@ import numpy as np
 from ..core.majority import compute_start_phase
 from ..core.opinions import bias_from_counts, counts_from_bias, validate_opinion
 from ..core.parameters import ProtocolParameters
-from ..errors import ExperimentError, ParameterError, SimulationError
+from ..errors import ExperimentError
 from ..protocols.direct_source import DirectSourceReference
 from ..protocols.naive_forward import ImmediateForwardingBroadcast
 from ..protocols.noisy_voter import NoisyVoterBroadcast
-from ..protocols.silent_wait import default_decision_threshold
+from ..protocols.silent_wait import SilentWaitBroadcast, default_decision_threshold
+from ..substrate.faults import FaultModel, build_injector
 from ..substrate.network import PushGossipNetwork
 from ..substrate.noise import BinarySymmetricChannel, NoiseChannel
 from ..substrate.population import NO_OPINION
 from ..substrate.rng import derive_seed, spawn_generator
+from ..substrate.topology import ContactTopology
 from . import pool
 from .runner import trial_seeds
 from .stage_batching import (
+    _protocol_batch_inputs,
     run_stage1_batch,
     run_stage2_batch,
     seeded_batch_state,
@@ -122,18 +126,29 @@ __all__ = [
 class BatchBroadcastResult:
     """Per-replicate outcomes of a batched noisy-broadcast run.
 
+    Success is crash-aware: it asks whether every *surviving* (non-crashed)
+    agent finished holding ``B``.  Without a crash-capable fault model every
+    agent survives, so ``success`` is "every agent holds ``B``" and
+    ``surviving_correct_fraction`` equals ``final_correct_fraction``.
+
     Attributes
     ----------
     n, epsilon, correct_opinion:
         The shared instance parameters.
     rounds:
         Round count — identical for every replicate because the paper's
-        two-stage schedule is fixed by ``(n, epsilon)``; exactly equals the
-        serial :class:`~repro.core.broadcast.BroadcastResult.rounds`.
+        two-stage schedule is fixed by ``(n, epsilon)`` (faults do not
+        change it); exactly equals the serial
+        :class:`~repro.core.broadcast.BroadcastResult.rounds`.
     success:
-        ``(R,)`` boolean vector: did every agent finish holding ``B``?
+        ``(R,)`` boolean vector: did every surviving agent finish holding
+        ``B``?
+    surviving_correct_fraction:
+        ``(R,)`` fraction of surviving agents holding ``B`` at the end.
     final_correct_fraction:
-        ``(R,)`` fraction of agents holding ``B`` at the end.
+        ``(R,)`` fraction of *all* agents holding ``B`` at the end.
+    crashed:
+        ``(R,)`` number of crashed agents per replicate.
     messages_sent:
         ``(R,)`` total messages pushed, per replicate.
     stage1_bias:
@@ -146,7 +161,9 @@ class BatchBroadcastResult:
     correct_opinion: int
     rounds: int
     success: np.ndarray
+    surviving_correct_fraction: np.ndarray
     final_correct_fraction: np.ndarray
+    crashed: np.ndarray
     messages_sent: np.ndarray
     stage1_bias: np.ndarray
 
@@ -159,19 +176,21 @@ class BatchBroadcastResult:
         """Replicate ``index`` as a trial-measurement mapping.
 
         The keys form a superset of what the broadcast-shaped experiment
-        drivers (E1–E3, and E7's paper-protocol series, which spells the
-        final fraction ``fraction``) record serially, so batched and serial
-        sweeps produce interchangeable
+        drivers (E1–E3, and the paper-protocol series of E7 and E12, which
+        spell the surviving fraction ``fraction``) record serially, so
+        batched and serial sweeps produce interchangeable
         :class:`~repro.analysis.experiments.ExperimentResult` tables.
         """
-        final_fraction = float(self.final_correct_fraction[index])
+        surviving = float(self.surviving_correct_fraction[index])
         return {
             "rounds": int(self.rounds),
             "messages": int(self.messages_sent[index]),
             "messages_per_agent": float(self.messages_sent[index] / self.n),
             "success": bool(self.success[index]),
-            "fraction": final_fraction,
-            "final_correct_fraction": final_fraction,
+            "fraction": surviving,
+            "surviving_fraction": surviving,
+            "final_correct_fraction": float(self.final_correct_fraction[index]),
+            "crashed": int(self.crashed[index]),
             "stage1_bias": float(self.stage1_bias[index]),
         }
 
@@ -362,6 +381,8 @@ def run_broadcast_batch(
     parameters: Optional[ProtocolParameters] = None,
     channel: Optional[NoiseChannel] = None,
     allow_self_messages: bool = False,
+    model: Optional[FaultModel] = None,
+    topology: Optional[ContactTopology] = None,
     **calibration_overrides: float,
 ) -> BatchBroadcastResult:
     """Simulate ``num_replicates`` independent noisy-broadcast runs at once.
@@ -390,33 +411,59 @@ def run_broadcast_batch(
         Override the default :class:`BinarySymmetricChannel`.
     allow_self_messages:
         Allow agents to push messages to themselves.
+    model:
+        Optional :data:`~repro.substrate.faults.FaultModel` (experiment
+        E12).  Its decisions draw from a separately spawned
+        ``"batch-faults"`` stream, so ``None`` and
+        :class:`~repro.substrate.faults.NoFaults` give bit-identical
+        results.
+    topology:
+        Optional non-uniform
+        :class:`~repro.substrate.topology.ContactTopology`.
     """
-    if num_replicates < 1:
-        raise ExperimentError("num_replicates must be at least 1")
-    correct_opinion = validate_opinion(correct_opinion)
-    if parameters is None:
-        parameters = ProtocolParameters.calibrated(n, epsilon, **calibration_overrides)
-    if parameters.n != n:
-        raise SimulationError(f"parameters were built for n={parameters.n}, not n={n}")
-    if channel is None:
-        channel = BinarySymmetricChannel(epsilon=epsilon)
+    correct_opinion, parameters, channel = _protocol_batch_inputs(
+        n, epsilon, num_replicates, correct_opinion, parameters, channel, calibration_overrides
+    )
+    if topology is not None:
+        topology.validate(n)
 
     rng = spawn_generator(base_seed, "batch-broadcast", n)
+    injector = build_injector(
+        model, n, spawn_generator(base_seed, "batch-faults", n), num_replicates=num_replicates
+    )
     network = PushGossipNetwork(size=n, allow_self_messages=allow_self_messages)
 
     # Replicate state, mirroring Population: opinion grid and activation grid.
     state = source_batch_state(n, num_replicates, correct_opinion)
-    stage1 = run_stage1_batch(state, network, channel, rng, parameters.stage1, correct_opinion)
-    run_stage2_batch(state, network, channel, rng, parameters.stage2, correct_opinion)
+    stage1 = run_stage1_batch(
+        state, network, channel, rng, parameters.stage1, correct_opinion,
+        faults=injector, topology=topology,
+    )
+    run_stage2_batch(
+        state, network, channel, rng, parameters.stage2, correct_opinion,
+        faults=injector, topology=topology,
+    )
 
-    correct_final = (state.opinions == correct_opinion).sum(axis=1)
+    correct = state.opinions == correct_opinion
+    if injector is None:
+        alive = np.ones_like(correct)
+        crashed = np.zeros(num_replicates, dtype=np.int64)
+    else:
+        alive = injector.alive_mask()
+        crashed = injector.num_crashed()
+    alive_counts = alive.sum(axis=1)
+    surviving_correct = (correct & alive).sum(axis=1)
     return BatchBroadcastResult(
         n=n,
         epsilon=float(epsilon),
         correct_opinion=int(correct_opinion),
         rounds=state.rounds,
-        success=correct_final == n,
-        final_correct_fraction=correct_final / n,
+        success=surviving_correct == alive_counts,
+        surviving_correct_fraction=np.where(
+            alive_counts > 0, surviving_correct / np.maximum(alive_counts, 1), 0.0
+        ),
+        final_correct_fraction=correct.sum(axis=1) / n,
+        crashed=crashed,
         messages_sent=state.messages_sent,
         stage1_bias=stage1.final_bias,
     )
@@ -473,19 +520,9 @@ def run_majority_batch(
         ``start_phase`` argument of
         :class:`~repro.core.majority.NoisyMajorityConsensusProtocol`).
     """
-    if num_replicates < 1:
-        raise ExperimentError("num_replicates must be at least 1")
-    majority_opinion = validate_opinion(majority_opinion)
-    if parameters is None:
-        parameters = ProtocolParameters.calibrated(n, epsilon, **calibration_overrides)
-    if parameters.n != n:
-        raise SimulationError(f"parameters were built for n={parameters.n}, not n={n}")
-    if channel is None:
-        channel = BinarySymmetricChannel(epsilon=epsilon)
-    if not 1 <= initial_set_size <= n:
-        raise ParameterError(f"initial set size must be in [1, n], got {initial_set_size}")
-    if majority_bias < 0:
-        raise ParameterError("majority bias must be non-negative")
+    majority_opinion, parameters, channel = _protocol_batch_inputs(
+        n, epsilon, num_replicates, majority_opinion, parameters, channel, calibration_overrides
+    )
 
     rng = spawn_generator(base_seed, "batch-majority", n)
     network = PushGossipNetwork(size=n, allow_self_messages=allow_self_messages)
@@ -619,10 +656,7 @@ def _run_voter_batch(
     channel noise this essentially never happens — the paper's point — so
     ``rounds`` typically equals the budget with ``converged`` false.
     """
-    if max_rounds < 1:
-        raise ParameterError(f"max_rounds must be at least 1, got {max_rounds}")
-    if check_every < 1:
-        raise ParameterError(f"check_every must be at least 1, got {check_every}")
+    NoisyVoterBroadcast(max_rounds=max_rounds, check_every=check_every)  # checks the budget
 
     R = num_replicates
     opinions = np.full((R, n), NO_OPINION, dtype=np.int8)
@@ -684,11 +718,10 @@ def _run_direct_source_batch(
     within the sampling budget; they are *not* silently counted at the
     budget.
     """
+    DirectSourceReference(rounds=rounds)  # checks the budget
     total_rounds = rounds
     if total_rounds is None:
         total_rounds = DirectSourceReference.default_rounds(n, channel.epsilon)
-    if total_rounds < 1:
-        raise ParameterError("rounds must be at least 1")
 
     R = num_replicates
     ones = np.zeros((R, n), dtype=np.int64)
@@ -750,13 +783,12 @@ def _run_silent_wait_batch(
     observation (``NaN`` — reported as ``None`` — when no agent ever heard
     two messages).
     """
+    SilentWaitBroadcast(threshold=threshold, max_rounds=max_rounds)  # checks the budget
     if threshold is None:
         threshold = default_decision_threshold(n, channel.epsilon)
-    if threshold < 1:
-        raise ParameterError("threshold must be at least 1")
-    budget = max_rounds if max_rounds is not None else 8 * n * threshold
-    if budget < 1:
-        raise ParameterError("max_rounds must be at least 1")
+    budget = max_rounds
+    if budget is None:
+        budget = SilentWaitBroadcast.default_budget(n, threshold)
 
     R = num_replicates
     received = np.zeros((R, n), dtype=np.int64)

@@ -1,21 +1,12 @@
-"""Batched ``(R, n)`` rules for the fault-injection experiment family (E12).
+"""Batched ``(R, n)`` rule for E12's fault-tolerant comparator.
 
-Two step rules live here, both batched from day one (the
-``run_baseline_batch`` pattern):
-
-* :func:`run_faulty_broadcast_batch` — the paper's two-stage protocol under
-  a :data:`~repro.substrate.faults.FaultModel` and/or a non-uniform
-  :class:`~repro.substrate.topology.ContactTopology`.  The main stream uses
-  the *same* spawn label as :func:`repro.exec.batching.run_broadcast_batch`,
-  so with :class:`~repro.substrate.faults.NoFaults` the two functions are
-  bit-identical — the exec-level half of the ``FaultModel.NONE`` contract
-  (pinned by ``tests/unit/exec/test_fault_batching.py``).  Fault decisions
-  draw from a separately spawned fault stream.
-* :func:`run_consensus_comparator_batch` — the ``AlgorithmTwo``-style phased
-  approximate-consensus comparator
-  (:class:`~repro.protocols.fault_tolerant.PhasedApproximateConsensus`),
-  vectorised over replicates; phase budgets match the serial port exactly,
-  outcomes statistically.
+:func:`run_consensus_comparator_batch` is the ``AlgorithmTwo``-style phased
+approximate-consensus comparator
+(:class:`~repro.protocols.fault_tolerant.PhasedApproximateConsensus`),
+vectorised over replicates; phase budgets match the serial port exactly,
+outcomes statistically.  E12's other column, the paper's protocol under a
+:data:`~repro.substrate.faults.FaultModel`, runs through
+:func:`repro.exec.batching.run_broadcast_batch` with ``model=``.
 """
 
 from __future__ import annotations
@@ -25,93 +16,18 @@ from typing import Any, Dict, Optional
 
 import numpy as np
 
-from ..core.opinions import validate_opinion
-from ..core.parameters import ProtocolParameters
-from ..errors import ExperimentError, SimulationError
+from ..errors import ExperimentError
 from ..protocols.fault_tolerant import (
     PhasedApproximateConsensus,
     declared_fault_tolerance,
 )
 from ..substrate.faults import FaultModel, build_injector
-from ..substrate.network import PushGossipNetwork
-from ..substrate.noise import BinarySymmetricChannel, NoiseChannel
 from ..substrate.rng import spawn_generator
-from ..substrate.topology import ContactTopology
-from .stage_batching import source_batch_state, run_stage1_batch, run_stage2_batch
 
 __all__ = [
-    "BatchFaultBroadcastResult",
     "BatchConsensusResult",
-    "run_faulty_broadcast_batch",
     "run_consensus_comparator_batch",
 ]
-
-
-@dataclass(frozen=True)
-class BatchFaultBroadcastResult:
-    """Per-replicate outcomes of a batched fault-injected broadcast run.
-
-    Mirrors :class:`~repro.exec.batching.BatchBroadcastResult` with the
-    crash-aware success notion: ``success`` asks whether every *surviving*
-    (non-crashed) agent finished holding ``B``, and the crash census is
-    reported alongside.
-
-    Attributes
-    ----------
-    n, epsilon, correct_opinion:
-        The shared instance parameters.
-    rounds:
-        Round count (schedule-fixed by ``(n, epsilon)``, fault-independent).
-    success:
-        ``(R,)`` boolean vector: every surviving agent holds ``B``.
-    surviving_correct_fraction:
-        ``(R,)`` fraction of surviving agents holding ``B``.
-    final_correct_fraction:
-        ``(R,)`` fraction of *all* agents holding ``B`` (the fault-free
-        notion, for comparability with E1).
-    crashed:
-        ``(R,)`` number of crashed agents per replicate.
-    messages_sent:
-        ``(R,)`` total messages pushed, per replicate.
-    stage1_bias:
-        ``(R,)`` population bias towards ``B`` at the end of Stage I.
-    """
-
-    n: int
-    epsilon: float
-    correct_opinion: int
-    rounds: int
-    success: np.ndarray
-    surviving_correct_fraction: np.ndarray
-    final_correct_fraction: np.ndarray
-    crashed: np.ndarray
-    messages_sent: np.ndarray
-    stage1_bias: np.ndarray
-
-    @property
-    def num_replicates(self) -> int:
-        """Number of replicates ``R`` in the batch."""
-        return int(self.success.size)
-
-    def measurements(self, index: int) -> Dict[str, Any]:
-        """Replicate ``index`` as a trial-measurement mapping.
-
-        Keys form a superset of the serial E12 paper-protocol trial's, so
-        batched and serial sweeps produce interchangeable
-        :class:`~repro.analysis.experiments.ExperimentResult` tables.
-        """
-        surviving = float(self.surviving_correct_fraction[index])
-        return {
-            "rounds": int(self.rounds),
-            "messages": int(self.messages_sent[index]),
-            "messages_per_agent": float(self.messages_sent[index] / self.n),
-            "success": bool(self.success[index]),
-            "fraction": surviving,
-            "surviving_fraction": surviving,
-            "final_correct_fraction": float(self.final_correct_fraction[index]),
-            "crashed": int(self.crashed[index]),
-            "stage1_bias": float(self.stage1_bias[index]),
-        }
 
 
 @dataclass(frozen=True)
@@ -160,81 +76,6 @@ class BatchConsensusResult:
             "spread": spread if np.isfinite(spread) else None,
             "num_faulty": int(self.num_faulty),
         }
-
-
-def run_faulty_broadcast_batch(
-    n: int,
-    epsilon: float,
-    num_replicates: int,
-    model: Optional[FaultModel] = None,
-    base_seed: int = 0,
-    correct_opinion: int = 1,
-    parameters: Optional[ProtocolParameters] = None,
-    channel: Optional[NoiseChannel] = None,
-    allow_self_messages: bool = False,
-    topology: Optional[ContactTopology] = None,
-    **calibration_overrides: float,
-) -> BatchFaultBroadcastResult:
-    """Simulate ``R`` fault-injected noisy-broadcast runs at once.
-
-    Structure and stream labels are exactly those of
-    :func:`~repro.exec.batching.run_broadcast_batch`; the only additions are
-    the fault injector (fed from a separately spawned ``"batch-faults"``
-    stream) and the optional topology.  With ``model=None`` /
-    :class:`~repro.substrate.faults.NoFaults` and no topology the output is
-    bit-identical to ``run_broadcast_batch`` on the same ``base_seed``.
-    """
-    if num_replicates < 1:
-        raise ExperimentError("num_replicates must be at least 1")
-    correct_opinion = validate_opinion(correct_opinion)
-    if parameters is None:
-        parameters = ProtocolParameters.calibrated(n, epsilon, **calibration_overrides)
-    if parameters.n != n:
-        raise SimulationError(f"parameters were built for n={parameters.n}, not n={n}")
-    if channel is None:
-        channel = BinarySymmetricChannel(epsilon=epsilon)
-    if topology is not None:
-        topology.validate(n)
-
-    rng = spawn_generator(base_seed, "batch-broadcast", n)
-    fault_rng = spawn_generator(base_seed, "batch-faults", n)
-    injector = build_injector(model, n, fault_rng, num_replicates=num_replicates)
-    network = PushGossipNetwork(size=n, allow_self_messages=allow_self_messages)
-
-    state = source_batch_state(n, num_replicates, correct_opinion)
-    stage1 = run_stage1_batch(
-        state, network, channel, rng, parameters.stage1, correct_opinion,
-        faults=injector, topology=topology,
-    )
-    run_stage2_batch(
-        state, network, channel, rng, parameters.stage2, correct_opinion,
-        faults=injector, topology=topology,
-    )
-
-    correct = state.opinions == correct_opinion
-    if injector is not None:
-        alive = injector.alive_mask()
-        crashed = injector.num_crashed()
-    else:
-        alive = np.ones(correct.shape, dtype=bool)
-        crashed = np.zeros(num_replicates, dtype=np.int64)
-    alive_counts = alive.sum(axis=1)
-    surviving_correct = (correct & alive).sum(axis=1)
-    surviving_fraction = np.where(
-        alive_counts > 0, surviving_correct / np.maximum(alive_counts, 1), 0.0
-    )
-    return BatchFaultBroadcastResult(
-        n=n,
-        epsilon=float(epsilon),
-        correct_opinion=int(correct_opinion),
-        rounds=state.rounds,
-        success=surviving_correct == alive_counts,
-        surviving_correct_fraction=surviving_fraction,
-        final_correct_fraction=correct.sum(axis=1) / n,
-        crashed=crashed,
-        messages_sent=state.messages_sent,
-        stage1_bias=stage1.final_bias,
-    )
 
 
 def run_consensus_comparator_batch(

@@ -58,7 +58,7 @@ both halves phase by phase.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -206,6 +206,34 @@ class StageTwoBatchResult:
 # ----------------------------------------------------------------------
 # State builders
 # ----------------------------------------------------------------------
+
+
+def _protocol_batch_inputs(
+    n: int,
+    epsilon: float,
+    num_replicates: int,
+    opinion: int,
+    parameters: Optional[ProtocolParameters],
+    channel: Optional[NoiseChannel],
+    calibration_overrides: Mapping[str, float],
+) -> Tuple[int, ProtocolParameters, NoiseChannel]:
+    """Check and default the inputs every protocol-level batch entry point
+    shares; returns ``(opinion, parameters, channel)``.
+
+    ``parameters`` defaults to the calibrated preset for ``(n, epsilon)``
+    with ``calibration_overrides`` and must have been built for ``n``;
+    ``channel`` defaults to the binary symmetric channel of ``epsilon``.
+    """
+    if num_replicates < 1:
+        raise ExperimentError("num_replicates must be at least 1")
+    opinion = validate_opinion(opinion)
+    if parameters is None:
+        parameters = ProtocolParameters.calibrated(n, epsilon, **calibration_overrides)
+    if parameters.n != n:
+        raise SimulationError(f"parameters were built for n={parameters.n}, not n={n}")
+    if channel is None:
+        channel = BinarySymmetricChannel(epsilon=epsilon)
+    return opinion, parameters, channel
 
 
 def source_batch_state(n: int, num_replicates: int, correct_opinion: int) -> BatchState:
@@ -952,17 +980,11 @@ def run_bounded_skew_batch(
     windows with ``guard = max_skew`` — isolating the cost of the per-phase
     guard windows, which is what experiment E9 sweeps.
     """
-    if num_replicates < 1:
-        raise ExperimentError("num_replicates must be at least 1")
+    correct_opinion, parameters, channel = _protocol_batch_inputs(
+        n, epsilon, num_replicates, correct_opinion, parameters, channel, calibration_overrides
+    )
     if max_skew < 1:
         raise ParameterError("max_skew must be at least 1")
-    correct_opinion = validate_opinion(correct_opinion)
-    if parameters is None:
-        parameters = ProtocolParameters.calibrated(n, epsilon, **calibration_overrides)
-    if parameters.n != n:
-        raise SimulationError(f"parameters were built for n={parameters.n}, not n={n}")
-    if channel is None:
-        channel = BinarySymmetricChannel(epsilon=epsilon)
 
     rng = spawn_generator(base_seed, "batch-bounded-skew", n)
     R = num_replicates
@@ -1007,15 +1029,9 @@ def run_clock_free_batch(
     ``max(2 log2 n, realised skew)`` — each replicate gets its own guard,
     exactly as the serial protocol chooses it.
     """
-    if num_replicates < 1:
-        raise ExperimentError("num_replicates must be at least 1")
-    correct_opinion = validate_opinion(correct_opinion)
-    if parameters is None:
-        parameters = ProtocolParameters.calibrated(n, epsilon, **calibration_overrides)
-    if parameters.n != n:
-        raise SimulationError(f"parameters were built for n={parameters.n}, not n={n}")
-    if channel is None:
-        channel = BinarySymmetricChannel(epsilon=epsilon)
+    correct_opinion, parameters, channel = _protocol_batch_inputs(
+        n, epsilon, num_replicates, correct_opinion, parameters, channel, calibration_overrides
+    )
 
     rng = spawn_generator(base_seed, "batch-clock-free", n)
     R = num_replicates

@@ -27,9 +27,11 @@ Fault-model conventions
   agents only (a dead agent has no opinion to be wrong about); the
   all-agents fraction is still reported for comparability with E1.
 
-Both protocols have a batched ``(R, n)`` rule from day one
-(:mod:`repro.exec.fault_batching`), differentially pinned against the serial
-trials in ``tests/unit/exec/test_fault_batching.py``.
+Both protocols have a batched ``(R, n)`` rule, differentially pinned
+against the serial trials in ``tests/unit/exec/test_fault_batching.py``:
+the paper's protocol is :func:`repro.exec.batching.run_broadcast_batch`
+with ``model=``, the comparator
+:func:`repro.exec.fault_batching.run_consensus_comparator_batch`.
 """
 
 from __future__ import annotations
@@ -209,12 +211,12 @@ def _batch_tasks(
 ) -> List[Tuple[str, Callable[..., Any], Dict[str, Any]]]:
     """The per-protocol :func:`~repro.exec.batching.run_batch_cell` tasks of
     one fraction, in row order, named like the serial cells."""
-    from ..exec.batching import run_batch_cell
-    from ..exec.fault_batching import run_consensus_comparator_batch, run_faulty_broadcast_batch
+    from ..exec.batching import run_batch_cell, run_broadcast_batch
+    from ..exec.fault_batching import run_consensus_comparator_batch
 
     cells: Dict[str, Dict[str, Any]] = {
         "breathe-before-speaking": {
-            "batch_fn": run_faulty_broadcast_batch,
+            "batch_fn": run_broadcast_batch,
             "epsilon": epsilon,
             "model": paper_fault_model(fault_kind, fraction, crash_probability),
         },
@@ -287,7 +289,7 @@ def run(
     approximate-consensus comparator (configured to tolerate exactly the
     injected ``f``).  ``batch=True`` simulates all trials of each
     (fraction, protocol) cell at once via
-    :func:`repro.exec.fault_batching.run_faulty_broadcast_batch` /
+    :func:`repro.exec.batching.run_broadcast_batch` (``model=``) /
     :func:`repro.exec.fault_batching.run_consensus_comparator_batch`.  The
     cells are tasks on the run's execution backend, results assembled in
     row order.

@@ -10,6 +10,15 @@ guarantee the majority opinion wins.
 The driver sweeps ``|A|`` and the initial majority-bias on a grid and
 measures the success rate of the protocol, showing the feasibility
 transition around the ``sqrt(log n / |A|)`` curve.
+
+The defaults do not exercise the corollary's late start.  At n = 2000,
+eps = 0.2 the calibrated Stage I has two phases, so
+:func:`~repro.core.majority.compute_start_phase` returns 1 (the final
+Stage-I phase) for every default ``|A|`` (50, 200, 800).  A later start
+first appears at n = 4000, eps = 0.45, where ``|A|`` = 200 and 800 start at
+phase 2.  The defaults are kept because E8's pinned default fingerprint
+(its run-store key) and the ``majority_pool`` benchmark workload are built
+on them; ``tests/unit/core/test_majority.py`` pins both facts.
 """
 
 from __future__ import annotations

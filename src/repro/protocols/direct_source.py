@@ -36,11 +36,16 @@ class DirectSourceReference(BaselineProtocol):
     Parameters
     ----------
     rounds:
-        Number of sampling rounds; ``None`` uses ``ceil(4 ln n / eps^2)``.
+        Number of sampling rounds; ``None`` uses ``ceil(4 ln n / eps^2)``;
+        an explicit value must be at least 1.
     """
 
     rounds: Optional[int] = None
     name: str = "direct-source-reference"
+
+    def __post_init__(self) -> None:
+        if self.rounds is not None and self.rounds < 1:
+            raise ParameterError("rounds must be at least 1")
 
     @staticmethod
     def default_rounds(n: int, epsilon: float) -> int:
@@ -58,8 +63,6 @@ class DirectSourceReference(BaselineProtocol):
         total_rounds = self.rounds
         if total_rounds is None:
             total_rounds = self.default_rounds(n, engine.epsilon)
-        if total_rounds < 1:
-            raise ParameterError("rounds must be at least 1")
 
         rng = engine.random.stream("direct-source")
         ones = np.zeros(n, dtype=np.int64)

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..core.opinions import validate_opinion
-from ..errors import SimulationError
+from ..errors import ParameterError, SimulationError
 from ..substrate.engine import SimulationEngine
 from ..substrate.population import NO_OPINION
 from .base import BaselineProtocol, ProtocolResult
@@ -38,14 +38,21 @@ class NoisyVoterBroadcast(BaselineProtocol):
     ----------
     max_rounds:
         Round budget; the dynamics rarely reach full consensus under noise,
-        so a finite budget is mandatory.
+        so a finite budget is mandatory.  Must be at least 1.
     check_every:
-        How often (in rounds) to test for full consensus.
+        How often (in rounds) to test for full consensus.  Must be at
+        least 1.
     """
 
     max_rounds: int = 2000
     check_every: int = 16
     name: str = "noisy-voter"
+
+    def __post_init__(self) -> None:
+        if self.max_rounds < 1:
+            raise ParameterError(f"max_rounds must be at least 1, got {self.max_rounds}")
+        if self.check_every < 1:
+            raise ParameterError(f"check_every must be at least 1, got {self.check_every}")
 
     def run(self, engine: SimulationEngine, correct_opinion: int = 1) -> ProtocolResult:
         correct_opinion = validate_opinion(correct_opinion)

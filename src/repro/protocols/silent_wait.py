@@ -49,16 +49,33 @@ class SilentWaitBroadcast(BaselineProtocol):
     ----------
     threshold:
         Number of source samples an agent waits for before deciding by
-        majority.  ``None`` uses :func:`default_decision_threshold`.
+        majority.  ``None`` uses :func:`default_decision_threshold`; an
+        explicit value must be at least 1.
     max_rounds:
-        Round budget; ``None`` uses ``8 * n * threshold`` which is enough for
-        every agent to collect its quota w.h.p. (the coupon-collector style
-        slowdown is the point of the baseline).
+        Round budget; ``None`` uses :meth:`default_budget`; an explicit
+        value must be at least 1.
     """
 
     threshold: Optional[int] = None
     max_rounds: Optional[int] = None
     name: str = "silent-wait"
+
+    def __post_init__(self) -> None:
+        if self.threshold is not None and self.threshold < 1:
+            raise ParameterError("threshold must be at least 1")
+        if self.max_rounds is not None and self.max_rounds < 1:
+            raise ParameterError("max_rounds must be at least 1")
+
+    @staticmethod
+    def default_budget(n: int, threshold: int) -> int:
+        """Default round budget ``8 * n * threshold``: enough for every agent
+        to collect its quota w.h.p. (the coupon-collector style slowdown is
+        the point of the baseline).
+
+        Single source of truth shared with the batched step rule in
+        :mod:`repro.exec.batching`, so the two paths can never drift apart.
+        """
+        return 8 * n * threshold
 
     def run(self, engine: SimulationEngine, correct_opinion: int = 1) -> ProtocolResult:
         correct_opinion = validate_opinion(correct_opinion)
@@ -72,9 +89,9 @@ class SilentWaitBroadcast(BaselineProtocol):
         threshold = self.threshold
         if threshold is None:
             threshold = default_decision_threshold(n, engine.epsilon)
-        if threshold < 1:
-            raise ParameterError("threshold must be at least 1")
-        budget = self.max_rounds if self.max_rounds is not None else 8 * n * threshold
+        budget = self.max_rounds
+        if budget is None:
+            budget = self.default_budget(n, threshold)
 
         received = np.zeros(n, dtype=np.int64)
         ones = np.zeros(n, dtype=np.int64)

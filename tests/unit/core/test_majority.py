@@ -64,6 +64,24 @@ class TestComputeStartPhase:
         with pytest.raises(ParameterError):
             compute_start_phase(parameters, 0)
 
+    def test_e8_defaults_never_start_late(self):
+        """E8's defaults (n = 2000, eps = 0.2) give Stage I two phases, so
+        every default |A| (50, 200, 800) starts at the final phase 1."""
+        parameters = ProtocolParameters.calibrated(2000, 0.2)
+        assert parameters.stage1.num_phases == 2
+        assert [compute_start_phase(parameters, size) for size in (50, 200, 800)] == [1, 1, 1]
+
+    def test_late_start_first_appears_at_n_4000_eps_045(self):
+        """Up to n = 4000 at eps in {0.2, 0.3, 0.4, 0.45}, only n = 4000,
+        eps = 0.45 has a third Stage-I phase, where |A| = 200 and 800 start
+        at phase 2."""
+        for n in (500, 1000, 2000, 4000):
+            for epsilon in (0.2, 0.3, 0.4, 0.45):
+                expected = 3 if (n, epsilon) == (4000, 0.45) else 2
+                assert ProtocolParameters.calibrated(n, epsilon).stage1.num_phases == expected
+        parameters = ProtocolParameters.calibrated(4000, 0.45)
+        assert [compute_start_phase(parameters, size) for size in (50, 200, 800)] == [1, 2, 2]
+
 
 class TestSolveMajorityConsensus:
     def test_succeeds_above_threshold(self):

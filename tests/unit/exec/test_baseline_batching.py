@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from repro.api import ExecutionConfig, run_experiment
-from repro.errors import ExperimentError
+from repro.errors import ExperimentError, ParameterError
 from repro.exec.batching import (
     batchable_baselines,
     run_baseline_batch,
@@ -24,6 +24,7 @@ from repro.exec.batching import (
 from repro.protocols.direct_source import DirectSourceReference
 from repro.protocols.naive_forward import ImmediateForwardingBroadcast
 from repro.protocols.noisy_voter import NoisyVoterBroadcast
+from repro.protocols.silent_wait import SilentWaitBroadcast
 from repro.substrate.engine import SimulationEngine
 from repro.substrate.noise import PerfectChannel
 
@@ -82,6 +83,32 @@ class TestDispatch:
         assert np.array_equal(first.messages_sent, second.messages_sent)
         different = run_baseline_batch("immediate-forwarding", n=150, epsilon=0.3, num_replicates=4, base_seed=10)
         assert not np.array_equal(first.messages_sent, different.messages_sent)
+
+
+#: Budgets a baseline rejects on both paths: (registry name, class, options).
+INVALID_BUDGETS = [
+    ("noisy-voter", NoisyVoterBroadcast, {"max_rounds": 0}),
+    ("noisy-voter", NoisyVoterBroadcast, {"check_every": 0}),
+    ("silent-wait", SilentWaitBroadcast, {"max_rounds": 0}),
+    ("silent-wait", SilentWaitBroadcast, {"threshold": 0}),
+    ("direct-source-reference", DirectSourceReference, {"rounds": 0}),
+]
+
+
+@pytest.mark.parametrize("path", ["serial", "batch"])
+@pytest.mark.parametrize(
+    "protocol, protocol_class, options",
+    INVALID_BUDGETS,
+    ids=[f"{name}-{next(iter(options))}" for name, _, options in INVALID_BUDGETS],
+)
+def test_serial_and_batch_reject_the_same_budgets(path, protocol, protocol_class, options):
+    """The serial class holds the check and the batched rule goes through it."""
+    with pytest.raises(ParameterError, match="must be at least 1"):
+        if path == "serial":
+            engine = SimulationEngine.create(n=60, epsilon=0.3, seed=0)
+            protocol_class(**options).run(engine, correct_opinion=1)
+        else:
+            run_baseline_batch(protocol, n=60, epsilon=0.3, num_replicates=2, **options)
 
 
 class TestForwardingDifferential:

@@ -1,9 +1,11 @@
-"""Differential pins for the E12 batch rules (`repro.exec.fault_batching`).
+"""Differential pins for the E12 batch rules.
 
-Three contracts:
+E12's paper-protocol column is ``run_broadcast_batch(model=...)``; its
+comparator column is ``repro.exec.fault_batching``.  Three contracts:
 
-* ``run_faulty_broadcast_batch`` with :class:`NoFaults` is **bit-identical**
-  to ``run_broadcast_batch`` (same stream labels, same code path);
+* ``run_broadcast_batch`` with ``model=None`` or :class:`NoFaults` is
+  **bit-identical** to a call without ``model`` (the fault stream is
+  spawned separately from the main stream);
 * with an active fault model, batch and serial runs of the paper's protocol
   agree **statistically** (the standard batch-vs-serial scope of
   ``docs/ARCHITECTURE.md``), and forced crashes do not shift the batch main
@@ -20,12 +22,9 @@ import pytest
 
 from repro.core.broadcast import solve_noisy_broadcast
 from repro.core.parameters import ProtocolParameters
-from repro.errors import ExperimentError
+from repro.errors import ExperimentError, ParameterError
 from repro.exec.batching import run_broadcast_batch
-from repro.exec.fault_batching import (
-    run_consensus_comparator_batch,
-    run_faulty_broadcast_batch,
-)
+from repro.exec.fault_batching import run_consensus_comparator_batch
 from repro.exec.stage_batching import run_stage1_batch, source_batch_state
 from repro.protocols.fault_tolerant import (
     PhasedApproximateConsensus,
@@ -41,16 +40,16 @@ from repro.substrate.faults import (
 from repro.substrate.network import PushGossipNetwork
 from repro.substrate.noise import BinarySymmetricChannel
 from repro.substrate.rng import spawn_generator
-from repro.substrate.topology import ChurnTopology
+from repro.substrate.topology import ChurnTopology, DegreeLimitedTopology
 
 
 class TestNoFaultsBitIdentity:
-    """`NoFaults` must reproduce `run_broadcast_batch` byte for byte."""
+    """`NoFaults` must reproduce a fault-free `run_broadcast_batch` byte for byte."""
 
     @pytest.mark.parametrize("model", [None, NoFaults()], ids=["none", "NoFaults"])
     def test_bit_identical_to_plain_broadcast_batch(self, model):
         plain = run_broadcast_batch(150, 0.3, 5, base_seed=42)
-        faulty = run_faulty_broadcast_batch(150, 0.3, 5, model=model, base_seed=42)
+        faulty = run_broadcast_batch(150, 0.3, 5, model=model, base_seed=42)
         assert np.array_equal(plain.success, faulty.success)
         assert np.array_equal(plain.final_correct_fraction, faulty.final_correct_fraction)
         assert np.array_equal(plain.messages_sent, faulty.messages_sent)
@@ -63,16 +62,25 @@ class TestNoFaultsBitIdentity:
 
     def test_replicates_reproducible_from_base_seed(self):
         model = CrashStop(fraction=0.2, crash_probability=0.1, immune=(0,))
-        first = run_faulty_broadcast_batch(120, 0.3, 4, model=model, base_seed=7)
-        second = run_faulty_broadcast_batch(120, 0.3, 4, model=model, base_seed=7)
+        first = run_broadcast_batch(120, 0.3, 4, model=model, base_seed=7)
+        second = run_broadcast_batch(120, 0.3, 4, model=model, base_seed=7)
         assert np.array_equal(first.surviving_correct_fraction, second.surviving_correct_fraction)
         assert np.array_equal(first.crashed, second.crashed)
 
     def test_num_replicates_validated(self):
         with pytest.raises(ExperimentError):
-            run_faulty_broadcast_batch(100, 0.3, 0)
+            run_broadcast_batch(100, 0.3, 0, model=CrashStop(fraction=0.1))
         with pytest.raises(ExperimentError):
             run_consensus_comparator_batch(100, 0)
+
+    def test_topology_validated_and_reproducible(self):
+        with pytest.raises(ParameterError):
+            run_broadcast_batch(40, 0.3, 2, topology=DegreeLimitedTopology(degree=40))
+        churn = ChurnTopology(offline_probability=0.2)
+        first = run_broadcast_batch(60, 0.3, 3, base_seed=4, topology=churn)
+        second = run_broadcast_batch(60, 0.3, 3, base_seed=4, topology=churn)
+        assert np.array_equal(first.final_correct_fraction, second.final_correct_fraction)
+        assert np.array_equal(first.messages_sent, second.messages_sent)
 
 
 class TestBatchRngStability:
@@ -139,7 +147,7 @@ class TestPaperProtocolDifferential:
     )
     def test_batch_marginals_match_serial(self, model):
         serial_fraction, _ = self._serial_stats(model)
-        batch = run_faulty_broadcast_batch(
+        batch = run_broadcast_batch(
             self.N, self.EPSILON, self.BATCH_REPLICATES, model=model, base_seed=17
         )
         assert batch.num_replicates == self.BATCH_REPLICATES
@@ -155,7 +163,7 @@ class TestPaperProtocolDifferential:
 
         model = CrashStop(fraction=0.2, crash_probability=0.1, immune=(0,))
         serial_keys = set(_paper_trial(3, 0, n=self.N, epsilon=self.EPSILON, model=model))
-        batch = run_faulty_broadcast_batch(self.N, self.EPSILON, 2, model=model, base_seed=3)
+        batch = run_broadcast_batch(self.N, self.EPSILON, 2, model=model, base_seed=3)
         assert serial_keys <= set(batch.measurements(0))
 
 
