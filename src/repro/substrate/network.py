@@ -153,6 +153,14 @@ class PushGossipNetwork:
             raise ParameterError(f"network size must be at least 2, got {self.size}")
 
     # ------------------------------------------------------------------
+    def reset_counters(self) -> None:
+        """Reset the cumulative message counters."""
+        self.messages_sent_total = 0
+        self.messages_delivered_total = 0
+        self.messages_dropped_total = 0
+        self.rounds_executed = 0
+
+    # ------------------------------------------------------------------
     def deliver(
         self,
         senders: np.ndarray,

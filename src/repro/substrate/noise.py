@@ -113,6 +113,10 @@ class NoiseChannel(abc.ABC):
         """Total number of bit flips applied so far (diagnostic counter)."""
         return getattr(self, "_flips", 0)
 
+    def reset_counters(self) -> None:
+        """Reset the flip counter."""
+        self._flips = 0
+
     def _record_flips(self, flip_mask: np.ndarray) -> None:
         self._flips = getattr(self, "_flips", 0) + int(np.count_nonzero(flip_mask))
 

@@ -57,6 +57,8 @@ class TestDeliveryBasics:
             network.deliver(np.arange(10), np.zeros(10, dtype=np.int8), perfect, rng)
         assert network.messages_sent_total == 30
         assert network.rounds_executed == 3
+        network.reset_counters()
+        assert network.messages_sent_total == 0
 
 
 class TestValidation:

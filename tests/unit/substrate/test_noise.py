@@ -51,6 +51,12 @@ class TestBinarySymmetricChannel:
         with pytest.raises(ParameterError):
             channel.transmit(np.asarray([0, 2]), rng)
 
+    def test_reset_counters(self, rng):
+        channel = BinarySymmetricChannel(epsilon=0.2)
+        channel.transmit(np.zeros(1000, dtype=np.int8), rng)
+        channel.reset_counters()
+        assert channel.flips_applied() == 0
+
     def test_does_not_mutate_input(self, rng):
         channel = BinarySymmetricChannel(epsilon=0.1)
         bits = np.zeros(1000, dtype=np.int8)
