@@ -13,7 +13,7 @@ Three protocol shapes are covered:
 
 * :func:`run_broadcast_batch` — Theorem 2.17's two-stage broadcast
   (mirroring :func:`repro.core.broadcast.solve_noisy_broadcast`), also
-  under E12's fault models and contact topologies;
+  under E12's fault models;
 * :func:`run_majority_batch` — Corollary 2.18's majority-consensus variant
   (mirroring :func:`repro.core.majority.solve_noisy_majority_consensus`):
   a random initially-opinionated set per replicate, Stage I entered at the
@@ -97,7 +97,6 @@ from ..substrate.network import PushGossipNetwork
 from ..substrate.noise import BinarySymmetricChannel, NoiseChannel
 from ..substrate.population import NO_OPINION
 from ..substrate.rng import derive_seed, spawn_generator
-from ..substrate.topology import ContactTopology
 from . import pool
 from .runner import trial_seeds
 from .stage_batching import (
@@ -382,7 +381,6 @@ def run_broadcast_batch(
     channel: Optional[NoiseChannel] = None,
     allow_self_messages: bool = False,
     model: Optional[FaultModel] = None,
-    topology: Optional[ContactTopology] = None,
     **calibration_overrides: float,
 ) -> BatchBroadcastResult:
     """Simulate ``num_replicates`` independent noisy-broadcast runs at once.
@@ -417,15 +415,10 @@ def run_broadcast_batch(
         ``"batch-faults"`` stream, so ``None`` and
         :class:`~repro.substrate.faults.NoFaults` give bit-identical
         results.
-    topology:
-        Optional non-uniform
-        :class:`~repro.substrate.topology.ContactTopology`.
     """
     correct_opinion, parameters, channel = _protocol_batch_inputs(
         n, epsilon, num_replicates, correct_opinion, parameters, channel, calibration_overrides
     )
-    if topology is not None:
-        topology.validate(n)
 
     rng = spawn_generator(base_seed, "batch-broadcast", n)
     injector = build_injector(
@@ -436,12 +429,10 @@ def run_broadcast_batch(
     # Replicate state, mirroring Population: opinion grid and activation grid.
     state = source_batch_state(n, num_replicates, correct_opinion)
     stage1 = run_stage1_batch(
-        state, network, channel, rng, parameters.stage1, correct_opinion,
-        faults=injector, topology=topology,
+        state, network, channel, rng, parameters.stage1, correct_opinion, faults=injector
     )
     run_stage2_batch(
-        state, network, channel, rng, parameters.stage2, correct_opinion,
-        faults=injector, topology=topology,
+        state, network, channel, rng, parameters.stage2, correct_opinion, faults=injector
     )
 
     correct = state.opinions == correct_opinion

@@ -22,7 +22,7 @@ import pytest
 
 from repro.core.broadcast import solve_noisy_broadcast
 from repro.core.parameters import ProtocolParameters
-from repro.errors import ExperimentError, ParameterError
+from repro.errors import ExperimentError
 from repro.exec.batching import run_broadcast_batch
 from repro.exec.fault_batching import run_consensus_comparator_batch
 from repro.exec.stage_batching import run_stage1_batch, source_batch_state
@@ -40,7 +40,7 @@ from repro.substrate.faults import (
 from repro.substrate.network import PushGossipNetwork
 from repro.substrate.noise import BinarySymmetricChannel
 from repro.substrate.rng import spawn_generator
-from repro.substrate.topology import ChurnTopology, DegreeLimitedTopology
+from repro.substrate.topology import ChurnTopology
 
 
 class TestNoFaultsBitIdentity:
@@ -72,15 +72,6 @@ class TestNoFaultsBitIdentity:
             run_broadcast_batch(100, 0.3, 0, model=CrashStop(fraction=0.1))
         with pytest.raises(ExperimentError):
             run_consensus_comparator_batch(100, 0)
-
-    def test_topology_validated_and_reproducible(self):
-        with pytest.raises(ParameterError):
-            run_broadcast_batch(40, 0.3, 2, topology=DegreeLimitedTopology(degree=40))
-        churn = ChurnTopology(offline_probability=0.2)
-        first = run_broadcast_batch(60, 0.3, 3, base_seed=4, topology=churn)
-        second = run_broadcast_batch(60, 0.3, 3, base_seed=4, topology=churn)
-        assert np.array_equal(first.final_correct_fraction, second.final_correct_fraction)
-        assert np.array_equal(first.messages_sent, second.messages_sent)
 
 
 class TestBatchRngStability:
