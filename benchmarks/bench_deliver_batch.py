@@ -7,15 +7,23 @@ the combined float key ``bucket + priority`` and to index messages by 2-D
 ``np.nonzero`` coordinates.  It now scatter-mins the raw priorities per bucket
 (``np.minimum.at``), reads the winners back from an owner grid, and indexes
 messages by flat grid position, skipping the search when every agent speaks.
-This benchmark times one round at ``R = 8``, ``n = 2000`` both ways on the
-same generator seed, at full send (every Stage-II round) and at 10% send,
-and records the microseconds per round in
-``benchmarks/results/deliver_batch.json``.
+It also keeps the last validated inputs and reuses them while a caller
+passes the same grids again.  This benchmark times rounds at ``R = 8``,
+``n = 2000`` both ways on the same generator seed, in three families, and
+records the microseconds per round in
+``benchmarks/results/deliver_batch.json``:
+
+* ``full_send`` and ``send_10pct``: a phase loop, the same inputs for every
+  round, as the stage kernels call it (every Stage-II round is a full send);
+* ``fresh_inputs``: full send with a new bit grid every round, as the
+  batched baselines of E7 and E11 call it, so no round repeats the last
+  one's inputs and each is validated and laid out anew.
 
 The sort-based rule survives only here and in the unit tests, as
 :func:`argsort_deliver_batch`.  Both paths make the same draws, so
-``measure`` first asserts that they return identical reports before it times
-anything.  Repeats alternate between the two paths, and the speedup is the
+``measure`` first asserts that they return identical reports for a family's
+first two rounds (the second one repeats or replaces the first one's inputs)
+before it times anything.  Repeats alternate between the two paths, and the speedup is the
 median of the per-repeat ratios, so slow drift in machine speed cancels out.
 
 ``build_workloads(toy=True)`` shrinks the round and repeat counts so the
@@ -41,8 +49,13 @@ RESULTS_PATH = Path(__file__).parent / "results" / "deliver_batch.json"
 #: Minimum full-send speedup the full-size run asserts (the smoke gate asserts 1.1x).
 MIN_SPEEDUP = 1.25
 
-#: Send densities timed: the share of agents that speak in the round.
-SEND_FRACTIONS = {"full_send": 1.0, "send_10pct": 0.1}
+#: Families timed: the share of agents that speak, and whether every round
+#: gets fresh inputs (``True``) or repeats one phase's inputs (``False``).
+FAMILIES = {
+    "full_send": (1.0, False),
+    "send_10pct": (0.1, False),
+    "fresh_inputs": (1.0, True),
+}
 
 
 def argsort_deliver_batch(
@@ -83,13 +96,7 @@ def argsort_deliver_batch(
         accepted_senders.reshape(-1)[winning_buckets] = cols[winners]
         noisy = channel.transmit(bits[rows[winners], cols[winners]], rng)
         accepted_bits.reshape(-1)[winning_buckets] = noisy
-    return BatchDeliveryReport(
-        accepted=accepted,
-        bits=accepted_bits,
-        senders=accepted_senders,
-        messages_sent=sent,
-        messages_delivered=accepted.sum(axis=1).astype(np.int64),
-    )
+    return BatchDeliveryReport.from_grids(accepted, accepted_bits, accepted_senders, sent)
 
 
 def build_workloads(toy: bool = False) -> Dict[str, Any]:
@@ -99,32 +106,40 @@ def build_workloads(toy: bool = False) -> Dict[str, Any]:
     return {"n": 2000, "replicates": 8, "epsilon": 0.2, "rounds": 200, "repeats": 11, "seed": 7}
 
 
-def _measure_density(workload: Dict[str, Any], fraction: float) -> Dict[str, Any]:
-    """Check both paths agree on one send density, then time them alternately."""
+def _measure_family(workload: Dict[str, Any], fraction: float, fresh: bool) -> Dict[str, Any]:
+    """Check both paths agree on one family, then time them alternately."""
     n, replicates = workload["n"], workload["replicates"]
     rounds, seed = workload["rounds"], workload["seed"]
     network = PushGossipNetwork(size=n)
     channel = BinarySymmetricChannel(epsilon=workload["epsilon"])
     picker = np.random.default_rng(seed)
     send_mask = picker.random((replicates, n)) < fraction
-    bits = picker.integers(0, 2, size=(replicates, n)).astype(np.int8)
+    # One bit grid per round with fresh inputs (made before any timing),
+    # otherwise one grid for the whole phase.
+    grids = [
+        picker.integers(0, 2, size=(replicates, n)).astype(np.int8)
+        for _ in range(rounds if fresh else 1)
+    ]
+    inputs = [(send_mask, grids[index % len(grids)]) for index in range(rounds)]
 
     paths: Dict[str, Callable[..., BatchDeliveryReport]] = {
         "deliver_batch": network.deliver_batch,
         "argsort_oracle": lambda m, b, c, r: argsort_deliver_batch(network, m, b, c, r),
     }
-    new = paths["deliver_batch"](send_mask, bits, channel, np.random.default_rng(seed))
-    old = paths["argsort_oracle"](send_mask, bits, channel, np.random.default_rng(seed))
-    for name in ("accepted", "bits", "senders", "messages_sent", "messages_delivered"):
-        assert np.array_equal(getattr(new, name), getattr(old, name)), name
-        assert getattr(new, name).dtype == getattr(old, name).dtype, name
+    new_rng, old_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    for mask, bits in inputs[:2]:
+        new = paths["deliver_batch"](mask, bits, channel, new_rng)
+        old = paths["argsort_oracle"](mask, bits, channel, old_rng)
+        for name in ("accepted", "bits", "senders", "messages_sent", "messages_delivered"):
+            assert np.array_equal(getattr(new, name), getattr(old, name)), name
+            assert getattr(new, name).dtype == getattr(old, name).dtype, name
 
     def per_round_us(label: str) -> float:
         deliver = paths[label]
         rng = np.random.default_rng(seed)
         start = time.perf_counter()
-        for _ in range(rounds):
-            deliver(send_mask, bits, channel, rng)
+        for mask, bits in inputs:
+            deliver(mask, bits, channel, rng)
         return 1e6 * (time.perf_counter() - start) / rounds
 
     for label in paths:  # warm-up: first-call allocation and import costs
@@ -137,11 +152,13 @@ def _measure_density(workload: Dict[str, Any], fraction: float) -> Dict[str, Any
 
     return {
         "description": (
-            f"deliver_batch at {fraction:.0%} send: O(m) scatter-min vs argsort collision rule"
+            f"deliver_batch at {fraction:.0%} send, {'fresh' if fresh else 'phase'} inputs: "
+            "O(m) scatter-min vs argsort collision rule"
         ),
         "workload": {
             "experiment": "one push-gossip round over an (R, n) grid",
             "send_fraction": fraction,
+            "fresh_inputs_every_round": fresh,
             **workload,
         },
         "us_per_round": {
@@ -157,11 +174,11 @@ def _measure_density(workload: Dict[str, Any], fraction: float) -> Dict[str, Any
 
 
 def measure(workload: Dict[str, Any]) -> Dict[str, Any]:
-    """One family per send density."""
+    """Every family of :data:`FAMILIES`."""
     return {
         "families": {
-            family: _measure_density(workload, fraction)
-            for family, fraction in SEND_FRACTIONS.items()
+            family: _measure_family(workload, fraction, fresh)
+            for family, (fraction, fresh) in FAMILIES.items()
         }
     }
 

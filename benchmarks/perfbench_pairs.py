@@ -17,12 +17,19 @@ in machine speed falls on both sides alike.  Every run's end-to-end metrics,
 each side's median and quartiles of ``run_s.p50`` and the change's win count
 go to ``benchmarks/results/perfbench_<workload>.json``, which
 ``collect_results.py`` folds into ``BENCH_SUMMARY.json``.
+
+The record's ``machine`` block comes from the change checkout's own
+perfbench stamp (commit, CPU count, versions), not from ``git status`` of
+the checkout running this script: the results file it writes would mark
+that checkout ``-dirty`` for every later run.  ``--layer NAME`` names the
+layer the change claims to move (say ``substrate.deliver_batch``) and adds
+one traced run per side (``--trace 1 --seconds 0`` at the first seed), whose
+per-layer metrics, ``proc.minor_faults`` among them, go to ``traced``.
 """
 
 from __future__ import annotations
 
 import argparse
-import importlib.util
 import json
 import statistics
 import subprocess
@@ -36,10 +43,14 @@ RESULTS_DIR = Path(__file__).parent / "results"
 CLAIM_METRIC = "run_s.p50"
 
 
-def run_once(checkout: Path, workload: str, seed: int) -> Dict[str, Any]:
-    """One perfbench run in ``checkout``: its stamp and end-to-end metric values."""
+def run_once(checkout: Path, workload: str, seed: int, *options: str) -> Dict[str, Any]:
+    """One perfbench run in ``checkout``: its stamp and metric values.
+
+    The metrics are the end-to-end ones, or the per-layer ones when
+    ``options`` include ``--trace 1``.
+    """
     done = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed)],
+        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed), *options],
         cwd=str(checkout),
         capture_output=True,
         text=True,
@@ -75,13 +86,9 @@ def summarize(pairs: Sequence[Dict[str, Any]], metric: str = CLAIM_METRIC) -> Di
     return summary
 
 
-def _machine_stamp() -> Dict[str, Any]:
-    """Commit, CPU count and versions, from ``collect_results.machine_stamp``."""
-    script = Path(__file__).with_name("collect_results.py")
-    spec = importlib.util.spec_from_file_location("_perfbench_pairs_collect", script)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module.machine_stamp()
+def machine_of(stamp: Dict[str, Any]) -> Dict[str, Any]:
+    """The ``machine`` block (commit, CPU count, versions) of a perfbench stamp."""
+    return {key: stamp[key] for key in ("commit", "nproc", "python", "numpy")}
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -91,11 +98,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument("--workload", required=True)
     parser.add_argument("--seed", type=int, required=True, help="seed of the first pair")
     parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--layer", help="layer the change moves; adds one traced run per side")
     args = parser.parse_args(argv)
     if args.pairs < 2:
         parser.error("--pairs must be at least 2 (quartiles need two runs per side)")
 
-    machine = _machine_stamp()
     pairs: List[Dict[str, Any]] = []
     for index in range(args.pairs):
         seed = args.seed + index
@@ -119,7 +126,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 for key in ("commit", "src_sha256")
             },
         },
-        "machine": machine,
+        "machine": machine_of(pairs[0]["change"]["stamp"]),
         "seconds": {"parent_run_s_p50": round(parent, 3), "change_run_s_p50": round(change, 3)},
         "speedup_vs_serial": {"change_vs_parent": round(parent / change, 2)},
         "summary": summary,
@@ -133,6 +140,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             for pair in pairs
         ],
     }
+    if args.layer:
+        payload["layer"] = args.layer
+        payload["traced"] = {
+            side: run_once(
+                getattr(args, side), args.workload, args.seed, "--trace", "1", "--seconds", "0"
+            )["metrics"]
+            for side in ("parent", "change")
+        }
     path = RESULTS_DIR / f"perfbench_{args.workload}.json"
     path.write_text(json.dumps(payload, indent=2) + "\n")
     print(json.dumps(summary, indent=2))

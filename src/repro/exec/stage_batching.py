@@ -508,6 +508,8 @@ def run_stage1_batch(
         # message replaces the current choice with probability 1/m.
         scratch.reset()
         heard_counts, chosen = scratch.heard_counts, scratch.chosen
+        heard_cells, chosen_cells = heard_counts.reshape(-1), chosen.reshape(-1)
+        dormant_cells = dormant.reshape(-1)
         for send_mask, senders in phase.send_masks(eligible, senders_per_replicate):
             report = network.deliver_batch(
                 send_mask, bits, channel, rng, faults=faults, topology=topology
@@ -517,16 +519,17 @@ def run_stage1_batch(
                 # so consumption never depends on who was heard (the fault
                 # layer's RNG-stability contract).
                 replace_grid = rng.random((R, n))
-            rows, cols = np.nonzero(report.accepted & dormant)
-            if rows.size:
-                counts = heard_counts[rows, cols] + 1
-                heard_counts[rows, cols] = counts
+            # The dormant accepting cells, ascending (np.nonzero's order).
+            fresh = dormant_cells[report.cells]
+            cells = report.cells[fresh]
+            if cells.size:
+                counts = heard_cells[cells] + 1
+                heard_cells[cells] = counts
                 if resilient:
-                    replace = replace_grid[rows, cols] < 1.0 / counts
+                    replace = replace_grid.reshape(-1)[cells] < 1.0 / counts
                 else:
-                    replace = rng.random(rows.size) < 1.0 / counts
-                keep_rows, keep_cols = rows[replace], cols[replace]
-                chosen[keep_rows, keep_cols] = report.bits[keep_rows, keep_cols]
+                    replace = rng.random(cells.size) < 1.0 / counts
+                chosen_cells[cells[replace]] = report.cell_bits[fresh][replace]
             state.messages_sent += report.messages_sent if resilient else senders
         state.rounds += len(phase.rounds)
 
@@ -658,12 +661,14 @@ def run_stage2_batch(
 
         scratch.reset()
         totals, ones = scratch.totals, scratch.ones
+        totals_cells, ones_cells = totals.reshape(-1), ones.reshape(-1)
         for send_mask, senders in phase.send_masks(eligible, senders_per_replicate):
             report = network.deliver_batch(
                 send_mask, bits, channel, rng, faults=faults, topology=topology
             )
-            totals += report.accepted
-            ones += report.bits  # zero wherever nothing was accepted
+            # Each cell accepts at most one message per round: no repeats.
+            totals_cells[report.cells] += 1
+            ones_cells[report.cells] += report.cell_bits
             state.messages_sent += report.messages_sent if resilient else senders
         state.rounds += len(phase.rounds)
 

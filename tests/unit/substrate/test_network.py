@@ -4,7 +4,12 @@ import numpy as np
 import pytest
 
 from repro.errors import ParameterError, ProtocolError
-from repro.substrate.network import BatchDeliveryReport, DeliveryReport, PushGossipNetwork
+from repro.substrate.network import (
+    BatchDeliveryReport,
+    DeliveryReport,
+    PushGossipNetwork,
+    _Workspace,
+)
 from repro.substrate.noise import PerfectChannel
 
 
@@ -283,13 +288,7 @@ def _argsort_deliver_batch(network, send_mask, bits, channel, rng):
         accepted_senders.reshape(-1)[winning_buckets] = cols[winners]
         noisy = channel.transmit(bits[rows[winners], cols[winners]], rng)
         accepted_bits.reshape(-1)[winning_buckets] = noisy
-    return BatchDeliveryReport(
-        accepted=accepted,
-        bits=accepted_bits,
-        senders=accepted_senders,
-        messages_sent=sent,
-        messages_delivered=accepted.sum(axis=1).astype(np.int64),
-    )
+    return BatchDeliveryReport.from_grids(accepted, accepted_bits, accepted_senders, sent)
 
 
 class TestDeliverBatchMatchesSortOracle:
@@ -329,19 +328,20 @@ class TestDeliverBatchMatchesSortOracle:
                 got, want = getattr(report, name), getattr(expected, name)
                 assert got.dtype == want.dtype, (name, seed)
                 assert np.array_equal(got, want), (name, seed)
+            assert np.array_equal(report.messages_delivered, expected.accepted.sum(axis=1))
             assert rng.bit_generator.state == oracle_rng.bit_generator.state, seed
 
     def test_exact_priority_tie_keeps_one_winner(self):
         network = PushGossipNetwork(size=10)
         buckets = np.array([5, 5, 7, 5])
         priorities = np.array([0.25, 0.25, 0.5, 0.75])
-        senders = np.full((1, 10), -1, dtype=np.int64)
-        winners, winning_buckets = network._resolve_collisions(buckets, priorities, senders)
+        workspace = _Workspace((1, 10))
+        winners, winning_buckets = network._resolve_collisions(buckets, priorities, workspace)
         assert winning_buckets.tolist() == [5, 7]
         assert winners[0] in (0, 1) and winners[1] == 2
         expected = np.full(10, -1)
         expected[winning_buckets] = winners
-        assert np.array_equal(senders[0], expected), "winners left in their cells, -1 elsewhere"
+        assert np.array_equal(workspace.owner, expected), "winners left in their cells, -1 elsewhere"
 
     def test_gap_below_the_combined_key_spacing_keeps_the_true_minimum(self):
         """At bucket 15999 of an (8, 2000) grid, priorities 2^-45 apart round
@@ -351,9 +351,8 @@ class TestDeliverBatchMatchesSortOracle:
         high = low + 2.0**-45
         assert bucket + low == bucket + high  # the old key could not tell them apart
         buckets = np.array([bucket, bucket, 3])
-        senders = np.full((8, 2000), -1, dtype=np.int64)
         winners, winning_buckets = network._resolve_collisions(
-            buckets, np.array([high, low, 0.9]), senders
+            buckets, np.array([high, low, 0.9]), _Workspace((8, 2000))
         )
         assert winning_buckets.tolist() == [3, bucket]
         assert winners.tolist() == [2, 1]
@@ -438,3 +437,100 @@ class TestValidationOnEverySerialPath:
         with pytest.raises(ProtocolError, match="send_mask must be a boolean grid"):
             network.deliver_batch(opinions, bits, perfect, rng, faults=injector)
         assert network.rounds_executed == 0
+
+
+class TestDeliverBatchPreparedRound:
+    """``deliver_batch`` keeps the last validated inputs and reuses them when a
+    call's grids match in shape, dtype and content.  The memo must be keyed
+    on content, never on identity, and no report may alias the workspace.
+    Each case compares against a fresh network with the same generator
+    state."""
+
+    N, R = 50, 4
+    FIELDS = ("cells", "cell_bits", "cell_senders", "accepted", "bits", "senders",
+              "messages_sent", "messages_delivered")
+
+    def _inputs(self, seed=0):
+        picker = np.random.default_rng(seed)
+        mask = picker.random((self.R, self.N)) < 0.6
+        bits = picker.integers(0, 2, size=(self.R, self.N)).astype(np.int8)
+        return mask, bits
+
+    def _fresh(self, mask, bits, state):
+        from repro.substrate.noise import BinarySymmetricChannel
+
+        rng = np.random.default_rng()
+        rng.bit_generator.state = state
+        network = PushGossipNetwork(size=self.N)
+        return network.deliver_batch(mask.copy(), bits.copy(), BinarySymmetricChannel(0.2), rng)
+
+    def _assert_same(self, got, want):
+        for name in self.FIELDS:
+            assert getattr(got, name).dtype == getattr(want, name).dtype, name
+            assert np.array_equal(getattr(got, name), getattr(want, name)), name
+
+    @pytest.mark.parametrize("grid", ["send_mask", "bits"])
+    def test_inputs_mutated_in_place_are_seen(self, grid):
+        from repro.substrate.noise import BinarySymmetricChannel
+
+        channel = BinarySymmetricChannel(0.2)
+        network, rng = PushGossipNetwork(size=self.N), np.random.default_rng(3)
+        mask, bits = self._inputs()
+        network.deliver_batch(mask, bits, channel, rng)
+        if grid == "send_mask":
+            mask[0] = ~mask[0]
+        else:
+            bits[mask] = 1 - bits[mask]
+        state = rng.bit_generator.state
+        report = network.deliver_batch(mask, bits, channel, rng)
+        self._assert_same(report, self._fresh(mask, bits, state))
+
+    def test_out_of_range_bit_written_after_a_valid_call_raises(self, perfect):
+        network, rng = PushGossipNetwork(size=self.N), np.random.default_rng(3)
+        mask, bits = self._inputs()
+        network.deliver_batch(mask, bits, perfect, rng)
+        row, col = np.argwhere(mask)[0]
+        bits[row, col] = 2
+        with pytest.raises(ProtocolError, match="0 or 1"):
+            network.deliver_batch(mask, bits, perfect, rng)
+        assert network.rounds_executed == 1
+
+    def test_int_grid_equal_to_the_cached_mask_still_raises(self, perfect):
+        network, rng = PushGossipNetwork(size=self.N), np.random.default_rng(3)
+        mask, bits = self._inputs()
+        network.deliver_batch(mask, bits, perfect, rng)
+        as_int = mask.astype(np.int8)
+        assert np.array_equal(as_int, mask)  # equal content, different dtype
+        with pytest.raises(ProtocolError, match="send_mask must be a boolean grid"):
+            network.deliver_batch(as_int, bits, perfect, rng)
+        assert network.rounds_executed == 1
+
+    def test_a_report_is_unchanged_by_the_next_round(self):
+        from repro.substrate.noise import BinarySymmetricChannel
+
+        channel = BinarySymmetricChannel(0.2)
+        network, rng = PushGossipNetwork(size=self.N), np.random.default_rng(3)
+        mask, bits = self._inputs()
+        state = rng.bit_generator.state
+        first = network.deliver_batch(mask, bits, channel, rng)
+        second = network.deliver_batch(mask, bits, channel, rng)
+        # Nothing of the first report was read before the second round ran,
+        # so its lazily built fields are gathered only now.
+        self._assert_same(first, self._fresh(mask, bits, state))
+        assert not np.array_equal(first.cells, second.cells)
+
+    def test_resilient_round_between_phase_rounds_keeps_the_draws(self):
+        """A fault-aware round reuses the shape's workspace; the next
+        fault-free round with the memoised inputs still matches."""
+        from repro.substrate.faults import CrashStop, FaultInjector
+        from repro.substrate.noise import BinarySymmetricChannel
+
+        channel = BinarySymmetricChannel(0.2)
+        network, rng = PushGossipNetwork(size=self.N), np.random.default_rng(3)
+        mask, bits = self._inputs()
+        network.deliver_batch(mask, bits, channel, rng)
+        injector = FaultInjector(CrashStop(), self.N, np.random.default_rng(1), num_replicates=self.R)
+        network.deliver_batch(mask, bits, channel, rng, faults=injector)
+        state = rng.bit_generator.state
+        report = network.deliver_batch(mask, bits, channel, rng)
+        self._assert_same(report, self._fresh(mask, bits, state))

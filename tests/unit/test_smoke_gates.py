@@ -303,7 +303,7 @@ class TestStageBenchAndAggregatorSmoke:
         checked, never seconds."""
         module = _load_script(BENCHMARKS_DIR / "bench_deliver_batch.py", "_smoke_batch_bench")
         payload = module.measure(module.build_workloads(toy=True))
-        assert set(payload["families"]) == {"full_send", "send_10pct"}
+        assert set(payload["families"]) == {"full_send", "send_10pct", "fresh_inputs"}
         full = payload["families"]["full_send"]["speedup_vs_serial"]
         assert full["deliver_batch_vs_argsort_oracle"] >= 1.1
 
@@ -321,6 +321,40 @@ class TestStageBenchAndAggregatorSmoke:
         assert summary["change"]["median"] == 1.15
         low, high = summary["parent"]["quartiles"]
         assert 1.2 <= low < 1.45 < high <= 1.6
+
+    def test_perfbench_pairs_stamps_the_change_commit_and_traces_the_layer(
+        self, tmp_path, monkeypatch
+    ):
+        """The record's machine block comes from the change checkout's perfbench
+        stamp, so a results file left in a checkout cannot mark it ``-dirty``."""
+        module = _load_script(BENCHMARKS_DIR / "perfbench_pairs.py", "_smoke_pairs_main")
+        calls = []
+
+        def fake_run_once(checkout, workload, seed, *options):
+            calls.append((checkout.name, seed, options))
+            traced = "--trace" in options
+            return {
+                "stamp": {"commit": f"{checkout.name}-sha", "src_sha256": checkout.name,
+                          "nproc": 2, "python": "3.11.7", "numpy": "2.4.6"},
+                "correct": True,
+                "metrics": {"proc.minor_faults": 9} if traced else {"run_s.p50": float(seed)},
+            }
+
+        monkeypatch.setattr(module, "run_once", fake_run_once)
+        monkeypatch.setattr(module, "RESULTS_DIR", tmp_path)
+        argv = [str(tmp_path / "parent"), str(tmp_path / "change"), "--workload", "toy",
+                "--seed", "5", "--pairs", "2", "--layer", "substrate.deliver_batch"]
+        assert module.main(argv) == 0
+        payload = json.loads((tmp_path / "perfbench_toy.json").read_text())
+        assert payload["machine"] == {"commit": "change-sha", "nproc": 2,
+                                      "python": "3.11.7", "numpy": "2.4.6"}
+        assert payload["layer"] == "substrate.deliver_batch"
+        assert payload["traced"] == {"parent": {"proc.minor_faults": 9},
+                                     "change": {"proc.minor_faults": 9}}
+        assert [call[:2] for call in calls] == [
+            ("parent", 5), ("change", 5), ("change", 6), ("parent", 6), ("parent", 5), ("change", 5)
+        ]
+        assert calls[-1][2] == ("--trace", "1", "--seconds", "0")
 
     def test_collect_results_aggregates_both_shapes(self, tmp_path):
         results = tmp_path / "results"
