@@ -13,14 +13,17 @@ replicates of a sweep point and delivers its speedup even on a single core;
 the pool additionally scales with the number of CPUs by running independent
 grid points concurrently (on a 1-CPU host it degenerates gracefully to
 roughly batch speed).  The test asserts the headline claim: at least a 2x
-single-core batch speedup over the serial reference on this workload.
+single-core batch speedup over the serial reference on this workload.  The
+three runs alternate over ``REPEATS`` repeats (``paired_timing.py``); the
+gate reads the median of the per-repeat ratios, and the record keeps their
+quartiles, so drift in machine speed between two runs cannot flip it.
 """
 
 from __future__ import annotations
 
+import importlib.util
 import json
 import os
-import time
 from pathlib import Path
 
 from repro.api import ExecutionConfig, run_experiment
@@ -31,12 +34,22 @@ SET_SIZES = (100, 300)
 BIASES = (0.15, 0.3)
 TRIALS = 6
 BASE_SEED = 808
+REPEATS = 5
 RESULTS_PATH = Path(__file__).parent / "results" / "e8_batch_speedup.json"
 
 
-def _timed_run(config: ExecutionConfig):
-    """One E8 sweep with the given execution settings, and its wall time."""
-    start = time.perf_counter()
+def _paired_speedups():
+    """``paired_timing.paired_speedups``, imported by path (benchmarks/ is not a package)."""
+    spec = importlib.util.spec_from_file_location(
+        "_paired_timing", Path(__file__).with_name("paired_timing.py")
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.paired_speedups
+
+
+def _sweep_rows(config: ExecutionConfig):
+    """The report rows of one E8 sweep with the given execution settings."""
     artifact = run_experiment(
         "E8",
         config=config,
@@ -47,14 +60,22 @@ def _timed_run(config: ExecutionConfig):
         trials=TRIALS,
         base_seed=BASE_SEED,
     )
-    return artifact.report.rows, time.perf_counter() - start
+    return artifact.report.rows
 
 
 def test_e8_batch_speedup(print_report, machine_stamp):
     """Measure serial vs batched vs batched-on-a-pool and record the JSON."""
-    serial_rows, serial_seconds = _timed_run(ExecutionConfig())
-    batched_rows, batch_seconds = _timed_run(ExecutionConfig(batch=True))
-    pooled_rows, pooled_seconds = _timed_run(ExecutionConfig(batch=True, backend="local"))
+    configs = {
+        "serial": ExecutionConfig(),
+        "batch": ExecutionConfig(batch=True),
+        "batch_point_parallel": ExecutionConfig(batch=True, backend="local"),
+    }
+    rows, timing = _paired_speedups()(
+        {label: lambda config=config: _sweep_rows(config) for label, config in configs.items()},
+        reference="serial",
+        repeats=REPEATS,
+    )
+    serial_rows, batched_rows, pooled_rows = (rows[label] for label in configs)
 
     # Statistical-equivalence contract: the majority schedule is fixed by
     # (parameters, start_phase), so per-point round counts match the serial
@@ -76,18 +97,11 @@ def test_e8_batch_speedup(print_report, machine_stamp):
             "biases": list(BIASES),
             "trials_per_point": TRIALS,
             "base_seed": BASE_SEED,
+            "repeats": REPEATS,
         },
         "host": {"cpu_count": os.cpu_count()},
         "machine": machine_stamp,
-        "seconds": {
-            "serial": round(serial_seconds, 3),
-            "batch": round(batch_seconds, 3),
-            "batch_point_parallel": round(pooled_seconds, 3),
-        },
-        "speedup_vs_serial": {
-            "batch": round(serial_seconds / batch_seconds, 2),
-            "batch_point_parallel": round(serial_seconds / pooled_seconds, 2),
-        },
+        **timing,
     }
     RESULTS_PATH.parent.mkdir(parents=True, exist_ok=True)
     RESULTS_PATH.write_text(json.dumps(payload, indent=2) + "\n")

@@ -12,14 +12,17 @@ replicates of a sweep point and delivers its speedup even on a single core;
 the parallel path additionally scales with the number of CPUs (on a 1-CPU
 host it degenerates gracefully to roughly serial speed).  The test asserts
 the subsystem's headline claim: at least a 2x end-to-end speedup over the
-serial reference on this host.
+serial reference on this host.  The three runs alternate over ``REPEATS``
+repeats (``paired_timing.py``); the gate reads the median of the per-repeat
+ratios, and the record keeps their quartiles, so drift in machine speed
+between two runs cannot flip it.
 """
 
 from __future__ import annotations
 
+import importlib.util
 import json
 import os
-import time
 from pathlib import Path
 
 from repro.api import ExecutionConfig, run_experiment
@@ -28,23 +31,40 @@ SIZES = (500, 1000, 2000)
 EPSILON = 0.25
 TRIALS = 6
 BASE_SEED = 101
+REPEATS = 5
 RESULTS_PATH = Path(__file__).parent / "results" / "exec_speedup.json"
 
 
-def _timed_run(config: ExecutionConfig):
-    """One E1 sweep with the given execution settings, and its wall time."""
-    start = time.perf_counter()
-    artifact = run_experiment(
+def _paired_speedups():
+    """``paired_timing.paired_speedups``, imported by path (benchmarks/ is not a package)."""
+    spec = importlib.util.spec_from_file_location(
+        "_paired_timing", Path(__file__).with_name("paired_timing.py")
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.paired_speedups
+
+
+def _sweep(config: ExecutionConfig):
+    """One E1 sweep with the given execution settings."""
+    return run_experiment(
         "E1", config=config, sizes=SIZES, epsilon=EPSILON, trials=TRIALS, base_seed=BASE_SEED
     )
-    return artifact, time.perf_counter() - start
 
 
 def test_exec_speedup(print_report, machine_stamp):
     """Measure serial vs parallel vs batched wall-clock and record the JSON."""
-    serial, serial_seconds = _timed_run(ExecutionConfig())
-    parallel, parallel_seconds = _timed_run(ExecutionConfig(backend="local"))
-    batched, batch_seconds = _timed_run(ExecutionConfig(batch=True))
+    configs = {
+        "serial": ExecutionConfig(),
+        "parallel": ExecutionConfig(backend="local"),
+        "batch": ExecutionConfig(batch=True),
+    }
+    artifacts, timing = _paired_speedups()(
+        {label: lambda config=config: _sweep(config) for label, config in configs.items()},
+        reference="serial",
+        repeats=REPEATS,
+    )
+    serial, parallel, batched = (artifacts[label] for label in configs)
 
     # Identical-results contract: the pooled run is bit-identical to the
     # in-process one; the batched run reproduces every schedule-determined
@@ -62,18 +82,11 @@ def test_exec_speedup(print_report, machine_stamp):
             "epsilon": EPSILON,
             "trials_per_point": TRIALS,
             "base_seed": BASE_SEED,
+            "repeats": REPEATS,
         },
         "host": {"cpu_count": os.cpu_count(), "parallel_jobs": pool["workers"]},
         "machine": machine_stamp,
-        "seconds": {
-            "serial": round(serial_seconds, 3),
-            "parallel": round(parallel_seconds, 3),
-            "batch": round(batch_seconds, 3),
-        },
-        "speedup_vs_serial": {
-            "parallel": round(serial_seconds / parallel_seconds, 2),
-            "batch": round(serial_seconds / batch_seconds, 2),
-        },
+        **timing,
         "parallel_tasks": pool["tasks"],
     }
     RESULTS_PATH.parent.mkdir(parents=True, exist_ok=True)

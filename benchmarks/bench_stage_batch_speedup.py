@@ -11,7 +11,10 @@ E11 (lower-bound references) were the last serial-only experiments.
 
 The test asserts the headline claim — at least a 2x single-core batch
 speedup for each of E4, E5 and E6 — and records (without asserting, they mix
-several sub-simulators) the measured E9/E11 speedups alongside.
+several sub-simulators) the measured E9/E11 speedups alongside.  Each
+family's two runs alternate over ``REPEATS`` repeats (``paired_timing.py``);
+the gate reads the median of the per-repeat ratios, and the record keeps
+their quartiles, so drift in machine speed between two runs cannot flip it.
 
 ``build_workloads(toy=True)`` shrinks every instance so the smoke gate in
 ``tests/unit/test_smoke_gates.py`` can execute the measurement end to end in
@@ -21,9 +24,9 @@ well under a second.
 from __future__ import annotations
 
 import functools
+import importlib.util
 import json
 import os
-import time
 from pathlib import Path
 from typing import Any, Callable, Dict, Tuple
 
@@ -37,6 +40,7 @@ from repro.experiments.e5_stage1_growth import _stage1_rows, _stage1_trial
 from repro.experiments.e6_stage2_boost import _stage2_rows, _stage2_trial
 
 BASE_SEED = 42
+REPEATS = 5
 RESULTS_PATH = Path(__file__).parent / "results" / "stage_batch_speedup.json"
 
 #: Families whose single-core batch speedup the test asserts to be >= 2x.
@@ -168,29 +172,34 @@ def build_workloads(toy: bool = False) -> Dict[str, Dict[str, Any]]:
     }
 
 
-def measure(workloads: Dict[str, Dict[str, Any]]) -> Dict[str, Any]:
-    """Time every family's serial and batch thunks and assemble the payload."""
+def _paired_speedups():
+    """``paired_timing.paired_speedups``, imported by path (benchmarks/ is not a package)."""
+    spec = importlib.util.spec_from_file_location(
+        "_paired_timing", Path(__file__).with_name("paired_timing.py")
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.paired_speedups
+
+
+def measure(workloads: Dict[str, Dict[str, Any]], repeats: int = REPEATS) -> Dict[str, Any]:
+    """Time every family's serial and batch thunks alternately and assemble the payload."""
+    paired_speedups = _paired_speedups()
     families: Dict[str, Any] = {}
     for family, spec in workloads.items():
-        start = time.perf_counter()
-        spec["serial"]()
-        serial_seconds = time.perf_counter() - start
-        start = time.perf_counter()
-        spec["batch"]()
-        batch_seconds = time.perf_counter() - start
+        _, timing = paired_speedups(
+            {"serial": spec["serial"], "batch": spec["batch"]}, reference="serial", repeats=repeats
+        )
         families[family] = {
             "description": spec["description"],
             "workload": spec["workload"],
-            "seconds": {
-                "serial": round(serial_seconds, 3),
-                "batch": round(batch_seconds, 3),
-            },
-            "speedup_vs_serial": {"batch": round(serial_seconds / batch_seconds, 2)},
+            **timing,
         }
     return {
         "workload": {
             "experiment": "stage-level batch coverage (E4, E5, E6, E9, E11)",
             "base_seed": BASE_SEED,
+            "repeats": repeats,
         },
         "host": {"cpu_count": os.cpu_count()},
         "families": families,

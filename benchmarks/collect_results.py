@@ -91,6 +91,12 @@ def _recorded_machine(path: Path, payload: Dict[str, Any]) -> Dict[str, Any]:
     }
 
 
+#: Keys a result file may add, copied into its summary entry when present:
+#: the quartiles of paired speed ratios, and the layer a perfbench pair
+#: record names with its traced metrics per side.
+OPTIONAL_KEYS = ("speedup_quartiles", "layer", "traced")
+
+
 def _entry(source: str, payload: Dict[str, Any], machine: Dict[str, Any]) -> Dict[str, Any]:
     """One summary entry: experiment label, wall times, speedups, machine."""
     workload = payload.get("workload", {})
@@ -100,6 +106,7 @@ def _entry(source: str, payload: Dict[str, Any], machine: Dict[str, Any]) -> Dic
         "workload": workload,
         "seconds": payload.get("seconds", {}),
         "speedup_vs_serial": payload.get("speedup_vs_serial", {}),
+        **{key: payload[key] for key in OPTIONAL_KEYS if key in payload},
         "machine": machine,
     }
 

@@ -23,8 +23,9 @@ perfbench stamp (commit, CPU count, versions), not from ``git status`` of
 the checkout running this script: the results file it writes would mark
 that checkout ``-dirty`` for every later run.  ``--layer NAME`` names the
 layer the change claims to move (say ``substrate.deliver_batch``) and adds
-one traced run per side (``--trace 1 --seconds 0`` at the first seed), whose
-per-layer metrics, ``proc.minor_faults`` among them, go to ``traced``.
+one traced run per side (``--trace 1 --seconds 0`` at the first seed); that
+layer's metrics, the traced wall time, ``substrate.messages`` and
+``proc.minor_faults`` go to ``traced``.
 """
 
 from __future__ import annotations
@@ -41,6 +42,9 @@ RESULTS_DIR = Path(__file__).parent / "results"
 
 #: The metric the pairs are judged on (lower is better).
 CLAIM_METRIC = "run_s.p50"
+
+#: Traced metrics kept besides the named layer's own (``<layer>.*``).
+TRACED_METRICS = ("trace.wall_s", "substrate.messages", "proc.minor_faults")
 
 
 def run_once(checkout: Path, workload: str, seed: int, *options: str) -> Dict[str, Any]:
@@ -142,12 +146,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     }
     if args.layer:
         payload["layer"] = args.layer
-        payload["traced"] = {
-            side: run_once(
+        payload["traced"] = {}
+        for side in ("parent", "change"):
+            metrics = run_once(
                 getattr(args, side), args.workload, args.seed, "--trace", "1", "--seconds", "0"
             )["metrics"]
-            for side in ("parent", "change")
-        }
+            payload["traced"][side] = {
+                name: value for name, value in metrics.items()
+                if name.startswith(f"{args.layer}.") or name in TRACED_METRICS
+            }
     path = RESULTS_DIR / f"perfbench_{args.workload}.json"
     path.write_text(json.dumps(payload, indent=2) + "\n")
     print(json.dumps(summary, indent=2))

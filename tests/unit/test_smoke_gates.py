@@ -238,12 +238,14 @@ class TestStageBenchAndAggregatorSmoke:
         module = _load_script(
             BENCHMARKS_DIR / "bench_stage_batch_speedup.py", "_smoke_stage_bench"
         )
-        payload = module.measure(module.build_workloads(toy=True))
+        payload = module.measure(module.build_workloads(toy=True), repeats=2)
         assert set(payload["families"]) == {"E4", "E5", "E6", "E9", "E11"}
         for family, entry in payload["families"].items():
             assert entry["seconds"]["serial"] > 0, family
             assert entry["seconds"]["batch"] > 0, family
             assert "batch" in entry["speedup_vs_serial"], family
+            low, high = entry["speedup_quartiles"]["batch"]
+            assert low <= entry["speedup_vs_serial"]["batch"] <= high, family
 
     def test_backend_dispatch_bench_measures_at_toy_sizes(self):
         module = _load_script(
@@ -337,7 +339,11 @@ class TestStageBenchAndAggregatorSmoke:
                 "stamp": {"commit": f"{checkout.name}-sha", "src_sha256": checkout.name,
                           "nproc": 2, "python": "3.11.7", "numpy": "2.4.6"},
                 "correct": True,
-                "metrics": {"proc.minor_faults": 9} if traced else {"run_s.p50": float(seed)},
+                "metrics": (
+                    {"proc.minor_faults": 9, "substrate.deliver_batch.self_s": 0.5,
+                     "substrate.transmit.self_s": 0.1}
+                    if traced else {"run_s.p50": float(seed)}
+                ),
             }
 
         monkeypatch.setattr(module, "run_once", fake_run_once)
@@ -349,12 +355,32 @@ class TestStageBenchAndAggregatorSmoke:
         assert payload["machine"] == {"commit": "change-sha", "nproc": 2,
                                       "python": "3.11.7", "numpy": "2.4.6"}
         assert payload["layer"] == "substrate.deliver_batch"
-        assert payload["traced"] == {"parent": {"proc.minor_faults": 9},
-                                     "change": {"proc.minor_faults": 9}}
+        kept = {"proc.minor_faults": 9, "substrate.deliver_batch.self_s": 0.5}
+        assert payload["traced"] == {"parent": kept, "change": kept}
         assert [call[:2] for call in calls] == [
             ("parent", 5), ("change", 5), ("change", 6), ("parent", 6), ("parent", 5), ("change", 5)
         ]
         assert calls[-1][2] == ("--trace", "1", "--seconds", "0")
+
+    def test_paired_speedups_alternate_and_keep_the_last_results(self):
+        module = _load_script(BENCHMARKS_DIR / "paired_timing.py", "_smoke_paired_timing")
+        calls = []
+
+        def thunk(label):
+            def run():
+                calls.append(label)
+                return len(calls)
+            return run
+
+        results, record = module.paired_speedups(
+            {"serial": thunk("serial"), "batch": thunk("batch")}, reference="serial", repeats=3
+        )
+        assert calls == ["serial", "batch", "batch", "serial", "serial", "batch"]
+        assert results == {"serial": 5, "batch": 6}
+        assert set(record) == {"seconds", "speedup_vs_serial", "speedup_quartiles"}
+        assert set(record["speedup_vs_serial"]) == {"batch"}
+        low, high = record["speedup_quartiles"]["batch"]
+        assert low <= record["speedup_vs_serial"]["batch"] <= high
 
     def test_collect_results_aggregates_both_shapes(self, tmp_path):
         results = tmp_path / "results"
@@ -388,6 +414,9 @@ class TestStageBenchAndAggregatorSmoke:
                     "workload": {"experiment": "stamped workload"},
                     "machine": {"commit": "abc1234", "nproc": 2, "python": "3.11.7", "numpy": "2.4.6"},
                     "seconds": {"serial": 1.0},
+                    "speedup_quartiles": {"batch": [1.9, 2.2]},
+                    "layer": "substrate.deliver_batch",
+                    "traced": {"parent": {"proc.minor_faults": 9}},
                 }
             )
         )
@@ -407,6 +436,11 @@ class TestStageBenchAndAggregatorSmoke:
         for entry in reloaded["entries"]:
             assert set(entry["machine"]) == {"commit", "nproc", "python", "numpy"}
         assert reloaded["entries"][2]["machine"]["commit"] == "abc1234"
+        # Optional keys are carried over only where a result file has them.
+        assert reloaded["entries"][2]["speedup_quartiles"] == {"batch": [1.9, 2.2]}
+        assert reloaded["entries"][2]["layer"] == "substrate.deliver_batch"
+        assert reloaded["entries"][2]["traced"] == {"parent": {"proc.minor_faults": 9}}
+        assert "layer" not in reloaded["entries"][1]
 
     def test_top_level_summary_is_committed_and_strict_json(self):
         summary_path = BENCHMARKS_DIR.parent / "BENCH_SUMMARY.json"
