@@ -1,16 +1,8 @@
 """Measurement, estimation and reporting machinery for the experiments."""
 
-from .convergence import (
-    crossover_round,
-    final_plateau,
-    first_hitting_round,
-    sustained_convergence_round,
-)
 from .estimators import (
     ScalarSummary,
-    average_trajectories,
     quantiles,
-    ratio_of_means,
     success_rate,
     summarize_scalar,
 )
@@ -24,18 +16,14 @@ from .scaling import (
     fit_inverse_square_epsilon,
     fit_linear,
     fit_log_n_scaling,
-    fit_power_law,
 )
 from .statistics import (
     BernoulliSummary,
-    are_negatively_correlated,
     binomial_pmf,
     central_binomial_tail,
     chernoff_deviation_for_confidence,
     chernoff_lower_tail,
     chernoff_upper_tail,
-    empirical_bias,
-    hoeffding_sample_size,
     summarize_bernoulli,
     wilson_interval,
 )
@@ -43,14 +31,8 @@ from .sweeps import SweepPoint, SweepResult, parameter_grid, run_sweep, sweep_po
 from .tables import format_cell, render_kv, render_table
 
 __all__ = [
-    "crossover_round",
-    "final_plateau",
-    "first_hitting_round",
-    "sustained_convergence_round",
     "ScalarSummary",
-    "average_trajectories",
     "quantiles",
-    "ratio_of_means",
     "success_rate",
     "summarize_scalar",
     "ExperimentResult",
@@ -65,16 +47,12 @@ __all__ = [
     "fit_inverse_square_epsilon",
     "fit_linear",
     "fit_log_n_scaling",
-    "fit_power_law",
     "BernoulliSummary",
-    "are_negatively_correlated",
     "binomial_pmf",
     "central_binomial_tail",
     "chernoff_deviation_for_confidence",
     "chernoff_lower_tail",
     "chernoff_upper_tail",
-    "empirical_bias",
-    "hoeffding_sample_size",
     "summarize_bernoulli",
     "wilson_interval",
     "SweepPoint",

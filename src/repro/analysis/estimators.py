@@ -2,15 +2,15 @@
 
 The experiment drivers produce lists of per-trial scalars (rounds, messages,
 final bias, success flags).  This module reduces them into the summary rows
-shown in the experiment reports: means with confidence intervals, quantiles, success
-rates, and bias trajectories averaged across trials.
+shown in the experiment reports: means with confidence intervals, quantiles
+and success rates.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Sequence
+from typing import Dict, Iterable, Sequence
 
 import numpy as np
 
@@ -22,8 +22,6 @@ __all__ = [
     "summarize_scalar",
     "success_rate",
     "quantiles",
-    "average_trajectories",
-    "ratio_of_means",
 ]
 
 
@@ -87,33 +85,3 @@ def quantiles(values: Iterable[float], probabilities: Sequence[float] = (0.1, 0.
     return {
         float(probability): float(np.quantile(array, probability)) for probability in probabilities
     }
-
-
-def average_trajectories(trajectories: Sequence[Sequence[float]]) -> List[float]:
-    """Pointwise mean of variable-length trajectories (e.g. per-phase bias).
-
-    Shorter trajectories simply stop contributing beyond their length, which
-    matches how per-phase records behave when some trials need fewer phases.
-    """
-    if not trajectories:
-        raise ParameterError("need at least one trajectory")
-    length = max(len(trajectory) for trajectory in trajectories)
-    sums = np.zeros(length, dtype=float)
-    counts = np.zeros(length, dtype=float)
-    for trajectory in trajectories:
-        values = np.asarray(trajectory, dtype=float)
-        sums[: values.size] += values
-        counts[: values.size] += 1.0
-    return list(sums / np.maximum(counts, 1.0))
-
-
-def ratio_of_means(numerator: Iterable[float], denominator: Iterable[float]) -> float:
-    """Ratio of the means of two scalar collections (e.g. measured / predicted rounds)."""
-    num = np.asarray(list(numerator), dtype=float)
-    den = np.asarray(list(denominator), dtype=float)
-    if num.size == 0 or den.size == 0:
-        raise ParameterError("both collections must be non-empty")
-    denominator_mean = float(den.mean())
-    if denominator_mean == 0.0:
-        raise ParameterError("denominator mean is zero")
-    return float(num.mean()) / denominator_mean

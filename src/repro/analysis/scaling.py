@@ -20,7 +20,7 @@ import numpy as np
 
 from ..errors import ParameterError
 
-__all__ = ["LinearFit", "fit_linear", "fit_power_law", "fit_log_n_scaling", "fit_inverse_square_epsilon"]
+__all__ = ["LinearFit", "fit_linear", "fit_log_n_scaling", "fit_inverse_square_epsilon"]
 
 
 @dataclass(frozen=True)
@@ -51,18 +51,6 @@ def fit_linear(x: Sequence[float], y: Sequence[float]) -> LinearFit:
     total = float(np.sum((y_array - y_array.mean()) ** 2))
     r_squared = 1.0 if total == 0.0 else 1.0 - residual / total
     return LinearFit(slope=float(slope), intercept=float(intercept), r_squared=r_squared)
-
-
-def fit_power_law(x: Sequence[float], y: Sequence[float]) -> LinearFit:
-    """Fit ``y ~ C * x^alpha`` by regressing ``log y`` on ``log x``.
-
-    Returns a :class:`LinearFit` whose ``slope`` is the exponent ``alpha``
-    and whose ``intercept`` is ``log C``.
-    """
-    x_array, y_array = _as_arrays(x, y)
-    if np.any(x_array <= 0) or np.any(y_array <= 0):
-        raise ParameterError("power-law fits need strictly positive data")
-    return fit_linear(np.log(x_array), np.log(y_array))
 
 
 def fit_log_n_scaling(n_values: Sequence[float], y: Sequence[float]) -> LinearFit:

@@ -1,9 +1,8 @@
 """Statistical primitives used by the analysis and the paper's proofs.
 
-This module codifies the probabilistic toolkit of Section 1.7 (Chernoff
-bounds, negative correlation) together with the estimation machinery the
-experiment harness needs (Wilson confidence intervals, Hoeffding sample-size
-calculations, empirical success probabilities).
+This module codifies the Chernoff bounds of Section 1.7 together with the
+estimation machinery the experiment harness needs (Wilson confidence
+intervals, empirical success probabilities, exact binomial tails).
 """
 
 from __future__ import annotations
@@ -12,22 +11,17 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Tuple
 
-import numpy as np
-
 from ..errors import ParameterError
 
 __all__ = [
     "chernoff_upper_tail",
     "chernoff_lower_tail",
     "chernoff_deviation_for_confidence",
-    "hoeffding_sample_size",
     "wilson_interval",
     "BernoulliSummary",
     "summarize_bernoulli",
-    "empirical_bias",
     "binomial_pmf",
     "central_binomial_tail",
-    "are_negatively_correlated",
 ]
 
 
@@ -64,15 +58,6 @@ def chernoff_deviation_for_confidence(expectation: float, failure_probability: f
     if not 0 < failure_probability < 1:
         raise ParameterError("failure_probability must lie in (0, 1)")
     return math.sqrt(2.0 * math.log(1.0 / failure_probability) / expectation)
-
-
-def hoeffding_sample_size(half_width: float, failure_probability: float) -> int:
-    """Samples needed so a Bernoulli mean estimate is within ``half_width`` w.p. ``1 - failure_probability``."""
-    if not 0 < half_width < 1:
-        raise ParameterError("half_width must lie in (0, 1)")
-    if not 0 < failure_probability < 1:
-        raise ParameterError("failure_probability must lie in (0, 1)")
-    return int(math.ceil(math.log(2.0 / failure_probability) / (2.0 * half_width * half_width)))
 
 
 # ----------------------------------------------------------------------
@@ -129,15 +114,6 @@ def summarize_bernoulli(outcomes: Iterable[bool], z: float = 1.96) -> BernoulliS
     )
 
 
-def empirical_bias(correct: int, total: int) -> float:
-    """Bias ``(correct - wrong) / (2 total)`` of an observed population."""
-    if total <= 0:
-        raise ParameterError("total must be positive")
-    if not 0 <= correct <= total:
-        raise ParameterError("correct must lie in [0, total]")
-    return (2 * correct - total) / (2 * total)
-
-
 # ----------------------------------------------------------------------
 # Binomial helpers (Claims 2.12 / 2.13 checks)
 # ----------------------------------------------------------------------
@@ -167,28 +143,3 @@ def central_binomial_tail(n: int, p: float, threshold: int) -> float:
     if threshold > n:
         return 0.0
     return float(sum(binomial_pmf(k, n, p) for k in range(threshold, n + 1)))
-
-
-# ----------------------------------------------------------------------
-# Negative correlation (Section 1.7)
-# ----------------------------------------------------------------------
-def are_negatively_correlated(samples: np.ndarray, tolerance: float = 0.05) -> bool:
-    """Empirical check of pairwise negative 1-correlation for Bernoulli columns.
-
-    ``samples`` is a ``(num_observations, num_variables)`` 0/1 matrix.  For
-    every pair of columns the function checks
-    ``P(X_i = 1, X_j = 1) <= P(X_i = 1) P(X_j = 1) + tolerance`` — the
-    pairwise special case of the Panconesi–Srinivasan condition the paper's
-    proofs rely on (sampling without replacement).  Used by property tests on
-    the delivery substrate.
-    """
-    matrix = np.asarray(samples, dtype=float)
-    if matrix.ndim != 2:
-        raise ParameterError("samples must be a 2-D matrix")
-    if matrix.shape[0] < 2 or matrix.shape[1] < 2:
-        raise ParameterError("need at least two observations of at least two variables")
-    means = matrix.mean(axis=0)
-    joint = matrix.T @ matrix / matrix.shape[0]
-    product = np.outer(means, means)
-    off_diagonal = ~np.eye(matrix.shape[1], dtype=bool)
-    return bool(np.all(joint[off_diagonal] <= product[off_diagonal] + tolerance))

@@ -25,10 +25,8 @@ from .majority import (
 from .opinions import (
     OPINIONS,
     bias_from_counts,
-    bias_to_fraction,
     correct_probability_after_noise,
     counts_from_bias,
-    fraction_to_bias,
     majority_from_counts,
     majority_opinion,
     opposite,
@@ -74,10 +72,8 @@ __all__ = [
     "solve_noisy_majority_consensus",
     "OPINIONS",
     "bias_from_counts",
-    "bias_to_fraction",
     "correct_probability_after_noise",
     "counts_from_bias",
-    "fraction_to_bias",
     "majority_from_counts",
     "majority_opinion",
     "opposite",

@@ -113,7 +113,6 @@ def solve_noisy_broadcast(
     parameters: Optional[ProtocolParameters] = None,
     record_time_series: bool = False,
     faults=None,
-    topology=None,
     **calibration_overrides: float,
 ) -> BroadcastResult:
     """Build an engine and run the noisy broadcast protocol once.
@@ -130,11 +129,10 @@ def solve_noisy_broadcast(
         :meth:`ProtocolParameters.calibrated`).
     record_time_series:
         Store per-round correct-fraction series in the engine metrics.
-    faults, topology:
-        Optional :data:`~repro.substrate.faults.FaultModel` and
-        :class:`~repro.substrate.topology.ContactTopology` forwarded to
-        :meth:`SimulationEngine.create`; the default (both ``None``) keeps
-        the pre-fault code path byte for byte.
+    faults:
+        Optional :data:`~repro.substrate.faults.FaultModel` forwarded to
+        :meth:`SimulationEngine.create`; the default ``None`` keeps the
+        pre-fault code path byte for byte.
 
     Returns
     -------
@@ -148,6 +146,5 @@ def solve_noisy_broadcast(
         seed=seed,
         record_time_series=record_time_series,
         faults=faults,
-        topology=topology,
     )
     return NoisyBroadcastProtocol(parameters).run(engine, correct_opinion=correct_opinion)

@@ -25,8 +25,6 @@ __all__ = [
     "bias_from_counts",
     "counts_from_bias",
     "correct_probability_after_noise",
-    "fraction_to_bias",
-    "bias_to_fraction",
 ]
 
 #: The two admissible opinions of the Flip model.
@@ -107,16 +105,6 @@ def counts_from_bias(total: int, bias: float) -> Tuple[int, int]:
     correct = int(np.ceil(total * (0.5 + bias)))
     correct = min(max(correct, 0), total)
     return correct, total - correct
-
-
-def fraction_to_bias(correct_fraction: float) -> float:
-    """Convert a correct fraction ``1/2 + delta`` into the bias ``delta``."""
-    return correct_fraction - 0.5
-
-
-def bias_to_fraction(bias: float) -> float:
-    """Convert a bias ``delta`` into the correct fraction ``1/2 + delta``."""
-    return 0.5 + bias
 
 
 def correct_probability_after_noise(bias: float, epsilon: float) -> float:

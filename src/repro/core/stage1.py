@@ -185,10 +185,10 @@ def execute_stage_one(
     summaries = []
     total_messages_before = engine.metrics.messages_sent
     start_round = engine.now
-    # Fault/topology runs use the positional reservoir so a crash cannot
-    # shift other agents' protocol-stream draws; the default path is
-    # byte-identical to the pre-fault code.
-    resilient = engine.faults is not None or engine.topology is not None
+    # Fault runs use the positional reservoir so a crash cannot shift other
+    # agents' protocol-stream draws; the default path is byte-identical to
+    # the pre-fault code.
+    resilient = engine.faults is not None
     observe = accumulator.observe_positional if resilient else accumulator.observe
 
     for phase, window, interior in windows:

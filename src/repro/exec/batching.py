@@ -19,7 +19,7 @@ Three protocol shapes are covered:
   a random initially-opinionated set per replicate, Stage I entered at the
   corollary's start phase ``i_A``, then Stage-II boosting;
 * :func:`run_baseline_batch` — the Section 1.6 / Section 1.4 comparator
-  family experiments E7 and E11 argue *against*, dispatched by registry
+  family experiments E7 and E11 argue *against*, dispatched by protocol
   name: immediate forwarding
   (:class:`~repro.protocols.naive_forward.ImmediateForwardingBroadcast`),
   the noisy voter dynamics (:class:`~repro.protocols.noisy_voter.NoisyVoterBroadcast`),
@@ -280,7 +280,7 @@ class BatchBaselineResult:
     Attributes
     ----------
     protocol:
-        Registry name of the baseline (see :func:`batchable_baselines`).
+        Name of the baseline (see :func:`batchable_baselines`).
     n, epsilon, correct_opinion:
         The shared instance parameters.
     rounds:
@@ -868,7 +868,7 @@ def _running_majority(
 
 
 #: Vectorised step rule and recognised options per batchable baseline,
-#: keyed by the protocol's registry name (see repro.protocols.registry).
+#: keyed by the protocol class's ``name``.
 _BASELINE_BATCH_RULES: Dict[str, Tuple[Callable[..., BatchBaselineResult], frozenset]] = {
     "immediate-forwarding": (_run_forwarding_batch, frozenset({"max_rounds", "keep_first_opinion"})),
     "noisy-voter": (_run_voter_batch, frozenset({"max_rounds", "check_every"})),
@@ -878,7 +878,7 @@ _BASELINE_BATCH_RULES: Dict[str, Tuple[Callable[..., BatchBaselineResult], froze
 
 
 def batchable_baselines() -> List[str]:
-    """Sorted registry names of the baseline protocols with a batched step rule."""
+    """Sorted names of the baseline protocols with a batched step rule."""
     return sorted(_BASELINE_BATCH_RULES)
 
 
@@ -898,9 +898,8 @@ def run_baseline_batch(
     This is the batched counterpart of running a
     :class:`~repro.protocols.base.BaselineProtocol` once per trial on its own
     :class:`~repro.substrate.engine.SimulationEngine`: the protocol is looked
-    up by its registry name (the same names
-    :func:`repro.protocols.registry.make_protocol` accepts) and advanced for
-    all replicates simultaneously on ``(R, n)`` grids, one
+    up by its class's ``name`` and advanced for all replicates
+    simultaneously on ``(R, n)`` grids, one
     :meth:`~repro.substrate.network.PushGossipNetwork.deliver_batch` (or
     :meth:`~repro.substrate.noise.NoiseChannel.transmit_batch`) call per
     round.  Per-replicate dynamics are statistically equivalent to the serial
@@ -911,8 +910,7 @@ def run_baseline_batch(
     Parameters
     ----------
     protocol:
-        Registry name of the baseline; see :func:`batchable_baselines` for
-        the names with a vectorised step rule.
+        Name of the baseline; one of :func:`batchable_baselines`.
     n, epsilon:
         Instance size and noise margin, shared by every replicate.
     num_replicates:
@@ -939,12 +937,8 @@ def run_baseline_batch(
     try:
         rule, recognised_options = _BASELINE_BATCH_RULES[protocol]
     except KeyError:
-        from ..protocols.registry import available_protocols
-
-        known = protocol in available_protocols()
-        reason = "has no batched step rule" if known else "is not a registered protocol"
         raise ExperimentError(
-            f"protocol {protocol!r} {reason}; batchable baselines are "
+            f"unknown baseline {protocol!r}; batchable baselines are "
             + ", ".join(batchable_baselines())
         ) from None
 

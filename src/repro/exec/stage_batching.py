@@ -434,7 +434,6 @@ def run_stage1_batch(
     correct_opinion: int,
     start_phase: int = 0,
     faults=None,
-    topology=None,
     offsets: Optional[np.ndarray] = None,
     schedules: Optional[Sequence[PhaseSchedule]] = None,
 ) -> StageOneBatchResult:
@@ -456,14 +455,13 @@ def run_stage1_batch(
     start_phase:
         First phase to execute (Corollary 2.18), exactly as in the serial
         executor; must be a phase of the stage.
-    faults, topology:
-        Optional :class:`~repro.substrate.faults.FaultInjector` /
-        :class:`~repro.substrate.topology.ContactTopology`.  When either is
-        set the kernel switches to the positional resilient mode: delivery
-        goes through the resilient network path and the reservoir draw uses
-        a full ``(R, n)`` grid per round, so main-stream consumption is
-        independent of the crash/churn pattern.  With both ``None`` the
-        original code path runs byte for byte.
+    faults:
+        Optional :class:`~repro.substrate.faults.FaultInjector`.  When set
+        the kernel switches to the positional resilient mode: delivery goes
+        through the resilient network path and the reservoir draw uses a
+        full ``(R, n)`` grid per round, so main-stream consumption is
+        independent of the crash pattern.  With ``None`` the original code
+        path runs byte for byte.
     offsets, schedules:
         Skewed clocks (Section 3): an ``(R, n)`` grid of the global rounds
         at which each agent's clock reads zero and one local-time schedule
@@ -493,7 +491,7 @@ def run_stage1_batch(
     summaries: List[StageOnePhaseBatchSummary] = []
     messages_before = state.messages_sent.copy()
     start_round = state.rounds
-    resilient = faults is not None or topology is not None
+    resilient = faults is not None
 
     for phase in phases:
         # Senders are fixed at phase start: activated and opinionated agents.
@@ -511,9 +509,7 @@ def run_stage1_batch(
         heard_cells, chosen_cells = heard_counts.reshape(-1), chosen.reshape(-1)
         dormant_cells = dormant.reshape(-1)
         for send_mask, senders in phase.send_masks(eligible, senders_per_replicate):
-            report = network.deliver_batch(
-                send_mask, bits, channel, rng, faults=faults, topology=topology
-            )
+            report = network.deliver_batch(send_mask, bits, channel, rng, faults=faults)
             if resilient:
                 # Positional reservoir draw: one fixed (R, n) grid per round
                 # so consumption never depends on who was heard (the fault
@@ -621,7 +617,6 @@ def run_stage2_batch(
     parameters: StageTwoParameters,
     correct_opinion: int,
     faults=None,
-    topology=None,
     offsets: Optional[np.ndarray] = None,
     schedules: Optional[Sequence[PhaseSchedule]] = None,
 ) -> StageTwoBatchResult:
@@ -633,7 +628,7 @@ def run_stage2_batch(
     serial executor allows — which makes the kernel usable as a standalone
     majority-consensus dynamic (experiment E6) as well.
 
-    ``faults``/``topology`` switch delivery to the resilient positional path
+    ``faults`` switches delivery to the resilient positional path
     (see :func:`run_stage1_batch`); the phase-end hypergeometric subset draw
     consumes a data-dependent number of variates by construction and is
     documented as outside the per-round RNG-stability guarantee (it is an
@@ -647,7 +642,7 @@ def run_stage2_batch(
     summaries: List[StageTwoPhaseBatchSummary] = []
     messages_before = state.messages_sent.copy()
     start_round = state.rounds
-    resilient = faults is not None or topology is not None
+    resilient = faults is not None
 
     for phase in phases:
         subset_size = phase.length // 2
@@ -663,9 +658,7 @@ def run_stage2_batch(
         totals, ones = scratch.totals, scratch.ones
         totals_cells, ones_cells = totals.reshape(-1), ones.reshape(-1)
         for send_mask, senders in phase.send_masks(eligible, senders_per_replicate):
-            report = network.deliver_batch(
-                send_mask, bits, channel, rng, faults=faults, topology=topology
-            )
+            report = network.deliver_batch(send_mask, bits, channel, rng, faults=faults)
             # Each cell accepts at most one message per round: no repeats.
             totals_cells[report.cells] += 1
             ones_cells[report.cells] += report.cell_bits

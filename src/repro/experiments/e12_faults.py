@@ -87,7 +87,7 @@ def paper_fault_model(
         return None
     if fault_kind == "crash":
         return CrashStop(fraction=fraction, crash_probability=crash_probability, immune=(0,))
-    return ByzantineSenders(fraction=fraction, mode="random", immune=(0,))
+    return ByzantineSenders(fraction=fraction, immune=(0,))
 
 
 def comparator_fault_model(
@@ -99,7 +99,7 @@ def comparator_fault_model(
         return None
     if isinstance(model, CrashStop):
         return CrashStop(fraction=fraction, crash_probability=crash_probability)
-    return ByzantineSenders(fraction=fraction, mode="random")
+    return ByzantineSenders(fraction=fraction)
 
 
 def _paper_trial(

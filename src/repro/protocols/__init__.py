@@ -1,13 +1,13 @@
 """Baseline and comparator protocols.
 
 These are the algorithms the paper's protocol is compared against in the
-experiments (notably E7 and E11, see README.md): the naive strategies whose failure modes
-Section 1.6 discusses, the idealised direct-from-source reference of
-Section 1.4, and the related-work dynamics (noisy voter model, two-choices
-majority, three-state approximate majority).
+experiments (notably E7 and E11, see README.md): the naive strategies whose
+failure modes Section 1.6 discusses, the idealised direct-from-source
+reference of Section 1.4, and the related-work noisy voter model; plus the
+fault-tolerant approximate-consensus comparator of experiment E12.
 """
 
-from .base import BaselineProtocol, ProtocolResult, consensus_round
+from .base import BaselineProtocol, ProtocolResult
 from .direct_source import DirectSourceReference
 from .fault_tolerant import (
     ConsensusOutcome,
@@ -17,25 +17,16 @@ from .fault_tolerant import (
 )
 from .naive_forward import ImmediateForwardingBroadcast
 from .noisy_voter import NoisyVoterBroadcast
-from .registry import available_protocols, make_protocol, register_protocol
 from .silent_wait import SilentWaitBroadcast, default_decision_threshold
-from .three_state import ThreeStateApproximateMajority
-from .two_choices import TwoChoicesMajority
 
 __all__ = [
     "BaselineProtocol",
     "ProtocolResult",
-    "consensus_round",
     "DirectSourceReference",
     "ImmediateForwardingBroadcast",
     "NoisyVoterBroadcast",
     "SilentWaitBroadcast",
     "default_decision_threshold",
-    "ThreeStateApproximateMajority",
-    "TwoChoicesMajority",
-    "available_protocols",
-    "make_protocol",
-    "register_protocol",
     "ConsensusOutcome",
     "PhasedApproximateConsensus",
     "consensus_phase_budget",

@@ -1,24 +1,22 @@
 """Common interface for baseline protocols.
 
 Every comparator implemented in :mod:`repro.protocols` — the naive
-strategies of Section 1.6, the physics-style noisy voter model, the
-two-choices and three-state majority dynamics — exposes the same ``run``
-interface and produces the same :class:`ProtocolResult` so the experiment
-drivers can sweep over protocols uniformly.
+strategies of Section 1.6, the idealised direct-from-source reference and
+the physics-style noisy voter model — exposes the same ``run`` interface
+and produces the same :class:`ProtocolResult` so the experiment drivers can
+sweep over protocols uniformly.
 """
 
 from __future__ import annotations
 
 import abc
 from dataclasses import dataclass, field
-from typing import Any, Dict, Optional
-
-import numpy as np
+from typing import Any, Dict
 
 from ..core.opinions import validate_opinion
 from ..substrate.engine import SimulationEngine
 
-__all__ = ["ProtocolResult", "BaselineProtocol", "consensus_round"]
+__all__ = ["ProtocolResult", "BaselineProtocol"]
 
 
 @dataclass(frozen=True)
@@ -58,7 +56,7 @@ class ProtocolResult:
 class BaselineProtocol(abc.ABC):
     """Abstract base class for baseline dissemination/consensus protocols."""
 
-    #: Short, stable identifier used by the registry and result records.
+    #: Short, stable identifier used by result records and the batched rules.
     name: str = "baseline"
 
     @abc.abstractmethod
@@ -90,17 +88,3 @@ class BaselineProtocol(abc.ABC):
             final_bias=population.bias(correct_opinion),
             extra=dict(extra),
         )
-
-
-def consensus_round(correct_fraction_series: np.ndarray, threshold: float = 1.0) -> Optional[int]:
-    """First round index at which the correct fraction reached ``threshold``.
-
-    Returns ``None`` when the threshold was never reached.  Used by
-    experiments that compare convergence speed across protocols from their
-    recorded time series.
-    """
-    series = np.asarray(correct_fraction_series, dtype=float)
-    hits = np.flatnonzero(series >= threshold)
-    if hits.size == 0:
-        return None
-    return int(hits[0])

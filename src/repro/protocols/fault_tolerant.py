@@ -57,8 +57,7 @@ def declared_fault_tolerance(model: Optional[FaultModel], n: int) -> int:
     """The ``f`` the algorithm is configured to tolerate under ``model``.
 
     For crash-stop and Byzantine models this is the size of the fault-prone
-    set (``floor(fraction * eligible)``); for :class:`NoFaults` (or fault
-    models without an agent-fault notion, like burst noise) it is zero.
+    set (``floor(fraction * eligible)``); for :class:`NoFaults` it is zero.
     """
     if isinstance(model, (CrashStop, ByzantineSenders)):
         eligible = n - len(set(int(i) for i in model.immune))

@@ -9,12 +9,8 @@ the paper as a reproducible, vectorised simulator:
 * :mod:`~repro.substrate.network` — uniform push gossip with single-accept
   collision semantics;
 * :mod:`~repro.substrate.clocks` — the global round clock;
-* :mod:`~repro.substrate.scheduler` — round-budgeted driver for
-  run-until-convergence protocols;
-* :mod:`~repro.substrate.faults` — fault models (crash-stop, Byzantine
-  senders, burst noise) with a dedicated random stream;
-* :mod:`~repro.substrate.topology` — non-uniform contact graphs
-  (degree-limited, two-cluster, churn);
+* :mod:`~repro.substrate.faults` — fault models (crash-stop and Byzantine
+  senders) with a dedicated random stream;
 * :mod:`~repro.substrate.metrics` / :mod:`~repro.substrate.trace` —
   measurement and debugging instrumentation;
 * :mod:`~repro.substrate.engine` — the wired-together simulation engine.
@@ -24,7 +20,6 @@ from .clocks import GlobalClock
 from .engine import SimulationEngine
 from .faults import (
     NONE,
-    BurstNoise,
     ByzantineSenders,
     CrashStop,
     FaultInjector,
@@ -34,24 +29,9 @@ from .faults import (
 )
 from .metrics import MetricsCollector, PhaseRecord
 from .network import DeliveryReport, PushGossipNetwork
-from .noise import (
-    AdversarialFlipBudgetChannel,
-    BinarySymmetricChannel,
-    HeterogeneousChannel,
-    NoiseChannel,
-    PerfectChannel,
-    crossover_probability,
-    validate_epsilon,
-)
+from .noise import BinarySymmetricChannel, NoiseChannel, PerfectChannel, validate_epsilon
 from .population import NO_OPINION, Population
 from .rng import RandomSource, derive_seed, spawn_generator
-from .scheduler import RoundScheduler, ScheduleOutcome, StopReason
-from .topology import (
-    ChurnTopology,
-    ContactTopology,
-    DegreeLimitedTopology,
-    TwoClusterTopology,
-)
 from .trace import EventTrace, TraceEvent
 
 __all__ = [
@@ -64,30 +44,19 @@ __all__ = [
     "NoiseChannel",
     "BinarySymmetricChannel",
     "PerfectChannel",
-    "HeterogeneousChannel",
-    "AdversarialFlipBudgetChannel",
-    "crossover_probability",
     "validate_epsilon",
     "NO_OPINION",
     "Population",
     "RandomSource",
     "derive_seed",
     "spawn_generator",
-    "RoundScheduler",
-    "ScheduleOutcome",
-    "StopReason",
     "EventTrace",
     "TraceEvent",
     "FaultModel",
     "NoFaults",
     "CrashStop",
     "ByzantineSenders",
-    "BurstNoise",
     "NONE",
     "FaultInjector",
     "build_injector",
-    "ContactTopology",
-    "DegreeLimitedTopology",
-    "TwoClusterTopology",
-    "ChurnTopology",
 ]

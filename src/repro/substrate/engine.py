@@ -24,7 +24,6 @@ from .network import DeliveryReport, PushGossipNetwork
 from .noise import BinarySymmetricChannel, NoiseChannel
 from .population import Population
 from .rng import RandomSource
-from .topology import ContactTopology
 from .trace import EventTrace
 
 __all__ = ["SimulationEngine"]
@@ -46,7 +45,6 @@ class SimulationEngine:
     trace: EventTrace = field(default_factory=EventTrace)
     clock: GlobalClock = field(default_factory=GlobalClock)
     faults: Optional[FaultInjector] = None
-    topology: Optional[ContactTopology] = None
 
     def __post_init__(self) -> None:
         if self.population.size != self.network.size:
@@ -68,7 +66,6 @@ class SimulationEngine:
         trace_events: bool = False,
         allow_self_messages: bool = False,
         faults: Optional[FaultModel] = None,
-        topology: Optional[ContactTopology] = None,
     ) -> "SimulationEngine":
         """Build a standard engine for ``n`` agents and noise parameter ``epsilon``.
 
@@ -97,14 +94,8 @@ class SimulationEngine:
             :class:`~repro.substrate.faults.NoFaults` attaches a
             :class:`~repro.substrate.faults.FaultInjector` fed from the
             dedicated ``"faults"`` random stream.
-        topology:
-            Optional non-uniform contact graph
-            (:class:`~repro.substrate.topology.ContactTopology`) replacing
-            uniform push targets.
         """
         random = RandomSource(seed=seed)
-        if topology is not None:
-            topology.validate(n)
         engine = cls(
             population=Population(size=n, source=source),
             network=PushGossipNetwork(size=n, allow_self_messages=allow_self_messages),
@@ -113,7 +104,6 @@ class SimulationEngine:
             metrics=MetricsCollector(record_time_series=record_time_series),
             trace=EventTrace(enabled=trace_events),
             faults=build_injector(faults, n, random.stream("faults")),
-            topology=topology,
         )
         return engine
 
@@ -152,7 +142,7 @@ class SimulationEngine:
         """
         report = self.network.deliver(
             senders, bits, self.channel, self.random.stream("delivery"),
-            faults=self.faults, topology=self.topology,
+            faults=self.faults,
         )
         self.clock.tick()
 

@@ -1,25 +1,24 @@
-"""Fault models for the simulation substrate: crash, Byzantine, burst noise.
+"""Fault models for the simulation substrate: crash-stop and Byzantine senders.
 
-The paper's Theorem 3.1 is a robustness statement, but the substrate has so
-far only exercised the friendliest adversary — a uniform push-gossip network
-with i.i.d. bit-flip noise.  This module adds the scenario axis from ROADMAP
-item 3: declarative fault *models* (:class:`NoFaults`, :class:`CrashStop`,
-:class:`ByzantineSenders`, :class:`BurstNoise`) plus the runtime
-:class:`FaultInjector` that applies one model to a simulated round.
+The paper's Theorem 3.1 is a robustness statement; experiment E12 checks it
+against agent faults on top of the uniform push-gossip network with i.i.d.
+bit-flip noise.  This module holds the declarative fault *models*
+(:class:`NoFaults`, :class:`CrashStop`, :class:`ByzantineSenders`) plus the
+runtime :class:`FaultInjector` that applies one model to a simulated round.
 
 Determinism contract (enforced by ``tests/unit/substrate/test_faults.py``
 and ``tests/unit/exec/test_fault_batching.py``):
 
 * **Dedicated stream.**  Every fault decision — who is fault-prone, who
-  crashes in which round, which fake bit a Byzantine sender emits, when a
-  burst starts — draws exclusively from the injector's own generator (the
+  crashes in which round, which fake bit a Byzantine sender emits — draws
+  exclusively from the injector's own generator (the
   ``"faults"`` stream of the engine's :class:`~repro.substrate.rng.RandomSource`,
   or a ``spawn_generator`` label on the batch path).  Non-faulty agents'
   delivery and noise draws are never touched by fault decisions.
-* **Fixed main-stream consumption.**  When an injector (or topology) is
-  active, :mod:`repro.substrate.network` switches to *positional* full-grid
-  draws so the main stream consumes exactly the same number of variates per
-  round regardless of which agents crashed.  A crash in round ``t`` therefore
+* **Fixed main-stream consumption.**  When an injector is active,
+  :mod:`repro.substrate.network` switches to *positional* full-grid draws so
+  the main stream consumes exactly the same number of variates per round
+  regardless of which agents crashed.  A crash in round ``t`` therefore
   cannot shift the RNG consumption of other agents in rounds ``>= t``.
 * **`NoFaults` is free.**  :func:`build_injector` returns ``None`` for
   :class:`NoFaults`, and every call site treats ``None`` as "take the
@@ -41,7 +40,6 @@ __all__ = [
     "NoFaults",
     "CrashStop",
     "ByzantineSenders",
-    "BurstNoise",
     "NONE",
     "FaultInjector",
     "build_injector",
@@ -97,53 +95,20 @@ class ByzantineSenders:
 
     A fraction ``fraction`` of the non-``immune`` agents is Byzantine (drawn
     once from the fault stream).  Whenever a Byzantine agent sends, its
-    outgoing bit is replaced *before* the noise channel: ``mode="random"``
-    substitutes a fresh uniform bit from the fault stream,
-    ``mode="adversarial"`` always transmits ``adversarial_bit`` (the
-    worst-case adversary pushing the wrong opinion).
+    outgoing bit is replaced, *before* the noise channel, by a fresh uniform
+    bit from the fault stream.
     """
 
     fraction: float = 0.1
-    mode: str = "random"
-    adversarial_bit: int = 0
     immune: Tuple[int, ...] = ()
     kind: str = field(default="byzantine", init=False)
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.fraction <= 1.0:
             raise ParameterError(f"fraction must be in [0, 1], got {self.fraction}")
-        if self.mode not in ("random", "adversarial"):
-            raise ParameterError(f"mode must be 'random' or 'adversarial', got {self.mode!r}")
-        if self.adversarial_bit not in (0, 1):
-            raise ParameterError(f"adversarial_bit must be 0 or 1, got {self.adversarial_bit}")
 
 
-@dataclass(frozen=True)
-class BurstNoise:
-    """Bursty channel corruption: a two-state Markov noise regime.
-
-    Each replicate carries a hidden good/bad channel state.  Per round the
-    state flips good->bad with probability ``start_probability`` and bad->good
-    with probability ``stop_probability`` (drawn from the fault stream).
-    While in the bad state every *accepted* message bit is additionally
-    flipped with probability ``flip_probability``, on top of the binary
-    symmetric channel — modelling correlated interference instead of the
-    paper's i.i.d. flips.
-    """
-
-    start_probability: float = 0.05
-    stop_probability: float = 0.25
-    flip_probability: float = 0.5
-    kind: str = field(default="burst", init=False)
-
-    def __post_init__(self) -> None:
-        for name in ("start_probability", "stop_probability", "flip_probability"):
-            value = getattr(self, name)
-            if not 0.0 <= value <= 1.0:
-                raise ParameterError(f"{name} must be in [0, 1], got {value}")
-
-
-FaultModel = Union[NoFaults, CrashStop, ByzantineSenders, BurstNoise]
+FaultModel = Union[NoFaults, CrashStop, ByzantineSenders]
 FaultModel.__doc__ = (
     "Union of the concrete fault-model dataclasses accepted wherever a "
     "``faults=`` keyword appears (``None`` and :data:`NONE` both mean "
@@ -185,9 +150,9 @@ def _draw_members(
 class FaultInjector:
     """Applies one :class:`FaultModel` to a ``(num_replicates, size)`` grid.
 
-    The injector owns all fault state — who is prone/Byzantine, who has
-    crashed, which replicates are currently in a noise burst — plus marginal
-    counters that the property tests compare against the configured rates.
+    The injector owns all fault state — who is prone/Byzantine and who has
+    crashed — plus marginal counters that the property tests compare
+    against the configured rates.
     The delivery kernel calls the grid methods; a serial round is a
     ``num_replicates=1`` grid, so serial and batch runs share them.  All
     randomness comes from the single ``rng`` handed to the constructor (the
@@ -216,9 +181,11 @@ class FaultInjector:
         self.crashed = np.zeros(shape, dtype=bool)
         self.prone = np.zeros(shape, dtype=bool)
         self.byzantine = np.zeros(shape, dtype=bool)
-        self.bursting = np.zeros(self.num_replicates, dtype=bool)
         self.rounds_started = 0
         #: Marginal counters for the property tests (rates vs. configuration).
+        #: The ``burst_*`` keys are always 0: they belonged to a removed
+        #: burst-noise model, and the serial-resilient regression digests
+        #: hash this dict, so dropping them would move those pins.
         self.counters: Dict[str, int] = {
             "crash_opportunities": 0,
             "crashes": 0,
@@ -240,7 +207,7 @@ class FaultInjector:
     # round lifecycle
     # ------------------------------------------------------------------
     def begin_round(self) -> None:
-        """Advance fault state by one round (crash draws, burst transitions).
+        """Advance fault state by one round (crash draws).
 
         Must be called exactly once per simulated round, before the round's
         send mask is filtered.  Consumes fault-stream variates only, and a
@@ -260,14 +227,6 @@ class FaultInjector:
                 self.counters["crash_opportunities"] += int(at_risk.sum())
                 self.counters["crashes"] += int(newly.sum())
                 self.crashed |= newly
-        elif isinstance(model, BurstNoise):
-            draws = self._rng.random(self.num_replicates)
-            self.bursting = np.where(
-                self.bursting,
-                draws >= model.stop_probability,
-                draws < model.start_probability,
-            )
-            self.counters["burst_rounds"] += int(self.bursting.sum())
         self.rounds_started += 1
 
     # ------------------------------------------------------------------
@@ -282,39 +241,14 @@ class FaultInjector:
     def corrupt_outgoing_grid(self, bits: np.ndarray, send_mask: np.ndarray) -> np.ndarray:
         """Replace Byzantine members' outgoing bits (positional fault draws).
 
-        Always draws one fault-stream grid in ``random`` mode so consumption
-        does not depend on the send mask; non-Byzantine cells are untouched.
+        Always draws one fault-stream grid so consumption does not depend on
+        the send mask; non-Byzantine cells are untouched.
         """
-        model = self.model
-        if not isinstance(model, ByzantineSenders):
+        if not isinstance(self.model, ByzantineSenders):
             return bits
-        if model.mode == "random":
-            fake = self._rng.integers(0, 2, size=bits.shape, dtype=bits.dtype)
-        else:
-            fake = np.full_like(bits, model.adversarial_bit)
+        fake = self._rng.integers(0, 2, size=bits.shape, dtype=bits.dtype)
         self.counters["byzantine_messages"] += int((self.byzantine & send_mask).sum())
         return np.where(self.byzantine, fake, bits)
-
-    # ------------------------------------------------------------------
-    # channel-side hooks
-    # ------------------------------------------------------------------
-    def corrupt_delivered_grid(
-        self, bits: np.ndarray, accepted: np.ndarray
-    ) -> np.ndarray:
-        """Apply burst corruption to accepted bits, post-channel (batch grid).
-
-        Draws one positional fault grid per call so consumption is shape-only;
-        bits outside ``accepted`` (or in quiet replicates) pass through.
-        """
-        model = self.model
-        if not isinstance(model, BurstNoise):
-            return bits
-        draws = self._rng.random(bits.shape)
-        affected = accepted & self.bursting[:, None]
-        flips = affected & (draws < model.flip_probability)
-        self.counters["burst_flip_opportunities"] += int(affected.sum())
-        self.counters["burst_flips"] += int(flips.sum())
-        return np.where(flips, bits ^ 1, bits)
 
     # ------------------------------------------------------------------
     # observers

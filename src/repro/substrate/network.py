@@ -19,10 +19,9 @@ handful of array operations.  It has one serial entry point
 of the vectorised path.
 
 Both vectorised entry points also accept an optional ``faults``
-(:class:`~repro.substrate.faults.FaultInjector`) and ``topology``
-(:class:`~repro.substrate.topology.ContactTopology`).  With both ``None``
-the original code path runs byte for byte; with either active, delivery
-switches to one *positional* kernel that draws full ``(R, n)`` target /
+(:class:`~repro.substrate.faults.FaultInjector`).  With ``None`` the
+original code path runs byte for byte; with an injector, delivery switches
+to one *positional* kernel that draws full ``(R, n)`` target /
 priority / noise grids per round (a serial round is the kernel at
 ``R = 1``), so the main stream's consumption is a function of the grid shape
 alone — a crashed or silenced sender cannot shift any other agent's draws in
@@ -58,7 +57,6 @@ import numpy as np
 from ..errors import ParameterError, ProtocolError
 from .faults import FaultInjector
 from .noise import NoiseChannel
-from .topology import ContactTopology
 
 __all__ = [
     "DeliveryReport",
@@ -295,13 +293,6 @@ class PushGossipNetwork:
             raise ParameterError(f"network size must be at least 2, got {self.size}")
 
     # ------------------------------------------------------------------
-    def reset_counters(self) -> None:
-        """Reset the cumulative message counters."""
-        self.messages_sent_total = 0
-        self.messages_delivered_total = 0
-        self.messages_dropped_total = 0
-        self.rounds_executed = 0
-
     # ------------------------------------------------------------------
     def deliver(
         self,
@@ -310,7 +301,6 @@ class PushGossipNetwork:
         channel: NoiseChannel,
         rng: np.random.Generator,
         faults: Optional[FaultInjector] = None,
-        topology: Optional[ContactTopology] = None,
     ) -> DeliveryReport:
         """Execute one synchronous round of push-gossip delivery.
 
@@ -326,22 +316,20 @@ class PushGossipNetwork:
         rng:
             Randomness for recipient selection and collision resolution.
         faults:
-            Optional fault injector; crashed senders are silenced, Byzantine
-            bits substituted, burst corruption applied — all from the
-            injector's own stream (see module docstring).
-        topology:
-            Optional non-uniform contact graph replacing uniform targets.
+            Optional fault injector; crashed senders are silenced and
+            Byzantine bits substituted, from the injector's own stream (see
+            module docstring).
         """
         senders = np.asarray(senders, dtype=np.int64)
         bits = self._validate_round_inputs(senders, bits)
-        if faults is not None or topology is not None:
+        if faults is not None:
             # One replicate of the resilient kernel.  The grid must be int8:
             # Byzantine fake bits are drawn with the grid's dtype.
             send_mask = np.zeros((1, self.size), dtype=bool)
             grid = np.zeros((1, self.size), dtype=np.int8)
             send_mask[0, senders] = True
             grid[0, senders] = bits
-            batch = self._deliver_batch_resilient(send_mask, grid, channel, rng, faults, topology)
+            batch = self._deliver_batch_resilient(send_mask, grid, channel, rng, faults)
             sent = int(batch.messages_sent[0])
             delivered = int(batch.cells.size)
             return DeliveryReport(
@@ -398,7 +386,6 @@ class PushGossipNetwork:
         channel: NoiseChannel,
         rng: np.random.Generator,
         faults: Optional[FaultInjector] = None,
-        topology: Optional[ContactTopology] = None,
     ) -> BatchDeliveryReport:
         """Execute one push-gossip round for ``R`` independent replicates at once.
 
@@ -439,13 +426,11 @@ class PushGossipNetwork:
         faults:
             Optional fault injector (dedicated-stream fault decisions; see
             module docstring).
-        topology:
-            Optional non-uniform contact graph replacing uniform targets.
         """
         send_mask, bits = np.asarray(send_mask), np.asarray(bits)
-        if faults is not None or topology is not None:
+        if faults is not None:
             send_mask, bits = self._validate_grid_inputs(send_mask, bits)
-            return self._deliver_batch_resilient(send_mask, bits, channel, rng, faults, topology)
+            return self._deliver_batch_resilient(send_mask, bits, channel, rng, faults)
         # Within a protocol phase the senders and their bits are fixed, so
         # most calls repeat the previous call's inputs: compare contents
         # (never identity, a caller may mutate its grids in place) and reuse
@@ -518,66 +503,42 @@ class PushGossipNetwork:
         return self._workspace
 
     # ------------------------------------------------------------------
-    # resilient (fault / topology aware) delivery
+    # resilient (fault aware) delivery
     # ------------------------------------------------------------------
-    def _positional_targets(
-        self,
-        num_replicates: int,
-        rng: np.random.Generator,
-        topology: Optional[ContactTopology],
-    ) -> tuple:
-        """Draw full-grid contact targets (and churn mask) for one round.
-
-        Always draws exactly one target grid (plus the topology's fixed
-        extras) from the main stream, regardless of who sends — the
-        positional-consumption property the resilient paths rely on.
-        """
-        size = self.size
-        if topology is not None:
-            return topology.draw_round_grid(num_replicates, size, rng)
-        if self.allow_self_messages:
-            targets = rng.integers(0, size, size=(num_replicates, size))
-        else:
-            draws = rng.integers(0, size - 1, size=(num_replicates, size))
-            targets = draws + (draws >= np.arange(size, dtype=np.int64))
-        return targets, None
-
     def _deliver_batch_resilient(
         self,
         send_mask: np.ndarray,
         bits: np.ndarray,
         channel: NoiseChannel,
         rng: np.random.Generator,
-        faults: Optional[FaultInjector],
-        topology: Optional[ContactTopology],
+        faults: FaultInjector,
     ) -> BatchDeliveryReport:
-        """Single-accept delivery with faults and/or a contact topology.
+        """Single-accept delivery under a fault injector.
 
         The one resilient kernel: :meth:`deliver_batch` runs it on validated
         ``(R, n)`` grids, :meth:`deliver` on a one-replicate grid.  Target,
         priority and channel grids are drawn for every cell, so main-stream
         consumption per round is exactly two ``(R, n)`` uniform grids plus
         one full-grid channel pass, independent of the send mask and of any
-        crash/churn pattern.
+        crash pattern.
         """
         num_replicates, size = send_mask.shape
         self.rounds_executed += 1
 
-        if faults is not None:
-            faults.begin_round()
-            send_mask = faults.filter_send_mask(send_mask)
-            bits = faults.corrupt_outgoing_grid(bits, send_mask)
+        faults.begin_round()
+        send_mask = faults.filter_send_mask(send_mask)
+        bits = faults.corrupt_outgoing_grid(bits, send_mask)
 
-        targets_grid, offline = self._positional_targets(num_replicates, rng, topology)
+        if self.allow_self_messages:
+            targets_grid = rng.integers(0, size, size=(num_replicates, size))
+        else:
+            draws = rng.integers(0, size - 1, size=(num_replicates, size))
+            targets_grid = draws + (draws >= np.arange(size, dtype=np.int64))
         priorities_grid = rng.random((num_replicates, size))
 
-        effective_mask = send_mask if offline is None else send_mask & ~offline
-        sent = effective_mask.sum(axis=1).astype(np.int64)
-        rows, cols = np.nonzero(effective_mask)
+        sent = send_mask.sum(axis=1).astype(np.int64)
+        rows, cols = np.nonzero(send_mask)
         targets = targets_grid[rows, cols]
-        if offline is not None and rows.size:
-            reachable = ~offline[rows, targets]
-            rows, cols, targets = rows[reachable], cols[reachable], targets[reachable]
 
         accepted_senders = np.full((num_replicates, size), -1, dtype=np.int64)
         candidate = np.zeros((num_replicates, size), dtype=np.int8)
@@ -597,8 +558,6 @@ class PushGossipNetwork:
             candidate, np.ones((num_replicates, size), dtype=bool), rng
         )
         accepted_bits = np.where(accepted, noisy_grid, 0).astype(np.int8)
-        if faults is not None:
-            accepted_bits = faults.corrupt_delivered_grid(accepted_bits, accepted)
 
         delivered = accepted.sum(axis=1).astype(np.int64)
         self.messages_sent_total += int(sent.sum())

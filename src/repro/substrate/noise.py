@@ -3,10 +3,9 @@
 Section 1.3.2 of the paper specifies that every delivered message is a single
 bit which is flipped *independently* with probability at most ``1/2 - epsilon``.
 The canonical channel is therefore the binary symmetric channel (BSC) with
-crossover probability ``p = 1/2 - epsilon``; the paper's guarantees only
-require ``p <= 1/2 - epsilon``, so we also provide a heterogeneous channel
-(different flip probability per message, all bounded by ``1/2 - epsilon``)
-and a perfect channel (``epsilon = 1/2``) used by noiseless baselines.
+crossover probability ``p = 1/2 - epsilon``; every experiment builds one.
+The perfect channel (``epsilon = 1/2``) is the noiseless limit the tests use
+as a control.
 
 All channels operate on vectors of bits (``numpy`` arrays with values in
 ``{0, 1}``) and consume randomness from an explicitly passed generator, never
@@ -16,7 +15,7 @@ from global state.
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,9 +25,6 @@ __all__ = [
     "NoiseChannel",
     "BinarySymmetricChannel",
     "PerfectChannel",
-    "HeterogeneousChannel",
-    "AdversarialFlipBudgetChannel",
-    "crossover_probability",
     "validate_epsilon",
 ]
 
@@ -44,11 +40,6 @@ def validate_epsilon(epsilon: float) -> float:
     if not 0.0 < eps <= 0.5:
         raise ParameterError(f"epsilon must lie in (0, 0.5], got {epsilon!r}")
     return eps
-
-
-def crossover_probability(epsilon: float) -> float:
-    """Return the BSC crossover probability ``1/2 - epsilon`` for ``epsilon``."""
-    return 0.5 - validate_epsilon(epsilon)
 
 
 class NoiseChannel(abc.ABC):
@@ -82,10 +73,8 @@ class NoiseChannel(abc.ABC):
         ``(R, n)`` bit grid plus an ``(R, n)`` acceptance mask.  This helper
         noises exactly the accepted entries, in row-major (replicate-major,
         recipient-ascending) order, by delegating to :meth:`transmit` on the
-        flattened masked values — so every concrete channel's semantics
-        (including stateful ones such as
-        :class:`AdversarialFlipBudgetChannel`) carry over to the batch path
-        unchanged, bit for bit.
+        flattened masked values, so the batch path noises a message exactly
+        as :meth:`transmit` would.
 
         Parameters
         ----------
@@ -112,10 +101,6 @@ class NoiseChannel(abc.ABC):
     def flips_applied(self) -> int:
         """Total number of bit flips applied so far (diagnostic counter)."""
         return getattr(self, "_flips", 0)
-
-    def reset_counters(self) -> None:
-        """Reset the flip counter."""
-        self._flips = 0
 
     def _record_flips(self, flip_mask: np.ndarray) -> None:
         self._flips = getattr(self, "_flips", 0) + int(np.count_nonzero(flip_mask))
@@ -154,7 +139,7 @@ class BinarySymmetricChannel(NoiseChannel):
 
 @dataclass
 class PerfectChannel(NoiseChannel):
-    """A noiseless channel (``epsilon = 1/2``); used by noiseless baselines."""
+    """A noiseless channel (``epsilon = 1/2``), the tests' no-noise control."""
 
     epsilon: float = 0.5
 
@@ -164,73 +149,3 @@ class PerfectChannel(NoiseChannel):
 
     def transmit(self, bits: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         return self._check_bits(bits).copy()
-
-
-@dataclass
-class HeterogeneousChannel(NoiseChannel):
-    """A channel whose per-message flip probability varies but stays ≤ 1/2 - epsilon.
-
-    The paper only requires the flip probability of each message to be *at
-    most* ``1/2 - epsilon``; this channel draws each message's flip
-    probability uniformly from ``[low_fraction, 1] * (1/2 - epsilon)`` and is
-    used in robustness tests to confirm the protocol does not secretly rely
-    on the noise being identical across messages.
-    """
-
-    epsilon: float = 0.2
-    low_fraction: float = 0.0
-
-    def __post_init__(self) -> None:
-        self.epsilon = validate_epsilon(self.epsilon)
-        if not 0.0 <= self.low_fraction <= 1.0:
-            raise ParameterError("low_fraction must lie in [0, 1]")
-        self._flips = 0
-
-    def transmit(self, bits: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        array = self._check_bits(bits)
-        if array.size == 0:
-            return array.copy()
-        max_p = 0.5 - self.epsilon
-        per_message_p = rng.uniform(self.low_fraction * max_p, max_p, size=array.shape)
-        flip_mask = rng.random(array.shape) < per_message_p
-        self._record_flips(flip_mask)
-        return np.where(flip_mask, 1 - array, array)
-
-
-@dataclass
-class AdversarialFlipBudgetChannel(NoiseChannel):
-    """A stress-testing channel that always flips the first ``budget`` bits it sees.
-
-    This is *stronger* than anything the paper allows (the flips are not
-    independent); it is only used in failure-injection tests to check that
-    the simulator itself stays consistent under extreme channels, and to
-    demonstrate empirically that the protocol's guarantee genuinely depends
-    on the stochastic noise assumption.
-    """
-
-    epsilon: float = 0.2
-    budget: int = 0
-    _spent: int = field(default=0, repr=False)
-
-    def __post_init__(self) -> None:
-        self.epsilon = validate_epsilon(self.epsilon)
-        if self.budget < 0:
-            raise ParameterError("budget must be non-negative")
-        self._flips = 0
-
-    @property
-    def remaining_budget(self) -> int:
-        """Number of adversarial flips still available."""
-        return max(0, self.budget - self._spent)
-
-    def transmit(self, bits: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        array = self._check_bits(bits)
-        if array.size == 0:
-            return array.copy()
-        to_flip = min(self.remaining_budget, array.size)
-        output = array.copy()
-        if to_flip > 0:
-            output.flat[:to_flip] = 1 - output.flat[:to_flip]
-            self._spent += to_flip
-            self._flips = getattr(self, "_flips", 0) + to_flip
-        return output

@@ -219,15 +219,6 @@ class Population:
         alive = ~self.crashed
         return bool(np.all(self.opinions[alive] == correct_opinion))
 
-    def consensus_opinion(self) -> Optional[int]:
-        """Return the common opinion if all agents agree, else ``None``."""
-        first = int(self.opinions[0])
-        if first == NO_OPINION:
-            return None
-        if bool(np.all(self.opinions == first)):
-            return first
-        return None
-
     def snapshot(self) -> dict:
         """Return a plain-dict summary of the population state."""
         return {

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.substrate.network import PushGossipNetwork
-from repro.substrate.noise import BinarySymmetricChannel, HeterogeneousChannel, PerfectChannel
+from repro.substrate.noise import BinarySymmetricChannel, PerfectChannel
 from repro.substrate.rng import RandomSource, derive_seed
 
 
@@ -70,17 +70,6 @@ class TestChannelInvariants:
         assert set(np.unique(output).tolist()) <= {0, 1}
         assert channel.flips_applied() == int(np.count_nonzero(output != bits))
 
-    @given(st.floats(min_value=0.01, max_value=0.49), st.integers(0, 2**31))
-    @settings(max_examples=30, deadline=None)
-    def test_heterogeneous_channel_flips_less_than_bsc_bound(self, epsilon, seed):
-        """The heterogeneous channel never exceeds the 1/2 - eps flip budget on average."""
-        channel = HeterogeneousChannel(epsilon=epsilon)
-        rng = np.random.default_rng(seed)
-        bits = np.zeros(4000, dtype=np.int8)
-        flipped_fraction = channel.transmit(bits, rng).mean()
-        assert flipped_fraction <= (0.5 - epsilon) + 0.05
-
-
 class TestRngProperties:
     @given(st.integers(0, 2**40), st.text(min_size=0, max_size=12), st.text(min_size=0, max_size=12))
     @settings(max_examples=60, deadline=None)
@@ -96,4 +85,3 @@ class TestRngProperties:
         source = RandomSource(seed=seed)
         children = [source.child("trial", index).seed for index in range(4)]
         assert len(set(children + [source.seed])) == 5
-

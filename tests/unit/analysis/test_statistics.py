@@ -2,18 +2,14 @@
 
 import math
 
-import numpy as np
 import pytest
 
 from repro.analysis.statistics import (
-    are_negatively_correlated,
     binomial_pmf,
     central_binomial_tail,
     chernoff_deviation_for_confidence,
     chernoff_lower_tail,
     chernoff_upper_tail,
-    empirical_bias,
-    hoeffding_sample_size,
     summarize_bernoulli,
     wilson_interval,
 )
@@ -45,15 +41,6 @@ class TestChernoff:
             chernoff_upper_tail(10, 1.5)
         with pytest.raises(ParameterError):
             chernoff_lower_tail(-1, 0.5)
-
-
-class TestSampleSizes:
-    def test_hoeffding_sample_size(self):
-        size = hoeffding_sample_size(half_width=0.05, failure_probability=0.05)
-        assert size == math.ceil(math.log(2 / 0.05) / (2 * 0.0025))
-
-    def test_tighter_estimates_need_more_samples(self):
-        assert hoeffding_sample_size(0.01, 0.05) > hoeffding_sample_size(0.1, 0.05)
 
 
 class TestWilson:
@@ -99,29 +86,3 @@ class TestBinomialHelpers:
         assert central_binomial_tail(10, 0.5, 0) == 1.0
         assert central_binomial_tail(10, 0.5, 11) == 0.0
         assert central_binomial_tail(10, 0.5, 5) > 0.5
-
-    def test_empirical_bias(self):
-        assert empirical_bias(60, 100) == pytest.approx(0.1)
-        with pytest.raises(ParameterError):
-            empirical_bias(5, 0)
-
-
-class TestNegativeCorrelation:
-    def test_sampling_without_replacement_is_negatively_correlated(self, rng):
-        """The paper's key example: indicators of sampling without replacement."""
-        observations = []
-        for _ in range(3000):
-            drawn = rng.choice(6, size=3, replace=False)
-            indicators = np.zeros(6)
-            indicators[drawn] = 1
-            observations.append(indicators)
-        assert are_negatively_correlated(np.asarray(observations), tolerance=0.02)
-
-    def test_positively_correlated_variables_detected(self, rng):
-        shared = rng.integers(0, 2, size=(3000, 1))
-        observations = np.hstack([shared, shared])
-        assert not are_negatively_correlated(observations, tolerance=0.02)
-
-    def test_shape_validation(self):
-        with pytest.raises(ParameterError):
-            are_negatively_correlated(np.zeros(5))

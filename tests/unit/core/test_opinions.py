@@ -5,10 +5,8 @@ import pytest
 
 from repro.core.opinions import (
     bias_from_counts,
-    bias_to_fraction,
     correct_probability_after_noise,
     counts_from_bias,
-    fraction_to_bias,
     majority_from_counts,
     majority_opinion,
     opposite,
@@ -73,11 +71,6 @@ class TestBiasAlgebra:
     def test_counts_from_bias_validation(self):
         with pytest.raises(ParameterError):
             counts_from_bias(10, 0.7)
-
-    def test_fraction_conversions(self):
-        assert fraction_to_bias(0.62) == pytest.approx(0.12)
-        assert bias_to_fraction(0.12) == pytest.approx(0.62)
-
 
 class TestNoiseIdentity:
     def test_matches_paper_formula(self):

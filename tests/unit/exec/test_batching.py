@@ -28,7 +28,7 @@ from repro.exec.runner import trial_seed
 from repro.exec.stage_batching import run_stage1_instrumented
 from repro.substrate.network import PushGossipNetwork
 from repro.substrate.rng import derive_seed
-from repro.substrate.noise import AdversarialFlipBudgetChannel, BinarySymmetricChannel, PerfectChannel
+from repro.substrate.noise import BinarySymmetricChannel, PerfectChannel
 
 
 class TestTransmitBatch:
@@ -45,16 +45,6 @@ class TestTransmitBatch:
 
         assert np.array_equal(batched[mask], flat)
         assert np.array_equal(batched[~mask], bits[~mask]), "unaccepted entries pass through"
-
-    def test_stateful_channel_semantics_carry_over(self):
-        """A budgeted adversarial channel spends its budget in batch order."""
-        channel = AdversarialFlipBudgetChannel(epsilon=0.2, budget=3)
-        rng = np.random.default_rng(0)
-        bits = np.ones((2, 4), dtype=np.int8)
-        mask = np.ones((2, 4), dtype=bool)
-        out = channel.transmit_batch(bits, mask, rng)
-        assert int((out == 0).sum()) == 3
-        assert channel.remaining_budget == 0
 
     def test_shape_mismatch_rejected(self):
         from repro.errors import ParameterError

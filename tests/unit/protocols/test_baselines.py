@@ -3,15 +3,12 @@
 import numpy as np
 import pytest
 
-from repro.core.majority import MajorityInstance
 from repro.errors import SimulationError
 from repro.protocols import (
     DirectSourceReference,
     ImmediateForwardingBroadcast,
     NoisyVoterBroadcast,
     SilentWaitBroadcast,
-    ThreeStateApproximateMajority,
-    TwoChoicesMajority,
     default_decision_threshold,
 )
 from repro.substrate import PerfectChannel, SimulationEngine
@@ -19,15 +16,6 @@ from repro.substrate import PerfectChannel, SimulationEngine
 
 def broadcast_engine(n=400, epsilon=0.25, seed=1, channel=None):
     return SimulationEngine.create(n=n, epsilon=epsilon, seed=seed, channel=channel)
-
-
-def opinionated_engine(n=400, epsilon=0.25, seed=1, bias=0.15, channel=None):
-    engine = SimulationEngine.create(n=n, epsilon=epsilon, seed=seed, source=None, channel=channel)
-    instance = MajorityInstance.generate(
-        n=n, size=n, bias=bias, majority_opinion=1, rng=engine.random.stream("inst")
-    )
-    engine.population.seed_opinionated_set(instance.members, instance.opinions)
-    return engine
 
 
 class TestImmediateForwarding:
@@ -117,50 +105,3 @@ class TestNoisyVoter:
         engine = SimulationEngine.create(n=50, epsilon=0.25, seed=14, source=None)
         with pytest.raises(SimulationError):
             NoisyVoterBroadcast().run(engine)
-
-
-class TestTwoChoices:
-    def test_noiseless_converges_to_initial_majority(self):
-        result = TwoChoicesMajority(noisy=False).run(opinionated_engine(seed=15), correct_opinion=1)
-        assert result.success
-        assert result.converged
-        assert result.extra["consensus_opinion"] == 1
-
-    def test_noisy_mode_stalls_below_consensus(self):
-        result = TwoChoicesMajority(noisy=True, max_rounds=150).run(
-            opinionated_engine(seed=16), correct_opinion=1
-        )
-        assert not result.success
-        assert result.final_correct_fraction < 0.95
-
-    def test_requires_opinionated_population(self):
-        engine = SimulationEngine.create(n=50, epsilon=0.25, seed=17, source=None)
-        with pytest.raises(SimulationError):
-            TwoChoicesMajority().run(engine)
-
-    def test_messages_counted_as_two_per_agent_per_round(self):
-        engine = opinionated_engine(n=100, seed=18)
-        result = TwoChoicesMajority(noisy=False, max_rounds=50).run(engine, correct_opinion=1)
-        assert result.messages_sent == 2 * 100 * result.rounds
-
-
-class TestThreeState:
-    def test_noiseless_converges_to_initial_majority(self):
-        engine = opinionated_engine(seed=19, bias=0.2, epsilon=0.5, channel=PerfectChannel())
-        result = ThreeStateApproximateMajority(max_rounds=600).run(engine, correct_opinion=1)
-        assert result.converged
-        assert result.extra["consensus_opinion"] == 1
-
-    def test_noise_breaks_reliability(self):
-        """Under Flip-model noise the 3-state dynamics frequently fail (wrong or no consensus)."""
-        outcomes = []
-        for seed in range(6):
-            engine = opinionated_engine(seed=20 + seed, bias=0.1, epsilon=0.15)
-            result = ThreeStateApproximateMajority(max_rounds=400).run(engine, correct_opinion=1)
-            outcomes.append(result.success)
-        assert not all(outcomes)
-
-    def test_requires_opinionated_population(self):
-        engine = SimulationEngine.create(n=50, epsilon=0.25, seed=30, source=None)
-        with pytest.raises(SimulationError):
-            ThreeStateApproximateMajority().run(engine)

@@ -62,8 +62,6 @@ class TestDeliveryBasics:
             network.deliver(np.arange(10), np.zeros(10, dtype=np.int8), perfect, rng)
         assert network.messages_sent_total == 30
         assert network.rounds_executed == 3
-        network.reset_counters()
-        assert network.messages_sent_total == 0
 
 
 class TestValidation:
@@ -365,12 +363,12 @@ class TestValidationOnEverySerialPath:
 
     @staticmethod
     def _entry_points(network, perfect, rng):
-        from repro.substrate.topology import DegreeLimitedTopology
+        from repro.substrate.faults import CrashStop, FaultInjector
 
-        ring = DegreeLimitedTopology(degree=2)
+        injector = FaultInjector(CrashStop(fraction=0.0), network.size, np.random.default_rng(0))
         return {
             "deliver": lambda s, b: network.deliver(s, b, perfect, rng),
-            "deliver_resilient": lambda s, b: network.deliver(s, b, perfect, rng, topology=ring),
+            "deliver_resilient": lambda s, b: network.deliver(s, b, perfect, rng, faults=injector),
             "deliver_reference": lambda s, b: network.deliver_reference(s, b, perfect, rng),
         }
 

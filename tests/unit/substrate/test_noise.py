@@ -4,14 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ParameterError
-from repro.substrate.noise import (
-    AdversarialFlipBudgetChannel,
-    BinarySymmetricChannel,
-    HeterogeneousChannel,
-    PerfectChannel,
-    crossover_probability,
-    validate_epsilon,
-)
+from repro.substrate.noise import BinarySymmetricChannel, PerfectChannel, validate_epsilon
 
 
 class TestValidateEpsilon:
@@ -23,11 +16,6 @@ class TestValidateEpsilon:
     def test_out_of_range_rejected(self, bad):
         with pytest.raises(ParameterError):
             validate_epsilon(bad)
-
-    def test_crossover_probability(self):
-        assert crossover_probability(0.5) == 0.0
-        assert crossover_probability(0.1) == pytest.approx(0.4)
-
 
 class TestBinarySymmetricChannel:
     def test_flip_rate_close_to_crossover(self, rng):
@@ -51,12 +39,6 @@ class TestBinarySymmetricChannel:
         with pytest.raises(ParameterError):
             channel.transmit(np.asarray([0, 2]), rng)
 
-    def test_reset_counters(self, rng):
-        channel = BinarySymmetricChannel(epsilon=0.2)
-        channel.transmit(np.zeros(1000, dtype=np.int8), rng)
-        channel.reset_counters()
-        assert channel.flips_applied() == 0
-
     def test_does_not_mutate_input(self, rng):
         channel = BinarySymmetricChannel(epsilon=0.1)
         bits = np.zeros(1000, dtype=np.int8)
@@ -73,38 +55,3 @@ class TestPerfectChannel:
 
     def test_epsilon_forced_to_half(self):
         assert PerfectChannel(epsilon=0.1).epsilon == 0.5
-
-
-class TestHeterogeneousChannel:
-    def test_flip_rate_below_crossover_bound(self, rng):
-        channel = HeterogeneousChannel(epsilon=0.2)
-        bits = np.zeros(200_000, dtype=np.int8)
-        received = channel.transmit(bits, rng)
-        # Per-message flip probabilities are uniform in [0, 0.3], mean 0.15.
-        assert received.mean() < 0.3
-        assert received.mean() == pytest.approx(0.15, abs=0.01)
-
-    def test_low_fraction_one_behaves_like_bsc(self, rng):
-        channel = HeterogeneousChannel(epsilon=0.2, low_fraction=1.0)
-        bits = np.zeros(100_000, dtype=np.int8)
-        assert channel.transmit(bits, rng).mean() == pytest.approx(0.3, abs=0.01)
-
-    def test_invalid_low_fraction(self):
-        with pytest.raises(ParameterError):
-            HeterogeneousChannel(epsilon=0.2, low_fraction=1.5)
-
-
-class TestAdversarialFlipBudgetChannel:
-    def test_spends_budget_then_stops(self, rng):
-        channel = AdversarialFlipBudgetChannel(epsilon=0.2, budget=3)
-        first = channel.transmit(np.zeros(2, dtype=np.int8), rng)
-        np.testing.assert_array_equal(first, [1, 1])
-        second = channel.transmit(np.zeros(4, dtype=np.int8), rng)
-        np.testing.assert_array_equal(second, [1, 0, 0, 0])
-        assert channel.remaining_budget == 0
-        third = channel.transmit(np.zeros(2, dtype=np.int8), rng)
-        np.testing.assert_array_equal(third, [0, 0])
-
-    def test_negative_budget_rejected(self):
-        with pytest.raises(ParameterError):
-            AdversarialFlipBudgetChannel(epsilon=0.2, budget=-1)

@@ -100,20 +100,11 @@ class TestOpinionAccounting:
     def test_bias_with_no_opinions_is_zero(self):
         assert Population(size=4, source=None).bias(1) == 0.0
 
-    def test_all_correct_and_consensus(self):
+    def test_all_correct(self):
         population = Population(size=4, source=None)
         population.seed_opinionated_set(np.arange(4), np.ones(4, dtype=np.int8))
         assert population.all_correct(1)
         assert not population.all_correct(0)
-        assert population.consensus_opinion() == 1
-
-    def test_consensus_none_when_disagreement(self):
-        population = Population(size=4, source=None)
-        population.seed_opinionated_set(np.arange(4), np.asarray([1, 1, 0, 1]))
-        assert population.consensus_opinion() is None
-
-    def test_consensus_none_when_unopinionated(self):
-        assert Population(size=4, source=None).consensus_opinion() is None
 
     def test_set_opinions_validates_values(self):
         population = Population(size=4, source=None)

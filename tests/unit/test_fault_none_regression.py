@@ -1,7 +1,7 @@
 """Determinism regression: no-fault runs are bit-identical to the seed revision.
 
-The fault-injection layer threads ``faults=`` / ``topology=`` keywords
-through the network, engine, stage kernels and batch rules.  The contract
+The fault-injection layer threads a ``faults=`` keyword through the
+network, engine, stage kernels and batch rules.  The contract
 (``repro.substrate.faults`` module docstring) is that with no fault model —
 ``FaultModel.NONE`` / ``None`` — every one of those code paths is
 byte-for-byte the pre-fault code.  This test pins that claim: the digests

@@ -8,10 +8,14 @@ locally even where ruff is not installed.  The checker deliberately
 inside string constants — which covers ``__all__`` re-export lists, string
 annotations and doctests), so everything it flags is a genuine dead import.
 
-The symbol check applies the same over-approximation to every top-level
-function, class and method under ``src/``: a name that no code, string or
-docstring in ``src/``, ``benchmarks/``, ``perfbench/`` or ``examples/``
-mentions is called only by its tests, and is either deleted or listed in
+The symbol check covers every top-level function, class and method under
+``src/``.  A name is used when code or a string constant in ``src/``,
+``benchmarks/``, ``perfbench/`` or ``examples/`` names it (strings count
+because ``service/app.py`` dispatches handlers by name).  Three mentions do
+not count: an import, an entry of an ``__all__`` list (a re-export is not a
+use), and a docstring of the module that defines the name (a module
+describing its own classes does not keep them alive).  A name used nowhere
+else is called only by its tests, and is either deleted or listed in
 :data:`KEPT_TEST_ONLY_SYMBOLS` with the reason it stays.
 """
 
@@ -128,8 +132,20 @@ REFERENCING_TREES = ("src", "benchmarks", "perfbench", "examples")
 KEPT_TEST_ONLY_SYMBOLS: Dict[str, str] = {
     "RunArtifact.attach_sweep": "its test is the only '../escape' payload-key check at attach time",
     "NoiseChannel.flips_applied": "the serial-resilient regression digests read it",
-    "PushGossipNetwork.reset_counters": "public counter API; removing it is a separate change",
-    "NoiseChannel.reset_counters": "public counter API; removing it is a separate change",
+    "PushGossipNetwork.deliver_reference": "the literal delivery oracle the differential tests use",
+    "PerfectChannel": "the noiseless control of the substrate and baseline tests",
+    "chernoff_upper_tail": "Eq. 1 of the paper; its test checks it against exact binomial tails",
+    "chernoff_lower_tail": "Eq. 2 of the paper; its test checks it against exact binomial tails",
+    "chernoff_deviation_for_confidence": "inverts Eq. 2; its test checks the inversion",
+    "central_binomial_tail": "the exact tail the Eq. 1 test compares the bound with",
+    "clock_free_round_bound": "Theorem 3.1's round bound, checked by its test",
+    "two_party_channel_uses": "Section 1.4's two-party Shannon bound, checked by its test",
+    "lower_bound_rounds": "Section 1.4's round lower bound, checked by its test",
+    "lower_bound_messages": "Section 1.4's message lower bound, checked by its test",
+    "stage2_bias_recursion": "Lemma 2.14's bias map, checked by its test",
+    "stage2_phases_needed": "iterates Lemma 2.14's bias map, checked by its test",
+    "stirling_central_binomial_lower_bound": "Claim 2.12's bound, checked against exact binomials",
+    "active_faults": "the chaos tests assert on the armed faults through it",
     "_RequestHandler.do_GET": "http.server dispatches to it by name",
     "_RequestHandler.do_POST": "http.server dispatches to it by name",
     "_RequestHandler.do_DELETE": "http.server dispatches to it by name",
@@ -157,36 +173,82 @@ def _top_level_symbols(tree: ast.Module) -> List[Tuple[str, str]]:
     return symbols
 
 
-def _mentioned_names(tree: ast.AST) -> Set[str]:
-    """Names, attribute names and identifier tokens of string constants."""
-    names: Set[str] = set()
-    for node in ast.walk(tree):
+def _docstrings(tree: ast.AST) -> Set[int]:
+    """``id`` of every module, class and function docstring constant."""
+    owners = (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
+    return {
+        id(node.body[0].value)
+        for node in ast.walk(tree)
+        if isinstance(node, owners)
+        and node.body
+        and isinstance(node.body[0], ast.Expr)
+        and isinstance(node.body[0].value, ast.Constant)
+        and isinstance(node.body[0].value.value, str)
+    }
+
+
+def _is_all_assignment(node: ast.AST) -> bool:
+    """Whether ``node`` assigns or extends ``__all__``."""
+    if isinstance(node, ast.Assign):
+        targets = node.targets
+    elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+        targets = [node.target]
+    else:
+        return False
+    return any(isinstance(target, ast.Name) and target.id == "__all__" for target in targets)
+
+
+def _mentioned_names(tree: ast.AST) -> Tuple[Set[str], Set[str]]:
+    """``(uses, docstring mentions)`` of one module.
+
+    ``uses`` are names, attribute names and identifier tokens of the string
+    constants that are not docstrings; ``docstring mentions`` are the
+    identifier tokens of its docstrings.  ``__all__`` lists count as neither:
+    a re-export is not a use.
+    """
+    docstrings = _docstrings(tree)
+    uses: Set[str] = set()
+    mentions: Set[str] = set()
+    pending = [tree]
+    while pending:
+        node = pending.pop()
+        if _is_all_assignment(node):
+            continue
         if isinstance(node, ast.Name):
-            names.add(node.id)
+            uses.add(node.id)
         elif isinstance(node, ast.Attribute):
-            names.add(node.attr)
+            uses.add(node.attr)
         elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-            names.update(_IDENTIFIER.findall(node.value))
-    return names
+            tokens = _IDENTIFIER.findall(node.value)
+            (mentions if id(node) in docstrings else uses).update(tokens)
+        pending.extend(ast.iter_child_nodes(node))
+    return uses, mentions
 
 
 def symbols_only_tests_use(root: Path) -> List[str]:
-    """Qualified names of the ``src`` symbols mentioned nowhere in
-    :data:`REFERENCING_TREES` under ``root``."""
+    """Qualified names of the ``src`` symbols used nowhere in
+    :data:`REFERENCING_TREES` under ``root``.
+
+    A docstring counts as a use of a symbol only outside the symbol's own
+    module, so a module describing its own classes does not keep them alive.
+    """
     trees = {
         path: ast.parse(path.read_text(), filename=str(path))
         for tree in REFERENCING_TREES
         for path in sorted((root / tree).rglob("*.py"))
     }
-    mentioned: Set[str] = set()
-    for tree in trees.values():
-        mentioned |= _mentioned_names(tree)
+    mentions = {path: _mentioned_names(tree) for path, tree in trees.items()}
+    used: Set[str] = set().union(*(uses for uses, _ in mentions.values()))
+    documented: Dict[str, Set[Path]] = {}
+    for path, (_, docs) in mentions.items():
+        for name in docs:
+            documented.setdefault(name, set()).add(path)
     return [
         qualified
         for path, tree in trees.items()
         if path.is_relative_to(root / "src")
         for qualified, name in _top_level_symbols(tree)
-        if name not in mentioned
+        if name not in used and not documented.get(name, set()) - {path}
     ]
 
 
@@ -202,23 +264,49 @@ def test_no_src_symbol_is_used_only_by_tests():
 
 
 def test_symbol_scan_flags_a_planted_test_only_method(tmp_path):
-    """Self-test: code, strings and docstrings count as use; tests do not."""
+    """Self-test: code, strings and other modules' docstrings count as use;
+    tests do not."""
     (tmp_path / "src").mkdir()
     (tmp_path / "src" / "mod.py").write_text(
         "def called():\n"
-        "    return Box().used()\n"
-        "def named_in_a_string():\n"
+        "    return Box().used(), getattr(Box, 'named_in_a_string')\n"
+        "def documented_elsewhere():\n"
         "    pass\n"
         "class Box:\n"
         "    def __init__(self):\n"
         "        pass\n"
         "    def used(self):\n"
-        "        'Mentions named_in_a_string.'\n"
+        "        pass\n"
+        "    def named_in_a_string(self):\n"
+        "        pass\n"
         "    def unused(self):\n"
         "        pass\n"
     )
+    (tmp_path / "src" / "other.py").write_text('"""Wraps mod.documented_elsewhere."""\n')
     (tmp_path / "examples").mkdir()
     (tmp_path / "examples" / "demo.py").write_text("from mod import called\ncalled()\n")
     (tmp_path / "tests").mkdir()
     (tmp_path / "tests" / "test_mod.py").write_text("Box().unused()\n")
     assert symbols_only_tests_use(tmp_path) == ["Box.unused"]
+
+
+def test_symbol_scan_sees_through_reexports_and_own_docstrings(tmp_path):
+    """Self-test: a class only its package's ``__all__`` lists and only its own
+    module's docstrings name is test-only, however often a test uses it."""
+    package = tmp_path / "src" / "pkg"
+    package.mkdir(parents=True)
+    (package / "__init__.py").write_text(
+        "from .mod import Hidden, Shown\n"
+        "__all__ = ['Hidden', 'Shown']\n"
+        "print(Shown)\n"
+    )
+    (package / "mod.py").write_text(
+        '"""Provides Hidden and Shown."""\n'
+        "class Hidden:\n"
+        '    """Hidden is only named here."""\n'
+        "class Shown:\n"
+        "    pass\n"
+    )
+    (tmp_path / "tests").mkdir()
+    (tmp_path / "tests" / "test_pkg.py").write_text("from pkg import Hidden\nHidden()\n")
+    assert symbols_only_tests_use(tmp_path) == ["Hidden"]
