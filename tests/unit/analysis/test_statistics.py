@@ -32,6 +32,16 @@ class TestChernoff:
             exact_upper = central_binomial_tail(n, p, math.ceil((1 + delta) * expectation))
             assert exact_upper <= chernoff_upper_tail(expectation, delta) + 1e-12
 
+    @pytest.mark.parametrize("n, p", [(50, 0.1), (200, 0.5), (400, 0.3), (1000, 0.05)])
+    @pytest.mark.parametrize("delta", [0.1, 0.3, 0.6])
+    def test_both_tails_bound_the_exact_binomial_tails(self, n, p, delta):
+        """Equations 1 and 2 against the exact tails of Bin(n, p)."""
+        expectation = n * p
+        exact_upper = central_binomial_tail(n, p, math.ceil((1 + delta) * expectation))
+        assert exact_upper <= chernoff_upper_tail(expectation, delta) + 1e-12
+        exact_lower = 1.0 - central_binomial_tail(n, p, math.floor((1 - delta) * expectation) + 1)
+        assert exact_lower <= chernoff_lower_tail(expectation, delta) + 1e-12
+
     def test_deviation_for_confidence_inverts_lower_tail(self):
         delta = chernoff_deviation_for_confidence(expectation=200, failure_probability=1e-3)
         assert chernoff_lower_tail(200, min(delta, 0.999)) == pytest.approx(1e-3, rel=0.05)
@@ -81,6 +91,22 @@ class TestBinomialHelpers:
         assert binomial_pmf(0, 10, 0.0) == 1.0
         assert binomial_pmf(10, 10, 1.0) == 1.0
         assert binomial_pmf(3, 10, 0.0) == 0.0
+
+    @pytest.mark.parametrize(
+        "k, n, p", [(0, 1, 0.5), (3, 7, 0.2), (5, 10, 0.5), (12, 30, 0.45), (40, 40, 0.9)]
+    )
+    def test_pmf_matches_the_closed_form(self, k, n, p):
+        expected = math.comb(n, k) * p**k * (1 - p) ** (n - k)
+        assert binomial_pmf(k, n, p) == pytest.approx(expected, rel=1e-9)
+
+    @pytest.mark.parametrize(
+        "n, p, threshold", [(1, 0.3, 1), (9, 0.5, 5), (25, 0.2, 3), (60, 0.7, 45)]
+    )
+    def test_tail_is_the_sum_of_the_upper_masses(self, n, p, threshold):
+        expected = sum(
+            math.comb(n, k) * p**k * (1 - p) ** (n - k) for k in range(threshold, n + 1)
+        )
+        assert central_binomial_tail(n, p, threshold) == pytest.approx(expected, rel=1e-9)
 
     def test_tail_edge_cases(self):
         assert central_binomial_tail(10, 0.5, 0) == 1.0

@@ -68,6 +68,17 @@ class TestBiasAlgebra:
                 assert correct + wrong == total
                 assert bias_from_counts(correct, wrong) >= bias - 1e-9 or correct == total
 
+    @pytest.mark.parametrize(
+        "total, bias", [(1, -0.5), (7, -0.2), (10, 0.0), (33, 0.13), (100, 0.365), (5, 0.5)]
+    )
+    def test_counts_from_bias_is_the_least_split_reaching_the_bias(self, total, bias):
+        correct, wrong = counts_from_bias(total, bias)
+        assert correct + wrong == total
+        assert bias_from_counts(correct, wrong) >= bias - 1e-9
+        if correct:
+            # One correct agent fewer would fall short of the requested bias.
+            assert bias_from_counts(correct - 1, wrong + 1) < bias
+
     def test_counts_from_bias_validation(self):
         with pytest.raises(ParameterError):
             counts_from_bias(10, 0.7)

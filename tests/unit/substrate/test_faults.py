@@ -50,6 +50,25 @@ class TestModelValidation:
         with pytest.raises(ParameterError):
             FaultInjector(CrashStop(immune=(99,)), 10, rng)
 
+    @pytest.mark.parametrize("value", [-0.01, 1.01, float("nan")], ids=["below", "above", "nan"])
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda value: CrashStop(fraction=value),
+            lambda value: CrashStop(crash_probability=value),
+            lambda value: ByzantineSenders(fraction=value),
+        ],
+        ids=["crash-fraction", "crash-probability", "byzantine-fraction"],
+    )
+    def test_out_of_range_rates_rejected(self, build, value):
+        with pytest.raises(ParameterError):
+            build(value)
+
+    @pytest.mark.parametrize("value", [0.0, 1.0])
+    def test_closed_interval_endpoints_accepted(self, value):
+        assert CrashStop(fraction=value, crash_probability=value).fraction == value
+        assert ByzantineSenders(fraction=value).fraction == value
+
     def test_build_injector_maps_nofaults_to_none(self):
         rng = np.random.default_rng(0)
         assert build_injector(None, 10, rng) is None
@@ -73,6 +92,28 @@ class TestMembership:
         assert (injector.byzantine.sum(axis=1) == 5).all()
         assert not injector.byzantine[:, 3].any()
 
+    @pytest.mark.parametrize(
+        "size, fraction, immune",
+        [
+            (2, 0.5, ()),
+            (2, 1.0, (0,)),
+            (10, 0.0, ()),
+            (10, 0.33, (4, 9)),
+            (37, 0.9, (0, 1, 2)),
+            (64, 1.0, ()),
+        ],
+    )
+    @pytest.mark.parametrize("kind", ["crash", "byzantine"])
+    def test_member_count_is_floor_of_fraction_of_eligible(self, kind, size, fraction, immune):
+        model_type = CrashStop if kind == "crash" else ByzantineSenders
+        injector = _injector(
+            model_type(fraction=fraction, immune=immune), size=size, num_replicates=3
+        )
+        members = injector.prone if kind == "crash" else injector.byzantine
+        expected = int(np.floor(fraction * (size - len(immune))))
+        assert members.sum(axis=1).tolist() == [expected] * 3
+        assert not members[:, list(immune)].any()
+
     def test_membership_varies_across_replicates(self):
         injector = _injector(ByzantineSenders(fraction=0.3), size=50, num_replicates=8)
         assert len({tuple(np.flatnonzero(row)) for row in injector.byzantine}) > 1
@@ -95,6 +136,32 @@ class TestCrashMechanics:
             injector.begin_round()
             mask = injector.filter_send_mask(np.ones((1, 8), dtype=bool))
             assert not mask[0, [1, 4]].any() and mask.sum() == 6
+
+    @pytest.mark.parametrize("num_replicates", [1, 3])
+    def test_zero_crash_probability_never_crashes(self, num_replicates):
+        injector = _injector(
+            CrashStop(fraction=1.0, crash_probability=0.0), size=12, num_replicates=num_replicates
+        )
+        for _ in range(10):
+            injector.begin_round()
+        assert not injector.crashed.any()
+        assert injector.counters["crash_opportunities"] == 10 * 12 * num_replicates
+        assert injector.counters["crashes"] == 0
+
+    @pytest.mark.parametrize("num_replicates", [1, 3])
+    def test_certain_crash_takes_every_prone_agent_in_the_first_round(self, num_replicates):
+        injector = _injector(
+            CrashStop(fraction=0.5, crash_probability=1.0, immune=(0,)),
+            size=13,
+            num_replicates=num_replicates,
+        )
+        injector.begin_round()
+        assert np.array_equal(injector.crashed, injector.prone)
+        assert injector.num_crashed().tolist() == [6] * num_replicates
+        injector.begin_round()
+        # Nobody is left at risk, so the second round adds no opportunity.
+        assert injector.counters["crash_opportunities"] == 6 * num_replicates
+        assert injector.counters["crashes"] == 6 * num_replicates
 
     def test_empirical_crash_rate_matches_configuration(self):
         crash_probability, rounds = 0.1, 12
