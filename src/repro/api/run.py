@@ -6,14 +6,14 @@ resolves the execution settings into a plan exactly once, validates the
 parameter overrides against the spec's declared parameters, invokes the
 driver, and wraps the outcome in a
 :class:`~repro.store.RunArtifact` carrying the fully resolved
-inputs (parameters + execution plan), the report, the package version and
+inputs (parameters + execution plan), the report, the code version and
 the wall time — everything :func:`repro.store.save_run` needs
 to persist a reproducible record of the run.
 
 When the plan names a store (``ExecutionConfig(store_path=...)``, the
 CLI's ``--store``, or ``REPRO_STORE``), the run is memoized through the
 content-addressed :class:`~repro.store.RunStore`: the run fingerprint —
-sha256 over spec id, package version, resolved parameters and the
+sha256 over spec id, code version, resolved parameters and the
 ``batch`` flag, excluding the backend because the determinism contract
 proves it result-irrelevant — is looked up *before* any
 execution backend is created.  A hit loads, verifies and returns the
@@ -46,6 +46,7 @@ from typing import Any, Dict, Optional, Union
 
 from ..errors import ExperimentError
 from ..store import RunArtifact, RunStore, StoreWriteError, run_fingerprint
+from ..store.fingerprint import code_version
 from .config import ExecutionConfig, ExecutionPlan, resolve_run_options
 from .spec import ExperimentSpec, get_spec
 
@@ -88,8 +89,6 @@ def resolve_run_inputs(
     job, so a bad request fails at submission time with a ``400`` instead
     of inside a worker thread.
     """
-    from .. import __version__
-
     spec = get_spec(spec_or_id)
     plan = resolve_run_options(spec.experiment_id, config=config or ExecutionConfig())
     spec.validate_overrides(param_overrides)
@@ -109,13 +108,12 @@ def resolve_run_inputs(
 
     # The fingerprint covers the fully *resolved* parameters, so a default
     # left implicit and the same value passed explicitly hash identically.
-    fingerprint = run_fingerprint(spec.experiment_id, __version__, parameters, batch=plan.batch)
+    fingerprint = run_fingerprint(spec.experiment_id, code_version(), parameters, batch=plan.batch)
     return ResolvedRun(spec=spec, plan=plan, parameters=parameters, fingerprint=fingerprint)
 
 
 def _execute(resolved: ResolvedRun, execution: Dict[str, Any], **param_overrides: Any) -> RunArtifact:
     """Drive the experiment described by ``resolved`` and package the artifact."""
-    from .. import __version__
     from ..exec.backends import use_backend
 
     plan = resolved.plan
@@ -136,7 +134,7 @@ def _execute(resolved: ResolvedRun, execution: Dict[str, Any], **param_overrides
         parameters=resolved.parameters,
         execution=execution,
         report=report,
-        version=__version__,
+        version=code_version(),
         wall_time_seconds=wall_time,
         fingerprint=resolved.fingerprint,
     )
@@ -171,7 +169,7 @@ def run_experiment(
     -------
     RunArtifact
         The report plus the fully resolved parameters, execution summary,
-        package version, wall time and fingerprint (persist with
+        code version, wall time and fingerprint (persist with
         :func:`repro.store.save_run`).  With a store on the plan,
         ``execution["cache"]`` records the memoization outcome (``"hit"``,
         ``"miss"``, or ``"bypass"`` when ``cache=False``); without one the

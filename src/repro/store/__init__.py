@@ -10,7 +10,7 @@ store:
   (:func:`save_result`/:func:`load_result`,
   :func:`save_sweep`/:func:`load_sweep`);
 * :mod:`repro.store.fingerprint` — :func:`run_fingerprint`, the canonical
-  sha256 over a run's *semantic* inputs (spec id, package version, resolved
+  sha256 over a run's *semantic* inputs (spec id, code version, resolved
   parameters, the ``batch`` flag — explicitly not the execution backend,
   which the determinism contract proves result-irrelevant);
 * :mod:`repro.store.artifact` — :class:`RunArtifact` plus the atomic

@@ -17,7 +17,7 @@ Two guarantees distinguish this layer from a plain directory dump:
   or (transiently, during a swap) none — never a mixture.
 * **Self-verification.**  Every manifest records the run's content
   fingerprint (:func:`repro.store.fingerprint.run_fingerprint` over spec
-  id, package version, resolved parameters and the semantic ``batch``
+  id, code version, resolved parameters and the semantic ``batch``
   flag).  ``load_run`` recomputes the fingerprint from the loaded contents
   and refuses — with a labelled :class:`~repro.errors.ExperimentError` — to
   return an artifact whose recorded and recomputed fingerprints disagree,
@@ -92,7 +92,8 @@ class RunArtifact:
     report:
         The driver's :class:`~repro.experiments.report.ExperimentReport`.
     version:
-        The ``repro`` package version that produced the run.
+        The code version that produced the run
+        (:func:`repro.store.fingerprint.code_version`).
     wall_time_seconds:
         Wall-clock duration of the driver call.
     sweeps / results:
@@ -126,7 +127,7 @@ class RunArtifact:
         """Recompute the content fingerprint from this artifact's fields.
 
         Hashes exactly the semantic inputs the fingerprint contract names:
-        spec id, package version, resolved parameters and the execution
+        spec id, code version, resolved parameters and the execution
         summary's ``batch`` flag — never the backend or cache state.
         ``save_run`` records this in the manifest and ``load_run`` verifies
         it, so the two must (and do) derive from the same fields.

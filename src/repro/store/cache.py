@@ -4,7 +4,7 @@ A :class:`RunStore` wraps a content-addressed store root (see
 :mod:`repro.store.layout`) with the serving-path policy ROADMAP item 1
 needs: identical requests must become cache hits, not recomputes.  The
 lookup key is the run fingerprint (:mod:`repro.store.fingerprint`), which
-covers exactly the semantic inputs — spec id, package version, resolved
+covers exactly the semantic inputs — spec id, code version, resolved
 parameters, the ``batch`` flag — and deliberately excludes the execution
 ``backend``: the determinism contract proves results bit-identical across
 backends, so a run computed in-process is a valid hit for a pooled request

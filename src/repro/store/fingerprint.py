@@ -7,7 +7,9 @@ replaying a stored artifact is indistinguishable from recomputing it.  This
 module defines exactly what "same semantic inputs" means:
 
 * the experiment id (``"E1"``..``"E12"``),
-* the ``repro`` package version that would produce the run,
+* the code identity that would produce the run (:func:`code_version`: the
+  ``repro`` package version, :data:`KERNEL_EPOCH` and numpy's
+  major.minor, e.g. ``1.0.0+k1.np2.4``),
 * the fully **resolved** parameters (spec defaults with every override
   applied — so a default left implicit and the same value passed explicitly
   hash identically),
@@ -39,9 +41,13 @@ import hashlib
 import json
 from typing import Any, Dict, Mapping, Optional
 
+import numpy as np
+
 from .serialization import encode_nonfinite
 
 __all__ = [
+    "KERNEL_EPOCH",
+    "code_version",
     "canonical_json",
     "fingerprint_payload",
     "run_fingerprint",
@@ -49,12 +55,32 @@ __all__ = [
     "EXCLUDED_PLAN_FIELDS",
 ]
 
+#: Bumped whenever a change to the simulation code moves what a run with
+#: the same inputs reports (a changed draw order, a different rule).  It is
+#: part of :func:`code_version`, so every fingerprint moves with it and a
+#: store never serves a report the current code would not reproduce.  The
+#: digest-pin test files record the epoch their pins were taken at.
+KERNEL_EPOCH = 1
+
 #: The semantic inputs a run fingerprint covers, in payload order.
 FINGERPRINT_FIELDS = ("spec_id", "version", "parameters", "execution.batch")
 
 #: Plan fields deliberately excluded: the determinism contract proves them
 #: result-irrelevant, so changing them must *not* change the fingerprint.
 EXCLUDED_PLAN_FIELDS = ("backend", "store", "cache")
+
+
+def code_version() -> str:
+    """The code identity a run records and is fingerprinted under.
+
+    ``<repro version>+k<KERNEL_EPOCH>.np<numpy major.minor>``: numpy's
+    generators and reductions may change results between minor releases,
+    and the kernel epoch moves whenever this package's own draws do.
+    """
+    from .. import __version__
+
+    numpy_major_minor = ".".join(np.__version__.split(".")[:2])
+    return f"{__version__}+k{KERNEL_EPOCH}.np{numpy_major_minor}"
 
 
 def canonical_json(value: Any) -> str:

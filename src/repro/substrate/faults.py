@@ -183,16 +183,10 @@ class FaultInjector:
         self.byzantine = np.zeros(shape, dtype=bool)
         self.rounds_started = 0
         #: Marginal counters for the property tests (rates vs. configuration).
-        #: The ``burst_*`` keys are always 0: they belonged to a removed
-        #: burst-noise model, and the serial-resilient regression digests
-        #: hash this dict, so dropping them would move those pins.
         self.counters: Dict[str, int] = {
             "crash_opportunities": 0,
             "crashes": 0,
             "byzantine_messages": 0,
-            "burst_rounds": 0,
-            "burst_flips": 0,
-            "burst_flip_opportunities": 0,
         }
         if isinstance(model, CrashStop) and model.forced is None:
             self.prone = _draw_members(

@@ -10,6 +10,7 @@ import repro
 from repro.api import ExecutionConfig, run_experiment
 from repro.errors import ExperimentError
 from repro.exec.backends import InProcessBackend
+from repro.store.fingerprint import code_version
 
 
 class TestRunExperiment:
@@ -17,7 +18,8 @@ class TestRunExperiment:
         artifact = run_experiment("E10", deltas=(0.01, 0.1), monte_carlo_reps=2000)
         assert artifact.spec_id == "E10"
         assert artifact.report.experiment_id == "E10" and artifact.report.rows
-        assert artifact.version == repro.__version__
+        assert artifact.version == code_version()
+        assert artifact.version.startswith(repro.__version__ + "+k")
         assert artifact.wall_time_seconds > 0
         assert artifact.parameters["monte_carlo_reps"] == 2000
         assert artifact.parameters["base_seed"] == 1010  # spec default resolved in

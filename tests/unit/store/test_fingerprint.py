@@ -14,6 +14,7 @@ import math
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro import __version__
@@ -28,6 +29,7 @@ from repro.store import (
     run_fingerprint,
     save_run,
 )
+from repro.store.fingerprint import KERNEL_EPOCH, code_version
 
 PARAMS = {"n": 100, "epsilon": 0.3, "sizes": (10, 20)}
 
@@ -138,12 +140,31 @@ class TestResolvedRunInvariance:
         with pytest.raises((ExperimentError, TypeError, ValueError)):
             run_fingerprint("E1", "1.0.0", 42)
 
-    def test_version_pins_the_package(self):
-        # The live package version participates, so upgrading repro
-        # invalidates every stored run by construction.
+    def test_version_pins_the_code(self):
+        # The live code version participates, so upgrading repro, bumping
+        # KERNEL_EPOCH or changing numpy's minor release invalidates every
+        # stored run by construction.
         a = run_experiment("E1", **self.E1_TOY)
-        assert a.fingerprint == run_fingerprint("E1", __version__, a.parameters)
+        assert a.version == code_version()
+        assert a.fingerprint == run_fingerprint("E1", code_version(), a.parameters)
         assert not math.isnan(a.wall_time_seconds)
+
+    def test_code_version_names_package_epoch_and_numpy(self):
+        numpy_major_minor = ".".join(np.__version__.split(".")[:2])
+        assert code_version() == f"{__version__}+k{KERNEL_EPOCH}.np{numpy_major_minor}"
+
+    def test_pre_epoch_manifest_verifies_but_is_not_served(self, tmp_path):
+        # A run stored before the epoch recorded the bare package version;
+        # load_run verifies it from that field, and a request today misses it.
+        old = run_experiment("E1", **self.E1_TOY)
+        old.version = __version__
+        old.fingerprint = run_fingerprint("E1", __version__, old.parameters)
+        assert load_run(save_run(old, tmp_path / "saved")).version == __version__
+        store = tmp_path / "store"
+        RunStore(store).put(old)
+        fresh = run_experiment("E1", config=ExecutionConfig(store_path=store), **self.E1_TOY)
+        assert fresh.execution["cache"] == "miss"
+        assert fresh.fingerprint != old.fingerprint
 
 
 class TestEverySpecFingerprint:
@@ -165,22 +186,31 @@ class TestEverySpecFingerprint:
         )
 
 
+#: The ``KERNEL_EPOCH`` the fingerprint pins were taken at.
+PINNED_AT_EPOCH = 1
+
+
 class TestFingerprintsArePinned:
-    """Fingerprints captured at version 1.0.0 before the execution knobs were cut.
+    """Fingerprints re-pinned at code version ``1.0.0+k1.np2.4``.
 
     Removing execution settings must not move a single cache address: every
-    artifact stored before keeps hitting.
+    artifact stored at one code version keeps hitting.  Only a new code
+    version moves them (at ``1.0.0``, before the kernel epoch, the two pins
+    were ``4e6f348d...`` and ``14b41f65...``).
     """
+
+    def test_pins_were_taken_at_the_current_kernel_epoch(self):
+        assert PINNED_AT_EPOCH == KERNEL_EPOCH, "re-pin and bump KERNEL_EPOCH"
 
     def test_e1_batch_fingerprint_is_unchanged(self):
         resolved = resolve_run_inputs("E1", config=ExecutionConfig(batch=True))
         assert resolved.fingerprint == (
-            "4e6f348d1fdb24fda025e8977d1b2077589d611fbe61e41912e02c53ed762514"
+            "ca0dae52955ebfe0b1feb0cebc7d98141608a886de1b8d79e28b0bae9fb39093"
         )
 
     def test_e8_default_fingerprint_is_unchanged(self):
         assert resolve_run_inputs("E8").fingerprint == (
-            "14b41f652ff292900a13c83c088bce106574d6d8343ddd9decfd0e1771ea78e7"
+            "068a28c8f3691b452e8d1d227d043ad19ef1682f41c7e78df1e8ba41669056cb"
         )
 
     def test_manifest_with_the_old_execution_keys_loads_and_hits(self, tmp_path):

@@ -17,6 +17,7 @@ from __future__ import annotations
 import pytest
 
 from _golden_grid import grid_digest
+from repro.store.fingerprint import KERNEL_EPOCH
 
 #: Batched E12, one per fault kind.
 E12_BATCH_GRID = [
@@ -29,6 +30,10 @@ E12_BATCH_DIGESTS = {
     "crash": "6a293577bbf48fddbeeeb1fd530e25f5f9f4e30ffa9154c40607b77aea113e2e",
     "byzantine": "691910ecb36c2f5bc4bace173876ca914d39a3ebd4da3c1b846cf255e9ba0eaf",
 }
+
+
+#: The ``KERNEL_EPOCH`` these pins were taken (or last re-verified) at.
+PINNED_AT_EPOCH = 1
 
 
 @pytest.mark.parametrize(
@@ -50,3 +55,7 @@ def test_batched_pin_differs_from_serial():
         assert grid_digest(experiment_id, False, overrides) != E12_BATCH_DIGESTS[
             overrides["fault_kind"]
         ]
+
+
+def test_pins_were_taken_at_the_current_kernel_epoch():
+    assert PINNED_AT_EPOCH == KERNEL_EPOCH, "re-pin and bump KERNEL_EPOCH"

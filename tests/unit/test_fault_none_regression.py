@@ -20,6 +20,7 @@ from __future__ import annotations
 import pytest
 
 from _golden_grid import GRID, SERIAL_DRAW_GRID, grid_digest
+from repro.store.fingerprint import KERNEL_EPOCH
 
 #: sha256 digests of the full rendered reports, captured pre-fault-layer.
 GOLDEN_DIGESTS = {
@@ -49,6 +50,10 @@ SERIAL_DRAW_DIGESTS = {
 }
 
 
+#: The ``KERNEL_EPOCH`` these pins were taken (or last re-verified) at.
+PINNED_AT_EPOCH = 1
+
+
 def test_grid_covers_every_pre_fault_driver():
     """All eleven pre-fault drivers are pinned, plus serial spot checks."""
     batched = {experiment_id for experiment_id, batch, _ in GRID if batch}
@@ -76,3 +81,7 @@ def test_serial_delivery_draws_match_pinned_digest(experiment_id, batch, overrid
     assert {(e, b) for e, b, _ in SERIAL_DRAW_GRID} == set(SERIAL_DRAW_DIGESTS)
     digest = grid_digest(experiment_id, batch, overrides)
     assert digest == SERIAL_DRAW_DIGESTS[(experiment_id, batch)]
+
+
+def test_pins_were_taken_at_the_current_kernel_epoch():
+    assert PINNED_AT_EPOCH == KERNEL_EPOCH, "re-pin and bump KERNEL_EPOCH"

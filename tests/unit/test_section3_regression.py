@@ -29,6 +29,7 @@ import pytest
 
 from repro.core.synchronizer import run_clock_free_broadcast, run_with_bounded_skew
 from repro.exec.stage_batching import run_bounded_skew_batch, run_clock_free_batch
+from repro.store.fingerprint import KERNEL_EPOCH
 
 EPSILON = 0.3
 
@@ -77,6 +78,10 @@ SECTION3_DIGESTS = {
 }
 
 
+#: The ``KERNEL_EPOCH`` these pins were taken (or last re-verified) at.
+PINNED_AT_EPOCH = 1
+
+
 def test_every_case_is_pinned():
     assert set(SERIAL_CASES) | set(BATCH_CASES) == set(SECTION3_DIGESTS)
 
@@ -103,3 +108,7 @@ def test_clock_free_batch_pin_has_distinct_per_replicate_guards():
     result = run_clock_free_batch(epsilon=EPSILON, **settings)
     assert len(set(result.guard.tolist())) > 1
     assert (result.guard >= result.skew).all()
+
+
+def test_pins_were_taken_at_the_current_kernel_epoch():
+    assert PINNED_AT_EPOCH == KERNEL_EPOCH, "re-pin and bump KERNEL_EPOCH"
