@@ -3,8 +3,9 @@
 Runs the E12 driver's sweep for both fault kinds (crash-stop and Byzantine
 senders) two ways — the serial per-trial path and the batched ``(R, n)``
 rules (:func:`repro.exec.batching.run_broadcast_batch` under the fault
-model, :mod:`repro.exec.fault_batching` for the comparator) — and records
-wall times and speedups per fault family in
+model, :func:`repro.protocols.fault_tolerant.run_consensus_comparator_batch`
+for the comparator, which serially runs once per trial at ``R = 1``) — and
+records wall times and speedups per fault family in
 ``benchmarks/results/e12_fault_sweep.json`` (aggregated into
 ``BENCH_SUMMARY.json`` by ``collect_results.py``).
 

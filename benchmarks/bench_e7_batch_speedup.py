@@ -2,22 +2,22 @@
 
 Runs the same Monte-Carlo comparison (the Section 1.6 comparator family E7
 argues against: immediate forwarding, the noisy voter dynamics and the
-direct-from-source reference) three ways — serial reference (one
-:class:`~repro.substrate.engine.SimulationEngine` per trial), vectorised
-batch (:func:`repro.exec.batching.run_baseline_batch` via the ``baseline``
-shape of :func:`~repro.exec.batching.run_sweep_batched`), and batch with its
+direct-from-source reference) three ways — serial (E7's serial cells: each
+trial is the rule at ``R = 1`` under its own trial seed, through
+:func:`repro.exec.batching.cell_task`), vectorised batch
+(:func:`repro.exec.batching.run_baseline_batch` via the ``baseline`` shape
+of :func:`~repro.exec.batching.run_sweep_batched`), and batch with its
 points on the ``local`` process-pool backend (one worker per CPU, installed
 for the sweep as :func:`repro.api.run_experiment` installs it; the workload
 is the comparator sub-grid, which no registered experiment runs alone) —
 and records wall-clock times and speedups in
 ``benchmarks/results/e7_batch_speedup.json``.
 
-The baselines were the slowest remaining serial workload: hundreds of
-pure-Python engine rounds per trial (the voter's budget alone is hundreds of
-rounds).  The batch path pays one ``deliver_batch`` / ``transmit_batch``
-call per round for *all* replicates, so it delivers its speedup even on a
-single core.  The test asserts the PR's headline claim: at least a 2x
-single-core batch speedup over the serial E7 trial loop on this workload.
+Serially each trial pays hundreds of rounds of its own (the voter's budget
+alone is hundreds of rounds).  The batch path pays one ``deliver_batch`` /
+``transmit_batch`` call per round for *all* replicates, so it delivers its
+speedup even on a single core.  The test asserts at least a 2x single-core
+batch speedup over the serial E7 trials on this workload.
 """
 
 from __future__ import annotations
@@ -28,10 +28,8 @@ import os
 import time
 from pathlib import Path
 
-from repro.analysis.experiments import run_trials
 from repro.exec.backends import LocalPoolBackend, use_backend
-from repro.exec.batching import run_baseline_batch, run_sweep_batched
-from repro.experiments.e7_baselines import _direct_trial, _forwarding_trial, _voter_trial
+from repro.exec.batching import cell_task, run_baseline_batch, run_sweep_batched
 
 N = 1000
 EPSILON = 0.2
@@ -39,16 +37,6 @@ TRIALS = 8
 VOTER_ROUNDS = 300
 BASE_SEED = 707
 RESULTS_PATH = Path(__file__).parent / "results" / "e7_batch_speedup.json"
-
-
-def _serial_trial_fns() -> dict:
-    return {
-        "immediate-forwarding": functools.partial(_forwarding_trial, n=N, epsilon=EPSILON),
-        "noisy-voter": functools.partial(
-            _voter_trial, n=N, epsilon=EPSILON, voter_rounds=VOTER_ROUNDS
-        ),
-        "direct-source-reference": functools.partial(_direct_trial, n=N, epsilon=EPSILON),
-    }
 
 
 def _baseline_points() -> list:
@@ -60,16 +48,16 @@ def _baseline_points() -> list:
 
 
 def _run_serial() -> dict:
-    """The E7 comparator family through run_trials with the serial reference."""
-    return {
-        name: run_trials(
-            name=f"e7-batch-speedup-{name}",
-            trial_fn=trial_fn,
-            num_trials=TRIALS,
-            base_seed=BASE_SEED,
+    """The E7 comparator family as E7's serial cells run it (R = 1 per trial)."""
+    results = {}
+    for point in _baseline_points():
+        name = point["protocol"]
+        fn, kwargs = cell_task(
+            f"e7-batch-speedup-{name}", run_baseline_batch, TRIALS, BASE_SEED, False,
+            n=N, epsilon=EPSILON, **point,
         )
-        for name, trial_fn in _serial_trial_fns().items()
-    }
+        results[name] = fn(**kwargs)
+    return results
 
 
 def _run_batched(pooled: bool = False):

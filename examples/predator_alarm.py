@@ -27,8 +27,7 @@ from __future__ import annotations
 
 from repro import solve_noisy_broadcast
 from repro.analysis import render_table
-from repro.protocols import ImmediateForwardingBroadcast, NoisyVoterBroadcast
-from repro.substrate import SimulationEngine
+from repro.exec.batching import run_baseline_batch
 
 FLOCK_SIZE = 1500
 TRIALS = 3
@@ -39,12 +38,11 @@ def run_strategy(name: str, epsilon: float, seed: int) -> dict:
     if name == "breathe-before-speaking":
         result = solve_noisy_broadcast(n=FLOCK_SIZE, epsilon=epsilon, seed=seed)
         return {"fraction": result.final_correct_fraction, "rounds": result.rounds}
-    engine = SimulationEngine.create(n=FLOCK_SIZE, epsilon=epsilon, seed=seed)
-    if name == "immediate-forwarding":
-        outcome = ImmediateForwardingBroadcast().run(engine, correct_opinion=1)
-    else:
-        outcome = NoisyVoterBroadcast(max_rounds=500).run(engine, correct_opinion=1)
-    return {"fraction": outcome.final_correct_fraction, "rounds": outcome.rounds}
+    options = {"max_rounds": 500} if name == "noisy-voter" else {}
+    outcome = run_baseline_batch(
+        name, n=FLOCK_SIZE, epsilon=epsilon, num_replicates=1, base_seed=seed, **options
+    ).measurements(0)
+    return {"fraction": outcome["fraction"], "rounds": outcome["rounds"]}
 
 
 def main() -> int:

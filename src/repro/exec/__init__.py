@@ -13,21 +13,19 @@ package defines *how* the trials execute:
   and the active backend (task construction, picklability probing);
 * :mod:`repro.exec.batching` — a vectorised path that simulates ``R``
   independent replicates of the noisy push-gossip protocols (broadcast,
-  majority consensus *and* the Section 1.6 / Section 1.4 baseline family)
-  as ``(R, n)`` NumPy grids instead of one engine per trial, plus
+  majority consensus *and* the Section 1.6 / Section 1.4 baseline family,
+  whose rules live in :mod:`repro.protocols`) as ``(R, n)`` NumPy grids
+  instead of one engine per trial, plus
   :func:`~repro.exec.batching.run_batch_cell` (all trials of one named cell
-  as one batch, the batched counterpart of ``run_trials``) and the batched
-  sweep dispatcher built on it (one task per grid point);
+  as one batch, the batched counterpart of ``run_trials``),
+  :func:`~repro.exec.batching.cell_task` (a cell of a comparator rule,
+  batched or as one ``R = 1`` call per trial) and the batched sweep
+  dispatcher (one task per grid point);
 * :mod:`repro.exec.stage_batching` — the instrumented ``(R, n)`` stage
   kernels underneath the batched protocols: Stage I / Stage II round loops
   with per-phase replicate-vector measurements (``X_i`` / ``Y_i`` /
   ``eps_i`` / ``delta_i``) for the stage-level experiments E4–E6, and the
-  batched Section-3 executors (bounded skew, clock-free) for E9;
-* :mod:`repro.exec.fault_batching` — E12's batched phased
-  approximate-consensus comparator, differentially pinned against its
-  serial reference (E12's paper-protocol column is
-  :func:`~repro.exec.batching.run_broadcast_batch` under a
-  :mod:`repro.substrate.faults` model).
+  batched Section-3 executors (bounded skew, clock-free) for E9.
 
 Execution is chosen per run by :class:`repro.api.ExecutionConfig`: ``batch``
 (surfaced as ``--batch``) picks the vectorised path, and ``backend``
@@ -42,16 +40,14 @@ from .batching import (
     BatchBroadcastResult,
     BatchMajorityResult,
     batchable_baselines,
+    cell_task,
+    replicate_trial,
     run_baseline_batch,
     run_batch_cell,
     run_broadcast_batch,
     run_broadcast_sweep_batched,
     run_majority_batch,
     run_sweep_batched,
-)
-from .fault_batching import (
-    BatchConsensusResult,
-    run_consensus_comparator_batch,
 )
 from .stage_batching import (
     BatchWindowedResult,
@@ -93,6 +89,8 @@ __all__ = [
     "run_baseline_batch",
     "batchable_baselines",
     "run_batch_cell",
+    "replicate_trial",
+    "cell_task",
     "run_sweep_batched",
     "run_broadcast_sweep_batched",
     "StageOneBatchResult",
@@ -104,7 +102,5 @@ __all__ = [
     "run_stage2_instrumented",
     "run_bounded_skew_batch",
     "run_clock_free_batch",
-    "BatchConsensusResult",
-    "run_consensus_comparator_batch",
 ]
 

@@ -26,8 +26,9 @@ Three protocol shapes are covered:
   the idealised direct-from-source reference
   (:class:`~repro.protocols.direct_source.DirectSourceReference`) and the
   listen-only silent-wait strategy
-  (:class:`~repro.protocols.silent_wait.SilentWaitBroadcast`), each with
-  a vectorised step rule mirroring its serial class round for round.
+  (:class:`~repro.protocols.silent_wait.SilentWaitBroadcast`).  Each class
+  holds its options and its only step rule; the options this function
+  recognises are the class's dataclass fields.
 
 The Stage-I/Stage-II round loops underneath :func:`run_broadcast_batch` and
 :func:`run_majority_batch` live in :mod:`repro.exec.stage_batching` (one
@@ -39,6 +40,11 @@ stage-level experiments E4–E6 and the skewed-clock E9 runs).
 named cell as a single batch call and packages one row per replicate as an
 :class:`~repro.analysis.experiments.ExperimentResult`.  Every batched sweep
 point and every batched experiment cell (E4–E7, E9, E11, E12) goes through it.
+:func:`cell_task` builds the cell of a comparator rule (E7's baselines,
+E11's schemes, E12's consensus comparator) for either path: one shared grid
+when batched, otherwise one :func:`replicate_trial` per trial — the rule at
+``R = 1`` under the trial's own seed, so serial and batched trials of a
+comparator run the same code.
 :func:`run_sweep_batched` dispatches whole sweeps point-by-point onto the
 named batch simulator, forwarding *every* recognised point setting
 (``correct_opinion``, ``allow_self_messages``, ``initial_set_size``,
@@ -65,22 +71,26 @@ Determinism contract
   same distributions — but **not** bit-identical to serial trials, because
   the whole batch consumes one random stream instead of one stream tree per
   engine.  Experiments that must be replayable trial-for-trial (the default)
-  run one engine per trial (:func:`repro.analysis.sweeps.run_sweep`); ``--batch``
-  trades that per-trial replayability for a large constant-factor speedup
-  while keeping batch-level reproducibility.
+  run one engine per trial (:func:`repro.analysis.sweeps.run_sweep`), or,
+  for a comparator, one ``R = 1`` rule call per trial seed
+  (:func:`replicate_trial`); ``--batch`` trades that per-trial
+  replayability for a large constant-factor speedup while keeping
+  batch-level reproducibility.
 
 The differential tests in ``tests/unit/exec/test_batching.py`` pin both
-halves of the contract: exact equality where the paper's schedule is
-deterministic (round counts), and distributional agreement for the stochastic
-observables (success rate, message counts, final bias).
+halves of the contract for the paper's protocol: exact equality where the
+schedule is deterministic (round counts), and distributional agreement for
+the stochastic observables (success rate, message counts, final bias).  The
+comparators have one rule each; ``tests/unit/exec/test_comparator_distribution.py``
+holds their recorded serial distributions as an oracle.
 """
 
 from __future__ import annotations
 
+import functools
 import inspect
-import math
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from dataclasses import dataclass, fields
+from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Type
 
 import numpy as np
 
@@ -88,14 +98,14 @@ from ..core.majority import compute_start_phase
 from ..core.opinions import bias_from_counts, counts_from_bias, validate_opinion
 from ..core.parameters import ProtocolParameters
 from ..errors import ExperimentError
+from ..protocols.base import BaselineProtocol, BatchBaselineResult
 from ..protocols.direct_source import DirectSourceReference
 from ..protocols.naive_forward import ImmediateForwardingBroadcast
 from ..protocols.noisy_voter import NoisyVoterBroadcast
-from ..protocols.silent_wait import SilentWaitBroadcast, default_decision_threshold
+from ..protocols.silent_wait import SilentWaitBroadcast
 from ..substrate.faults import FaultModel, build_injector
 from ..substrate.network import PushGossipNetwork
 from ..substrate.noise import BinarySymmetricChannel, NoiseChannel
-from ..substrate.population import NO_OPINION
 from ..substrate.rng import derive_seed, spawn_generator
 from . import pool
 from .runner import trial_seeds
@@ -116,6 +126,8 @@ __all__ = [
     "run_baseline_batch",
     "batchable_baselines",
     "run_batch_cell",
+    "replicate_trial",
+    "cell_task",
     "run_sweep_batched",
     "run_broadcast_sweep_batched",
 ]
@@ -263,99 +275,6 @@ class BatchMajorityResult:
             "stage1_bias": float(self.stage1_bias[index]),
             "start_phase": int(self.start_phase),
         }
-
-
-@dataclass(frozen=True)
-class BatchBaselineResult:
-    """Per-replicate outcomes of a batched baseline-protocol run.
-
-    Unlike the paper's protocol — whose round schedule is fixed by
-    ``(n, epsilon)`` — the baselines stop per replicate: the noisy voter
-    breaks out of its budget when a consensus check passes, and the
-    direct-from-source reference records the first round its running
-    majority went all-correct.  ``rounds`` is therefore a vector here, and
-    ``converged`` separates "stopped by its own rule" from "exhausted the
-    round budget" so downstream reports never conflate the two.
-
-    Attributes
-    ----------
-    protocol:
-        Name of the baseline (see :func:`batchable_baselines`).
-    n, epsilon, correct_opinion:
-        The shared instance parameters.
-    rounds:
-        ``(R,)`` rounds actually executed per replicate (the budget for
-        replicates that never met their stopping rule).
-    converged:
-        ``(R,)`` boolean vector: did the replicate meet the protocol's own
-        stopping/convergence rule (as opposed to exhausting its budget)?
-        Mirrors :attr:`~repro.protocols.base.ProtocolResult.converged`.
-    success:
-        ``(R,)`` boolean vector: did every agent finish holding the correct
-        opinion?
-    final_correct_fraction:
-        ``(R,)`` fraction of agents holding the correct opinion at the end.
-    messages_sent:
-        ``(R,)`` total messages pushed, per replicate.
-    extra:
-        Protocol-specific per-replicate vectors (e.g. the direct-source
-        reference's ``rounds_to_all_correct``, ``NaN`` where never reached),
-        mirroring :attr:`~repro.protocols.base.ProtocolResult.extra`.
-    """
-
-    protocol: str
-    n: int
-    epsilon: float
-    correct_opinion: int
-    rounds: np.ndarray
-    converged: np.ndarray
-    success: np.ndarray
-    final_correct_fraction: np.ndarray
-    messages_sent: np.ndarray
-    extra: Dict[str, np.ndarray] = field(default_factory=dict)
-
-    @property
-    def num_replicates(self) -> int:
-        """Number of replicates ``R`` in the batch."""
-        return int(self.success.size)
-
-    def measurements(self, index: int) -> Dict[str, Any]:
-        """Replicate ``index`` as a trial-measurement mapping.
-
-        The keys form a superset of what the serial E7 trial functions
-        record (``fraction``, ``success``, ``rounds``, ``converged``,
-        ``rounds_converged`` plus protocol extras), so batched and serial
-        comparisons produce interchangeable
-        :class:`~repro.analysis.experiments.ExperimentResult` tables.
-        Never-reached round markers (``NaN`` in the ``extra`` vectors) are
-        reported as ``None`` — the explicit "did not happen" convention the
-        result containers exclude from means.
-        """
-        converged = bool(self.converged[index])
-        fraction = float(self.final_correct_fraction[index])
-        measurements: Dict[str, Any] = {
-            "rounds": int(self.rounds[index]),
-            "rounds_converged": int(self.rounds[index]) if converged else None,
-            "messages": int(self.messages_sent[index]),
-            "messages_per_agent": float(self.messages_sent[index] / self.n),
-            "success": bool(self.success[index]),
-            "converged": converged,
-            "fraction": fraction,
-            "final_correct_fraction": fraction,
-        }
-        for key, values in self.extra.items():
-            raw = values[index]
-            if isinstance(raw, (bool, np.bool_)):
-                measurements[key] = bool(raw)
-                continue
-            value = float(raw)
-            if not math.isfinite(value):
-                measurements[key] = None
-            elif value.is_integer():
-                measurements[key] = int(value)
-            else:
-                measurements[key] = value
-        return measurements
 
 
 # ----------------------------------------------------------------------
@@ -559,327 +478,29 @@ def run_majority_batch(
 
 
 # ----------------------------------------------------------------------
-# Batched baseline protocols (the E7 / E11 comparator family)
+# The E7 / E11 baseline family (rules live in repro.protocols)
 # ----------------------------------------------------------------------
 
-
-def _run_forwarding_batch(
-    n: int,
-    num_replicates: int,
-    network: PushGossipNetwork,
-    channel: NoiseChannel,
-    rng: np.random.Generator,
-    correct_opinion: int,
-    max_rounds: Optional[int] = None,
-    keep_first_opinion: bool = ImmediateForwardingBroadcast.keep_first_opinion,
-) -> BatchBaselineResult:
-    """Vectorised step rule mirroring
-    :class:`~repro.protocols.naive_forward.ImmediateForwardingBroadcast`
-    (defaults are read from the serial class, never duplicated).
-
-    Every opinionated agent pushes its bit each round; with
-    ``keep_first_opinion`` (Section 1.6's description) a recipient adopts
-    only the first bit it ever hears, otherwise it re-adopts every bit.  The
-    budget always runs to completion (reach is easy — reliability is what
-    the baseline loses), so ``rounds`` equals the budget for every replicate
-    and ``converged`` records whether everyone got informed.
-    """
-    budget = max_rounds
-    if budget is None:
-        budget = ImmediateForwardingBroadcast.default_budget(n)
-
-    R = num_replicates
-    opinions = np.full((R, n), NO_OPINION, dtype=np.int8)
-    activated = np.zeros((R, n), dtype=bool)
-    opinions[:, 0] = correct_opinion  # agent 0 is the source in every replicate
-    activated[:, 0] = True
-    messages = np.zeros(R, dtype=np.int64)
-    all_informed_round = np.full(R, np.nan)
-
-    for round_index in range(budget):
-        send_mask = opinions != NO_OPINION
-        bits = np.where(send_mask, opinions, 0).astype(np.int8)
-        report = network.deliver_batch(send_mask, bits, channel, rng)
-        if keep_first_opinion:
-            adopt = report.accepted & ~activated
-        else:
-            adopt = report.accepted
-        opinions = np.where(adopt, report.bits, opinions)
-        activated |= report.accepted
-        messages += send_mask.sum(axis=1)
-        newly_informed = activated.all(axis=1) & np.isnan(all_informed_round)
-        all_informed_round[newly_informed] = round_index + 1
-
-    correct_final = (opinions == correct_opinion).sum(axis=1)
-    return BatchBaselineResult(
-        protocol="immediate-forwarding",
-        n=n,
-        epsilon=float(channel.epsilon),
-        correct_opinion=int(correct_opinion),
-        rounds=np.full(R, budget, dtype=np.int64),
-        converged=activated.all(axis=1),
-        success=correct_final == n,
-        final_correct_fraction=correct_final / n,
-        messages_sent=messages,
-        extra={"all_informed_round": all_informed_round},
+#: The baseline protocols, keyed by their ``name``.
+_BASELINES: Dict[str, Type[BaselineProtocol]] = {
+    protocol.name: protocol
+    for protocol in (
+        DirectSourceReference,
+        ImmediateForwardingBroadcast,
+        NoisyVoterBroadcast,
+        SilentWaitBroadcast,
     )
-
-
-def _run_voter_batch(
-    n: int,
-    num_replicates: int,
-    network: PushGossipNetwork,
-    channel: NoiseChannel,
-    rng: np.random.Generator,
-    correct_opinion: int,
-    max_rounds: int = NoisyVoterBroadcast.max_rounds,
-    check_every: int = NoisyVoterBroadcast.check_every,
-) -> BatchBaselineResult:
-    """Vectorised step rule mirroring
-    :class:`~repro.protocols.noisy_voter.NoisyVoterBroadcast`
-    (defaults are read from the serial class, never duplicated).
-
-    Push voter dynamics with a zealot source: every opinionated agent pushes
-    its opinion, every receiver except the zealot adopts the accepted bit,
-    and every ``check_every`` rounds replicates that reached full correct
-    consensus stop (their rows are frozen and they stop sending or counting
-    rounds, exactly like a serial run breaking out of its loop).  Under
-    channel noise this essentially never happens — the paper's point — so
-    ``rounds`` typically equals the budget with ``converged`` false.
-    """
-    NoisyVoterBroadcast(max_rounds=max_rounds, check_every=check_every)  # checks the budget
-
-    R = num_replicates
-    opinions = np.full((R, n), NO_OPINION, dtype=np.int8)
-    opinions[:, 0] = correct_opinion  # the zealot source never changes opinion
-    messages = np.zeros(R, dtype=np.int64)
-    rounds = np.zeros(R, dtype=np.int64)
-    converged = np.zeros(R, dtype=bool)
-    alive = np.ones(R, dtype=bool)
-
-    for round_index in range(max_rounds):
-        if not alive.any():
-            break
-        send_mask = (opinions != NO_OPINION) & alive[:, None]
-        bits = np.where(send_mask, opinions, 0).astype(np.int8)
-        report = network.deliver_batch(send_mask, bits, channel, rng)
-        adopt = report.accepted.copy()
-        adopt[:, 0] = False  # the zealot keeps its opinion
-        opinions = np.where(adopt, report.bits, opinions)
-        messages += send_mask.sum(axis=1)
-        rounds += alive
-        if (round_index + 1) % check_every == 0:
-            now_correct = alive & (opinions == correct_opinion).all(axis=1)
-            converged |= now_correct
-            alive &= ~now_correct
-
-    correct_final = (opinions == correct_opinion).sum(axis=1)
-    return BatchBaselineResult(
-        protocol="noisy-voter",
-        n=n,
-        epsilon=float(channel.epsilon),
-        correct_opinion=int(correct_opinion),
-        rounds=rounds,
-        converged=converged,
-        success=correct_final == n,
-        final_correct_fraction=correct_final / n,
-        messages_sent=messages,
-    )
-
-
-def _run_direct_source_batch(
-    n: int,
-    num_replicates: int,
-    network: PushGossipNetwork,
-    channel: NoiseChannel,
-    rng: np.random.Generator,
-    correct_opinion: int,
-    rounds: Optional[int] = None,
-) -> BatchBaselineResult:
-    """Vectorised step rule mirroring
-    :class:`~repro.protocols.direct_source.DirectSourceReference`
-    (defaults are read from the serial class, never duplicated).
-
-    Every agent receives one independent noisy source sample per round
-    (applied via :meth:`~repro.substrate.noise.NoiseChannel.transmit_batch`
-    on the full ``(R, n)`` grid); each replicate records the first round at
-    which every agent's running majority was correct.  The extra vector
-    ``rounds_to_all_correct`` is ``NaN`` — reported as ``None`` in
-    measurements — for replicates whose majority never went all-correct
-    within the sampling budget; they are *not* silently counted at the
-    budget.
-    """
-    DirectSourceReference(rounds=rounds)  # checks the budget
-    total_rounds = rounds
-    if total_rounds is None:
-        total_rounds = DirectSourceReference.default_rounds(n, channel.epsilon)
-
-    R = num_replicates
-    ones = np.zeros((R, n), dtype=np.int64)
-    first_all_correct = np.full(R, np.nan)
-    source_bits = np.full((R, n), correct_opinion, dtype=np.int8)
-    full_mask = np.ones((R, n), dtype=bool)
-
-    for round_index in range(1, total_rounds + 1):
-        noisy = channel.transmit_batch(source_bits, full_mask, rng)
-        ones += noisy.astype(np.int64)
-        pending = np.isnan(first_all_correct)
-        if pending.any():
-            majority_now = _running_majority(ones[pending], round_index, rng)
-            all_correct = (majority_now == correct_opinion).all(axis=1)
-            first_all_correct[np.flatnonzero(pending)[all_correct]] = round_index
-
-    final = _running_majority(ones, total_rounds, rng)
-    correct_final = (final == correct_opinion).sum(axis=1)
-    return BatchBaselineResult(
-        protocol="direct-source-reference",
-        n=n,
-        epsilon=float(channel.epsilon),
-        correct_opinion=int(correct_opinion),
-        rounds=np.full(R, total_rounds, dtype=np.int64),
-        converged=np.ones(R, dtype=bool),
-        success=correct_final == n,
-        final_correct_fraction=correct_final / n,
-        messages_sent=np.full(R, n * total_rounds, dtype=np.int64),
-        extra={
-            "rounds_to_all_correct": first_all_correct,
-            "all_correct": ~np.isnan(first_all_correct),
-        },
-    )
-
-
-def _run_silent_wait_batch(
-    n: int,
-    num_replicates: int,
-    network: PushGossipNetwork,
-    channel: NoiseChannel,
-    rng: np.random.Generator,
-    correct_opinion: int,
-    threshold: Optional[int] = None,
-    max_rounds: Optional[int] = None,
-) -> BatchBaselineResult:
-    """Vectorised step rule mirroring
-    :class:`~repro.protocols.silent_wait.SilentWaitBroadcast`
-    (defaults are read from the serial module, never duplicated).
-
-    Only the source ever speaks — one message per round per replicate — so
-    the per-round work is a single uniform target draw plus one noisy bit per
-    replicate instead of a full ``(R, n)`` delivery grid; every other agent
-    accumulates the noisy source bits it happens to receive and decides by
-    majority once it has collected ``threshold`` of them (re-deciding on
-    every later receipt, exactly as the serial class does).  Replicates stop
-    as soon as every agent has decided; ``rounds`` is therefore a vector and
-    budget exhaustion shows up as ``converged`` false.  The extra vector
-    ``first_round_with_two_messages`` reproduces the Section 1.6 birthday
-    observation (``NaN`` — reported as ``None`` — when no agent ever heard
-    two messages).
-    """
-    SilentWaitBroadcast(threshold=threshold, max_rounds=max_rounds)  # checks the budget
-    if threshold is None:
-        threshold = default_decision_threshold(n, channel.epsilon)
-    budget = max_rounds
-    if budget is None:
-        budget = SilentWaitBroadcast.default_budget(n, threshold)
-
-    R = num_replicates
-    received = np.zeros((R, n), dtype=np.int64)
-    ones = np.zeros((R, n), dtype=np.int64)
-    decided = np.zeros((R, n), dtype=bool)
-    decided[:, 0] = True  # agent 0 is the source in every replicate
-    opinions = np.full((R, n), NO_OPINION, dtype=np.int8)
-    opinions[:, 0] = correct_opinion
-    rounds = np.zeros(R, dtype=np.int64)
-    messages = np.zeros(R, dtype=np.int64)
-    first_double = np.full(R, np.nan)
-    alive = np.ones(R, dtype=bool)
-    alive_rows = np.flatnonzero(alive)
-
-    for round_index in range(budget):
-        if alive_rows.size == 0:
-            break
-        # One message per replicate: the source (agent 0) pushes its bit to a
-        # uniformly random (other, unless the network allows self-messages)
-        # agent; no collisions are possible, so the single-accept rule of
-        # PushGossipNetwork.deliver is trivial here — but the target
-        # distribution mirrors PushGossipNetwork._draw_targets exactly.
-        if network.allow_self_messages:
-            targets = rng.integers(0, n, size=alive_rows.size)
-        else:
-            draws = rng.integers(0, n - 1, size=alive_rows.size)
-            targets = draws + 1  # skip over the source's own index
-        bits = channel.transmit(
-            np.full(alive_rows.size, correct_opinion, dtype=np.int8), rng
-        )
-        received[alive_rows, targets] += 1
-        ones[alive_rows, targets] += bits.astype(np.int64)
-        rounds[alive_rows] += 1
-        messages[alive_rows] += 1
-
-        counts_now = received[alive_rows, targets]
-        fresh_double = (counts_now >= 2) & np.isnan(first_double[alive_rows])
-        first_double[alive_rows[fresh_double]] = round_index + 1
-
-        ready = counts_now >= threshold
-        if ready.any():
-            ready_rows = alive_rows[ready]
-            ready_cols = targets[ready]
-            decided[ready_rows, ready_cols] = True
-            opinions[ready_rows, ready_cols] = (
-                2 * ones[ready_rows, ready_cols] > received[ready_rows, ready_cols]
-            ).astype(np.int8)
-            done = decided[ready_rows].all(axis=1)
-            if done.any():
-                alive[ready_rows[done]] = False
-                alive_rows = np.flatnonzero(alive)
-
-    correct_final = (opinions == correct_opinion).sum(axis=1)
-    return BatchBaselineResult(
-        protocol="silent-wait",
-        n=n,
-        epsilon=float(channel.epsilon),
-        correct_opinion=int(correct_opinion),
-        rounds=rounds,
-        converged=decided.all(axis=1),
-        success=correct_final == n,
-        final_correct_fraction=correct_final / n,
-        messages_sent=messages,
-        extra={
-            "threshold": np.full(R, threshold, dtype=np.int64),
-            "decided_fraction": decided.sum(axis=1) / n,
-            "first_round_with_two_messages": first_double,
-        },
-    )
-
-
-def _running_majority(
-    ones: np.ndarray, rounds_so_far: int, rng: np.random.Generator
-) -> np.ndarray:
-    """Per-agent majority of the samples collected so far (random tie-break).
-
-    Grid-shaped transcription of
-    :meth:`~repro.protocols.direct_source.DirectSourceReference._majority`.
-    """
-    doubled = 2 * ones
-    verdict = np.where(doubled > rounds_so_far, 1, 0).astype(np.int8)
-    ties = doubled == rounds_so_far
-    if np.any(ties):
-        verdict[ties] = rng.integers(0, 2, size=int(np.count_nonzero(ties))).astype(np.int8)
-    return verdict
-
-
-#: Vectorised step rule and recognised options per batchable baseline,
-#: keyed by the protocol class's ``name``.
-_BASELINE_BATCH_RULES: Dict[str, Tuple[Callable[..., BatchBaselineResult], frozenset]] = {
-    "immediate-forwarding": (_run_forwarding_batch, frozenset({"max_rounds", "keep_first_opinion"})),
-    "noisy-voter": (_run_voter_batch, frozenset({"max_rounds", "check_every"})),
-    "direct-source-reference": (_run_direct_source_batch, frozenset({"rounds"})),
-    "silent-wait": (_run_silent_wait_batch, frozenset({"threshold", "max_rounds"})),
 }
 
 
+def _baseline_options(protocol: Type[BaselineProtocol]) -> frozenset:
+    """The options a baseline recognises: its dataclass fields."""
+    return frozenset(option.name for option in fields(protocol))
+
+
 def batchable_baselines() -> List[str]:
-    """Sorted names of the baseline protocols with a batched step rule."""
-    return sorted(_BASELINE_BATCH_RULES)
+    """Sorted names of the baseline protocols :func:`run_baseline_batch` runs."""
+    return sorted(_BASELINES)
 
 
 def run_baseline_batch(
@@ -895,17 +516,12 @@ def run_baseline_batch(
 ) -> BatchBaselineResult:
     """Simulate ``num_replicates`` independent runs of a baseline protocol at once.
 
-    This is the batched counterpart of running a
-    :class:`~repro.protocols.base.BaselineProtocol` once per trial on its own
-    :class:`~repro.substrate.engine.SimulationEngine`: the protocol is looked
-    up by its class's ``name`` and advanced for all replicates
-    simultaneously on ``(R, n)`` grids, one
-    :meth:`~repro.substrate.network.PushGossipNetwork.deliver_batch` (or
-    :meth:`~repro.substrate.noise.NoiseChannel.transmit_batch`) call per
-    round.  Per-replicate dynamics are statistically equivalent to the serial
-    protocol classes — same step rule, same budgets, same stopping checks —
-    under the batching module's usual determinism contract (one batch-level
-    random stream; see the module docstring).
+    The protocol is looked up by its class's ``name``, built from
+    ``options`` (which validates them) and advanced for all replicates
+    simultaneously by its step rule,
+    :meth:`~repro.protocols.base.BaselineProtocol.simulate`.  A serial trial
+    is this call at ``num_replicates=1`` under the trial's own seed
+    (:func:`replicate_trial`).
 
     Parameters
     ----------
@@ -924,18 +540,18 @@ def run_baseline_batch(
     allow_self_messages:
         Allow agents to push messages to themselves.
     options:
-        Protocol-specific settings mirroring the serial dataclass fields
-        (``max_rounds``/``keep_first_opinion`` for immediate forwarding,
-        ``max_rounds``/``check_every`` for the noisy voter, ``rounds`` for
-        the direct-source reference).  ``None`` values mean "use the
-        protocol's default"; unrecognised names raise
+        The protocol's dataclass fields (``max_rounds``/``keep_first_opinion``
+        for immediate forwarding, ``max_rounds``/``check_every`` for the
+        noisy voter, ``rounds`` for the direct-source reference,
+        ``threshold``/``max_rounds`` for silent wait).  ``None`` values mean
+        "use the protocol's default"; other names raise
         :class:`~repro.errors.ExperimentError`.
     """
     if num_replicates < 1:
         raise ExperimentError("num_replicates must be at least 1")
     correct_opinion = validate_opinion(correct_opinion)
     try:
-        rule, recognised_options = _BASELINE_BATCH_RULES[protocol]
+        protocol_class = _BASELINES[protocol]
     except KeyError:
         raise ExperimentError(
             f"unknown baseline {protocol!r}; batchable baselines are "
@@ -943,25 +559,26 @@ def run_baseline_batch(
         ) from None
 
     settings = {key: value for key, value in options.items() if value is not None}
+    recognised_options = _baseline_options(protocol_class)
     unrecognised = sorted(set(settings) - recognised_options)
     if unrecognised:
         raise ExperimentError(
             f"batched baseline {protocol!r} has unrecognised option(s) {unrecognised}; "
             f"recognised options are {sorted(recognised_options)}"
         )
+    rule = protocol_class(**settings)
     if channel is None:
         channel = BinarySymmetricChannel(epsilon=epsilon)
 
     rng = spawn_generator(base_seed, "batch-baseline", protocol, n)
     network = PushGossipNetwork(size=n, allow_self_messages=allow_self_messages)
-    return rule(
+    return rule.simulate(
         n=n,
         num_replicates=num_replicates,
         network=network,
         channel=channel,
         rng=rng,
         correct_opinion=correct_opinion,
-        **settings,
     )
 
 
@@ -1004,6 +621,52 @@ def run_batch_cell(
     return ExperimentResult.from_trials(name, config, seeds, rows)
 
 
+def replicate_trial(
+    seed: int, _index: int, batch_fn: Callable[..., Any], **settings: Any
+) -> Dict[str, Any]:
+    """One serial trial: ``batch_fn``'s rule at ``R = 1`` under the trial's seed.
+
+    Module-level, so a ``functools.partial`` of it is a picklable
+    ``run_trials`` trial function, and the trial replays by itself from its
+    seed.
+    """
+    return batch_fn(num_replicates=1, base_seed=seed, **settings).measurements(0)
+
+
+def cell_task(
+    name: str,
+    batch_fn: Callable[..., Any],
+    num_trials: int,
+    base_seed: int,
+    batch: bool,
+    **settings: Any,
+) -> Tuple[Callable[..., Any], Dict[str, Any]]:
+    """The ``(fn, kwargs)`` task that runs every trial of cell ``name``.
+
+    With ``batch`` the trials share one grid (:func:`run_batch_cell`);
+    otherwise each trial is ``batch_fn`` at ``R = 1`` under its own trial
+    seed (:func:`replicate_trial` under
+    :func:`~repro.analysis.experiments.run_trials`).  Either way the rule is
+    ``batch_fn``'s and the rows carry its measurement keys.
+    """
+    if batch:
+        return run_batch_cell, {
+            "name": name,
+            "batch_fn": batch_fn,
+            "num_trials": num_trials,
+            "base_seed": base_seed,
+            **settings,
+        }
+    from ..analysis.experiments import run_trials
+
+    return run_trials, {
+        "name": name,
+        "trial_fn": functools.partial(replicate_trial, batch_fn=batch_fn, **settings),
+        "num_trials": num_trials,
+        "base_seed": base_seed,
+    }
+
+
 # ----------------------------------------------------------------------
 # Sweep dispatch: full settings forwarding plus point-level parallelism
 # ----------------------------------------------------------------------
@@ -1034,7 +697,7 @@ _SWEEP_SETTINGS: Dict[Callable[..., Any], Tuple[Tuple[str, ...], frozenset]] = {
     run_baseline_batch: (
         ("n", "epsilon", "protocol"),
         frozenset({"correct_opinion", "allow_self_messages"}).union(
-            *(options for _, options in _BASELINE_BATCH_RULES.values())
+            *(_baseline_options(protocol) for protocol in _BASELINES.values())
         ),
     ),
 }

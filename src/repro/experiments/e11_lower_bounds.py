@@ -15,11 +15,11 @@ The driver measures both reference points in the simulator:
   pushes, one message per round): completing the broadcast takes a factor
   ``~n`` longer, matching ``Theta(n log n / eps^2)``.
 
-With ``batch=True`` each scheme simulates all of its trials at once through
-the batched baseline rules (:func:`repro.exec.batching.run_baseline_batch`
-with the ``direct-source-reference`` and ``silent-wait`` step rules).  On
-either path the two independent scheme cells are separate tasks, so a pool
-backend runs them concurrently.
+Both schemes run their one rule (in :mod:`repro.protocols`) through
+:func:`repro.exec.batching.run_baseline_batch`: serially once per trial at
+``R = 1`` under the trial's own seed, and with ``batch=True`` all trials of
+a scheme at once over one shared grid.  On either path the two independent
+scheme cells are separate tasks, so a pool backend runs them concurrently.
 
 Reporting convention (never-converged trials)
 ---------------------------------------------
@@ -35,64 +35,14 @@ counted at their round budget.  The same convention applies in
 
 from __future__ import annotations
 
-import functools
-from typing import Any, Callable, Dict, List, Optional, Tuple, Union
+from typing import Optional, Union
 
-from ..analysis.experiments import run_trials
 from ..api.config import ExecutionConfig, ExecutionPlan, resolve_run_options
 from ..core.theory import broadcast_round_bound, silent_wait_round_bound
-from ..protocols.direct_source import DirectSourceReference
-from ..protocols.silent_wait import SilentWaitBroadcast, default_decision_threshold
-from ..substrate.engine import SimulationEngine
+from ..protocols.silent_wait import default_decision_threshold
 from .report import ExperimentReport
 
 __all__ = ["run"]
-
-
-def _direct_trial(seed: int, _index: int, n: int, epsilon: float) -> dict:
-    """One direct-from-source reference run (module-level, hence picklable).
-
-    ``rounds_to_all_correct`` is ``None`` (not the sampling budget) when the
-    running majority never went all-correct — see the module docstring.
-    """
-    engine = SimulationEngine.create(n=n, epsilon=epsilon, seed=seed)
-    result = DirectSourceReference().run(engine, correct_opinion=1)
-    first_all_correct = result.extra["first_all_correct_round"]
-    return {
-        "rounds_to_all_correct": first_all_correct,
-        "all_correct": first_all_correct is not None,
-        "success": result.success,
-    }
-
-
-def _silent_trial(seed: int, _index: int, n: int, epsilon: float, threshold: int) -> dict:
-    """One listen-only (silent-wait) run (module-level, hence picklable).
-
-    ``first_two_messages_round`` is ``None`` when no agent ever heard two
-    messages (rather than a fake round 0), so it drops out of means instead
-    of dragging them towards zero.
-    """
-    engine = SimulationEngine.create(n=n, epsilon=epsilon, seed=seed)
-    result = SilentWaitBroadcast(threshold=threshold).run(engine, correct_opinion=1)
-    return {
-        "rounds": result.rounds,
-        "success": result.success,
-        "decided_fraction": result.extra["decided_fraction"],
-        "first_two_messages_round": result.extra["first_round_with_two_messages"],
-    }
-
-
-def _silent_rows(batch: "Any") -> List[dict]:
-    """Every replicate of a silent-wait batch, keyed like :func:`_silent_trial`.
-
-    The batched rule's extra vector is named after the serial protocol's
-    internal marker (``first_round_with_two_messages``); the serial E11
-    trial records it as ``first_two_messages_round``.
-    """
-    rows = [batch.measurements(index) for index in range(batch.num_replicates)]
-    for row in rows:
-        row["first_two_messages_round"] = row.pop("first_round_with_two_messages")
-    return rows
 
 
 def run(
@@ -105,11 +55,12 @@ def run(
     """Run the E11 reference measurements and return its report.
 
     ``config`` carries the execution strategy.  ``batch=True`` simulates all
-    trials of each scheme at once via the batched baseline rules.  The two
-    scheme cells are tasks on the run's execution backend, with results
-    assembled in scheme order.
+    trials of each scheme at once; serially each trial is the scheme's rule
+    at ``R = 1``.  The two scheme cells are tasks on the run's execution
+    backend, with results assembled in scheme order.
     """
     from ..exec import pool
+    from ..exec.batching import cell_task, run_baseline_batch
 
     plan = resolve_run_options("E11", config=config)
     batch = plan.batch
@@ -123,64 +74,19 @@ def run(
     )
 
     threshold = default_decision_threshold(n, epsilon, constant=2.0)
+    shared = {"n": n, "epsilon": epsilon}
+    tasks = [
+        cell_task(
+            "E11-direct-source", run_baseline_batch, trials, base_seed, batch,
+            protocol="direct-source-reference", **shared,
+        ),
+        cell_task(
+            "E11-silent-wait", run_baseline_batch, trials, base_seed, batch,
+            protocol="silent-wait", threshold=threshold, **shared,
+        ),
+    ]
 
-    tasks: List[Tuple[str, Callable[..., Any], Dict[str, Any]]]
-    if batch:
-        from ..exec.batching import run_baseline_batch, run_batch_cell
-
-        shared = {
-            "batch_fn": run_baseline_batch,
-            "num_trials": trials,
-            "base_seed": base_seed,
-            "n": n,
-            "epsilon": epsilon,
-        }
-        tasks = [
-            (
-                "direct",
-                run_batch_cell,
-                {"name": "E11-direct-source", "protocol": "direct-source-reference", **shared},
-            ),
-            (
-                "silent",
-                run_batch_cell,
-                {
-                    "name": "E11-silent-wait",
-                    "protocol": "silent-wait",
-                    "threshold": threshold,
-                    "measure": _silent_rows,
-                    **shared,
-                },
-            ),
-        ]
-    else:
-        tasks = [
-            (
-                "direct",
-                run_trials,
-                {
-                    "name": "E11-direct-source",
-                    "trial_fn": functools.partial(_direct_trial, n=n, epsilon=epsilon),
-                    "num_trials": trials,
-                    "base_seed": base_seed,
-                },
-            ),
-            (
-                "silent",
-                run_trials,
-                {
-                    "name": "E11-silent-wait",
-                    "trial_fn": functools.partial(
-                        _silent_trial, n=n, epsilon=epsilon, threshold=threshold
-                    ),
-                    "num_trials": trials,
-                    "base_seed": base_seed,
-                },
-            ),
-        ]
-
-    results = pool.run_point_tasks([(fn, kwargs) for _, fn, kwargs in tasks])
-    direct, silent = results
+    direct, silent = pool.run_point_tasks(tasks)
 
     # Never-converged trials are excluded from the rounds mean (NaN when no
     # trial converged) and reported through all_correct_rate instead; see the

@@ -27,17 +27,18 @@ Fault-model conventions
   agents only (a dead agent has no opinion to be wrong about); the
   all-agents fraction is still reported for comparability with E1.
 
-Both protocols have a batched ``(R, n)`` rule, differentially pinned
-against the serial trials in ``tests/unit/exec/test_fault_batching.py``:
-the paper's protocol is :func:`repro.exec.batching.run_broadcast_batch`
-with ``model=``, the comparator
-:func:`repro.exec.fault_batching.run_consensus_comparator_batch`.
+The paper's protocol has a batched ``(R, n)`` rule,
+:func:`repro.exec.batching.run_broadcast_batch` with ``model=``, pinned
+statistically against its serial engine in
+``tests/unit/exec/test_fault_batching.py``.  The comparator has one rule,
+:func:`repro.protocols.fault_tolerant.run_consensus_comparator_batch`: a
+serial trial runs it at ``R = 1`` under the trial's own seed, a batched cell
+over one shared grid.
 """
 
 from __future__ import annotations
 
 import functools
-import math
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..analysis.experiments import ExperimentResult, run_trials
@@ -45,10 +46,9 @@ from ..api.config import ExecutionConfig, ExecutionPlan, resolve_run_options
 from ..core.broadcast import NoisyBroadcastProtocol
 from ..core.parameters import ProtocolParameters
 from ..errors import ExperimentError
-from ..protocols.fault_tolerant import PhasedApproximateConsensus, declared_fault_tolerance
+from ..protocols.fault_tolerant import declared_fault_tolerance, run_consensus_comparator_batch
 from ..substrate.engine import SimulationEngine
 from ..substrate.faults import ByzantineSenders, CrashStop, FaultModel
-from ..substrate.rng import spawn_generator
 from .report import ExperimentReport
 
 __all__ = ["run", "paper_fault_model", "comparator_fault_model"]
@@ -128,38 +128,12 @@ def _paper_trial(
     }
 
 
-def _consensus_trial(
-    seed: int, _index: int, n: int, model: Optional[FaultModel], agreement_eps: float
-) -> dict:
-    """One run of the phased-consensus comparator (module-level, picklable).
-
-    Honest randomness and fault randomness come from separately spawned
-    streams — the same dedicated-stream discipline as the gossip substrate.
-    """
-    algorithm = PhasedApproximateConsensus(
-        initial_range=INITIAL_RANGE, agreement_eps=agreement_eps
-    )
-    outcome = algorithm.run(
-        n,
-        model,
-        spawn_generator(seed, "consensus", n),
-        spawn_generator(seed, "consensus-faults", n),
-    )
-    return {
-        "success": outcome.success,
-        "fraction": outcome.agreement_fraction,
-        "rounds": outcome.phases,
-        "spread": outcome.spread if math.isfinite(outcome.spread) else None,
-        "num_faulty": outcome.num_faulty,
-    }
-
-
 def _task_name(protocol: str, fraction: float) -> str:
     """The ``run_trials`` experiment name of one (protocol, fraction) cell."""
     return f"E12-{protocol}-f={fraction}"
 
 
-def _serial_tasks(
+def _tasks(
     n: int,
     epsilon: float,
     fraction: float,
@@ -168,79 +142,56 @@ def _serial_tasks(
     consensus_eps: float,
     trials: int,
     base_seed: int,
+    batch: bool,
 ) -> List[Tuple[str, Callable[..., Any], Dict[str, Any]]]:
-    """The per-protocol serial ``run_trials`` tasks of one fraction, in row order."""
-    trial_fns: Dict[str, Callable[..., Any]] = {
-        "breathe-before-speaking": functools.partial(
-            _paper_trial,
+    """The per-protocol tasks of one fraction, in row order.
+
+    The comparator runs its rule through
+    :func:`~repro.exec.batching.cell_task`: one shared grid when ``batch``,
+    otherwise the rule at ``R = 1`` per trial seed.  The paper's protocol
+    runs :func:`~repro.exec.batching.run_broadcast_batch` batched and one
+    engine per trial serially.
+    """
+    from ..exec.batching import cell_task, run_broadcast_batch
+
+    paper = PROTOCOL_ORDER[0]
+    paper_model = paper_fault_model(fault_kind, fraction, crash_probability)
+    if batch:
+        paper_task = cell_task(
+            _task_name(paper, fraction),
+            run_broadcast_batch,
+            trials,
+            base_seed,
+            True,
             n=n,
             epsilon=epsilon,
-            model=paper_fault_model(fault_kind, fraction, crash_probability),
-        ),
-        "phased-approximate-consensus": functools.partial(
-            _consensus_trial,
-            n=n,
-            model=comparator_fault_model(fault_kind, fraction, crash_probability),
-            agreement_eps=consensus_eps,
-        ),
-    }
-    return [
-        (
-            protocol,
+            model=paper_model,
+        )
+    else:
+        paper_task = (
             run_trials,
             {
-                "name": _task_name(protocol, fraction),
-                "trial_fn": trial_fns[protocol],
+                "name": _task_name(paper, fraction),
+                "trial_fn": functools.partial(
+                    _paper_trial, n=n, epsilon=epsilon, model=paper_model
+                ),
                 "num_trials": trials,
                 "base_seed": base_seed,
             },
         )
-        for protocol in PROTOCOL_ORDER
-    ]
-
-
-def _batch_tasks(
-    n: int,
-    epsilon: float,
-    fraction: float,
-    fault_kind: str,
-    crash_probability: float,
-    consensus_eps: float,
-    trials: int,
-    base_seed: int,
-) -> List[Tuple[str, Callable[..., Any], Dict[str, Any]]]:
-    """The per-protocol :func:`~repro.exec.batching.run_batch_cell` tasks of
-    one fraction, in row order, named like the serial cells."""
-    from ..exec.batching import run_batch_cell, run_broadcast_batch
-    from ..exec.fault_batching import run_consensus_comparator_batch
-
-    cells: Dict[str, Dict[str, Any]] = {
-        "breathe-before-speaking": {
-            "batch_fn": run_broadcast_batch,
-            "epsilon": epsilon,
-            "model": paper_fault_model(fault_kind, fraction, crash_probability),
-        },
-        "phased-approximate-consensus": {
-            "batch_fn": run_consensus_comparator_batch,
-            "model": comparator_fault_model(fault_kind, fraction, crash_probability),
-            "initial_range": INITIAL_RANGE,
-            "agreement_eps": consensus_eps,
-        },
-    }
-    return [
-        (
-            protocol,
-            run_batch_cell,
-            {
-                "name": _task_name(protocol, fraction),
-                "num_trials": trials,
-                "base_seed": base_seed,
-                "n": n,
-                **cells[protocol],
-            },
-        )
-        for protocol in PROTOCOL_ORDER
-    ]
+    comparator = PROTOCOL_ORDER[1]
+    comparator_task = cell_task(
+        _task_name(comparator, fraction),
+        run_consensus_comparator_batch,
+        trials,
+        base_seed,
+        batch,
+        n=n,
+        model=comparator_fault_model(fault_kind, fraction, crash_probability),
+        initial_range=INITIAL_RANGE,
+        agreement_eps=consensus_eps,
+    )
+    return [(paper, *paper_task), (comparator, *comparator_task)]
 
 
 def _add_protocol_row(
@@ -290,7 +241,8 @@ def run(
     injected ``f``).  ``batch=True`` simulates all trials of each
     (fraction, protocol) cell at once via
     :func:`repro.exec.batching.run_broadcast_batch` (``model=``) /
-    :func:`repro.exec.fault_batching.run_consensus_comparator_batch`.  The
+    :func:`repro.protocols.fault_tolerant.run_consensus_comparator_batch`;
+    serially the comparator runs that rule once per trial at ``R = 1``.  The
     cells are tasks on the run's execution backend, results assembled in
     row order.
     """
@@ -321,12 +273,12 @@ def run(
         },
     )
 
-    make_tasks = _batch_tasks if batch else _serial_tasks
     tasks: List[Tuple[float, str, Callable[..., Any], Dict[str, Any]]] = [
         (fraction, protocol, fn, kwargs)
         for fraction in fault_fractions
-        for protocol, fn, kwargs in make_tasks(
-            n, epsilon, fraction, fault_kind, crash_probability, consensus_eps, trials, base_seed
+        for protocol, fn, kwargs in _tasks(
+            n, epsilon, fraction, fault_kind, crash_probability, consensus_eps, trials,
+            base_seed, batch,
         )
     ]
 

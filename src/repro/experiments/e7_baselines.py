@@ -13,6 +13,11 @@ The paper's protocol, in contrast, reaches full correct consensus in
 idealised direct-from-source reference) on identical instances and reports
 final correct fraction, success rate, and rounds used.
 
+Each comparator has one rule, in :mod:`repro.protocols`, run through
+:func:`repro.exec.batching.run_baseline_batch`: a serial trial is the rule
+at ``R = 1`` under the trial's own seed, a batched cell the same rule over
+one shared grid.
+
 Reporting convention (never-converged trials)
 ---------------------------------------------
 ``mean_rounds`` averages only over trials that *converged* — i.e. met the
@@ -35,10 +40,6 @@ from ..analysis.experiments import ExperimentResult, run_trials
 from ..api.config import ExecutionConfig, ExecutionPlan, resolve_run_options
 from ..core.broadcast import solve_noisy_broadcast
 from ..core.theory import expected_relay_depth, hop_correct_probability
-from ..protocols.direct_source import DirectSourceReference
-from ..protocols.naive_forward import ImmediateForwardingBroadcast
-from ..protocols.noisy_voter import NoisyVoterBroadcast
-from ..substrate.engine import SimulationEngine
 from .report import ExperimentReport
 
 __all__ = ["run"]
@@ -64,125 +65,58 @@ def _paper_trial(seed: int, _index: int, n: int, epsilon: float) -> dict:
     }
 
 
-def _forwarding_trial(seed: int, _index: int, n: int, epsilon: float) -> dict:
-    """One run of the immediate-forwarding baseline (module-level, picklable).
-
-    ``converged`` records whether the rumor reached everyone within the
-    budget (reach, not correctness); the budget always runs to completion.
-    """
-    engine = SimulationEngine.create(n=n, epsilon=epsilon, seed=seed)
-    result = ImmediateForwardingBroadcast().run(engine, correct_opinion=1)
-    return {
-        "fraction": result.final_correct_fraction,
-        "success": result.success,
-        "rounds": result.rounds,
-        "converged": result.converged,
-    }
-
-
-def _voter_trial(seed: int, _index: int, n: int, epsilon: float, voter_rounds: int) -> dict:
-    """One run of the noisy-voter baseline (module-level, hence picklable).
-
-    ``rounds_converged`` is the round count when the dynamics reached full
-    correct consensus and ``None`` when the budget was exhausted, so means
-    over it never conflate the two (see the module docstring).
-    """
-    engine = SimulationEngine.create(n=n, epsilon=epsilon, seed=seed)
-    result = NoisyVoterBroadcast(max_rounds=voter_rounds).run(engine, correct_opinion=1)
-    return {
-        "fraction": result.final_correct_fraction,
-        "success": result.success,
-        "rounds": result.rounds,
-        "converged": result.converged,
-        "rounds_converged": result.rounds if result.converged else None,
-    }
-
-
-def _direct_trial(seed: int, _index: int, n: int, epsilon: float) -> dict:
-    """One run of the idealised direct-from-source reference (module-level, picklable).
-
-    ``rounds_to_all_correct`` is the first round at which every agent's
-    running majority was correct — explicitly ``None`` (not the sampling
-    budget) when that never happened, checked with ``is None`` rather than
-    truthiness so a legitimate round number is never mistaken for "never".
-    """
-    engine = SimulationEngine.create(n=n, epsilon=epsilon, seed=seed)
-    result = DirectSourceReference().run(engine, correct_opinion=1)
-    first_all_correct = result.extra["first_all_correct_round"]
-    return {
-        "fraction": result.final_correct_fraction,
-        "success": result.success,
-        "rounds": result.rounds,
-        "rounds_to_all_correct": first_all_correct,
-        "all_correct": first_all_correct is not None,
-    }
-
-
-def _serial_tasks(
-    n: int, epsilon: float, trials: int, voter_rounds: int, base_seed: int
+def _tasks(
+    n: int, epsilon: float, trials: int, voter_rounds: int, base_seed: int, batch: bool
 ) -> List[Tuple[str, Callable[..., Any], Dict[str, Any]]]:
-    """The per-protocol serial ``run_trials`` tasks of one epsilon, in row order."""
-    trial_fns: Dict[str, Callable[..., Any]] = {
-        "breathe-before-speaking": functools.partial(_paper_trial, n=n, epsilon=epsilon),
-        "immediate-forwarding": functools.partial(_forwarding_trial, n=n, epsilon=epsilon),
-        "noisy-voter": functools.partial(
-            _voter_trial, n=n, epsilon=epsilon, voter_rounds=voter_rounds
-        ),
-        "direct-source-reference": functools.partial(_direct_trial, n=n, epsilon=epsilon),
-    }
-    return [
-        (
-            protocol,
+    """The per-protocol tasks of one epsilon, in row order.
+
+    The comparator rows run their rule through
+    :func:`~repro.exec.batching.cell_task`: one shared grid when ``batch``,
+    otherwise the rule at ``R = 1`` per trial seed.  The paper's protocol
+    runs :func:`~repro.exec.batching.run_broadcast_batch` batched and one
+    engine per trial serially.
+    """
+    from ..exec.batching import cell_task, run_baseline_batch, run_broadcast_batch
+
+    def cell_name(protocol: str) -> str:
+        return f"E7-{protocol}-eps={epsilon}"
+
+    paper = PROTOCOL_ORDER[0]
+    if batch:
+        paper_task = cell_task(
+            cell_name(paper), run_broadcast_batch, trials, base_seed, True, n=n, epsilon=epsilon
+        )
+    else:
+        paper_task = (
             run_trials,
             {
-                "name": f"E7-{protocol}-eps={epsilon}",
-                "trial_fn": trial_fns[protocol],
+                "name": cell_name(paper),
+                "trial_fn": functools.partial(_paper_trial, n=n, epsilon=epsilon),
                 "num_trials": trials,
                 "base_seed": base_seed,
             },
         )
-        for protocol in PROTOCOL_ORDER
-    ]
-
-
-def _batch_tasks(
-    n: int, epsilon: float, trials: int, voter_rounds: int, base_seed: int
-) -> List[Tuple[str, Callable[..., Any], Dict[str, Any]]]:
-    """The per-protocol :func:`~repro.exec.batching.run_batch_cell` tasks of
-    one epsilon, in row order, named like the serial cells."""
-    from ..exec.batching import run_baseline_batch, run_batch_cell, run_broadcast_batch
-
-    cells: Dict[str, Dict[str, Any]] = {
-        "breathe-before-speaking": {"batch_fn": run_broadcast_batch},
-        "immediate-forwarding": {
-            "batch_fn": run_baseline_batch,
-            "protocol": "immediate-forwarding",
-        },
-        "noisy-voter": {
-            "batch_fn": run_baseline_batch,
-            "protocol": "noisy-voter",
-            "max_rounds": voter_rounds,
-        },
-        "direct-source-reference": {
-            "batch_fn": run_baseline_batch,
-            "protocol": "direct-source-reference",
-        },
+    # Each comparator row's rule options, besides n and epsilon.
+    comparators: Dict[str, Dict[str, Any]] = {
+        "immediate-forwarding": {},
+        "noisy-voter": {"max_rounds": voter_rounds},
+        "direct-source-reference": {},
     }
-    return [
-        (
-            protocol,
-            run_batch_cell,
-            {
-                "name": f"E7-{protocol}-eps={epsilon}",
-                "num_trials": trials,
-                "base_seed": base_seed,
-                "n": n,
-                "epsilon": epsilon,
-                **cells[protocol],
-            },
+    tasks = [(paper, *paper_task)]
+    for protocol, options in comparators.items():
+        fn, kwargs = cell_task(
+            cell_name(protocol),
+            run_baseline_batch,
+            trials,
+            base_seed,
+            batch,
+            protocol=protocol,
+            n=n,
+            epsilon=epsilon,
+            **options,
         )
-        for protocol in PROTOCOL_ORDER
-    ]
+        tasks.append((protocol, fn, kwargs))
+    return tasks
 
 
 def _add_protocol_row(
@@ -228,7 +162,8 @@ def run(
     trials of each (epsilon, protocol) cell at once via
     :func:`repro.exec.batching.run_broadcast_batch` (the paper's protocol)
     and :func:`repro.exec.batching.run_baseline_batch` (the Section 1.6
-    comparators).  The cells are tasks on the run's execution backend;
+    comparators); serially the comparators run the same rule once per trial
+    at ``R = 1``.  The cells are tasks on the run's execution backend;
     results are assembled in row order so they are identical on every
     backend.
 
@@ -256,11 +191,10 @@ def run(
         },
     )
 
-    make_tasks = _batch_tasks if batch else _serial_tasks
     tasks: List[Tuple[float, str, Callable[..., Any], Dict[str, Any]]] = [
         (epsilon, protocol, fn, kwargs)
         for epsilon in epsilons
-        for protocol, fn, kwargs in make_tasks(n, epsilon, trials, voter_rounds, base_seed)
+        for protocol, fn, kwargs in _tasks(n, epsilon, trials, voter_rounds, base_seed, batch)
     ]
 
     results = pool.run_point_tasks([(fn, kwargs) for _, _, fn, kwargs in tasks])

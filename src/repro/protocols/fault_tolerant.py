@@ -21,35 +21,29 @@ synchronous simulation conventions:
 * success means the spread (max - min) of the correct, surviving servers'
   values is at most ``eps`` after the phase budget.
 
-The serial implementation here is the differential reference for the batched
-``(R, n)`` rule in :mod:`repro.exec.fault_batching`: phase budgets agree
-exactly, success rates statistically (pinned by
-``tests/unit/exec/test_fault_batching.py``).
+The rule, :func:`run_consensus_comparator_batch`, runs ``R`` instances at
+once on ``(R, n)`` grids; a serial E12 trial is the same rule at ``R = 1``
+under the trial's own seed.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Any, Dict, Optional
 
 import numpy as np
 
-from ..errors import ParameterError
-from ..substrate.faults import (
-    ByzantineSenders,
-    CrashStop,
-    FaultInjector,
-    FaultModel,
-    NoFaults,
-    build_injector,
-)
+from ..errors import ExperimentError, ParameterError
+from ..substrate.faults import ByzantineSenders, CrashStop, FaultModel, build_injector
+from ..substrate.rng import spawn_generator
 
 __all__ = [
     "declared_fault_tolerance",
     "consensus_phase_budget",
-    "ConsensusOutcome",
     "PhasedApproximateConsensus",
+    "BatchConsensusResult",
+    "run_consensus_comparator_batch",
 ]
 
 
@@ -94,44 +88,20 @@ def consensus_phase_budget(
 
 
 @dataclass(frozen=True)
-class ConsensusOutcome:
-    """Outcome of one phased approximate-consensus run.
-
-    ``success`` is the snippet's agreement criterion (spread of correct
-    survivors at most ``agreement_eps``); ``agreement_fraction`` is the
-    fraction of correct survivors within ``agreement_eps`` of their mean —
-    the graded analogue reported by E12's tables.
-    """
-
-    success: bool
-    spread: float
-    phases: int
-    num_faulty: int
-    agreement_fraction: float
-    stalled_phases: int
-
-
 class PhasedApproximateConsensus:
-    """Serial synchronous port of the ``AlgorithmTwo`` comparator.
+    """Configuration of the ``AlgorithmTwo`` comparator.
 
-    Construct once (the instance is immutable configuration) and call
-    :meth:`run` per trial with fresh generators; nothing is shared between
-    runs, so the class is trivially picklable for the process-pool runner.
+    Validated on construction; :meth:`phase_budget` is the phase count the
+    rule (:func:`run_consensus_comparator_batch`) runs for.
     """
 
-    name = "phased-approximate-consensus"
+    initial_range: float = 1.0
+    agreement_eps: float = 0.05
+    max_phases: int = 64
 
-    def __init__(
-        self,
-        initial_range: float = 1.0,
-        agreement_eps: float = 0.05,
-        max_phases: int = 64,
-    ) -> None:
-        if initial_range <= 0:
-            raise ParameterError(f"initial_range must be positive, got {initial_range}")
-        self.initial_range = float(initial_range)
-        self.agreement_eps = float(agreement_eps)
-        self.max_phases = int(max_phases)
+    def __post_init__(self) -> None:
+        if self.initial_range <= 0:
+            raise ParameterError(f"initial_range must be positive, got {self.initial_range}")
         # Validate eagerly so a bad configuration fails at construction.
         consensus_phase_budget(2, 0, self.initial_range, self.agreement_eps, self.max_phases)
 
@@ -145,64 +115,128 @@ class PhasedApproximateConsensus:
             self.max_phases,
         )
 
-    def run(
-        self,
-        n: int,
-        model: Optional[FaultModel],
-        rng: np.random.Generator,
-        fault_rng: np.random.Generator,
-    ) -> ConsensusOutcome:
-        """Run one instance: ``n`` servers, faults per ``model``.
 
-        ``rng`` supplies the honest randomness (initial values); every fault
-        decision and Byzantine fake value comes from ``fault_rng`` — the same
-        dedicated-stream discipline as the gossip substrate.
-        """
-        if model is None:
-            model = NoFaults()
-        num_faulty = declared_fault_tolerance(model, n)
-        phases = self.phase_budget(n, model)
-        injector: Optional[FaultInjector] = build_injector(model, n, fault_rng)
-        values = rng.random(n) * self.initial_range
+@dataclass(frozen=True)
+class BatchConsensusResult:
+    """Per-replicate outcomes of the batched approximate-consensus comparator.
 
-        byzantine = (
-            injector.byzantine[0].copy()
-            if injector is not None
-            else np.zeros(n, dtype=bool)
-        )
-        num_byzantine = int(byzantine.sum())
-        stalled = 0
-        for _ in range(phases):
-            if injector is not None:
-                injector.begin_round()
-            alive = ~injector.crashed[0] if injector is not None else np.ones(n, dtype=bool)
-            correct_alive = alive & ~byzantine
-            received = int(correct_alive.sum()) + num_byzantine
-            if received < n - num_faulty or not correct_alive.any():
-                stalled += 1
-                continue
-            honest_sum = float(values[correct_alive].sum())
-            if num_byzantine:
-                # One independent fake per (Byzantine sender, receiver) pair:
-                # the equivocation adversary, drawn from the fault stream.
-                fakes = fault_rng.random((num_byzantine, n)) * self.initial_range
-                fake_sums = fakes.sum(axis=0)
-            else:
-                fake_sums = np.zeros(n)
-            averaged = (honest_sum + fake_sums) / received
-            values = np.where(correct_alive, averaged, values)
+    Attributes
+    ----------
+    n:
+        Number of servers.
+    phases:
+        Phase budget ``p_end`` (identical for every replicate: it depends
+        only on ``(n, f, initial_range, agreement_eps)``).
+    num_faulty:
+        The declared fault tolerance ``f``.
+    success:
+        ``(R,)`` boolean vector: spread of correct survivors at most
+        ``agreement_eps``.
+    spread:
+        ``(R,)`` final spreads (``inf`` where no correct server survived).
+    agreement_fraction:
+        ``(R,)`` fraction of correct survivors within ``agreement_eps`` of
+        their mean.
+    """
 
-        final_alive = ~injector.crashed[0] if injector is not None else np.ones(n, dtype=bool)
-        survivors = values[final_alive & ~byzantine]
-        if survivors.size == 0:
-            return ConsensusOutcome(False, float("inf"), phases, num_faulty, 0.0, stalled)
-        spread = float(survivors.max() - survivors.min())
-        near_mean = np.abs(survivors - survivors.mean()) <= self.agreement_eps
-        return ConsensusOutcome(
-            success=spread <= self.agreement_eps,
-            spread=spread,
-            phases=phases,
-            num_faulty=num_faulty,
-            agreement_fraction=float(near_mean.mean()),
-            stalled_phases=stalled,
-        )
+    n: int
+    phases: int
+    num_faulty: int
+    success: np.ndarray
+    spread: np.ndarray
+    agreement_fraction: np.ndarray
+
+    @property
+    def num_replicates(self) -> int:
+        """Number of replicates ``R`` in the batch."""
+        return int(self.success.size)
+
+    def measurements(self, index: int) -> Dict[str, Any]:
+        """Replicate ``index`` as a trial-measurement mapping (E12 comparator keys)."""
+        spread = float(self.spread[index])
+        return {
+            "rounds": int(self.phases),
+            "success": bool(self.success[index]),
+            "fraction": float(self.agreement_fraction[index]),
+            "spread": spread if np.isfinite(spread) else None,
+            "num_faulty": int(self.num_faulty),
+        }
+
+
+def run_consensus_comparator_batch(
+    n: int,
+    num_replicates: int,
+    model: Optional[FaultModel] = None,
+    base_seed: int = 0,
+    initial_range: float = 1.0,
+    agreement_eps: float = 0.05,
+    max_phases: int = 64,
+) -> BatchConsensusResult:
+    """Run ``R`` phased approximate-consensus instances at once.
+
+    Per phase every correct surviving server averages the honest values plus
+    one per-receiver Byzantine fake sum, provided at least ``n - f`` servers
+    were heard; otherwise it stalls for the phase.  Honest randomness (the
+    initial values) comes from the ``"batch-consensus"`` stream, every fault
+    decision and fake value from ``"batch-consensus-faults"`` — the same
+    dedicated-stream discipline as the gossip substrate.
+    """
+    if num_replicates < 1:
+        raise ExperimentError("num_replicates must be at least 1")
+    algorithm = PhasedApproximateConsensus(
+        initial_range=initial_range, agreement_eps=agreement_eps, max_phases=max_phases
+    )
+    num_faulty = declared_fault_tolerance(model, n)
+    phases = algorithm.phase_budget(n, model)
+
+    rng = spawn_generator(base_seed, "batch-consensus", n)
+    fault_rng = spawn_generator(base_seed, "batch-consensus-faults", n)
+    injector = build_injector(model, n, fault_rng, num_replicates=num_replicates)
+
+    values = rng.random((num_replicates, n)) * initial_range
+    if injector is not None:
+        byzantine = injector.byzantine.copy()
+    else:
+        byzantine = np.zeros((num_replicates, n), dtype=bool)
+    num_byzantine = byzantine.sum(axis=1)
+
+    for _ in range(phases):
+        if injector is not None:
+            injector.begin_round()
+        alive = injector.alive_mask() if injector is not None else np.ones_like(byzantine)
+        correct_alive = alive & ~byzantine
+        received = correct_alive.sum(axis=1) + num_byzantine
+        proceed = (received >= n - num_faulty) & correct_alive.any(axis=1)
+        honest_sums = (values * correct_alive).sum(axis=1)
+        max_byz = int(num_byzantine.max()) if num_byzantine.size else 0
+        if max_byz:
+            # (R, f_max, n) fakes: one per (replicate, Byzantine slot,
+            # receiver); replicates with fewer members use a prefix (the
+            # member count is constant per model, so this is exact).
+            fakes = fault_rng.random((num_replicates, max_byz, n)) * initial_range
+            slot_active = np.arange(max_byz)[None, :] < num_byzantine[:, None]
+            fake_sums = (fakes * slot_active[:, :, None]).sum(axis=1)
+        else:
+            fake_sums = np.zeros((num_replicates, n))
+        averaged = (honest_sums[:, None] + fake_sums) / np.maximum(received, 1)[:, None]
+        values = np.where(proceed[:, None] & correct_alive, averaged, values)
+
+    final_alive = injector.alive_mask() if injector is not None else np.ones_like(byzantine)
+    survivors = final_alive & ~byzantine
+    survivor_counts = survivors.sum(axis=1)
+    masked = np.where(survivors, values, np.nan)
+    with np.errstate(invalid="ignore"):
+        spread = np.nanmax(masked, axis=1) - np.nanmin(masked, axis=1)
+        means = np.nanmean(masked, axis=1)
+        near = np.abs(masked - means[:, None]) <= agreement_eps
+        agreement = near.sum(axis=1) / np.maximum(survivor_counts, 1)
+    spread = np.where(survivor_counts > 0, spread, np.inf)
+    agreement = np.where(survivor_counts > 0, agreement, 0.0)
+    return BatchConsensusResult(
+        n=n,
+        phases=phases,
+        num_faulty=num_faulty,
+        success=(spread <= agreement_eps) & (survivor_counts > 0),
+        spread=spread,
+        agreement_fraction=agreement,
+    )

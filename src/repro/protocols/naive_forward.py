@@ -10,21 +10,23 @@ with probability only ``1/2 + (2 eps)^c``, so the typical agent's opinion is
 barely better than a coin flip.  Experiment E7 measures exactly this: the
 final correct fraction of the population hovers near ``1/2`` while the
 paper's protocol reaches 1.
+
+:meth:`ImmediateForwardingBroadcast.simulate` is the strategy's only rule,
+run on ``(R, n)`` grids (``R = 1`` for a serial trial).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import ClassVar, Optional
 
 import numpy as np
 
-from ..core.opinions import validate_opinion
-from ..errors import SimulationError
-from ..substrate.engine import SimulationEngine
+from ..substrate.network import PushGossipNetwork
+from ..substrate.noise import NoiseChannel
 from ..substrate.population import NO_OPINION
-from .base import BaselineProtocol, ProtocolResult
+from .base import BaselineProtocol, BatchBaselineResult
 
 __all__ = ["ImmediateForwardingBroadcast"]
 
@@ -36,9 +38,9 @@ class ImmediateForwardingBroadcast(BaselineProtocol):
     Parameters
     ----------
     max_rounds:
-        Round budget.  ``None`` uses ``ceil(4 log2 n)`` rounds, which is
-        ample for the rumor itself to reach everyone — the point of the
-        baseline is that *reach* is easy but *reliability* is lost.
+        Round budget.  ``None`` uses :meth:`default_budget`, which is ample
+        for the rumor itself to reach everyone — the point of the baseline
+        is that *reach* is easy but *reliability* is lost.
     keep_first_opinion:
         When ``True`` (the default, matching Section 1.6's description) an
         agent adopts only the first bit it ever hears and repeats it forever.
@@ -49,54 +51,65 @@ class ImmediateForwardingBroadcast(BaselineProtocol):
 
     max_rounds: Optional[int] = None
     keep_first_opinion: bool = True
-    name: str = "immediate-forwarding"
+    name: ClassVar[str] = "immediate-forwarding"
 
     @staticmethod
     def default_budget(n: int) -> int:
-        """Default round budget ``ceil(4 log2 n) + 8`` (ample for full reach).
-
-        Single source of truth shared with the batched step rule in
-        :mod:`repro.exec.batching`, so the two paths can never drift apart.
-        """
+        """Default round budget ``ceil(4 log2 n) + 8`` (ample for full reach)."""
         return int(math.ceil(4 * math.log2(n))) + 8
 
-    def run(self, engine: SimulationEngine, correct_opinion: int = 1) -> ProtocolResult:
-        correct_opinion = validate_opinion(correct_opinion)
-        population = engine.population
-        if population.source is None:
-            raise SimulationError("immediate forwarding requires a source agent")
-        population.set_source_opinion(correct_opinion)
+    def simulate(
+        self,
+        n: int,
+        num_replicates: int,
+        network: PushGossipNetwork,
+        channel: NoiseChannel,
+        rng: np.random.Generator,
+        correct_opinion: int,
+    ) -> BatchBaselineResult:
+        """Every opinionated agent pushes its bit each round.
 
+        With ``keep_first_opinion`` a recipient adopts only the first bit it
+        ever hears, otherwise it re-adopts every bit.  The budget always
+        runs to completion, so ``rounds`` equals the budget for every
+        replicate and ``converged`` records whether everyone got informed.
+        """
         budget = self.max_rounds
         if budget is None:
-            budget = self.default_budget(engine.n)
+            budget = self.default_budget(n)
 
-        messages_before = engine.metrics.messages_sent
-        start_round = engine.now
-        all_active_round: Optional[int] = None
+        R = num_replicates
+        opinions = np.full((R, n), NO_OPINION, dtype=np.int8)
+        activated = np.zeros((R, n), dtype=bool)
+        opinions[:, 0] = correct_opinion
+        activated[:, 0] = True
+        messages = np.zeros(R, dtype=np.int64)
+        all_informed_round = np.full(R, np.nan)
 
         for round_index in range(budget):
-            senders = np.flatnonzero(population.opinions != NO_OPINION)
-            bits = population.opinions[senders].astype(np.int8)
-            report = engine.gossip_round(senders, bits, correct_opinion=correct_opinion)
-            if report.recipients.size:
-                if self.keep_first_opinion:
-                    fresh_mask = ~population.activated[report.recipients]
-                    targets = report.recipients[fresh_mask]
-                    values = report.bits[fresh_mask]
-                else:
-                    targets = report.recipients
-                    values = report.bits
-                population.set_opinions(targets, values)
-                population.activate(report.recipients, phase=0, round_index=engine.now)
-            if all_active_round is None and population.num_activated() == population.size:
-                all_active_round = round_index + 1
+            send_mask = opinions != NO_OPINION
+            bits = np.where(send_mask, opinions, 0).astype(np.int8)
+            report = network.deliver_batch(send_mask, bits, channel, rng)
+            if self.keep_first_opinion:
+                adopt = report.accepted & ~activated
+            else:
+                adopt = report.accepted
+            opinions = np.where(adopt, report.bits, opinions)
+            activated |= report.accepted
+            messages += send_mask.sum(axis=1)
+            newly_informed = activated.all(axis=1) & np.isnan(all_informed_round)
+            all_informed_round[newly_informed] = round_index + 1
 
-        return self._result(
-            engine,
-            correct_opinion,
-            converged=population.num_activated() == population.size,
-            rounds=engine.now - start_round,
-            messages_sent=engine.metrics.messages_sent - messages_before,
-            all_informed_round=all_active_round,
+        correct_final = (opinions == correct_opinion).sum(axis=1)
+        return BatchBaselineResult(
+            protocol=self.name,
+            n=n,
+            epsilon=float(channel.epsilon),
+            correct_opinion=int(correct_opinion),
+            rounds=np.full(R, budget, dtype=np.int64),
+            converged=activated.all(axis=1),
+            success=correct_final == n,
+            final_correct_fraction=correct_final / n,
+            messages_sent=messages,
+            extra={"all_informed_round": all_informed_round},
         )

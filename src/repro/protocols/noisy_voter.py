@@ -13,19 +13,22 @@ the Flip model: every opinionated agent pushes its current opinion each
 round, the zealot source never changes its opinion, and a receiver adopts
 whatever (noisy) bit it accepted.  Experiment E7 uses it to show the
 long-convergence / no-convergence behaviour the paper predicts.
+:meth:`NoisyVoterBroadcast.simulate` is the dynamics' only rule, run on
+``(R, n)`` grids (``R = 1`` for a serial trial).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
-from ..core.opinions import validate_opinion
-from ..errors import ParameterError, SimulationError
-from ..substrate.engine import SimulationEngine
+from ..errors import ParameterError
+from ..substrate.network import PushGossipNetwork
+from ..substrate.noise import NoiseChannel
 from ..substrate.population import NO_OPINION
-from .base import BaselineProtocol, ProtocolResult
+from .base import BaselineProtocol, BatchBaselineResult
 
 __all__ = ["NoisyVoterBroadcast"]
 
@@ -46,7 +49,7 @@ class NoisyVoterBroadcast(BaselineProtocol):
 
     max_rounds: int = 2000
     check_every: int = 16
-    name: str = "noisy-voter"
+    name: ClassVar[str] = "noisy-voter"
 
     def __post_init__(self) -> None:
         if self.max_rounds < 1:
@@ -54,36 +57,57 @@ class NoisyVoterBroadcast(BaselineProtocol):
         if self.check_every < 1:
             raise ParameterError(f"check_every must be at least 1, got {self.check_every}")
 
-    def run(self, engine: SimulationEngine, correct_opinion: int = 1) -> ProtocolResult:
-        correct_opinion = validate_opinion(correct_opinion)
-        population = engine.population
-        if population.source is None:
-            raise SimulationError("the voter baseline requires a zealot source agent")
-        population.set_source_opinion(correct_opinion)
-        source = population.source
+    def simulate(
+        self,
+        n: int,
+        num_replicates: int,
+        network: PushGossipNetwork,
+        channel: NoiseChannel,
+        rng: np.random.Generator,
+        correct_opinion: int,
+    ) -> BatchBaselineResult:
+        """Every opinionated agent pushes its opinion; every receiver except
+        the zealot adopts the accepted bit.
 
-        messages_before = engine.metrics.messages_sent
-        converged = False
-        rounds_run = 0
+        Every ``check_every`` rounds the replicates that reached full
+        correct consensus stop: their rows are frozen and they stop sending
+        or counting rounds.  Under channel noise this essentially never
+        happens — the paper's point — so ``rounds`` typically equals the
+        budget with ``converged`` false.
+        """
+        R = num_replicates
+        opinions = np.full((R, n), NO_OPINION, dtype=np.int8)
+        opinions[:, 0] = correct_opinion  # the zealot source never changes opinion
+        messages = np.zeros(R, dtype=np.int64)
+        rounds = np.zeros(R, dtype=np.int64)
+        converged = np.zeros(R, dtype=bool)
+        alive = np.ones(R, dtype=bool)
 
         for round_index in range(self.max_rounds):
-            senders = np.flatnonzero(population.opinions != NO_OPINION)
-            bits = population.opinions[senders].astype(np.int8)
-            report = engine.gossip_round(senders, bits, correct_opinion=correct_opinion)
-            rounds_run += 1
-            if report.recipients.size:
-                # Every receiver adopts the bit it accepted, except the zealot.
-                keep = report.recipients != source
-                population.set_opinions(report.recipients[keep], report.bits[keep])
-                population.activate(report.recipients, phase=0, round_index=engine.now)
-            if (round_index + 1) % self.check_every == 0 and population.all_correct(correct_opinion):
-                converged = True
+            if not alive.any():
                 break
+            send_mask = (opinions != NO_OPINION) & alive[:, None]
+            bits = np.where(send_mask, opinions, 0).astype(np.int8)
+            report = network.deliver_batch(send_mask, bits, channel, rng)
+            adopt = report.accepted.copy()
+            adopt[:, 0] = False  # the zealot keeps its opinion
+            opinions = np.where(adopt, report.bits, opinions)
+            messages += send_mask.sum(axis=1)
+            rounds += alive
+            if (round_index + 1) % self.check_every == 0:
+                now_correct = alive & (opinions == correct_opinion).all(axis=1)
+                converged |= now_correct
+                alive &= ~now_correct
 
-        return self._result(
-            engine,
-            correct_opinion,
+        correct_final = (opinions == correct_opinion).sum(axis=1)
+        return BatchBaselineResult(
+            protocol=self.name,
+            n=n,
+            epsilon=float(channel.epsilon),
+            correct_opinion=int(correct_opinion),
+            rounds=rounds,
             converged=converged,
-            rounds=rounds_run,
-            messages_sent=engine.metrics.messages_sent - messages_before,
+            success=correct_final == n,
+            final_correct_fraction=correct_final / n,
+            messages_sent=messages,
         )

@@ -14,20 +14,24 @@ Two facts from the paper are reproduced with this baseline:
   collecting ``Theta(log n / eps^2)`` source samples — takes
   ``Theta(n log n / eps^2)`` rounds, a factor ``n`` slower than the paper's
   protocol even though it uses the same number of messages.
+
+:meth:`SilentWaitBroadcast.simulate` is the strategy's only rule, run on
+``(R, n)`` grids (``R = 1`` for a serial trial).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import ClassVar, Optional
 
 import numpy as np
 
-from ..core.opinions import validate_opinion
-from ..errors import ParameterError, SimulationError
-from ..substrate.engine import SimulationEngine
-from .base import BaselineProtocol, ProtocolResult
+from ..errors import ParameterError
+from ..substrate.network import PushGossipNetwork
+from ..substrate.noise import NoiseChannel
+from ..substrate.population import NO_OPINION
+from .base import BaselineProtocol, BatchBaselineResult
 
 __all__ = ["SilentWaitBroadcast", "default_decision_threshold"]
 
@@ -58,7 +62,7 @@ class SilentWaitBroadcast(BaselineProtocol):
 
     threshold: Optional[int] = None
     max_rounds: Optional[int] = None
-    name: str = "silent-wait"
+    name: ClassVar[str] = "silent-wait"
 
     def __post_init__(self) -> None:
         if self.threshold is not None and self.threshold < 1:
@@ -70,64 +74,102 @@ class SilentWaitBroadcast(BaselineProtocol):
     def default_budget(n: int, threshold: int) -> int:
         """Default round budget ``8 * n * threshold``: enough for every agent
         to collect its quota w.h.p. (the coupon-collector style slowdown is
-        the point of the baseline).
-
-        Single source of truth shared with the batched step rule in
-        :mod:`repro.exec.batching`, so the two paths can never drift apart.
-        """
+        the point of the baseline)."""
         return 8 * n * threshold
 
-    def run(self, engine: SimulationEngine, correct_opinion: int = 1) -> ProtocolResult:
-        correct_opinion = validate_opinion(correct_opinion)
-        population = engine.population
-        if population.source is None:
-            raise SimulationError("silent-wait requires a source agent")
-        population.set_source_opinion(correct_opinion)
-        source = population.source
-        n = engine.n
+    def simulate(
+        self,
+        n: int,
+        num_replicates: int,
+        network: PushGossipNetwork,
+        channel: NoiseChannel,
+        rng: np.random.Generator,
+        correct_opinion: int,
+    ) -> BatchBaselineResult:
+        """Only the source speaks — one message per round per replicate.
 
+        The per-round work is a single uniform target draw plus one noisy
+        bit per replicate instead of a full ``(R, n)`` delivery grid.  Every
+        other agent accumulates the noisy source bits it receives and
+        decides by majority once it has collected ``threshold`` of them,
+        re-deciding on every later receipt.  Replicates stop as soon as
+        every agent has decided; budget exhaustion shows up as ``converged``
+        false.  The extra vector ``first_two_messages_round`` is the
+        Section 1.6 birthday observation (``NaN`` — reported as ``None`` —
+        when no agent ever heard two messages).
+        """
         threshold = self.threshold
         if threshold is None:
-            threshold = default_decision_threshold(n, engine.epsilon)
+            threshold = default_decision_threshold(n, channel.epsilon)
         budget = self.max_rounds
         if budget is None:
             budget = self.default_budget(n, threshold)
 
-        received = np.zeros(n, dtype=np.int64)
-        ones = np.zeros(n, dtype=np.int64)
-        decided = np.zeros(n, dtype=bool)
-        decided[source] = True
+        R = num_replicates
+        received = np.zeros((R, n), dtype=np.int64)
+        ones = np.zeros((R, n), dtype=np.int64)
+        decided = np.zeros((R, n), dtype=bool)
+        decided[:, 0] = True  # agent 0 is the source in every replicate
+        opinions = np.full((R, n), NO_OPINION, dtype=np.int8)
+        opinions[:, 0] = correct_opinion
+        rounds = np.zeros(R, dtype=np.int64)
+        messages = np.zeros(R, dtype=np.int64)
+        first_double = np.full(R, np.nan)
+        alive = np.ones(R, dtype=bool)
+        alive_rows = np.flatnonzero(alive)
 
-        messages_before = engine.metrics.messages_sent
-        first_double_round: Optional[int] = None
-        senders = np.asarray([source], dtype=np.int64)
-        sender_bits = np.asarray([correct_opinion], dtype=np.int8)
-
-        rounds_run = 0
         for round_index in range(budget):
-            report = engine.gossip_round(senders, sender_bits, correct_opinion=correct_opinion)
-            rounds_run += 1
-            if report.recipients.size:
-                received[report.recipients] += 1
-                ones[report.recipients] += report.bits.astype(np.int64)
-                if first_double_round is None and int(received[report.recipients].max()) >= 2:
-                    first_double_round = round_index + 1
-                ready = report.recipients[received[report.recipients] >= threshold]
-                if ready.size:
-                    verdict = (2 * ones[ready] > received[ready]).astype(np.int8)
-                    population.set_opinions(ready, verdict)
-                    population.activate(ready, phase=0, round_index=engine.now)
-                    decided[ready] = True
-            if bool(decided.all()):
+            if alive_rows.size == 0:
                 break
+            # One message per replicate: the source (agent 0) pushes its bit to a
+            # uniformly random (other, unless the network allows self-messages)
+            # agent; no collisions are possible, so the single-accept rule of
+            # PushGossipNetwork.deliver is trivial here — but the target
+            # distribution mirrors PushGossipNetwork._draw_targets exactly.
+            if network.allow_self_messages:
+                targets = rng.integers(0, n, size=alive_rows.size)
+            else:
+                draws = rng.integers(0, n - 1, size=alive_rows.size)
+                targets = draws + 1  # skip over the source's own index
+            bits = channel.transmit(
+                np.full(alive_rows.size, correct_opinion, dtype=np.int8), rng
+            )
+            received[alive_rows, targets] += 1
+            ones[alive_rows, targets] += bits.astype(np.int64)
+            rounds[alive_rows] += 1
+            messages[alive_rows] += 1
 
-        return self._result(
-            engine,
-            correct_opinion,
-            converged=bool(decided.all()),
-            rounds=rounds_run,
-            messages_sent=engine.metrics.messages_sent - messages_before,
-            threshold=threshold,
-            decided_fraction=float(np.count_nonzero(decided)) / n,
-            first_round_with_two_messages=first_double_round,
+            counts_now = received[alive_rows, targets]
+            fresh_double = (counts_now >= 2) & np.isnan(first_double[alive_rows])
+            first_double[alive_rows[fresh_double]] = round_index + 1
+
+            ready = counts_now >= threshold
+            if ready.any():
+                ready_rows = alive_rows[ready]
+                ready_cols = targets[ready]
+                decided[ready_rows, ready_cols] = True
+                opinions[ready_rows, ready_cols] = (
+                    2 * ones[ready_rows, ready_cols] > received[ready_rows, ready_cols]
+                ).astype(np.int8)
+                done = decided[ready_rows].all(axis=1)
+                if done.any():
+                    alive[ready_rows[done]] = False
+                    alive_rows = np.flatnonzero(alive)
+
+        correct_final = (opinions == correct_opinion).sum(axis=1)
+        return BatchBaselineResult(
+            protocol=self.name,
+            n=n,
+            epsilon=float(channel.epsilon),
+            correct_opinion=int(correct_opinion),
+            rounds=rounds,
+            converged=decided.all(axis=1),
+            success=correct_final == n,
+            final_correct_fraction=correct_final / n,
+            messages_sent=messages,
+            extra={
+                "threshold": np.full(R, threshold, dtype=np.int64),
+                "decided_fraction": decided.sum(axis=1) / n,
+                "first_two_messages_round": first_double,
+            },
         )

@@ -31,6 +31,7 @@ GRID = [
     ("E1", False, {"sizes": (250, 400), "epsilon": 0.3, "trials": 2}),
     ("E7", False, {"n": 250, "epsilons": (0.3,), "trials": 2, "voter_rounds": 24}),
     ("E9", False, {"n": 250, "epsilon": 0.3, "skews": (4,), "trials": 2}),
+    ("E11", False, {"n": 120, "epsilon": 0.3, "trials": 2}),
 ]
 
 #: Serial runs of E4 and E5 on their batch configurations.  E1's report holds

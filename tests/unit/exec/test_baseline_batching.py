@@ -1,12 +1,11 @@
-"""Differential tests for the batched baseline-protocol path (E7 family).
+"""Tests for the batched baseline dispatcher and the baseline rules (E7/E11 family).
 
-Pins the determinism contract of :func:`repro.exec.batching.run_baseline_batch`
-against the serial protocol classes in :mod:`repro.protocols`: exact equality
-wherever the model is deterministic (round budgets, sampling schedules,
-noiseless dynamics) and distributional agreement for the stochastic
-observables (success, final fraction, messages) — the batch consumes one
-batch-level random stream instead of one stream tree per engine, which is the
-documented RNG-consumption-order caveat.
+:func:`repro.exec.batching.run_baseline_batch` looks a baseline up by name
+and runs its one step rule; a serial trial is the same call at ``R = 1``
+(:func:`repro.exec.batching.replicate_trial`).  These tests pin the
+dispatch, the budgets and the exact behaviour of each rule where the model
+is deterministic (round budgets, sampling schedules, noiseless dynamics);
+the rules' distributions are recorded in ``test_comparator_distribution.py``.
 """
 
 from __future__ import annotations
@@ -18,6 +17,7 @@ from repro.api import ExecutionConfig, run_experiment
 from repro.errors import ExperimentError, ParameterError
 from repro.exec.batching import (
     batchable_baselines,
+    replicate_trial,
     run_baseline_batch,
     run_sweep_batched,
 )
@@ -25,19 +25,10 @@ from repro.protocols.direct_source import DirectSourceReference
 from repro.protocols.naive_forward import ImmediateForwardingBroadcast
 from repro.protocols.noisy_voter import NoisyVoterBroadcast
 from repro.protocols.silent_wait import SilentWaitBroadcast
-from repro.substrate.engine import SimulationEngine
 from repro.substrate.noise import PerfectChannel
 
 #: ExecutionConfig fields of a two-worker local pool.
 POOL = {"backend": "local", "backend_options": {"workers": 2}}
-
-
-def _serial_runs(protocol_factory, n, epsilon, seeds, channel=None):
-    results = []
-    for seed in seeds:
-        engine = SimulationEngine.create(n=n, epsilon=epsilon, seed=seed, channel=channel)
-        results.append(protocol_factory().run(engine, correct_opinion=1))
-    return results
 
 
 class TestDispatch:
@@ -67,9 +58,7 @@ class TestDispatch:
         batch = run_baseline_batch(
             "immediate-forwarding", n=100, epsilon=0.3, num_replicates=2, max_rounds=None
         )
-        assert batch.rounds[0] == ImmediateForwardingBroadcast().run(
-            SimulationEngine.create(n=100, epsilon=0.3, seed=0), correct_opinion=1
-        ).rounds
+        assert batch.rounds[0] == ImmediateForwardingBroadcast.default_budget(100)
 
     def test_rejects_zero_replicates(self):
         with pytest.raises(ExperimentError):
@@ -102,105 +91,70 @@ INVALID_BUDGETS = [
     ids=[f"{name}-{next(iter(options))}" for name, _, options in INVALID_BUDGETS],
 )
 def test_serial_and_batch_reject_the_same_budgets(path, protocol, protocol_class, options):
-    """The serial class holds the check and the batched rule goes through it."""
+    """The protocol class holds the check; both paths build the class."""
+    with pytest.raises(ParameterError, match="must be at least 1"):
+        protocol_class(**options)
     with pytest.raises(ParameterError, match="must be at least 1"):
         if path == "serial":
-            engine = SimulationEngine.create(n=60, epsilon=0.3, seed=0)
-            protocol_class(**options).run(engine, correct_opinion=1)
+            replicate_trial(
+                0, 0, run_baseline_batch, protocol=protocol, n=60, epsilon=0.3, **options
+            )
         else:
             run_baseline_batch(protocol, n=60, epsilon=0.3, num_replicates=2, **options)
 
 
-class TestForwardingDifferential:
-    def test_round_budget_exactly_matches_serial(self):
-        """The forwarding budget is fixed by n: batch rounds == serial rounds."""
-        serial = _serial_runs(ImmediateForwardingBroadcast, 250, 0.3, range(3))
+class TestForwardingRule:
+    def test_round_budget_is_the_default_budget(self):
+        """The forwarding budget is fixed by n, for a serial trial and a batch alike."""
+        serial = replicate_trial(0, 0, run_baseline_batch, protocol="immediate-forwarding",
+                                 n=250, epsilon=0.3)
         batch = run_baseline_batch("immediate-forwarding", n=250, epsilon=0.3, num_replicates=3)
-        assert {r.rounds for r in serial} == {int(batch.rounds[0])}
-        assert np.all(batch.rounds == serial[0].rounds)
-
-    def test_statistical_agreement_with_serial(self):
-        """Success/final-fraction/messages agree with the serial protocol
-        (same dynamics, different stream — the documented caveat)."""
-        n, epsilon, R = 400, 0.2, 8
-        serial = _serial_runs(ImmediateForwardingBroadcast, n, epsilon, range(R))
-        batch = run_baseline_batch("immediate-forwarding", n=n, epsilon=epsilon, num_replicates=R)
-        # Section 1.6: both paths hover near the coin flip, far from consensus.
-        assert 0.3 < batch.final_correct_fraction.mean() < 0.8
-        assert 0.3 < np.mean([r.final_correct_fraction for r in serial]) < 0.8
-        assert batch.success.mean() == np.mean([r.success for r in serial]) == 0.0
-        serial_messages = np.mean([r.messages_sent for r in serial])
-        assert batch.messages_sent.mean() == pytest.approx(serial_messages, rel=0.1)
-        # The rumor reaches everyone on both paths (reach is the easy part).
-        assert batch.converged.all() and all(r.converged for r in serial)
+        assert serial["rounds"] == ImmediateForwardingBroadcast.default_budget(250)
+        assert np.all(batch.rounds == serial["rounds"])
 
     def test_noiseless_forwarding_is_all_correct(self):
         """With a perfect channel only correct bits circulate — exact equality."""
-        serial = _serial_runs(
-            ImmediateForwardingBroadcast, 120, 0.5, range(2), channel=PerfectChannel()
-        )
         batch = run_baseline_batch(
             "immediate-forwarding", n=120, epsilon=0.5, num_replicates=4, channel=PerfectChannel()
         )
-        assert batch.success.all() and all(r.success for r in serial)
+        assert batch.success.all()
         assert np.all(batch.final_correct_fraction == 1.0)
 
 
-class TestVoterDifferential:
-    def test_budget_exhaustion_matches_serial_under_noise(self):
-        """Under noise the voter never converges: rounds == budget on both
-        paths, and neither path fakes a convergence round."""
+class TestVoterRule:
+    def test_budget_exhaustion_under_noise(self):
+        """Under noise the voter never converges: rounds == budget, and no
+        convergence round is faked."""
         n, epsilon, R, budget = 300, 0.2, 5, 80
-        serial = _serial_runs(
-            lambda: NoisyVoterBroadcast(max_rounds=budget), n, epsilon, range(R)
-        )
         batch = run_baseline_batch(
             "noisy-voter", n=n, epsilon=epsilon, num_replicates=R, max_rounds=budget
         )
-        assert all(r.rounds == budget and not r.converged for r in serial)
         assert np.all(batch.rounds == budget)
         assert not batch.converged.any()
         assert batch.measurements(0)["rounds_converged"] is None
-        # The population bias sits at the noise floor on both paths.
+        # The population bias sits at the noise floor.
         assert abs(batch.final_correct_fraction.mean() - 0.5) < 0.15
-        assert abs(np.mean([r.final_correct_fraction for r in serial]) - 0.5) < 0.15
 
-    def test_noiseless_voter_converges_on_both_paths(self):
+    def test_noiseless_voter_converges_at_a_check(self):
         """Without noise only the zealot's bit circulates, so the dynamics
-        lock onto it; both paths stop at a consensus check, not the budget."""
-        n, R = 80, 4
-        serial = _serial_runs(
-            lambda: NoisyVoterBroadcast(max_rounds=2000), n, 0.5, range(R), channel=PerfectChannel()
-        )
+        lock onto it and stop at a consensus check, not the budget."""
         batch = run_baseline_batch(
-            "noisy-voter", n=n, epsilon=0.5, num_replicates=R, channel=PerfectChannel()
+            "noisy-voter", n=80, epsilon=0.5, num_replicates=4, channel=PerfectChannel()
         )
-        assert batch.converged.all() and all(r.converged for r in serial)
-        assert batch.success.all() and all(r.success for r in serial)
-        # Convergence is only detected on check_every boundaries, exactly as serially.
+        assert batch.converged.all()
+        assert batch.success.all()
+        # Convergence is only detected on check_every boundaries.
         assert np.all(batch.rounds % 16 == 0)
-        assert all(r.rounds % 16 == 0 for r in serial)
-        assert batch.rounds.mean() == pytest.approx(np.mean([r.rounds for r in serial]), rel=0.5)
+        assert np.all(batch.rounds < NoisyVoterBroadcast.max_rounds)
 
 
-class TestDirectSourceDifferential:
-    def test_sampling_schedule_exactly_matches_serial(self):
-        """The sampling budget is fixed by (n, epsilon): batch == serial."""
-        serial = _serial_runs(DirectSourceReference, 250, 0.3, range(3))
+class TestDirectSourceRule:
+    def test_sampling_schedule_is_the_default(self):
+        """The sampling budget is fixed by (n, epsilon)."""
         batch = run_baseline_batch("direct-source-reference", n=250, epsilon=0.3, num_replicates=3)
-        assert np.all(batch.rounds == serial[0].rounds)
-        assert np.all(batch.messages_sent == serial[0].messages_sent)
-
-    def test_statistical_agreement_with_serial(self):
-        n, epsilon, R = 300, 0.3, 6
-        serial = _serial_runs(DirectSourceReference, n, epsilon, range(R))
-        batch = run_baseline_batch("direct-source-reference", n=n, epsilon=epsilon, num_replicates=R)
-        assert batch.success.all() and all(r.success for r in serial)
-        serial_first = [r.extra["first_all_correct_round"] for r in serial]
-        assert all(first is not None for first in serial_first)
-        batch_first = batch.extra["rounds_to_all_correct"]
-        assert not np.isnan(batch_first).any()
-        assert batch_first.mean() == pytest.approx(np.mean(serial_first), rel=0.5)
+        rounds = DirectSourceReference.default_rounds(250, 0.3)
+        assert np.all(batch.rounds == rounds)
+        assert np.all(batch.messages_sent == 250 * rounds)
 
     def test_never_converged_replicates_report_none_not_budget(self):
         """With a tiny sampling budget the running majority cannot go

@@ -2,12 +2,14 @@
 
 Each comparator (immediate forwarding, the noisy voter, the direct-source
 reference, silent wait and the phased approximate-consensus algorithm) is
-run as the drivers' serial cells run it, at toy sizes, under the drivers'
-own trial seeds.  :data:`RECORDED` holds the mean and standard error of
-every measurement the drivers report, taken from the serial protocol
-classes at commit b30f117.  A rule change must keep each mean within
-:data:`TOLERANCE_SE` standard errors of the recorded one (the two errors
-combined); a measurement with no spread on both sides must match exactly.
+run as the drivers' serial cells run it — its one rule at ``R = 1`` under
+each trial's seed — at toy sizes, under the drivers' own trial seeds.
+:data:`RECORDED` holds the mean and standard error of every measurement the
+drivers report, taken from the former serial protocol classes (their own
+engine loops) at commit b30f117, before those loops were deleted.  The rule
+must keep each mean within :data:`TOLERANCE_SE` standard errors of the
+recorded one (the two errors combined); a measurement with no spread on
+both sides must match exactly.
 """
 
 from __future__ import annotations
@@ -19,7 +21,8 @@ import numpy as np
 import pytest
 
 from repro.analysis.experiments import run_trials
-from repro.experiments import e7_baselines, e11_lower_bounds, e12_faults
+from repro.exec.batching import replicate_trial, run_baseline_batch
+from repro.protocols.fault_tolerant import run_consensus_comparator_batch
 from repro.protocols.silent_wait import default_decision_threshold
 from repro.substrate.faults import ByzantineSenders, CrashStop
 
@@ -33,35 +36,43 @@ E7_N, E7_EPSILON, E7_VOTER_ROUNDS = 150, 0.3, 48
 E11_N, E11_EPSILON = 40, 0.4
 E12_N, E12_CONSENSUS_EPS = 60, 0.05
 
+
+def _serial(batch_fn, **settings):
+    """The serial trial function the drivers run: the rule at ``R = 1``."""
+    return functools.partial(replicate_trial, batch_fn=batch_fn, **settings)
+
+
 #: Cell name (the drivers' naming, so the trial seeds are the drivers') ->
 #: the serial trial function.
 CELLS = {
-    "E7-immediate-forwarding-eps=0.3": functools.partial(
-        e7_baselines._forwarding_trial, n=E7_N, epsilon=E7_EPSILON
+    "E7-immediate-forwarding-eps=0.3": _serial(
+        run_baseline_batch, protocol="immediate-forwarding", n=E7_N, epsilon=E7_EPSILON
     ),
-    "E7-noisy-voter-eps=0.3": functools.partial(
-        e7_baselines._voter_trial, n=E7_N, epsilon=E7_EPSILON, voter_rounds=E7_VOTER_ROUNDS
+    "E7-noisy-voter-eps=0.3": _serial(
+        run_baseline_batch, protocol="noisy-voter", n=E7_N, epsilon=E7_EPSILON,
+        max_rounds=E7_VOTER_ROUNDS,
     ),
-    "E7-direct-source-reference-eps=0.3": functools.partial(
-        e7_baselines._direct_trial, n=E7_N, epsilon=E7_EPSILON
+    "E7-direct-source-reference-eps=0.3": _serial(
+        run_baseline_batch, protocol="direct-source-reference", n=E7_N, epsilon=E7_EPSILON
     ),
-    "E11-direct-source": functools.partial(
-        e11_lower_bounds._direct_trial, n=E11_N, epsilon=E11_EPSILON
+    "E11-direct-source": _serial(
+        run_baseline_batch, protocol="direct-source-reference", n=E11_N, epsilon=E11_EPSILON
     ),
-    "E11-silent-wait": functools.partial(
-        e11_lower_bounds._silent_trial,
+    "E11-silent-wait": _serial(
+        run_baseline_batch,
+        protocol="silent-wait",
         n=E11_N,
         epsilon=E11_EPSILON,
         threshold=default_decision_threshold(E11_N, E11_EPSILON, constant=2.0),
     ),
-    "E12-phased-approximate-consensus-f=0.2": functools.partial(
-        e12_faults._consensus_trial,
+    "E12-phased-approximate-consensus-f=0.2": _serial(
+        run_consensus_comparator_batch,
         n=E12_N,
         model=CrashStop(fraction=0.2, crash_probability=0.05),
         agreement_eps=E12_CONSENSUS_EPS,
     ),
-    "E12-phased-approximate-consensus-f=0.1": functools.partial(
-        e12_faults._consensus_trial,
+    "E12-phased-approximate-consensus-f=0.1": _serial(
+        run_consensus_comparator_batch,
         n=E12_N,
         model=ByzantineSenders(fraction=0.1),
         agreement_eps=E12_CONSENSUS_EPS,
@@ -124,7 +135,9 @@ def test_every_cell_is_recorded():
     assert {cell for cell, _ in RECORDED} == set(CELLS)
 
 
-@pytest.mark.parametrize("cell, key", sorted(RECORDED), ids=[f"{c}:{k}" for c, k in sorted(RECORDED)])
+@pytest.mark.parametrize(
+    "cell, key", sorted(RECORDED), ids=[f"{cell}:{key}" for cell, key in sorted(RECORDED)]
+)
 def test_mean_within_recorded_standard_errors(cell, key):
     recorded_mean, recorded_se = RECORDED[(cell, key)]
     mean, se = _summary(trial.get(key) for trial in _cell(cell).trials)

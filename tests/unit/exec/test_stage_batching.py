@@ -25,7 +25,7 @@ from repro.core.stage1 import ReceptionAccumulator, execute_stage_one
 from repro.core.stage2 import SampleAccumulator, execute_stage_two
 from repro.core.synchronizer import default_guard, run_with_bounded_skew
 from repro.errors import ParameterError, SimulationError
-from repro.exec.batching import run_baseline_batch, run_broadcast_batch
+from repro.exec.batching import replicate_trial, run_baseline_batch, run_broadcast_batch
 from repro.exec.stage_batching import (
     BatchState,
     population_bias_grid,
@@ -39,7 +39,6 @@ from repro.exec.stage_batching import (
     source_batch_state,
 )
 from repro.exec import stage_batching
-from repro.protocols.silent_wait import SilentWaitBroadcast
 from repro.substrate.engine import SimulationEngine
 from repro.substrate.network import PushGossipNetwork
 from repro.substrate.noise import BinarySymmetricChannel
@@ -413,9 +412,12 @@ class TestSilentWaitBatch:
     N = 60
     THRESHOLD = 9
 
-    def _serial(self, seed, epsilon=0.45):
-        engine = SimulationEngine.create(n=self.N, epsilon=epsilon, seed=seed)
-        return SilentWaitBroadcast(threshold=self.THRESHOLD).run(engine, correct_opinion=1)
+    def _serial(self, seed, epsilon=0.45, **settings):
+        """One serial trial: the rule at ``R = 1`` under ``seed``."""
+        return replicate_trial(
+            seed, 0, run_baseline_batch, protocol="silent-wait", n=self.N, epsilon=epsilon,
+            threshold=self.THRESHOLD, **settings,
+        )
 
     def test_statistical_agreement_with_serial(self):
         serial = [self._serial(seed) for seed in range(6)]
@@ -423,15 +425,13 @@ class TestSilentWaitBatch:
             "silent-wait", n=self.N, epsilon=0.45, num_replicates=12,
             base_seed=3, threshold=self.THRESHOLD,
         )
-        serial_rounds = np.mean([result.rounds for result in serial])
+        serial_rounds = np.mean([result["rounds"] for result in serial])
         assert batch.rounds.mean() == pytest.approx(serial_rounds, rel=0.3)
         # At eps=0.45 the 9-sample majority is almost surely correct.
         assert batch.success.mean() >= 0.5
         assert np.all(batch.converged)
-        serial_double = np.mean(
-            [result.extra["first_round_with_two_messages"] for result in serial]
-        )
-        batch_double = batch.extra["first_round_with_two_messages"]
+        serial_double = np.mean([result["first_two_messages_round"] for result in serial])
+        batch_double = batch.extra["first_two_messages_round"]
         assert batch_double.mean() == pytest.approx(serial_double, rel=0.8)
         assert batch_double.mean() < 4 * np.sqrt(self.N) * 2
 
@@ -450,16 +450,9 @@ class TestSilentWaitBatch:
         the already-decided source, so runs are measurably slower, on both
         paths alike."""
         def serial_mean(allow_self: bool) -> float:
-            rounds = []
-            for seed in range(5):
-                engine = SimulationEngine.create(
-                    n=self.N, epsilon=0.45, seed=seed, allow_self_messages=allow_self
-                )
-                rounds.append(
-                    SilentWaitBroadcast(threshold=self.THRESHOLD)
-                    .run(engine, correct_opinion=1)
-                    .rounds
-                )
+            rounds = [
+                self._serial(seed, allow_self_messages=allow_self)["rounds"] for seed in range(5)
+            ]
             return float(np.mean(rounds))
 
         def batch_mean(allow_self: bool) -> float:
@@ -482,7 +475,7 @@ class TestSilentWaitBatch:
         assert measurements["threshold"] == self.THRESHOLD
         assert set(measurements) >= {
             "rounds", "success", "converged", "decided_fraction",
-            "first_round_with_two_messages",
+            "first_two_messages_round",
         }
 
 

@@ -10,6 +10,12 @@ fault layer landed, on the tiny configurations of
 ``tests/unit/_golden_grid.py``; any RNG-consumption change in a default path
 shifts a digest and fails the pin.
 
+Two entries are younger, both taken at kernel epoch 1, when serial
+comparator trials became the batched rule at ``R = 1`` under each trial's
+seed: ``("E7", False)`` was re-pinned (its comparator rows draw from the
+rule's stream now; the pre-fault pin was ``af9b9526...``), and
+``("E11", False)`` was added, since no pin saw serial E11 before.
+
 E12 is deliberately absent: it did not exist at the seed revision.  Its
 f=0 column is covered by the exec-level bit-identity pin in
 ``tests/unit/exec/test_fault_batching.py`` instead.
@@ -36,8 +42,9 @@ GOLDEN_DIGESTS = {
     ("E10", True): "a8404987d8eddf1df071e1968fd876669c58afc2b34b4042dfd71b08661443e6",
     ("E11", True): "759b20f21afb0039a497d33b9021f4f768a3c972ed37b315359c809e4bbef205",
     ("E1", False): "7277c4516bb021408d823754caba3f00600991cebe0395733b7302b558ea8083",
-    ("E7", False): "af9b952690e864bb5628f38a3f147655ecfa7fe97b7d36c2368a5b0e757d0db5",
+    ("E7", False): "7da8f4ace3e60f25ea35539d999950070dcc0c9582958272aece34115734414a",
     ("E9", False): "0d15a43f921d88c53a56b7582b92d40e8811d6a20126b8bca32251742965da52",
+    ("E11", False): "84592b6bddba3dc38c1dbdd824ab35db138a47aa676173f560dc9f77ede6bacb",
 }
 
 #: Draw-sensitive serial pins, captured at commit b09a3f0 (the parent of the

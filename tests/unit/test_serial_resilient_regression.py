@@ -13,7 +13,8 @@ close that gap at two levels:
   the injector counters, the crash grid, the network counters and the
   channel flip count;
 * ``E12_SERIAL_DIGESTS`` — the serial E12 driver (crash and Byzantine),
-  digested through ``_golden_grid.grid_digest``.
+  digested through ``_golden_grid.grid_digest``; its paper-protocol column
+  runs the serial resilient path.
 
 Both were captured before the serial resilient path was folded into the
 batch resilient kernel at ``R = 1``; they must not be edited to make a
@@ -116,9 +117,13 @@ E12_SERIAL_GRID = [
 ]
 
 #: Captured at commit ce8fe37, before the serial resilient path was deleted.
+#: The Byzantine pin was re-taken at kernel epoch 1, when the serial
+#: comparator trials became the batched rule at ``R = 1`` (it was
+#: ``3eb05dab...``).  The crash report did not move: with crash faults alone
+#: every comparator trial ends in exact agreement on either rule.
 E12_SERIAL_DIGESTS = {
     "crash": "803eeb1e7b02f082460ab65cbe2f7410e0ad5c36d3f840e9580a701e6a7b482c",
-    "byzantine": "3eb05dab0a1babd79005d1b551e3abd026ab9b74cebb454051bb38cc471845d5",
+    "byzantine": "445bd1b3bca5aecedd5e8239208133507ff2ee9c226e46255b983ad358814ef0",
 }
 
 
