@@ -17,15 +17,18 @@ Serially each trial pays hundreds of rounds of its own (the voter's budget
 alone is hundreds of rounds).  The batch path pays one ``deliver_batch`` /
 ``transmit_batch`` call per round for *all* replicates, so it delivers its
 speedup even on a single core.  The test asserts at least a 2x single-core
-batch speedup over the serial E7 trials on this workload.
+batch speedup over the serial E7 trials on this workload.  The three runs
+alternate over ``REPEATS`` repeats (``paired_timing.py``); the gate reads
+the median of the per-repeat ratios, and the record keeps their quartiles,
+so drift in machine speed between two runs cannot flip it.
 """
 
 from __future__ import annotations
 
 import functools
+import importlib.util
 import json
 import os
-import time
 from pathlib import Path
 
 from repro.exec.backends import LocalPoolBackend, use_backend
@@ -36,6 +39,7 @@ EPSILON = 0.2
 TRIALS = 8
 VOTER_ROUNDS = 300
 BASE_SEED = 707
+REPEATS = 5
 RESULTS_PATH = Path(__file__).parent / "results" / "e7_batch_speedup.json"
 
 
@@ -45,6 +49,16 @@ def _baseline_points() -> list:
         {"protocol": "noisy-voter", "max_rounds": VOTER_ROUNDS},
         {"protocol": "direct-source-reference"},
     ]
+
+
+def _paired_speedups():
+    """``paired_timing.paired_speedups``, imported by path (benchmarks/ is not a package)."""
+    spec = importlib.util.spec_from_file_location(
+        "_paired_timing", Path(__file__).with_name("paired_timing.py")
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.paired_speedups
 
 
 def _run_serial() -> dict:
@@ -80,17 +94,18 @@ def _run_batched(pooled: bool = False):
 
 def test_e7_batch_speedup(print_report, machine_stamp):
     """Measure serial vs batched vs batched+point-parallel and record the JSON."""
-    start = time.perf_counter()
-    serial_results = _run_serial()
-    serial_seconds = time.perf_counter() - start
-
-    start = time.perf_counter()
-    batched_sweep = _run_batched()
-    batch_seconds = time.perf_counter() - start
-
-    start = time.perf_counter()
-    pooled_sweep = _run_batched(pooled=True)
-    pooled_seconds = time.perf_counter() - start
+    results, timing = _paired_speedups()(
+        {
+            "serial": _run_serial,
+            "batch": _run_batched,
+            "batch_point_parallel": functools.partial(_run_batched, pooled=True),
+        },
+        reference="serial",
+        repeats=REPEATS,
+    )
+    serial_results = results["serial"]
+    batched_sweep = results["batch"]
+    pooled_sweep = results["batch_point_parallel"]
 
     # Statistical-equivalence contract: deterministic round budgets match the
     # serial path exactly (the forwarding budget and the direct-source
@@ -119,18 +134,11 @@ def test_e7_batch_speedup(print_report, machine_stamp):
             "voter_rounds": VOTER_ROUNDS,
             "trials_per_protocol": TRIALS,
             "base_seed": BASE_SEED,
+            "repeats": REPEATS,
         },
         "host": {"cpu_count": os.cpu_count()},
         "machine": machine_stamp,
-        "seconds": {
-            "serial": round(serial_seconds, 3),
-            "batch": round(batch_seconds, 3),
-            "batch_point_parallel": round(pooled_seconds, 3),
-        },
-        "speedup_vs_serial": {
-            "batch": round(serial_seconds / batch_seconds, 2),
-            "batch_point_parallel": round(serial_seconds / pooled_seconds, 2),
-        },
+        **timing,
     }
     RESULTS_PATH.parent.mkdir(parents=True, exist_ok=True)
     RESULTS_PATH.write_text(json.dumps(payload, indent=2) + "\n")

@@ -1,13 +1,13 @@
 """Speedup of the instrumented stage kernels on E4/E5/E6/E9/E11-style workloads.
 
-Runs the same Monte-Carlo workload two ways per experiment family — the
-serial reference (one engine per trial through ``run_trials``) and the
-vectorised ``(R, n)`` batch path (:mod:`repro.exec.stage_batching` /
-:mod:`repro.exec.batching`) — and records wall-clock times and speedups in
-``benchmarks/results/stage_batch_speedup.json``.  This is the perf record of
-the PR that closed the batch-coverage gap: E4 (phase-0 dissemination), E5
-(Stage-I layer growth), E6 (Stage-II boosting), E9 (clock-free variants) and
-E11 (lower-bound references) were the last serial-only experiments.
+Runs the same Monte-Carlo workload two ways per experiment family — serially
+(each trial the kernel at ``R = 1`` under its own seed, through
+``run_trials``) and as one vectorised ``(R, n)`` batch
+(:mod:`repro.exec.stage_batching` / :mod:`repro.exec.batching`) — and
+records wall-clock times and speedups in
+``benchmarks/results/stage_batch_speedup.json``.  The families are E4
+(phase-0 dissemination), E5 (Stage-I layer growth), E6 (Stage-II boosting),
+E9 (clock-free variants) and E11 (lower-bound references).
 
 The test asserts the headline claim — at least a 2x single-core batch
 speedup for each of E4, E5 and E6 — and records (without asserting, they mix
@@ -30,14 +30,13 @@ import os
 from pathlib import Path
 from typing import Any, Callable, Dict, Tuple
 
-from repro.analysis.experiments import run_trials
 from repro.api import ExecutionConfig, run_experiment
 from repro.core.parameters import ProtocolParameters
-from repro.exec.batching import run_batch_cell
+from repro.exec.batching import cell_task
 from repro.exec.stage_batching import run_stage1_instrumented, run_stage2_instrumented
-from repro.experiments.e4_phase0 import _phase0_only_parameters, _phase0_rows, _phase0_trial
-from repro.experiments.e5_stage1_growth import _stage1_rows, _stage1_trial
-from repro.experiments.e6_stage2_boost import _stage2_rows, _stage2_trial
+from repro.experiments.e4_phase0 import _phase0_only_parameters, _phase0_rows
+from repro.experiments.e5_stage1_growth import _stage1_rows
+from repro.experiments.e6_stage2_boost import _stage2_rows
 
 BASE_SEED = 42
 REPEATS = 5
@@ -80,6 +79,43 @@ def build_workloads(toy: bool = False) -> Dict[str, Dict[str, Any]]:
         )
         return serial, batched
 
+    def cell_pair(
+        name: str, batch_fn: Callable, trials: int, **settings: Any
+    ) -> Tuple[Callable, Callable]:
+        def run(batch: bool) -> Any:
+            fn, kwargs = cell_task(name, batch_fn, trials, BASE_SEED, batch, **settings)
+            return fn(**kwargs)
+
+        return functools.partial(run, False), functools.partial(run, True)
+
+    e4_serial, e4_batch = cell_pair(
+        "stage-bench-e4",
+        run_stage1_instrumented,
+        e4["trials"],
+        measure=functools.partial(_phase0_rows, epsilon=e4["epsilon"], parameters=e4_parameters),
+        n=e4["n"],
+        epsilon=e4["epsilon"],
+        parameters=e4_parameters,
+    )
+    e5_serial, e5_batch = cell_pair(
+        "stage-bench-e5",
+        run_stage1_instrumented,
+        e5["trials"],
+        measure=_stage1_rows,
+        n=e5["n"],
+        epsilon=e5["epsilon"],
+        parameters=e5_parameters,
+    )
+    e6_serial, e6_batch = cell_pair(
+        "stage-bench-e6",
+        run_stage2_instrumented,
+        e6["trials"],
+        measure=_stage2_rows,
+        n=e6["n"],
+        epsilon=e6["epsilon"],
+        initial_bias=e6_bias,
+        parameters=e6_parameters,
+    )
     e9_serial, e9_batch = driver_pair("E9", e9)
     e11_serial, e11_batch = driver_pair("E11", e11)
 
@@ -87,75 +123,20 @@ def build_workloads(toy: bool = False) -> Dict[str, Dict[str, Any]]:
         "E4": {
             "description": "phase-0 dissemination (Claim 2.2), instrumented Stage-I kernel",
             "workload": e4,
-            "serial": lambda: run_trials(
-                "stage-bench-e4",
-                functools.partial(
-                    _phase0_trial, n=e4["n"], epsilon=e4["epsilon"], parameters=e4_parameters
-                ),
-                num_trials=e4["trials"],
-                base_seed=BASE_SEED,
-            ),
-            "batch": lambda: run_batch_cell(
-                "stage-bench-e4",
-                run_stage1_instrumented,
-                e4["trials"],
-                base_seed=BASE_SEED,
-                measure=functools.partial(
-                    _phase0_rows, epsilon=e4["epsilon"], parameters=e4_parameters
-                ),
-                n=e4["n"],
-                epsilon=e4["epsilon"],
-                parameters=e4_parameters,
-            ),
+            "serial": e4_serial,
+            "batch": e4_batch,
         },
         "E5": {
             "description": "Stage-I layer growth (Claims 2.4-2.8), instrumented Stage-I kernel",
             "workload": e5,
-            "serial": lambda: run_trials(
-                "stage-bench-e5",
-                functools.partial(
-                    _stage1_trial, n=e5["n"], epsilon=e5["epsilon"], parameters=e5_parameters
-                ),
-                num_trials=e5["trials"],
-                base_seed=BASE_SEED,
-            ),
-            "batch": lambda: run_batch_cell(
-                "stage-bench-e5",
-                run_stage1_instrumented,
-                e5["trials"],
-                base_seed=BASE_SEED,
-                measure=_stage1_rows,
-                n=e5["n"],
-                epsilon=e5["epsilon"],
-                parameters=e5_parameters,
-            ),
+            "serial": e5_serial,
+            "batch": e5_batch,
         },
         "E6": {
             "description": "Stage-II bias boosting (Lemma 2.14), instrumented Stage-II kernel",
             "workload": {**e6, "initial_bias": e6_bias},
-            "serial": lambda: run_trials(
-                "stage-bench-e6",
-                functools.partial(
-                    _stage2_trial,
-                    n=e6["n"],
-                    epsilon=e6["epsilon"],
-                    initial_bias=e6_bias,
-                    parameters=e6_parameters,
-                ),
-                num_trials=e6["trials"],
-                base_seed=BASE_SEED,
-            ),
-            "batch": lambda: run_batch_cell(
-                "stage-bench-e6",
-                run_stage2_instrumented,
-                e6["trials"],
-                base_seed=BASE_SEED,
-                measure=_stage2_rows,
-                n=e6["n"],
-                epsilon=e6["epsilon"],
-                initial_bias=e6_bias,
-                parameters=e6_parameters,
-            ),
+            "serial": e6_serial,
+            "batch": e6_batch,
         },
         "E9": {
             "description": "clock-free variants (Theorem 3.1), windowed batch executors",

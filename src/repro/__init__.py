@@ -24,12 +24,9 @@ See ``README.md`` for the experiment index (E1–E11) and
 
 from .core import (
     BroadcastResult,
-    ClockFreeBroadcastProtocol,
     ClockFreeBroadcastResult,
     MajorityConsensusResult,
-    MajorityInstance,
     NoisyBroadcastProtocol,
-    NoisyMajorityConsensusProtocol,
     ProtocolParameters,
     StageOneParameters,
     StageTwoParameters,
@@ -62,12 +59,9 @@ __all__ = [
     "__version__",
     # core protocols
     "BroadcastResult",
-    "ClockFreeBroadcastProtocol",
     "ClockFreeBroadcastResult",
     "MajorityConsensusResult",
-    "MajorityInstance",
     "NoisyBroadcastProtocol",
-    "NoisyMajorityConsensusProtocol",
     "ProtocolParameters",
     "StageOneParameters",
     "StageTwoParameters",

@@ -3,22 +3,22 @@
 Public surface:
 
 * parameters and schedules — :class:`ProtocolParameters`, phase schedules;
-* Stage I / Stage II executors — :func:`execute_stage_one`,
-  :func:`execute_stage_two`, on a global clock or on skewed local clocks;
-* the complete protocols — :class:`NoisyBroadcastProtocol`,
-  :class:`NoisyMajorityConsensusProtocol`, and their one-call wrappers
-  :func:`solve_noisy_broadcast` / :func:`solve_noisy_majority_consensus`;
-* the Section-3 clock-free variants — :class:`ClockFreeBroadcastProtocol`,
-  :func:`run_clock_free_broadcast`, :func:`run_with_bounded_skew`, and their
-  guard-dilated schedules :func:`guarded_schedules`;
+* the serial Stage I / Stage II engine executors — :func:`execute_stage_one`,
+  :func:`execute_stage_two` — and the broadcast protocol they make up,
+  :class:`NoisyBroadcastProtocol` with its one-call wrapper
+  :func:`solve_noisy_broadcast`;
+* Corollary 2.18's majority consensus, :func:`solve_noisy_majority_consensus`,
+  and the Section-3 clock-free variants, :func:`run_clock_free_broadcast` and
+  :func:`run_with_bounded_skew` (with their guard-dilated schedules
+  :func:`guarded_schedules`): each is one run of its ``(R, n)`` rule in
+  :mod:`repro.exec` at ``R = 1``, so late starts, skewed clocks and
+  faulty agents are written once, as batch kernels;
 * closed-form theoretical predictions — :mod:`repro.core.theory`.
 """
 
 from .broadcast import BroadcastResult, NoisyBroadcastProtocol, solve_noisy_broadcast
 from .majority import (
     MajorityConsensusResult,
-    MajorityInstance,
-    NoisyMajorityConsensusProtocol,
     compute_start_phase,
     solve_noisy_majority_consensus,
 )
@@ -50,12 +50,9 @@ from .stage2 import (
     majority_of_random_subset,
 )
 from .synchronizer import (
-    ActivationPhaseResult,
-    ClockFreeBroadcastProtocol,
     ClockFreeBroadcastResult,
     default_guard,
     guarded_schedules,
-    run_activation_phase,
     run_clock_free_broadcast,
     run_with_bounded_skew,
 )
@@ -66,8 +63,6 @@ __all__ = [
     "NoisyBroadcastProtocol",
     "solve_noisy_broadcast",
     "MajorityConsensusResult",
-    "MajorityInstance",
-    "NoisyMajorityConsensusProtocol",
     "compute_start_phase",
     "solve_noisy_majority_consensus",
     "OPINIONS",
@@ -97,12 +92,9 @@ __all__ = [
     "StageTwoResult",
     "execute_stage_two",
     "majority_of_random_subset",
-    "ActivationPhaseResult",
-    "ClockFreeBroadcastProtocol",
     "ClockFreeBroadcastResult",
     "default_guard",
     "guarded_schedules",
-    "run_activation_phase",
     "run_clock_free_broadcast",
     "run_with_bounded_skew",
     "theory",

@@ -12,7 +12,12 @@ This module glues the two stages together into the complete
 The public entry points are :class:`NoisyBroadcastProtocol` (operates on an
 existing :class:`~repro.substrate.engine.SimulationEngine`) and the
 convenience function :func:`solve_noisy_broadcast` which builds the engine,
-runs the protocol and returns a :class:`BroadcastResult`.
+runs the protocol and returns a :class:`BroadcastResult`.  This is the one
+serial engine path: one
+:meth:`~repro.substrate.network.PushGossipNetwork.deliver` call per round,
+with every phase summary recorded.  Its ``(R, n)`` counterpart is
+:func:`repro.exec.batching.run_broadcast_batch`, which also runs under
+E12's fault models.
 """
 
 from __future__ import annotations
@@ -112,7 +117,6 @@ def solve_noisy_broadcast(
     correct_opinion: int = 1,
     parameters: Optional[ProtocolParameters] = None,
     record_time_series: bool = False,
-    faults=None,
     **calibration_overrides: float,
 ) -> BroadcastResult:
     """Build an engine and run the noisy broadcast protocol once.
@@ -129,10 +133,6 @@ def solve_noisy_broadcast(
         :meth:`ProtocolParameters.calibrated`).
     record_time_series:
         Store per-round correct-fraction series in the engine metrics.
-    faults:
-        Optional :data:`~repro.substrate.faults.FaultModel` forwarded to
-        :meth:`SimulationEngine.create`; the default ``None`` keeps the
-        pre-fault code path byte for byte.
 
     Returns
     -------
@@ -145,6 +145,5 @@ def solve_noisy_broadcast(
         epsilon=epsilon,
         seed=seed,
         record_time_series=record_time_series,
-        faults=faults,
     )
     return NoisyBroadcastProtocol(parameters).run(engine, correct_opinion=correct_opinion)

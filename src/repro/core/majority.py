@@ -10,8 +10,10 @@ algorithm starting from Stage-I phase
     ``i_A = log(|A| / log n) / (2 log(1 / eps))``
 
 (the phase whose activated-set size matches ``|A|``), followed by Stage II.
-This module provides instance generation, the start-phase computation, the
-protocol wrapper and a one-call convenience function.
+This module provides the start-phase computation and a one-call
+convenience function; the protocol's rule is
+:func:`repro.exec.batching.run_majority_batch`, which the function runs at
+``R = 1``.
 """
 
 from __future__ import annotations
@@ -20,83 +22,14 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-import numpy as np
-
-from ..errors import ParameterError, SimulationError
-from ..substrate.engine import SimulationEngine
-from .opinions import bias_from_counts, counts_from_bias, opposite, validate_opinion
+from ..errors import ParameterError
 from .parameters import ProtocolParameters
-from .stage1 import StageOneResult, execute_stage_one
-from .stage2 import StageTwoResult, execute_stage_two
 
 __all__ = [
-    "MajorityInstance",
     "MajorityConsensusResult",
     "compute_start_phase",
-    "NoisyMajorityConsensusProtocol",
     "solve_noisy_majority_consensus",
 ]
-
-
-@dataclass(frozen=True)
-class MajorityInstance:
-    """An initial opinion assignment for the majority-consensus problem.
-
-    Attributes
-    ----------
-    members:
-        Indices of the initially opinionated set ``A``.
-    opinions:
-        Their opinions, aligned with ``members``.
-    majority_opinion:
-        The (ground-truth) majority opinion ``B``.
-    """
-
-    members: np.ndarray
-    opinions: np.ndarray
-    majority_opinion: int
-
-    def __post_init__(self) -> None:
-        if self.members.shape != self.opinions.shape:
-            raise ParameterError("members and opinions must be aligned")
-        validate_opinion(self.majority_opinion)
-
-    @property
-    def size(self) -> int:
-        """``|A|``."""
-        return int(self.members.size)
-
-    @property
-    def majority_bias(self) -> float:
-        """The instance's majority-bias as defined in Section 1.3.1."""
-        correct = int(np.count_nonzero(self.opinions == self.majority_opinion))
-        return bias_from_counts(correct, self.size - correct)
-
-    @classmethod
-    def generate(
-        cls,
-        n: int,
-        size: int,
-        bias: float,
-        majority_opinion: int,
-        rng: np.random.Generator,
-    ) -> "MajorityInstance":
-        """Generate a random instance with ``size`` members and the given bias.
-
-        Members are a uniformly random subset of the ``n`` agents; the number
-        of correct members is the smallest count achieving at least ``bias``.
-        """
-        majority_opinion = validate_opinion(majority_opinion)
-        if not 1 <= size <= n:
-            raise ParameterError(f"initial set size must be in [1, n], got {size}")
-        if bias < 0:
-            raise ParameterError("majority bias must be non-negative")
-        members = rng.choice(n, size=size, replace=False).astype(np.int64)
-        correct_count, wrong_count = counts_from_bias(size, bias)
-        opinions = np.full(size, opposite(majority_opinion), dtype=np.int8)
-        opinions[:correct_count] = majority_opinion
-        rng.shuffle(opinions)
-        return cls(members=members, opinions=opinions, majority_opinion=majority_opinion)
 
 
 @dataclass(frozen=True)
@@ -113,8 +46,6 @@ class MajorityConsensusResult:
     rounds: int
     messages_sent: int
     final_correct_fraction: float
-    stage1: Optional[StageOneResult]
-    stage2: StageTwoResult
 
 
 def compute_start_phase(parameters: ProtocolParameters, initial_set_size: int) -> int:
@@ -141,52 +72,6 @@ def compute_start_phase(parameters: ProtocolParameters, initial_set_size: int) -
     return int(min(max(phase, 1), last_phase))
 
 
-class NoisyMajorityConsensusProtocol:
-    """The paper's majority-consensus algorithm: late-start Stage I, then Stage II."""
-
-    name = "breathe-before-speaking-majority"
-
-    def __init__(self, parameters: ProtocolParameters, start_phase: Optional[int] = None) -> None:
-        self.parameters = parameters
-        self.start_phase = start_phase
-
-    def run(self, engine: SimulationEngine, instance: MajorityInstance) -> MajorityConsensusResult:
-        """Execute the protocol on ``engine`` from the initial assignment ``instance``."""
-        if engine.n != self.parameters.n:
-            raise SimulationError(
-                f"engine has {engine.n} agents but parameters were built for {self.parameters.n}"
-            )
-        correct_opinion = instance.majority_opinion
-        start_phase = (
-            self.start_phase
-            if self.start_phase is not None
-            else compute_start_phase(self.parameters, instance.size)
-        )
-        engine.population.seed_opinionated_set(
-            instance.members, instance.opinions, phase=max(start_phase - 1, 0), round_index=0
-        )
-
-        stage1 = execute_stage_one(
-            engine, self.parameters.stage1, correct_opinion, start_phase=start_phase
-        )
-        stage2 = execute_stage_two(engine, self.parameters.stage2, correct_opinion)
-
-        return MajorityConsensusResult(
-            success=engine.population.all_correct(correct_opinion),
-            majority_opinion=correct_opinion,
-            n=engine.n,
-            epsilon=engine.epsilon,
-            initial_set_size=instance.size,
-            initial_bias=instance.majority_bias,
-            start_phase=start_phase,
-            rounds=stage1.rounds + stage2.rounds,
-            messages_sent=stage1.messages_sent + stage2.messages_sent,
-            final_correct_fraction=stage2.final_correct_fraction,
-            stage1=stage1,
-            stage2=stage2,
-        )
-
-
 def solve_noisy_majority_consensus(
     n: int,
     epsilon: float,
@@ -197,7 +82,10 @@ def solve_noisy_majority_consensus(
     parameters: Optional[ProtocolParameters] = None,
     **calibration_overrides: float,
 ) -> MajorityConsensusResult:
-    """Build an engine, generate a random instance and solve it once.
+    """Generate a random instance and solve it once.
+
+    The run is :func:`repro.exec.batching.run_majority_batch` at
+    ``R = 1`` with ``seed`` as its base seed.
 
     Parameters
     ----------
@@ -209,14 +97,28 @@ def solve_noisy_majority_consensus(
     parameters:
         Optional explicit protocol parameters (calibrated preset otherwise).
     """
-    if parameters is None:
-        parameters = ProtocolParameters.calibrated(n, epsilon, **calibration_overrides)
-    engine = SimulationEngine.create(n=n, epsilon=epsilon, seed=seed, source=None)
-    instance = MajorityInstance.generate(
+    from ..exec.batching import run_majority_batch
+
+    batch = run_majority_batch(
         n=n,
-        size=initial_set_size,
-        bias=majority_bias,
+        epsilon=epsilon,
+        num_replicates=1,
+        initial_set_size=initial_set_size,
+        majority_bias=majority_bias,
+        base_seed=seed,
         majority_opinion=majority_opinion,
-        rng=engine.random.stream("instance"),
+        parameters=parameters,
+        **calibration_overrides,
     )
-    return NoisyMajorityConsensusProtocol(parameters).run(engine, instance)
+    return MajorityConsensusResult(
+        success=bool(batch.success[0]),
+        majority_opinion=batch.majority_opinion,
+        n=batch.n,
+        epsilon=batch.epsilon,
+        initial_set_size=batch.initial_set_size,
+        initial_bias=batch.initial_bias,
+        start_phase=batch.start_phase,
+        rounds=batch.rounds,
+        messages_sent=int(batch.messages_sent[0]),
+        final_correct_fraction=float(batch.final_correct_fraction[0]),
+    )

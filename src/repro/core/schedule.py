@@ -5,21 +5,17 @@ intervals (``phase 0 = [0, beta_s)``, ``phase i = [beta_s + (i-1) beta,
 beta_s + i beta)``, ...) and Section 3 shifts each phase ``i`` by an extra
 ``i * D`` rounds to tolerate clock skew ``D``.  This module materialises
 those intervals so that executors, tests and the Section-3 synchronizer all
-share one source of truth about *when* each phase happens, and maps a
-local-time schedule onto the global rounds in which agents with skewed
-clocks run it (:func:`phase_windows`, :func:`gossip_phase`).
+share one source of truth about *when* each phase happens.  The stage
+kernels of :mod:`repro.exec.stage_batching` map a local-time schedule onto
+the global rounds in which agents with skewed clocks run it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import Iterator, List, Sequence
 
 from ..errors import ParameterError, ScheduleError
-from ..substrate.engine import SimulationEngine
-from ..substrate.network import DeliveryReport
 from .parameters import StageOneParameters, StageTwoParameters
 
 __all__ = [
@@ -27,8 +23,6 @@ __all__ = [
     "PhaseSchedule",
     "build_stage1_schedule",
     "build_stage2_schedule",
-    "phase_windows",
-    "gossip_phase",
 ]
 
 
@@ -153,76 +147,3 @@ def build_stage2_schedule(parameters: StageTwoParameters, start_round: int = 0) 
         phases.append(PhaseInterval(index=index, start=cursor, end=cursor + length))
         cursor += length
     return PhaseSchedule(stage="stage2", phases=tuple(phases))
-
-
-def phase_windows(
-    schedule: PhaseSchedule, offsets: Optional[np.ndarray], size: int, now: int
-) -> Tuple[np.ndarray, List[Tuple[PhaseInterval, range, range]]]:
-    """Map a local-time schedule onto global rounds for ``size`` agents.
-
-    Agent ``a`` runs local round ``t`` at global round ``offsets[a] + t``
-    (Section 3.1); ``offsets=None`` means every clock reads zero at global
-    round ``now``.  Returns the offsets as an int64 array and, per phase,
-    its *window* — the global rounds in which some agent's clock is inside
-    the phase — and its *interior*, the rounds in which every agent's clock
-    is.  With equal clocks the two coincide; the interior is empty when the
-    phase is shorter than the clock skew.
-
-    Raises
-    ------
-    ParameterError
-        When ``offsets`` does not hold one entry per agent, or a window
-        starts before ``now`` or before the previous window ends: the gap
-        before each phase must absorb the clock skew.
-    """
-    if offsets is None:
-        offsets = np.full(size, now, dtype=np.int64)
-    offsets = np.asarray(offsets, dtype=np.int64)
-    if offsets.shape != (size,):
-        raise ParameterError("offsets must contain one entry per agent")
-    earliest, latest = int(offsets.min()), int(offsets.max())
-    windows = []
-    previous_end = now
-    for phase in schedule:
-        window = range(phase.start + earliest, phase.end + latest)
-        if window.start < previous_end:
-            raise ParameterError(
-                f"phase {phase.index} starts at global round {window.start}, before round "
-                f"{previous_end}: the guard before each phase must be at least the clock skew"
-            )
-        windows.append((phase, window, range(phase.start + latest, phase.end + earliest)))
-        previous_end = window.stop
-    return offsets, windows
-
-
-def gossip_phase(
-    engine: SimulationEngine,
-    phase: PhaseInterval,
-    window: range,
-    interior: range,
-    offsets: np.ndarray,
-    senders: np.ndarray,
-    bits: np.ndarray,
-    correct_opinion: int,
-) -> Iterator[Tuple[int, DeliveryReport]]:
-    """Run one phase's global ``window`` on ``engine``; yield ``(speakers, report)`` per round.
-
-    ``senders``/``bits`` are the agents that speak in the phase.  In
-    interior rounds all of them speak, exactly as in the synchronous
-    setting; in the window's edge rounds only those whose own clock is
-    inside the phase do, and a round in which nobody's is idles without
-    drawing randomness.  Rounds before the window idle too.
-    """
-    while engine.now < window.start:
-        engine.idle_round()
-    while engine.now < window.stop:
-        speaking_senders, speaking_bits = senders, bits
-        if engine.now not in interior:
-            local = engine.now - offsets[senders]
-            speaking = (local >= phase.start) & (local < phase.end)
-            if not speaking.any():
-                engine.idle_round()
-                continue
-            speaking_senders, speaking_bits = senders[speaking], bits[speaking]
-        report = engine.gossip_round(speaking_senders, speaking_bits, correct_opinion=correct_opinion)
-        yield speaking_senders.size, report

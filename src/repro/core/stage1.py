@@ -15,12 +15,17 @@ realised with per-agent reservoir sampling, which (a) needs O(1) memory per
 agent and (b) makes the choice independent of the order in which messages
 arrive — exactly the property Remark 2.1 asks for, and which Section 3 relies
 on when the global clock is removed.
+
+This executor runs the source-seeded broadcast on one engine, from phase 0
+on the global clock.  Late starts (Corollary 2.18), skewed clocks
+(Section 3) and faulty agents run on the ``(R, n)`` kernel
+:func:`repro.exec.stage_batching.run_stage1_batch`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -30,7 +35,7 @@ from ..substrate.metrics import PhaseRecord
 from ..substrate.population import NO_OPINION
 from .opinions import bias_from_counts, validate_opinion
 from .parameters import StageOneParameters
-from .schedule import PhaseSchedule, build_stage1_schedule, gossip_phase, phase_windows
+from .schedule import build_stage1_schedule
 
 __all__ = ["StageOnePhaseSummary", "StageOneResult", "ReceptionAccumulator", "execute_stage_one"]
 
@@ -98,25 +103,6 @@ class ReceptionAccumulator:
         current = self._chosen[recipients]
         self._chosen[recipients] = np.where(replace, bits, current).astype(np.int8)
 
-    def observe_positional(
-        self, recipients: np.ndarray, bits: np.ndarray, rng: np.random.Generator
-    ) -> None:
-        """Like :meth:`observe`, but with fixed per-round RNG consumption.
-
-        Draws one uniform per *agent slot* (not per recipient) and indexes
-        into that vector, so the stream's consumption never depends on who
-        happened to receive — the fault layer's RNG-stability contract (see
-        :mod:`repro.substrate.faults`).  Fault-model runs use this variant;
-        the plain :meth:`observe` stays byte-identical for everything else.
-        """
-        draws = rng.random(self._counts.size)
-        if recipients.size == 0:
-            return
-        self._counts[recipients] += 1
-        replace = draws[recipients] < 1.0 / self._counts[recipients]
-        current = self._chosen[recipients]
-        self._chosen[recipients] = np.where(replace, bits, current).astype(np.int8)
-
     def heard_anything(self) -> np.ndarray:
         """Boolean mask of agents that heard at least one message this phase."""
         return self._counts > 0
@@ -138,31 +124,18 @@ def execute_stage_one(
     engine: SimulationEngine,
     parameters: StageOneParameters,
     correct_opinion: int,
-    start_phase: int = 0,
-    offsets: Optional[np.ndarray] = None,
-    schedule: Optional[PhaseSchedule] = None,
 ) -> StageOneResult:
-    """Run Stage I of the protocol on ``engine``.
+    """Run Stage I of the protocol on ``engine``, from phase 0.
 
     Parameters
     ----------
     engine:
         A freshly initialised simulation whose population already contains
-        the initially opinionated agents: the source (broadcast, phase 0) or
-        the seeded set ``A`` (majority-consensus, ``start_phase = i_A``).
+        the initially opinionated source.
     parameters:
         Stage-I round budget.
     correct_opinion:
         The opinion ``B`` (used only for measurement, never by agents).
-    start_phase:
-        First phase to execute (Corollary 2.18); must be a phase of the
-        stage.
-    offsets, schedule:
-        The agents' clocks (Section 3): agent ``a`` runs local round ``t``
-        of the local-time ``schedule`` at global round ``offsets[a] + t``
-        (see :func:`~repro.core.schedule.phase_windows`).  By default every
-        clock reads zero now and the schedule is the synchronous one from
-        ``start_phase`` on; a given ``schedule`` replaces ``start_phase``.
 
     Returns
     -------
@@ -178,21 +151,14 @@ def execute_stage_one(
         raise SimulationError(
             "Stage I needs at least one initially opinionated agent (source or seeded set)"
         )
-    if schedule is None:
-        schedule = build_stage1_schedule(parameters, start_phase=start_phase)
-    offsets, windows = phase_windows(schedule, offsets, population.size, engine.now)
 
     summaries = []
     total_messages_before = engine.metrics.messages_sent
     start_round = engine.now
-    # Fault runs use the positional reservoir so a crash cannot shift other
-    # agents' protocol-stream draws; the default path is byte-identical to
-    # the pre-fault code.
-    resilient = engine.faults is not None
-    observe = accumulator.observe_positional if resilient else accumulator.observe
 
-    for phase, window, interior in windows:
+    for phase in build_stage1_schedule(parameters):
         messages_before = engine.metrics.messages_sent
+        phase_start = engine.now
 
         # Agents that speak during this phase: everyone already activated
         # *and* opinionated when the phase starts.  Newly contacted agents
@@ -202,16 +168,13 @@ def execute_stage_one(
         sender_bits = population.opinions[senders].astype(np.int8)
 
         accumulator.reset()
-        peak_senders = 0
-        for speakers, report in gossip_phase(
-            engine, phase, window, interior, offsets, senders, sender_bits, correct_opinion
-        ):
-            peak_senders = max(peak_senders, speakers)
-            if resilient or report.recipients.size:
+        for _ in range(phase.length):
+            report = engine.gossip_round(senders, sender_bits, correct_opinion=correct_opinion)
+            if report.recipients.size:
                 dormant_mask = ~population.activated[report.recipients]
-                dormant_recipients = report.recipients[dormant_mask]
-                dormant_bits = report.bits[dormant_mask]
-                observe(dormant_recipients, dormant_bits, protocol_rng)
+                accumulator.observe(
+                    report.recipients[dormant_mask], report.bits[dormant_mask], protocol_rng
+                )
 
         newly_heard = np.flatnonzero(accumulator.heard_anything() & ~population.activated)
         chosen_bits = accumulator.chosen_bits(newly_heard)
@@ -223,8 +186,8 @@ def execute_stage_one(
         messages_in_phase = engine.metrics.messages_sent - messages_before
         summary = StageOnePhaseSummary(
             phase=phase.index,
-            rounds=len(window),
-            senders=peak_senders,
+            rounds=phase.length,
+            senders=int(senders.size),
             activated_total=population.num_activated(),
             newly_activated=int(newly_heard.size),
             newly_correct=newly_correct,
@@ -236,7 +199,7 @@ def execute_stage_one(
             PhaseRecord(
                 stage="stage1",
                 phase=phase.index,
-                start_round=window.start,
+                start_round=phase_start,
                 end_round=engine.now,
                 activated_total=summary.activated_total,
                 newly_activated=summary.newly_activated,

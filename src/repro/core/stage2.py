@@ -20,12 +20,15 @@ Implementation notes
   is simulated exactly by drawing the number of ones in the subset from a
   hypergeometric distribution.  This is both faster and order-invariant,
   which is the property Remark 2.10 requires for the Section-3 argument.
+* This executor runs on one engine on the global clock.  Skewed clocks
+  (Section 3), seeded populations and faulty agents run on the ``(R, n)``
+  kernel :func:`repro.exec.stage_batching.run_stage2_batch`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -34,7 +37,7 @@ from ..substrate.metrics import PhaseRecord
 from ..substrate.population import NO_OPINION
 from .opinions import validate_opinion
 from .parameters import StageTwoParameters
-from .schedule import PhaseSchedule, build_stage2_schedule, gossip_phase, phase_windows
+from .schedule import build_stage2_schedule
 
 __all__ = [
     "StageTwoPhaseSummary",
@@ -153,37 +156,27 @@ def execute_stage_two(
     engine: SimulationEngine,
     parameters: StageTwoParameters,
     correct_opinion: int,
-    offsets: Optional[np.ndarray] = None,
-    schedule: Optional[PhaseSchedule] = None,
 ) -> StageTwoResult:
     """Run Stage II of the protocol on ``engine``.
 
     The population is expected to be (mostly) opinionated already — Stage I
     ends with all agents activated w.h.p.  Agents without an opinion do not
     send but still collect samples and adopt the majority of a random subset
-    if they turn out successful, which makes the executor usable as a
-    standalone majority-consensus dynamic as well.
-
-    ``offsets``/``schedule`` are the agents' clocks and local-time phase
-    schedule on skewed clocks (Section 3), exactly as in
-    :func:`~repro.core.stage1.execute_stage_one`; by default every clock
-    reads zero now and the schedule is the synchronous one.
+    if they turn out successful.
     """
     correct_opinion = validate_opinion(correct_opinion)
     population = engine.population
     protocol_rng = engine.protocol_rng()
     accumulator = SampleAccumulator(population.size)
-    if schedule is None:
-        schedule = build_stage2_schedule(parameters)
-    offsets, windows = phase_windows(schedule, offsets, population.size, engine.now)
 
     summaries = []
     messages_at_start = engine.metrics.messages_sent
     start_round = engine.now
 
-    for phase, window, interior in windows:
+    for phase in build_stage2_schedule(parameters):
         subset_size = phase.length // 2
         messages_before = engine.metrics.messages_sent
+        phase_start = engine.now
         bias_before = population.bias(correct_opinion)
 
         # Messages sent during the phase all carry the phase-start opinion.
@@ -192,9 +185,8 @@ def execute_stage_two(
         sender_bits = opinions_at_start[senders].astype(np.int8)
 
         accumulator.reset()
-        for _, report in gossip_phase(
-            engine, phase, window, interior, offsets, senders, sender_bits, correct_opinion
-        ):
+        for _ in range(phase.length):
+            report = engine.gossip_round(senders, sender_bits, correct_opinion=correct_opinion)
             accumulator.observe(report.recipients, report.bits)
 
         successful = np.flatnonzero(accumulator.totals >= subset_size)
@@ -213,7 +205,7 @@ def execute_stage_two(
         messages_in_phase = engine.metrics.messages_sent - messages_before
         summary = StageTwoPhaseSummary(
             phase=phase.index,
-            rounds=len(window),
+            rounds=phase.length,
             successful_agents=int(successful.size),
             bias_before=bias_before,
             bias_after=bias_after,
@@ -225,7 +217,7 @@ def execute_stage_two(
             PhaseRecord(
                 stage="stage2",
                 phase=phase.index,
-                start_round=window.start,
+                start_round=phase_start,
                 end_round=engine.now,
                 activated_total=population.num_activated(),
                 newly_activated=0,

@@ -15,9 +15,10 @@ Three protocol shapes are covered:
   (mirroring :func:`repro.core.broadcast.solve_noisy_broadcast`), also
   under E12's fault models;
 * :func:`run_majority_batch` — Corollary 2.18's majority-consensus variant
-  (mirroring :func:`repro.core.majority.solve_noisy_majority_consensus`):
-  a random initially-opinionated set per replicate, Stage I entered at the
-  corollary's start phase ``i_A``, then Stage-II boosting;
+  (:func:`repro.core.majority.solve_noisy_majority_consensus` is one run of
+  it at ``R = 1``): a random initially-opinionated set per replicate,
+  Stage I entered at the corollary's start phase ``i_A``, then Stage-II
+  boosting;
 * :func:`run_baseline_batch` — the Section 1.6 / Section 1.4 comparator
   family experiments E7 and E11 argue *against*, dispatched by protocol
   name: immediate forwarding
@@ -39,20 +40,19 @@ stage-level experiments E4–E6 and the skewed-clock E9 runs).
 :func:`repro.analysis.experiments.run_trials`: it runs every trial of one
 named cell as a single batch call and packages one row per replicate as an
 :class:`~repro.analysis.experiments.ExperimentResult`.  Every batched sweep
-point and every batched experiment cell (E4–E7, E9, E11, E12) goes through it.
-:func:`cell_task` builds the cell of a comparator rule (E7's baselines,
-E11's schemes, E12's consensus comparator) for either path: one shared grid
-when batched, otherwise one :func:`replicate_trial` per trial — the rule at
-``R = 1`` under the trial's own seed, so serial and batched trials of a
-comparator run the same code.
+point and every batched experiment cell (E1–E9, E11, E12) goes through it.
+:func:`cell_task` builds a cell for either path: one shared grid when
+batched, otherwise one :func:`replicate_trial` per trial — the rule at
+``R = 1`` under the trial's own seed, so serial and batched trials run the
+same code.  Every serial trial of E4–E9, E11 and E12 is such a call; only
+E1–E3's serial trials run the engine executors of :mod:`repro.core`.
 :func:`run_sweep_batched` dispatches whole sweeps point-by-point onto the
 named batch simulator, forwarding *every* recognised point setting
-(``correct_opinion``, ``allow_self_messages``, ``initial_set_size``,
-``majority_bias``, calibration overrides, ...) and rejecting unrecognised
-ones — the same strictness a serial ``run_sweep`` trial function gets by
-construction.  Each grid point is one task on the run's execution backend,
-so a pool backend composes batch-level vectorisation with point-level
-parallelism.
+(``correct_opinion``, ``allow_self_messages``, calibration overrides, the
+baselines' options, ...) and rejecting unrecognised ones — the same
+strictness a serial ``run_sweep`` trial function gets by construction.
+Each grid point is one task on the run's execution backend, so a pool
+backend composes batch-level vectorisation with point-level parallelism.
 
 Determinism contract
 --------------------
@@ -64,25 +64,25 @@ Determinism contract
   name, i)``; both rules live in :func:`run_batch_cell` only.  Pooled
   sweeps preserve this bit-for-bit: cell names and seeds are fixed in the
   parent before dispatch and results are assembled in point order.
-* Per-replicate dynamics are *statistically* equivalent to
-  :func:`repro.core.broadcast.solve_noisy_broadcast` /
-  :func:`repro.core.majority.solve_noisy_majority_consensus` — same
-  protocol, same schedule (the per-replicate round count is exactly equal),
-  same distributions — but **not** bit-identical to serial trials, because
-  the whole batch consumes one random stream instead of one stream tree per
-  engine.  Experiments that must be replayable trial-for-trial (the default)
-  run one engine per trial (:func:`repro.analysis.sweeps.run_sweep`), or,
-  for a comparator, one ``R = 1`` rule call per trial seed
-  (:func:`replicate_trial`); ``--batch`` trades that per-trial
-  replayability for a large constant-factor speedup while keeping
-  batch-level reproducibility.
+* A serial trial of a cell is its rule at ``R = 1`` with the trial's seed
+  as the batch's base seed (:func:`replicate_trial`), so it replays by
+  itself; ``--batch`` trades that per-trial replayability for a large
+  constant-factor speedup while keeping batch-level reproducibility.  A
+  replicate of a batch is statistically equivalent to a serial trial — same
+  rule, same schedule, same distributions — but not bit-identical to one,
+  because the whole batch consumes one random stream.
+* The serial broadcast of E1–E3
+  (:func:`repro.core.broadcast.solve_noisy_broadcast`) is the one protocol
+  with a second, engine-based implementation; :func:`run_broadcast_batch`
+  is statistically equivalent to it, with exactly equal round counts.
 
-The differential tests in ``tests/unit/exec/test_batching.py`` pin both
-halves of the contract for the paper's protocol: exact equality where the
-schedule is deterministic (round counts), and distributional agreement for
-the stochastic observables (success rate, message counts, final bias).  The
-comparators have one rule each; ``tests/unit/exec/test_comparator_distribution.py``
-holds their recorded serial distributions as an oracle.
+The differential tests in ``tests/unit/exec/test_batching.py`` and
+``tests/unit/exec/test_stage_batching.py`` pin that last equivalence:
+exact equality where the schedule is deterministic, distributional agreement
+for the stochastic observables.  The serial distributions the other rules
+replaced are recorded as oracles in
+``tests/unit/exec/test_comparator_distribution.py`` and
+``tests/unit/exec/test_stage_kernel_distribution.py``.
 """
 
 from __future__ import annotations
@@ -219,8 +219,7 @@ class BatchMajorityResult:
         Size of the initially opinionated set ``A`` and the realised
         majority-bias of its opinion assignment (identical for every
         replicate: :func:`~repro.core.opinions.counts_from_bias` makes the
-        correct/wrong split deterministic, exactly as
-        :meth:`~repro.core.majority.MajorityInstance.generate` does).
+        correct/wrong split deterministic).
     start_phase:
         Corollary 2.18's ``i_A`` — the Stage-I phase the protocol starts
         from; identical for every replicate because it depends only on the
@@ -395,9 +394,8 @@ def run_majority_batch(
 ) -> BatchMajorityResult:
     """Simulate ``num_replicates`` independent majority-consensus runs at once.
 
-    This is the batched counterpart of
-    :func:`repro.core.majority.solve_noisy_majority_consensus`: every
-    replicate gets its own uniformly random initially opinionated set ``A``
+    :func:`repro.core.majority.solve_noisy_majority_consensus` is this
+    function at ``num_replicates=1``.  Every replicate gets its own uniformly random initially opinionated set ``A``
     (size ``initial_set_size``, majority-bias ``majority_bias`` towards
     ``majority_opinion``), the protocol enters Stage I at Corollary 2.18's
     start phase ``i_A`` (so the seeded set plays the role of "the agents
@@ -413,8 +411,7 @@ def run_majority_batch(
     initial_set_size, majority_bias, majority_opinion:
         The initial opinionated set ``A``: its size and its majority-bias
         towards ``majority_opinion``.  The correct/wrong split is the
-        deterministic :func:`~repro.core.opinions.counts_from_bias` split,
-        exactly as in :meth:`~repro.core.majority.MajorityInstance.generate`;
+        deterministic :func:`~repro.core.opinions.counts_from_bias` split;
         the membership of ``A`` is drawn independently per replicate.
     base_seed:
         Root seed of the batch stream.
@@ -426,9 +423,8 @@ def run_majority_batch(
     allow_self_messages:
         Allow agents to push messages to themselves.
     start_phase:
-        Override Corollary 2.18's computed start phase (mirrors the
-        ``start_phase`` argument of
-        :class:`~repro.core.majority.NoisyMajorityConsensusProtocol`).
+        Override Corollary 2.18's computed start phase; it must be a phase
+        of Stage I.
     """
     majority_opinion, parameters, channel = _protocol_batch_inputs(
         n, epsilon, num_replicates, majority_opinion, parameters, channel, calibration_overrides
@@ -437,8 +433,7 @@ def run_majority_batch(
     rng = spawn_generator(base_seed, "batch-majority", n)
     network = PushGossipNetwork(size=n, allow_self_messages=allow_self_messages)
 
-    # Instance generation, one independent instance per replicate, realising
-    # the same distribution as MajorityInstance.generate's shuffle.
+    # Instance generation: one independent random instance per replicate.
     state = seeded_batch_state(
         n, num_replicates, initial_set_size, majority_bias, majority_opinion, rng
     )
@@ -622,15 +617,21 @@ def run_batch_cell(
 
 
 def replicate_trial(
-    seed: int, _index: int, batch_fn: Callable[..., Any], **settings: Any
+    seed: int,
+    _index: int,
+    batch_fn: Callable[..., Any],
+    measure: Optional[Callable[[Any], Sequence[Mapping[str, Any]]]] = None,
+    **settings: Any,
 ) -> Dict[str, Any]:
     """One serial trial: ``batch_fn``'s rule at ``R = 1`` under the trial's seed.
 
-    Module-level, so a ``functools.partial`` of it is a picklable
-    ``run_trials`` trial function, and the trial replays by itself from its
-    seed.
+    The row is ``measure(batch)[0]`` when ``measure`` is given, otherwise
+    ``batch.measurements(0)``, as in :func:`run_batch_cell`.  Module-level,
+    so a ``functools.partial`` of it is a picklable ``run_trials`` trial
+    function, and the trial replays by itself from its seed.
     """
-    return batch_fn(num_replicates=1, base_seed=seed, **settings).measurements(0)
+    batch = batch_fn(num_replicates=1, base_seed=seed, **settings)
+    return measure(batch)[0] if measure is not None else batch.measurements(0)
 
 
 def cell_task(
@@ -639,6 +640,7 @@ def cell_task(
     num_trials: int,
     base_seed: int,
     batch: bool,
+    measure: Optional[Callable[[Any], Sequence[Mapping[str, Any]]]] = None,
     **settings: Any,
 ) -> Tuple[Callable[..., Any], Dict[str, Any]]:
     """The ``(fn, kwargs)`` task that runs every trial of cell ``name``.
@@ -647,7 +649,8 @@ def cell_task(
     otherwise each trial is ``batch_fn`` at ``R = 1`` under its own trial
     seed (:func:`replicate_trial` under
     :func:`~repro.analysis.experiments.run_trials`).  Either way the rule is
-    ``batch_fn``'s and the rows carry its measurement keys.
+    ``batch_fn``'s, and the rows are ``measure``'s, or ``batch_fn``'s
+    measurement keys without one.
     """
     if batch:
         return run_batch_cell, {
@@ -655,13 +658,16 @@ def cell_task(
             "batch_fn": batch_fn,
             "num_trials": num_trials,
             "base_seed": base_seed,
+            "measure": measure,
             **settings,
         }
     from ..analysis.experiments import run_trials
 
     return run_trials, {
         "name": name,
-        "trial_fn": functools.partial(replicate_trial, batch_fn=batch_fn, **settings),
+        "trial_fn": functools.partial(
+            replicate_trial, batch_fn=batch_fn, measure=measure, **settings
+        ),
         "num_trials": num_trials,
         "base_seed": base_seed,
     }
@@ -682,17 +688,12 @@ _CALIBRATION_SETTINGS = frozenset(
 )
 
 #: The point settings each sweepable simulator requires and the further ones
-#: it understands.  The baseline simulator's entry is the union of every
+#: it understands (E8 builds its majority cells with :func:`cell_task`).  The baseline simulator's entry is the union of every
 #: per-protocol option; run_baseline_batch enforces the exact subsets.
 _SWEEP_SETTINGS: Dict[Callable[..., Any], Tuple[Tuple[str, ...], frozenset]] = {
     run_broadcast_batch: (
         ("n", "epsilon"),
         frozenset({"correct_opinion", "allow_self_messages"}) | _CALIBRATION_SETTINGS,
-    ),
-    run_majority_batch: (
-        ("n", "epsilon", "initial_set_size", "majority_bias"),
-        frozenset({"majority_opinion", "allow_self_messages", "start_phase"})
-        | _CALIBRATION_SETTINGS,
     ),
     run_baseline_batch: (
         ("n", "epsilon", "protocol"),
@@ -702,27 +703,6 @@ _SWEEP_SETTINGS: Dict[Callable[..., Any], Tuple[Tuple[str, ...], frozenset]] = {
     ),
 }
 
-#: Grid-key aliases of the serial E8 sweep, normalised on dispatch.
-_MAJORITY_ALIASES: Dict[str, str] = {"set_size": "initial_set_size", "bias": "majority_bias"}
-
-
-def _normalise_majority_aliases(settings: Dict[str, Any], context: str) -> Dict[str, Any]:
-    """Rewrite the serial E8 grid keys (``set_size``/``bias``) onto the
-    canonical majority settings, in place.
-
-    Applied to ``defaults`` and to each point *before* they are merged, so a
-    point may override a default through either spelling (per-point settings
-    win, as documented); naming both spellings in the *same* mapping is
-    ambiguous and raises.
-    """
-    for alias, canonical in _MAJORITY_ALIASES.items():
-        if alias in settings:
-            if canonical in settings:
-                raise ExperimentError(f"{context} sets both {alias!r} and {canonical!r}")
-            settings[canonical] = settings.pop(alias)
-    return settings
-
-
 def _resolve_batch_task(
     point_name: str,
     point: Any,
@@ -731,8 +711,7 @@ def _resolve_batch_task(
     trials_per_point: int,
     base_seed: int,
 ) -> Tuple[Callable[..., Any], Dict[str, Any]]:
-    """Map one grid point's merged (alias-normalised) settings onto a
-    :func:`run_batch_cell` task.
+    """Map one grid point's merged settings onto a :func:`run_batch_cell` task.
 
     Checks required settings and rejects anything unrecognised, so that a
     typo'd or unsupported setting fails loudly instead of being silently
@@ -753,18 +732,11 @@ def _resolve_batch_task(
             f"for {batch_fn.__name__}; recognised settings are {sorted(recognised)}"
         )
 
-    # Coerce the numeric settings exactly as the serial trial functions do
-    # (e.g. E8's int(point["set_size"])), so values a serial sweep accepts —
-    # a float grid axis, a numpy integer — work identically batched.
+    # Coerce the numeric settings, so values a serial sweep accepts — a float
+    # grid axis, a numpy integer — work identically batched.
     kwargs = dict(settings)
     kwargs["n"] = int(kwargs["n"])
     kwargs["epsilon"] = float(kwargs["epsilon"])
-    if "initial_set_size" in kwargs:
-        kwargs["initial_set_size"] = int(kwargs["initial_set_size"])
-    if "majority_bias" in kwargs:
-        kwargs["majority_bias"] = float(kwargs["majority_bias"])
-    if kwargs.get("start_phase") is not None:
-        kwargs["start_phase"] = int(kwargs["start_phase"])
     for round_setting in ("max_rounds", "check_every", "rounds", "threshold"):
         if kwargs.get(round_setting) is not None:
             kwargs[round_setting] = int(kwargs[round_setting])
@@ -789,12 +761,11 @@ def run_sweep_batched(
     """Batched counterpart of :func:`repro.analysis.sweeps.run_sweep`.
 
     Every grid point (merged over ``defaults``) is one :func:`run_batch_cell`
-    call of ``batch_fn`` — :func:`run_broadcast_batch`,
-    :func:`run_majority_batch` or :func:`run_baseline_batch` — with *all*
-    its settings forwarded; a missing required or an unrecognised setting
-    raises :class:`~repro.errors.ExperimentError`, and so does any other
-    ``batch_fn``.  The serial E8 grid keys ``set_size``/``bias`` are accepted
-    as aliases of the majority simulator's settings.  Point naming and
+    call of ``batch_fn`` — :func:`run_broadcast_batch` or
+    :func:`run_baseline_batch` — with *all* its settings forwarded; a missing
+    required or an unrecognised setting raises
+    :class:`~repro.errors.ExperimentError`, and so does any other
+    ``batch_fn``.  Point naming and
     per-point seeding mirror ``run_sweep`` (including the duplicate-label
     disambiguation of :func:`repro.analysis.sweeps.sweep_point_names`) so
     batched sweeps feed the existing reports unchanged.
@@ -816,25 +787,20 @@ def run_sweep_batched(
         )
     if trials_per_point < 1:
         raise ExperimentError("trials_per_point must be at least 1")
-    # Alias keys only mean something to the majority simulator; leaving them
-    # alone elsewhere keeps "unrecognised setting" errors pointing at the key
-    # the caller actually wrote.
-    normalise = batch_fn is run_majority_batch
-    merged_defaults = dict(defaults or {})
-    if normalise:
-        _normalise_majority_aliases(merged_defaults, f"batched sweep {name!r} defaults")
 
     sweep_points = [SweepPoint.from_mapping(raw_point) for raw_point in points]
     point_names = sweep_point_names(name, sweep_points)
-    tasks: List[Tuple[Callable[..., Any], Dict[str, Any]]] = []
-    for point, point_name in zip(sweep_points, point_names):
-        point_settings = point.as_dict()
-        if normalise:
-            _normalise_majority_aliases(point_settings, f"batched sweep point {point_name}")
-        settings = {**merged_defaults, **point_settings}
-        tasks.append(
-            _resolve_batch_task(point_name, point, settings, batch_fn, trials_per_point, base_seed)
+    tasks = [
+        _resolve_batch_task(
+            point_name,
+            point,
+            {**(defaults or {}), **point.as_dict()},
+            batch_fn,
+            trials_per_point,
+            base_seed,
         )
+        for point, point_name in zip(sweep_points, point_names)
+    ]
     return SweepResult(name=name, points=sweep_points, results=pool.run_point_tasks(tasks))
 
 

@@ -1,58 +1,49 @@
 """Vectorised, *instrumented* stage kernels for the two-stage protocol.
 
-:mod:`repro.exec.batching` batches whole protocol runs — Theorem 2.17's
-broadcast, Corollary 2.18's majority consensus, the Section 1.6 baselines —
-as ``(R, n)`` array programs, but until this module existed the *stage-level*
-experiments (E4's phase-0 dissemination, E5's per-phase layer growth, E6's
-per-phase bias boosting, E9's clock-free variants) could only run serially:
-their drivers need the per-phase observables ``X_i`` / ``Y_i`` / ``eps_i``
-(Claims 2.2–2.8) and ``delta_i`` (Lemma 2.14) that the protocol-level batch
-kernels deliberately do not record.
+This module holds the one implementation of the Stage-I and Stage-II rules
+on ``(R, n)`` replicate grids — :func:`run_stage1_batch` (sender masks fixed
+at phase start, per-agent reservoir sampling of the messages heard, the
+newly activated measured per phase) and :func:`run_stage2_batch` (sample
+counting plus the hypergeometric simulation of the majority of a random
+subset) — and returns replicate-vector phase summaries with the per-phase
+observables ``X_i`` / ``Y_i`` / ``eps_i`` (Claims 2.2–2.8) and ``delta_i``
+(Lemma 2.14).  The protocol-level simulators in :mod:`repro.exec.batching`
+and the stage-level experiments (E4's phase-0 dissemination, E5's per-phase
+layer growth, E6's per-phase bias boosting, E9's clock-free variants) all
+run these kernels: batched as one grid, serially as one replicate per trial
+under the trial's own seed.  The serial engine executors
+:func:`repro.core.stage1.execute_stage_one` /
+:func:`repro.core.stage2.execute_stage_two` remain for the source-seeded,
+global-clock broadcast of :func:`repro.core.broadcast.solve_noisy_broadcast`
+only; late starts (Corollary 2.18), skewed clocks (Section 3) and faulty
+agents exist only here.
 
-This module closes that gap.  It hosts the single implementation of the
-batched Stage-I and Stage-II round loops — :func:`run_stage1_batch`
-mirroring :func:`repro.core.stage1.execute_stage_one` (sender masks fixed at
-phase start, :class:`~repro.core.stage1.ReceptionAccumulator` reservoir
-semantics, newly-activated measurement per phase) and
-:func:`run_stage2_batch` mirroring
-:func:`repro.core.stage2.execute_stage_two`
-(:class:`~repro.core.stage2.SampleAccumulator` counting plus the
-hypergeometric simulation of
-:func:`~repro.core.stage2.majority_of_random_subset`) — and returns
-replicate-vector phase summaries shaped exactly like the serial
-:class:`~repro.core.stage1.StageOnePhaseSummary` /
-:class:`~repro.core.stage2.StageTwoPhaseSummary`.  The protocol-level
-simulators in :mod:`repro.exec.batching` delegate their stage loops here, so
-there is exactly one batched transcription of each stage rule in the
-repository.
-
-The same two kernels run the Section-3 executors used by experiment E9 on
-skewed clocks: given an ``(R, n)`` grid of clock offsets and one
-guard-dilated schedule per replicate, a phase runs over the global rounds
-in which any agent's clock is inside it.  Its interior rounds (every clock
-inside) send exactly as the synchronous loop does, and only its edge
-rounds compute which agents' clocks are in the phase; with equal clocks
-every round is interior.  :func:`run_bounded_skew_batch` (Section 3.1
-guard windows) and :func:`run_clock_free_batch` (Section 3.2 activation
-phase followed by guarded stages) mirror :mod:`repro.core.synchronizer`
-with per-replicate clock offsets, schedules and guards.
+The same two kernels run the Section-3 executors on skewed clocks: given an
+``(R, n)`` grid of clock offsets and one guard-dilated schedule per
+replicate, a phase runs over the global rounds in which any agent's clock
+is inside it.  Its interior rounds (every clock inside) send exactly as the
+synchronous loop does, and only its edge rounds compute which agents'
+clocks are in the phase; with equal clocks every round is interior.
+:func:`run_bounded_skew_batch` (Section 3.1 guard windows) and
+:func:`run_clock_free_batch` (Section 3.2 activation phase followed by
+guarded stages) give every replicate its own clock offsets, schedule and
+guard; :func:`repro.core.synchronizer.run_with_bounded_skew` and
+:func:`repro.core.synchronizer.run_clock_free_broadcast` are one run of
+them at ``R = 1``.
 
 Determinism contract
 --------------------
 Identical to :mod:`repro.exec.batching` (see that module's docstring): a
 batch is fully determined by its ``(n, epsilon, num_replicates, base_seed,
-parameters)`` inputs — two identical calls return bit-identical arrays — and
-per-replicate dynamics are statistically equivalent to the serial executors,
-with every *deterministic* observable (the phase schedule, per-phase round
-counts, phase-0 sender counts, message counts of schedule-fixed phases, the
-``SimulationError`` raised on unopinionated populations) bit-identical to
-the serial path.  Stochastic observables come from one batch-level stream
-rather than one stream tree per engine, which is what makes a single
-:meth:`~repro.substrate.network.PushGossipNetwork.deliver_batch` call per
-round possible in the first place; ``docs/ARCHITECTURE.md`` spells out why
-that is the only part of serial/batch bit-identity that is *not* attainable.
-The differential tests in ``tests/unit/exec/test_stage_batching.py`` pin
-both halves phase by phase.
+parameters)`` inputs — two identical calls return bit-identical arrays.
+For the source-seeded broadcast, every *deterministic* observable (the
+phase schedule, per-phase round counts, phase-0 sender counts, message
+counts of schedule-fixed phases, the ``SimulationError`` raised on
+unopinionated populations) is bit-identical to the serial engine
+executors and the stochastic ones agree in distribution; the differential
+tests in ``tests/unit/exec/test_stage_batching.py`` pin both halves phase
+by phase.  The distributions of the serial trials these kernels replaced
+are recorded in ``tests/unit/exec/test_stage_kernel_distribution.py``.
 """
 
 from __future__ import annotations
@@ -268,11 +259,10 @@ def seeded_batch_state(
     One independent instance per replicate: the first ``initial_set_size``
     columns of a random permutation are a uniformly random subset in
     uniformly random order, so giving the first ``correct_count`` of them
-    the majority opinion realises the same distribution as
-    :meth:`~repro.core.majority.MajorityInstance.generate`'s shuffle.  The
-    correct/wrong split is the deterministic
-    :func:`~repro.core.opinions.counts_from_bias` split, exactly as in the
-    serial generator.
+    the majority opinion assigns the opinions uniformly at random within
+    the set.  The correct/wrong split is the deterministic
+    :func:`~repro.core.opinions.counts_from_bias` split: the smallest
+    number of correct members that reaches ``majority_bias``.
     """
     majority_opinion = validate_opinion(majority_opinion)
     if not 1 <= initial_set_size <= n:
@@ -437,7 +427,8 @@ def run_stage1_batch(
     offsets: Optional[np.ndarray] = None,
     schedules: Optional[Sequence[PhaseSchedule]] = None,
 ) -> StageOneBatchResult:
-    """Stage I on ``(R, n)`` grids, mirroring :func:`repro.core.stage1.execute_stage_one`.
+    """Stage I on ``(R, n)`` grids (the serial broadcast runs
+    :func:`repro.core.stage1.execute_stage_one`, the same rule on one engine).
 
     Parameters
     ----------
@@ -445,7 +436,7 @@ def run_stage1_batch(
         Freshly initialised replicate grids whose populations already contain
         the initially opinionated agents: the source (broadcast, phase 0) or
         the seeded set ``A`` (majority consensus, ``start_phase = i_A``).
-        Mutated in place, exactly as the serial executor mutates its engine.
+        Mutated in place.
     network, channel, rng:
         The shared batch network, noise channel and batch-level stream.
     parameters:
@@ -453,8 +444,8 @@ def run_stage1_batch(
     correct_opinion:
         The opinion ``B`` (used only for measurement, never by agents).
     start_phase:
-        First phase to execute (Corollary 2.18), exactly as in the serial
-        executor; must be a phase of the stage.
+        First phase to execute (Corollary 2.18); must be a phase of the
+        stage.
     faults:
         Optional :class:`~repro.substrate.faults.FaultInjector`.  When set
         the kernel switches to the positional resilient mode: delivery goes
@@ -620,7 +611,8 @@ def run_stage2_batch(
     offsets: Optional[np.ndarray] = None,
     schedules: Optional[Sequence[PhaseSchedule]] = None,
 ) -> StageTwoBatchResult:
-    """Stage II on ``(R, n)`` grids, mirroring :func:`repro.core.stage2.execute_stage_two`.
+    """Stage II on ``(R, n)`` grids (the serial broadcast runs
+    :func:`repro.core.stage2.execute_stage_two`, the same rule on one engine).
 
     The population is expected to be (mostly) opinionated already.  Agents
     without an opinion do not send but still collect samples and adopt the
@@ -712,9 +704,9 @@ def run_stage1_instrumented(
 ) -> StageOneBatchResult:
     """Run ``R`` independent source-seeded Stage-I executions at once.
 
-    The batched counterpart of the E4/E5 serial trial: build a broadcast
-    instance (source holds ``B``), run Stage I alone, and return the
-    per-phase observables of every replicate.  ``parameters`` defaults to
+    E4's and E5's rule: build a broadcast instance (source holds ``B``),
+    run Stage I alone, and return the per-phase observables of every
+    replicate (a serial trial is one replicate).  ``parameters`` defaults to
     the calibrated Stage-I preset for ``(n, epsilon)``.
     """
     if num_replicates < 1:
@@ -746,8 +738,8 @@ def run_stage2_instrumented(
 ) -> StageTwoBatchResult:
     """Run ``R`` independent bias-seeded Stage-II executions at once.
 
-    The batched counterpart of the E6 serial trial: seed a population at
-    exactly the starting bias Stage I would deliver (every agent opinionated
+    E6's rule: seed a population at exactly the starting bias Stage I would
+    deliver (every agent opinionated
     by default; pass ``initial_set_size`` for a partial set), run Stage II
     alone, and return the per-phase bias trajectory of every replicate.
     ``parameters`` defaults to the calibrated Stage-II preset.
@@ -777,9 +769,7 @@ class BatchWindowedResult:
 
     Unlike the synchronous batch results, ``rounds`` is a vector: each
     replicate's schedule is dilated by its own guard and shifted by its own
-    clock offsets, so replicates finish at different global rounds — exactly
-    as the serial :class:`~repro.core.synchronizer.ClockFreeBroadcastResult`
-    counts them.
+    clock offsets, so replicates finish at different global rounds.
 
     Attributes
     ----------
@@ -821,10 +811,8 @@ class BatchWindowedResult:
     def measurements(self, index: int) -> dict:
         """Replicate ``index`` as a trial-measurement mapping.
 
-        The keys form a superset of what the serial E9 trial functions
-        record (``rounds``, ``messages``, ``success``, plus ``skew`` for the
-        clock-free variant), so batched and serial E9 variants produce
-        interchangeable result tables.
+        The keys E9 reads (``rounds``, ``messages``, ``success``) plus the
+        replicate's ``skew``, ``guard`` and activation outcome.
         """
         return {
             "rounds": int(self.rounds[index]),
@@ -845,13 +833,13 @@ def _run_activation_phase_batch(
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Section 3.2's activation phase on ``(R, n)`` grids.
 
-    Mirrors :func:`repro.core.synchronizer.run_activation_phase` with the
-    paper's defaults (broadcast for ``2 log n`` rounds after being informed,
-    reset the clock ``4 log n`` rounds after first hearing a message):
-    replicates whose informed set stops broadcasting with everyone informed
-    stop early, exactly like the serial loop's break; a replicate that
-    stalls with dormant agents remaining raises the same
-    :class:`~repro.errors.SimulationError`.
+    The paper's defaults: an informed agent broadcasts an arbitrary message
+    (zeros) for ``2 log n`` rounds after being informed, and resets its
+    clock ``4 log n`` rounds after it first heard a message.  Activation
+    messages carry no opinion, so the replicates' protocol state is not
+    touched.  Replicates whose informed set stops broadcasting with everyone
+    informed stop early; a replicate that stalls with dormant agents
+    remaining raises :class:`~repro.errors.SimulationError`.
 
     Returns ``(offsets, rounds, messages, all_informed)`` where ``offsets``
     is the ``(R, n)`` grid of global rounds at which each agent's reset
@@ -876,8 +864,8 @@ def _run_activation_phase_batch(
         finished = alive & ~has_senders & fully_informed
         alive &= ~finished
         if np.any(alive & ~has_senders):
-            # Mirrors the serial executor: nobody is broadcasting yet not
-            # everyone is informed — the budget logic would be wrong.
+            # Nobody is broadcasting yet not everyone is informed: the
+            # budget logic would be wrong.
             raise SimulationError("activation phase stalled with dormant agents remaining")
         if not alive.any():
             break
@@ -889,7 +877,8 @@ def _run_activation_phase_batch(
 
     all_informed = (informed_at >= 0).all(axis=1)
     # Agents that (very unlikely) were never informed behave like the latest
-    # informed agent, exactly as the serial executor keeps the run total.
+    # informed agent, which keeps the run total; ``all_informed`` records it
+    # so experiments can discard such trials.
     latest = np.maximum(informed_at.max(axis=1), 0)
     informed_at = np.where(informed_at < 0, latest[:, None], informed_at)
     offsets = informed_at + reset_delay
@@ -916,8 +905,8 @@ def _run_windowed_broadcast_batch(
 
     Builds each replicate's guard-dilated schedules, runs both stage kernels
     on the replicates' clocks and assembles the result.  ``rounds`` per replicate is the end of
-    its Stage-II schedule plus its largest offset — exactly where the serial
-    executor's clock stops — with the activation rounds already inside that
+    its Stage-II schedule plus its largest offset — where the last agent's
+    clock leaves the schedule — with the activation rounds already inside that
     span for the clock-free variant (offsets are absolute global rounds).
     """
     network = PushGossipNetwork(size=n, allow_self_messages=allow_self_messages)
@@ -971,9 +960,8 @@ def run_bounded_skew_batch(
 ) -> BatchWindowedResult:
     """Simulate ``R`` independent bounded-skew broadcasts at once (Section 3.1).
 
-    The batched counterpart of
-    :func:`repro.core.synchronizer.run_with_bounded_skew`: every replicate
-    draws its own per-agent clock offsets uniformly from ``[0, max_skew)``,
+    :func:`repro.core.synchronizer.run_with_bounded_skew` is one run of it
+    at ``R = 1``.  Every replicate draws its own per-agent clock offsets uniformly from ``[0, max_skew)``,
     no activation phase is run, and both stages execute inside guard-dilated
     windows with ``guard = max_skew`` — isolating the cost of the per-phase
     guard windows, which is what experiment E9 sweeps.
@@ -1020,12 +1008,11 @@ def run_clock_free_batch(
 ) -> BatchWindowedResult:
     """Simulate ``R`` independent clock-free broadcasts at once (Section 3.2).
 
-    The batched counterpart of
-    :func:`repro.core.synchronizer.run_clock_free_broadcast`: every
-    replicate runs the activation phase (clock offsets emerge from when each
+    :func:`repro.core.synchronizer.run_clock_free_broadcast` is one run of
+    it at ``R = 1``.  Every replicate runs the activation phase (clock offsets emerge from when each
     agent first heard a message), then both stages inside windows dilated by
-    ``max(2 log2 n, realised skew)`` — each replicate gets its own guard,
-    exactly as the serial protocol chooses it.
+    ``max(2 log2 n, realised skew)`` (or ``guard`` when given) — each
+    replicate gets its own guard.
     """
     correct_opinion, parameters, channel = _protocol_batch_inputs(
         n, epsilon, num_replicates, correct_opinion, parameters, channel, calibration_overrides

@@ -7,12 +7,12 @@ of phase 0 (only the source speaks, for ``beta_s = s log n`` rounds), w.h.p.
 * their bias towards the correct opinion is at least ``eps / 2``.
 
 The driver runs phase 0 many times and reports the distribution of ``X0`` and
-``eps_0`` together with the fraction of trials satisfying both bounds.  With
-``batch=True`` all trials of one epsilon execute simultaneously on
-``(R, n)`` grids through the instrumented stage kernel
+``eps_0`` together with the fraction of trials satisfying both bounds.  The
+trials run the instrumented Stage-I kernel
 (:func:`repro.exec.stage_batching.run_stage1_instrumented`), which records
-the same per-phase ``X_0`` / ``eps_0`` observables the serial trial reads
-off :class:`~repro.core.stage1.StageOnePhaseSummary`.
+the per-phase ``X_0`` / ``eps_0`` observables: with ``batch=True`` all
+trials of one epsilon share one ``(R, n)`` grid, otherwise each trial is
+the kernel at ``R = 1`` under its own seed.
 """
 
 from __future__ import annotations
@@ -20,11 +20,8 @@ from __future__ import annotations
 import functools
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
-from ..analysis.experiments import run_trials
 from ..api.config import ExecutionConfig, ExecutionPlan, resolve_run_options
 from ..core.parameters import ProtocolParameters, StageOneParameters
-from ..core.stage1 import execute_stage_one
-from ..substrate.engine import SimulationEngine
 from .report import ExperimentReport
 
 __all__ = ["run"]
@@ -43,42 +40,23 @@ def _phase0_only_parameters(n: int, epsilon: float) -> StageOneParameters:
     )
 
 
-def _phase0_measurements(x0: int, bias0: float, epsilon: float, parameters: StageOneParameters) -> dict:
-    """Claim 2.2's per-trial observables, shared by the serial and batch paths."""
-    return {
-        "x0": x0,
-        "bias0": bias0,
-        "x0_within_bounds": bool(parameters.beta_s / 3 <= x0 <= parameters.beta_s),
-        "bias_at_least_half_eps": bool(bias0 >= epsilon / 2),
-    }
-
-
-def _phase0_trial(
-    seed: int, _index: int, n: int, epsilon: float, parameters: StageOneParameters
-) -> dict:
-    """One phase-0-only Stage-I run (module-level, hence picklable)."""
-    engine = SimulationEngine.create(n=n, epsilon=epsilon, seed=seed)
-    engine.population.set_source_opinion(1)
-    stage1 = execute_stage_one(engine, parameters, correct_opinion=1)
-    phase0 = stage1.phase(0)
-    # X0 counts non-source activated agents, as in the claim's setup.
-    return _phase0_measurements(
-        phase0.activated_total - 1, phase0.bias_of_new, epsilon, parameters
-    )
-
-
 def _phase0_rows(batch: "Any", epsilon: float, parameters: StageOneParameters) -> List[dict]:
     """Claim 2.2's observables for every replicate of an instrumented Stage-I batch."""
     phase0 = batch.phase(0)
-    return [
-        _phase0_measurements(
-            int(phase0.activated_total[index]) - 1,
-            float(phase0.bias_of_new[index]),
-            epsilon,
-            parameters,
+    rows = []
+    for index in range(batch.num_replicates):
+        # X0 counts non-source activated agents, as in the claim's setup.
+        x0 = int(phase0.activated_total[index]) - 1
+        bias0 = float(phase0.bias_of_new[index])
+        rows.append(
+            {
+                "x0": x0,
+                "bias0": bias0,
+                "x0_within_bounds": bool(parameters.beta_s / 3 <= x0 <= parameters.beta_s),
+                "bias_at_least_half_eps": bool(bias0 >= epsilon / 2),
+            }
         )
-        for index in range(batch.num_replicates)
-    ]
+    return rows
 
 
 def run(
@@ -91,16 +69,16 @@ def run(
     """Run the E4 Monte-Carlo and return its report.
 
     ``config`` carries the execution strategy.  ``batch=True`` simulates all
-    trials of each epsilon at once via the instrumented Stage-I batch
-    kernel.  The epsilon cells are tasks on the run's execution backend,
-    with results assembled in cell order.
+    trials of each epsilon on one grid of the instrumented Stage-I kernel;
+    otherwise each trial runs that kernel at ``R = 1``.  The epsilon cells
+    are tasks on the run's execution backend, with results assembled in
+    cell order.
     """
     from ..exec import pool
-    from ..exec.batching import run_batch_cell
+    from ..exec.batching import cell_task
     from ..exec.stage_batching import run_stage1_instrumented
 
     plan = resolve_run_options("E4", config=config)
-    batch = plan.batch
     trials = plan.trials if plan.trials is not None else trials
     base_seed = plan.base_seed if plan.base_seed is not None else base_seed
     report = ExperimentReport(
@@ -113,29 +91,17 @@ def run(
     tasks: List[Tuple[float, StageOneParameters, Callable[..., Any], Dict[str, Any]]] = []
     for epsilon in epsilons:
         parameters = _phase0_only_parameters(n, epsilon)
-        name = f"E4-phase0-eps={epsilon}"
-        if batch:
-            fn: Callable[..., Any] = run_batch_cell
-            kwargs: Dict[str, Any] = {
-                "name": name,
-                "batch_fn": run_stage1_instrumented,
-                "num_trials": trials,
-                "base_seed": base_seed,
-                "measure": functools.partial(_phase0_rows, epsilon=epsilon, parameters=parameters),
-                "n": n,
-                "epsilon": epsilon,
-                "parameters": parameters,
-            }
-        else:
-            fn = run_trials
-            kwargs = {
-                "name": name,
-                "trial_fn": functools.partial(
-                    _phase0_trial, n=n, epsilon=epsilon, parameters=parameters
-                ),
-                "num_trials": trials,
-                "base_seed": base_seed,
-            }
+        fn, kwargs = cell_task(
+            f"E4-phase0-eps={epsilon}",
+            run_stage1_instrumented,
+            trials,
+            base_seed,
+            plan.batch,
+            measure=functools.partial(_phase0_rows, epsilon=epsilon, parameters=parameters),
+            n=n,
+            epsilon=epsilon,
+            parameters=parameters,
+        )
         tasks.append((epsilon, parameters, fn, kwargs))
 
     results = pool.run_point_tasks([(fn, kwargs) for _, _, fn, kwargs in tasks])

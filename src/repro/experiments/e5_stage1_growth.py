@@ -19,50 +19,27 @@ Stage-I parameterisation with a deliberately small per-phase length ``beta``
 shrinking it only weakens the concentration, visible as occasional
 near-misses of the 1/16 constant).
 
-With ``batch=True`` all trials execute simultaneously on ``(R, n)`` grids
-through the instrumented stage kernel
+The trials run the instrumented Stage-I kernel
 (:func:`repro.exec.stage_batching.run_stage1_instrumented`), whose per-phase
-replicate vectors carry exactly the ``X_i`` / ``Y_i`` / ``eps_i``
-observables the serial trial reads off
-:class:`~repro.core.stage1.StageOnePhaseSummary`.
+replicate vectors carry the ``X_i`` / ``Y_i`` / ``eps_i`` observables: with
+``batch=True`` all trials share one ``(R, n)`` grid, otherwise each trial
+is the kernel at ``R = 1`` under its own seed.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from typing import Any, List, Optional, Union
 
-from ..analysis.experiments import run_trials
 from ..api.config import ExecutionConfig, ExecutionPlan, resolve_run_options
-from ..core.parameters import ProtocolParameters, StageOneParameters
-from ..core.stage1 import execute_stage_one
-from ..substrate.engine import SimulationEngine
+from ..core.parameters import ProtocolParameters
 from .report import ExperimentReport
 
 __all__ = ["run"]
 
 
-def _stage1_trial(
-    seed: int, _index: int, n: int, epsilon: float, parameters: StageOneParameters
-) -> dict:
-    """One full Stage-I run with per-phase measurements (module-level, picklable)."""
-    engine = SimulationEngine.create(n=n, epsilon=epsilon, seed=seed)
-    engine.population.set_source_opinion(1)
-    stage1 = execute_stage_one(engine, parameters, correct_opinion=1)
-    measurements = {
-        "all_activated": stage1.all_activated,
-        "final_bias": stage1.final_bias,
-    }
-    for phase in stage1.phases:
-        measurements[f"x_{phase.phase}"] = phase.activated_total
-        measurements[f"y_{phase.phase}"] = phase.newly_activated
-        measurements[f"bias_{phase.phase}"] = phase.bias_of_new
-    return measurements
-
-
 def _stage1_rows(batch: "Any") -> List[dict]:
-    """Every replicate of an instrumented Stage-I batch, with the serial measurement keys."""
+    """Every replicate of an instrumented Stage-I batch as one measurement row."""
     rows = []
     for index in range(batch.num_replicates):
         row = {
@@ -88,38 +65,30 @@ def run(
     """Run the E5 per-phase measurement and return its report.
 
     ``config`` carries the execution strategy; ``batch=True`` simulates all
-    trials at once via the instrumented Stage-I batch kernel.
+    trials on one grid of the instrumented Stage-I kernel, otherwise each
+    trial runs that kernel at ``R = 1``.
     """
+    from ..exec.batching import cell_task
+    from ..exec.stage_batching import run_stage1_instrumented
+
     plan = resolve_run_options("E5", config=config)
-    batch = plan.batch
     trials = plan.trials if plan.trials is not None else trials
     base_seed = plan.base_seed if plan.base_seed is not None else base_seed
     parameters = ProtocolParameters.calibrated(n, epsilon, s0=1.0, beta_override=beta_override)
     stage1_params = parameters.stage1
 
-    if batch:
-        from ..exec.batching import run_batch_cell
-        from ..exec.stage_batching import run_stage1_instrumented
-
-        result = run_batch_cell(
-            name="E5-stage1-growth",
-            batch_fn=run_stage1_instrumented,
-            num_trials=trials,
-            base_seed=base_seed,
-            measure=_stage1_rows,
-            n=n,
-            epsilon=epsilon,
-            parameters=stage1_params,
-        )
-    else:
-        result = run_trials(
-            name="E5-stage1-growth",
-            trial_fn=functools.partial(
-                _stage1_trial, n=n, epsilon=epsilon, parameters=stage1_params
-            ),
-            num_trials=trials,
-            base_seed=base_seed,
-        )
+    fn, kwargs = cell_task(
+        "E5-stage1-growth",
+        run_stage1_instrumented,
+        trials,
+        base_seed,
+        plan.batch,
+        measure=_stage1_rows,
+        n=n,
+        epsilon=epsilon,
+        parameters=stage1_params,
+    )
+    result = fn(**kwargs)
 
     report = ExperimentReport(
         experiment_id=plan.spec.experiment_id,

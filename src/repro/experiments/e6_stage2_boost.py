@@ -8,59 +8,28 @@ phase finishes the job.
 
 The driver seeds a population at exactly the starting bias Stage I would
 deliver, runs Stage II alone, and reports the per-phase bias trajectory and
-the per-phase amplification factors, alongside the final success rate.  With
-``batch=True`` all trials execute simultaneously on ``(R, n)`` grids through
-the instrumented stage kernel
+the per-phase amplification factors, alongside the final success rate.  The
+trials run the instrumented Stage-II kernel
 (:func:`repro.exec.stage_batching.run_stage2_instrumented`), whose per-phase
-replicate vectors carry exactly the ``delta_i`` trajectory the serial trial
-reads off :class:`~repro.core.stage2.StageTwoPhaseSummary`.
+replicate vectors carry the ``delta_i`` trajectory: with ``batch=True`` all
+trials share one ``(R, n)`` grid, otherwise each trial is the kernel at
+``R = 1`` under its own seed.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from typing import Any, List, Optional, Union
 
-from ..analysis.experiments import run_trials
 from ..api.config import ExecutionConfig, ExecutionPlan, resolve_run_options
-from ..core.majority import MajorityInstance
-from ..core.parameters import ProtocolParameters, StageTwoParameters, initial_bias_target
-from ..core.stage2 import execute_stage_two
-from ..substrate.engine import SimulationEngine
+from ..core.parameters import ProtocolParameters, initial_bias_target
 from .report import ExperimentReport
 
 __all__ = ["run"]
 
 
-def _stage2_trial(
-    seed: int,
-    _index: int,
-    n: int,
-    epsilon: float,
-    initial_bias: float,
-    parameters: StageTwoParameters,
-) -> dict:
-    """One Stage-II-only run from a seeded bias (module-level, hence picklable)."""
-    engine = SimulationEngine.create(n=n, epsilon=epsilon, seed=seed, source=None)
-    instance = MajorityInstance.generate(
-        n=n, size=n, bias=initial_bias, majority_opinion=1, rng=engine.random.stream("seeding")
-    )
-    engine.population.seed_opinionated_set(instance.members, instance.opinions)
-    stage2 = execute_stage_two(engine, parameters, correct_opinion=1)
-    measurements = {
-        "success": stage2.consensus_reached,
-        "final_bias": stage2.final_bias,
-        "final_fraction": stage2.final_correct_fraction,
-    }
-    for phase in stage2.phases:
-        measurements[f"bias_after_{phase.phase}"] = phase.bias_after
-        measurements[f"successful_{phase.phase}"] = phase.successful_agents
-    return measurements
-
-
 def _stage2_rows(batch: "Any") -> List[dict]:
-    """Every replicate of an instrumented Stage-II batch, with the serial measurement keys."""
+    """Every replicate of an instrumented Stage-II batch as one measurement row."""
     rows = []
     for index in range(batch.num_replicates):
         row = {
@@ -86,10 +55,13 @@ def run(
     """Run the E6 Stage-II-only measurement and return its report.
 
     ``config`` carries the execution strategy; ``batch=True`` simulates all
-    trials at once via the instrumented Stage-II batch kernel.
+    trials on one grid of the instrumented Stage-II kernel, otherwise each
+    trial runs that kernel at ``R = 1``.
     """
+    from ..exec.batching import cell_task
+    from ..exec.stage_batching import run_stage2_instrumented
+
     plan = resolve_run_options("E6", config=config)
-    batch = plan.batch
     trials = plan.trials if plan.trials is not None else trials
     base_seed = plan.base_seed if plan.base_seed is not None else base_seed
     if initial_bias is None:
@@ -97,34 +69,19 @@ def run(
     parameters = ProtocolParameters.calibrated(n, epsilon)
     stage2_params = parameters.stage2
 
-    if batch:
-        from ..exec.batching import run_batch_cell
-        from ..exec.stage_batching import run_stage2_instrumented
-
-        result = run_batch_cell(
-            name="E6-stage2-boost",
-            batch_fn=run_stage2_instrumented,
-            num_trials=trials,
-            base_seed=base_seed,
-            measure=_stage2_rows,
-            n=n,
-            epsilon=epsilon,
-            initial_bias=initial_bias,
-            parameters=stage2_params,
-        )
-    else:
-        result = run_trials(
-            name="E6-stage2-boost",
-            trial_fn=functools.partial(
-                _stage2_trial,
-                n=n,
-                epsilon=epsilon,
-                initial_bias=initial_bias,
-                parameters=stage2_params,
-            ),
-            num_trials=trials,
-            base_seed=base_seed,
-        )
+    fn, kwargs = cell_task(
+        "E6-stage2-boost",
+        run_stage2_instrumented,
+        trials,
+        base_seed,
+        plan.batch,
+        measure=_stage2_rows,
+        n=n,
+        epsilon=epsilon,
+        initial_bias=initial_bias,
+        parameters=stage2_params,
+    )
+    result = fn(**kwargs)
 
     report = ExperimentReport(
         experiment_id=plan.spec.experiment_id,

@@ -13,10 +13,11 @@ The paper's protocol, in contrast, reaches full correct consensus in
 idealised direct-from-source reference) on identical instances and reports
 final correct fraction, success rate, and rounds used.
 
-Each comparator has one rule, in :mod:`repro.protocols`, run through
-:func:`repro.exec.batching.run_baseline_batch`: a serial trial is the rule
-at ``R = 1`` under the trial's own seed, a batched cell the same rule over
-one shared grid.
+Each protocol has one rule: the paper's protocol runs
+:func:`repro.exec.batching.run_broadcast_batch`, each comparator its rule in
+:mod:`repro.protocols` through :func:`repro.exec.batching.run_baseline_batch`.
+A serial trial is the rule at ``R = 1`` under the trial's own seed, a
+batched cell the same rule over one shared grid.
 
 Reporting convention (never-converged trials)
 ---------------------------------------------
@@ -33,12 +34,10 @@ reached at all.  The same convention applies in
 
 from __future__ import annotations
 
-import functools
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
-from ..analysis.experiments import ExperimentResult, run_trials
+from ..analysis.experiments import ExperimentResult
 from ..api.config import ExecutionConfig, ExecutionPlan, resolve_run_options
-from ..core.broadcast import solve_noisy_broadcast
 from ..core.theory import expected_relay_depth, hop_correct_probability
 from .report import ExperimentReport
 
@@ -55,26 +54,14 @@ PROTOCOL_ORDER: Sequence[str] = (
 )
 
 
-def _paper_trial(seed: int, _index: int, n: int, epsilon: float) -> dict:
-    """One run of the paper's protocol (module-level, hence picklable)."""
-    result = solve_noisy_broadcast(n=n, epsilon=epsilon, seed=seed)
-    return {
-        "fraction": result.final_correct_fraction,
-        "success": result.success,
-        "rounds": result.rounds,
-    }
-
-
 def _tasks(
     n: int, epsilon: float, trials: int, voter_rounds: int, base_seed: int, batch: bool
 ) -> List[Tuple[str, Callable[..., Any], Dict[str, Any]]]:
     """The per-protocol tasks of one epsilon, in row order.
 
-    The comparator rows run their rule through
-    :func:`~repro.exec.batching.cell_task`: one shared grid when ``batch``,
-    otherwise the rule at ``R = 1`` per trial seed.  The paper's protocol
-    runs :func:`~repro.exec.batching.run_broadcast_batch` batched and one
-    engine per trial serially.
+    Every row runs its rule through :func:`~repro.exec.batching.cell_task`:
+    one shared grid when ``batch``, otherwise the rule at ``R = 1`` per
+    trial seed.
     """
     from ..exec.batching import cell_task, run_baseline_batch, run_broadcast_batch
 
@@ -82,20 +69,9 @@ def _tasks(
         return f"E7-{protocol}-eps={epsilon}"
 
     paper = PROTOCOL_ORDER[0]
-    if batch:
-        paper_task = cell_task(
-            cell_name(paper), run_broadcast_batch, trials, base_seed, True, n=n, epsilon=epsilon
-        )
-    else:
-        paper_task = (
-            run_trials,
-            {
-                "name": cell_name(paper),
-                "trial_fn": functools.partial(_paper_trial, n=n, epsilon=epsilon),
-                "num_trials": trials,
-                "base_seed": base_seed,
-            },
-        )
+    paper_task = cell_task(
+        cell_name(paper), run_broadcast_batch, trials, base_seed, batch, n=n, epsilon=epsilon
+    )
     # Each comparator row's rule options, besides n and epsilon.
     comparators: Dict[str, Dict[str, Any]] = {
         "immediate-forwarding": {},
@@ -162,8 +138,8 @@ def run(
     trials of each (epsilon, protocol) cell at once via
     :func:`repro.exec.batching.run_broadcast_batch` (the paper's protocol)
     and :func:`repro.exec.batching.run_baseline_batch` (the Section 1.6
-    comparators); serially the comparators run the same rule once per trial
-    at ``R = 1``.  The cells are tasks on the run's execution backend;
+    comparators); serially every row runs the same rule once per trial at
+    ``R = 1``.  The cells are tasks on the run's execution backend;
     results are assembled in row order so they are identical on every
     backend.
 

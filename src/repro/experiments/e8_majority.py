@@ -9,7 +9,10 @@ guarantee the majority opinion wins.
 
 The driver sweeps ``|A|`` and the initial majority-bias on a grid and
 measures the success rate of the protocol, showing the feasibility
-transition around the ``sqrt(log n / |A|)`` curve.
+transition around the ``sqrt(log n / |A|)`` curve.  Every trial runs
+:func:`repro.exec.batching.run_majority_batch`: with ``batch=True`` all
+trials of a grid point share one ``(R, n)`` grid, otherwise each trial is
+that rule at ``R = 1`` under its own seed.
 
 The defaults do not exercise the corollary's late start.  At n = 2000,
 eps = 0.2 the calibrated Stage I has two phases, so
@@ -23,12 +26,10 @@ on them; ``tests/unit/core/test_majority.py`` pins both facts.
 
 from __future__ import annotations
 
-import functools
-from typing import Mapping, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
-from ..analysis.sweeps import parameter_grid, run_sweep
+from ..analysis.sweeps import SweepPoint, parameter_grid, sweep_point_names
 from ..api.config import ExecutionConfig, ExecutionPlan, resolve_run_options
-from ..core.majority import solve_noisy_majority_consensus
 from ..core.theory import majority_consensus_min_bias, majority_consensus_min_set_size
 from .report import ExperimentReport
 
@@ -36,22 +37,6 @@ __all__ = ["run"]
 
 DEFAULT_SET_SIZES: Sequence[int] = (50, 200, 800)
 DEFAULT_BIASES: Sequence[float] = (0.02, 0.05, 0.1, 0.2, 0.35)
-
-
-def _majority_trial(point: Mapping[str, object], seed: int, _index: int, n: int, epsilon: float) -> dict:
-    """One majority-consensus run at a sweep point (module-level, hence picklable)."""
-    result = solve_noisy_majority_consensus(
-        n=n,
-        epsilon=epsilon,
-        initial_set_size=int(point["set_size"]),
-        majority_bias=float(point["bias"]),
-        seed=seed,
-    )
-    return {
-        "success": result.success,
-        "final_fraction": result.final_correct_fraction,
-        "rounds": result.rounds,
-    }
 
 
 def run(
@@ -65,34 +50,36 @@ def run(
 ) -> ExperimentReport:
     """Run the E8 feasibility sweep and return its report.
 
-    ``config`` carries the execution strategy.  By default each trial is one
-    task on the run's execution backend; ``batch=True`` instead simulates
-    all trials of each grid point simultaneously via
-    :func:`repro.exec.batching.run_majority_batch`, one task per point.
+    ``config`` carries the execution strategy.  Each grid point is one task
+    on the run's execution backend: ``batch=True`` simulates all of its
+    trials on one grid of :func:`repro.exec.batching.run_majority_batch`,
+    otherwise each trial runs that rule at ``R = 1``.
     """
+    from ..exec import pool
+    from ..exec.batching import cell_task, run_majority_batch
+
     plan = resolve_run_options("E8", config=config)
-    batch = plan.batch
     trials = plan.trials if plan.trials is not None else trials
     base_seed = plan.base_seed if plan.base_seed is not None else base_seed
-    if batch:
-        from ..exec.batching import run_majority_batch, run_sweep_batched
-
-        sweep = run_sweep_batched(
-            name="E8-majority-consensus",
-            points=parameter_grid(set_size=list(set_sizes), bias=list(biases)),
-            batch_fn=run_majority_batch,
-            trials_per_point=trials,
-            base_seed=base_seed,
-            defaults={"n": n, "epsilon": epsilon},
+    points = parameter_grid(set_size=list(set_sizes), bias=list(biases))
+    point_names = sweep_point_names(
+        "E8-majority-consensus", [SweepPoint.from_mapping(point) for point in points]
+    )
+    tasks = [
+        cell_task(
+            point_name,
+            run_majority_batch,
+            trials,
+            base_seed,
+            plan.batch,
+            n=n,
+            epsilon=epsilon,
+            initial_set_size=int(point["set_size"]),
+            majority_bias=float(point["bias"]),
         )
-    else:
-        sweep = run_sweep(
-            name="E8-majority-consensus",
-            points=parameter_grid(set_size=list(set_sizes), bias=list(biases)),
-            trial_fn=functools.partial(_majority_trial, n=n, epsilon=epsilon),
-            trials_per_point=trials,
-            base_seed=base_seed,
-        )
+        for point, point_name in zip(points, point_names)
+    ]
+    results = pool.run_point_tasks(tasks)
 
     report = ExperimentReport(
         experiment_id=plan.spec.experiment_id,
@@ -107,9 +94,8 @@ def run(
             "min_set_size_scale": majority_consensus_min_set_size(n, epsilon),
         },
     )
-    for point, result in sweep:
-        params = point.as_dict()
-        set_size, bias = params["set_size"], params["bias"]
+    for point, result in zip(points, results):
+        set_size, bias = point["set_size"], point["bias"]
         threshold = majority_consensus_min_bias(set_size, n)
         report.add_row(
             set_size=set_size,

@@ -15,58 +15,31 @@ the bounded-skew variant for several values of ``D``, and the full clock-free
 protocol (activation phase + guards).  Reported: rounds, round overhead over
 the synchronous run, message ratio, and success rate.
 
-With ``batch=True`` every variant simulates all of its trials at once on
-``(R, n)`` grids: the synchronous run through
-:func:`repro.exec.batching.run_broadcast_batch` and the Section-3 variants
-through the stage kernels run on skewed clocks
+Every variant has one rule: the synchronous run is
+:func:`repro.exec.batching.run_broadcast_batch`, and the Section-3 variants
+are the stage kernels run on skewed clocks
 (:func:`repro.exec.stage_batching.run_bounded_skew_batch` /
 :func:`repro.exec.stage_batching.run_clock_free_batch`), each replicate
-carrying its own clock offsets, guard and dilated schedule exactly as the
-serial executors do.  On either path the independent variant cells are
-separate tasks, so a pool backend runs them concurrently.
+carrying its own clock offsets, guard and dilated schedule.  With
+``batch=True`` every variant simulates all of its trials on one ``(R, n)``
+grid, otherwise each trial is its rule at ``R = 1`` under its own seed.  On
+either path the independent variant cells are separate tasks, so a pool
+backend runs them concurrently.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
-from ..analysis.experiments import run_trials
 from ..api.config import ExecutionConfig, ExecutionPlan, resolve_run_options
-from ..core.broadcast import solve_noisy_broadcast
 from ..core.parameters import ProtocolParameters
-from ..core.synchronizer import default_guard, run_clock_free_broadcast, run_with_bounded_skew
+from ..core.synchronizer import default_guard
 from .report import ExperimentReport
 
 __all__ = ["run"]
 
 DEFAULT_SKEWS: Sequence[int] = (8, 32, 128)
-
-
-def _sync_trial(seed: int, _index: int, n: int, epsilon: float, parameters: ProtocolParameters) -> dict:
-    """One fully-synchronous broadcast run (module-level, hence picklable)."""
-    result = solve_noisy_broadcast(n=n, epsilon=epsilon, seed=seed, parameters=parameters)
-    return {"rounds": result.rounds, "messages": result.messages_sent, "success": result.success}
-
-
-def _skew_trial(
-    seed: int, _index: int, n: int, epsilon: float, skew: int, parameters: ProtocolParameters
-) -> dict:
-    """One bounded-skew broadcast run (module-level, hence picklable)."""
-    result = run_with_bounded_skew(n=n, epsilon=epsilon, max_skew=skew, seed=seed, parameters=parameters)
-    return {"rounds": result.rounds, "messages": result.messages_sent, "success": result.success}
-
-
-def _clock_free_trial(seed: int, _index: int, n: int, epsilon: float, parameters: ProtocolParameters) -> dict:
-    """One clock-free broadcast run (module-level, hence picklable)."""
-    result = run_clock_free_broadcast(n=n, epsilon=epsilon, seed=seed, parameters=parameters)
-    return {
-        "rounds": result.rounds,
-        "messages": result.messages_sent,
-        "success": result.success,
-        "skew": result.activation.skew if result.activation else 0,
-    }
 
 
 def _variant_tasks(
@@ -79,64 +52,32 @@ def _variant_tasks(
     batch: bool,
 ) -> List[Tuple[str, Callable[..., Any], Dict[str, Any]]]:
     """The per-variant tasks, in report-row order (synchronous first)."""
-    shared: Dict[str, Any] = {"n": n, "epsilon": epsilon, "parameters": parameters}
-    if batch:
-        from ..exec.batching import run_batch_cell, run_broadcast_batch
-        from ..exec.stage_batching import run_bounded_skew_batch, run_clock_free_batch
+    from ..exec.batching import cell_task, run_broadcast_batch
+    from ..exec.stage_batching import run_bounded_skew_batch, run_clock_free_batch
 
-        batch_shared = {**shared, "num_trials": trials, "base_seed": base_seed}
-        cells = [("synchronous", "E9-synchronous", run_broadcast_batch, {})]
-        cells += [
-            ("skew", f"E9-skew-{skew}", run_bounded_skew_batch, {"max_skew": skew})
-            for skew in skews
-        ]
-        cells.append(("clock-free", "E9-clock-free", run_clock_free_batch, {}))
-        return [
-            (
-                variant,
-                run_batch_cell,
-                {"name": name, "batch_fn": batch_fn, **batch_shared, **settings},
-            )
-            for variant, name, batch_fn, settings in cells
-        ]
-
-    serial_shared = {"num_trials": trials, "base_seed": base_seed}
-    tasks: List[Tuple[str, Callable[..., Any], Dict[str, Any]]] = []
-    tasks.append(
+    cells = [("synchronous", "E9-synchronous", run_broadcast_batch, {})]
+    cells += [
+        ("skew", f"E9-skew-{skew}", run_bounded_skew_batch, {"max_skew": skew})
+        for skew in skews
+    ]
+    cells.append(("clock-free", "E9-clock-free", run_clock_free_batch, {}))
+    return [
         (
-            "synchronous",
-            run_trials,
-            {
-                "name": "E9-synchronous",
-                "trial_fn": functools.partial(_sync_trial, **shared),
-                **serial_shared,
-            },
+            variant,
+            *cell_task(
+                name,
+                batch_fn,
+                trials,
+                base_seed,
+                batch,
+                n=n,
+                epsilon=epsilon,
+                parameters=parameters,
+                **settings,
+            ),
         )
-    )
-    for skew in skews:
-        tasks.append(
-            (
-                "skew",
-                run_trials,
-                {
-                    "name": f"E9-skew-{skew}",
-                    "trial_fn": functools.partial(_skew_trial, skew=skew, **shared),
-                    **serial_shared,
-                },
-            )
-        )
-    tasks.append(
-        (
-            "clock-free",
-            run_trials,
-            {
-                "name": "E9-clock-free",
-                "trial_fn": functools.partial(_clock_free_trial, **shared),
-                **serial_shared,
-            },
-        )
-    )
-    return tasks
+        for variant, name, batch_fn, settings in cells
+    ]
 
 
 def run(
@@ -150,7 +91,8 @@ def run(
     """Run the E9 comparison and return its report.
 
     ``config`` carries the execution strategy.  ``batch=True`` simulates all
-    trials of every variant at once on ``(R, n)`` grids.  The variant cells
+    trials of every variant at once on ``(R, n)`` grids; otherwise each
+    trial runs its variant's rule at ``R = 1``.  The variant cells
     are tasks on the run's execution backend, with results assembled in
     variant order.
     """

@@ -9,7 +9,7 @@ module defines exactly what "same semantic inputs" means:
 * the experiment id (``"E1"``..``"E12"``),
 * the code identity that would produce the run (:func:`code_version`: the
   ``repro`` package version, :data:`KERNEL_EPOCH` and numpy's
-  major.minor, e.g. ``1.0.0+k1.np2.4``),
+  major.minor, e.g. ``1.0.0+k2.np2.4``),
 * the fully **resolved** parameters (spec defaults with every override
   applied — so a default left implicit and the same value passed explicitly
   hash identically),
@@ -60,7 +60,7 @@ __all__ = [
 #: part of :func:`code_version`, so every fingerprint moves with it and a
 #: store never serves a report the current code would not reproduce.  The
 #: digest-pin test files record the epoch their pins were taken at.
-KERNEL_EPOCH = 1
+KERNEL_EPOCH = 2
 
 #: The semantic inputs a run fingerprint covers, in payload order.
 FINGERPRINT_FIELDS = ("spec_id", "version", "parameters", "execution.batch")

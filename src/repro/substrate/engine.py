@@ -1,12 +1,13 @@
 """The simulation engine: wiring of population, network, noise and clocks.
 
 :class:`SimulationEngine` owns one run's worth of mutable state and exposes
-the single primitive every protocol in this repository is built from:
-:meth:`SimulationEngine.gossip_round` — one synchronous round of noisy push
-gossip.  Protocols (in :mod:`repro.core` and :mod:`repro.protocols`) are pure
-policy: they decide who speaks and what the recipients do with what they
-heard; the engine handles delivery, noise, collision resolution, counting
-and tracing.
+one primitive: :meth:`SimulationEngine.gossip_round` — one synchronous round
+of noisy push gossip.  The serial broadcast executors of :mod:`repro.core`
+(:func:`~repro.core.broadcast.solve_noisy_broadcast`) are built on it: they
+decide who speaks and what the recipients do with what they heard; the
+engine handles delivery, noise, collision resolution, counting and tracing.
+Every other protocol runs as an ``(R, n)`` rule in :mod:`repro.exec` and
+:mod:`repro.protocols`, with a serial trial at ``R = 1``.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ import numpy as np
 
 from ..errors import ConfigurationError
 from .clocks import GlobalClock
-from .faults import FaultInjector, FaultModel, build_injector
 from .metrics import MetricsCollector
 from .network import DeliveryReport, PushGossipNetwork
 from .noise import BinarySymmetricChannel, NoiseChannel
@@ -44,7 +44,6 @@ class SimulationEngine:
     metrics: MetricsCollector = field(default_factory=MetricsCollector)
     trace: EventTrace = field(default_factory=EventTrace)
     clock: GlobalClock = field(default_factory=GlobalClock)
-    faults: Optional[FaultInjector] = None
 
     def __post_init__(self) -> None:
         if self.population.size != self.network.size:
@@ -60,14 +59,14 @@ class SimulationEngine:
         n: int,
         epsilon: float,
         seed: int,
-        source: Optional[int] = 0,
         channel: Optional[NoiseChannel] = None,
         record_time_series: bool = False,
         trace_events: bool = False,
         allow_self_messages: bool = False,
-        faults: Optional[FaultModel] = None,
     ) -> "SimulationEngine":
         """Build a standard engine for ``n`` agents and noise parameter ``epsilon``.
+
+        Agent 0 is the broadcast source.
 
         Parameters
         ----------
@@ -78,9 +77,6 @@ class SimulationEngine:
             ``1/2 - epsilon``.
         seed:
             Root seed for every random stream used by the run.
-        source:
-            Index of the broadcast source, or ``None`` for source-free
-            (majority-consensus) instances.
         channel:
             Override the default :class:`BinarySymmetricChannel`.
         record_time_series:
@@ -89,21 +85,15 @@ class SimulationEngine:
             Enable the (bounded) event trace.
         allow_self_messages:
             Allow agents to push messages to themselves.
-        faults:
-            Optional :data:`~repro.substrate.faults.FaultModel`; anything but
-            :class:`~repro.substrate.faults.NoFaults` attaches a
-            :class:`~repro.substrate.faults.FaultInjector` fed from the
-            dedicated ``"faults"`` random stream.
         """
         random = RandomSource(seed=seed)
         engine = cls(
-            population=Population(size=n, source=source),
+            population=Population(size=n),
             network=PushGossipNetwork(size=n, allow_self_messages=allow_self_messages),
             channel=channel if channel is not None else BinarySymmetricChannel(epsilon=epsilon),
             random=random,
             metrics=MetricsCollector(record_time_series=record_time_series),
             trace=EventTrace(enabled=trace_events),
-            faults=build_injector(faults, n, random.stream("faults")),
         )
         return engine
 
@@ -140,10 +130,7 @@ class SimulationEngine:
             When given (and time series recording is on) the engine records
             the fraction of agents holding this opinion after the round.
         """
-        report = self.network.deliver(
-            senders, bits, self.channel, self.random.stream("delivery"),
-            faults=self.faults,
-        )
+        report = self.network.deliver(senders, bits, self.channel, self.random.stream("delivery"))
         self.clock.tick()
 
         correct_fraction = None
@@ -163,11 +150,6 @@ class SimulationEngine:
             delivered=int(report.messages_delivered),
         )
         return report
-
-    def idle_round(self) -> None:
-        """Advance time by one round in which nobody speaks."""
-        self.clock.tick()
-        self.metrics.observe_round(0, 0, 0)
 
     # ------------------------------------------------------------------
     def protocol_rng(self) -> np.random.Generator:

@@ -7,14 +7,14 @@ bit-flip noise.  This module holds the declarative fault *models*
 runtime :class:`FaultInjector` that applies one model to a simulated round.
 
 Determinism contract (enforced by ``tests/unit/substrate/test_faults.py``
-and ``tests/unit/exec/test_fault_batching.py``):
+and ``tests/unit/substrate/test_resilient_delivery.py``):
 
 * **Dedicated stream.**  Every fault decision — who is fault-prone, who
   crashes in which round, which fake bit a Byzantine sender emits — draws
-  exclusively from the injector's own generator (the
-  ``"faults"`` stream of the engine's :class:`~repro.substrate.rng.RandomSource`,
-  or a ``spawn_generator`` label on the batch path).  Non-faulty agents'
-  delivery and noise draws are never touched by fault decisions.
+  exclusively from the injector's own generator (a ``spawn_generator``
+  label of the batch run, ``"batch-faults"`` for the paper's protocol).
+  Non-faulty agents' delivery and noise draws are never touched by fault
+  decisions.
 * **Fixed main-stream consumption.**  When an injector is active,
   :mod:`repro.substrate.network` switches to *positional* full-grid draws so
   the main stream consumes exactly the same number of variates per round
@@ -24,6 +24,9 @@ and ``tests/unit/exec/test_fault_batching.py``):
   :class:`NoFaults`, and every call site treats ``None`` as "take the
   pre-existing code path byte for byte" — pinned by
   ``tests/unit/test_fault_none_regression.py`` across all E1-E11 drivers.
+
+Faults exist only on ``(R, n)`` grids: a serial faulty trial is a batch run
+at ``R = 1`` under the trial's seed.
 """
 
 from __future__ import annotations
@@ -153,7 +156,7 @@ class FaultInjector:
     The injector owns all fault state — who is prone/Byzantine and who has
     crashed — plus marginal counters that the property tests compare
     against the configured rates.
-    The delivery kernel calls the grid methods; a serial round is a
+    The delivery kernel calls the grid methods; a serial trial is a
     ``num_replicates=1`` grid, so serial and batch runs share them.  All
     randomness comes from the single ``rng`` handed to the constructor (the
     dedicated fault stream); the injector never touches a delivery or noise
@@ -250,10 +253,6 @@ class FaultInjector:
     def alive_mask(self) -> np.ndarray:
         """Boolean ``(num_replicates, size)`` grid of non-crashed agents."""
         return ~self.crashed
-
-    def crashed_serial(self) -> np.ndarray:
-        """Boolean ``(size,)`` crash vector for serial (single-replicate) use."""
-        return self.crashed[0]
 
     def num_crashed(self) -> np.ndarray:
         """Per-replicate count of crashed agents."""

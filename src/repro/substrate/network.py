@@ -18,11 +18,11 @@ handful of array operations.  It has one serial entry point
 (:meth:`~PushGossipNetwork.deliver_reference`) kept for differential testing
 of the vectorised path.
 
-Both vectorised entry points also accept an optional ``faults``
+:meth:`~PushGossipNetwork.deliver_batch` also accepts an optional ``faults``
 (:class:`~repro.substrate.faults.FaultInjector`).  With ``None`` the
 original code path runs byte for byte; with an injector, delivery switches
 to one *positional* kernel that draws full ``(R, n)`` target /
-priority / noise grids per round (a serial round is the kernel at
+priority / noise grids per round (a serial faulty trial is the kernel at
 ``R = 1``), so the main stream's consumption is a function of the grid shape
 alone — a crashed or silenced sender cannot shift any other agent's draws in
 later rounds (the fault layer's determinism contract, see
@@ -300,7 +300,6 @@ class PushGossipNetwork:
         bits: np.ndarray,
         channel: NoiseChannel,
         rng: np.random.Generator,
-        faults: Optional[FaultInjector] = None,
     ) -> DeliveryReport:
         """Execute one synchronous round of push-gossip delivery.
 
@@ -315,31 +314,9 @@ class PushGossipNetwork:
             Noise channel applied to each *accepted* message.
         rng:
             Randomness for recipient selection and collision resolution.
-        faults:
-            Optional fault injector; crashed senders are silenced and
-            Byzantine bits substituted, from the injector's own stream (see
-            module docstring).
         """
         senders = np.asarray(senders, dtype=np.int64)
         bits = self._validate_round_inputs(senders, bits)
-        if faults is not None:
-            # One replicate of the resilient kernel.  The grid must be int8:
-            # Byzantine fake bits are drawn with the grid's dtype.
-            send_mask = np.zeros((1, self.size), dtype=bool)
-            grid = np.zeros((1, self.size), dtype=np.int8)
-            send_mask[0, senders] = True
-            grid[0, senders] = bits
-            batch = self._deliver_batch_resilient(send_mask, grid, channel, rng, faults)
-            sent = int(batch.messages_sent[0])
-            delivered = int(batch.cells.size)
-            return DeliveryReport(
-                recipients=batch.cells,
-                bits=batch.cell_bits,
-                senders=batch.cell_senders,
-                messages_sent=sent,
-                messages_delivered=delivered,
-                messages_dropped=sent - delivered,
-            )
         self.rounds_executed += 1
         if senders.size == 0:
             return DeliveryReport.empty()
@@ -516,7 +493,7 @@ class PushGossipNetwork:
         """Single-accept delivery under a fault injector.
 
         The one resilient kernel: :meth:`deliver_batch` runs it on validated
-        ``(R, n)`` grids, :meth:`deliver` on a one-replicate grid.  Target,
+        ``(R, n)`` grids.  Target,
         priority and channel grids are drawn for every cell, so main-stream
         consumption per round is exactly two ``(R, n)`` uniform grids plus
         one full-grid channel pass, independent of the send mask and of any

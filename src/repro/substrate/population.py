@@ -40,7 +40,7 @@ class Population:
         Number of agents ``n``.
     source:
         Index of the designated source agent for broadcast instances, or
-        ``None`` for majority-consensus instances that have no source.
+        ``None`` for a population without one.
     """
 
     size: int
@@ -49,7 +49,6 @@ class Population:
     activated: np.ndarray = field(init=False, repr=False)
     activation_phase: np.ndarray = field(init=False, repr=False)
     activation_round: np.ndarray = field(init=False, repr=False)
-    crashed: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.size < 2:
@@ -62,7 +61,6 @@ class Population:
         self.activated = np.zeros(self.size, dtype=bool)
         self.activation_phase = np.full(self.size, -1, dtype=np.int32)
         self.activation_round = np.full(self.size, -1, dtype=np.int64)
-        self.crashed = np.zeros(self.size, dtype=bool)
         if self.source is not None:
             self.activated[self.source] = True
             self.activation_phase[self.source] = 0
@@ -77,33 +75,6 @@ class Population:
             raise SimulationError("population has no source agent")
         self._check_opinion(opinion)
         self.opinions[self.source] = opinion
-
-    def seed_opinionated_set(
-        self,
-        members: np.ndarray,
-        opinions: np.ndarray,
-        phase: int = 0,
-        round_index: int = 0,
-    ) -> None:
-        """Initialise a majority-consensus instance.
-
-        ``members`` are the indices of the initial opinionated set ``A`` and
-        ``opinions`` their opinions; all of them are marked activated.
-        """
-        members = np.asarray(members, dtype=np.int64)
-        opinions = np.asarray(opinions, dtype=np.int8)
-        if members.shape != opinions.shape:
-            raise ParameterError("members and opinions must have the same shape")
-        if members.size and (members.min() < 0 or members.max() >= self.size):
-            raise ParameterError("member index out of range")
-        if members.size != np.unique(members).size:
-            raise ParameterError("members must be distinct agent indices")
-        if opinions.size and (opinions.min() < 0 or opinions.max() > 1):
-            raise ParameterError("opinions must be 0 or 1")
-        self.opinions[members] = opinions
-        self.activated[members] = True
-        self.activation_phase[members] = phase
-        self.activation_round[members] = round_index
 
     # ------------------------------------------------------------------
     # Mutation used by protocols
@@ -129,20 +100,6 @@ class Population:
         if opinions.size and (opinions.min() < 0 or opinions.max() > 1):
             raise ParameterError("opinions must be 0 or 1")
         self.opinions[agents] = opinions
-
-    def mark_crashed(self, crashed: np.ndarray) -> None:
-        """Record which agents have crashed (fault-model runs only).
-
-        ``crashed`` is a boolean mask of all agents, typically the fault
-        injector's :meth:`~repro.substrate.faults.FaultInjector.crashed_serial`
-        after a run; surviving-agent accessors use it.
-        """
-        crashed = np.asarray(crashed, dtype=bool)
-        if crashed.shape != (self.size,):
-            raise ParameterError(
-                f"crashed mask must have shape ({self.size},), got {crashed.shape}"
-            )
-        self.crashed = crashed.copy()
 
     # ------------------------------------------------------------------
     # Accessors
@@ -193,31 +150,6 @@ class Population:
         """True when every agent holds ``correct_opinion``."""
         self._check_opinion(correct_opinion)
         return bool(np.all(self.opinions == correct_opinion))
-
-    def num_crashed(self) -> int:
-        """Number of agents marked as crashed (see :meth:`mark_crashed`)."""
-        return int(np.count_nonzero(self.crashed))
-
-    def surviving_correct_fraction(self, correct_opinion: int) -> float:
-        """Fraction of *non-crashed* agents holding ``correct_opinion``.
-
-        The success notion for crash-fault runs: a crashed agent cannot be
-        expected to learn the opinion, so it is excluded from the account.
-        Returns ``0.0`` when every agent crashed.
-        """
-        self._check_opinion(correct_opinion)
-        alive = ~self.crashed
-        total = int(np.count_nonzero(alive))
-        if total == 0:
-            return 0.0
-        correct = int(np.count_nonzero(self.opinions[alive] == correct_opinion))
-        return correct / total
-
-    def all_surviving_correct(self, correct_opinion: int) -> bool:
-        """True when every non-crashed agent holds ``correct_opinion``."""
-        self._check_opinion(correct_opinion)
-        alive = ~self.crashed
-        return bool(np.all(self.opinions[alive] == correct_opinion))
 
     def snapshot(self) -> dict:
         """Return a plain-dict summary of the population state."""

@@ -26,13 +26,17 @@ class TestMajorityConsensus:
         assert successes >= 3
 
     def test_tiny_bias_is_not_reliably_recovered(self):
-        """Far below the threshold the initial majority frequently loses."""
+        """Far below the threshold the initial majority frequently loses.
+
+        The success rate here is about 0.8 (0.81 over 300 seeds), so six
+        trials all succeed a quarter of the time; thirty do so about once in
+        a thousand."""
         n, epsilon, set_size = 500, 0.3, 60
         outcomes = [
             solve_noisy_majority_consensus(
                 n=n, epsilon=epsilon, initial_set_size=set_size, majority_bias=0.02, seed=seed
             ).success
-            for seed in range(6)
+            for seed in range(30)
         ]
         assert not all(outcomes)
 

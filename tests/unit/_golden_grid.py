@@ -37,8 +37,8 @@ GRID = [
 #: Serial runs of E4 and E5 on their batch configurations.  E1's report holds
 #: only mean rounds and success rate, so its serial digest equals the batch
 #: one and cannot see a changed draw.  These reports hold per-phase
-#: observables of the serial ``PushGossipNetwork.deliver`` path, which shift
-#: with ``base_seed``.
+#: observables of the Stage-I kernel at ``R = 1``, which shift with
+#: ``base_seed``.
 SERIAL_DRAW_GRID = [
     (experiment_id, False, overrides)
     for experiment_id, batch, overrides in GRID

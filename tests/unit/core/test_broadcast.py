@@ -5,7 +5,13 @@ import pytest
 from repro.core.broadcast import NoisyBroadcastProtocol, solve_noisy_broadcast
 from repro.core.parameters import ProtocolParameters
 from repro.errors import SimulationError
-from repro.substrate import SimulationEngine
+from repro.substrate import (
+    BinarySymmetricChannel,
+    Population,
+    PushGossipNetwork,
+    RandomSource,
+    SimulationEngine,
+)
 
 
 @pytest.fixture(scope="module")
@@ -70,7 +76,12 @@ class TestSolveNoisyBroadcast:
 class TestNoisyBroadcastProtocol:
     def test_requires_source(self):
         parameters = ProtocolParameters.calibrated(100, 0.3)
-        engine = SimulationEngine.create(n=100, epsilon=0.3, seed=1, source=None)
+        engine = SimulationEngine(
+            population=Population(size=100, source=None),
+            network=PushGossipNetwork(size=100),
+            channel=BinarySymmetricChannel(epsilon=0.3),
+            random=RandomSource(seed=1),
+        )
         with pytest.raises(SimulationError):
             NoisyBroadcastProtocol(parameters).run(engine)
 

@@ -1,43 +1,35 @@
-"""Unit tests for repro.core.majority."""
+"""Unit tests for repro.core.majority and the majority instance it seeds."""
 
 import numpy as np
 import pytest
 
-from repro.core.majority import (
-    MajorityInstance,
-    NoisyMajorityConsensusProtocol,
-    compute_start_phase,
-    solve_noisy_majority_consensus,
-)
+from repro.core.majority import compute_start_phase, solve_noisy_majority_consensus
 from repro.core.parameters import ProtocolParameters
+from repro.core.schedule import build_stage1_schedule
 from repro.errors import ParameterError, SimulationError
-from repro.substrate import SimulationEngine
+from repro.exec.batching import run_majority_batch
+from repro.exec.stage_batching import population_bias_grid, seeded_batch_state
+from repro.substrate.population import NO_OPINION
 
 
-class TestMajorityInstance:
-    def test_generate_respects_size_and_bias(self, rng):
-        instance = MajorityInstance.generate(n=500, size=100, bias=0.2, majority_opinion=1, rng=rng)
-        assert instance.size == 100
-        assert np.unique(instance.members).size == 100
-        assert instance.majority_bias >= 0.2
-        assert instance.majority_opinion == 1
+class TestSeededInstance:
+    """The initially opinionated set ``A`` of every replicate."""
 
-    def test_generate_with_opinion_zero(self, rng):
-        instance = MajorityInstance.generate(n=500, size=60, bias=0.1, majority_opinion=0, rng=rng)
-        zeros = int(np.count_nonzero(instance.opinions == 0))
-        assert zeros > instance.size / 2
+    def test_instance_respects_size_and_bias(self, rng):
+        state = seeded_batch_state(500, 3, 100, 0.2, 1, rng)
+        assert (state.activated.sum(axis=1) == 100).all()
+        assert ((state.opinions != NO_OPINION) == state.activated).all()
+        assert (population_bias_grid(state.opinions, 1) >= 0.2).all()
 
-    def test_generate_validations(self, rng):
+    def test_instance_with_opinion_zero(self, rng):
+        state = seeded_batch_state(500, 3, 60, 0.1, 0, rng)
+        assert ((state.opinions == 0).sum(axis=1) > 30).all()
+
+    def test_instance_validations(self, rng):
         with pytest.raises(ParameterError):
-            MajorityInstance.generate(n=10, size=20, bias=0.1, majority_opinion=1, rng=rng)
+            seeded_batch_state(10, 1, 20, 0.1, 1, rng)
         with pytest.raises(ParameterError):
-            MajorityInstance.generate(n=10, size=5, bias=-0.1, majority_opinion=1, rng=rng)
-
-    def test_mismatched_members_opinions(self):
-        with pytest.raises(ParameterError):
-            MajorityInstance(
-                members=np.asarray([1, 2]), opinions=np.asarray([1]), majority_opinion=1
-            )
+            seeded_batch_state(10, 1, 5, -0.1, 1, rng)
 
 
 class TestComputeStartPhase:
@@ -101,11 +93,13 @@ class TestSolveMajorityConsensus:
         assert result.majority_opinion == 0
 
     def test_complexity_accounting(self):
+        parameters = ProtocolParameters.calibrated(400, 0.3)
         result = solve_noisy_majority_consensus(
             n=400, epsilon=0.3, initial_set_size=120, majority_bias=0.25, seed=9
         )
-        assert result.rounds == result.stage1.rounds + result.stage2.rounds
-        assert result.messages_sent == result.stage1.messages_sent + result.stage2.messages_sent
+        stage1 = build_stage1_schedule(parameters.stage1, start_phase=result.start_phase)
+        assert result.rounds == stage1.total_rounds + parameters.stage2.total_rounds
+        assert 0 < result.messages_sent <= 400 * result.rounds
 
     def test_reproducibility(self):
         kwargs = dict(n=300, epsilon=0.3, initial_set_size=80, majority_bias=0.2, seed=31)
@@ -124,31 +118,34 @@ class TestSolveMajorityConsensus:
         assert result.rounds < broadcast_rounds
 
 
-class TestProtocolClass:
-    def test_explicit_start_phase_override(self, rng):
+class TestStartPhase:
+    def test_explicit_start_phase_override(self):
         parameters = ProtocolParameters.calibrated(300, 0.3)
-        engine = SimulationEngine.create(n=300, epsilon=0.3, seed=13, source=None)
-        instance = MajorityInstance.generate(n=300, size=90, bias=0.25, majority_opinion=1, rng=rng)
         last_phase = parameters.stage1.num_phases - 1
-        protocol = NoisyMajorityConsensusProtocol(parameters, start_phase=last_phase)
-        result = protocol.run(engine, instance)
+        result = run_majority_batch(
+            n=300, epsilon=0.3, num_replicates=1, initial_set_size=90, majority_bias=0.25,
+            base_seed=13, parameters=parameters, start_phase=last_phase,
+        )
         assert result.start_phase == last_phase
-        assert result.stage1.phases[0].phase == last_phase
+        assert result.rounds == (
+            parameters.stage1.phase_length(last_phase) + parameters.stage2.total_rounds
+        )
 
-    def test_start_phase_past_stage1_rejected(self, rng):
+    def test_start_phase_past_stage1_rejected(self):
         """n = 200, eps = 0.3 has two Stage-I phases; starting at phase 5 used
         to run Stage I for zero rounds."""
         parameters = ProtocolParameters.calibrated(200, 0.3)
         assert parameters.stage1.num_phases == 2
-        engine = SimulationEngine.create(n=200, epsilon=0.3, seed=13, source=None)
-        instance = MajorityInstance.generate(n=200, size=60, bias=0.25, majority_opinion=1, rng=rng)
-        protocol = NoisyMajorityConsensusProtocol(parameters, start_phase=5)
         with pytest.raises(ParameterError, match="start_phase 5 out of range"):
-            protocol.run(engine, instance)
+            run_majority_batch(
+                n=200, epsilon=0.3, num_replicates=1, initial_set_size=60, majority_bias=0.25,
+                base_seed=13, parameters=parameters, start_phase=5,
+            )
 
-    def test_rejects_mismatched_engine(self, rng):
+    def test_rejects_parameters_of_another_n(self):
         parameters = ProtocolParameters.calibrated(300, 0.3)
-        engine = SimulationEngine.create(n=100, epsilon=0.3, seed=13, source=None)
-        instance = MajorityInstance.generate(n=100, size=30, bias=0.2, majority_opinion=1, rng=rng)
         with pytest.raises(SimulationError):
-            NoisyMajorityConsensusProtocol(parameters).run(engine, instance)
+            solve_noisy_majority_consensus(
+                n=100, epsilon=0.3, initial_set_size=30, majority_bias=0.2, seed=13,
+                parameters=parameters,
+            )

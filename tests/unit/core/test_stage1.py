@@ -6,8 +6,10 @@ import pytest
 from repro.core.parameters import StageOneParameters
 from repro.core.stage1 import ReceptionAccumulator, execute_stage_one
 from repro.errors import ParameterError, SimulationError
-from repro.substrate import SimulationEngine
+from repro.exec.stage_batching import BatchState, run_stage1_batch, source_batch_state
+from repro.substrate import BinarySymmetricChannel, PushGossipNetwork, SimulationEngine
 from repro.substrate.noise import PerfectChannel
+from repro.substrate.population import NO_OPINION
 
 
 def small_stage1_params():
@@ -113,26 +115,6 @@ class TestExecuteStageOne:
         assert totals_one == totals_zero
         assert bias_one == pytest.approx(bias_zero)
 
-    def test_start_phase_with_seeded_set(self):
-        engine = SimulationEngine.create(n=300, epsilon=0.25, seed=29, source=None)
-        members = np.arange(40)
-        opinions = np.asarray([1] * 30 + [0] * 10, dtype=np.int8)
-        engine.population.seed_opinionated_set(members, opinions, phase=0)
-        params = small_stage1_params()
-        result = execute_stage_one(engine, params, correct_opinion=1, start_phase=1)
-        assert [summary.phase for summary in result.phases] == [1, 2]
-        assert result.rounds == params.phase_length(1) + params.phase_length(2)
-        assert result.all_activated
-
-    @pytest.mark.parametrize("start_phase", [-1, 3, 5])
-    def test_start_phase_outside_the_stage_rejected(self, start_phase):
-        """A start phase the stage does not have is an error, not a skipped stage."""
-        engine = SimulationEngine.create(n=300, epsilon=0.25, seed=29)
-        engine.population.set_source_opinion(1)
-        with pytest.raises(ParameterError, match="out of range"):
-            execute_stage_one(engine, small_stage1_params(), correct_opinion=1, start_phase=start_phase)
-        assert engine.now == 0
-
     def test_dormant_agents_never_send(self):
         """In every phase the number of senders equals the agents activated before it."""
         engine = SimulationEngine.create(n=300, epsilon=0.25, seed=31)
@@ -142,3 +124,36 @@ class TestExecuteStageOne:
         for summary in result.phases:
             assert summary.senders == previous_total
             previous_total = summary.activated_total
+
+
+class TestLateStart:
+    """Corollary 2.18's late start, on the Stage-I kernel at one replicate."""
+
+    @staticmethod
+    def _run(state, start_phase):
+        n = state.shape[1]
+        return run_stage1_batch(
+            state, PushGossipNetwork(size=n), BinarySymmetricChannel(epsilon=0.25),
+            np.random.default_rng(29), small_stage1_params(), 1, start_phase=start_phase,
+        )
+
+    def test_start_phase_with_seeded_set(self):
+        opinions = np.full((1, 300), NO_OPINION, dtype=np.int8)
+        opinions[0, :40] = [1] * 30 + [0] * 10
+        state = BatchState(
+            opinions=opinions, activated=opinions != NO_OPINION,
+            messages_sent=np.zeros(1, dtype=np.int64),
+        )
+        params = small_stage1_params()
+        result = self._run(state, start_phase=1)
+        assert [summary.phase for summary in result.phases] == [1, 2]
+        assert result.rounds == params.phase_length(1) + params.phase_length(2)
+        assert result.all_activated.all()
+
+    @pytest.mark.parametrize("start_phase", [-1, 3, 5])
+    def test_start_phase_outside_the_stage_rejected(self, start_phase):
+        """A start phase the stage does not have is an error, not a skipped stage."""
+        state = source_batch_state(300, 1, 1)
+        with pytest.raises(ParameterError, match="out of range"):
+            self._run(state, start_phase)
+        assert state.rounds == 0

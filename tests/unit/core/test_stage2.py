@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.majority import MajorityInstance
+from repro.core.opinions import counts_from_bias
 from repro.core.parameters import StageTwoParameters
 from repro.core.stage2 import SampleAccumulator, execute_stage_two, majority_of_random_subset
 from repro.substrate import SimulationEngine
@@ -14,12 +14,20 @@ def small_stage2_params():
     return StageTwoParameters(gamma=15, num_boost_phases=4, final_phase_rounds=160)
 
 
+def seed_opinions(engine, members, opinions):
+    """Give ``members`` their ``opinions`` and mark them activated."""
+    engine.population.set_opinions(members, opinions)
+    engine.population.activate(members, phase=0, round_index=0)
+
+
 def seeded_engine(n=400, epsilon=0.25, seed=1, bias=0.15, channel=None):
-    engine = SimulationEngine.create(n=n, epsilon=epsilon, seed=seed, source=None, channel=channel)
-    instance = MajorityInstance.generate(
-        n=n, size=n, bias=bias, majority_opinion=1, rng=engine.random.stream("seeding")
-    )
-    engine.population.seed_opinionated_set(instance.members, instance.opinions)
+    """An engine whose every agent holds an opinion, at majority-bias ``bias`` towards 1."""
+    engine = SimulationEngine.create(n=n, epsilon=epsilon, seed=seed, channel=channel)
+    correct, _ = counts_from_bias(n, bias)
+    opinions = np.zeros(n, dtype=np.int8)
+    opinions[:correct] = 1
+    engine.random.stream("seeding").shuffle(opinions)
+    seed_opinions(engine, np.arange(n), opinions)
     return engine
 
 
@@ -106,10 +114,10 @@ class TestExecuteStageTwo:
 
     def test_unopinionated_population_gets_opinions_from_samples(self):
         """Agents without an opinion listen, and successful ones adopt the sample majority."""
-        engine = SimulationEngine.create(n=200, epsilon=0.3, seed=17, source=None)
+        engine = SimulationEngine.create(n=200, epsilon=0.3, seed=17)
         members = np.arange(100)
         opinions = np.asarray([1] * 80 + [0] * 20, dtype=np.int8)
-        engine.population.seed_opinionated_set(members, opinions)
+        seed_opinions(engine, members, opinions)
         result = execute_stage_two(engine, small_stage2_params(), correct_opinion=1)
         assert engine.population.num_opinionated() == 200
         assert result.final_correct_fraction > 0.9

@@ -297,7 +297,8 @@ class TestOrderedAssemblyDifferential:
         backend = _ShuffledBackend()
         with use_backend(backend):
             shuffled = e8_majority.run(**kwargs)
-        assert backend.tasks == 6  # one per (point, trial)
+        # One cell task per point, then one trial task per (point, trial).
+        assert backend.tasks == 2 + 6
         assert shuffled.rows == serial.rows
         assert shuffled.render() == serial.render()
 

@@ -220,14 +220,13 @@ class TestRunBatchCell:
     def test_failing_cell_on_a_pool_is_named_in_the_error(self, on_local_pool):
         with pytest.raises(ExperimentError) as excinfo:
             on_local_pool(
-                run_sweep_batched,
+                run_broadcast_sweep_batched,
                 name="M",
-                points=[{"set_size": 30, "bias": 0.3}, {"set_size": 400, "bias": 0.3}],
-                batch_fn=run_majority_batch,
+                points=[{"correct_opinion": 1}, {"correct_opinion": 2}],
                 trials_per_point=2,
                 defaults={"n": 250, "epsilon": 0.3},
             )
-        assert "name='M[set_size=400, bias=0.3]'" in str(excinfo.value)
+        assert "name='M[correct_opinion=2]'" in str(excinfo.value)
 
 
 class TestBatchAdapters:
@@ -380,29 +379,15 @@ class TestSweepDispatch:
         assert captured["b0"] == 2.5
 
     def test_coerces_numeric_settings_like_serial_trials(self):
-        """Float grid values the serial path accepts (int(point['set_size']))
-        work identically batched."""
-        sweep = run_sweep_batched(
-            name="M",
-            points=[{"set_size": 30.0, "bias": 0.3}],
-            batch_fn=run_majority_batch,
+        """Float grid values a serial sweep accepts work identically batched."""
+        sweep = run_broadcast_sweep_batched(
+            name="S",
+            points=[{"n": 250.0}],
             trials_per_point=2,
             base_seed=0,
-            defaults={"n": 250.0, "epsilon": 0.3},
+            defaults={"epsilon": 0.3},
         )
         assert sweep.results[0].rate("success") >= 0.0  # ran without TypeError
-
-    def test_point_alias_overrides_canonical_default(self):
-        """Per-point settings win over defaults through either spelling."""
-        sweep = run_sweep_batched(
-            name="M",
-            points=[{"set_size": 50, "bias": 0.3}],
-            batch_fn=run_majority_batch,
-            trials_per_point=2,
-            base_seed=0,
-            defaults={"n": 250, "epsilon": 0.3, "initial_set_size": 30},
-        )
-        assert sweep.results[0].trials[0].measurements["success"] in (True, False)
 
     def test_unrecognised_setting_raises(self):
         with pytest.raises(ExperimentError, match="unrecognised"):
@@ -414,39 +399,7 @@ class TestSweepDispatch:
                 defaults={"epsilon": 0.3},
             )
 
-    def test_majority_sweep_keeps_the_serial_grid_keys(self):
-        sweep = run_sweep_batched(
-            name="M",
-            points=[{"set_size": 30, "bias": 0.3}],
-            batch_fn=run_majority_batch,
-            trials_per_point=2,
-            base_seed=0,
-            defaults={"n": 250, "epsilon": 0.3},
-        )
-        assert "start_phase" in sweep.results[0].trials[0].measurements
-        # The grid and the recorded config keep the serial E8 grid keys.
-        assert sweep.points[0].as_dict() == {"set_size": 30, "bias": 0.3}
-        assert sweep.results[0].config == {"set_size": 30, "bias": 0.3}
-
-    def test_alias_conflict_and_missing_settings_raise(self):
-        with pytest.raises(ExperimentError, match="both"):
-            run_sweep_batched(
-                name="M",
-                points=[{"set_size": 30, "initial_set_size": 30, "bias": 0.3}],
-                batch_fn=run_majority_batch,
-                trials_per_point=2,
-                defaults={"n": 250, "epsilon": 0.3},
-            )
-        with pytest.raises(ExperimentError, match="must define"):
-            run_sweep_batched(
-                name="M",
-                points=[{"set_size": 30}],
-                batch_fn=run_majority_batch,
-                trials_per_point=2,
-                defaults={"n": 250, "epsilon": 0.3},
-            )
-
-    def test_aliases_are_majority_settings_only(self):
+    def test_majority_grid_keys_are_not_broadcast_settings(self):
         with pytest.raises(ExperimentError, match=r"unrecognised setting\(s\) \['set_size'\]"):
             run_broadcast_sweep_batched(
                 name="S",
@@ -464,23 +417,6 @@ class TestSweepDispatch:
                 trials_per_point=2,
                 defaults={"epsilon": 0.3},
             )
-
-    def test_majority_sweep_mirrors_run_sweep_naming(self):
-        sweep = run_sweep_batched(
-            name="M",
-            points=[{"set_size": 30, "bias": 0.35}, {"set_size": 60, "bias": 0.35}],
-            batch_fn=run_majority_batch,
-            trials_per_point=2,
-            base_seed=3,
-            defaults={"n": 250, "epsilon": 0.3},
-        )
-        assert [result.name for result in sweep.results] == [
-            "M[set_size=30, bias=0.35]",
-            "M[set_size=60, bias=0.35]",
-        ]
-        xs, ys = sweep.rates("set_size", "success")
-        assert xs == [30, 60]
-        assert all(0.0 <= y <= 1.0 for y in ys)
 
 
 class TestPooledBatchedSweep:
@@ -526,7 +462,7 @@ class TestDriverBatchMode:
         assert all(row["success_rate"] >= 0.5 for row in batched.rows)
 
     @pytest.mark.parametrize(
-        "batch, tasks", [(True, 2), (False, 4)], ids=["batch-point-tasks", "serial-trial-tasks"]
+        "batch, tasks", [(True, 2), (False, 2)], ids=["batch-point-tasks", "serial-point-tasks"]
     )
     def test_e8_on_a_pool_identical(self, batch, tasks):
         kwargs = dict(n=300, epsilon=0.3, set_sizes=(40,), biases=(0.3, 0.35), trials=2)

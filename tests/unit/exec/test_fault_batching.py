@@ -8,10 +8,10 @@ Three contracts:
 * ``run_broadcast_batch`` with ``model=None`` or :class:`NoFaults` is
   **bit-identical** to a call without ``model`` (the fault stream is
   spawned separately from the main stream);
-* with an active fault model, batch and serial runs of the paper's protocol
-  agree **statistically** (the standard batch-vs-serial scope of
-  ``docs/ARCHITECTURE.md``), and forced crashes do not shift the batch main
-  stream's consumption;
+* with an active fault model, forced crashes do not shift the batch main
+  stream's consumption, and the crash census respects the model (a serial
+  trial is this rule at ``R = 1``; its distribution is recorded in
+  ``test_stage_kernel_distribution.py``);
 * the phased approximate-consensus comparator's rule runs **exactly** the
   phase budget its configuration
   (:class:`~repro.protocols.fault_tolerant.PhasedApproximateConsensus`)
@@ -25,7 +25,6 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.broadcast import solve_noisy_broadcast
 from repro.core.parameters import ProtocolParameters
 from repro.errors import ExperimentError
 from repro.exec.batching import run_broadcast_batch
@@ -92,19 +91,10 @@ class TestBatchRngStability:
         # The crashed run genuinely diverges in outcome, not in consumption.
         assert crashed_state.messages_sent.sum() < quiet_state.messages_sent.sum()
 
-class TestPaperProtocolDifferential:
-    """Batch vs. serial statistical agreement per fault model."""
+class TestPaperProtocolCensus:
+    """The crash census of the paper's protocol respects its fault model."""
 
     N, EPSILON = 120, 0.3
-    SERIAL_TRIALS, BATCH_REPLICATES = 6, 24
-
-    def _serial_stats(self, model):
-        fractions, successes = [], []
-        for seed in range(self.SERIAL_TRIALS):
-            result = solve_noisy_broadcast(self.N, self.EPSILON, seed=seed, faults=model)
-            fractions.append(result.final_correct_fraction)
-            successes.append(result.success)
-        return np.mean(fractions), np.mean(successes)
 
     @pytest.mark.parametrize(
         "model",
@@ -114,26 +104,13 @@ class TestPaperProtocolDifferential:
         ],
         ids=["crash", "byzantine"],
     )
-    def test_batch_marginals_match_serial(self, model):
-        serial_fraction, _ = self._serial_stats(model)
-        batch = run_broadcast_batch(
-            self.N, self.EPSILON, self.BATCH_REPLICATES, model=model, base_seed=17
-        )
-        assert batch.num_replicates == self.BATCH_REPLICATES
-        assert abs(batch.final_correct_fraction.mean() - serial_fraction) < 0.15
-        # Crash census matches the model's prone-set size bound.
+    def test_crash_census_respects_the_prone_set_bound(self, model):
+        batch = run_broadcast_batch(self.N, self.EPSILON, 24, model=model, base_seed=17)
+        assert batch.num_replicates == 24
         if isinstance(model, CrashStop):
             assert (batch.crashed <= int(model.fraction * self.N)).all()
         else:
             assert (batch.crashed == 0).all()
-
-    def test_measurement_keys_superset_of_serial_trial(self):
-        from repro.experiments.e12_faults import _paper_trial
-
-        model = CrashStop(fraction=0.2, crash_probability=0.1, immune=(0,))
-        serial_keys = set(_paper_trial(3, 0, n=self.N, epsilon=self.EPSILON, model=model))
-        batch = run_broadcast_batch(self.N, self.EPSILON, 2, model=model, base_seed=3)
-        assert serial_keys <= set(batch.measurements(0))
 
 
 class TestConsensusComparatorRule:

@@ -187,16 +187,17 @@ class TestEverySpecFingerprint:
 
 
 #: The ``KERNEL_EPOCH`` the fingerprint pins were taken at.
-PINNED_AT_EPOCH = 1
+PINNED_AT_EPOCH = 2
 
 
 class TestFingerprintsArePinned:
-    """Fingerprints re-pinned at code version ``1.0.0+k1.np2.4``.
+    """Fingerprints re-pinned at code version ``1.0.0+k2.np2.4``.
 
     Removing execution settings must not move a single cache address: every
     artifact stored at one code version keeps hitting.  Only a new code
     version moves them (at ``1.0.0``, before the kernel epoch, the two pins
-    were ``4e6f348d...`` and ``14b41f65...``).
+    were ``4e6f348d...`` and ``14b41f65...``; at ``1.0.0+k1.np2.4`` they were
+    ``ca0dae52...`` and ``068a28c8...``).
     """
 
     def test_pins_were_taken_at_the_current_kernel_epoch(self):
@@ -205,12 +206,12 @@ class TestFingerprintsArePinned:
     def test_e1_batch_fingerprint_is_unchanged(self):
         resolved = resolve_run_inputs("E1", config=ExecutionConfig(batch=True))
         assert resolved.fingerprint == (
-            "ca0dae52955ebfe0b1feb0cebc7d98141608a886de1b8d79e28b0bae9fb39093"
+            "1b68893d411491c2aee8f85ddfb8e7900401b53474f5d96306040565645c7fc1"
         )
 
     def test_e8_default_fingerprint_is_unchanged(self):
         assert resolve_run_inputs("E8").fingerprint == (
-            "068a28c8f3691b452e8d1d227d043ad19ef1682f41c7e78df1e8ba41669056cb"
+            "569104f2421842b44e40d5e1be791f70675f70e597e2ed535c73809abdef9273"
         )
 
     def test_manifest_with_the_old_execution_keys_loads_and_hits(self, tmp_path):

@@ -22,10 +22,10 @@ class TestCreation:
         assert engine.population.size == engine.network.size == 30
         assert engine.now == 0
 
-    def test_create_without_source(self):
-        engine = SimulationEngine.create(n=10, epsilon=0.3, seed=1, source=None)
-        assert engine.population.source is None
-        assert engine.population.num_activated() == 0
+    def test_agent_zero_is_the_source(self):
+        engine = SimulationEngine.create(n=10, epsilon=0.3, seed=1)
+        assert engine.population.source == 0
+        assert engine.population.num_activated() == 1
 
     def test_create_with_custom_channel(self):
         engine = SimulationEngine.create(n=10, epsilon=0.3, seed=1, channel=PerfectChannel())
@@ -59,11 +59,6 @@ class TestGossipRound:
         assert small_engine.metrics.rounds == 1
         assert small_engine.metrics.messages_sent == 1
         assert report.messages_sent == 1
-
-    def test_idle_round(self, small_engine):
-        small_engine.idle_round()
-        assert small_engine.now == 1
-        assert small_engine.metrics.messages_sent == 0
 
     def test_time_series_recording(self):
         engine = SimulationEngine.create(n=20, epsilon=0.3, seed=5, record_time_series=True)

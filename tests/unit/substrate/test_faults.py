@@ -124,10 +124,10 @@ class TestCrashMechanics:
         model = CrashStop(forced={0: (2,), 2: (5, 7)})
         injector = _injector(model, size=10)
         injector.begin_round()
-        assert set(np.flatnonzero(injector.crashed_serial())) == {2}
+        assert set(np.flatnonzero(injector.crashed[0])) == {2}
         injector.begin_round()  # round 1: nothing scheduled
         injector.begin_round()  # round 2
-        assert set(np.flatnonzero(injector.crashed_serial())) == {2, 5, 7}
+        assert set(np.flatnonzero(injector.crashed[0])) == {2, 5, 7}
         assert injector.num_crashed().tolist() == [3]
 
     def test_crashes_are_permanent_and_silence_senders(self):
@@ -214,17 +214,6 @@ class TestByzantineMechanics:
 class TestDedicatedStream:
     """Fault decisions must never consume delivery/channel/protocol variates."""
 
-    def test_engine_uses_the_faults_stream(self, make_engine):
-        engine = make_engine(n=30, seed=9, faults=CrashStop(fraction=0.3, crash_probability=0.5))
-        assert engine.faults is not None
-        # The same seed's "faults" stream, replayed independently, reproduces
-        # the injector's membership draw — proof it came from that stream.
-        reference = make_engine(n=30, seed=9).random.stream("faults")
-        rekeyed = FaultInjector(
-            CrashStop(fraction=0.3, crash_probability=0.5), 30, reference
-        )
-        assert np.array_equal(engine.faults.prone, rekeyed.prone)
-
     def test_fault_stream_consumption_is_positional(self):
         # Two very different crash histories, same generator: equal draws left.
         draws_left = []
@@ -240,7 +229,8 @@ class TestDedicatedStream:
 
 
 class TestSerialRngStability:
-    """A crash in round t must not shift other agents' draws in rounds >= t."""
+    """A crash in round t must not shift other agents' draws in rounds >= t,
+    on one replicate (a serial faulty trial)."""
 
     @staticmethod
     def _run_rounds(model, seed=5, size=16, rounds=4):
@@ -248,15 +238,12 @@ class TestSerialRngStability:
         channel = BinarySymmetricChannel(epsilon=0.3)
         rng = np.random.default_rng(seed)
         injector = build_injector(model, size, np.random.default_rng(999))
-        senders = np.arange(size)
-        bits = np.ones(size, dtype=np.int8)
+        send_mask = np.ones((1, size), dtype=bool)
+        bits = np.ones((1, size), dtype=np.int8)
         reports = []
         for _ in range(rounds):
-            if injector is not None:
-                injector.begin_round()
-            reports.append(
-                network.deliver(senders.copy(), bits.copy(), channel, rng, faults=injector)
-            )
+            report = network.deliver_batch(send_mask, bits, channel, rng, faults=injector)
+            reports.append((report.cells, report.cell_bits, report.cell_senders))
         return reports, rng.random(8)
 
     def test_crash_does_not_shift_other_agents_draws(self):
@@ -267,18 +254,19 @@ class TestSerialRngStability:
         # Main-stream consumption is unchanged by the crashes...
         assert np.array_equal(quiet_tail, crashed_tail)
         # ...round 0 precedes the crash, so deliveries are identical...
-        assert np.array_equal(quiet[0].recipients, crashed[0].recipients)
-        assert np.array_equal(quiet[0].bits, crashed[0].bits)
+        assert np.array_equal(quiet[0][0], crashed[0][0])
+        assert np.array_equal(quiet[0][1], crashed[0][1])
         overlap = 0
         for round_index in (1, 2, 3):
-            q, c = quiet[round_index], crashed[round_index]
+            (q_recipients, q_bits, q_senders) = quiet[round_index]
+            (c_recipients, c_bits, c_senders) = crashed[round_index]
             # ...and afterwards every surviving sender keeps the same target
             # and noisy bit: a (sender -> recipient) delivery present in both
             # runs is identical.  (Collision *outcomes* may legitimately
             # change — a sender can win a slot its crashed competitor used to
             # take — so only the pairwise intersection is compared.)
-            quiet_map = dict(zip(q.senders.tolist(), zip(q.recipients.tolist(), q.bits.tolist())))
-            for sender, recipient, bit in zip(c.senders, c.recipients, c.bits):
+            quiet_map = dict(zip(q_senders.tolist(), zip(q_recipients.tolist(), q_bits.tolist())))
+            for sender, recipient, bit in zip(c_senders, c_recipients, c_bits):
                 assert int(sender) not in (1, 2)
                 if int(sender) in quiet_map:
                     assert quiet_map[int(sender)] == (int(recipient), int(bit))
@@ -292,49 +280,15 @@ class TestSerialRngStability:
         dead, dead_tail = self._run_rounds(CrashStop(forced={1: everyone}))
         assert np.array_equal(quiet_tail, dead_tail)
         for round_index in (1, 2, 3):
-            assert dead[round_index].recipients.size == 0
-            assert quiet[round_index].recipients.size > 0
+            assert dead[round_index][0].size == 0
+            assert quiet[round_index][0].size > 0
 
-    def test_engine_protocol_stream_untouched_by_crashes(self, make_engine):
-        # Stage-I reservoir draws come from the protocol stream; with the
-        # positional accumulator their consumption is fixed per round.
-        from repro.core.stage1 import ReceptionAccumulator
-
-        for recipients in (np.array([], dtype=np.int64), np.arange(5)):
-            rng = np.random.default_rng(3)
-            accumulator = ReceptionAccumulator(12)
-            accumulator.observe_positional(
-                recipients, np.ones(recipients.size, dtype=np.int8), rng
-            )
-            tail = rng.random(3)
-        del accumulator
-        rng_reference = np.random.default_rng(3)
-        rng_reference.random(12)
-        assert np.array_equal(tail, rng_reference.random(3))
-
-
-class TestEngineIntegration:
-    def test_none_model_leaves_engine_faultless(self, make_engine):
-        engine = make_engine(n=20, faults=NoFaults())
-        assert engine.faults is None
-
-    def test_crashed_agents_stop_sending_through_gossip_round(self, make_engine):
-        engine = make_engine(
-            n=20, seed=11, faults=CrashStop(forced={0: tuple(range(1, 20))})
+class TestDeliveryIntegration:
+    def test_crashed_agents_stop_sending(self):
+        network = PushGossipNetwork(size=20)
+        injector = _injector(CrashStop(forced={0: tuple(range(1, 20))}), size=20, seed=11)
+        report = network.deliver_batch(
+            np.ones((1, 20), dtype=bool), np.ones((1, 20), dtype=np.int8),
+            BinarySymmetricChannel(epsilon=0.3), np.random.default_rng(11), faults=injector,
         )
-        senders = np.arange(20)
-        bits = np.ones(20, dtype=np.int8)
-        report = engine.gossip_round(senders, bits)
-        assert set(report.senders.tolist()) <= {0}
-
-    def test_population_survivor_accounting(self, make_engine):
-        engine = make_engine(n=10, seed=2, faults=CrashStop(forced={0: (3, 4)}))
-        engine.gossip_round(np.arange(10), np.ones(10, dtype=np.int8))
-        population = engine.population
-        population.set_opinions(np.arange(10), np.ones(10, dtype=np.int8))
-        population.set_opinions(np.asarray([3]), np.asarray([0], dtype=np.int8))
-        population.mark_crashed(engine.faults.crashed_serial())
-        assert population.num_crashed() == 2
-        assert population.all_surviving_correct(1)
-        assert population.surviving_correct_fraction(1) == 1.0
-        assert not population.all_correct(1)
+        assert set(report.cell_senders.tolist()) <= {0}

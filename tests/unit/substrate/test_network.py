@@ -358,17 +358,13 @@ class TestDeliverBatchMatchesSortOracle:
 
 class TestValidationOnEverySerialPath:
     """The O(n) duplicate-sender check keeps the validator's errors, messages
-    and check order on all three serial entry points, and bits are
-    range-checked before any cast could wrap or truncate them."""
+    and check order on both serial entry points, and bits are range-checked
+    before any cast could wrap or truncate them."""
 
     @staticmethod
     def _entry_points(network, perfect, rng):
-        from repro.substrate.faults import CrashStop, FaultInjector
-
-        injector = FaultInjector(CrashStop(fraction=0.0), network.size, np.random.default_rng(0))
         return {
             "deliver": lambda s, b: network.deliver(s, b, perfect, rng),
-            "deliver_resilient": lambda s, b: network.deliver(s, b, perfect, rng, faults=injector),
             "deliver_reference": lambda s, b: network.deliver_reference(s, b, perfect, rng),
         }
 

@@ -46,32 +46,6 @@ class TestSourceOpinion:
             population.set_source_opinion(2)
 
 
-class TestSeeding:
-    def test_seed_opinionated_set(self):
-        population = Population(size=20, source=None)
-        members = np.asarray([1, 5, 9])
-        opinions = np.asarray([1, 0, 1])
-        population.seed_opinionated_set(members, opinions)
-        assert population.num_activated() == 3
-        assert population.count_opinion(1) == 2
-        assert population.count_opinion(0) == 1
-
-    def test_duplicate_members_rejected(self):
-        population = Population(size=20, source=None)
-        with pytest.raises(ParameterError):
-            population.seed_opinionated_set(np.asarray([1, 1]), np.asarray([0, 1]))
-
-    def test_mismatched_shapes_rejected(self):
-        population = Population(size=20, source=None)
-        with pytest.raises(ParameterError):
-            population.seed_opinionated_set(np.asarray([1, 2]), np.asarray([0]))
-
-    def test_member_out_of_range_rejected(self):
-        population = Population(size=20, source=None)
-        with pytest.raises(ParameterError):
-            population.seed_opinionated_set(np.asarray([25]), np.asarray([1]))
-
-
 class TestActivation:
     def test_activate_is_idempotent(self):
         population = Population(size=10, source=0)
@@ -92,7 +66,7 @@ class TestActivation:
 class TestOpinionAccounting:
     def test_bias_and_fraction(self):
         population = Population(size=10, source=None)
-        population.seed_opinionated_set(np.arange(8), np.asarray([1, 1, 1, 1, 1, 1, 0, 0]))
+        population.set_opinions(np.arange(8), np.asarray([1, 1, 1, 1, 1, 1, 0, 0]))
         assert population.bias(1) == pytest.approx((6 - 2) / (2 * 8))
         assert population.bias(0) == pytest.approx(-(6 - 2) / (2 * 8))
         assert population.correct_fraction(1) == pytest.approx(0.6)
@@ -102,7 +76,7 @@ class TestOpinionAccounting:
 
     def test_all_correct(self):
         population = Population(size=4, source=None)
-        population.seed_opinionated_set(np.arange(4), np.ones(4, dtype=np.int8))
+        population.set_opinions(np.arange(4), np.ones(4, dtype=np.int8))
         assert population.all_correct(1)
         assert not population.all_correct(0)
 

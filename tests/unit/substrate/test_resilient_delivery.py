@@ -1,14 +1,13 @@
 """Invariants of the resilient (fault-aware) delivery kernel.
 
-With a fault injector, :meth:`PushGossipNetwork.deliver` and
-:meth:`PushGossipNetwork.deliver_batch` both run one positional kernel
-(see :mod:`repro.substrate.network`).  The pinned digests in
+With a fault injector, :meth:`PushGossipNetwork.deliver_batch` runs one
+positional kernel (see :mod:`repro.substrate.network`); a serial faulty
+trial runs it at one replicate.  The pinned digests in
 ``tests/unit/test_serial_resilient_regression.py`` fix its output for two
-configurations; the tests here check the rules it must keep on every kept
-fault model, on tiny and moderate networks, with and without
+one-replicate configurations; the tests here check the rules it must keep
+on every kept fault model, on tiny and moderate networks, with and without
 self-messages:
 
-* a serial round is the kernel at one replicate;
 * single-accept delivery: unique recipients per replicate, conserved message
   counts, no self-delivery unless allowed, and only live senders delivered;
 * the main stream's consumption depends on the grid shape alone, not on who
@@ -55,36 +54,6 @@ def _send_grids(rng: np.random.Generator, num_replicates: int, size: int, round_
         send_mask = rng.random((num_replicates, size)) < 0.6
     bits = rng.integers(0, 2, size=(num_replicates, size), dtype=np.int8)
     return send_mask, bits
-
-
-@parametrize_cases
-def test_serial_round_is_the_kernel_at_one_replicate(model, size, allow_self):
-    serial_net = PushGossipNetwork(size=size, allow_self_messages=allow_self)
-    batch_net = PushGossipNetwork(size=size, allow_self_messages=allow_self)
-    serial_faults = FaultInjector(model, size, np.random.default_rng(11))
-    batch_faults = FaultInjector(model, size, np.random.default_rng(11))
-    serial_rng, batch_rng = np.random.default_rng(5), np.random.default_rng(5)
-    serial_channel = BinarySymmetricChannel(epsilon=0.2)
-    batch_channel = BinarySymmetricChannel(epsilon=0.2)
-    inputs = np.random.default_rng(size)
-    for round_index in range(ROUNDS):
-        send_mask, bits = _send_grids(inputs, 1, size, round_index)
-        senders = np.flatnonzero(send_mask[0])
-        serial = serial_net.deliver(
-            senders, bits[0, senders], serial_channel, serial_rng, faults=serial_faults
-        )
-        batch = batch_net.deliver_batch(
-            send_mask, bits, batch_channel, batch_rng, faults=batch_faults
-        )
-        assert np.array_equal(serial.recipients, batch.cells)
-        assert np.array_equal(serial.bits, batch.cell_bits)
-        assert np.array_equal(serial.senders, batch.cell_senders)
-        assert serial.messages_sent == int(batch.messages_sent[0])
-        assert serial.messages_dropped == int(batch.messages_dropped[0])
-    assert np.array_equal(serial_faults.crashed, batch_faults.crashed)
-    assert serial_faults.counters == batch_faults.counters
-    assert serial_channel.flips_applied() == batch_channel.flips_applied()
-    assert np.array_equal(serial_rng.random(4), batch_rng.random(4))
 
 
 @parametrize_cases

@@ -6,7 +6,7 @@ notices a change in what a batched fault cell draws or how its trials are
 seeded and packaged.  On the serial pin's configuration the batched crash
 report happens to equal the serial one, so it cannot see such a change; on
 this configuration (``f = 0.3``, a crash probability of 0.1, three trials)
-both fault kinds differ from serial.
+both fault kinds' reports move with the batch draws.
 
 The digests were captured at commit 38726fa and must not be edited to make
 a change pass.
@@ -17,6 +17,7 @@ from __future__ import annotations
 import pytest
 
 from _golden_grid import grid_digest
+from repro.api import ExecutionConfig
 from repro.store.fingerprint import KERNEL_EPOCH
 
 #: Batched E12, one per fault kind.
@@ -33,7 +34,7 @@ E12_BATCH_DIGESTS = {
 
 
 #: The ``KERNEL_EPOCH`` these pins were taken (or last re-verified) at.
-PINNED_AT_EPOCH = 1
+PINNED_AT_EPOCH = 2
 
 
 @pytest.mark.parametrize(
@@ -48,13 +49,16 @@ def test_batched_e12_matches_pinned_digest(experiment_id, batch, overrides):
     ]
 
 
-def test_batched_pin_differs_from_serial():
-    """The pinned configuration is one where batch and serial reports differ,
-    so the pin sees a changed batch draw."""
+def test_batched_pin_moves_with_the_batch_draws():
+    """The pinned configuration is one where the report depends on the batch
+    draws: another base seed gives another report, so the pin sees a
+    changed batch draw."""
     for experiment_id, _, overrides in E12_BATCH_GRID:
-        assert grid_digest(experiment_id, False, overrides) != E12_BATCH_DIGESTS[
-            overrides["fault_kind"]
-        ]
+        digests = {
+            grid_digest(experiment_id, True, overrides, ExecutionConfig(batch=True, base_seed=seed))
+            for seed in (1, 2, 3)
+        }
+        assert digests - {E12_BATCH_DIGESTS[overrides["fault_kind"]]}
 
 
 def test_pins_were_taken_at_the_current_kernel_epoch():

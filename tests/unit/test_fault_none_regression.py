@@ -16,6 +16,11 @@ seed: ``("E7", False)`` was re-pinned (its comparator rows draw from the
 rule's stream now; the pre-fault pin was ``af9b9526...``), and
 ``("E11", False)`` was added, since no pin saw serial E11 before.
 
+``("E9", False)`` was re-pinned at kernel epoch 2, when every serial E9
+variant became its batch rule at ``R = 1`` under each trial's seed (it was
+``0d15a43f...``); serial E7's paper-protocol rows moved to that rule too,
+but its report at this size did not change.
+
 E12 is deliberately absent: it did not exist at the seed revision.  Its
 f=0 column is covered by the exec-level bit-identity pin in
 ``tests/unit/exec/test_fault_batching.py`` instead.
@@ -43,22 +48,26 @@ GOLDEN_DIGESTS = {
     ("E11", True): "759b20f21afb0039a497d33b9021f4f768a3c972ed37b315359c809e4bbef205",
     ("E1", False): "7277c4516bb021408d823754caba3f00600991cebe0395733b7302b558ea8083",
     ("E7", False): "7da8f4ace3e60f25ea35539d999950070dcc0c9582958272aece34115734414a",
-    ("E9", False): "0d15a43f921d88c53a56b7582b92d40e8811d6a20126b8bca32251742965da52",
+    ("E9", False): "3f0cc1e8e90250d4e071048e0fd93769beb4eed3dc7175c57b2db7ee0bbfc06c",
     ("E11", False): "84592b6bddba3dc38c1dbdd824ab35db138a47aa676173f560dc9f77ede6bacb",
 }
 
 #: Draw-sensitive serial pins, captured at commit b09a3f0 (the parent of the
 #: O(n) collision-rule change to ``PushGossipNetwork.deliver``).  They move
-#: with ``base_seed``, so a changed serial draw, or a different choice of
-#: which colliding message a recipient keeps, shows up here.
+#: with ``base_seed``, so a changed draw of the Stage-I kernel at ``R = 1``,
+#: or a different choice of which colliding message a recipient keeps, shows
+#: up here.  Re-taken at kernel epoch 2, when serial E4/E5 trials became the
+#: instrumented Stage-I kernel at ``R = 1`` (they were ``466d16e7...`` and
+#: ``1af43b10...``); the serial ``deliver`` path is pinned by
+#: ``test_serial_broadcast_regression.py`` instead.
 SERIAL_DRAW_DIGESTS = {
-    ("E4", False): "466d16e76acd279dee70bf9600726cf4d66373198c524f87e1392d0d566e7774",
-    ("E5", False): "1af43b1037ce98f7102cc2f74a789394bde60413c5c573397f07a06b5ee85b11",
+    ("E4", False): "63bf48aa5f6fa56aebb4839f3a4869c61a0ca1152a002add2fbcdcc7a51c060d",
+    ("E5", False): "c5307da4de0e811b152280bbf96066ac478a727bbd402bd703be98729b353d3f",
 }
 
 
 #: The ``KERNEL_EPOCH`` these pins were taken (or last re-verified) at.
-PINNED_AT_EPOCH = 1
+PINNED_AT_EPOCH = 2
 
 
 def test_grid_covers_every_pre_fault_driver():
@@ -84,7 +93,7 @@ def test_no_fault_path_matches_pre_fault_golden(experiment_id, batch, overrides)
     ids=[f"{e}-serial" for e, _, _ in SERIAL_DRAW_GRID],
 )
 def test_serial_delivery_draws_match_pinned_digest(experiment_id, batch, overrides):
-    """Serial E4/E5 reports are bit-identical to the pre-scatter revision."""
+    """Serial E4/E5 reports are bit-identical to their pins."""
     assert {(e, b) for e, b, _ in SERIAL_DRAW_GRID} == set(SERIAL_DRAW_DIGESTS)
     digest = grid_digest(experiment_id, batch, overrides)
     assert digest == SERIAL_DRAW_DIGESTS[(experiment_id, batch)]

@@ -36,7 +36,7 @@ DIGESTS = {
 
 
 #: The ``KERNEL_EPOCH`` these pins were taken (or last re-verified) at.
-PINNED_AT_EPOCH = 1
+PINNED_AT_EPOCH = 2
 
 
 def result_digest(result) -> str:

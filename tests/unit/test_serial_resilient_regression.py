@@ -1,26 +1,31 @@
-"""Determinism regression: serial fault delivery is pinned across commits.
+"""Determinism regression: one-replicate fault delivery is pinned across commits.
 
-``PushGossipNetwork.deliver(faults=...)`` switches to the positional
-resilient path (see ``repro.substrate.network``).  The no-fault pin
-(``test_fault_none_regression.py``) never reaches that path, and the
-backend parity tests compare two backends within one commit, so neither
-notices a change in what a serial fault round draws.  The digests below
-close that gap at two levels:
+``PushGossipNetwork.deliver_batch(faults=...)`` switches to the positional
+resilient kernel (see ``repro.substrate.network``); a serial faulty trial
+runs it at ``R = 1``.  The no-fault pin (``test_fault_none_regression.py``)
+never reaches that kernel, and the backend parity tests compare two
+backends within one commit, so neither notices a change in what a
+one-replicate fault round draws.  The digests below close that gap at two
+levels:
 
-* ``SUBSTRATE_DIGESTS`` — multi-round ``deliver`` runs under each fault
-  model E12 uses, on uniform push gossip over a binary symmetric channel,
-  hashing the reports, the end states of the delivery and fault generators,
-  the injector counters, the crash grid, the network counters and the
-  channel flip count;
+* ``SUBSTRATE_DIGESTS`` — multi-round one-replicate runs of the kernel
+  under each fault model E12 uses, on uniform push gossip over a binary
+  symmetric channel, hashing the reports, the end states of the delivery
+  and fault generators, the injector counters, the crash grid, the network
+  counters and the channel flip count;
 * ``E12_SERIAL_DIGESTS`` — the serial E12 driver (crash and Byzantine),
   digested through ``_golden_grid.grid_digest``; its paper-protocol column
-  runs the serial resilient path.
+  runs the resilient kernel at ``R = 1``.
 
-Both were captured before the serial resilient path was folded into the
-batch resilient kernel at ``R = 1``; they must not be edited to make a
-change pass.  The substrate pins were re-taken at kernel epoch 1, when the
-injector's three always-zero ``burst_*`` counter keys were dropped (with
-those keys put back, the new code reproduces the old pins).
+The substrate pins were captured through the serial ``deliver(faults=...)``
+entry point, which ran this kernel on a one-replicate int8 grid; they were
+re-taken at kernel epoch 1, when the injector's three always-zero
+``burst_*`` counter keys were dropped (with those keys put back, the code
+reproduces the old pins).  Building the grid here, as that entry point did,
+reproduces them unchanged.  The E12 pins held at kernel epoch 2, when
+serial E12 trials became the batch rules at ``R = 1``: this configuration's
+reports came out the same on the new draws.  Neither must be edited to
+make a change pass.
 """
 
 from __future__ import annotations
@@ -54,7 +59,7 @@ CASES = [(fault, "uniform", "bsc") for fault in FAULTS]
 
 
 def _run_case(fault: str, topology: str, channel: str, size: int, allow_self: bool) -> dict:
-    """Run ``ROUNDS`` serial rounds and collect every observable of the path."""
+    """Run ``ROUNDS`` one-replicate rounds and collect every observable of the path."""
     seed = sum(map(ord, f"{fault}/{topology}/{channel}/{size}"))
     network = PushGossipNetwork(size=size, allow_self_messages=allow_self)
     noise = BinarySymmetricChannel(epsilon=0.2)
@@ -71,16 +76,22 @@ def _run_case(fault: str, topology: str, channel: str, size: int, allow_self: bo
         bits = protocol_rng.integers(0, 2, size=count)
         if round_index % 2:
             bits = bits.astype(np.int8)
-        report = network.deliver(senders, bits, noise, delivery_rng, faults=injector)
+        # An int8 grid: Byzantine fake bits are drawn with the grid's dtype.
+        send_mask = np.zeros((1, size), dtype=bool)
+        grid = np.zeros((1, size), dtype=np.int8)
+        send_mask[0, senders] = True
+        grid[0, senders] = bits
+        report = network.deliver_batch(send_mask, grid, noise, delivery_rng, faults=injector)
+        sent = int(report.messages_sent[0])
+        delivered = int(report.cells.size)
         reports.append(
             {
-                "recipients": report.recipients.tolist(),
-                "bits": report.bits.tolist(),
-                "senders": report.senders.tolist(),
-                "dtypes": [str(report.recipients.dtype), str(report.bits.dtype),
-                           str(report.senders.dtype)],
-                "counts": [report.messages_sent, report.messages_delivered,
-                           report.messages_dropped],
+                "recipients": report.cells.tolist(),
+                "bits": report.cell_bits.tolist(),
+                "senders": report.cell_senders.tolist(),
+                "dtypes": [str(report.cells.dtype), str(report.cell_bits.dtype),
+                           str(report.cell_senders.dtype)],
+                "counts": [sent, delivered, sent - delivered],
             }
         )
     return {
@@ -128,7 +139,7 @@ E12_SERIAL_DIGESTS = {
 
 
 #: The ``KERNEL_EPOCH`` these pins were taken (or last re-verified) at.
-PINNED_AT_EPOCH = 1
+PINNED_AT_EPOCH = 2
 
 
 def test_every_case_is_pinned():
@@ -138,7 +149,7 @@ def test_every_case_is_pinned():
 
 @pytest.mark.parametrize("fault, topology, channel", CASES, ids=["-".join(c) for c in CASES])
 def test_serial_resilient_delivery_matches_pinned_digest(fault, topology, channel):
-    """Multi-round serial ``deliver`` with faults is bit-identical to the pin."""
+    """Multi-round one-replicate delivery with faults is bit-identical to the pin."""
     assert substrate_digest(fault, topology, channel) == SUBSTRATE_DIGESTS[
         (fault, topology, channel)
     ]
