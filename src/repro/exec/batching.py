@@ -395,8 +395,9 @@ def run_majority_batch(
     """Simulate ``num_replicates`` independent majority-consensus runs at once.
 
     :func:`repro.core.majority.solve_noisy_majority_consensus` is this
-    function at ``num_replicates=1``.  Every replicate gets its own uniformly random initially opinionated set ``A``
-    (size ``initial_set_size``, majority-bias ``majority_bias`` towards
+    function at ``num_replicates=1``.  Every replicate gets its own
+    uniformly random initially opinionated set ``A`` (size
+    ``initial_set_size``, majority-bias ``majority_bias`` towards
     ``majority_opinion``), the protocol enters Stage I at Corollary 2.18's
     start phase ``i_A`` (so the seeded set plays the role of "the agents
     activated before phase ``i_A``"), and Stage II boosts as usual — all on
@@ -688,8 +689,9 @@ _CALIBRATION_SETTINGS = frozenset(
 )
 
 #: The point settings each sweepable simulator requires and the further ones
-#: it understands (E8 builds its majority cells with :func:`cell_task`).  The baseline simulator's entry is the union of every
-#: per-protocol option; run_baseline_batch enforces the exact subsets.
+#: it understands.  The baseline simulator's entry is the union of every
+#: per-protocol option; run_baseline_batch enforces the exact subsets.  E8
+#: builds its majority cells with :func:`cell_task` instead.
 _SWEEP_SETTINGS: Dict[Callable[..., Any], Tuple[Tuple[str, ...], frozenset]] = {
     run_broadcast_batch: (
         ("n", "epsilon"),

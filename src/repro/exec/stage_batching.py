@@ -961,10 +961,11 @@ def run_bounded_skew_batch(
     """Simulate ``R`` independent bounded-skew broadcasts at once (Section 3.1).
 
     :func:`repro.core.synchronizer.run_with_bounded_skew` is one run of it
-    at ``R = 1``.  Every replicate draws its own per-agent clock offsets uniformly from ``[0, max_skew)``,
-    no activation phase is run, and both stages execute inside guard-dilated
-    windows with ``guard = max_skew`` — isolating the cost of the per-phase
-    guard windows, which is what experiment E9 sweeps.
+    at ``R = 1``.  Every replicate draws its own per-agent clock offsets
+    uniformly from ``[0, max_skew)``, no activation phase is run, and both
+    stages execute inside guard-dilated windows with ``guard = max_skew`` —
+    isolating the cost of the per-phase guard windows, which is what
+    experiment E9 sweeps.
     """
     correct_opinion, parameters, channel = _protocol_batch_inputs(
         n, epsilon, num_replicates, correct_opinion, parameters, channel, calibration_overrides
