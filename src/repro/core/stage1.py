@@ -10,11 +10,14 @@ The rule of Stage I (quoted from the paper):
     round during phases ``i+1, ..., T+1``.
 
 The executor below implements that rule vectorised over the whole
-population.  The "choose one of the messages uniformly at random" step is
-realised with per-agent reservoir sampling, which (a) needs O(1) memory per
-agent and (b) makes the choice independent of the order in which messages
-arrive — exactly the property Remark 2.1 asks for, and which Section 3 relies
-on when the global clock is removed.
+population.  The "choose one of the messages uniformly at random" step
+depends on an agent's messages only through two counts, how many it heard
+and how many of them were 1s: the chosen message is a 1 with probability
+``ones / heard``.  The executor therefore counts during the phase and makes
+one draw per newly activated agent at its end, which (a) needs O(1) memory
+per agent and (b) makes the choice independent of the order in which
+messages arrive — exactly the property Remark 2.1 asks for, and which
+Section 3 relies on when the global clock is removed.
 
 This executor runs the source-seeded broadcast on one engine, from phase 0
 on the global clock.  Late starts (Corollary 2.18), skewed clocks
@@ -80,44 +83,39 @@ class StageOneResult:
 
 
 class ReceptionAccumulator:
-    """Per-agent reservoir of the messages heard during one Stage-I phase.
+    """Per-agent counts of the messages heard during one Stage-I phase.
 
-    For every agent the accumulator keeps (a) how many messages it heard this
-    phase and (b) one uniformly random message among them, maintained online
-    via reservoir sampling: the ``m``-th message heard replaces the current
-    choice with probability ``1/m``.
+    For every agent the accumulator keeps how many messages it heard this
+    phase and how many of them were 1s.  A uniformly random one of those
+    messages is a 1 with probability ``ones / heard``, so
+    :meth:`chosen_bits` draws each agent's choice with one uniform at the
+    phase's end.
     """
 
     def __init__(self, size: int) -> None:
         self._counts = np.zeros(size, dtype=np.int64)
-        self._chosen = np.full(size, NO_OPINION, dtype=np.int8)
+        self._ones = np.zeros(size, dtype=np.int64)
 
-    def observe(
-        self, recipients: np.ndarray, bits: np.ndarray, rng: np.random.Generator
-    ) -> None:
-        """Record one round's accepted messages for ``recipients``."""
-        if recipients.size == 0:
-            return
+    def observe(self, recipients: np.ndarray, bits: np.ndarray) -> None:
+        """Record one round's accepted messages for ``recipients`` (no repeats)."""
         self._counts[recipients] += 1
-        replace = rng.random(recipients.size) < 1.0 / self._counts[recipients]
-        current = self._chosen[recipients]
-        self._chosen[recipients] = np.where(replace, bits, current).astype(np.int8)
+        self._ones[recipients] += bits
 
     def heard_anything(self) -> np.ndarray:
         """Boolean mask of agents that heard at least one message this phase."""
         return self._counts > 0
 
-    def chosen_bits(self, agents: np.ndarray) -> np.ndarray:
-        """The uniformly random chosen message of each agent in ``agents``."""
-        bits = self._chosen[agents]
-        if bits.size and bits.min() < 0:
+    def chosen_bits(self, agents: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+        """A uniformly random message of each agent in ``agents``, one draw each."""
+        counts = self._counts[agents]
+        if counts.size and counts.min() == 0:
             raise SimulationError("requested chosen bit of an agent that heard nothing")
-        return bits
+        return (rng.random(counts.size) < self._ones[agents] / counts).astype(np.int8)
 
     def reset(self) -> None:
         """Clear the accumulator for the next phase."""
         self._counts.fill(0)
-        self._chosen.fill(NO_OPINION)
+        self._ones.fill(0)
 
 
 def execute_stage_one(
@@ -170,14 +168,10 @@ def execute_stage_one(
         accumulator.reset()
         for _ in range(phase.length):
             report = engine.gossip_round(senders, sender_bits, correct_opinion=correct_opinion)
-            if report.recipients.size:
-                dormant_mask = ~population.activated[report.recipients]
-                accumulator.observe(
-                    report.recipients[dormant_mask], report.bits[dormant_mask], protocol_rng
-                )
+            accumulator.observe(report.recipients, report.bits)
 
         newly_heard = np.flatnonzero(accumulator.heard_anything() & ~population.activated)
-        chosen_bits = accumulator.chosen_bits(newly_heard)
+        chosen_bits = accumulator.chosen_bits(newly_heard, protocol_rng)
         population.activate(newly_heard, phase=phase.index, round_index=engine.now)
         population.set_opinions(newly_heard, chosen_bits)
 

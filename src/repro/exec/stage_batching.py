@@ -2,10 +2,11 @@
 
 This module holds the one implementation of the Stage-I and Stage-II rules
 on ``(R, n)`` replicate grids — :func:`run_stage1_batch` (sender masks fixed
-at phase start, per-agent reservoir sampling of the messages heard, the
-newly activated measured per phase) and :func:`run_stage2_batch` (sample
-counting plus the hypergeometric simulation of the majority of a random
-subset) — and returns replicate-vector phase summaries with the per-phase
+at phase start; each agent's messages counted per phase, and a newly
+activated agent's opinion drawn once at the phase's end, a 1 with
+probability ``ones / heard``; the newly activated measured per phase) and
+:func:`run_stage2_batch` (the same counts plus the hypergeometric
+simulation of the majority of a random subset) — and returns replicate-vector phase summaries with the per-phase
 observables ``X_i`` / ``Y_i`` / ``eps_i`` (Claims 2.2–2.8) and ``delta_i``
 (Lemma 2.14).  The protocol-level simulators in :mod:`repro.exec.batching`
 and the stage-level experiments (E4's phase-0 dissemination, E5's per-phase
@@ -395,24 +396,29 @@ def _grid_phases(
 # ----------------------------------------------------------------------
 
 
-class _ReservoirScratch:
-    """Hoisted per-phase scratch grids of the batched Stage-I reservoir.
+class _PhaseCounts:
+    """Per-phase ``(R, n)`` counts of the messages each agent heard.
 
-    The serial :class:`~repro.core.stage1.ReceptionAccumulator` allocates its
-    per-agent buffers once per Stage-I execution and ``reset()``s them per
-    phase; this is the ``(R, n)`` analogue — allocated once per batch, wiped
-    with ``fill`` at phase boundaries, never reallocated.  The allocation pin
-    in ``tests/unit/exec/test_stage_batching.py`` counts the grid
-    allocations of a multi-phase run to keep it that way.
+    Both stage kernels keep, per agent, how many messages it accepted this
+    phase (``heard``) and how many of them were 1s (``ones``), with two
+    dense adds of the round report's grids.  Allocated once per stage run
+    and wiped with ``fill`` at phase boundaries, never reallocated (the
+    allocation pin in ``tests/unit/exec/test_stage_batching.py`` counts
+    them).
     """
 
     def __init__(self, shape: Tuple[int, int]) -> None:
-        self.heard_counts = np.zeros(shape, dtype=np.int64)
-        self.chosen = np.full(shape, NO_OPINION, dtype=np.int8)
+        self.heard = np.zeros(shape, dtype=np.int64)
+        self.ones = np.zeros(shape, dtype=np.int64)
+
+    def observe(self, report) -> None:
+        """Add one round's accepted messages."""
+        self.heard += report.accepted
+        self.ones += report.bits
 
     def reset(self) -> None:
-        self.heard_counts.fill(0)
-        self.chosen.fill(NO_OPINION)
+        self.heard.fill(0)
+        self.ones.fill(0)
 
 
 def run_stage1_batch(
@@ -449,10 +455,10 @@ def run_stage1_batch(
     faults:
         Optional :class:`~repro.substrate.faults.FaultInjector`.  When set
         the kernel switches to the positional resilient mode: delivery goes
-        through the resilient network path and the reservoir draw uses a
-        full ``(R, n)`` grid per round, so main-stream consumption is
-        independent of the crash pattern.  With ``None`` the original code
-        path runs byte for byte.
+        through the resilient network path and the phase-end draw of the
+        newly activated agents' opinions uses a full ``(R, n)`` grid, so
+        main-stream consumption is independent of the crash pattern.  With
+        ``None`` the fault-free path runs.
     offsets, schedules:
         Skewed clocks (Section 3): an ``(R, n)`` grid of the global rounds
         at which each agent's clock reads zero and one local-time schedule
@@ -478,7 +484,7 @@ def run_stage1_batch(
     schedule = build_stage1_schedule(parameters, start_phase=start_phase)
     phases = _grid_phases(state, schedule, offsets, schedules)
 
-    scratch = _ReservoirScratch((R, n))
+    counts = _PhaseCounts((R, n))
     summaries: List[StageOnePhaseBatchSummary] = []
     messages_before = state.messages_sent.copy()
     start_round = state.rounds
@@ -492,40 +498,29 @@ def run_stage1_batch(
         dormant = ~state.activated
         senders_per_replicate = eligible.sum(axis=1)
 
-        # Per-agent reservoir sampling over the messages heard this phase,
-        # exactly as ReceptionAccumulator does serially: the m-th accepted
-        # message replaces the current choice with probability 1/m.
-        scratch.reset()
-        heard_counts, chosen = scratch.heard_counts, scratch.chosen
-        heard_cells, chosen_cells = heard_counts.reshape(-1), chosen.reshape(-1)
-        dormant_cells = dormant.reshape(-1)
+        counts.reset()
         for send_mask, senders in phase.send_masks(eligible, senders_per_replicate):
             report = network.deliver_batch(send_mask, bits, channel, rng, faults=faults)
-            if resilient:
-                # Positional reservoir draw: one fixed (R, n) grid per round
-                # so consumption never depends on who was heard (the fault
-                # layer's RNG-stability contract).
-                replace_grid = rng.random((R, n))
-            # The dormant accepting cells, ascending (np.nonzero's order).
-            fresh = dormant_cells[report.cells]
-            cells = report.cells[fresh]
-            if cells.size:
-                counts = heard_cells[cells] + 1
-                heard_cells[cells] = counts
-                if resilient:
-                    replace = replace_grid.reshape(-1)[cells] < 1.0 / counts
-                else:
-                    replace = rng.random(cells.size) < 1.0 / counts
-                chosen_cells[cells[replace]] = report.cell_bits[fresh][replace]
+            counts.observe(report)
             state.messages_sent += report.messages_sent if resilient else senders
         state.rounds += len(phase.rounds)
 
-        newly = (heard_counts > 0) & dormant
+        # A newly activated agent adopts a uniformly random one of the
+        # messages it heard this phase: a 1 with probability ones / heard,
+        # one draw per agent at the phase's end, whatever the order the
+        # messages came in (Remark 2.1).  The resilient kernel draws a full
+        # (R, n) grid so consumption never depends on who was heard.
+        newly = (counts.heard > 0) & dormant
+        cells = np.flatnonzero(newly)
+        uniforms = rng.random(R * n)[cells] if resilient else rng.random(cells.size)
+        chosen = uniforms < counts.ones.reshape(-1)[cells] / counts.heard.reshape(-1)[cells]
+        opinions = state.opinions.copy()
+        opinions.reshape(-1)[cells] = chosen
+        state.opinions = opinions
         state.activated |= newly
-        state.opinions = np.where(newly, chosen, state.opinions)
 
         newly_activated = newly.sum(axis=1)
-        newly_correct = (newly & (chosen == correct_opinion)).sum(axis=1)
+        newly_correct = (newly & (opinions == correct_opinion)).sum(axis=1)
         summaries.append(
             StageOnePhaseBatchSummary(
                 phase=phase.index,
@@ -554,23 +549,6 @@ def run_stage1_batch(
 # ----------------------------------------------------------------------
 # Stage II — boosting by repeated noisy majorities (Section 2.2)
 # ----------------------------------------------------------------------
-
-
-class _SampleScratch:
-    """Hoisted per-phase scratch grids of the batched Stage-II sampler.
-
-    The ``(R, n)`` analogue of :class:`~repro.core.stage2.SampleAccumulator`:
-    allocated once per batch, wiped with ``fill`` at phase boundaries (see
-    :class:`_ReservoirScratch` for the allocation pin).
-    """
-
-    def __init__(self, shape: Tuple[int, int]) -> None:
-        self.totals = np.zeros(shape, dtype=np.int64)
-        self.ones = np.zeros(shape, dtype=np.int64)
-
-    def reset(self) -> None:
-        self.totals.fill(0)
-        self.ones.fill(0)
 
 
 def _majority_of_random_subset_grid(
@@ -630,7 +608,7 @@ def run_stage2_batch(
     correct_opinion = validate_opinion(correct_opinion)
     R, n = state.shape
     phases = _grid_phases(state, build_stage2_schedule(parameters), offsets, schedules)
-    scratch = _SampleScratch((R, n))
+    counts = _PhaseCounts((R, n))
     summaries: List[StageTwoPhaseBatchSummary] = []
     messages_before = state.messages_sent.copy()
     start_round = state.rounds
@@ -646,17 +624,14 @@ def run_stage2_batch(
         bits = np.where(eligible, snapshot, 0).astype(np.int8)
         senders_per_replicate = eligible.sum(axis=1)
 
-        scratch.reset()
-        totals, ones = scratch.totals, scratch.ones
-        totals_cells, ones_cells = totals.reshape(-1), ones.reshape(-1)
+        counts.reset()
         for send_mask, senders in phase.send_masks(eligible, senders_per_replicate):
             report = network.deliver_batch(send_mask, bits, channel, rng, faults=faults)
-            # Each cell accepts at most one message per round: no repeats.
-            totals_cells[report.cells] += 1
-            ones_cells[report.cells] += report.cell_bits
+            counts.observe(report)
             state.messages_sent += report.messages_sent if resilient else senders
         state.rounds += len(phase.rounds)
 
+        totals, ones = counts.heard, counts.ones
         successful = totals >= subset_size
         majority = _majority_of_random_subset_grid(totals, ones, successful, subset_size, rng)
         state.opinions = np.where(successful, majority, state.opinions)

@@ -60,7 +60,7 @@ __all__ = [
 #: part of :func:`code_version`, so every fingerprint moves with it and a
 #: store never serves a report the current code would not reproduce.  The
 #: digest-pin test files record the epoch their pins were taken at.
-KERNEL_EPOCH = 2
+KERNEL_EPOCH = 3
 
 #: The semantic inputs a run fingerprint covers, in payload order.
 FINGERPRINT_FIELDS = ("spec_id", "version", "parameters", "execution.batch")

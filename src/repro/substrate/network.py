@@ -18,32 +18,51 @@ handful of array operations.  It has one serial entry point
 (:meth:`~PushGossipNetwork.deliver_reference`) kept for differential testing
 of the vectorised path.
 
+The count rule
+--------------
+A recipient's messages of one round are exchangeable, so its kept bit
+depends on them only through two counts: ``N``, how many reached it, and
+``O``, how many of those carry a 1.  It keeps a 1 with probability ``O / N``
+and the channel flips that bit with probability ``q``
+(:attr:`~repro.substrate.noise.NoiseChannel.flip_probability`), so the kept
+noisy bit is 1 with probability ``q + (1 - 2q) O / N``, independently across
+(replicate, recipient) cells once the targets are drawn.  Every vectorised
+path draws the targets, counts ``N`` and ``O`` per cell into reused buffers
+(:meth:`PushGossipNetwork._count_messages`), and draws one uniform per heard
+cell against that probability: no per-message priority, no winner, no
+separate channel pass.  Nothing draws which sender a cell heard, so reports
+carry no sender identity.  :meth:`~PushGossipNetwork.deliver_reference`
+keeps the literal rule (a uniform pick from each inbox, then
+:meth:`~repro.substrate.noise.NoiseChannel.transmit`) as the oracle the
+exact-law tests compare every path with.
+
 :meth:`~PushGossipNetwork.deliver_batch` also accepts an optional ``faults``
 (:class:`~repro.substrate.faults.FaultInjector`).  With ``None`` the
-original code path runs byte for byte; with an injector, delivery switches
-to one *positional* kernel that draws full ``(R, n)`` target /
-priority / noise grids per round (a serial faulty trial is the kernel at
+fault-free path runs; with an injector, delivery switches to one
+*positional* kernel that draws one full ``(R, n)`` target grid and one full
+``(R, n)`` uniform grid per round (a serial faulty trial is the kernel at
 ``R = 1``), so the main stream's consumption is a function of the grid shape
 alone — a crashed or silenced sender cannot shift any other agent's draws in
 later rounds (the fault layer's determinism contract, see
 :mod:`repro.substrate.faults`).
 
 A :class:`BatchDeliveryReport` is sparse: the accepting cells (flat indices
-of the ``(R, n)`` grid, ascending) and their noisy bits.  The stage kernels
-read only those; the dense ``accepted`` / ``bits`` / ``senders`` grids are
-built on first read, for the callers that want them.
+of the ``(R, n)`` grid, ascending) and their noisy bits.  The ``accepted``
+grid comes with it; the dense ``bits`` grid is built on first read, for the
+callers that want it.
 
 The fault-free :meth:`~PushGossipNetwork.deliver_batch` keeps a one-entry
 memo of its last inputs.  Within a protocol phase the senders and their bits
 are fixed, so nearly every call passes grids equal to the previous call's:
 when both match the remembered copies in shape, dtype and content
 (``np.array_equal``, never object identity), the call skips validation and
-reuses the message layout.  Any other input is validated and laid out anew.
-Every round of one grid shape also reuses one set of scratch arrays, so a
-round allocates little beyond what its report keeps and the generator's own
-draws; the draws themselves are unchanged.  That memo and scratch make a
-network object single-threaded: each batched entry point builds its own
-network, and one network must not be shared between threads.
+reuses the message layout, which lists the messages carrying a 1 first so
+that ``O`` is a count over a prefix.  Any other input is validated and laid
+out anew.  Every round of one grid shape also reuses one set of count
+buffers, so a round allocates little beyond what its report keeps and the
+generator's own draws.  That memo and those buffers make a network object
+single-threaded: each batched entry point builds its own network, and one
+network must not be shared between threads.
 """
 
 from __future__ import annotations
@@ -72,13 +91,10 @@ class DeliveryReport:
     Attributes
     ----------
     recipients:
-        Indices of agents that accepted a message this round (each appears
-        exactly once).
+        Indices of agents that accepted a message this round, ascending
+        (each appears exactly once).
     bits:
         The bit each recipient accepted, *after* channel noise.
-    senders:
-        The sender whose message each recipient accepted (aligned with
-        ``recipients``); useful for tracing the dissemination tree.
     messages_sent:
         Total number of messages pushed this round.
     messages_delivered:
@@ -89,7 +105,6 @@ class DeliveryReport:
 
     recipients: np.ndarray
     bits: np.ndarray
-    senders: np.ndarray
     messages_sent: int
     messages_delivered: int
     messages_dropped: int
@@ -97,9 +112,7 @@ class DeliveryReport:
     @staticmethod
     def empty() -> "DeliveryReport":
         """A report for a round in which nobody sent anything."""
-        empty_i64 = np.empty(0, dtype=np.int64)
-        empty_i8 = np.empty(0, dtype=np.int8)
-        return DeliveryReport(empty_i64, empty_i8, empty_i64.copy(), 0, 0, 0)
+        return DeliveryReport(np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int8), 0, 0, 0)
 
 
 @dataclass(frozen=True)
@@ -121,55 +134,24 @@ class BatchDeliveryReport:
         replicate-major, recipient-ascending), ``int64``.
     cell_bits:
         The accepted bit of each cell after channel noise, aligned with
-        ``cells``.
+        ``cells``, ``int8``.
     messages_sent:
         Per-replicate number of messages pushed, shape ``(R,)``.
 
-    Read on demand (cached): ``cell_senders`` (the sender column whose
-    message each cell accepted), the ``(R, n)`` grids ``accepted`` (bool),
-    ``bits`` (0 wherever nothing was accepted) and ``senders`` (-1 wherever
-    nothing was accepted), and the per-replicate ``messages_delivered`` and
-    ``messages_dropped``.
+    Read on demand (cached): the ``(R, n)`` grids ``accepted`` (bool) and
+    ``bits`` (0 wherever nothing was accepted), and the per-replicate
+    ``messages_delivered`` and ``messages_dropped``.
     """
 
     shape: Tuple[int, int]
     cells: np.ndarray
     cell_bits: np.ndarray
     messages_sent: np.ndarray
-    # cell_senders is _sender_of[_sender_index], gathered only when read.
-    _sender_of: np.ndarray = field(repr=False)
-    _sender_index: np.ndarray = field(repr=False)
-
-    @classmethod
-    def from_grids(
-        cls,
-        accepted: np.ndarray,
-        bits: np.ndarray,
-        senders: np.ndarray,
-        messages_sent: np.ndarray,
-    ) -> "BatchDeliveryReport":
-        """A report from dense ``(R, n)`` grids; the grids are kept as its cache."""
-        cells = np.flatnonzero(accepted)
-        report = cls(
-            shape=accepted.shape,
-            cells=cells,
-            cell_bits=bits.reshape(-1)[cells],
-            messages_sent=messages_sent,
-            _sender_of=senders.reshape(-1),
-            _sender_index=cells,
-        )
-        report.__dict__.update(accepted=accepted, bits=bits, senders=senders)
-        return report
 
     def _grid(self, fill, dtype, values) -> np.ndarray:
         grid = np.full(self.shape, fill, dtype=dtype)
         grid.reshape(-1)[self.cells] = values
         return grid
-
-    @cached_property
-    def cell_senders(self) -> np.ndarray:
-        """The sender whose message each cell accepted, aligned with ``cells``."""
-        return self._sender_of[self._sender_index]
 
     @cached_property
     def accepted(self) -> np.ndarray:
@@ -180,11 +162,6 @@ class BatchDeliveryReport:
     def bits(self) -> np.ndarray:
         """``(R, n)`` grid of accepted bits, 0 wherever nothing was accepted."""
         return self._grid(0, self.cell_bits.dtype, self.cell_bits)
-
-    @cached_property
-    def senders(self) -> np.ndarray:
-        """``(R, n)`` grid of accepted senders, -1 wherever nothing was accepted."""
-        return self._grid(-1, np.int64, self.cell_senders)
 
     @cached_property
     def messages_delivered(self) -> np.ndarray:
@@ -205,45 +182,31 @@ class BatchDeliveryReport:
 
 
 class _Workspace:
-    """Scratch arrays of the batch kernel for one ``(R, n)`` grid shape.
+    """Count buffers of the delivery kernels for one ``(R, n)`` grid shape.
 
-    Every round of that shape reuses them, so a fault-free round allocates
-    little beyond the arrays its report keeps and the generator's own draws
-    (a fresh ``(R, n)`` grid page-faults every round).  Per-message arrays
-    have room for a full send and are sliced to the round's message count.
+    Every round of that shape reuses them, so a round allocates little
+    beyond the arrays its report keeps and the generator's own draws (a
+    fresh ``(R, n)`` array page-faults every round).  ``flags`` has room for
+    a full send and is sliced to the round's message count.
     """
 
     def __init__(self, shape: Tuple[int, int]) -> None:
         num_replicates, size = shape
         cells = num_replicates * size
         self.shape = shape
-        # The scatter-min's per-cell float64 minimum lives in the memory of
-        # the int64 owner cells written after it.
-        self.owner = np.empty(cells, dtype=np.int64)
-        self.best = self.owner.view(np.float64)
-        self.claimed = np.empty(cells, dtype=bool)
-        self.priorities = np.empty(cells)
-        self.gathered = np.empty(cells)
+        self.counts = np.zeros(cells, dtype=np.int64)
+        self.ones = np.zeros(cells, dtype=np.int64)
+        self.heard = np.zeros(cells, dtype=bool)
         self.flags = np.empty(cells, dtype=bool)
-        self._full_send: Optional[Tuple[np.ndarray, np.ndarray]] = None
-
-    def full_send(self) -> Tuple[np.ndarray, np.ndarray]:
-        """``(cols, offsets)`` of a round in which every agent speaks."""
-        if self._full_send is None:
-            num_replicates, size = self.shape
-            cols = np.tile(np.arange(size), num_replicates)
-            offsets = np.repeat(np.arange(num_replicates) * size, size)
-            self._full_send = cols, offsets
-        return self._full_send
 
 
 @dataclass(frozen=True)
 class _PreparedRound:
     """One validated ``deliver_batch`` input and what the kernel derives from it.
 
-    Message ``i`` is the ``i``-th sender in row-major (``np.nonzero``)
-    order: it sits in column ``cols[i]`` of the row starting at flat cell
-    ``offsets[i]`` and pushes ``sender_bits[i]``.
+    Message ``i`` sits in column ``cols[i]`` of the row starting at flat cell
+    ``offsets[i]``.  The first ``ones`` messages carry a 1 and the rest a 0,
+    each group in row-major (``np.nonzero``) order.
     """
 
     send_mask: np.ndarray
@@ -251,7 +214,7 @@ class _PreparedRound:
     sent: np.ndarray
     cols: np.ndarray
     offsets: np.ndarray
-    sender_bits: np.ndarray
+    ones: int
     workspace: _Workspace
 
     def matches(self, send_mask: np.ndarray, bits: np.ndarray) -> bool:
@@ -293,7 +256,6 @@ class PushGossipNetwork:
             raise ParameterError(f"network size must be at least 2, got {self.size}")
 
     # ------------------------------------------------------------------
-    # ------------------------------------------------------------------
     def deliver(
         self,
         senders: np.ndarray,
@@ -303,6 +265,9 @@ class PushGossipNetwork:
     ) -> DeliveryReport:
         """Execute one synchronous round of push-gossip delivery.
 
+        Draws one target per sender, then one uniform per recipient against
+        the count rule (see the module docstring).
+
         Parameters
         ----------
         senders:
@@ -311,9 +276,9 @@ class PushGossipNetwork:
         bits:
             The bit each sender pushes, aligned with ``senders``.
         channel:
-            Noise channel applied to each *accepted* message.
+            Noise channel of each *accepted* message.
         rng:
-            Randomness for recipient selection and collision resolution.
+            Randomness for recipient selection and the kept noisy bits.
         """
         senders = np.asarray(senders, dtype=np.int64)
         bits = self._validate_round_inputs(senders, bits)
@@ -322,25 +287,9 @@ class PushGossipNetwork:
             return DeliveryReport.empty()
 
         targets = self._draw_targets(senders, rng)
-
-        # Collision resolution: each recipient keeps one uniformly random
-        # message among those addressed to it this round.  Permuting the
-        # message order and keeping the first occurrence per target is an
-        # unbiased implementation of that rule.  The first occurrence is the
-        # minimum permuted position per target, scattered with
-        # ``np.minimum.at`` in O(n) (no sort, and no reliance on the order
-        # numpy applies repeated-index assignments in); targets nobody
-        # addressed keep the sentinel ``k``, and ``flatnonzero`` lists the
-        # recipients in ascending order.
-        k = senders.size
-        order = rng.permutation(k)
-        permuted_targets = targets[order]
-        first = np.full(self.size, k)
-        np.minimum.at(first, permuted_targets, np.arange(k))
-        recipients = np.flatnonzero(first < k)
-        accepted = order[first[recipients]]
-
-        accepted_bits = channel.transmit(bits[accepted], rng)
+        workspace = self._workspace_for((1, self.size))
+        recipients = self._count_messages(targets, targets[bits != 0], workspace)
+        accepted_bits = self._noisy_bits(recipients, rng.random(recipients.size), workspace, channel)
 
         sent = int(senders.size)
         delivered = int(recipients.size)
@@ -348,9 +297,8 @@ class PushGossipNetwork:
         self.messages_delivered_total += delivered
         self.messages_dropped_total += sent - delivered
         return DeliveryReport(
-            recipients=recipients.astype(np.int64),
-            bits=accepted_bits.astype(np.int8),
-            senders=senders[accepted],
+            recipients=recipients,
+            bits=accepted_bits,
             messages_sent=sent,
             messages_delivered=delivered,
             messages_dropped=sent - delivered,
@@ -371,17 +319,15 @@ class PushGossipNetwork:
         round loop) per Monte-Carlo trial, ``R`` replicates of the round are
         simulated with a handful of array operations on ``(R, n)`` grids.
         Per replicate the semantics are exactly those of :meth:`deliver` —
-        uniform recipient choice, single-accept with a uniformly random winner
-        among colliding messages, channel noise on accepted bits — and
-        replicates never interact.  Each message draws an i.i.d. uniform
-        priority and the lowest per (replicate, recipient) bucket wins (an
-        unbiased uniform-winner rule; :meth:`_resolve_collisions`, no sort).
+        uniform recipient choice, single-accept with a uniformly random kept
+        message, channel noise on the kept bit, all three folded into the
+        count rule of the module docstring — and replicates never interact.
 
         Randomness is drawn from the single ``rng`` for the whole batch, so
         results are deterministic given the generator state but not
-        bit-identical to ``R`` separate :meth:`deliver` calls; the
-        differential tests in ``tests/unit/exec`` pin down the statistical
-        equivalence.
+        bit-identical to ``R`` separate :meth:`deliver` calls; the exact-law
+        tests in ``tests/unit/substrate/test_delivery_law.py`` check both
+        against the same distribution.
 
         The inputs are validated, and their messages laid out, only when they
         differ from the previous fault-free call's (see the module
@@ -396,10 +342,9 @@ class PushGossipNetwork:
             ``(R, n)`` integer grid with the bit each agent would push
             (entries outside ``send_mask`` are ignored).
         channel:
-            Noise channel applied to accepted messages via
-            :meth:`NoiseChannel.transmit_batch`.
+            Noise channel of the accepted messages.
         rng:
-            Randomness for target selection and collision resolution.
+            Randomness for target selection and the kept noisy bits.
         faults:
             Optional fault injector (dedicated-stream fault decisions; see
             module docstring).
@@ -420,61 +365,47 @@ class PushGossipNetwork:
         cols = prepared.cols
         count = cols.size
         workspace = prepared.workspace
-        cells = winners = np.empty(0, dtype=np.int64)
-        cell_bits = np.empty(0, dtype=np.int8)
-        if count:
-            # Message i's bucket is its flat target cell, formed in place.
-            if self.allow_self_messages:
-                buckets = rng.integers(0, size, size=count)
-            else:
-                buckets = rng.integers(0, size - 1, size=count)
-                buckets += np.greater_equal(buckets, cols, out=workspace.flags[:count])
-            priorities = rng.random(out=workspace.priorities[:count])
-            buckets += prepared.offsets
-            winners, cells = self._resolve_collisions(buckets, priorities, workspace)
-            # Ascending cells noise the winners in the replicate-major,
-            # recipient-ascending order of NoiseChannel.transmit_batch.
-            noisy = channel.transmit(prepared.sender_bits[winners], rng)
-            cell_bits = np.asarray(noisy).astype(np.int8, copy=False)
+        shape = prepared.send_mask.shape
+        self.messages_sent_total += count
+        if not count:
+            empty = np.empty(0, dtype=np.int64)
+            return BatchDeliveryReport(shape, empty, empty.astype(np.int8), prepared.sent.copy())
+
+        # Message i's flat target cell, formed in place.
+        if self.allow_self_messages:
+            buckets = rng.integers(0, size, size=count)
+        else:
+            buckets = rng.integers(0, size - 1, size=count)
+            buckets += np.greater_equal(buckets, cols, out=workspace.flags[:count])
+        buckets += prepared.offsets
+        cells = self._count_messages(buckets, buckets[: prepared.ones], workspace)
+        cell_bits = self._noisy_bits(cells, rng.random(cells.size), workspace, channel)
 
         delivered = int(cells.size)
-        self.messages_sent_total += count
         self.messages_delivered_total += delivered
         self.messages_dropped_total += count - delivered
-        return BatchDeliveryReport(
-            shape=prepared.send_mask.shape,
-            cells=cells,
-            cell_bits=cell_bits,
-            messages_sent=prepared.sent.copy(),
-            _sender_of=cols,
-            _sender_index=winners,
-        )
+        return self._report(shape, cells, cell_bits, prepared.sent.copy(), workspace)
 
     def _prepare_round(self, send_mask: np.ndarray, bits: np.ndarray) -> _PreparedRound:
-        """Validate one round's grids and lay out its messages."""
+        """Validate one round's grids and lay out its messages, ones first."""
         send_mask, bits = self._validate_grid_inputs(send_mask, bits)
-        workspace = self._workspace_for(send_mask.shape)
-        sent = send_mask.sum(axis=1).astype(np.int64)
-        # When every agent speaks, the messages are the cells: no search.
-        if sent.sum() == send_mask.size:
-            positions = slice(None)
-            cols, offsets = workspace.full_send()
-        else:
-            positions = np.flatnonzero(send_mask)
-            cols = positions % self.size
-            offsets = positions - cols
+        carries_one = send_mask & (bits != 0)
+        positions = np.concatenate(
+            (np.flatnonzero(carries_one), np.flatnonzero(send_mask & ~carries_one))
+        )
+        cols = positions % self.size
         return _PreparedRound(
             send_mask=send_mask.copy(),
             bits=bits.copy(),
-            sent=sent,
+            sent=send_mask.sum(axis=1).astype(np.int64),
             cols=cols,
-            offsets=offsets,
-            sender_bits=bits.reshape(-1)[positions].astype(np.int8),
-            workspace=workspace,
+            offsets=positions - cols,
+            ones=int(np.count_nonzero(carries_one)),
+            workspace=self._workspace_for(send_mask.shape),
         )
 
     def _workspace_for(self, shape: Tuple[int, int]) -> _Workspace:
-        """The scratch arrays for ``shape``, rebuilt when the shape changes."""
+        """The count buffers for ``shape``, rebuilt when the shape changes."""
         if self._workspace is None or self._workspace.shape != shape:
             self._workspace = _Workspace(shape)
         return self._workspace
@@ -493,13 +424,14 @@ class PushGossipNetwork:
         """Single-accept delivery under a fault injector.
 
         The one resilient kernel: :meth:`deliver_batch` runs it on validated
-        ``(R, n)`` grids.  Target,
-        priority and channel grids are drawn for every cell, so main-stream
-        consumption per round is exactly two ``(R, n)`` uniform grids plus
-        one full-grid channel pass, independent of the send mask and of any
-        crash pattern.
+        ``(R, n)`` grids.  A target and a uniform are drawn for every cell,
+        so main-stream consumption per round is exactly one ``(R, n)``
+        integer grid and one ``(R, n)`` uniform grid, independent of the
+        send mask and of any crash pattern; a heard cell's noisy bit reads
+        its own uniform.
         """
-        num_replicates, size = send_mask.shape
+        shape = send_mask.shape
+        num_replicates, size = shape
         self.rounds_executed += 1
 
         faults.begin_round()
@@ -507,40 +439,24 @@ class PushGossipNetwork:
         bits = faults.corrupt_outgoing_grid(bits, send_mask)
 
         if self.allow_self_messages:
-            targets_grid = rng.integers(0, size, size=(num_replicates, size))
+            targets_grid = rng.integers(0, size, size=shape)
         else:
-            draws = rng.integers(0, size - 1, size=(num_replicates, size))
+            draws = rng.integers(0, size - 1, size=shape)
             targets_grid = draws + (draws >= np.arange(size, dtype=np.int64))
-        priorities_grid = rng.random((num_replicates, size))
+        uniforms = rng.random(num_replicates * size)
+
+        buckets_grid = targets_grid + np.arange(0, num_replicates * size, size)[:, None]
+        workspace = self._workspace_for(shape)
+        cells = self._count_messages(
+            buckets_grid[send_mask], buckets_grid[send_mask & (bits != 0)], workspace
+        )
+        cell_bits = self._noisy_bits(cells, uniforms[cells], workspace, channel)
 
         sent = send_mask.sum(axis=1).astype(np.int64)
-        rows, cols = np.nonzero(send_mask)
-        targets = targets_grid[rows, cols]
-
-        accepted_senders = np.full((num_replicates, size), -1, dtype=np.int64)
-        candidate = np.zeros((num_replicates, size), dtype=np.int8)
-        if rows.size:
-            winners, winning_buckets = self._resolve_collisions(
-                rows * size + targets,
-                priorities_grid[rows, cols],
-                self._workspace_for((num_replicates, size)),
-            )
-            accepted_senders.reshape(-1)[winning_buckets] = cols[winners]
-            candidate.reshape(-1)[winning_buckets] = bits[rows[winners], cols[winners]]
-        accepted = accepted_senders >= 0
-
-        # Full-grid channel pass (every cell noised, acceptance masked after)
-        # keeps noise consumption positional too.
-        noisy_grid = channel.transmit_batch(
-            candidate, np.ones((num_replicates, size), dtype=bool), rng
-        )
-        accepted_bits = np.where(accepted, noisy_grid, 0).astype(np.int8)
-
-        delivered = accepted.sum(axis=1).astype(np.int64)
         self.messages_sent_total += int(sent.sum())
-        self.messages_delivered_total += int(delivered.sum())
-        self.messages_dropped_total += int((sent - delivered).sum())
-        return BatchDeliveryReport.from_grids(accepted, accepted_bits, accepted_senders, sent)
+        self.messages_delivered_total += int(cells.size)
+        self.messages_dropped_total += int(sent.sum()) - int(cells.size)
+        return self._report(shape, cells, cell_bits, sent, workspace)
 
     def deliver_reference(
         self,
@@ -551,9 +467,11 @@ class PushGossipNetwork:
     ) -> DeliveryReport:
         """Pure-Python reference implementation of :meth:`deliver`.
 
-        Exists solely so differential tests can check the vectorised path
-        against a literal transcription of the model's rules.  Statistically
-        equivalent to :meth:`deliver`, not bit-for-bit identical.
+        Exists solely so differential tests can check the vectorised paths
+        against a literal transcription of the model's rules: every message
+        goes to its recipient's inbox, each recipient keeps one message
+        picked uniformly from its inbox, and the channel noises the kept
+        bits.  Equal in law to :meth:`deliver`, not bit-for-bit identical.
         """
         senders = np.asarray(senders, dtype=np.int64)
         bits = self._validate_round_inputs(senders, bits)
@@ -561,7 +479,7 @@ class PushGossipNetwork:
         if senders.size == 0:
             return DeliveryReport.empty()
 
-        inboxes: dict[int, list[tuple[int, int]]] = {}
+        inboxes: dict[int, list[int]] = {}
         for sender, bit in zip(senders.tolist(), bits.tolist()):
             if self.allow_self_messages:
                 target = int(rng.integers(0, self.size))
@@ -569,19 +487,11 @@ class PushGossipNetwork:
                 target = int(rng.integers(0, self.size - 1))
                 if target >= sender:
                     target += 1
-            inboxes.setdefault(target, []).append((sender, bit))
+            inboxes.setdefault(target, []).append(bit)
 
-        recipients: list[int] = []
-        accepted_bits: list[int] = []
-        accepted_senders: list[int] = []
-        for target in sorted(inboxes):
-            choices = inboxes[target]
-            sender, bit = choices[int(rng.integers(0, len(choices)))]
-            recipients.append(target)
-            accepted_senders.append(sender)
-            accepted_bits.append(bit)
-
-        noisy = channel.transmit(np.asarray(accepted_bits, dtype=np.int8), rng)
+        recipients = sorted(inboxes)
+        kept = [inboxes[target][int(rng.integers(0, len(inboxes[target])))] for target in recipients]
+        noisy = channel.transmit(np.asarray(kept, dtype=np.int8), rng)
         sent = int(senders.size)
         delivered = len(recipients)
         self.messages_sent_total += sent
@@ -590,7 +500,6 @@ class PushGossipNetwork:
         return DeliveryReport(
             recipients=np.asarray(recipients, dtype=np.int64),
             bits=noisy.astype(np.int8),
-            senders=np.asarray(accepted_senders, dtype=np.int64),
             messages_sent=sent,
             messages_delivered=delivered,
             messages_dropped=sent - delivered,
@@ -606,34 +515,52 @@ class PushGossipNetwork:
         # other n - 1 agents.
         return draws + (draws >= senders)
 
-    def _resolve_collisions(
-        self,
-        buckets: np.ndarray,
-        priorities: np.ndarray,
-        workspace: _Workspace,
-    ) -> tuple:
-        """Keep one uniformly random message per (replicate, recipient) bucket.
+    @staticmethod
+    def _count_messages(
+        buckets: np.ndarray, one_buckets: np.ndarray, workspace: _Workspace
+    ) -> np.ndarray:
+        """Count each cell's messages and return the cells that heard any.
 
-        Message ``i`` goes to flat bucket ``buckets[i]`` (``row * size +
-        target``); the lowest i.i.d. uniform priority in a bucket wins.
-        Returns ``(winners, buckets)``, the winning message indices and their
-        buckets in ascending bucket order, and leaves each winner's index in
-        its cell of ``workspace.owner``, -1 elsewhere.
+        ``buckets`` holds every message's flat target cell (``row * size +
+        target``) and ``one_buckets`` those of the messages carrying a 1.
+        The per-cell counts ``N`` and ``O`` land in ``workspace.counts`` and
+        ``workspace.ones``, the heard cells are flagged in
+        ``workspace.heard``, and their flat indices are returned ascending.
         """
-        # No sort: scatter-min each bucket's lowest priority (2.0 = empty),
-        # keep the messages holding it, and let them write their index into
-        # the owner cells, read back in ascending bucket order.  An exact tie
-        # between two raw priorities still leaves one owner.
-        count = buckets.size
-        best, owner = workspace.best, workspace.owner
-        best.fill(2.0)
-        np.minimum.at(best, buckets, priorities)
-        lowest = np.take(best, buckets, out=workspace.gathered[:count], mode="clip")
-        minimal = np.flatnonzero(np.equal(priorities, lowest, out=workspace.flags[:count]))
-        owner.fill(-1)
-        owner[buckets[minimal]] = minimal
-        winning_buckets = np.flatnonzero(np.greater_equal(owner, 0, out=workspace.claimed))
-        return owner[winning_buckets], winning_buckets
+        counts, ones = workspace.counts, workspace.ones
+        counts.fill(0)
+        np.add.at(counts, buckets, 1)
+        ones.fill(0)
+        np.add.at(ones, one_buckets, 1)
+        return np.flatnonzero(np.greater(counts, 0, out=workspace.heard))
+
+    @staticmethod
+    def _noisy_bits(
+        cells: np.ndarray, uniforms: np.ndarray, workspace: _Workspace, channel: NoiseChannel
+    ) -> np.ndarray:
+        """The kept noisy bit of each heard cell, one uniform each.
+
+        A cell keeps a uniformly random one of its ``N`` messages, ``O`` of
+        which carry a 1, and the channel flips the kept bit with probability
+        ``q``: the result is 1 with probability ``q + (1 - 2q) O / N``.
+        """
+        flip = channel.flip_probability
+        counts = np.take(workspace.counts, cells)
+        ones = np.take(workspace.ones, cells)
+        return np.less(uniforms, flip + (1.0 - 2.0 * flip) * (ones / counts)).view(np.int8)
+
+    @staticmethod
+    def _report(
+        shape: Tuple[int, int],
+        cells: np.ndarray,
+        cell_bits: np.ndarray,
+        sent: np.ndarray,
+        workspace: _Workspace,
+    ) -> BatchDeliveryReport:
+        """A batch report whose ``accepted`` grid is a copy of the heard flags."""
+        report = BatchDeliveryReport(shape=shape, cells=cells, cell_bits=cell_bits, messages_sent=sent)
+        report.__dict__["accepted"] = workspace.heard.reshape(shape).copy()
+        return report
 
     @staticmethod
     def _check_bits(bits: np.ndarray) -> None:

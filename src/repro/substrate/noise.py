@@ -7,9 +7,15 @@ crossover probability ``p = 1/2 - epsilon``; every experiment builds one.
 The perfect channel (``epsilon = 1/2``) is the noiseless limit the tests use
 as a control.
 
-All channels operate on vectors of bits (``numpy`` arrays with values in
-``{0, 1}``) and consume randomness from an explicitly passed generator, never
-from global state.
+Every channel states its crossover probability ``q``
+(:attr:`NoiseChannel.flip_probability`).  Push-gossip delivery
+(:mod:`repro.substrate.network`) folds ``q`` into the one draw that picks a
+recipient's kept message, so it never calls :meth:`NoiseChannel.transmit`;
+:meth:`~NoiseChannel.transmit` and :meth:`~NoiseChannel.transmit_batch`
+noise bit vectors and grids directly, for the baselines that read a bit
+without a collision (the silent-wait and direct-source references).  They
+consume randomness from an explicitly passed generator, never from global
+state.
 """
 
 from __future__ import annotations
@@ -49,6 +55,11 @@ class NoiseChannel(abc.ABC):
     #: channel guarantees that each bit survives with probability at least
     #: ``1/2 + epsilon``.
     epsilon: float
+
+    @property
+    @abc.abstractmethod
+    def flip_probability(self) -> float:
+        """The probability ``q`` that a delivered bit is flipped."""
 
     @abc.abstractmethod
     def transmit(self, bits: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -98,13 +109,6 @@ class NoiseChannel(abc.ABC):
             output[mask] = self.transmit(grid[mask], rng)
         return output
 
-    def flips_applied(self) -> int:
-        """Total number of bit flips applied so far (diagnostic counter)."""
-        return getattr(self, "_flips", 0)
-
-    def _record_flips(self, flip_mask: np.ndarray) -> None:
-        self._flips = getattr(self, "_flips", 0) + int(np.count_nonzero(flip_mask))
-
     @staticmethod
     def _check_bits(bits: np.ndarray) -> np.ndarray:
         array = np.asarray(bits)
@@ -121,7 +125,6 @@ class BinarySymmetricChannel(NoiseChannel):
 
     def __post_init__(self) -> None:
         self.epsilon = validate_epsilon(self.epsilon)
-        self._flips = 0
 
     @property
     def flip_probability(self) -> float:
@@ -133,7 +136,6 @@ class BinarySymmetricChannel(NoiseChannel):
         if array.size == 0:
             return array.copy()
         flip_mask = rng.random(array.shape) < self.flip_probability
-        self._record_flips(flip_mask)
         return np.where(flip_mask, 1 - array, array)
 
 
@@ -145,7 +147,11 @@ class PerfectChannel(NoiseChannel):
 
     def __post_init__(self) -> None:
         self.epsilon = 0.5
-        self._flips = 0
+
+    @property
+    def flip_probability(self) -> float:
+        """No bit is ever flipped."""
+        return 0.0
 
     def transmit(self, bits: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         return self._check_bits(bits).copy()

@@ -12,7 +12,9 @@ from __future__ import annotations
 
 import hashlib
 import json
+from unittest import mock
 
+from repro.analysis.experiments import ExperimentResult
 from repro.api import ExecutionConfig, run_experiment
 
 #: One fast configuration per driver: (experiment_id, batch?, overrides).
@@ -64,4 +66,33 @@ def grid_digest(
         "notes": artifact.report.notes,
     }
     canonical = json.dumps(payload, sort_keys=True, default=repr)
+    return hashlib.sha256(canonical.encode()).hexdigest()
+
+
+def trial_digest(
+    experiment_id: str, batch: bool, overrides: dict, config: ExecutionConfig = None
+) -> str:
+    """Run one grid configuration and digest every cell's per-trial records.
+
+    A report keeps means and rates, which often do not move when a draw
+    does (every trial succeeding on a schedule-fixed round count, say).
+    This digest covers each cell's name and, per trial, its seed and every
+    measurement the driver recorded, as the cells'
+    :class:`~repro.analysis.experiments.ExperimentResult` objects are
+    assembled, so a draw-dependent measurement such as ``messages`` moves
+    it.
+    """
+    cells = []
+    assemble = ExperimentResult.from_trials.__func__
+
+    def recording(cls, name, config, seeds, raw_measurements):
+        result = assemble(cls, name, config, seeds, raw_measurements)
+        cells.append(
+            [name, [[trial.seed, trial.measurements] for trial in result.trials]]
+        )
+        return result
+
+    with mock.patch.object(ExperimentResult, "from_trials", classmethod(recording)):
+        run_experiment(experiment_id, config=config or ExecutionConfig(batch=batch), **overrides)
+    canonical = json.dumps(cells, sort_keys=True, default=repr)
     return hashlib.sha256(canonical.encode()).hexdigest()

@@ -19,32 +19,32 @@ def small_stage1_params():
 class TestReceptionAccumulator:
     def test_counts_and_choice(self, rng):
         accumulator = ReceptionAccumulator(size=5)
-        accumulator.observe(np.asarray([1, 2]), np.asarray([1, 0], dtype=np.int8), rng)
-        accumulator.observe(np.asarray([1]), np.asarray([0], dtype=np.int8), rng)
+        accumulator.observe(np.asarray([1, 2]), np.asarray([1, 0], dtype=np.int8))
+        accumulator.observe(np.asarray([1]), np.asarray([0], dtype=np.int8))
         heard = accumulator.heard_anything()
         assert heard[1] and heard[2] and not heard[0]
         # Agent 2 heard a single 0 message, so its choice is forced.
-        assert accumulator.chosen_bits(np.asarray([2]))[0] == 0
+        assert accumulator.chosen_bits(np.asarray([2]), rng)[0] == 0
 
     def test_choice_is_uniform_over_heard_messages(self, rng):
-        """Reservoir sampling picks each of k messages with probability 1/k."""
+        """The phase-end draw picks each of k messages with probability 1/k."""
         picks = []
         for _ in range(4000):
             accumulator = ReceptionAccumulator(size=1)
-            accumulator.observe(np.asarray([0]), np.asarray([1], dtype=np.int8), rng)
-            accumulator.observe(np.asarray([0]), np.asarray([0], dtype=np.int8), rng)
-            accumulator.observe(np.asarray([0]), np.asarray([0], dtype=np.int8), rng)
-            picks.append(int(accumulator.chosen_bits(np.asarray([0]))[0]))
+            accumulator.observe(np.asarray([0]), np.asarray([1], dtype=np.int8))
+            accumulator.observe(np.asarray([0]), np.asarray([0], dtype=np.int8))
+            accumulator.observe(np.asarray([0]), np.asarray([0], dtype=np.int8))
+            picks.append(int(accumulator.chosen_bits(np.asarray([0]), rng)[0]))
         assert np.mean(picks) == pytest.approx(1 / 3, abs=0.03)
 
     def test_chosen_bits_for_silent_agent_raises(self, rng):
         accumulator = ReceptionAccumulator(size=3)
         with pytest.raises(SimulationError):
-            accumulator.chosen_bits(np.asarray([0]))
+            accumulator.chosen_bits(np.asarray([0]), rng)
 
     def test_reset(self, rng):
         accumulator = ReceptionAccumulator(size=2)
-        accumulator.observe(np.asarray([0]), np.asarray([1], dtype=np.int8), rng)
+        accumulator.observe(np.asarray([0]), np.asarray([1], dtype=np.int8))
         accumulator.reset()
         assert not accumulator.heard_anything().any()
 
@@ -101,19 +101,30 @@ class TestExecuteStageOne:
         assert 0.0 < result.final_bias < 0.5
 
     def test_symmetry_between_opinions(self):
-        """The message pattern must not depend on which opinion is correct (Section 1.3.4)."""
+        """The message pattern must not depend on which opinion is correct (Section 1.3.4).
 
-        def run(correct_opinion):
-            engine = SimulationEngine.create(n=200, epsilon=0.3, seed=23)
+        Who hears whom does not depend on the bits, so message counts and
+        activation totals are equal seed for seed.  The bits an agent keeps
+        are drawn from counts of 1s, so the bias agrees in distribution.
+        """
+
+        def run(correct_opinion, seed):
+            engine = SimulationEngine.create(n=200, epsilon=0.3, seed=seed)
             engine.population.set_source_opinion(correct_opinion)
             result = execute_stage_one(engine, small_stage1_params(), correct_opinion=correct_opinion)
             return result.messages_sent, [s.activated_total for s in result.phases], result.final_bias
 
-        messages_one, totals_one, bias_one = run(1)
-        messages_zero, totals_zero, bias_zero = run(0)
-        assert messages_one == messages_zero
-        assert totals_one == totals_zero
-        assert bias_one == pytest.approx(bias_zero)
+        biases = {1: [], 0: []}
+        for seed in range(23, 53):
+            messages_one, totals_one, bias_one = run(1, seed)
+            messages_zero, totals_zero, bias_zero = run(0, seed)
+            assert messages_one == messages_zero
+            assert totals_one == totals_zero
+            biases[1].append(bias_one)
+            biases[0].append(bias_zero)
+        difference = np.mean(biases[1]) - np.mean(biases[0])
+        spread = np.hypot(np.std(biases[1]), np.std(biases[0])) / np.sqrt(len(biases[1]))
+        assert abs(difference) <= 4 * spread
 
     def test_dormant_agents_never_send(self):
         """In every phase the number of senders equals the agents activated before it."""

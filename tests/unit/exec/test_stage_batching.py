@@ -474,55 +474,49 @@ class TestScratchBufferHoisting:
     batch (reset by fill), and the serial accumulators never reallocate their
     buffers across phases."""
 
-    def test_batch_stage1_allocates_its_reservoir_exactly_once(self, monkeypatch):
-        parameters = StageOneParameters(beta_s=8, beta=4, beta_f=8, num_intermediate_phases=2)
-        assert parameters.num_phases >= 3, "need a multi-phase run for the pin to mean anything"
+    @staticmethod
+    def _count_constructions(monkeypatch):
         constructions = []
-        original = stage_batching._ReservoirScratch.__init__
+        original = stage_batching._PhaseCounts.__init__
 
         def counting_init(self, shape):
             constructions.append(shape)
             original(self, shape)
 
-        monkeypatch.setattr(stage_batching._ReservoirScratch, "__init__", counting_init)
+        monkeypatch.setattr(stage_batching._PhaseCounts, "__init__", counting_init)
+        return constructions
+
+    def test_batch_stage1_allocates_its_counts_exactly_once(self, monkeypatch):
+        parameters = StageOneParameters(beta_s=8, beta=4, beta_f=8, num_intermediate_phases=2)
+        assert parameters.num_phases >= 3, "need a multi-phase run for the pin to mean anything"
+        constructions = self._count_constructions(monkeypatch)
         run_stage1_instrumented(N, EPSILON, 4, base_seed=1, parameters=parameters)
         assert constructions == [(4, N)]
 
-    def test_batch_stage2_allocates_its_sampler_exactly_once(self, monkeypatch):
+    def test_batch_stage2_allocates_its_counts_exactly_once(self, monkeypatch):
         parameters = _parameters().stage2
         assert parameters.num_phases >= 3
-        constructions = []
-        original = stage_batching._SampleScratch.__init__
-
-        def counting_init(self, shape):
-            constructions.append(shape)
-            original(self, shape)
-
-        monkeypatch.setattr(stage_batching._SampleScratch, "__init__", counting_init)
+        constructions = self._count_constructions(monkeypatch)
         run_stage2_instrumented(N, EPSILON, 4, initial_bias=0.2, base_seed=1, parameters=parameters)
         assert constructions == [(4, N)]
 
     def test_scratch_reset_reuses_the_same_buffers(self):
-        scratch = stage_batching._ReservoirScratch((3, 7))
-        heard, chosen = scratch.heard_counts, scratch.chosen
-        heard[1, 2] = 5
-        scratch.reset()
-        assert scratch.heard_counts is heard and scratch.chosen is chosen
-        assert heard[1, 2] == 0 and np.all(chosen == NO_OPINION)
-
-        sampler = stage_batching._SampleScratch((3, 7))
-        totals, ones = sampler.totals, sampler.ones
-        sampler.reset()
-        assert sampler.totals is totals and sampler.ones is ones
+        counts = stage_batching._PhaseCounts((3, 7))
+        heard, ones = counts.heard, counts.ones
+        heard[1, 2], ones[1, 2] = 5, 2
+        counts.reset()
+        assert counts.heard is heard and counts.ones is ones
+        assert not heard.any() and not ones.any()
 
     def test_serial_accumulators_never_reallocate_across_phases(self):
         rng = np.random.default_rng(0)
         reception = ReceptionAccumulator(16)
-        counts, chosen = reception._counts, reception._chosen
+        counts, ones = reception._counts, reception._ones
         for _ in range(5):  # five "phases"
-            reception.observe(np.array([1, 2, 3]), np.array([1, 0, 1], dtype=np.int8), rng)
+            reception.observe(np.array([1, 2, 3]), np.array([1, 0, 1], dtype=np.int8))
+            reception.chosen_bits(np.array([1, 2]), rng)
             reception.reset()
-            assert reception._counts is counts and reception._chosen is chosen
+            assert reception._counts is counts and reception._ones is ones
 
         samples = SampleAccumulator(16)
         totals, ones = samples._total, samples._ones

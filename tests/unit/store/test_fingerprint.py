@@ -187,17 +187,18 @@ class TestEverySpecFingerprint:
 
 
 #: The ``KERNEL_EPOCH`` the fingerprint pins were taken at.
-PINNED_AT_EPOCH = 2
+PINNED_AT_EPOCH = 3
 
 
 class TestFingerprintsArePinned:
-    """Fingerprints re-pinned at code version ``1.0.0+k2.np2.4``.
+    """Fingerprints re-pinned at code version ``1.0.0+k3.np2.4``.
 
     Removing execution settings must not move a single cache address: every
     artifact stored at one code version keeps hitting.  Only a new code
     version moves them (at ``1.0.0``, before the kernel epoch, the two pins
     were ``4e6f348d...`` and ``14b41f65...``; at ``1.0.0+k1.np2.4`` they were
-    ``ca0dae52...`` and ``068a28c8...``).
+    ``ca0dae52...`` and ``068a28c8...``; at ``1.0.0+k2.np2.4``
+    ``1b68893d...`` and ``569104f2...``).
     """
 
     def test_pins_were_taken_at_the_current_kernel_epoch(self):
@@ -206,12 +207,12 @@ class TestFingerprintsArePinned:
     def test_e1_batch_fingerprint_is_unchanged(self):
         resolved = resolve_run_inputs("E1", config=ExecutionConfig(batch=True))
         assert resolved.fingerprint == (
-            "1b68893d411491c2aee8f85ddfb8e7900401b53474f5d96306040565645c7fc1"
+            "c961d066052204d53a8dd161bd597c99a37909051e2fa2e05b46c232be8bfffa"
         )
 
     def test_e8_default_fingerprint_is_unchanged(self):
         assert resolve_run_inputs("E8").fingerprint == (
-            "569104f2421842b44e40d5e1be791f70675f70e597e2ed535c73809abdef9273"
+            "81cfaa5c37c6ce16643f22096945837639d51640a4528111e9e07402e3408882"
         )
 
     def test_manifest_with_the_old_execution_keys_loads_and_hits(self, tmp_path):

@@ -10,7 +10,7 @@ from repro.substrate.network import (
     PushGossipNetwork,
     _Workspace,
 )
-from repro.substrate.noise import PerfectChannel
+from repro.substrate.noise import BinarySymmetricChannel, PerfectChannel
 
 
 @pytest.fixture
@@ -32,21 +32,22 @@ class TestDeliveryBasics:
         assert report.messages_delivered == 1
         assert report.recipients[0] != 4
         assert report.bits[0] == 1
-        assert report.senders[0] == 4
 
     def test_no_self_messages_by_default(self, perfect, rng):
         network = PushGossipNetwork(size=5)
-        senders = np.arange(5)
-        for _ in range(200):
-            report = network.deliver(senders, np.zeros(5, dtype=np.int8), perfect, rng)
-            assert not np.any(report.recipients == report.senders)
+        for sender in range(5):
+            for _ in range(40):
+                report = network.deliver(
+                    np.asarray([sender]), np.zeros(1, dtype=np.int8), perfect, rng
+                )
+                assert report.recipients.tolist() != [sender]
 
     def test_self_messages_allowed_when_enabled(self, perfect, rng):
         network = PushGossipNetwork(size=3, allow_self_messages=True)
         hit_self = False
         for _ in range(200):
-            report = network.deliver(np.arange(3), np.zeros(3, dtype=np.int8), perfect, rng)
-            hit_self = hit_self or bool(np.any(report.recipients == report.senders))
+            report = network.deliver(np.asarray([1]), np.zeros(1, dtype=np.int8), perfect, rng)
+            hit_self = hit_self or report.recipients.tolist() == [1]
         assert hit_self
 
     def test_recipients_are_unique(self, perfect, rng):
@@ -100,24 +101,21 @@ class TestCollisionStatistics:
         assert delivered_fraction == pytest.approx(1 - np.exp(-1), abs=0.03)
 
     def test_accepted_message_is_uniform_among_collisions(self, perfect):
-        """When two senders always target the same receiver, each wins about half the time."""
+        """When a 0 and a 1 collide at one recipient, each is kept about half the time."""
         rng = np.random.default_rng(7)
-        network = PushGossipNetwork(size=2, allow_self_messages=False)
-        # With n=2 and no self messages, both agents always send to each other...
-        # so use 3 agents where agents 0 and 1 both have only agent 2 as a
-        # possible target in a size-3 network when targets collide.
-        wins_for_zero = 0
-        collisions = 0
+        # Agents 0 and 1 collide exactly when both pick agent 2.
         network = PushGossipNetwork(size=3)
+        kept_zero = 0
+        collisions = 0
         for _ in range(3000):
             report = network.deliver(
                 np.asarray([0, 1]), np.asarray([0, 1], dtype=np.int8), perfect, rng
             )
             if report.recipients.size == 1 and report.recipients[0] == 2:
                 collisions += 1
-                wins_for_zero += int(report.senders[0] == 0)
+                kept_zero += int(report.bits[0] == 0)
         assert collisions > 500
-        assert wins_for_zero / collisions == pytest.approx(0.5, abs=0.06)
+        assert kept_zero / collisions == pytest.approx(0.5, abs=0.06)
 
 
 class TestReferenceImplementation:
@@ -146,53 +144,54 @@ class TestReferenceImplementation:
         assert report.recipients.size == 0
 
 
-class TestDeliverBatchNoiseStreamOrder:
-    """Differential test for the in-code claim at the end of deliver_batch:
-    noising the winner bits directly (one ``transmit`` call on the
-    bucket-ascending winners) consumes the channel RNG in exactly the same
-    replicate-major, recipient-ascending order as
-    ``NoiseChannel.transmit_batch`` over the accepted grid would."""
+class TestNoDeliveryPathCallsTransmit:
+    """The channel's noise is folded into the count rule's one draw per
+    heard cell: no delivery path runs ``transmit`` (or its bit checks)."""
 
-    def test_single_transmit_matches_transmit_batch_bit_for_bit(self):
-        from repro.substrate.noise import BinarySymmetricChannel
+    class _Refusing(BinarySymmetricChannel):
+        def transmit(self, bits, rng):
+            raise AssertionError("delivery called transmit")
 
-        n, R, seed = 40, 8, 2024
-        mask = np.ones((R, n), dtype=bool)
-        bits = (np.arange(R * n).reshape(R, n) % 2).astype(np.int8)
-
-        # Pass 1 — PerfectChannel consumes no channel randomness, so after
-        # this call rng_clean sits exactly where the noise draw would begin,
-        # and the report carries the accepted mask and the pre-noise bits.
-        rng_clean = np.random.default_rng(seed)
-        clean = PushGossipNetwork(size=n).deliver_batch(mask, bits, PerfectChannel(), rng_clean)
-        assert clean.accepted.any()
-
-        # Pass 2 — the same round with a noisy channel: targets/priorities
-        # consume identically, then deliver_batch noises the winners with a
-        # single transmit call.
-        rng_noisy = np.random.default_rng(seed)
-        noisy = PushGossipNetwork(size=n).deliver_batch(
-            mask, bits, BinarySymmetricChannel(epsilon=0.2), rng_noisy
+    def test_serial_deliver(self):
+        network = PushGossipNetwork(size=30)
+        report = network.deliver(
+            np.arange(30), np.arange(30) % 2, self._Refusing(0.2), np.random.default_rng(0)
         )
-        assert np.array_equal(clean.accepted, noisy.accepted)
+        assert report.messages_delivered > 0
 
-        # Applying transmit_batch to the clean grid from the positioned
-        # generator must reproduce the noisy grid bit for bit.
-        reference = BinarySymmetricChannel(epsilon=0.2).transmit_batch(
-            clean.bits, clean.accepted, rng_clean
+    @pytest.mark.parametrize("faults", [False, True], ids=["fault-free", "resilient"])
+    def test_batch_deliver(self, faults):
+        from repro.substrate.faults import CrashStop, FaultInjector
+
+        rng = np.random.default_rng(0)
+        injector = FaultInjector(CrashStop(), 30, rng, num_replicates=3) if faults else None
+        mask = np.ones((3, 30), dtype=bool)
+        bits = np.arange(90).reshape(3, 30) % 2
+        report = PushGossipNetwork(size=30).deliver_batch(
+            mask, bits, self._Refusing(0.2), rng, faults=injector
         )
-        assert np.array_equal(reference, noisy.bits)
-        # And the generators end in the same state (no hidden extra draws).
-        assert np.array_equal(rng_clean.integers(0, 1 << 30, 8), rng_noisy.integers(0, 1 << 30, 8))
+        assert report.cells.size > 0
+
+
+def _unique_count_bits(buckets, one_buckets, channel, rng):
+    """The count rule with ``np.unique`` counts: heard cells and noisy bits."""
+    cells, counts = np.unique(buckets, return_counts=True)
+    one_cells, one_counts = np.unique(one_buckets, return_counts=True)
+    ones = np.zeros(cells.size, dtype=np.int64)
+    ones[np.searchsorted(cells, one_cells)] = one_counts
+    flip = channel.flip_probability
+    noisy = rng.random(cells.size) < flip + (1.0 - 2.0 * flip) * (ones / counts)
+    return cells.astype(np.int64), noisy.astype(np.int8)
 
 
 def _unique_deliver(network, senders, bits, channel, rng):
-    """Oracle: ``deliver``'s draws resolved with the sort-based collision rule.
+    """Oracle: ``deliver``'s draws with each recipient's counts from ``np.unique``.
 
-    The same ``integers`` / ``permutation`` / ``transmit`` draws in the same
-    order, with each recipient's first permuted occurrence found by
-    ``np.unique(..., return_index=True)`` (a stable sort) instead of the
-    O(n) ``np.minimum.at`` scatter.  Counters are left alone.
+    The same ``integers`` / ``random`` draws in the same order (a target per
+    sender in the given order, then one uniform per recipient in ascending
+    order), with the per-recipient message and 1-message counts found by
+    ``np.unique(..., return_counts=True)`` instead of the network's
+    ``np.add.at`` into reused buffers.  Counters are left alone.
     """
     senders = np.asarray(senders, dtype=np.int64)
     bits = np.asarray(bits, dtype=np.int8)
@@ -203,25 +202,21 @@ def _unique_deliver(network, senders, bits, channel, rng):
     else:
         draws = rng.integers(0, network.size - 1, size=senders.size)
         targets = draws + (draws >= senders)
-    order = rng.permutation(senders.size)
-    recipients, first_position = np.unique(targets[order], return_index=True)
-    accepted = order[first_position]
-    accepted_bits = channel.transmit(bits[accepted], rng)
+    recipients, noisy = _unique_count_bits(targets, targets[bits == 1], channel, rng)
     sent, delivered = int(senders.size), int(recipients.size)
     return DeliveryReport(
-        recipients=recipients.astype(np.int64),
-        bits=accepted_bits.astype(np.int8),
-        senders=senders[accepted],
+        recipients=recipients,
+        bits=noisy,
         messages_sent=sent,
         messages_delivered=delivered,
         messages_dropped=sent - delivered,
     )
 
 
-class TestDeliverMatchesUniqueOracle:
-    """``deliver`` resolves collisions with a first-occurrence scatter; it must
-    reproduce the sort-based rule field for field, dtypes included, and
-    leave the generator in the same state."""
+class TestDeliverMatchesUniqueCountOracle:
+    """``deliver`` counts each recipient's messages with ``np.add.at`` into
+    reused buffers; it must reproduce the ``np.unique`` counts field for
+    field, dtypes included, and leave the generator in the same state."""
 
     SEEDS = range(12)
 
@@ -229,8 +224,6 @@ class TestDeliverMatchesUniqueOracle:
     @pytest.mark.parametrize("allow_self", [False, True])
     @pytest.mark.parametrize("count", ["zero", "one", "random", "all"])
     def test_report_is_bit_identical(self, n, allow_self, count):
-        from repro.substrate.noise import BinarySymmetricChannel
-
         channel = BinarySymmetricChannel(epsilon=0.2)
         for seed in self.SEEDS:
             picker = np.random.default_rng([seed, n])
@@ -243,7 +236,7 @@ class TestDeliverMatchesUniqueOracle:
             report = network.deliver(senders, bits, channel, rng)
             expected = _unique_deliver(network, senders, bits, channel, oracle_rng)
 
-            for name in ("recipients", "bits", "senders"):
+            for name in ("recipients", "bits"):
                 got, want = getattr(report, name), getattr(expected, name)
                 assert got.dtype == want.dtype, (name, seed)
                 assert np.array_equal(got, want), (name, seed)
@@ -254,45 +247,41 @@ class TestDeliverMatchesUniqueOracle:
             assert np.all(np.diff(report.recipients) > 0), "recipients stay ascending"
 
 
-def _argsort_deliver_batch(network, send_mask, bits, channel, rng):
-    """Oracle: ``deliver_batch``'s draws resolved with the sort-based rule.
+def _unique_deliver_batch(network, send_mask, bits, channel, rng):
+    """Oracle: ``deliver_batch``'s draws with the counts from ``np.unique``.
 
-    The same ``integers`` / ``random`` / ``transmit`` draws in the same order,
-    with each (replicate, recipient) bucket's winner found by one argsort of
-    the combined float key ``bucket + priority`` instead of the O(m)
-    scatter-min.  Fault-free rounds only; counters are left alone.
+    The same ``integers`` / ``random`` draws in the same order: one target
+    per message, the messages carrying a 1 first and each group in
+    row-major order, then one uniform per heard cell in ascending order.
+    Fault-free rounds only; counters are left alone.
     """
     num_replicates, size = send_mask.shape
     sent = send_mask.sum(axis=1).astype(np.int64)
-    accepted = np.zeros((num_replicates, size), dtype=bool)
-    accepted_bits = np.zeros((num_replicates, size), dtype=np.int8)
-    accepted_senders = np.full((num_replicates, size), -1, dtype=np.int64)
-    rows, cols = np.nonzero(send_mask)
+    carries_one = send_mask & (bits != 0)
+    positions = np.concatenate(
+        (np.flatnonzero(carries_one), np.flatnonzero(send_mask & ~carries_one))
+    )
+    rows, cols = np.divmod(positions, size)
+    cells = np.empty(0, dtype=np.int64)
+    cell_bits = np.empty(0, dtype=np.int8)
     if rows.size:
         if network.allow_self_messages:
             targets = rng.integers(0, size, size=rows.size)
         else:
             draws = rng.integers(0, size - 1, size=rows.size)
             targets = draws + (draws >= cols)
-        priorities = rng.random(rows.size)
         buckets = rows * size + targets
-        order = np.argsort(buckets + priorities)
-        sorted_buckets = buckets[order]
-        is_first = np.ones(order.size, dtype=bool)
-        is_first[1:] = sorted_buckets[1:] != sorted_buckets[:-1]
-        winners = order[is_first]
-        winning_buckets = buckets[winners]
-        accepted.reshape(-1)[winning_buckets] = True
-        accepted_senders.reshape(-1)[winning_buckets] = cols[winners]
-        noisy = channel.transmit(bits[rows[winners], cols[winners]], rng)
-        accepted_bits.reshape(-1)[winning_buckets] = noisy
-    return BatchDeliveryReport.from_grids(accepted, accepted_bits, accepted_senders, sent)
+        ones = int(np.count_nonzero(carries_one))
+        cells, cell_bits = _unique_count_bits(buckets, buckets[:ones], channel, rng)
+    return BatchDeliveryReport(
+        shape=(num_replicates, size), cells=cells, cell_bits=cell_bits, messages_sent=sent
+    )
 
 
-class TestDeliverBatchMatchesSortOracle:
-    """``deliver_batch`` resolves collisions with a scatter-min over flat
-    buckets; it must reproduce the combined-key argsort rule field for field,
-    dtypes included, and leave the generator in the same state."""
+class TestDeliverBatchMatchesUniqueCountOracle:
+    """``deliver_batch`` counts messages per flat cell with ``np.add.at`` over
+    a ones-first layout; it must reproduce the ``np.unique`` counts field for
+    field, dtypes included, and leave the generator in the same state."""
 
     SEEDS = range(6)
     BIT_DTYPES = (np.int8, np.int64, bool)
@@ -302,8 +291,6 @@ class TestDeliverBatchMatchesSortOracle:
     @pytest.mark.parametrize("allow_self", [False, True])
     @pytest.mark.parametrize("density", ["none", "one", "random", "all"])
     def test_report_is_bit_identical(self, n, replicates, allow_self, density):
-        from repro.substrate.noise import BinarySymmetricChannel
-
         channel = BinarySymmetricChannel(epsilon=0.2)
         for seed in self.SEEDS:
             picker = np.random.default_rng([seed, n, replicates])
@@ -320,40 +307,65 @@ class TestDeliverBatchMatchesSortOracle:
             network = PushGossipNetwork(size=n, allow_self_messages=allow_self)
             rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
             report = network.deliver_batch(mask, bits, channel, rng)
-            expected = _argsort_deliver_batch(network, mask, bits, channel, oracle_rng)
+            expected = _unique_deliver_batch(network, mask, bits, channel, oracle_rng)
 
-            for name in ("accepted", "bits", "senders", "messages_sent", "messages_delivered"):
+            for name in ("cells", "cell_bits", "accepted", "bits", "messages_sent",
+                         "messages_delivered"):
                 got, want = getattr(report, name), getattr(expected, name)
                 assert got.dtype == want.dtype, (name, seed)
                 assert np.array_equal(got, want), (name, seed)
             assert np.array_equal(report.messages_delivered, expected.accepted.sum(axis=1))
             assert rng.bit_generator.state == oracle_rng.bit_generator.state, seed
 
-    def test_exact_priority_tie_keeps_one_winner(self):
-        network = PushGossipNetwork(size=10)
-        buckets = np.array([5, 5, 7, 5])
-        priorities = np.array([0.25, 0.25, 0.5, 0.75])
-        workspace = _Workspace((1, 10))
-        winners, winning_buckets = network._resolve_collisions(buckets, priorities, workspace)
-        assert winning_buckets.tolist() == [5, 7]
-        assert winners[0] in (0, 1) and winners[1] == 2
-        expected = np.full(10, -1)
-        expected[winning_buckets] = winners
-        assert np.array_equal(workspace.owner, expected), "winners left in their cells, -1 elsewhere"
 
-    def test_gap_below_the_combined_key_spacing_keeps_the_true_minimum(self):
-        """At bucket 15999 of an (8, 2000) grid, priorities 2^-45 apart round
-        to one combined key; the scatter-min still picks the smaller one."""
-        network = PushGossipNetwork(size=2000)
-        bucket, low = 8 * 2000 - 1, 0.5
-        high = low + 2.0**-45
-        assert bucket + low == bucket + high  # the old key could not tell them apart
-        buckets = np.array([bucket, bucket, 3])
-        winners, winning_buckets = network._resolve_collisions(
-            buckets, np.array([high, low, 0.9]), _Workspace((8, 2000))
+class TestCountStep:
+    """The private count step every delivery path shares."""
+
+    def test_counts_every_message_and_every_one(self):
+        workspace = _Workspace((2, 5))
+        buckets = np.array([3, 3, 7, 3, 9, 7])
+        cells = PushGossipNetwork._count_messages(buckets, buckets[:2], workspace)
+        assert cells.tolist() == [3, 7, 9]
+        assert workspace.counts.tolist() == [0, 0, 0, 3, 0, 0, 0, 2, 0, 1]
+        assert workspace.ones.tolist() == [0, 0, 0, 2, 0, 0, 0, 0, 0, 0]
+        assert workspace.heard.tolist() == [c in (3, 7, 9) for c in range(10)]
+
+    def test_buffers_are_wiped_between_rounds(self):
+        workspace = _Workspace((1, 4))
+        PushGossipNetwork._count_messages(np.array([0, 0, 1]), np.array([0]), workspace)
+        cells = PushGossipNetwork._count_messages(np.array([2]), np.array([2]), workspace)
+        assert cells.tolist() == [2]
+        assert workspace.counts.tolist() == [0, 0, 1, 0]
+        assert workspace.ones.tolist() == [0, 0, 1, 0]
+
+    @pytest.mark.parametrize("faults", [False, True], ids=["fault-free", "resilient"])
+    def test_rounds_of_one_shape_reuse_the_buffers(self, faults):
+        from repro.substrate.faults import CrashStop, FaultInjector
+
+        network, rng = PushGossipNetwork(size=20), np.random.default_rng(1)
+        injector = FaultInjector(CrashStop(), 20, rng, num_replicates=2) if faults else None
+        mask = np.ones((2, 20), dtype=bool)
+        bits = np.arange(40).reshape(2, 20) % 2
+        network.deliver_batch(mask, bits, PerfectChannel(), rng, faults=injector)
+        workspace = network._workspace
+        buffers = (workspace.counts, workspace.ones, workspace.heard)
+        for _ in range(3):
+            network.deliver_batch(mask, 1 - bits, PerfectChannel(), rng, faults=injector)
+        assert network._workspace is workspace
+        assert all(a is b for a, b in zip(buffers, (workspace.counts, workspace.ones, workspace.heard)))
+
+    def test_noiseless_cells_keep_a_one_with_probability_ones_over_count(self):
+        """Over a perfect channel a cell that heard O ones among N messages
+        keeps a 1 with probability O / N (here 1/3, 1 and 0)."""
+        workspace = _Workspace((1, 3))
+        buckets = np.array([0, 1, 0, 0, 2])  # ones first: cells 0 and 1 hear one 1 each
+        cells = PushGossipNetwork._count_messages(buckets, buckets[:2], workspace)
+        uniforms = np.random.default_rng(2).random((6000, 1)) * np.ones((1, cells.size))
+        kept = np.array(
+            [PushGossipNetwork._noisy_bits(cells, row, workspace, PerfectChannel()) for row in uniforms]
         )
-        assert winning_buckets.tolist() == [3, bucket]
-        assert winners.tolist() == [2, 1]
+        assert kept[:, 0].mean() == pytest.approx(1 / 3, abs=0.03)
+        assert kept[:, 1].all() and not kept[:, 2].any()
 
 
 class TestValidationOnEverySerialPath:
@@ -441,8 +453,7 @@ class TestDeliverBatchPreparedRound:
     state."""
 
     N, R = 50, 4
-    FIELDS = ("cells", "cell_bits", "cell_senders", "accepted", "bits", "senders",
-              "messages_sent", "messages_delivered")
+    FIELDS = ("cells", "cell_bits", "accepted", "bits", "messages_sent", "messages_delivered")
 
     def _inputs(self, seed=0):
         picker = np.random.default_rng(seed)
@@ -451,8 +462,6 @@ class TestDeliverBatchPreparedRound:
         return mask, bits
 
     def _fresh(self, mask, bits, state):
-        from repro.substrate.noise import BinarySymmetricChannel
-
         rng = np.random.default_rng()
         rng.bit_generator.state = state
         network = PushGossipNetwork(size=self.N)
@@ -465,8 +474,6 @@ class TestDeliverBatchPreparedRound:
 
     @pytest.mark.parametrize("grid", ["send_mask", "bits"])
     def test_inputs_mutated_in_place_are_seen(self, grid):
-        from repro.substrate.noise import BinarySymmetricChannel
-
         channel = BinarySymmetricChannel(0.2)
         network, rng = PushGossipNetwork(size=self.N), np.random.default_rng(3)
         mask, bits = self._inputs()
@@ -500,8 +507,6 @@ class TestDeliverBatchPreparedRound:
         assert network.rounds_executed == 1
 
     def test_a_report_is_unchanged_by_the_next_round(self):
-        from repro.substrate.noise import BinarySymmetricChannel
-
         channel = BinarySymmetricChannel(0.2)
         network, rng = PushGossipNetwork(size=self.N), np.random.default_rng(3)
         mask, bits = self._inputs()
@@ -514,10 +519,9 @@ class TestDeliverBatchPreparedRound:
         assert not np.array_equal(first.cells, second.cells)
 
     def test_resilient_round_between_phase_rounds_keeps_the_draws(self):
-        """A fault-aware round reuses the shape's workspace; the next
+        """A fault-aware round reuses the shape's count buffers; the next
         fault-free round with the memoised inputs still matches."""
         from repro.substrate.faults import CrashStop, FaultInjector
-        from repro.substrate.noise import BinarySymmetricChannel
 
         channel = BinarySymmetricChannel(0.2)
         network, rng = PushGossipNetwork(size=self.N), np.random.default_rng(3)

@@ -37,13 +37,13 @@ class TestBinarySymmetricChannel:
         received = channel.transmit(bits, np.random.default_rng(17))
         # 100k Bernoulli(p <= 1/2) flips: 5 sigma is at most 0.008.
         assert np.mean(received == 0) == pytest.approx(0.5 - epsilon, abs=0.008)
-        assert channel.flips_applied() == int(np.count_nonzero(received == 0))
 
-    def test_counts_flips(self, rng):
+    def test_flips_where_the_draw_falls_below_the_crossover(self):
         channel = BinarySymmetricChannel(epsilon=0.2)
         bits = np.ones(10_000, dtype=np.int8)
-        received = channel.transmit(bits, rng)
-        assert channel.flips_applied() == int(np.count_nonzero(received == 0))
+        received = channel.transmit(bits, np.random.default_rng(5))
+        draws = np.random.default_rng(5).random(bits.size)
+        assert np.array_equal(received == 0, draws < channel.flip_probability)
 
     def test_empty_input(self, rng):
         channel = BinarySymmetricChannel(epsilon=0.2)
@@ -66,7 +66,7 @@ class TestPerfectChannel:
         channel = PerfectChannel()
         bits = rng.integers(0, 2, size=5000).astype(np.int8)
         np.testing.assert_array_equal(channel.transmit(bits, rng), bits)
-        assert channel.flips_applied() == 0
+        assert channel.flip_probability == 0.0
 
     def test_epsilon_forced_to_half(self):
         assert PerfectChannel(epsilon=0.1).epsilon == 0.5

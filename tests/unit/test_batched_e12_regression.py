@@ -8,15 +8,21 @@ report happens to equal the serial one, so it cannot see such a change; on
 this configuration (``f = 0.3``, a crash probability of 0.1, three trials)
 both fault kinds' reports move with the batch draws.
 
-The digests were captured at commit 38726fa and must not be edited to make
-a change pass.
+The crash report still sees a changed batch draw only when some trial
+fails: every trial succeeds and every prone agent crashes at most seeds.
+``E12_BATCH_TRIAL_DIGESTS["crash"]`` therefore also pins every trial's
+measurements, ``messages`` included (``_golden_grid.trial_digest``).
+
+The report digests were captured at commit 38726fa and held at kernel
+epoch 3, when delivery became the count rule; the trial pin was taken
+then.  None must be edited to make a change pass.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from _golden_grid import grid_digest
+from _golden_grid import grid_digest, trial_digest
 from repro.api import ExecutionConfig
 from repro.store.fingerprint import KERNEL_EPOCH
 
@@ -32,9 +38,14 @@ E12_BATCH_DIGESTS = {
     "byzantine": "691910ecb36c2f5bc4bace173876ca914d39a3ebd4da3c1b846cf255e9ba0eaf",
 }
 
+#: Every trial's records of the crash configuration, taken at kernel epoch 3.
+E12_BATCH_TRIAL_DIGESTS = {
+    "crash": "702ea5c67283590adab864eb3f417b20046260e24a96fcb426d2d83eb2ee44dd",
+}
+
 
 #: The ``KERNEL_EPOCH`` these pins were taken (or last re-verified) at.
-PINNED_AT_EPOCH = 2
+PINNED_AT_EPOCH = 3
 
 
 @pytest.mark.parametrize(
@@ -47,6 +58,13 @@ def test_batched_e12_matches_pinned_digest(experiment_id, batch, overrides):
     assert grid_digest(experiment_id, batch, overrides) == E12_BATCH_DIGESTS[
         overrides["fault_kind"]
     ]
+
+
+def test_batched_crash_trials_match_pinned_digest():
+    """Batched E12 crash trial records, messages included, match the pin."""
+    experiment_id, batch, overrides = E12_BATCH_GRID[0]
+    assert overrides["fault_kind"] == "crash"
+    assert trial_digest(experiment_id, batch, overrides) == E12_BATCH_TRIAL_DIGESTS["crash"]
 
 
 def test_batched_pin_moves_with_the_batch_draws():

@@ -21,6 +21,13 @@ variant became its batch rule at ``R = 1`` under each trial's seed (it was
 ``0d15a43f...``); serial E7's paper-protocol rows moved to that rule too,
 but its report at this size did not change.
 
+At kernel epoch 3 single-accept delivery became the count rule (a
+recipient's noisy bit drawn from its message and 1-message counts) and
+Stage I's reservoir became one phase-end draw; every entry whose report
+moved was re-taken then (CHANGES.md lists old and new values).  E7's
+report had not seen its paper rows' draws, so ``TRIAL_DIGESTS`` pins its
+per-trial records too.
+
 E12 is deliberately absent: it did not exist at the seed revision.  Its
 f=0 column is covered by the exec-level bit-identity pin in
 ``tests/unit/exec/test_fault_batching.py`` instead.
@@ -30,25 +37,25 @@ from __future__ import annotations
 
 import pytest
 
-from _golden_grid import GRID, SERIAL_DRAW_GRID, grid_digest
+from _golden_grid import GRID, SERIAL_DRAW_GRID, grid_digest, trial_digest
 from repro.store.fingerprint import KERNEL_EPOCH
 
 #: sha256 digests of the full rendered reports, captured pre-fault-layer.
 GOLDEN_DIGESTS = {
     ("E1", True): "7277c4516bb021408d823754caba3f00600991cebe0395733b7302b558ea8083",
     ("E2", True): "fb9331478ed10ecf7f15a8da95ebd8d28b8cd6d2f3e4604f9bc913ed7cabe2b5",
-    ("E3", True): "d6fc0f7c64bc0351960a805ac68087efec0123e146492fc96eb209f77ec2c3c9",
-    ("E4", True): "19ce8bfb3dc6a9b1a478ebe989f63730a7c51410e1e3292c2c12745db97044cd",
-    ("E5", True): "6a4fb9681522c94f4da3c4c924bc35adb8f4a6c727c39cb31eb950ecb29a14f2",
-    ("E6", True): "f401f1ee2b8a04f459f2dbb0eb2030ec61a1368d153c4ee3df05719dbfbb8400",
-    ("E7", True): "7a2feaade512eaf9bad9e6f670e1f95eba4aa3cdc841c919163c081a1b588378",
+    ("E3", True): "5eef0ddc1e2dee1452589e9979e655aea83799ee5169a54a8b68a76c12767a15",
+    ("E4", True): "97aad99af3421677ddc00f3a19a18cacd8e390005456bca530afdcf52e7ee568",
+    ("E5", True): "392ffd8d26e900331e720ae3bbe26fecd71d10e92e92e14c1e0234675810e248",
+    ("E6", True): "3785fd9c3046444d8e817feaccfeec1add8d493d058ee7725ddaa355c03aeafc",
+    ("E7", True): "6d40cc20b1952416433f24816c372bf9326f587f7ee5a8b515a6220d926cdcbe",
     ("E8", True): "a0ced1302356d6fe6d2aae3ef5204d34271d6f09163ec60ad419f36fa68ad973",
-    ("E9", True): "4457a4937aa6910dec3cae0ba8af4f99ad10e74b77b16e7b97605803134e26fb",
+    ("E9", True): "c37c8c5fa6a37a8d82c4751961b893573f15144b65dd67ee86f9422fc398c1bc",
     ("E10", True): "a8404987d8eddf1df071e1968fd876669c58afc2b34b4042dfd71b08661443e6",
     ("E11", True): "759b20f21afb0039a497d33b9021f4f768a3c972ed37b315359c809e4bbef205",
     ("E1", False): "7277c4516bb021408d823754caba3f00600991cebe0395733b7302b558ea8083",
-    ("E7", False): "7da8f4ace3e60f25ea35539d999950070dcc0c9582958272aece34115734414a",
-    ("E9", False): "3f0cc1e8e90250d4e071048e0fd93769beb4eed3dc7175c57b2db7ee0bbfc06c",
+    ("E7", False): "d7516c024bda37446c01c44c259394bf3d2e8e3b4ff17d62e263ba0dcaeb410f",
+    ("E9", False): "7f855681dea170a390d48057a7643b559da861dda4733fa431b72ecf67cf192e",
     ("E11", False): "84592b6bddba3dc38c1dbdd824ab35db138a47aa676173f560dc9f77ede6bacb",
 }
 
@@ -61,13 +68,21 @@ GOLDEN_DIGESTS = {
 #: ``1af43b10...``); the serial ``deliver`` path is pinned by
 #: ``test_serial_broadcast_regression.py`` instead.
 SERIAL_DRAW_DIGESTS = {
-    ("E4", False): "63bf48aa5f6fa56aebb4839f3a4869c61a0ca1152a002add2fbcdcc7a51c060d",
-    ("E5", False): "c5307da4de0e811b152280bbf96066ac478a727bbd402bd703be98729b353d3f",
+    ("E4", False): "3b4f44701cf05a7e459e7b28dbc048a38b62593e4f56c0dacff8627b05fa0a59",
+    ("E5", False): "70e31d30c7a9f71ca82623ce28168f1ae9f741ef4f2073618708b96adb4900d5",
+}
+
+
+#: Per-trial records (every cell's seeds and measurements,
+#: ``_golden_grid.trial_digest``) of grid entries whose report does not move
+#: when the paper protocol's draws do; taken at kernel epoch 3.
+TRIAL_DIGESTS = {
+    ("E7", False): "493c787e12d3d69f863713c584efacce844691d5a4fa0d3526a1b64b697441cc",
 }
 
 
 #: The ``KERNEL_EPOCH`` these pins were taken (or last re-verified) at.
-PINNED_AT_EPOCH = 2
+PINNED_AT_EPOCH = 3
 
 
 def test_grid_covers_every_pre_fault_driver():
@@ -97,6 +112,13 @@ def test_serial_delivery_draws_match_pinned_digest(experiment_id, batch, overrid
     assert {(e, b) for e, b, _ in SERIAL_DRAW_GRID} == set(SERIAL_DRAW_DIGESTS)
     digest = grid_digest(experiment_id, batch, overrides)
     assert digest == SERIAL_DRAW_DIGESTS[(experiment_id, batch)]
+
+
+@pytest.mark.parametrize("experiment_id, batch", sorted(TRIAL_DIGESTS))
+def test_trial_records_match_pinned_digest(experiment_id, batch):
+    """Every trial's measurements, draw-dependent ones included, match the pin."""
+    overrides = next(o for e, b, o in GRID if (e, b) == (experiment_id, batch))
+    assert trial_digest(experiment_id, batch, overrides) == TRIAL_DIGESTS[(experiment_id, batch)]
 
 
 def test_pins_were_taken_at_the_current_kernel_epoch():

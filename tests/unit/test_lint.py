@@ -131,7 +131,6 @@ REFERENCING_TREES = ("src", "benchmarks", "perfbench", "examples")
 #: ``src`` symbols that only tests reference, kept on purpose.
 KEPT_TEST_ONLY_SYMBOLS: Dict[str, str] = {
     "RunArtifact.attach_sweep": "its test is the only '../escape' payload-key check at attach time",
-    "NoiseChannel.flips_applied": "the one-replicate resilient-delivery digests read it",
     "PushGossipNetwork.deliver_reference": "the literal delivery oracle the differential tests use",
     "PerfectChannel": "the noiseless control of the substrate and baseline tests",
     "chernoff_upper_tail": "Eq. 1 of the paper; its test checks it against exact binomial tails",

@@ -10,7 +10,10 @@ and Stage-II phase summary included, so a change in what a serial round
 draws, in who speaks, or in any phase-end rule shows up here.
 
 The digests were captured at commit f96d91a and must not be edited to make
-a change pass.
+a change pass.  They were re-taken at kernel epoch 3, when ``deliver``
+began drawing each recipient's noisy bit from its message counts and
+Stage I's reservoir became one phase-end draw (they were ``ac19d071...``
+and ``584669ad...``).
 """
 
 from __future__ import annotations
@@ -30,13 +33,13 @@ CASES = {
 }
 
 DIGESTS = {
-    "n200-eps0.3-seed7": "ac19d0710b1f288343af0fa42f3872ec931b3e62ccc7b2534892040eed1a4cf5",
-    "n120-eps0.4-seed3-opinion0": "584669ad408b7f1a50fcbb186df7d0251c809ae04e01199dc7df9baf411989ac",
+    "n200-eps0.3-seed7": "0600569ed2fa52a7f62aa4646c2eb3d504e2c063149bbdea82df844296de37b0",
+    "n120-eps0.4-seed3-opinion0": "bc07fd7754412c42f8cb136cd55c4e1752738eb8073941148eaac5404c11042a",
 }
 
 
 #: The ``KERNEL_EPOCH`` these pins were taken (or last re-verified) at.
-PINNED_AT_EPOCH = 2
+PINNED_AT_EPOCH = 3
 
 
 def result_digest(result) -> str:

@@ -15,17 +15,23 @@ levels:
   counters and the channel flip count;
 * ``E12_SERIAL_DIGESTS`` — the serial E12 driver (crash and Byzantine),
   digested through ``_golden_grid.grid_digest``; its paper-protocol column
-  runs the resilient kernel at ``R = 1``.
+  runs the resilient kernel at ``R = 1``.  Its reports do not move when the
+  paper protocol's draws do (every paper trial succeeds on a schedule-fixed
+  round count), so ``E12_SERIAL_TRIAL_DIGESTS`` also pins every trial's
+  measurements, ``messages`` included (``_golden_grid.trial_digest``).
 
 The substrate pins were captured through the serial ``deliver(faults=...)``
 entry point, which ran this kernel on a one-replicate int8 grid; they were
 re-taken at kernel epoch 1, when the injector's three always-zero
 ``burst_*`` counter keys were dropped (with those keys put back, the code
 reproduces the old pins).  Building the grid here, as that entry point did,
-reproduces them unchanged.  The E12 pins held at kernel epoch 2, when
-serial E12 trials became the batch rules at ``R = 1``: this configuration's
-reports came out the same on the new draws.  Neither must be edited to
-make a change pass.
+reproduces them unchanged.  The E12 report pins held at kernel epochs 2
+and 3, when serial E12 trials became the batch rules at ``R = 1`` and when
+delivery became the count rule: this configuration's reports came out the
+same on the new draws.  The substrate pins were re-taken at kernel epoch 3,
+without the sender identities and channel flip count the kernel no longer
+has, and the trial pins were taken then.  None must be edited to make a
+change pass.
 """
 
 from __future__ import annotations
@@ -36,7 +42,7 @@ import json
 import numpy as np
 import pytest
 
-from _golden_grid import grid_digest
+from _golden_grid import grid_digest, trial_digest
 from repro.store.fingerprint import KERNEL_EPOCH
 from repro.substrate.faults import ByzantineSenders, CrashStop, FaultInjector
 from repro.substrate.network import PushGossipNetwork
@@ -88,9 +94,7 @@ def _run_case(fault: str, topology: str, channel: str, size: int, allow_self: bo
             {
                 "recipients": report.cells.tolist(),
                 "bits": report.cell_bits.tolist(),
-                "senders": report.cell_senders.tolist(),
-                "dtypes": [str(report.cells.dtype), str(report.cell_bits.dtype),
-                           str(report.cell_senders.dtype)],
+                "dtypes": [str(report.cells.dtype), str(report.cell_bits.dtype)],
                 "counts": [sent, delivered, sent - delivered],
             }
         )
@@ -102,7 +106,6 @@ def _run_case(fault: str, topology: str, channel: str, size: int, allow_self: bo
         "crashed": injector.crashed.tolist(),
         "network": [network.messages_sent_total, network.messages_delivered_total,
                     network.messages_dropped_total, network.rounds_executed],
-        "channel_flips": noise.flips_applied(),
     }
 
 
@@ -114,10 +117,12 @@ def substrate_digest(fault: str, topology: str, channel: str) -> str:
 
 
 #: Re-taken at kernel epoch 1 without the ``burst_*`` counter keys (the
-#: ce8fe37 pins were 7d4fa970e3d6209a and 603b1f417f0df3ec).
+#: ce8fe37 pins were 7d4fa970e3d6209a and 603b1f417f0df3ec) and at kernel
+#: epoch 3 for the count rule (they were 16c0b709e78cb2d0 and
+#: f6a58c6f399a397a).
 SUBSTRATE_DIGESTS = {
-    ("crash", "uniform", "bsc"): "16c0b709e78cb2d0",
-    ("byz-random", "uniform", "bsc"): "f6a58c6f399a397a",
+    ("crash", "uniform", "bsc"): "db2e7f07fde1f584",
+    ("byz-random", "uniform", "bsc"): "a6b7f9d3faf6e525",
 }
 
 #: Serial E12 on the backend-parity configuration, one per fault kind.
@@ -137,9 +142,15 @@ E12_SERIAL_DIGESTS = {
     "byzantine": "445bd1b3bca5aecedd5e8239208133507ff2ee9c226e46255b983ad358814ef0",
 }
 
+#: Every trial's records on the same configurations, taken at kernel epoch 3.
+E12_SERIAL_TRIAL_DIGESTS = {
+    "crash": "911a862ebbd0435b87bb4e286dc527948d10d9d8993f2e5f3ea002f274987685",
+    "byzantine": "84986f1af9cfe78b2a098c3ebfe0adcf67172daeb2c411c61b0ceca897df0af0",
+}
+
 
 #: The ``KERNEL_EPOCH`` these pins were taken (or last re-verified) at.
-PINNED_AT_EPOCH = 2
+PINNED_AT_EPOCH = 3
 
 
 def test_every_case_is_pinned():
@@ -164,6 +175,17 @@ def test_serial_e12_matches_pinned_digest(experiment_id, batch, overrides):
     """Serial E12 reports (crash and Byzantine) are bit-identical to the pin."""
     digest = grid_digest(experiment_id, batch, overrides)
     assert digest == E12_SERIAL_DIGESTS[overrides["fault_kind"]]
+
+
+@pytest.mark.parametrize(
+    "experiment_id, batch, overrides",
+    E12_SERIAL_GRID,
+    ids=[f"E12-serial-{o['fault_kind']}" for _, _, o in E12_SERIAL_GRID],
+)
+def test_serial_e12_trials_match_pinned_digest(experiment_id, batch, overrides):
+    """Serial E12 trial records, the paper rows' messages included, match the pin."""
+    digest = trial_digest(experiment_id, batch, overrides)
+    assert digest == E12_SERIAL_TRIAL_DIGESTS[overrides["fault_kind"]]
 
 
 def test_pins_were_taken_at_the_current_kernel_epoch():
