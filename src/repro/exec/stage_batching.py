@@ -408,8 +408,10 @@ class _PhaseCounts:
     """
 
     def __init__(self, shape: Tuple[int, int]) -> None:
-        self.heard = np.zeros(shape, dtype=np.int64)
-        self.ones = np.zeros(shape, dtype=np.int64)
+        # int32 takes the round's bool/int8 grids about twice as fast as
+        # int64; a phase would need 2**31 rounds to overflow it.
+        self.heard = np.zeros(shape, dtype=np.int32)
+        self.ones = np.zeros(shape, dtype=np.int32)
 
     def observe(self, report) -> None:
         """Add one round's accepted messages."""

@@ -545,9 +545,11 @@ class PushGossipNetwork:
         ``q``: the result is 1 with probability ``q + (1 - 2q) O / N``.
         """
         flip = channel.flip_probability
-        counts = np.take(workspace.counts, cells)
-        ones = np.take(workspace.ones, cells)
-        return np.less(uniforms, flip + (1.0 - 2.0 * flip) * (ones / counts)).view(np.int8)
+        one = np.take(workspace.ones, cells) / np.take(workspace.counts, cells)
+        if flip:
+            one *= 1.0 - 2.0 * flip
+            one += flip
+        return np.less(uniforms, one).view(np.int8)
 
     @staticmethod
     def _report(
