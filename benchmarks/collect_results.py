@@ -92,9 +92,11 @@ def _recorded_machine(path: Path, payload: Dict[str, Any]) -> Dict[str, Any]:
 
 
 #: Keys a result file may add, copied into its summary entry when present:
-#: the quartiles of paired speed ratios, and the layer a perfbench pair
-#: record names with its traced metrics per side.
-OPTIONAL_KEYS = ("speedup_quartiles", "layer", "traced")
+#: the quartiles of paired speed ratios, a perfbench pair record's win count
+#: and per-side medians and quartiles (``summary``) and the layer it names
+#: with its traced metrics per side, and the delivery benches' check that
+#: the timed rules agree in law (``agreement``).
+OPTIONAL_KEYS = ("speedup_quartiles", "summary", "layer", "traced", "agreement")
 
 
 def _entry(source: str, payload: Dict[str, Any], machine: Dict[str, Any]) -> Dict[str, Any]:
