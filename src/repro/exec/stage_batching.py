@@ -6,12 +6,12 @@ at phase start; each agent's messages counted per phase, and a newly
 activated agent's opinion drawn once at the phase's end, a 1 with
 probability ``ones / heard``; the newly activated measured per phase) and
 :func:`run_stage2_batch` (the same counts plus the hypergeometric
-simulation of the majority of a random subset) — and returns replicate-vector phase summaries with the per-phase
-observables ``X_i`` / ``Y_i`` / ``eps_i`` (Claims 2.2–2.8) and ``delta_i``
-(Lemma 2.14).  The protocol-level simulators in :mod:`repro.exec.batching`
-and the stage-level experiments (E4's phase-0 dissemination, E5's per-phase
-layer growth, E6's per-phase bias boosting, E9's clock-free variants) all
-run these kernels: batched as one grid, serially as one replicate per trial
+simulation of the majority of a random subset) — and returns
+replicate-vector phase summaries with the per-phase observables ``X_i`` /
+``Y_i`` / ``eps_i`` (Claims 2.2–2.8) and ``delta_i`` (Lemma 2.14).  The
+protocol-level simulators in :mod:`repro.exec.batching` and the stage-level
+experiments (E4's phase-0 dissemination, E5's per-phase layer growth, E6's
+per-phase bias boosting, E9's clock-free variants) all run these kernels: batched as one grid, serially as one replicate per trial
 under the trial's own seed.  The serial engine executors
 :func:`repro.core.stage1.execute_stage_one` /
 :func:`repro.core.stage2.execute_stage_two` remain for the source-seeded,

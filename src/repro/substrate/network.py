@@ -289,7 +289,8 @@ class PushGossipNetwork:
         targets = self._draw_targets(senders, rng)
         workspace = self._workspace_for((1, self.size))
         recipients = self._count_messages(targets, targets[bits != 0], workspace)
-        accepted_bits = self._noisy_bits(recipients, rng.random(recipients.size), workspace, channel)
+        uniforms = rng.random(recipients.size)
+        accepted_bits = self._noisy_bits(recipients, uniforms, workspace, channel)
 
         sent = int(senders.size)
         delivered = int(recipients.size)
@@ -490,7 +491,9 @@ class PushGossipNetwork:
             inboxes.setdefault(target, []).append(bit)
 
         recipients = sorted(inboxes)
-        kept = [inboxes[target][int(rng.integers(0, len(inboxes[target])))] for target in recipients]
+        kept = [
+            inboxes[target][int(rng.integers(0, len(inboxes[target])))] for target in recipients
+        ]
         noisy = channel.transmit(np.asarray(kept, dtype=np.int8), rng)
         sent = int(senders.size)
         delivered = len(recipients)
@@ -560,7 +563,9 @@ class PushGossipNetwork:
         workspace: _Workspace,
     ) -> BatchDeliveryReport:
         """A batch report whose ``accepted`` grid is a copy of the heard flags."""
-        report = BatchDeliveryReport(shape=shape, cells=cells, cell_bits=cell_bits, messages_sent=sent)
+        report = BatchDeliveryReport(
+            shape=shape, cells=cells, cell_bits=cell_bits, messages_sent=sent
+        )
         report.__dict__["accepted"] = workspace.heard.reshape(shape).copy()
         return report
 

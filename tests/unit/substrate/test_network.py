@@ -352,7 +352,8 @@ class TestCountStep:
         for _ in range(3):
             network.deliver_batch(mask, 1 - bits, PerfectChannel(), rng, faults=injector)
         assert network._workspace is workspace
-        assert all(a is b for a, b in zip(buffers, (workspace.counts, workspace.ones, workspace.heard)))
+        kept = (workspace.counts, workspace.ones, workspace.heard)
+        assert all(old is new for old, new in zip(buffers, kept))
 
     def test_noiseless_cells_keep_a_one_with_probability_ones_over_count(self):
         """Over a perfect channel a cell that heard O ones among N messages
@@ -360,10 +361,11 @@ class TestCountStep:
         workspace = _Workspace((1, 3))
         buckets = np.array([0, 1, 0, 0, 2])  # ones first: cells 0 and 1 hear one 1 each
         cells = PushGossipNetwork._count_messages(buckets, buckets[:2], workspace)
-        uniforms = np.random.default_rng(2).random((6000, 1)) * np.ones((1, cells.size))
-        kept = np.array(
-            [PushGossipNetwork._noisy_bits(cells, row, workspace, PerfectChannel()) for row in uniforms]
-        )
+        draws = np.random.default_rng(2).random(6000)
+        kept = np.array([
+            PushGossipNetwork._noisy_bits(cells, np.full(cells.size, u), workspace, PerfectChannel())
+            for u in draws
+        ])
         assert kept[:, 0].mean() == pytest.approx(1 / 3, abs=0.03)
         assert kept[:, 1].all() and not kept[:, 2].any()
 
