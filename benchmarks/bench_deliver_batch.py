@@ -122,13 +122,6 @@ def _load_serial_bench():
     return module
 
 
-class _Round:
-    """One batch round's accepted cells and bits, in the serial report's terms."""
-
-    def __init__(self, report: BatchDeliveryReport) -> None:
-        self.recipients, self.bits = report.cells, report.cell_bits
-
-
 def _measure_family(workload: Dict[str, Any], fraction: float, fresh: bool) -> Dict[str, Any]:
     """Time both paths on one family alternately, then check they agree in law."""
     n, replicates = workload["n"], workload["replicates"]
@@ -168,7 +161,7 @@ def _measure_family(workload: Dict[str, Any], fraction: float, fresh: bool) -> D
             samples[label].append(per_round_us(label))
     ratios = [old / new for old, new in zip(samples["argsort_oracle"], samples["deliver_batch"])]
     statistics_gap = _load_serial_bench().agreement(
-        {label: [_Round(report) for report in kept] for label, kept in reports.items()}
+        {label: [report.cell_bits for report in kept] for label, kept in reports.items()}
     )
     for statistic, summary in statistics_gap.items():
         assert summary["gap_se"] <= TOLERANCE_SE, (statistic, summary)

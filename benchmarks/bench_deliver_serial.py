@@ -106,31 +106,33 @@ def _machine_stamp() -> Dict[str, Any]:
     return module.machine_stamp()
 
 
-def agreement(reports: Dict[str, list]) -> Dict[str, Dict[str, float]]:
+def agreement(kept_bits: Dict[str, list]) -> Dict[str, Dict[str, float]]:
     """Per statistic, each path's mean and the gap in combined standard errors.
 
-    The statistics are a round's accepted-message count and its share of
-    accepted 1s; ``reports`` maps each path to its rounds' reports.
+    ``kept_bits`` maps each path to its rounds' accepted noisy bits, one
+    array per round; the statistics are a round's accepted-message count
+    and its share of accepted 1s.
     """
     rounds = {
         label: {
-            "accepted": np.array([report.recipients.size for report in batch], dtype=float),
-            "ones_rate": np.array(
-                [report.bits.mean() for report in batch if report.bits.size], dtype=float
-            ),
+            "accepted": np.array([bits.size for bits in per_round], dtype=float),
+            "ones_rate": np.array([bits.mean() for bits in per_round if bits.size]),
         }
-        for label, batch in reports.items()
+        for label, per_round in kept_bits.items()
     }
     first, second = rounds
     summary: Dict[str, Dict[str, float]] = {}
     for statistic in ("accepted", "ones_rate"):
-        means = {label: round(float(rounds[label][statistic].mean()), 4) for label in rounds}
+        means = {label: float(rounds[label][statistic].mean()) for label in rounds}
         errors = [
             rounds[label][statistic].std(ddof=1) / np.sqrt(rounds[label][statistic].size)
             for label in rounds
         ]
         gap = abs(means[first] - means[second]) / max(float(np.hypot(*errors)), 1e-12)
-        summary[statistic] = {**means, "gap_se": round(gap, 2)}
+        summary[statistic] = {
+            **{label: round(mean, 4) for label, mean in means.items()},
+            "gap_se": round(gap, 2),
+        }
     return summary
 
 
@@ -164,7 +166,9 @@ def measure(workload: Dict[str, Any]) -> Dict[str, Any]:
         for label in paths:
             samples[label].append(per_round_us(label))
     ratios = [old / new for old, new in zip(samples["unique_oracle"], samples["deliver"])]
-    statistics_gap = agreement(reports)
+    statistics_gap = agreement(
+        {label: [report.bits for report in kept] for label, kept in reports.items()}
+    )
     for statistic, summary in statistics_gap.items():
         assert summary["gap_se"] <= TOLERANCE_SE, (statistic, summary)
 
