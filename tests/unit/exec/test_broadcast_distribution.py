@@ -44,7 +44,9 @@ OVERRIDES = {"sizes": (20, 24), "epsilon": 0.26}
 TRIALS = {"serial": 120, "batch": 480}
 
 #: (mode, cell, measurement) -> (mean, standard error) over the trials of
-#: each cell at 9f44bc6.
+#: each cell at 9f44bc6.  The batched ``success`` means sit below 1: the
+#: point was chosen where the protocol sometimes fails, so the oracle also
+#: compares failure rates, not only measurements every run saturates.
 RECORDED = {
     ('serial', 'E1-rounds-vs-n[n=20]', 'final_correct_fraction'): (1.0, 0.0),
     ('serial', 'E1-rounds-vs-n[n=20]', 'messages'): (8594.17, 3.69897),
@@ -110,15 +112,6 @@ def test_every_measurement_is_recorded(mode):
         for key in trial.measurements
     }
     assert reported == recorded
-
-
-def test_the_batched_cells_include_failures():
-    """The point is only useful while the protocol sometimes fails there."""
-    assert all(
-        mean < 1.0
-        for (mode, _cell, key), (mean, _se) in RECORDED.items()
-        if mode == "batch" and key == "success"
-    )
 
 
 @pytest.mark.parametrize(

@@ -17,18 +17,19 @@ chi-square test compares it with the outcomes of
 * :meth:`PushGossipNetwork.deliver_reference`, the literal transcription.
 
 Every case uses a fixed seed, so the test is deterministic; the threshold
-is a p-value of 1e-4.
+is a p-value of 1e-4, computed with the standard library alone
+(:func:`chi_square_survival`).
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from collections import Counter
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from scipy import stats
 
 from repro.substrate.faults import CrashStop, FaultInjector
 from repro.substrate.network import PushGossipNetwork
@@ -70,19 +71,20 @@ def exact_law(size, sender_bits, allow_self):
         inboxes = {}
         for sender, target in zip(senders, targets):
             inboxes.setdefault(target, []).append(sender_bits[sender])
-        # Each recipient keeps each of its messages with probability 1/N,
-        # then the channel flips the kept bit with probability FLIP.
-        per_recipient = []
-        for recipient, inbox in sorted(inboxes.items()):
-            one = Fraction(sum(inbox), len(inbox))
-            noisy_one = FLIP + (1 - 2 * FLIP) * one
-            per_recipient.append((recipient, noisy_one))
-        for noisy in itertools.product((0, 1), repeat=len(per_recipient)):
+        recipients = sorted(inboxes)
+        # Each recipient keeps one of its N messages, each with probability
+        # 1/N, and the channel flips the kept bit with probability FLIP.
+        picks = [
+            [(kept, flipped) for kept in range(len(inboxes[r])) for flipped in (0, 1)]
+            for r in recipients
+        ]
+        for choice in itertools.product(*picks):
             probability = weight
             outcome = [-1] * size
-            for (recipient, noisy_one), bit in zip(per_recipient, noisy):
-                probability *= noisy_one if bit else 1 - noisy_one
-                outcome[recipient] = bit
+            for recipient, (kept, flipped) in zip(recipients, choice):
+                inbox = inboxes[recipient]
+                probability *= Fraction(1, len(inbox)) * (FLIP if flipped else 1 - FLIP)
+                outcome[recipient] = inbox[kept] ^ flipped
             law[tuple(outcome)] += probability
     assert sum(law.values()) == 1
     return law
@@ -133,6 +135,39 @@ PATHS = {
 }
 
 
+def chi_square_survival(statistic, dof):
+    """``P(X >= statistic)`` for ``X`` chi-square with ``dof`` degrees of
+    freedom: the regularized upper incomplete gamma ``Q(dof/2, statistic/2)``,
+    by its series below ``a + 1`` and its continued fraction above."""
+    a, x = dof / 2, statistic / 2
+    if x <= 0:
+        return 1.0
+    scale = math.exp(a * math.log(x) - x - math.lgamma(a))
+    if x < a + 1:
+        term = total = 1 / a
+        denominator = a
+        while term > total * 1e-16:
+            denominator += 1
+            term *= x / denominator
+            total += term
+        return max(0.0, 1 - scale * total)
+    tiny = 1e-300
+    b = x + 1 - a
+    c, d = 1 / tiny, 1 / b
+    fraction = d
+    for i in range(1, 1000):
+        numerator = -i * (i - a)
+        b += 2
+        d = numerator * d + b
+        d = 1 / (d if abs(d) > tiny else tiny)
+        c = b + numerator / c
+        c = c if abs(c) > tiny else tiny
+        fraction *= d * c
+        if abs(d * c - 1) < 1e-16:
+            break
+    return scale * fraction
+
+
 def chi_square_p_value(law, observed):
     """p-value of the observed outcome counts under ``law``, with outcomes
     expected fewer than five times pooled into one bin."""
@@ -151,7 +186,19 @@ def chi_square_p_value(law, observed):
     if pooled_expected:
         expected.append(pooled_expected)
         counts.append(pooled_count)
-    return stats.chisquare(counts, expected).pvalue
+    statistic = sum((count - mean) ** 2 / mean for count, mean in zip(counts, expected))
+    return chi_square_survival(statistic, len(expected) - 1)
+
+
+@pytest.mark.parametrize("statistic", [0.1, 1.0, 3.0, 7.5, 20.0, 60.0])
+def test_chi_square_survival_matches_closed_forms(statistic):
+    """One, two and four degrees of freedom have closed-form tails."""
+    half = statistic / 2
+    assert chi_square_survival(statistic, 1) == pytest.approx(math.erfc(math.sqrt(half)), rel=1e-9)
+    assert chi_square_survival(statistic, 2) == pytest.approx(math.exp(-half), rel=1e-9)
+    assert chi_square_survival(statistic, 4) == pytest.approx(
+        math.exp(-half) * (1 + half), rel=1e-9
+    )
 
 
 def test_the_enumerated_law_is_the_count_rule():
