@@ -196,7 +196,6 @@ class _Workspace:
         self.shape = shape
         self.counts = np.zeros(cells, dtype=np.int64)
         self.ones = np.zeros(cells, dtype=np.int64)
-        self.heard = np.zeros(cells, dtype=bool)
         self.flags = np.empty(cells, dtype=bool)
 
 
@@ -288,7 +287,7 @@ class PushGossipNetwork:
 
         targets = self._draw_targets(senders, rng)
         workspace = self._workspace_for((1, self.size))
-        recipients = self._count_messages(targets, targets[bits != 0], workspace)
+        recipients = np.flatnonzero(self._count_messages(targets, targets[bits != 0], workspace))
         uniforms = rng.random(recipients.size)
         accepted_bits = self._noisy_bits(recipients, uniforms, workspace, channel)
 
@@ -379,13 +378,14 @@ class PushGossipNetwork:
             buckets = rng.integers(0, size - 1, size=count)
             buckets += np.greater_equal(buckets, cols, out=workspace.flags[:count])
         buckets += prepared.offsets
-        cells = self._count_messages(buckets, buckets[: prepared.ones], workspace)
+        accepted = self._count_messages(buckets, buckets[: prepared.ones], workspace)
+        cells = np.flatnonzero(accepted)
         cell_bits = self._noisy_bits(cells, rng.random(cells.size), workspace, channel)
 
         delivered = int(cells.size)
         self.messages_delivered_total += delivered
         self.messages_dropped_total += count - delivered
-        return self._report(shape, cells, cell_bits, prepared.sent.copy(), workspace)
+        return self._report(shape, cells, cell_bits, prepared.sent.copy(), accepted)
 
     def _prepare_round(self, send_mask: np.ndarray, bits: np.ndarray) -> _PreparedRound:
         """Validate one round's grids and lay out its messages, ones first."""
@@ -448,16 +448,17 @@ class PushGossipNetwork:
 
         buckets_grid = targets_grid + np.arange(0, num_replicates * size, size)[:, None]
         workspace = self._workspace_for(shape)
-        cells = self._count_messages(
+        accepted = self._count_messages(
             buckets_grid[send_mask], buckets_grid[send_mask & (bits != 0)], workspace
         )
+        cells = np.flatnonzero(accepted)
         cell_bits = self._noisy_bits(cells, uniforms[cells], workspace, channel)
 
         sent = send_mask.sum(axis=1).astype(np.int64)
         self.messages_sent_total += int(sent.sum())
         self.messages_delivered_total += int(cells.size)
         self.messages_dropped_total += int(sent.sum()) - int(cells.size)
-        return self._report(shape, cells, cell_bits, sent, workspace)
+        return self._report(shape, cells, cell_bits, sent, accepted)
 
     def deliver_reference(
         self,
@@ -522,20 +523,20 @@ class PushGossipNetwork:
     def _count_messages(
         buckets: np.ndarray, one_buckets: np.ndarray, workspace: _Workspace
     ) -> np.ndarray:
-        """Count each cell's messages and return the cells that heard any.
+        """Count each cell's messages and flag the cells that heard any.
 
         ``buckets`` holds every message's flat target cell (``row * size +
         target``) and ``one_buckets`` those of the messages carrying a 1.
         The per-cell counts ``N`` and ``O`` land in ``workspace.counts`` and
-        ``workspace.ones``, the heard cells are flagged in
-        ``workspace.heard``, and their flat indices are returned ascending.
+        ``workspace.ones``; the returned flat bool array, new each round, is
+        ``N > 0``.
         """
         counts, ones = workspace.counts, workspace.ones
         counts.fill(0)
         np.add.at(counts, buckets, 1)
         ones.fill(0)
         np.add.at(ones, one_buckets, 1)
-        return np.flatnonzero(np.greater(counts, 0, out=workspace.heard))
+        return np.greater(counts, 0)
 
     @staticmethod
     def _noisy_bits(
@@ -560,13 +561,13 @@ class PushGossipNetwork:
         cells: np.ndarray,
         cell_bits: np.ndarray,
         sent: np.ndarray,
-        workspace: _Workspace,
+        accepted: np.ndarray,
     ) -> BatchDeliveryReport:
-        """A batch report whose ``accepted`` grid is a copy of the heard flags."""
+        """A batch report that keeps the round's flat ``accepted`` flags as its grid."""
         report = BatchDeliveryReport(
             shape=shape, cells=cells, cell_bits=cell_bits, messages_sent=sent
         )
-        report.__dict__["accepted"] = workspace.heard.reshape(shape).copy()
+        report.__dict__["accepted"] = accepted.reshape(shape)
         return report
 
     @staticmethod

@@ -324,17 +324,16 @@ class TestCountStep:
     def test_counts_every_message_and_every_one(self):
         workspace = _Workspace((2, 5))
         buckets = np.array([3, 3, 7, 3, 9, 7])
-        cells = PushGossipNetwork._count_messages(buckets, buckets[:2], workspace)
-        assert cells.tolist() == [3, 7, 9]
+        heard = PushGossipNetwork._count_messages(buckets, buckets[:2], workspace)
+        assert heard.tolist() == [c in (3, 7, 9) for c in range(10)]
         assert workspace.counts.tolist() == [0, 0, 0, 3, 0, 0, 0, 2, 0, 1]
         assert workspace.ones.tolist() == [0, 0, 0, 2, 0, 0, 0, 0, 0, 0]
-        assert workspace.heard.tolist() == [c in (3, 7, 9) for c in range(10)]
 
     def test_buffers_are_wiped_between_rounds(self):
         workspace = _Workspace((1, 4))
         PushGossipNetwork._count_messages(np.array([0, 0, 1]), np.array([0]), workspace)
-        cells = PushGossipNetwork._count_messages(np.array([2]), np.array([2]), workspace)
-        assert cells.tolist() == [2]
+        heard = PushGossipNetwork._count_messages(np.array([2]), np.array([2]), workspace)
+        assert np.flatnonzero(heard).tolist() == [2]
         assert workspace.counts.tolist() == [0, 0, 1, 0]
         assert workspace.ones.tolist() == [0, 0, 1, 0]
 
@@ -348,11 +347,11 @@ class TestCountStep:
         bits = np.arange(40).reshape(2, 20) % 2
         network.deliver_batch(mask, bits, PerfectChannel(), rng, faults=injector)
         workspace = network._workspace
-        buffers = (workspace.counts, workspace.ones, workspace.heard)
+        buffers = (workspace.counts, workspace.ones)
         for _ in range(3):
             network.deliver_batch(mask, 1 - bits, PerfectChannel(), rng, faults=injector)
         assert network._workspace is workspace
-        kept = (workspace.counts, workspace.ones, workspace.heard)
+        kept = (workspace.counts, workspace.ones)
         assert all(old is new for old, new in zip(buffers, kept))
 
     def test_noiseless_cells_keep_a_one_with_probability_ones_over_count(self):
@@ -360,7 +359,7 @@ class TestCountStep:
         keeps a 1 with probability O / N (here 1/3, 1 and 0)."""
         workspace = _Workspace((1, 3))
         buckets = np.array([0, 1, 0, 0, 2])  # ones first: cells 0 and 1 hear one 1 each
-        cells = PushGossipNetwork._count_messages(buckets, buckets[:2], workspace)
+        cells = np.flatnonzero(PushGossipNetwork._count_messages(buckets, buckets[:2], workspace))
         draws = np.random.default_rng(2).random(6000)
         kept = np.array([
             PushGossipNetwork._noisy_bits(cells, np.full(cells.size, u), workspace, PerfectChannel())
