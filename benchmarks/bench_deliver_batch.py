@@ -25,9 +25,9 @@ the timed baseline.  The two rules draw differently, so ``measure`` checks
 that they agree in law instead: over the last timed repeat's rounds, each
 family's mean number of accepted messages per round and mean share of
 accepted 1s must lie within :data:`TOLERANCE_SE` combined standard errors
-of each other (``bench_deliver_serial.agreement``).  Repeats alternate
-between the two paths, and the speedup is the median of the per-repeat
-ratios, so slow drift in machine speed cancels out.
+of each other (``rule_agreement.py``).  Repeats alternate between the two
+paths, and the speedup is the median of the per-repeat ratios, so slow
+drift in machine speed cancels out.
 
 ``build_workloads(toy=True)`` shrinks the round and repeat counts so the
 smoke gate in ``tests/unit/test_smoke_gates.py`` can check the full-send
@@ -53,8 +53,21 @@ RESULTS_PATH = Path(__file__).parent / "results" / "deliver_batch.json"
 #: Minimum full-send speedup the full-size run asserts (the smoke gate asserts 1.1x).
 MIN_SPEEDUP = 1.25
 
+
+def _sibling(name: str):
+    """``benchmarks/<name>.py`` as a module (``benchmarks/`` is not a package)."""
+    script = Path(__file__).with_name(f"{name}.py")
+    spec = importlib.util.spec_from_file_location(f"_{name}", script)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+_RULE_AGREEMENT = _sibling("rule_agreement")
+agreement = _RULE_AGREEMENT.agreement
+
 #: How many combined standard errors the two rules' round statistics may differ.
-TOLERANCE_SE = 4.0
+TOLERANCE_SE = _RULE_AGREEMENT.TOLERANCE_SE
 
 #: Families timed: the share of agents that speak, and whether every round
 #: gets fresh inputs (``True``) or repeats one phase's inputs (``False``).
@@ -113,15 +126,6 @@ def build_workloads(toy: bool = False) -> Dict[str, Any]:
     return {"n": 2000, "replicates": 8, "epsilon": 0.2, "rounds": 200, "repeats": 11, "seed": 7}
 
 
-def _load_serial_bench():
-    """``bench_deliver_serial`` as a module (for its ``agreement`` check)."""
-    script = Path(__file__).with_name("bench_deliver_serial.py")
-    spec = importlib.util.spec_from_file_location("_deliver_serial_bench", script)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 def _measure_family(workload: Dict[str, Any], fraction: float, fresh: bool) -> Dict[str, Any]:
     """Time both paths on one family alternately, then check they agree in law."""
     n, replicates = workload["n"], workload["replicates"]
@@ -160,7 +164,7 @@ def _measure_family(workload: Dict[str, Any], fraction: float, fresh: bool) -> D
         for label in paths:
             samples[label].append(per_round_us(label))
     ratios = [old / new for old, new in zip(samples["argsort_oracle"], samples["deliver_batch"])]
-    statistics_gap = _load_serial_bench().agreement(
+    statistics_gap = agreement(
         {label: [report.cell_bits for report in kept] for label, kept in reports.items()}
     )
     for statistic, summary in statistics_gap.items():

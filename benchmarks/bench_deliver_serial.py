@@ -15,9 +15,10 @@ The sort-based rule survives only here, as :func:`unique_deliver`, the
 timed baseline.  The two rules draw differently, so ``measure`` checks that
 they agree in law instead: over the last timed repeat's rounds, the mean
 number of accepted messages and the mean share of accepted 1s of the two
-must lie within :data:`TOLERANCE_SE` combined standard errors.  Repeats
-alternate between the two paths, and the speedup is the median of the
-per-repeat ratios, so slow drift in machine speed cancels out.
+must lie within :data:`TOLERANCE_SE` combined standard errors
+(``rule_agreement.py``).  Repeats alternate between the two paths, and the
+speedup is the median of the per-repeat ratios, so slow drift in machine
+speed cancels out.
 
 ``build_workloads(toy=True)`` shrinks the round and repeat counts so the
 smoke gate in ``tests/unit/test_smoke_gates.py`` can check the speed *ratio*
@@ -44,8 +45,21 @@ RESULTS_PATH = Path(__file__).parent / "results" / "deliver_serial.json"
 #: Minimum speedup the full-size run asserts (the smoke gate asserts 1.5x).
 MIN_SPEEDUP = 2.0
 
+
+def _sibling(name: str):
+    """``benchmarks/<name>.py`` as a module (``benchmarks/`` is not a package)."""
+    script = Path(__file__).with_name(f"{name}.py")
+    spec = importlib.util.spec_from_file_location(f"_{name}", script)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+_RULE_AGREEMENT = _sibling("rule_agreement")
+agreement = _RULE_AGREEMENT.agreement
+
 #: How many combined standard errors the two rules' round statistics may differ.
-TOLERANCE_SE = 4.0
+TOLERANCE_SE = _RULE_AGREEMENT.TOLERANCE_SE
 
 
 def unique_deliver(
@@ -99,41 +113,7 @@ def build_workloads(toy: bool = False) -> Dict[str, Any]:
 
 def _machine_stamp() -> Dict[str, Any]:
     """Commit, CPU count and versions, from ``collect_results.machine_stamp``."""
-    script = Path(__file__).with_name("collect_results.py")
-    spec = importlib.util.spec_from_file_location("_deliver_bench_collect", script)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module.machine_stamp()
-
-
-def agreement(kept_bits: Dict[str, list]) -> Dict[str, Dict[str, float]]:
-    """Per statistic, each path's mean and the gap in combined standard errors.
-
-    ``kept_bits`` maps each path to its rounds' accepted noisy bits, one
-    array per round; the statistics are a round's accepted-message count
-    and its share of accepted 1s.
-    """
-    rounds = {
-        label: {
-            "accepted": np.array([bits.size for bits in per_round], dtype=float),
-            "ones_rate": np.array([bits.mean() for bits in per_round if bits.size]),
-        }
-        for label, per_round in kept_bits.items()
-    }
-    first, second = rounds
-    summary: Dict[str, Dict[str, float]] = {}
-    for statistic in ("accepted", "ones_rate"):
-        means = {label: float(rounds[label][statistic].mean()) for label in rounds}
-        errors = [
-            rounds[label][statistic].std(ddof=1) / np.sqrt(rounds[label][statistic].size)
-            for label in rounds
-        ]
-        gap = abs(means[first] - means[second]) / max(float(np.hypot(*errors)), 1e-12)
-        summary[statistic] = {
-            **{label: round(mean, 4) for label, mean in means.items()},
-            "gap_se": round(gap, 2),
-        }
-    return summary
+    return _sibling("collect_results").machine_stamp()
 
 
 def measure(workload: Dict[str, Any]) -> Dict[str, Any]:
