@@ -11,11 +11,13 @@ both fault kinds' reports move with the batch draws.
 The crash report still sees a changed batch draw only when some trial
 fails: every trial succeeds and every prone agent crashes at most seeds.
 ``E12_BATCH_TRIAL_DIGESTS["crash"]`` therefore also pins every trial's
-measurements, ``messages`` included (``_golden_grid.trial_digest``).
+measurements, ``messages`` included (``_golden_grid.trial_digest``).  The
+Byzantine report held through kernel epoch 3's redraw of every batched
+delivery as well, so its trial records are pinned beside it.
 
 The report digests were captured at commit 38726fa and held at kernel
-epoch 3, when delivery became the count rule; the trial pin was taken
-then.  None must be edited to make a change pass.
+epoch 3, when delivery became the count rule; the trial pins were taken
+at that epoch.  None must be edited to make a change pass.
 """
 
 from __future__ import annotations
@@ -38,9 +40,10 @@ E12_BATCH_DIGESTS = {
     "byzantine": "691910ecb36c2f5bc4bace173876ca914d39a3ebd4da3c1b846cf255e9ba0eaf",
 }
 
-#: Every trial's records of the crash configuration, taken at kernel epoch 3.
+#: Every trial's records of each configuration, taken at kernel epoch 3.
 E12_BATCH_TRIAL_DIGESTS = {
     "crash": "702ea5c67283590adab864eb3f417b20046260e24a96fcb426d2d83eb2ee44dd",
+    "byzantine": "4a2b2827cea627325ee5d00cd928047cb224213ad99e0afbd77de889d69807c7",
 }
 
 
@@ -65,6 +68,13 @@ def test_batched_crash_trials_match_pinned_digest():
     experiment_id, batch, overrides = E12_BATCH_GRID[0]
     assert overrides["fault_kind"] == "crash"
     assert trial_digest(experiment_id, batch, overrides) == E12_BATCH_TRIAL_DIGESTS["crash"]
+
+
+def test_batched_byzantine_trials_match_pinned_digest():
+    """Batched E12 Byzantine trial records, messages included, match the pin."""
+    experiment_id, batch, overrides = E12_BATCH_GRID[1]
+    assert overrides["fault_kind"] == "byzantine"
+    assert trial_digest(experiment_id, batch, overrides) == E12_BATCH_TRIAL_DIGESTS["byzantine"]
 
 
 def test_batched_pin_moves_with_the_batch_draws():

@@ -26,7 +26,9 @@ recipient's noisy bit drawn from its message and 1-message counts) and
 Stage I's reservoir became one phase-end draw; every entry whose report
 moved was re-taken then (CHANGES.md lists old and new values).  E7's
 report had not seen its paper rows' draws, so ``TRIAL_DIGESTS`` pins its
-per-trial records too.
+per-trial records too.  Batched E2 and E8 held their report pins through
+that redraw (every trial at their size succeeds on the schedule-fixed
+round count), so their per-trial records were pinned at epoch 3 as well.
 
 E12 is deliberately absent: it did not exist at the seed revision.  Its
 f=0 column is covered by the exec-level bit-identity pin in
@@ -77,7 +79,9 @@ SERIAL_DRAW_DIGESTS = {
 #: ``_golden_grid.trial_digest``) of grid entries whose report does not move
 #: when the paper protocol's draws do; taken at kernel epoch 3.
 TRIAL_DIGESTS = {
+    ("E2", True): "352b496c927b2926e8e0d64ffca4d00fb45bb73b1e840b2e7067acfbe98f740c",
     ("E7", False): "493c787e12d3d69f863713c584efacce844691d5a4fa0d3526a1b64b697441cc",
+    ("E8", True): "d96ca9524802c7aa4b73307ca35aa3a2b4c0c809ae8d5d7a7764d4dc161585b8",
 }
 
 
