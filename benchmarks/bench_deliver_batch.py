@@ -8,20 +8,26 @@ priority``, and noise the winners in a separate channel pass.  It now counts
 each cell's messages and 1-messages (``np.add.at`` into reused buffers, over
 a layout that lists the 1-carrying messages first) and draws each heard
 cell's noisy bit with one uniform against those counts (the count rule of
-:mod:`repro.substrate.network`).  It also keeps the last validated inputs
-and reuses them while a caller passes the same grids again.  This benchmark
-times rounds at ``R = 8``, ``n = 2000`` both ways, in three families, and
-records the microseconds per round in
-``benchmarks/results/deliver_batch.json``:
+:mod:`repro.substrate.network`).  This benchmark times rounds at ``R = 8``,
+``n = 2000`` both ways, in three families, and records the microseconds per
+round in ``benchmarks/results/deliver_batch.json``:
 
-* ``full_send`` and ``send_10pct``: a phase loop, the same inputs for every
-  round, as the stage kernels call it (every Stage-II round is a full send);
+* ``full_send`` and ``send_10pct``: a loop of one-round calls with the same
+  inputs for every round (every Stage-II round is a full send);
 * ``fresh_inputs``: full send with a new bit grid every round, as the
-  batched baselines of E7 and E11 call it, so no round repeats the last
-  one's inputs and each is validated and laid out anew.
+  batched baselines of E7 and E11 call it.
+
+A fourth family, ``phase``, times what the stage kernels do with a phase's
+fixed inputs: one ``deliver_batch(..., rounds=40)`` call against 40
+one-round calls, each side adding its reports into per-cell totals, at
+``(R, n)`` = (2, 200), (3, 2000) and (8, 2000).  The two sides draw the same
+numbers, so its check is exact equality of the totals and of the
+generator's next draw; it records the per-round saving and asserts no
+speed.
 
 The sort-based rule survives only here, as :func:`argsort_deliver_batch`,
-the timed baseline.  The two rules draw differently, so ``measure`` checks
+the timed baseline of the first three families.  The two rules draw
+differently, so ``measure`` checks
 that they agree in law instead: over the last timed repeat's rounds, each
 family's mean number of accepted messages per round and mean share of
 accepted 1s must lie within :data:`TOLERANCE_SE` combined standard errors
@@ -76,6 +82,11 @@ FAMILIES = {
     "send_10pct": (0.1, False),
     "fresh_inputs": (1.0, True),
 }
+
+#: The ``phase`` family: the ``(R, n)`` grids timed, at full send, and the
+#: rounds one call runs.
+PHASE_SHAPES = ((2, 200), (3, 2000), (8, 2000))
+PHASE_ROUNDS = 40
 
 
 def argsort_deliver_batch(
@@ -194,18 +205,94 @@ def _measure_family(workload: Dict[str, Any], fraction: float, fresh: bool) -> D
     }
 
 
-def measure(workload: Dict[str, Any]) -> Dict[str, Any]:
-    """Every family of :data:`FAMILIES`."""
-    return {
-        "families": {
-            family: _measure_family(workload, fraction, fresh)
-            for family, (fraction, fresh) in FAMILIES.items()
+def _phase_totals(network, send_mask, bits, channel, rng, fused: bool):
+    """One phase's per-cell totals ``(heard, ones)`` and per-replicate
+    ``(sent, delivered)``: one ``rounds=PHASE_ROUNDS`` call, or that many
+    one-round calls added up as the stage kernels used to."""
+    heard = np.zeros(send_mask.shape, dtype=np.int32)
+    ones = np.zeros(send_mask.shape, dtype=np.int32)
+    sent = np.zeros(send_mask.shape[0], dtype=np.int64)
+    delivered = np.zeros(send_mask.shape[0], dtype=np.int64)
+    for _ in range(1 if fused else PHASE_ROUNDS):
+        report = network.deliver_batch(
+            send_mask, bits, channel, rng, rounds=PHASE_ROUNDS if fused else 1
+        )
+        heard += report.heard
+        ones += report.ones
+        sent += report.messages_sent
+        delivered += report.messages_delivered
+    return heard, ones, sent, delivered
+
+
+def _measure_phase(workload: Dict[str, Any]) -> Dict[str, Any]:
+    """Time one multi-round call against one-round calls at each shape."""
+    channel = BinarySymmetricChannel(epsilon=workload["epsilon"])
+    seed = workload["seed"]
+    shapes = {}
+    for replicates, n in PHASE_SHAPES:
+        network = PushGossipNetwork(size=n)
+        send_mask = np.ones((replicates, n), dtype=bool)
+        bits = np.random.default_rng(seed).integers(0, 2, size=(replicates, n)).astype(np.int8)
+        outcomes = {}
+
+        def per_round_us(label: str) -> float:
+            rng = np.random.default_rng(seed)
+            start = time.perf_counter()
+            totals = _phase_totals(network, send_mask, bits, channel, rng, label == "rounds_call")
+            elapsed = time.perf_counter() - start
+            outcomes[label] = (totals, rng.random())
+            return 1e6 * elapsed / PHASE_ROUNDS
+
+        labels = ("rounds_call", "one_round_calls")
+        for label in labels:  # warm-up
+            per_round_us(label)
+        samples: Dict[str, list] = {label: [] for label in labels}
+        for _ in range(workload["repeats"]):
+            for label in labels:
+                samples[label].append(per_round_us(label))
+        (fused, fused_next), (looped, looped_next) = (outcomes[label] for label in labels)
+        assert all(np.array_equal(a, b) for a, b in zip(fused, looped)), "totals differ"
+        assert fused_next == looped_next, "the generator ended in another state"
+
+        medians = {label: statistics.median(times) for label, times in samples.items()}
+        ratios = [old / new for old, new in zip(samples["one_round_calls"], samples["rounds_call"])]
+        shapes[f"R{replicates}_n{n}"] = {
+            "replicates": replicates,
+            "n": n,
+            "us_per_round": {label: round(value, 1) for label, value in medians.items()},
+            "saving_us_per_round": round(medians["one_round_calls"] - medians["rounds_call"], 1),
+            "speedup": round(statistics.median(ratios), 2),
         }
+    return {
+        "description": (
+            f"one deliver_batch(rounds={PHASE_ROUNDS}) call vs {PHASE_ROUNDS} one-round calls "
+            "of the same full-send inputs, each added into per-cell totals"
+        ),
+        "workload": {
+            "rounds": PHASE_ROUNDS,
+            "send_fraction": 1.0,
+            "epsilon": workload["epsilon"],
+            "repeats": workload["repeats"],
+            "seed": seed,
+        },
+        "agreement": "exact: equal totals and equal next generator draw",
+        "shapes": shapes,
     }
 
 
+def measure(workload: Dict[str, Any]) -> Dict[str, Any]:
+    """Every family of :data:`FAMILIES`, then the ``phase`` family."""
+    families = {
+        family: _measure_family(workload, fraction, fresh)
+        for family, (fraction, fresh) in FAMILIES.items()
+    }
+    families["phase"] = _measure_phase(workload)
+    return {"families": families}
+
+
 def test_deliver_batch_speedup(machine_stamp):
-    """Measure both delivery paths at both densities and record the JSON perf record."""
+    """Measure every family and record the JSON perf record; only the
+    full-send ratio against the argsort rule is gated."""
     payload = {**measure(build_workloads()), "machine": machine_stamp}
     RESULTS_PATH.parent.mkdir(parents=True, exist_ok=True)
     RESULTS_PATH.write_text(json.dumps(payload, indent=2) + "\n")

@@ -24,7 +24,11 @@ The same two kernels run the Section-3 executors on skewed clocks: given an
 replicate, a phase runs over the global rounds in which any agent's clock
 is inside it.  Its interior rounds (every clock inside) send exactly as the
 synchronous loop does, and only its edge rounds compute which agents'
-clocks are in the phase; with equal clocks every round is interior.
+clocks are in the phase; with equal clocks every round is interior.  A
+phase's senders and bits are fixed, so its run of interior rounds is one
+``deliver_batch(..., rounds=L)`` call, which draws exactly what ``L``
+one-round calls would; edge rounds, and every round under a fault
+injector, are one call each.
 :func:`run_bounded_skew_batch` (Section 3.1 guard windows) and
 :func:`run_clock_free_batch` (Section 3.2 activation phase followed by
 guarded stages) give every replicate its own clock offsets, schedule and
@@ -333,24 +337,27 @@ class _GridPhase:
     rounds: range
     interior: range
 
-    def send_masks(
-        self, eligible: np.ndarray, senders: np.ndarray
-    ) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
-        """Yield ``(send_mask, senders_per_replicate)`` for each round of the phase.
+    def send_runs(self, eligible: np.ndarray, fuse: bool) -> Iterator[Tuple[np.ndarray, int]]:
+        """Yield ``(send_mask, rounds)`` for the rounds of the phase, in order.
 
         Interior rounds send from every ``eligible`` agent, exactly as the
-        synchronous loop does; edge rounds only from agents whose own clock
-        is inside the phase, and are skipped — no randomness drawn — when
-        nobody's is.
+        synchronous loop does; with ``fuse`` their consecutive run is one
+        item, otherwise one item per round.  Edge rounds send only from
+        agents whose own clock is inside the phase, one round per item, and
+        are skipped — no randomness drawn — when nobody's is.
         """
-        for now in self.rounds:
+        now = self.rounds.start
+        while now < self.rounds.stop:
             if now in self.interior:
-                yield eligible, senders
+                length = self.interior.stop - now if fuse else 1
+                yield eligible, length
+                now += length
                 continue
             local = now - self.offsets
             send_mask = eligible & (local >= self.starts) & (local < self.ends)
             if send_mask.any():
-                yield send_mask, send_mask.sum(axis=1)
+                yield send_mask, 1
+            now += 1
 
 
 def _grid_phases(
@@ -401,7 +408,8 @@ class _PhaseCounts:
 
     Both stage kernels keep, per agent, how many messages it accepted this
     phase (``heard``) and how many of them were 1s (``ones``), with two
-    dense adds of the round report's grids.  Allocated once per stage run
+    dense adds of each delivery report's totals (one report per run of
+    rounds with the same senders).  Allocated once per stage run
     and wiped with ``fill`` at phase boundaries, never reallocated (the
     allocation pin in ``tests/unit/exec/test_stage_batching.py`` counts
     them).
@@ -414,9 +422,9 @@ class _PhaseCounts:
         self.ones = np.zeros(shape, dtype=np.int32)
 
     def observe(self, report) -> None:
-        """Add one round's accepted messages."""
-        self.heard += report.accepted
-        self.ones += report.bits
+        """Add one delivery call's accepted messages."""
+        self.heard += report.heard
+        self.ones += report.ones
 
     def reset(self) -> None:
         self.heard.fill(0)
@@ -501,10 +509,12 @@ def run_stage1_batch(
         senders_per_replicate = eligible.sum(axis=1)
 
         counts.reset()
-        for send_mask, senders in phase.send_masks(eligible, senders_per_replicate):
-            report = network.deliver_batch(send_mask, bits, channel, rng, faults=faults)
+        for send_mask, rounds in phase.send_runs(eligible, fuse=not resilient):
+            report = network.deliver_batch(
+                send_mask, bits, channel, rng, faults=faults, rounds=rounds
+            )
             counts.observe(report)
-            state.messages_sent += report.messages_sent if resilient else senders
+            state.messages_sent += report.messages_sent
         state.rounds += len(phase.rounds)
 
         # A newly activated agent adopts a uniformly random one of the
@@ -627,10 +637,12 @@ def run_stage2_batch(
         senders_per_replicate = eligible.sum(axis=1)
 
         counts.reset()
-        for send_mask, senders in phase.send_masks(eligible, senders_per_replicate):
-            report = network.deliver_batch(send_mask, bits, channel, rng, faults=faults)
+        for send_mask, rounds in phase.send_runs(eligible, fuse=not resilient):
+            report = network.deliver_batch(
+                send_mask, bits, channel, rng, faults=faults, rounds=rounds
+            )
             counts.observe(report)
-            state.messages_sent += report.messages_sent if resilient else senders
+            state.messages_sent += report.messages_sent
         state.rounds += len(phase.rounds)
 
         totals, ones = counts.heard, counts.ones

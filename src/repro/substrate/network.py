@@ -51,25 +51,29 @@ of the ``(R, n)`` grid, ascending) and their noisy bits.  The ``accepted``
 grid comes with it; the dense ``bits`` grid is built on first read, for the
 callers that want it.
 
-The fault-free :meth:`~PushGossipNetwork.deliver_batch` keeps a one-entry
-memo of its last inputs.  Within a protocol phase the senders and their bits
-are fixed, so nearly every call passes grids equal to the previous call's:
-when both match the remembered copies in shape, dtype and content
-(``np.array_equal``, never object identity), the call skips validation and
-reuses the message layout, which lists the messages carrying a 1 first so
-that ``O`` is a count over a prefix.  Any other input is validated and laid
-out anew.  Every round of one grid shape also reuses one set of count
-buffers, so a round allocates little beyond what its report keeps and the
-generator's own draws.  That memo and those buffers make a network object
-single-threaded: each batched entry point builds its own network, and one
-network must not be shared between threads.
+Within a protocol phase the senders and their bits are fixed, so the
+fault-free :meth:`~PushGossipNetwork.deliver_batch` takes a ``rounds``
+count and runs that many rounds of one ``(send_mask, bits)`` in one call:
+it validates the grids and lays out the messages (those carrying a 1 first,
+so that ``O`` is a count over a prefix) once, then draws each round exactly
+as a one-round call would, in the same order and sizes.  ``L`` rounds in
+one call therefore leave the generator where ``L`` one-round calls do, with
+the same per-cell totals.  A multi-round call returns a
+:class:`PhaseDeliveryReport` of those totals (``heard`` and ``ones`` per
+cell, sent and delivered messages per replicate); a one-round call returns
+the round's :class:`BatchDeliveryReport`, which offers the same four
+fields.  Every round of one grid shape reuses one set of count buffers, so
+a round allocates little beyond what its report keeps and the generator's
+own draws.  Those buffers make a network object single-threaded: each
+batched entry point builds its own network, and one network must not be
+shared between threads.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Optional, Tuple
+from typing import Optional, Tuple, Union
 
 import numpy as np
 
@@ -80,6 +84,7 @@ from .noise import NoiseChannel
 __all__ = [
     "DeliveryReport",
     "BatchDeliveryReport",
+    "PhaseDeliveryReport",
     "PushGossipNetwork",
 ]
 
@@ -140,7 +145,9 @@ class BatchDeliveryReport:
 
     Read on demand (cached): the ``(R, n)`` grids ``accepted`` (bool) and
     ``bits`` (0 wherever nothing was accepted), and the per-replicate
-    ``messages_delivered`` and ``messages_dropped``.
+    ``messages_delivered`` and ``messages_dropped``.  ``heard`` and ``ones``
+    are ``accepted`` and ``bits`` under the names a
+    :class:`PhaseDeliveryReport` gives its totals.
     """
 
     shape: Tuple[int, int]
@@ -180,6 +187,49 @@ class BatchDeliveryReport:
         """Number of replicates ``R`` in the batch."""
         return int(self.shape[0])
 
+    @property
+    def heard(self) -> np.ndarray:
+        """Per-cell count of accepted messages over the round: ``accepted``."""
+        return self.accepted
+
+    @property
+    def ones(self) -> np.ndarray:
+        """Per-cell count of accepted 1s over the round: ``bits``."""
+        return self.bits
+
+
+@dataclass(frozen=True)
+class PhaseDeliveryReport:
+    """Totals of several push-gossip rounds of one ``(send_mask, bits)``.
+
+    What ``deliver_batch(..., rounds=L)`` returns for ``L > 1``: the sums
+    over its rounds of what ``L`` one-round reports hold.
+
+    Attributes
+    ----------
+    rounds:
+        The number of rounds ``L`` the call ran.
+    heard:
+        ``(R, n)`` ``int32`` grid: how many of the rounds each cell accepted
+        a message in.
+    ones:
+        ``(R, n)`` ``int32`` grid: how many of those accepted noisy bits
+        were 1.
+    messages_sent, messages_delivered:
+        Per-replicate totals over the rounds, shape ``(R,)``.
+    """
+
+    rounds: int
+    heard: np.ndarray
+    ones: np.ndarray
+    messages_sent: np.ndarray
+    messages_delivered: np.ndarray
+
+    @property
+    def messages_dropped(self) -> np.ndarray:
+        """Per-replicate messages lost to collisions over the rounds."""
+        return self.messages_sent - self.messages_delivered
+
 
 class _Workspace:
     """Count buffers of the delivery kernels for one ``(R, n)`` grid shape.
@@ -197,33 +247,6 @@ class _Workspace:
         self.counts = np.zeros(cells, dtype=np.int64)
         self.ones = np.zeros(cells, dtype=np.int64)
         self.flags = np.empty(cells, dtype=bool)
-
-
-@dataclass(frozen=True)
-class _PreparedRound:
-    """One validated ``deliver_batch`` input and what the kernel derives from it.
-
-    Message ``i`` sits in column ``cols[i]`` of the row starting at flat cell
-    ``offsets[i]``.  The first ``ones`` messages carry a 1 and the rest a 0,
-    each group in row-major (``np.nonzero``) order.
-    """
-
-    send_mask: np.ndarray
-    bits: np.ndarray
-    sent: np.ndarray
-    cols: np.ndarray
-    offsets: np.ndarray
-    ones: int
-    workspace: _Workspace
-
-    def matches(self, send_mask: np.ndarray, bits: np.ndarray) -> bool:
-        """Whether ``(send_mask, bits)`` equal the inputs, dtypes included."""
-        return (
-            send_mask.dtype == self.send_mask.dtype
-            and bits.dtype == self.bits.dtype
-            and np.array_equal(send_mask, self.send_mask)
-            and np.array_equal(bits, self.bits)
-        )
 
 
 @dataclass
@@ -247,7 +270,6 @@ class PushGossipNetwork:
     messages_delivered_total: int = field(default=0, init=False)
     messages_dropped_total: int = field(default=0, init=False)
     rounds_executed: int = field(default=0, init=False)
-    _prepared: Optional[_PreparedRound] = field(default=None, init=False, repr=False, compare=False)
     _workspace: Optional[_Workspace] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -311,8 +333,9 @@ class PushGossipNetwork:
         channel: NoiseChannel,
         rng: np.random.Generator,
         faults: Optional[FaultInjector] = None,
-    ) -> BatchDeliveryReport:
-        """Execute one push-gossip round for ``R`` independent replicates at once.
+        rounds: int = 1,
+    ) -> Union[BatchDeliveryReport, PhaseDeliveryReport]:
+        """Execute push-gossip rounds for ``R`` independent replicates at once.
 
         This is the batch-aware entry point used by
         :mod:`repro.exec.batching`: instead of one engine (and one Python-level
@@ -329,9 +352,15 @@ class PushGossipNetwork:
         tests in ``tests/unit/substrate/test_delivery_law.py`` check both
         against the same distribution.
 
-        The inputs are validated, and their messages laid out, only when they
-        differ from the previous fault-free call's (see the module
-        docstring); the caller may reuse or mutate its grids freely.
+        Every call validates its inputs, so the caller may reuse or mutate
+        its grids freely.  With ``rounds = L > 1`` the call runs ``L`` rounds
+        of the same grids, as a protocol phase does, and draws exactly what
+        ``L`` one-round calls would, in the same order: per round, one
+        ``integers`` call for the targets, then one ``random`` call over the
+        cells that heard a message.  It returns a
+        :class:`PhaseDeliveryReport` of the per-cell and per-replicate totals;
+        ``L`` one-round calls from the same generator state give the same
+        totals and leave the generator in the same state.
 
         Parameters
         ----------
@@ -347,63 +376,85 @@ class PushGossipNetwork:
             Randomness for target selection and the kept noisy bits.
         faults:
             Optional fault injector (dedicated-stream fault decisions; see
-            module docstring).
+            module docstring).  It decides round by round, so it takes only
+            ``rounds = 1``; any other count raises :class:`ProtocolError`.
+        rounds:
+            How many rounds of these grids to run (at least 1).  ``1`` returns
+            the round's :class:`BatchDeliveryReport`.
         """
-        send_mask, bits = np.asarray(send_mask), np.asarray(bits)
-        if faults is not None:
-            send_mask, bits = self._validate_grid_inputs(send_mask, bits)
-            return self._deliver_batch_resilient(send_mask, bits, channel, rng, faults)
-        # Within a protocol phase the senders and their bits are fixed, so
-        # most calls repeat the previous call's inputs: compare contents
-        # (never identity, a caller may mutate its grids in place) and reuse
-        # the validated, prepared round; anything else is validated anew.
-        prepared = self._prepared
-        if prepared is None or not prepared.matches(send_mask, bits):
-            prepared = self._prepared = self._prepare_round(send_mask, bits)
-        self.rounds_executed += 1
-        size = self.size
-        cols = prepared.cols
-        count = cols.size
-        workspace = prepared.workspace
-        shape = prepared.send_mask.shape
-        self.messages_sent_total += count
-        if not count:
-            empty = np.empty(0, dtype=np.int64)
-            return BatchDeliveryReport(shape, empty, empty.astype(np.int8), prepared.sent.copy())
-
-        # Message i's flat target cell, formed in place.
-        if self.allow_self_messages:
-            buckets = rng.integers(0, size, size=count)
-        else:
-            buckets = rng.integers(0, size - 1, size=count)
-            buckets += np.greater_equal(buckets, cols, out=workspace.flags[:count])
-        buckets += prepared.offsets
-        accepted = self._count_messages(buckets, buckets[: prepared.ones], workspace)
-        cells = np.flatnonzero(accepted)
-        cell_bits = self._noisy_bits(cells, rng.random(cells.size), workspace, channel)
-
-        delivered = int(cells.size)
-        self.messages_delivered_total += delivered
-        self.messages_dropped_total += count - delivered
-        return self._report(shape, cells, cell_bits, prepared.sent.copy(), accepted)
-
-    def _prepare_round(self, send_mask: np.ndarray, bits: np.ndarray) -> _PreparedRound:
-        """Validate one round's grids and lay out its messages, ones first."""
+        if rounds < 1:
+            raise ParameterError(f"rounds must be at least 1, got {rounds}")
+        if faults is not None and rounds != 1:
+            raise ProtocolError("a fault injector decides round by round: pass rounds=1")
         send_mask, bits = self._validate_grid_inputs(send_mask, bits)
+        if faults is not None:
+            return self._deliver_batch_resilient(send_mask, bits, channel, rng, faults)
+
+        shape = send_mask.shape
+        # Lay the messages out once, those carrying a 1 first, so that a
+        # cell's O is a count over a prefix of the round's targets.
         carries_one = send_mask & (bits != 0)
         positions = np.concatenate(
             (np.flatnonzero(carries_one), np.flatnonzero(send_mask & ~carries_one))
         )
         cols = positions % self.size
-        return _PreparedRound(
-            send_mask=send_mask.copy(),
-            bits=bits.copy(),
-            sent=send_mask.sum(axis=1).astype(np.int64),
-            cols=cols,
-            offsets=positions - cols,
-            ones=int(np.count_nonzero(carries_one)),
-            workspace=self._workspace_for(send_mask.shape),
-        )
+        offsets = positions - cols
+        ones = int(np.count_nonzero(carries_one))
+        sent = np.count_nonzero(send_mask, axis=1).astype(np.int64)
+        workspace = self._workspace_for(shape)
+        self.rounds_executed += rounds
+        self.messages_sent_total += cols.size * rounds
+
+        if rounds == 1:
+            if not cols.size:
+                empty = np.empty(0, dtype=np.int64)
+                return BatchDeliveryReport(shape, empty, empty.astype(np.int8), sent)
+            accepted, cells, cell_bits = self._round(cols, offsets, ones, workspace, channel, rng)
+            self.messages_delivered_total += int(cells.size)
+            self.messages_dropped_total += int(cols.size - cells.size)
+            return self._report(shape, cells, cell_bits, sent, accepted)
+
+        # int32 takes the rounds' bool and int8 results about twice as fast
+        # as int64; a call would need 2**31 rounds to overflow it.
+        heard = np.zeros(workspace.counts.size, dtype=np.int32)
+        one_totals = np.zeros(workspace.counts.size, dtype=np.int32)
+        for _ in range(rounds if cols.size else 0):
+            accepted, cells, cell_bits = self._round(cols, offsets, ones, workspace, channel, rng)
+            heard += accepted
+            one_totals[cells] += cell_bits
+        heard, one_totals = heard.reshape(shape), one_totals.reshape(shape)
+        delivered = heard.sum(axis=1, dtype=np.int64)
+        self.messages_delivered_total += int(delivered.sum())
+        self.messages_dropped_total += int(cols.size * rounds - delivered.sum())
+        return PhaseDeliveryReport(rounds, heard, one_totals, sent * rounds, delivered)
+
+    def _round(
+        self,
+        cols: np.ndarray,
+        offsets: np.ndarray,
+        ones: int,
+        workspace: _Workspace,
+        channel: NoiseChannel,
+        rng: np.random.Generator,
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """One fault-free round of laid-out messages: ``(accepted, cells, bits)``.
+
+        Message ``i`` sits in column ``cols[i]`` of the row starting at flat
+        cell ``offsets[i]``, and the first ``ones`` messages carry a 1.
+        Draws the targets, then one uniform per heard cell; returns the flat
+        ``N > 0`` flags, the heard cells and their noisy bits.
+        """
+        count = cols.size
+        # Message i's flat target cell, formed in place.
+        if self.allow_self_messages:
+            buckets = rng.integers(0, self.size, size=count)
+        else:
+            buckets = rng.integers(0, self.size - 1, size=count)
+            buckets += np.greater_equal(buckets, cols, out=workspace.flags[:count])
+        buckets += offsets
+        accepted = self._count_messages(buckets, buckets[:ones], workspace)
+        cells = np.flatnonzero(accepted)
+        return accepted, cells, self._noisy_bits(cells, rng.random(cells.size), workspace, channel)
 
     def _workspace_for(self, shape: Tuple[int, int]) -> _Workspace:
         """The count buffers for ``shape``, rebuilt when the shape changes."""

@@ -524,3 +524,47 @@ class TestScratchBufferHoisting:
             samples.observe(np.array([4, 5]), np.array([1, 1], dtype=np.int8))
             samples.reset()
             assert samples._total is totals and samples._ones is ones
+
+
+class TestDeliveryCallsPerPhase:
+    """A phase's senders and bits are fixed, so on equal clocks each stage
+    kernel delivers a whole phase in one ``deliver_batch`` call; skewed-clock
+    edge rounds and faulty rounds go one round per call."""
+
+    @staticmethod
+    def _record_rounds(monkeypatch):
+        calls = []
+        original = PushGossipNetwork.deliver_batch
+
+        def recording(self, send_mask, bits, channel, rng, faults=None, rounds=1):
+            calls.append(rounds)
+            return original(self, send_mask, bits, channel, rng, faults=faults, rounds=rounds)
+
+        monkeypatch.setattr(PushGossipNetwork, "deliver_batch", recording)
+        return calls
+
+    def test_equal_clocks_make_one_call_per_phase(self, monkeypatch):
+        calls = self._record_rounds(monkeypatch)
+        result = run_broadcast_batch(N, EPSILON, 3, base_seed=2)
+        parameters = _parameters()
+        phases = parameters.stage1.num_phases + parameters.stage2.num_phases
+        assert len(calls) == phases
+        assert sum(calls) == result.rounds
+
+    def test_faulty_rounds_make_one_call_each(self, monkeypatch):
+        from repro.substrate.faults import CrashStop
+
+        calls = self._record_rounds(monkeypatch)
+        model = CrashStop(fraction=0.2, crash_probability=0.1, immune=(0,))
+        result = run_broadcast_batch(N, EPSILON, 3, base_seed=2, model=model)
+        assert set(calls) == {1}
+        assert len(calls) == result.rounds
+
+    def test_skewed_clocks_fuse_only_the_interior_rounds(self, monkeypatch):
+        calls = self._record_rounds(monkeypatch)
+        run_bounded_skew_batch(N, EPSILON, 2, max_skew=4, base_seed=2)
+        parameters = _parameters()
+        phases = parameters.stage1.num_phases + parameters.stage2.num_phases
+        fused = [rounds for rounds in calls if rounds > 1]
+        assert len(fused) == phases, "one interior run per phase"
+        assert len(calls) > phases, "edge rounds go one per call"

@@ -446,90 +446,95 @@ class TestValidationOnEverySerialPath:
         assert network.rounds_executed == 0
 
 
-class TestDeliverBatchPreparedRound:
-    """``deliver_batch`` keeps the last validated inputs and reuses them when a
-    call's grids match in shape, dtype and content.  The memo must be keyed
-    on content, never on identity, and no report may alias the workspace.
-    Each case compares against a fresh network with the same generator
-    state."""
+class TestDeliverBatchRounds:
+    """``deliver_batch(..., rounds=L)`` runs ``L`` rounds of one input, draw
+    for draw: one call must equal ``L`` one-round calls from the same
+    generator state in every total, in the network's counters and in the
+    generator's next draw."""
 
-    N, R = 50, 4
-    FIELDS = ("cells", "cell_bits", "accepted", "bits", "messages_sent", "messages_delivered")
+    N, L = 60, 7
 
-    def _inputs(self, seed=0):
-        picker = np.random.default_rng(seed)
-        mask = picker.random((self.R, self.N)) < 0.6
-        bits = picker.integers(0, 2, size=(self.R, self.N)).astype(np.int8)
+    @staticmethod
+    def _inputs(replicates, size, fraction, seed):
+        picker = np.random.default_rng([seed, replicates, size])
+        mask = picker.random((replicates, size)) < fraction
+        bits = picker.integers(0, 2, size=(replicates, size)).astype(np.int8)
         return mask, bits
 
-    def _fresh(self, mask, bits, state):
-        rng = np.random.default_rng()
-        rng.bit_generator.state = state
-        network = PushGossipNetwork(size=self.N)
-        return network.deliver_batch(mask.copy(), bits.copy(), BinarySymmetricChannel(0.2), rng)
+    @pytest.mark.parametrize("channel", [BinarySymmetricChannel(0.2), PerfectChannel()],
+                             ids=["bsc", "perfect"])
+    @pytest.mark.parametrize("replicates", [1, 8])
+    @pytest.mark.parametrize("fraction", [1.0, 0.1, 0.0], ids=["full", "tenth", "empty"])
+    @pytest.mark.parametrize("allow_self", [False, True])
+    def test_one_call_equals_single_round_calls(self, channel, replicates, fraction, allow_self):
+        mask, bits = self._inputs(replicates, self.N, fraction, seed=3)
+        fused_net = PushGossipNetwork(size=self.N, allow_self_messages=allow_self)
+        loop_net = PushGossipNetwork(size=self.N, allow_self_messages=allow_self)
+        fused_rng, loop_rng = np.random.default_rng(5), np.random.default_rng(5)
 
-    def _assert_same(self, got, want):
-        for name in self.FIELDS:
-            assert getattr(got, name).dtype == getattr(want, name).dtype, name
-            assert np.array_equal(getattr(got, name), getattr(want, name)), name
+        fused = fused_net.deliver_batch(mask, bits, channel, fused_rng, rounds=self.L)
 
-    @pytest.mark.parametrize("grid", ["send_mask", "bits"])
-    def test_inputs_mutated_in_place_are_seen(self, grid):
+        heard = np.zeros((replicates, self.N), dtype=np.int64)
+        ones = np.zeros((replicates, self.N), dtype=np.int64)
+        sent = np.zeros(replicates, dtype=np.int64)
+        delivered = np.zeros(replicates, dtype=np.int64)
+        for _ in range(self.L):
+            report = loop_net.deliver_batch(mask, bits, channel, loop_rng)
+            heard += report.accepted
+            ones += report.bits
+            sent += report.messages_sent
+            delivered += report.messages_delivered
+
+        assert fused.rounds == self.L
+        assert np.array_equal(fused.heard, heard)
+        assert np.array_equal(fused.ones, ones)
+        assert np.array_equal(fused.messages_sent, sent)
+        assert np.array_equal(fused.messages_delivered, delivered)
+        assert np.array_equal(fused.messages_dropped, sent - delivered)
+        for counter in ("rounds_executed", "messages_sent_total", "messages_delivered_total",
+                        "messages_dropped_total"):
+            assert getattr(fused_net, counter) == getattr(loop_net, counter), counter
+        assert fused_rng.random() == loop_rng.random()
+        assert heard.any() == mask.any(), "the case must exercise delivery when anyone sends"
+
+    def test_one_round_returns_the_round_report(self, perfect):
+        mask, bits = self._inputs(2, self.N, 0.5, seed=1)
+        report = PushGossipNetwork(size=self.N).deliver_batch(
+            mask, bits, perfect, np.random.default_rng(2), rounds=1
+        )
+        assert isinstance(report, BatchDeliveryReport)
+        assert report.heard is report.accepted and report.ones is report.bits
+
+    @pytest.mark.parametrize("rounds", [1, 5])
+    def test_a_report_is_unchanged_by_the_next_call(self, rounds):
+        """No report aliases the network's count buffers."""
         channel = BinarySymmetricChannel(0.2)
+        mask, bits = self._inputs(4, self.N, 0.6, seed=0)
         network, rng = PushGossipNetwork(size=self.N), np.random.default_rng(3)
-        mask, bits = self._inputs()
-        network.deliver_batch(mask, bits, channel, rng)
-        if grid == "send_mask":
-            mask[0] = ~mask[0]
-        else:
-            bits[mask] = 1 - bits[mask]
-        state = rng.bit_generator.state
-        report = network.deliver_batch(mask, bits, channel, rng)
-        self._assert_same(report, self._fresh(mask, bits, state))
+        first = network.deliver_batch(mask, bits, channel, rng, rounds=rounds)
+        kept = {name: getattr(first, name).copy() for name in ("heard", "ones", "messages_sent")}
+        network.deliver_batch(mask, 1 - bits, channel, rng, rounds=rounds)
+        for name, values in kept.items():
+            assert np.array_equal(getattr(first, name), values), name
 
-    def test_out_of_range_bit_written_after_a_valid_call_raises(self, perfect):
-        network, rng = PushGossipNetwork(size=self.N), np.random.default_rng(3)
-        mask, bits = self._inputs()
-        network.deliver_batch(mask, bits, perfect, rng)
-        row, col = np.argwhere(mask)[0]
-        bits[row, col] = 2
-        with pytest.raises(ProtocolError, match="0 or 1"):
-            network.deliver_batch(mask, bits, perfect, rng)
-        assert network.rounds_executed == 1
-
-    def test_int_grid_equal_to_the_cached_mask_still_raises(self, perfect):
-        network, rng = PushGossipNetwork(size=self.N), np.random.default_rng(3)
-        mask, bits = self._inputs()
-        network.deliver_batch(mask, bits, perfect, rng)
-        as_int = mask.astype(np.int8)
-        assert np.array_equal(as_int, mask)  # equal content, different dtype
-        with pytest.raises(ProtocolError, match="send_mask must be a boolean grid"):
-            network.deliver_batch(as_int, bits, perfect, rng)
-        assert network.rounds_executed == 1
-
-    def test_a_report_is_unchanged_by_the_next_round(self):
-        channel = BinarySymmetricChannel(0.2)
-        network, rng = PushGossipNetwork(size=self.N), np.random.default_rng(3)
-        mask, bits = self._inputs()
-        state = rng.bit_generator.state
-        first = network.deliver_batch(mask, bits, channel, rng)
-        second = network.deliver_batch(mask, bits, channel, rng)
-        # Nothing of the first report was read before the second round ran,
-        # so its lazily built fields are gathered only now.
-        self._assert_same(first, self._fresh(mask, bits, state))
-        assert not np.array_equal(first.cells, second.cells)
-
-    def test_resilient_round_between_phase_rounds_keeps_the_draws(self):
-        """A fault-aware round reuses the shape's count buffers; the next
-        fault-free round with the memoised inputs still matches."""
+    def test_rounds_with_a_fault_injector_are_refused(self, perfect):
+        """An injector decides crashes and corruption round by round, so a
+        faulty call runs one round; a longer one raises before any draw."""
         from repro.substrate.faults import CrashStop, FaultInjector
 
-        channel = BinarySymmetricChannel(0.2)
+        mask, bits = self._inputs(2, self.N, 1.0, seed=4)
         network, rng = PushGossipNetwork(size=self.N), np.random.default_rng(3)
-        mask, bits = self._inputs()
-        network.deliver_batch(mask, bits, channel, rng)
-        injector = FaultInjector(CrashStop(), self.N, np.random.default_rng(1), num_replicates=self.R)
-        network.deliver_batch(mask, bits, channel, rng, faults=injector)
+        injector = FaultInjector(CrashStop(), self.N, np.random.default_rng(1), num_replicates=2)
         state = rng.bit_generator.state
-        report = network.deliver_batch(mask, bits, channel, rng)
-        self._assert_same(report, self._fresh(mask, bits, state))
+        with pytest.raises(ProtocolError, match="round by round"):
+            network.deliver_batch(mask, bits, perfect, rng, faults=injector, rounds=2)
+        assert network.rounds_executed == 0
+        assert rng.bit_generator.state == state
+
+    @pytest.mark.parametrize("rounds", [0, -1])
+    def test_rounds_below_one_are_refused(self, perfect, rounds):
+        mask, bits = self._inputs(2, self.N, 1.0, seed=4)
+        network = PushGossipNetwork(size=self.N)
+        with pytest.raises(ParameterError, match="rounds"):
+            network.deliver_batch(mask, bits, perfect, np.random.default_rng(0), rounds=rounds)
+        assert network.rounds_executed == 0
