@@ -228,7 +228,7 @@ def _measure_phase(workload: Dict[str, Any]) -> Dict[str, Any]:
     """Time one multi-round call against one-round calls at each shape."""
     channel = BinarySymmetricChannel(epsilon=workload["epsilon"])
     seed = workload["seed"]
-    shapes = {}
+    shapes: Dict[str, Any] = {}
     for replicates, n in PHASE_SHAPES:
         network = PushGossipNetwork(size=n)
         send_mask = np.ones((replicates, n), dtype=bool)
@@ -256,27 +256,30 @@ def _measure_phase(workload: Dict[str, Any]) -> Dict[str, Any]:
 
         medians = {label: statistics.median(times) for label, times in samples.items()}
         ratios = [old / new for old, new in zip(samples["one_round_calls"], samples["rounds_call"])]
-        shapes[f"R{replicates}_n{n}"] = {
-            "replicates": replicates,
-            "n": n,
-            "us_per_round": {label: round(value, 1) for label, value in medians.items()},
-            "saving_us_per_round": round(medians["one_round_calls"] - medians["rounds_call"], 1),
-            "speedup": round(statistics.median(ratios), 2),
-        }
+        shapes[f"R{replicates}_n{n}"] = (medians, statistics.median(ratios))
     return {
         "description": (
             f"one deliver_batch(rounds={PHASE_ROUNDS}) call vs {PHASE_ROUNDS} one-round calls "
             "of the same full-send inputs, each added into per-cell totals"
         ),
         "workload": {
+            "shapes": [list(shape) for shape in PHASE_SHAPES],
             "rounds": PHASE_ROUNDS,
             "send_fraction": 1.0,
             "epsilon": workload["epsilon"],
             "repeats": workload["repeats"],
             "seed": seed,
         },
+        "us_per_round": {
+            shape: {label: round(value, 1) for label, value in medians.items()}
+            for shape, (medians, _) in shapes.items()
+        },
+        "saving_us_per_round": {
+            shape: round(medians["one_round_calls"] - medians["rounds_call"], 1)
+            for shape, (medians, _) in shapes.items()
+        },
+        "speedup_vs_serial": {shape: round(ratio, 2) for shape, (_, ratio) in shapes.items()},
         "agreement": "exact: equal totals and equal next generator draw",
-        "shapes": shapes,
     }
 
 

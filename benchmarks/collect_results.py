@@ -94,9 +94,12 @@ def _recorded_machine(path: Path, payload: Dict[str, Any]) -> Dict[str, Any]:
 #: Keys a result file may add, copied into its summary entry when present:
 #: the quartiles of paired speed ratios, a perfbench pair record's win count
 #: and per-side medians and quartiles (``summary``) and the layer it names
-#: with its traced metrics per side, and the delivery benches' check that
-#: the timed rules agree in law (``agreement``).
-OPTIONAL_KEYS = ("speedup_quartiles", "summary", "layer", "traced", "agreement")
+#: with its traced metrics per side, the delivery benches' check that the
+#: timed paths agree (``agreement``), and the per-round saving of the
+#: ``phase`` family of ``bench_deliver_batch.py``.
+OPTIONAL_KEYS = (
+    "speedup_quartiles", "summary", "layer", "traced", "agreement", "saving_us_per_round"
+)
 
 
 def _entry(source: str, payload: Dict[str, Any], machine: Dict[str, Any]) -> Dict[str, Any]:

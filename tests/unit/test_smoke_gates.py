@@ -307,7 +307,8 @@ class TestStageBenchAndAggregatorSmoke:
         payload = module.measure(module.build_workloads(toy=True))
         assert set(payload["families"]) == {"full_send", "send_10pct", "fresh_inputs", "phase"}
         # measure() asserts the phase family's exact agreement itself.
-        assert set(payload["families"]["phase"]["shapes"]) == {"R2_n200", "R3_n2000", "R8_n2000"}
+        phase = payload["families"]["phase"]
+        assert set(phase["saving_us_per_round"]) == {"R2_n200", "R3_n2000", "R8_n2000"}
         full = payload["families"]["full_send"]["speedup_vs_serial"]
         assert full["deliver_batch_vs_argsort_oracle"] >= 1.1
 
