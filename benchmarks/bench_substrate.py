@@ -8,7 +8,8 @@ what determines how far the experiment sweeps can be pushed on a laptop.
 import numpy as np
 import pytest
 
-from repro.substrate import BinarySymmetricChannel, PushGossipNetwork, SimulationEngine
+from repro.core import solve_noisy_broadcast
+from repro.substrate import BinarySymmetricChannel, PushGossipNetwork
 
 
 @pytest.mark.parametrize("n", [1_000, 10_000, 100_000])
@@ -25,13 +26,7 @@ def test_gossip_round_throughput(benchmark, n):
 
 def test_full_broadcast_run(benchmark):
     """End-to-end broadcast at n = 2000, eps = 0.25 (the default experiment scale)."""
-    from repro.core import NoisyBroadcastProtocol, ProtocolParameters
-
-    parameters = ProtocolParameters.calibrated(2000, 0.25)
-
-    def run_once():
-        engine = SimulationEngine.create(n=2000, epsilon=0.25, seed=99)
-        return NoisyBroadcastProtocol(parameters).run(engine, correct_opinion=1)
-
-    result = benchmark.pedantic(run_once, rounds=3, iterations=1)
+    result = benchmark.pedantic(
+        solve_noisy_broadcast, kwargs=dict(n=2000, epsilon=0.25, seed=99), rounds=3, iterations=1
+    )
     assert result.success

@@ -26,7 +26,6 @@ from .core import (
     BroadcastResult,
     ClockFreeBroadcastResult,
     MajorityConsensusResult,
-    NoisyBroadcastProtocol,
     ProtocolParameters,
     StageOneParameters,
     StageTwoParameters,
@@ -45,13 +44,7 @@ from .errors import (
     ScheduleError,
     SimulationError,
 )
-from .substrate import (
-    BinarySymmetricChannel,
-    Population,
-    PushGossipNetwork,
-    RandomSource,
-    SimulationEngine,
-)
+from .substrate import BinarySymmetricChannel, PushGossipNetwork, RandomSource
 
 __version__ = "1.0.0"
 
@@ -61,7 +54,6 @@ __all__ = [
     "BroadcastResult",
     "ClockFreeBroadcastResult",
     "MajorityConsensusResult",
-    "NoisyBroadcastProtocol",
     "ProtocolParameters",
     "StageOneParameters",
     "StageTwoParameters",
@@ -72,10 +64,8 @@ __all__ = [
     "theory",
     # substrate
     "BinarySymmetricChannel",
-    "Population",
     "PushGossipNetwork",
     "RandomSource",
-    "SimulationEngine",
     # errors
     "ReproError",
     "ConfigurationError",

@@ -70,7 +70,7 @@ class ExecutionConfig:
     Attributes
     ----------
     batch:
-        Use the vectorised batch simulators instead of one engine per trial.
+        Use the vectorised batch simulators instead of one serial run per trial.
         The one execution setting that changes results, hence the one the
         run fingerprint covers.
     base_seed:

@@ -3,9 +3,9 @@
 Public surface:
 
 * parameters and schedules — :class:`ProtocolParameters`, phase schedules;
-* the serial Stage I / Stage II engine executors — :func:`execute_stage_one`,
-  :func:`execute_stage_two` — and the broadcast protocol they make up,
-  :class:`NoisyBroadcastProtocol` with its one-call wrapper
+* the serial Stage I / Stage II executors — :func:`execute_stage_one`,
+  :func:`execute_stage_two`, which run on plain opinion and activation
+  arrays — and the broadcast protocol they make up,
   :func:`solve_noisy_broadcast`;
 * Corollary 2.18's majority consensus, :func:`solve_noisy_majority_consensus`,
   and the Section-3 clock-free variants, :func:`run_clock_free_broadcast` and
@@ -16,13 +16,14 @@ Public surface:
 * closed-form theoretical predictions — :mod:`repro.core.theory`.
 """
 
-from .broadcast import BroadcastResult, NoisyBroadcastProtocol, solve_noisy_broadcast
+from .broadcast import BroadcastResult, solve_noisy_broadcast
 from .majority import (
     MajorityConsensusResult,
     compute_start_phase,
     solve_noisy_majority_consensus,
 )
 from .opinions import (
+    NO_OPINION,
     OPINIONS,
     bias_from_counts,
     correct_probability_after_noise,
@@ -60,11 +61,11 @@ from . import theory
 
 __all__ = [
     "BroadcastResult",
-    "NoisyBroadcastProtocol",
     "solve_noisy_broadcast",
     "MajorityConsensusResult",
     "compute_start_phase",
     "solve_noisy_majority_consensus",
+    "NO_OPINION",
     "OPINIONS",
     "bias_from_counts",
     "correct_probability_after_noise",

@@ -9,11 +9,10 @@ This module glues the two stages together into the complete
 2. **Stage II** (:mod:`repro.core.stage2`) boosts that bias to 1 by repeated
    noisy majority votes.
 
-The public entry points are :class:`NoisyBroadcastProtocol` (operates on an
-existing :class:`~repro.substrate.engine.SimulationEngine`) and the
-convenience function :func:`solve_noisy_broadcast` which builds the engine,
-runs the protocol and returns a :class:`BroadcastResult`.  This is the one
-serial engine path: one
+The entry point :func:`solve_noisy_broadcast` builds the population (an
+``int8`` opinion array and a ``bool`` activation array, agent 0 the source),
+runs both stages on it and returns a :class:`BroadcastResult`.  This is the
+one serial delivery path: one
 :meth:`~repro.substrate.network.PushGossipNetwork.deliver` call per round,
 with every phase summary recorded.  Its ``(R, n)`` counterpart is
 :func:`repro.exec.batching.run_broadcast_batch`, which also runs under
@@ -25,14 +24,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
+import numpy as np
+
 from ..errors import SimulationError
-from ..substrate.engine import SimulationEngine
-from .opinions import validate_opinion
+from ..substrate.noise import BinarySymmetricChannel
+from ..substrate.rng import RandomSource
+from .opinions import NO_OPINION, validate_opinion
 from .parameters import ProtocolParameters
 from .stage1 import StageOneResult, execute_stage_one
 from .stage2 import StageTwoResult, execute_stage_two
 
-__all__ = ["BroadcastResult", "NoisyBroadcastProtocol", "solve_noisy_broadcast"]
+__all__ = ["BroadcastResult", "solve_noisy_broadcast"]
 
 
 @dataclass(frozen=True)
@@ -71,55 +73,15 @@ class BroadcastResult:
         return self.messages_sent / self.n
 
 
-class NoisyBroadcastProtocol:
-    """The paper's two-stage noisy broadcast algorithm (fully-synchronous)."""
-
-    name = "breathe-before-speaking"
-
-    def __init__(self, parameters: ProtocolParameters) -> None:
-        self.parameters = parameters
-
-    def run(self, engine: SimulationEngine, correct_opinion: int = 1) -> BroadcastResult:
-        """Execute the protocol on ``engine``.
-
-        The engine must have a source agent; the source is given
-        ``correct_opinion`` and everything else follows the paper.
-        """
-        correct_opinion = validate_opinion(correct_opinion)
-        if engine.population.source is None:
-            raise SimulationError("noisy broadcast requires a population with a source agent")
-        if engine.n != self.parameters.n:
-            raise SimulationError(
-                f"engine has {engine.n} agents but parameters were built for {self.parameters.n}"
-            )
-        engine.population.set_source_opinion(correct_opinion)
-
-        stage1 = execute_stage_one(engine, self.parameters.stage1, correct_opinion)
-        stage2 = execute_stage_two(engine, self.parameters.stage2, correct_opinion)
-
-        return BroadcastResult(
-            success=engine.population.all_correct(correct_opinion),
-            correct_opinion=correct_opinion,
-            n=engine.n,
-            epsilon=engine.epsilon,
-            rounds=stage1.rounds + stage2.rounds,
-            messages_sent=stage1.messages_sent + stage2.messages_sent,
-            final_correct_fraction=stage2.final_correct_fraction,
-            stage1=stage1,
-            stage2=stage2,
-        )
-
-
 def solve_noisy_broadcast(
     n: int,
     epsilon: float,
     seed: int = 0,
     correct_opinion: int = 1,
     parameters: Optional[ProtocolParameters] = None,
-    record_time_series: bool = False,
     **calibration_overrides: float,
 ) -> BroadcastResult:
-    """Build an engine and run the noisy broadcast protocol once.
+    """Run the noisy broadcast protocol once, agent 0 being the source.
 
     Parameters
     ----------
@@ -128,11 +90,9 @@ def solve_noisy_broadcast(
     correct_opinion:
         The source's opinion ``B``.
     parameters:
-        Optional explicit :class:`ProtocolParameters`; when omitted the
-        calibrated preset is used (``calibration_overrides`` are forwarded to
-        :meth:`ProtocolParameters.calibrated`).
-    record_time_series:
-        Store per-round correct-fraction series in the engine metrics.
+        Optional explicit :class:`ProtocolParameters` built for ``n``; when
+        omitted the calibrated preset is used (``calibration_overrides`` are
+        forwarded to :meth:`ProtocolParameters.calibrated`).
 
     Returns
     -------
@@ -140,10 +100,27 @@ def solve_noisy_broadcast(
     """
     if parameters is None:
         parameters = ProtocolParameters.calibrated(n, epsilon, **calibration_overrides)
-    engine = SimulationEngine.create(
+    channel = BinarySymmetricChannel(epsilon=epsilon)
+    random = RandomSource(seed=seed)
+    correct_opinion = validate_opinion(correct_opinion)
+    if parameters.n != n:
+        raise SimulationError(f"{n} agents but parameters were built for {parameters.n}")
+
+    opinions = np.full(n, NO_OPINION, dtype=np.int8)
+    opinions[0] = correct_opinion
+    activated = np.zeros(n, dtype=bool)
+    activated[0] = True
+    stage1 = execute_stage_one(opinions, activated, parameters.stage1, correct_opinion, channel, random)
+    stage2 = execute_stage_two(opinions, parameters.stage2, correct_opinion, channel, random)
+
+    return BroadcastResult(
+        success=stage2.consensus_reached,
+        correct_opinion=correct_opinion,
         n=n,
-        epsilon=epsilon,
-        seed=seed,
-        record_time_series=record_time_series,
+        epsilon=channel.epsilon,
+        rounds=stage1.rounds + stage2.rounds,
+        messages_sent=stage1.messages_sent + stage2.messages_sent,
+        final_correct_fraction=stage2.final_correct_fraction,
+        stage1=stage1,
+        stage2=stage2,
     )
-    return NoisyBroadcastProtocol(parameters).run(engine, correct_opinion=correct_opinion)

@@ -17,6 +17,7 @@ import numpy as np
 from ..errors import ParameterError
 
 __all__ = [
+    "NO_OPINION",
     "OPINIONS",
     "validate_opinion",
     "opposite",
@@ -29,6 +30,9 @@ __all__ = [
 
 #: The two admissible opinions of the Flip model.
 OPINIONS: Tuple[int, int] = (0, 1)
+
+#: Sentinel opinion value meaning "this agent has not adopted any opinion".
+NO_OPINION: int = -1
 
 
 def validate_opinion(opinion: int) -> int:

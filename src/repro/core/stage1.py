@@ -19,10 +19,11 @@ per agent and (b) makes the choice independent of the order in which
 messages arrive — exactly the property Remark 2.1 asks for, and which
 Section 3 relies on when the global clock is removed.
 
-This executor runs the source-seeded broadcast on one engine, from phase 0
-on the global clock.  Late starts (Corollary 2.18), skewed clocks
-(Section 3) and faulty agents run on the ``(R, n)`` kernel
-:func:`repro.exec.stage_batching.run_stage1_batch`.
+This executor runs the source-seeded broadcast on plain ``(n,)`` opinion and
+activation arrays, from phase 0 on the global clock, one
+:meth:`~repro.substrate.network.PushGossipNetwork.deliver` call per round.
+Late starts (Corollary 2.18), skewed clocks (Section 3) and faulty agents
+run on the ``(R, n)`` kernel :func:`repro.exec.stage_batching.run_stage1_batch`.
 """
 
 from __future__ import annotations
@@ -33,10 +34,10 @@ from typing import Tuple
 import numpy as np
 
 from ..errors import SimulationError
-from ..substrate.engine import SimulationEngine
-from ..substrate.metrics import PhaseRecord
-from ..substrate.population import NO_OPINION
-from .opinions import bias_from_counts, validate_opinion
+from ..substrate.network import PushGossipNetwork
+from ..substrate.noise import NoiseChannel
+from ..substrate.rng import RandomSource
+from .opinions import NO_OPINION, bias_from_counts, validate_opinion
 from .parameters import StageOneParameters
 from .schedule import build_stage1_schedule
 
@@ -119,21 +120,29 @@ class ReceptionAccumulator:
 
 
 def execute_stage_one(
-    engine: SimulationEngine,
+    opinions: np.ndarray,
+    activated: np.ndarray,
     parameters: StageOneParameters,
     correct_opinion: int,
+    channel: NoiseChannel,
+    random: RandomSource,
 ) -> StageOneResult:
-    """Run Stage I of the protocol on ``engine``, from phase 0.
+    """Run Stage I of the protocol from phase 0, updating the population in place.
 
     Parameters
     ----------
-    engine:
-        A freshly initialised simulation whose population already contains
-        the initially opinionated source.
+    opinions, activated:
+        The population: an ``int8`` opinion per agent (``NO_OPINION`` when it
+        has none) and a ``bool`` activation flag per agent.  The initially
+        opinionated agents (the source) must be activated already.
     parameters:
         Stage-I round budget.
     correct_opinion:
         The opinion ``B`` (used only for measurement, never by agents).
+    channel, random:
+        Noise of every delivered message, and the run's random streams:
+        ``"delivery"`` feeds :meth:`PushGossipNetwork.deliver`, ``"protocol"``
+        the phase-end choices.
 
     Returns
     -------
@@ -141,78 +150,57 @@ def execute_stage_one(
         Per-phase summaries plus aggregate complexities.
     """
     correct_opinion = validate_opinion(correct_opinion)
-    population = engine.population
-    protocol_rng = engine.protocol_rng()
-    accumulator = ReceptionAccumulator(population.size)
+    size = opinions.size
+    network = PushGossipNetwork(size=size)
+    delivery_rng = random.stream("delivery")
+    protocol_rng = random.stream("protocol")
+    accumulator = ReceptionAccumulator(size)
 
-    if population.num_opinionated() == 0:
+    if not np.any(opinions != NO_OPINION):
         raise SimulationError(
             "Stage I needs at least one initially opinionated agent (source or seeded set)"
         )
 
     summaries = []
-    total_messages_before = engine.metrics.messages_sent
-    start_round = engine.now
-
     for phase in build_stage1_schedule(parameters):
-        messages_before = engine.metrics.messages_sent
-        phase_start = engine.now
-
         # Agents that speak during this phase: everyone already activated
         # *and* opinionated when the phase starts.  Newly contacted agents
         # stay silent ("breathe") until the next phase.
-        sender_mask = population.activated & (population.opinions != NO_OPINION)
-        senders = np.flatnonzero(sender_mask)
-        sender_bits = population.opinions[senders].astype(np.int8)
+        senders = np.flatnonzero(activated & (opinions != NO_OPINION))
+        sender_bits = opinions[senders]
 
         accumulator.reset()
         for _ in range(phase.length):
-            report = engine.gossip_round(senders, sender_bits, correct_opinion=correct_opinion)
+            report = network.deliver(senders, sender_bits, channel, delivery_rng)
             accumulator.observe(report.recipients, report.bits)
 
-        newly_heard = np.flatnonzero(accumulator.heard_anything() & ~population.activated)
+        newly_heard = np.flatnonzero(accumulator.heard_anything() & ~activated)
         chosen_bits = accumulator.chosen_bits(newly_heard, protocol_rng)
-        population.activate(newly_heard, phase=phase.index, round_index=engine.now)
-        population.set_opinions(newly_heard, chosen_bits)
+        activated[newly_heard] = True
+        opinions[newly_heard] = chosen_bits
 
         newly_correct = int(np.count_nonzero(chosen_bits == correct_opinion))
-        bias_of_new = bias_from_counts(newly_correct, int(newly_heard.size) - newly_correct)
-        messages_in_phase = engine.metrics.messages_sent - messages_before
-        summary = StageOnePhaseSummary(
-            phase=phase.index,
-            rounds=phase.length,
-            senders=int(senders.size),
-            activated_total=population.num_activated(),
-            newly_activated=int(newly_heard.size),
-            newly_correct=newly_correct,
-            bias_of_new=bias_of_new,
-            messages_sent=messages_in_phase,
-        )
-        summaries.append(summary)
-        engine.metrics.observe_phase(
-            PhaseRecord(
-                stage="stage1",
+        summaries.append(
+            StageOnePhaseSummary(
                 phase=phase.index,
-                start_round=phase_start,
-                end_round=engine.now,
-                activated_total=summary.activated_total,
-                newly_activated=summary.newly_activated,
-                bias=summary.bias_of_new,
-                correct_fraction=population.correct_fraction(correct_opinion),
-                messages_sent=summary.messages_sent,
+                rounds=phase.length,
+                senders=int(senders.size),
+                activated_total=int(np.count_nonzero(activated)),
+                newly_activated=int(newly_heard.size),
+                newly_correct=newly_correct,
+                bias_of_new=bias_from_counts(newly_correct, int(newly_heard.size) - newly_correct),
+                messages_sent=int(senders.size) * phase.length,
             )
         )
-        engine.trace.record(engine.now, "stage1_phase_end", phase=phase.index, activated=summary.activated_total)
 
-    initially_correct = population.count_opinion(correct_opinion)
-    opinionated = population.num_opinionated()
-    wrong = opinionated - initially_correct
+    initially_correct = int(np.count_nonzero(opinions == correct_opinion))
+    wrong = int(np.count_nonzero(opinions != NO_OPINION)) - initially_correct
     return StageOneResult(
         phases=tuple(summaries),
-        rounds=engine.now - start_round,
-        messages_sent=engine.metrics.messages_sent - total_messages_before,
-        all_activated=population.num_activated() == population.size,
+        rounds=sum(summary.rounds for summary in summaries),
+        messages_sent=sum(summary.messages_sent for summary in summaries),
+        all_activated=bool(activated.all()),
         initially_correct=initially_correct,
-        initially_correct_fraction=initially_correct / population.size,
+        initially_correct_fraction=initially_correct / size,
         final_bias=bias_from_counts(initially_correct, wrong),
     )

@@ -13,16 +13,18 @@ The rule of Stage II (quoted from the paper):
 Implementation notes
 --------------------
 * Opinions only change at phase boundaries, so all messages an agent sends
-  during a phase carry the *phase-start* opinion; the executor snapshots the
-  opinion vector at the start of every phase.
+  during a phase carry the *phase-start* opinion; the executor fixes the
+  senders and their bits at the start of every phase.
 * "Majority of a uniformly random subset of exactly ``h`` samples" depends on
   an agent's samples only through the counts (total, number of ones), so it
   is simulated exactly by drawing the number of ones in the subset from a
   hypergeometric distribution.  This is both faster and order-invariant,
   which is the property Remark 2.10 requires for the Section-3 argument.
-* This executor runs on one engine on the global clock.  Skewed clocks
-  (Section 3), seeded populations and faulty agents run on the ``(R, n)``
-  kernel :func:`repro.exec.stage_batching.run_stage2_batch`.
+* This executor runs on a plain ``(n,)`` opinion array on the global clock,
+  one :meth:`~repro.substrate.network.PushGossipNetwork.deliver` call per
+  round.  Skewed clocks (Section 3), seeded populations and faulty agents
+  run on the ``(R, n)`` kernel
+  :func:`repro.exec.stage_batching.run_stage2_batch`.
 """
 
 from __future__ import annotations
@@ -32,10 +34,10 @@ from typing import Tuple
 
 import numpy as np
 
-from ..substrate.engine import SimulationEngine
-from ..substrate.metrics import PhaseRecord
-from ..substrate.population import NO_OPINION
-from .opinions import validate_opinion
+from ..substrate.network import PushGossipNetwork
+from ..substrate.noise import NoiseChannel
+from ..substrate.rng import RandomSource
+from .opinions import NO_OPINION, bias_from_counts, validate_opinion
 from .parameters import StageTwoParameters
 from .schedule import build_stage2_schedule
 
@@ -44,6 +46,7 @@ __all__ = [
     "StageTwoResult",
     "SampleAccumulator",
     "majority_of_random_subset",
+    "population_bias",
     "execute_stage_two",
 ]
 
@@ -152,88 +155,75 @@ def majority_of_random_subset(
     return result
 
 
+def population_bias(opinions: np.ndarray, correct_opinion: int) -> float:
+    """Majority-bias of the opinionated agents towards ``correct_opinion`` (Section 1.3.1)."""
+    correct = int(np.count_nonzero(opinions == correct_opinion))
+    return bias_from_counts(correct, int(np.count_nonzero(opinions != NO_OPINION)) - correct)
+
+
 def execute_stage_two(
-    engine: SimulationEngine,
+    opinions: np.ndarray,
     parameters: StageTwoParameters,
     correct_opinion: int,
+    channel: NoiseChannel,
+    random: RandomSource,
 ) -> StageTwoResult:
-    """Run Stage II of the protocol on ``engine``.
+    """Run Stage II of the protocol, updating the ``int8`` ``opinions`` in place.
 
     The population is expected to be (mostly) opinionated already — Stage I
-    ends with all agents activated w.h.p.  Agents without an opinion do not
-    send but still collect samples and adopt the majority of a random subset
-    if they turn out successful.
+    ends with all agents activated w.h.p.  Agents without an opinion
+    (``NO_OPINION``) do not send but still collect samples and adopt the
+    majority of a random subset if they turn out successful.  ``channel`` and
+    ``random`` are as for :func:`repro.core.stage1.execute_stage_one`.
     """
     correct_opinion = validate_opinion(correct_opinion)
-    population = engine.population
-    protocol_rng = engine.protocol_rng()
-    accumulator = SampleAccumulator(population.size)
+    size = opinions.size
+    network = PushGossipNetwork(size=size)
+    delivery_rng = random.stream("delivery")
+    protocol_rng = random.stream("protocol")
+    accumulator = SampleAccumulator(size)
 
     summaries = []
-    messages_at_start = engine.metrics.messages_sent
-    start_round = engine.now
-
     for phase in build_stage2_schedule(parameters):
         subset_size = phase.length // 2
-        messages_before = engine.metrics.messages_sent
-        phase_start = engine.now
-        bias_before = population.bias(correct_opinion)
+        bias_before = population_bias(opinions, correct_opinion)
 
-        # Messages sent during the phase all carry the phase-start opinion.
-        opinions_at_start = population.opinions.copy()
-        senders = np.flatnonzero(opinions_at_start != NO_OPINION)
-        sender_bits = opinions_at_start[senders].astype(np.int8)
+        # Opinions change only at the phase's end, so every message sent
+        # during the phase carries the phase-start opinion.
+        senders = np.flatnonzero(opinions != NO_OPINION)
+        sender_bits = opinions[senders]
 
         accumulator.reset()
         for _ in range(phase.length):
-            report = engine.gossip_round(senders, sender_bits, correct_opinion=correct_opinion)
+            report = network.deliver(senders, sender_bits, channel, delivery_rng)
             accumulator.observe(report.recipients, report.bits)
 
         successful = np.flatnonzero(accumulator.totals >= subset_size)
         if successful.size:
-            new_opinions = majority_of_random_subset(
+            opinions[successful] = majority_of_random_subset(
                 accumulator.totals[successful],
                 accumulator.ones[successful],
                 subset_size,
                 protocol_rng,
             )
-            population.set_opinions(successful, new_opinions)
-            population.activate(successful, phase=phase.index, round_index=engine.now)
 
-        bias_after = population.bias(correct_opinion)
-        correct_fraction = population.correct_fraction(correct_opinion)
-        messages_in_phase = engine.metrics.messages_sent - messages_before
-        summary = StageTwoPhaseSummary(
-            phase=phase.index,
-            rounds=phase.length,
-            successful_agents=int(successful.size),
-            bias_before=bias_before,
-            bias_after=bias_after,
-            correct_fraction_after=correct_fraction,
-            messages_sent=messages_in_phase,
-        )
-        summaries.append(summary)
-        engine.metrics.observe_phase(
-            PhaseRecord(
-                stage="stage2",
+        summaries.append(
+            StageTwoPhaseSummary(
                 phase=phase.index,
-                start_round=phase_start,
-                end_round=engine.now,
-                activated_total=population.num_activated(),
-                newly_activated=0,
-                bias=bias_after,
-                correct_fraction=correct_fraction,
-                messages_sent=messages_in_phase,
+                rounds=phase.length,
+                successful_agents=int(successful.size),
+                bias_before=bias_before,
+                bias_after=population_bias(opinions, correct_opinion),
+                correct_fraction_after=int(np.count_nonzero(opinions == correct_opinion)) / size,
+                messages_sent=int(senders.size) * phase.length,
             )
         )
-        engine.trace.record(engine.now, "stage2_phase_end", phase=phase.index, bias=bias_after)
 
-    final_correct_fraction = population.correct_fraction(correct_opinion)
     return StageTwoResult(
         phases=tuple(summaries),
-        rounds=engine.now - start_round,
-        messages_sent=engine.metrics.messages_sent - messages_at_start,
-        final_correct_fraction=final_correct_fraction,
-        final_bias=population.bias(correct_opinion),
-        consensus_reached=population.all_correct(correct_opinion),
+        rounds=sum(summary.rounds for summary in summaries),
+        messages_sent=sum(summary.messages_sent for summary in summaries),
+        final_correct_fraction=int(np.count_nonzero(opinions == correct_opinion)) / size,
+        final_bias=population_bias(opinions, correct_opinion),
+        consensus_reached=bool(np.all(opinions == correct_opinion)),
     )

@@ -41,7 +41,7 @@ class ScheduleError(ConfigurationError):
 
 
 class SimulationError(ReproError):
-    """The simulation engine reached an invalid state at run time."""
+    """A simulation reached an invalid state at run time."""
 
 
 class ProtocolError(SimulationError):

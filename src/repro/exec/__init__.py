@@ -15,7 +15,7 @@ package defines *how* the trials execute:
   independent replicates of the noisy push-gossip protocols (broadcast,
   majority consensus *and* the Section 1.6 / Section 1.4 baseline family,
   whose rules live in :mod:`repro.protocols`) as ``(R, n)`` NumPy grids
-  instead of one engine per trial, plus
+  instead of one population per trial, plus
   :func:`~repro.exec.batching.run_batch_cell` (all trials of one named cell
   as one batch, the batched counterpart of ``run_trials``),
   :func:`~repro.exec.batching.cell_task` (a cell of a comparator rule,

@@ -1,13 +1,13 @@
 """Vectorised batch execution of the noisy-broadcast and majority protocols.
 
-The serial execution path builds one :class:`~repro.substrate.engine.SimulationEngine`
-per Monte-Carlo trial and pays Python-level bookkeeping (engine wiring,
-metrics, tracing, per-round dataclasses) for every round of every trial.
-Since all trials of one sweep point share ``(n, epsilon, parameters)`` — and
-the protocol's round schedule is a deterministic function of those — ``R``
-replicates can instead be simulated *simultaneously* as ``(R, n)`` NumPy
-grids: one :meth:`~repro.substrate.network.PushGossipNetwork.deliver_batch`
-call per round replaces ``R`` engine rounds.
+A serial trial runs one population and pays the Python-level round loop
+for every round of every trial.  Since all trials of one sweep point share
+``(n, epsilon, parameters)`` — and the protocol's round schedule is a
+deterministic function of those — ``R`` replicates can instead be simulated
+*simultaneously* as ``(R, n)`` NumPy grids: one
+:meth:`~repro.substrate.network.PushGossipNetwork.deliver_batch` call per
+protocol phase (``rounds=L``) delivers every round of the phase for all
+``R`` replicates.
 
 Three protocol shapes are covered:
 
@@ -45,7 +45,7 @@ point and every batched experiment cell (E1–E9, E11, E12) goes through it.
 batched, otherwise one :func:`replicate_trial` per trial — the rule at
 ``R = 1`` under the trial's own seed, so serial and batched trials run the
 same code.  Every serial trial of E4–E9, E11 and E12 is such a call; only
-E1–E3's serial trials run the engine executors of :mod:`repro.core`.
+E1–E3's serial trials run the serial executors of :mod:`repro.core`.
 :func:`run_sweep_batched` dispatches whole sweeps point-by-point onto the
 named batch simulator, forwarding *every* recognised point setting
 (``correct_opinion``, ``allow_self_messages``, calibration overrides, the
@@ -73,7 +73,7 @@ Determinism contract
   because the whole batch consumes one random stream.
 * The serial broadcast of E1–E3
   (:func:`repro.core.broadcast.solve_noisy_broadcast`) is the one protocol
-  with a second, engine-based implementation; :func:`run_broadcast_batch`
+  with a second, one-population implementation; :func:`run_broadcast_batch`
   is statistically equivalent to it, with exactly equal round counts.
 
 The differential tests in ``tests/unit/exec/test_batching.py`` and
@@ -344,7 +344,7 @@ def run_broadcast_batch(
     )
     network = PushGossipNetwork(size=n, allow_self_messages=allow_self_messages)
 
-    # Replicate state, mirroring Population: opinion grid and activation grid.
+    # Replicate state: opinion grid and activation grid, agent 0 the source.
     state = source_batch_state(n, num_replicates, correct_opinion)
     stage1 = run_stage1_batch(
         state, network, channel, rng, parameters.stage1, correct_opinion, faults=injector

@@ -8,9 +8,10 @@ trial's seed; the serial trial dispatch
 :func:`repro.analysis.sweeps.run_sweep`) and the batched path in
 :mod:`repro.exec.batching` both derive through it, before any task is
 dispatched, so *where* a trial runs can never change which seed it gets.
-It is the same :class:`numpy.random.SeedSequence` machinery that
-:meth:`repro.substrate.rng.RandomSource.child` uses, so per-trial streams
-are statistically independent and stable across processes and platforms.
+It derives through :func:`repro.substrate.rng.derive_seed` (a
+:class:`numpy.random.SeedSequence` keyed on the tokens), so per-trial
+streams are statistically independent and stable across processes and
+platforms.
 """
 
 from __future__ import annotations

@@ -12,11 +12,11 @@ replicate-vector phase summaries with the per-phase observables ``X_i`` /
 protocol-level simulators in :mod:`repro.exec.batching` and the stage-level
 experiments (E4's phase-0 dissemination, E5's per-phase layer growth, E6's
 per-phase bias boosting, E9's clock-free variants) all run these kernels: batched as one grid, serially as one replicate per trial
-under the trial's own seed.  The serial engine executors
+under the trial's own seed.  The serial executors
 :func:`repro.core.stage1.execute_stage_one` /
 :func:`repro.core.stage2.execute_stage_two` remain for the source-seeded,
 global-clock broadcast of :func:`repro.core.broadcast.solve_noisy_broadcast`
-only; late starts (Corollary 2.18), skewed clocks (Section 3) and faulty
+only, on one ``(n,)`` population; late starts (Corollary 2.18), skewed clocks (Section 3) and faulty
 agents exist only here.
 
 The same two kernels run the Section-3 executors on skewed clocks: given an
@@ -44,7 +44,7 @@ parameters)`` inputs — two identical calls return bit-identical arrays.
 For the source-seeded broadcast, every *deterministic* observable (the
 phase schedule, per-phase round counts, phase-0 sender counts, message
 counts of schedule-fixed phases, the ``SimulationError`` raised on
-unopinionated populations) is bit-identical to the serial engine
+unopinionated populations) is bit-identical to the serial
 executors and the stochastic ones agree in distribution; the differential
 tests in ``tests/unit/exec/test_stage_batching.py`` pin both halves phase
 by phase.  The distributions of the serial trials these kernels replaced
@@ -63,13 +63,12 @@ from ..core.parameters import (
     StageOneParameters,
     StageTwoParameters,
 )
-from ..core.opinions import counts_from_bias, opposite, validate_opinion
+from ..core.opinions import NO_OPINION, counts_from_bias, opposite, validate_opinion
 from ..core.schedule import PhaseSchedule, build_stage1_schedule, build_stage2_schedule
 from ..core.synchronizer import default_guard, guarded_schedules
 from ..errors import ExperimentError, ParameterError, SimulationError
 from ..substrate.network import PushGossipNetwork
 from ..substrate.noise import BinarySymmetricChannel, NoiseChannel
-from ..substrate.population import NO_OPINION
 from ..substrate.rng import spawn_generator
 
 __all__ = [
@@ -95,9 +94,10 @@ __all__ = [
 class BatchState:
     """Mutable replicate-grid state shared by every batched protocol.
 
-    Mirrors :class:`~repro.substrate.population.Population` across ``R``
-    replicates at once: an ``(R, n)`` opinion grid, an ``(R, n)`` activation
-    grid, per-replicate message counters and the shared round counter.
+    The serial executors' ``(n,)`` opinion and activation arrays, across
+    ``R`` replicates at once: an ``(R, n)`` opinion grid, an ``(R, n)``
+    activation grid, per-replicate message counters and the shared round
+    counter.
     """
 
     opinions: np.ndarray
@@ -235,9 +235,8 @@ def _protocol_batch_inputs(
 def source_batch_state(n: int, num_replicates: int, correct_opinion: int) -> BatchState:
     """Broadcast-shaped initial state: agent 0 is the opinionated source.
 
-    Mirrors :meth:`~repro.substrate.engine.SimulationEngine.create` followed
-    by :meth:`~repro.substrate.population.Population.set_source_opinion`,
-    replicated ``R`` times.
+    The population :func:`repro.core.broadcast.solve_noisy_broadcast`
+    builds, replicated ``R`` times.
     """
     correct_opinion = validate_opinion(correct_opinion)
     opinions = np.full((num_replicates, n), NO_OPINION, dtype=np.int8)
@@ -294,9 +293,9 @@ def population_bias_grid(opinions: np.ndarray, correct_opinion: int) -> np.ndarr
     """Per-replicate majority-bias of the opinionated agents (Section 1.3.1).
 
     Grid-shaped transcription of
-    :meth:`~repro.substrate.population.Population.bias`: ``(correct - wrong)
-    / (2 * opinionated)``, ``0.0`` for replicates where nobody holds an
-    opinion yet.
+    :func:`repro.core.stage2.population_bias`: ``(correct - wrong) / (2 *
+    opinionated)``, ``0.0`` for replicates where nobody holds an opinion
+    yet.
     """
     correct = (opinions == correct_opinion).sum(axis=1)
     wrong = ((opinions != correct_opinion) & (opinions != NO_OPINION)).sum(axis=1)
@@ -444,7 +443,7 @@ def run_stage1_batch(
     schedules: Optional[Sequence[PhaseSchedule]] = None,
 ) -> StageOneBatchResult:
     """Stage I on ``(R, n)`` grids (the serial broadcast runs
-    :func:`repro.core.stage1.execute_stage_one`, the same rule on one engine).
+    :func:`repro.core.stage1.execute_stage_one`, the same rule on one population).
 
     Parameters
     ----------
@@ -602,7 +601,7 @@ def run_stage2_batch(
     schedules: Optional[Sequence[PhaseSchedule]] = None,
 ) -> StageTwoBatchResult:
     """Stage II on ``(R, n)`` grids (the serial broadcast runs
-    :func:`repro.core.stage2.execute_stage_two`, the same rule on one engine).
+    :func:`repro.core.stage2.execute_stage_two`, the same rule on one population).
 
     The population is expected to be (mostly) opinionated already.  Agents
     without an opinion do not send but still collect samples and adopt the

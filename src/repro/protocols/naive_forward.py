@@ -23,9 +23,9 @@ from typing import ClassVar, Optional
 
 import numpy as np
 
+from ..core.opinions import NO_OPINION
 from ..substrate.network import PushGossipNetwork
 from ..substrate.noise import NoiseChannel
-from ..substrate.population import NO_OPINION
 from .base import BaselineProtocol, BatchBaselineResult
 
 __all__ = ["ImmediateForwardingBroadcast"]

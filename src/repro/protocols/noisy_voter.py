@@ -24,10 +24,10 @@ from typing import ClassVar
 
 import numpy as np
 
+from ..core.opinions import NO_OPINION
 from ..errors import ParameterError
 from ..substrate.network import PushGossipNetwork
 from ..substrate.noise import NoiseChannel
-from ..substrate.population import NO_OPINION
 from .base import BaselineProtocol, BatchBaselineResult
 
 __all__ = ["NoisyVoterBroadcast"]

@@ -338,7 +338,7 @@ class PushGossipNetwork:
         """Execute push-gossip rounds for ``R`` independent replicates at once.
 
         This is the batch-aware entry point used by
-        :mod:`repro.exec.batching`: instead of one engine (and one Python-level
+        :mod:`repro.exec.batching`: instead of one population (and one Python-level
         round loop) per Monte-Carlo trial, ``R`` replicates of the round are
         simulated with a handful of array operations on ``(R, n)`` grids.
         Per replicate the semantics are exactly those of :meth:`deliver` —

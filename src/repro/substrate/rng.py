@@ -21,7 +21,7 @@ pattern.  This mirrors the paper's Section 3 argument, which fixes the
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, Optional
+from typing import Dict
 
 import numpy as np
 
@@ -120,23 +120,6 @@ class RandomSource:
         if name not in self._streams:
             self._streams[name] = spawn_generator(self.seed, "stream", name)
         return self._streams[name]
-
-    def child(self, *tokens: object) -> "RandomSource":
-        """Return a new :class:`RandomSource` derived from this one.
-
-        Used to give every trial of an experiment its own independent tree:
-        ``source.child("trial", trial_index)``.
-        """
-        return RandomSource(seed=derive_seed(self.seed, "child", *tokens))
-
-    def children(self, count: int, label: str = "trial") -> Iterator["RandomSource"]:
-        """Yield ``count`` independent child sources labelled ``label``."""
-        for index in range(count):
-            yield self.child(label, index)
-
-    def integers(self, low: int, high: Optional[int] = None, size: Optional[int] = None):
-        """Convenience proxy to the ``"default"`` stream's ``integers``."""
-        return self.stream("default").integers(low, high=high, size=size)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"RandomSource(seed={self.seed}, streams={sorted(self._streams)})"

@@ -6,35 +6,13 @@ import numpy as np
 import pytest
 
 from repro.exec.backends import LocalPoolBackend, use_backend
-from repro.substrate import BinarySymmetricChannel, PushGossipNetwork, SimulationEngine
+from repro.substrate import BinarySymmetricChannel, PushGossipNetwork
 
 
 @pytest.fixture
 def rng() -> np.random.Generator:
     """A deterministic numpy generator for tests that need raw randomness."""
     return np.random.default_rng(123456789)
-
-
-@pytest.fixture
-def small_engine() -> SimulationEngine:
-    """A 50-agent engine with moderate noise, deterministic seed."""
-    return SimulationEngine.create(n=50, epsilon=0.25, seed=4242)
-
-
-@pytest.fixture
-def medium_engine() -> SimulationEngine:
-    """A 400-agent engine used by the slower protocol-level unit tests."""
-    return SimulationEngine.create(n=400, epsilon=0.25, seed=777)
-
-
-@pytest.fixture
-def make_engine():
-    """Factory fixture: build engines with custom n / epsilon / seed / source."""
-
-    def _make(n: int = 100, epsilon: float = 0.25, seed: int = 1, source=0, **kwargs):
-        return SimulationEngine.create(n=n, epsilon=epsilon, seed=seed, source=source, **kwargs)
-
-    return _make
 
 
 @pytest.fixture

@@ -1,6 +1,6 @@
 """Integration tests: the full broadcast protocol across the whole stack.
 
-These tests exercise the complete pipeline (parameters -> engine -> Stage I
+These tests exercise the complete pipeline (parameters -> population -> Stage I
 -> Stage II -> result) at small scale, including the statistical behaviour
 the paper guarantees.  Seeds are fixed so the suite is deterministic.
 """

@@ -2,16 +2,9 @@
 
 import pytest
 
-from repro.core.broadcast import NoisyBroadcastProtocol, solve_noisy_broadcast
+from repro.core.broadcast import solve_noisy_broadcast
 from repro.core.parameters import ProtocolParameters
 from repro.errors import SimulationError
-from repro.substrate import (
-    BinarySymmetricChannel,
-    Population,
-    PushGossipNetwork,
-    RandomSource,
-    SimulationEngine,
-)
 
 
 @pytest.fixture(scope="module")
@@ -68,28 +61,19 @@ class TestSolveNoisyBroadcast:
         default = solve_noisy_broadcast(n=250, epsilon=0.3, seed=3).rounds
         assert smaller < default
 
-    def test_time_series_recording(self):
-        result = solve_noisy_broadcast(n=200, epsilon=0.3, seed=11, record_time_series=True)
-        assert result.success
+    def test_each_stage_runs_its_schedule(self, small_result):
+        parameters = ProtocolParameters.calibrated(300, 0.3)
+        for stage, stage_parameters in (
+            (small_result.stage1, parameters.stage1),
+            (small_result.stage2, parameters.stage2),
+        ):
+            assert stage.rounds == stage_parameters.total_rounds
+            assert stage.messages_sent == sum(phase.messages_sent for phase in stage.phases)
 
-
-class TestNoisyBroadcastProtocol:
-    def test_requires_source(self):
+    def test_rejects_parameters_built_for_another_n(self):
         parameters = ProtocolParameters.calibrated(100, 0.3)
-        engine = SimulationEngine(
-            population=Population(size=100, source=None),
-            network=PushGossipNetwork(size=100),
-            channel=BinarySymmetricChannel(epsilon=0.3),
-            random=RandomSource(seed=1),
-        )
-        with pytest.raises(SimulationError):
-            NoisyBroadcastProtocol(parameters).run(engine)
-
-    def test_rejects_mismatched_engine_size(self):
-        parameters = ProtocolParameters.calibrated(100, 0.3)
-        engine = SimulationEngine.create(n=200, epsilon=0.3, seed=1)
-        with pytest.raises(SimulationError):
-            NoisyBroadcastProtocol(parameters).run(engine)
+        with pytest.raises(SimulationError, match="built for 100"):
+            solve_noisy_broadcast(n=200, epsilon=0.3, seed=1, parameters=parameters)
 
     def test_stage_results_exposed(self, small_result):
         assert small_result.stage1.all_activated

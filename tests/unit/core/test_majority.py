@@ -9,7 +9,7 @@ from repro.core.schedule import build_stage1_schedule
 from repro.errors import ParameterError, SimulationError
 from repro.exec.batching import run_majority_batch
 from repro.exec.stage_batching import population_bias_grid, seeded_batch_state
-from repro.substrate.population import NO_OPINION
+from repro.core.opinions import NO_OPINION
 
 
 class TestSeededInstance:

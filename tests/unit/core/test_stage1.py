@@ -7,13 +7,36 @@ from repro.core.parameters import StageOneParameters
 from repro.core.stage1 import ReceptionAccumulator, execute_stage_one
 from repro.errors import ParameterError, SimulationError
 from repro.exec.stage_batching import BatchState, run_stage1_batch, source_batch_state
-from repro.substrate import BinarySymmetricChannel, PushGossipNetwork, SimulationEngine
+from repro.core.opinions import NO_OPINION
+from repro.substrate import BinarySymmetricChannel, PushGossipNetwork, RandomSource
 from repro.substrate.noise import PerfectChannel
-from repro.substrate.population import NO_OPINION
 
 
 def small_stage1_params():
     return StageOneParameters(beta_s=60, beta=20, beta_f=120, num_intermediate_phases=1)
+
+
+def source_population(n, source_opinion=1):
+    """``(opinions, activated)`` of ``n`` agents, agent 0 the activated source."""
+    opinions = np.full(n, NO_OPINION, dtype=np.int8)
+    activated = np.zeros(n, dtype=bool)
+    activated[0] = True
+    if source_opinion is not None:
+        opinions[0] = source_opinion
+    return opinions, activated
+
+
+def run_stage_one(n, epsilon, seed, correct_opinion=1, channel=None):
+    """Stage I from a source holding ``correct_opinion``.
+
+    Returns the result and the final ``(opinions, activated)`` arrays.
+    """
+    opinions, activated = source_population(n, correct_opinion)
+    channel = channel if channel is not None else BinarySymmetricChannel(epsilon=epsilon)
+    result = execute_stage_one(
+        opinions, activated, small_stage1_params(), correct_opinion, channel, RandomSource(seed)
+    )
+    return result, opinions, activated
 
 
 class TestReceptionAccumulator:
@@ -51,25 +74,23 @@ class TestReceptionAccumulator:
 
 class TestExecuteStageOne:
     def test_requires_an_opinionated_agent(self):
-        engine = SimulationEngine.create(n=50, epsilon=0.25, seed=3)
-        with pytest.raises(SimulationError):
-            execute_stage_one(engine, small_stage1_params(), correct_opinion=1)
+        opinions, activated = source_population(50, source_opinion=None)
+        with pytest.raises(SimulationError, match="at least one initially opinionated"):
+            execute_stage_one(
+                opinions, activated, small_stage1_params(), 1,
+                BinarySymmetricChannel(epsilon=0.25), RandomSource(3),
+            )
 
     def test_round_and_phase_accounting(self):
-        engine = SimulationEngine.create(n=300, epsilon=0.25, seed=3)
-        engine.population.set_source_opinion(1)
         params = small_stage1_params()
-        result = execute_stage_one(engine, params, correct_opinion=1)
-        assert result.rounds == params.total_rounds == engine.now
+        result, _, _ = run_stage_one(300, 0.25, seed=3)
+        assert result.rounds == params.total_rounds
         assert [summary.phase for summary in result.phases] == [0, 1, 2]
         assert [summary.rounds for summary in result.phases] == [60, 20, 120]
-        assert result.messages_sent == engine.metrics.messages_sent
-        assert sum(record.stage == "stage1" for record in engine.metrics.phases) == 3
+        assert result.messages_sent == sum(summary.messages_sent for summary in result.phases)
 
     def test_phase0_only_source_speaks(self):
-        engine = SimulationEngine.create(n=300, epsilon=0.25, seed=7)
-        engine.population.set_source_opinion(1)
-        result = execute_stage_one(engine, small_stage1_params(), correct_opinion=1)
+        result, _, _ = run_stage_one(300, 0.25, seed=7)
         phase0 = result.phase(0)
         assert phase0.senders == 1
         assert phase0.messages_sent == 60
@@ -77,27 +98,20 @@ class TestExecuteStageOne:
         assert phase0.newly_activated <= 60
 
     def test_activation_grows_and_covers_population(self):
-        engine = SimulationEngine.create(n=300, epsilon=0.25, seed=11)
-        engine.population.set_source_opinion(1)
-        result = execute_stage_one(engine, small_stage1_params(), correct_opinion=1)
+        result, opinions, activated = run_stage_one(300, 0.25, seed=11)
         totals = [summary.activated_total for summary in result.phases]
         assert totals == sorted(totals)
         assert result.all_activated
-        assert engine.population.num_opinionated() == 300
+        assert activated.all()
+        assert np.count_nonzero(opinions != NO_OPINION) == 300
 
     def test_noiseless_channel_gives_perfect_bias(self):
-        engine = SimulationEngine.create(
-            n=300, epsilon=0.5, seed=13, channel=PerfectChannel()
-        )
-        engine.population.set_source_opinion(1)
-        result = execute_stage_one(engine, small_stage1_params(), correct_opinion=1)
+        result, _, _ = run_stage_one(300, 0.5, seed=13, channel=PerfectChannel())
         assert result.final_bias == pytest.approx(0.5)
         assert result.initially_correct == 300
 
     def test_noisy_channel_keeps_positive_bias(self):
-        engine = SimulationEngine.create(n=400, epsilon=0.3, seed=17)
-        engine.population.set_source_opinion(1)
-        result = execute_stage_one(engine, small_stage1_params(), correct_opinion=1)
+        result, _, _ = run_stage_one(400, 0.3, seed=17)
         assert 0.0 < result.final_bias < 0.5
 
     def test_symmetry_between_opinions(self):
@@ -109,9 +123,7 @@ class TestExecuteStageOne:
         """
 
         def run(correct_opinion, seed):
-            engine = SimulationEngine.create(n=200, epsilon=0.3, seed=seed)
-            engine.population.set_source_opinion(correct_opinion)
-            result = execute_stage_one(engine, small_stage1_params(), correct_opinion=correct_opinion)
+            result, _, _ = run_stage_one(200, 0.3, seed=seed, correct_opinion=correct_opinion)
             return result.messages_sent, [s.activated_total for s in result.phases], result.final_bias
 
         biases = {1: [], 0: []}
@@ -128,9 +140,7 @@ class TestExecuteStageOne:
 
     def test_dormant_agents_never_send(self):
         """In every phase the number of senders equals the agents activated before it."""
-        engine = SimulationEngine.create(n=300, epsilon=0.25, seed=31)
-        engine.population.set_source_opinion(1)
-        result = execute_stage_one(engine, small_stage1_params(), correct_opinion=1)
+        result, _, _ = run_stage_one(300, 0.25, seed=31)
         previous_total = 1
         for summary in result.phases:
             assert summary.senders == previous_total

@@ -3,10 +3,15 @@
 import numpy as np
 import pytest
 
-from repro.core.opinions import counts_from_bias
+from repro.core.opinions import NO_OPINION, counts_from_bias
 from repro.core.parameters import StageTwoParameters
-from repro.core.stage2 import SampleAccumulator, execute_stage_two, majority_of_random_subset
-from repro.substrate import SimulationEngine
+from repro.core.stage2 import (
+    SampleAccumulator,
+    execute_stage_two,
+    majority_of_random_subset,
+    population_bias,
+)
+from repro.substrate import BinarySymmetricChannel, RandomSource
 from repro.substrate.noise import PerfectChannel
 
 
@@ -14,21 +19,19 @@ def small_stage2_params():
     return StageTwoParameters(gamma=15, num_boost_phases=4, final_phase_rounds=160)
 
 
-def seed_opinions(engine, members, opinions):
-    """Give ``members`` their ``opinions`` and mark them activated."""
-    engine.population.set_opinions(members, opinions)
-    engine.population.activate(members, phase=0, round_index=0)
+class SeededRun:
+    """A population whose every agent holds an opinion, at majority-bias ``bias`` towards 1."""
 
+    def __init__(self, n=400, epsilon=0.25, seed=1, bias=0.15, channel=None):
+        self.random = RandomSource(seed)
+        self.channel = channel if channel is not None else BinarySymmetricChannel(epsilon=epsilon)
+        correct, _ = counts_from_bias(n, bias)
+        self.opinions = np.zeros(n, dtype=np.int8)
+        self.opinions[:correct] = 1
+        self.random.stream("seeding").shuffle(self.opinions)
 
-def seeded_engine(n=400, epsilon=0.25, seed=1, bias=0.15, channel=None):
-    """An engine whose every agent holds an opinion, at majority-bias ``bias`` towards 1."""
-    engine = SimulationEngine.create(n=n, epsilon=epsilon, seed=seed, channel=channel)
-    correct, _ = counts_from_bias(n, bias)
-    opinions = np.zeros(n, dtype=np.int8)
-    opinions[:correct] = 1
-    engine.random.stream("seeding").shuffle(opinions)
-    seed_opinions(engine, np.arange(n), opinions)
-    return engine
+    def stage_two(self, parameters, correct_opinion):
+        return execute_stage_two(self.opinions, parameters, correct_opinion, self.channel, self.random)
 
 
 class TestSampleAccumulator:
@@ -74,17 +77,14 @@ class TestMajorityOfRandomSubset:
 
 class TestExecuteStageTwo:
     def test_round_and_phase_accounting(self):
-        engine = seeded_engine(seed=5)
         params = small_stage2_params()
-        result = execute_stage_two(engine, params, correct_opinion=1)
-        assert result.rounds == params.total_rounds == engine.now
+        result = SeededRun(seed=5).stage_two(params, correct_opinion=1)
+        assert result.rounds == params.total_rounds
         assert [summary.phase for summary in result.phases] == [1, 2, 3, 4, 5]
-        assert result.messages_sent == engine.metrics.messages_sent
-        assert sum(record.stage == "stage2" for record in engine.metrics.phases) == 5
+        assert result.messages_sent == sum(summary.messages_sent for summary in result.phases)
 
     def test_boosts_bias_to_consensus(self):
-        engine = seeded_engine(seed=7, bias=0.15)
-        result = execute_stage_two(engine, small_stage2_params(), correct_opinion=1)
+        result = SeededRun(seed=7, bias=0.15).stage_two(small_stage2_params(), correct_opinion=1)
         assert result.consensus_reached
         assert result.final_correct_fraction == 1.0
         biases = [summary.bias_after for summary in result.phases]
@@ -92,46 +92,52 @@ class TestExecuteStageTwo:
 
     def test_strong_minority_start_converges_to_majority(self):
         """Starting from a clear majority of 0s, the population converges to 0 (symmetry)."""
-        engine = seeded_engine(seed=9, bias=0.15)
+        run = SeededRun(seed=9, bias=0.15)
         # The instance above is biased towards opinion 1; measure against 0 and
         # confirm the bias is negative and consensus settles on 1 (i.e. not 0).
-        result = execute_stage_two(engine, small_stage2_params(), correct_opinion=0)
+        result = run.stage_two(small_stage2_params(), correct_opinion=0)
         assert result.final_bias == pytest.approx(-0.5)
         assert not result.consensus_reached
 
     def test_most_agents_successful_each_phase(self):
-        engine = seeded_engine(seed=11)
-        result = execute_stage_two(engine, small_stage2_params(), correct_opinion=1)
+        run = SeededRun(seed=11)
+        result = run.stage_two(small_stage2_params(), correct_opinion=1)
         for summary in result.phases:
             # Claim 2.9: at least n/2 successful agents per phase, w.h.p.
-            assert summary.successful_agents >= engine.n / 2
+            assert summary.successful_agents >= run.opinions.size / 2
 
     def test_noiseless_channel_converges_fast(self):
-        engine = seeded_engine(seed=13, epsilon=0.5, channel=PerfectChannel(), bias=0.1)
+        run = SeededRun(seed=13, epsilon=0.5, channel=PerfectChannel(), bias=0.1)
         params = StageTwoParameters(gamma=9, num_boost_phases=3, final_phase_rounds=40)
-        result = execute_stage_two(engine, params, correct_opinion=1)
-        assert result.consensus_reached
+        assert run.stage_two(params, correct_opinion=1).consensus_reached
 
     def test_unopinionated_population_gets_opinions_from_samples(self):
         """Agents without an opinion listen, and successful ones adopt the sample majority."""
-        engine = SimulationEngine.create(n=200, epsilon=0.3, seed=17)
-        members = np.arange(100)
-        opinions = np.asarray([1] * 80 + [0] * 20, dtype=np.int8)
-        seed_opinions(engine, members, opinions)
-        result = execute_stage_two(engine, small_stage2_params(), correct_opinion=1)
-        assert engine.population.num_opinionated() == 200
+        opinions = np.full(200, NO_OPINION, dtype=np.int8)
+        opinions[:100] = [1] * 80 + [0] * 20
+        result = execute_stage_two(
+            opinions, small_stage2_params(), 1, BinarySymmetricChannel(epsilon=0.3), RandomSource(17)
+        )
+        assert np.count_nonzero(opinions != NO_OPINION) == 200
         assert result.final_correct_fraction > 0.9
 
     def test_opinions_fixed_within_a_phase(self):
         """Messages sent during a phase carry the phase-start opinion (one update per phase)."""
-        engine = seeded_engine(seed=19)
+        run = SeededRun(seed=19)
         params = StageTwoParameters(gamma=15, num_boost_phases=1, final_phase_rounds=30)
-        before = engine.population.opinions.copy()
-        result = execute_stage_two(engine, params, correct_opinion=1)
+        before = run.opinions.copy()
+        result = run.stage_two(params, correct_opinion=1)
         # Opinions can only have been rewritten at the two phase boundaries, so the
         # number of distinct opinion vectors observed is at most phases + 1; here we
         # simply check the phase summaries expose exactly one bias change per phase.
         assert len(result.phases) == 2
         assert result.phases[0].bias_before == pytest.approx(
-            (np.count_nonzero(before == 1) - np.count_nonzero(before == 0)) / (2 * engine.n)
+            (np.count_nonzero(before == 1) - np.count_nonzero(before == 0)) / (2 * before.size)
         )
+
+    def test_population_bias_matches_the_section_1_3_1_definition(self):
+        """Unopinionated agents are left out: (correct - wrong) / (2 |opinionated|)."""
+        opinions = np.asarray([1, 1, 1, 0, NO_OPINION, NO_OPINION], dtype=np.int8)
+        assert population_bias(opinions, 1) == pytest.approx(0.25)
+        assert population_bias(opinions, 0) == pytest.approx(-0.25)
+        assert population_bias(np.full(3, NO_OPINION, dtype=np.int8), 1) == 0.0

@@ -21,11 +21,11 @@ import numpy as np
 import pytest
 
 from repro.core.majority import compute_start_phase
-from repro.core.opinions import counts_from_bias
+from repro.core.opinions import NO_OPINION, counts_from_bias
 from repro.core.parameters import ProtocolParameters, StageOneParameters
 from repro.core.schedule import build_stage1_schedule, build_stage2_schedule
 from repro.core.stage1 import ReceptionAccumulator, execute_stage_one
-from repro.core.stage2 import SampleAccumulator, execute_stage_two
+from repro.core.stage2 import SampleAccumulator, execute_stage_two, population_bias
 from repro.core.synchronizer import default_guard, run_with_bounded_skew
 from repro.errors import ParameterError, SimulationError
 from repro.exec.batching import replicate_trial, run_baseline_batch, run_broadcast_batch
@@ -42,11 +42,9 @@ from repro.exec.stage_batching import (
     source_batch_state,
 )
 from repro.exec import stage_batching
-from repro.substrate.engine import SimulationEngine
 from repro.substrate.network import PushGossipNetwork
 from repro.substrate.noise import BinarySymmetricChannel
-from repro.substrate.population import NO_OPINION
-from repro.substrate.rng import spawn_generator
+from repro.substrate.rng import RandomSource, spawn_generator
 
 N = 240
 EPSILON = 0.3
@@ -58,9 +56,11 @@ def _parameters(n: int = N, epsilon: float = EPSILON) -> ProtocolParameters:
 
 
 def _serial_stage1(seed: int, parameters: StageOneParameters, n: int = N, epsilon: float = EPSILON):
-    engine = SimulationEngine.create(n=n, epsilon=epsilon, seed=seed)
-    engine.population.set_source_opinion(1)
-    return execute_stage_one(engine, parameters, correct_opinion=1)
+    opinions = np.full(n, NO_OPINION, dtype=np.int8)
+    opinions[0] = 1
+    activated = opinions != NO_OPINION
+    channel = BinarySymmetricChannel(epsilon=epsilon)
+    return execute_stage_one(opinions, activated, parameters, 1, channel, RandomSource(seed))
 
 
 class TestStageOneDifferential:
@@ -155,9 +155,12 @@ class TestStageOneDifferential:
         """The degenerate case raises the same SimulationError on both paths."""
         parameters = _parameters().stage1
         # The source has not been given its opinion.
-        engine = SimulationEngine.create(n=N, epsilon=EPSILON, seed=0)
+        opinions = np.full(N, NO_OPINION, dtype=np.int8)
+        activated = np.zeros(N, dtype=bool)
+        activated[0] = True
+        channel = BinarySymmetricChannel(epsilon=EPSILON)
         with pytest.raises(SimulationError, match="at least one initially opinionated"):
-            execute_stage_one(engine, parameters, correct_opinion=1)
+            execute_stage_one(opinions, activated, parameters, 1, channel, RandomSource(0))
 
         state = BatchState(
             opinions=np.full((3, N), NO_OPINION, dtype=np.int8),
@@ -179,21 +182,14 @@ class TestStageOneDifferential:
         assert np.all(batch.phase(0).activated_total <= 2)
 
 
-def _seed_opinions(engine, members, opinions) -> None:
-    """Give ``members`` their ``opinions`` and mark them activated."""
-    engine.population.set_opinions(members, opinions)
-    engine.population.activate(members, phase=0, round_index=0)
-
-
 def _serial_stage2(seed: int, initial_bias: float, parameters, n: int = N, epsilon: float = EPSILON):
     """Serial Stage II from a fully opinionated population at ``initial_bias``."""
-    engine = SimulationEngine.create(n=n, epsilon=epsilon, seed=seed)
+    random = RandomSource(seed)
     correct, _ = counts_from_bias(n, initial_bias)
     opinions = np.zeros(n, dtype=np.int8)
     opinions[:correct] = 1
-    engine.random.stream("seeding").shuffle(opinions)
-    _seed_opinions(engine, np.arange(n), opinions)
-    return execute_stage_two(engine, parameters, correct_opinion=1)
+    random.stream("seeding").shuffle(opinions)
+    return execute_stage_two(opinions, parameters, 1, BinarySymmetricChannel(epsilon=epsilon), random)
 
 
 class TestStageTwoDifferential:
@@ -280,14 +276,11 @@ class TestCompositionBitIdentity:
         assert np.array_equal(protocol.messages_sent, stage1.messages_sent + stage2.messages_sent)
 
     def test_population_bias_grid_matches_population_bias(self):
-        engine = SimulationEngine.create(n=50, epsilon=0.3, seed=1)
-        rng = engine.random.stream("seeding")
+        rng = RandomSource(1).stream("seeding")
         members = rng.choice(50, size=30, replace=False)
-        opinions = (rng.random(30) < 0.6).astype(np.int8)
-        _seed_opinions(engine, members, opinions)
-        grid = np.full((1, 50), NO_OPINION, dtype=np.int8)
-        grid[0, members] = opinions
-        assert population_bias_grid(grid, 1)[0] == pytest.approx(engine.population.bias(1))
+        opinions = np.full(50, NO_OPINION, dtype=np.int8)
+        opinions[members] = (rng.random(30) < 0.6).astype(np.int8)
+        assert population_bias_grid(opinions[None, :], 1)[0] == pytest.approx(population_bias(opinions, 1))
 
 
 class TestWindowedBatch:

@@ -46,21 +46,6 @@ class TestRandomSource:
         np.testing.assert_allclose(a_then_b[0], b_then_a[1])
         np.testing.assert_allclose(a_then_b[1], b_then_a[0])
 
-    def test_child_sources_differ_from_parent_and_each_other(self):
-        source = RandomSource(seed=3)
-        children = list(source.children(3))
-        seeds = {child.seed for child in children} | {source.seed}
-        assert len(seeds) == 4
-
-    def test_child_reproducible(self):
-        assert RandomSource(seed=9).child("trial", 4).seed == RandomSource(seed=9).child("trial", 4).seed
-
     def test_non_integer_seed_rejected(self):
         with pytest.raises(TypeError):
             RandomSource(seed="not-a-seed")
-
-    def test_integers_proxy(self):
-        source = RandomSource(seed=21)
-        values = source.integers(0, 10, size=100)
-        assert values.shape == (100,)
-        assert values.min() >= 0 and values.max() < 10

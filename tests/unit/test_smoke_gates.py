@@ -483,19 +483,34 @@ class TestBenchmarkScriptsImport:
 class TestPerfbenchSpanTargets:
     """The repo benchmark's layer trace wraps ``repro`` functions by name
     (``perfbench/spans.py``); a renamed or deleted kernel would otherwise
-    only surface when someone runs that benchmark."""
+    only surface when someone runs that benchmark, in its own CI step."""
+
+    @staticmethod
+    def _spans_tables():
+        """``FUNCTIONS`` and ``METHODS`` of ``perfbench/spans.py``, read without
+        importing it (no bytecode is written next to the benchmark)."""
+        spans_path = BENCHMARKS_DIR.parent / "perfbench" / "spans.py"
+        namespace = {"__name__": "_perfbench_spans_smoke"}
+        exec(compile(spans_path.read_text(), str(spans_path), "exec"), namespace)
+        return namespace["FUNCTIONS"], namespace["METHODS"]
+
+    @staticmethod
+    def _module_in_src(module_name):
+        module = importlib.import_module(module_name)
+        src = BENCHMARKS_DIR.parent / "src"
+        assert Path(module.__file__).resolve().is_relative_to(src), (
+            f"{module_name} resolves to {module.__file__}, not to this checkout's src/"
+        )
+        return module
 
     def test_every_span_target_resolves(self):
-        spans_path = BENCHMARKS_DIR.parent / "perfbench" / "spans.py"
-        spec = importlib.util.spec_from_file_location("_perfbench_spans_smoke", spans_path)
-        spans = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(spans)
-        assert spans.FUNCTIONS and spans.METHODS
-        for module_name, attribute, _name in spans.FUNCTIONS:
-            target = getattr(importlib.import_module(module_name), attribute, None)
+        functions, methods = self._spans_tables()
+        assert functions and methods
+        for module_name, attribute, _name in functions:
+            target = getattr(self._module_in_src(module_name), attribute, None)
             assert callable(target), f"{module_name}.{attribute} is gone"
-        for module_name, class_name, method, _name, _attr in spans.METHODS:
-            cls = getattr(importlib.import_module(module_name), class_name, None)
+        for module_name, class_name, method, _name, _attr in methods:
+            cls = getattr(self._module_in_src(module_name), class_name, None)
             assert cls is not None, f"{module_name}.{class_name} is gone"
             # The tracer patches the method the class itself defines.
             assert callable(vars(cls).get(method)), f"{class_name}.{method} is gone"
