@@ -101,7 +101,7 @@ def solve_noisy_broadcast(
     if parameters is None:
         parameters = ProtocolParameters.calibrated(n, epsilon, **calibration_overrides)
     channel = BinarySymmetricChannel(epsilon=epsilon)
-    random = RandomSource(seed=seed)
+    streams = RandomSource(seed=seed)
     correct_opinion = validate_opinion(correct_opinion)
     if parameters.n != n:
         raise SimulationError(f"{n} agents but parameters were built for {parameters.n}")
@@ -110,8 +110,10 @@ def solve_noisy_broadcast(
     opinions[0] = correct_opinion
     activated = np.zeros(n, dtype=bool)
     activated[0] = True
-    stage1 = execute_stage_one(opinions, activated, parameters.stage1, correct_opinion, channel, random)
-    stage2 = execute_stage_two(opinions, parameters.stage2, correct_opinion, channel, random)
+    stage1 = execute_stage_one(
+        opinions, activated, parameters.stage1, correct_opinion, channel, streams
+    )
+    stage2 = execute_stage_two(opinions, parameters.stage2, correct_opinion, channel, streams)
 
     return BroadcastResult(
         success=stage2.consensus_reached,

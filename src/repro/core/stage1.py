@@ -125,7 +125,7 @@ def execute_stage_one(
     parameters: StageOneParameters,
     correct_opinion: int,
     channel: NoiseChannel,
-    random: RandomSource,
+    streams: RandomSource,
 ) -> StageOneResult:
     """Run Stage I of the protocol from phase 0, updating the population in place.
 
@@ -139,7 +139,7 @@ def execute_stage_one(
         Stage-I round budget.
     correct_opinion:
         The opinion ``B`` (used only for measurement, never by agents).
-    channel, random:
+    channel, streams:
         Noise of every delivered message, and the run's random streams:
         ``"delivery"`` feeds :meth:`PushGossipNetwork.deliver`, ``"protocol"``
         the phase-end choices.
@@ -152,8 +152,8 @@ def execute_stage_one(
     correct_opinion = validate_opinion(correct_opinion)
     size = opinions.size
     network = PushGossipNetwork(size=size)
-    delivery_rng = random.stream("delivery")
-    protocol_rng = random.stream("protocol")
+    delivery_rng = streams.stream("delivery")
+    protocol_rng = streams.stream("protocol")
     accumulator = ReceptionAccumulator(size)
 
     if not np.any(opinions != NO_OPINION):

@@ -166,7 +166,7 @@ def execute_stage_two(
     parameters: StageTwoParameters,
     correct_opinion: int,
     channel: NoiseChannel,
-    random: RandomSource,
+    streams: RandomSource,
 ) -> StageTwoResult:
     """Run Stage II of the protocol, updating the ``int8`` ``opinions`` in place.
 
@@ -174,13 +174,13 @@ def execute_stage_two(
     ends with all agents activated w.h.p.  Agents without an opinion
     (``NO_OPINION``) do not send but still collect samples and adopt the
     majority of a random subset if they turn out successful.  ``channel`` and
-    ``random`` are as for :func:`repro.core.stage1.execute_stage_one`.
+    ``streams`` are as for :func:`repro.core.stage1.execute_stage_one`.
     """
     correct_opinion = validate_opinion(correct_opinion)
     size = opinions.size
     network = PushGossipNetwork(size=size)
-    delivery_rng = random.stream("delivery")
-    protocol_rng = random.stream("protocol")
+    delivery_rng = streams.stream("delivery")
+    protocol_rng = streams.stream("protocol")
     accumulator = SampleAccumulator(size)
 
     summaries = []

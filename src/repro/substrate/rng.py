@@ -93,7 +93,7 @@ def spawn_generator(root_seed: int, *tokens: object) -> np.random.Generator:
 
 @dataclass
 class RandomSource:
-    """A named tree of reproducible random generators.
+    """Named, reproducible random generator streams of one run.
 
     Examples
     --------

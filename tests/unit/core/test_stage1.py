@@ -3,11 +3,11 @@
 import numpy as np
 import pytest
 
+from repro.core.opinions import NO_OPINION
 from repro.core.parameters import StageOneParameters
 from repro.core.stage1 import ReceptionAccumulator, execute_stage_one
 from repro.errors import ParameterError, SimulationError
 from repro.exec.stage_batching import BatchState, run_stage1_batch, source_batch_state
-from repro.core.opinions import NO_OPINION
 from repro.substrate import BinarySymmetricChannel, PushGossipNetwork, RandomSource
 from repro.substrate.noise import PerfectChannel
 

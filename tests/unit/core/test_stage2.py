@@ -23,15 +23,15 @@ class SeededRun:
     """A population whose every agent holds an opinion, at majority-bias ``bias`` towards 1."""
 
     def __init__(self, n=400, epsilon=0.25, seed=1, bias=0.15, channel=None):
-        self.random = RandomSource(seed)
+        self.streams = RandomSource(seed)
         self.channel = channel if channel is not None else BinarySymmetricChannel(epsilon=epsilon)
         correct, _ = counts_from_bias(n, bias)
         self.opinions = np.zeros(n, dtype=np.int8)
         self.opinions[:correct] = 1
-        self.random.stream("seeding").shuffle(self.opinions)
+        self.streams.stream("seeding").shuffle(self.opinions)
 
     def stage_two(self, parameters, correct_opinion):
-        return execute_stage_two(self.opinions, parameters, correct_opinion, self.channel, self.random)
+        return execute_stage_two(self.opinions, parameters, correct_opinion, self.channel, self.streams)
 
 
 class TestSampleAccumulator:

@@ -184,12 +184,12 @@ class TestStageOneDifferential:
 
 def _serial_stage2(seed: int, initial_bias: float, parameters, n: int = N, epsilon: float = EPSILON):
     """Serial Stage II from a fully opinionated population at ``initial_bias``."""
-    random = RandomSource(seed)
+    streams = RandomSource(seed)
     correct, _ = counts_from_bias(n, initial_bias)
     opinions = np.zeros(n, dtype=np.int8)
     opinions[:correct] = 1
-    random.stream("seeding").shuffle(opinions)
-    return execute_stage_two(opinions, parameters, 1, BinarySymmetricChannel(epsilon=epsilon), random)
+    streams.stream("seeding").shuffle(opinions)
+    return execute_stage_two(opinions, parameters, 1, BinarySymmetricChannel(epsilon=epsilon), streams)
 
 
 class TestStageTwoDifferential:
