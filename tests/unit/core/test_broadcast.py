@@ -4,7 +4,7 @@ import pytest
 
 from repro.core.broadcast import solve_noisy_broadcast
 from repro.core.parameters import ProtocolParameters
-from repro.errors import SimulationError
+from repro.errors import ParameterError, SimulationError
 
 
 @pytest.fixture(scope="module")
@@ -79,3 +79,38 @@ class TestSolveNoisyBroadcast:
         assert small_result.stage1.all_activated
         assert small_result.stage1.final_bias > 0
         assert small_result.stage2.consensus_reached
+
+
+class TestSolveNoisyBroadcastInputs:
+    @pytest.mark.parametrize("correct_opinion", [-1, 2, 7])
+    def test_rejects_an_opinion_outside_zero_one(self, correct_opinion):
+        with pytest.raises(ParameterError, match="opinion must be 0 or 1"):
+            solve_noisy_broadcast(n=100, epsilon=0.3, seed=1, correct_opinion=correct_opinion)
+
+    @pytest.mark.parametrize("built_for", [50, 199, 201])
+    def test_rejects_parameters_of_any_other_size(self, built_for):
+        parameters = ProtocolParameters.calibrated(built_for, 0.3)
+        with pytest.raises(SimulationError, match=f"built for {built_for}"):
+            solve_noisy_broadcast(n=200, epsilon=0.3, seed=1, parameters=parameters)
+
+
+class TestSolveNoisyBroadcastDeterminism:
+    @pytest.mark.parametrize("seed", [0, 7, 77])
+    def test_same_seed_gives_an_equal_result(self, seed):
+        assert solve_noisy_broadcast(n=150, epsilon=0.3, seed=seed) == solve_noisy_broadcast(
+            n=150, epsilon=0.3, seed=seed
+        )
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_message_pattern_is_blind_to_the_correct_opinion(self, seed):
+        """Who hears whom does not depend on the bits (Section 1.3.4), seed for seed."""
+        one = solve_noisy_broadcast(n=150, epsilon=0.3, seed=seed, correct_opinion=1)
+        zero = solve_noisy_broadcast(n=150, epsilon=0.3, seed=seed, correct_opinion=0)
+        assert one.rounds == zero.rounds
+        assert one.messages_sent == zero.messages_sent
+        assert [p.activated_total for p in one.stage1.phases] == [
+            p.activated_total for p in zero.stage1.phases
+        ]
+        assert [p.successful_agents for p in one.stage2.phases] == [
+            p.successful_agents for p in zero.stage2.phases
+        ]

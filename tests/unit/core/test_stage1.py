@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.opinions import NO_OPINION
+from repro.core.opinions import NO_OPINION, bias_from_counts
 from repro.core.parameters import StageOneParameters
 from repro.core.stage1 import ReceptionAccumulator, execute_stage_one
 from repro.errors import ParameterError, SimulationError
@@ -178,3 +178,137 @@ class TestLateStart:
         with pytest.raises(ParameterError, match="out of range"):
             self._run(state, start_phase)
         assert state.rounds == 0
+
+
+#: ``(n, epsilon, seed)`` instances the per-phase invariants are checked on.
+INVARIANT_CASES = [
+    (64, 0.2, 1),
+    (64, 0.4, 2),
+    (300, 0.25, 3),
+    (300, 0.1, 4),
+    (500, 0.3, 5),
+    (1000, 0.45, 6),
+]
+
+
+@pytest.fixture(scope="module", params=INVARIANT_CASES, ids=lambda case: "n%d-eps%s-seed%d" % case)
+def stage_one_run(request):
+    """One Stage-I run per case: the result and the final population arrays."""
+    n, epsilon, seed = request.param
+    return run_stage_one(n, epsilon, seed)
+
+
+class TestStageOneInvariants:
+    """Per-phase bookkeeping that must hold on every run, whatever the draws."""
+
+    def test_source_keeps_its_opinion(self, stage_one_run):
+        _, opinions, activated = stage_one_run
+        assert activated[0]
+        assert opinions[0] == 1
+
+    def test_opinionated_exactly_when_activated(self, stage_one_run):
+        _, opinions, activated = stage_one_run
+        np.testing.assert_array_equal(opinions != NO_OPINION, activated)
+        assert set(np.unique(opinions[activated]).tolist()) <= {0, 1}
+
+    def test_activation_totals_add_up(self, stage_one_run):
+        result, _, activated = stage_one_run
+        total = 1
+        for summary in result.phases:
+            total += summary.newly_activated
+            assert summary.activated_total == total
+        assert total == np.count_nonzero(activated)
+        assert result.all_activated == bool(activated.all())
+
+    def test_new_agents_and_their_bias(self, stage_one_run):
+        result, _, _ = stage_one_run
+        for summary in result.phases:
+            assert 0 <= summary.newly_correct <= summary.newly_activated
+            wrong = summary.newly_activated - summary.newly_correct
+            assert summary.bias_of_new == bias_from_counts(summary.newly_correct, wrong)
+
+    def test_messages_are_senders_times_rounds(self, stage_one_run):
+        result, _, _ = stage_one_run
+        for summary in result.phases:
+            assert summary.messages_sent == summary.senders * summary.rounds
+        assert result.rounds == small_stage1_params().total_rounds
+
+    def test_aggregates_agree_with_the_arrays(self, stage_one_run):
+        result, opinions, _ = stage_one_run
+        correct = int(np.count_nonzero(opinions == 1))
+        wrong = int(np.count_nonzero(opinions == 0))
+        assert result.initially_correct == correct
+        assert result.initially_correct_fraction == correct / opinions.size
+        assert result.final_bias == bias_from_counts(correct, wrong)
+
+
+class TestStageOnePopulations:
+    @pytest.mark.parametrize("seeded", [1, 5, 20])
+    def test_seeded_set_speaks_in_phase0_and_keeps_its_opinions(self, seeded):
+        """Every opinionated, activated agent sends from phase 0 and is never rewritten."""
+        opinions = np.full(300, NO_OPINION, dtype=np.int8)
+        opinions[:seeded] = np.arange(seeded) % 2
+        activated = opinions != NO_OPINION
+        before = opinions[:seeded].copy()
+        result = execute_stage_one(
+            opinions, activated, small_stage1_params(), 1,
+            BinarySymmetricChannel(epsilon=0.25), RandomSource(seeded),
+        )
+        phase0 = result.phase(0)
+        assert phase0.senders == seeded
+        assert phase0.messages_sent == seeded * phase0.rounds
+        np.testing.assert_array_equal(opinions[:seeded], before)
+
+    @pytest.mark.parametrize("correct_opinion", [0, 1])
+    @pytest.mark.parametrize("seed", [41, 42])
+    def test_noiseless_channel_makes_every_new_agent_correct(self, correct_opinion, seed):
+        result, opinions, activated = run_stage_one(
+            200, 0.5, seed, correct_opinion=correct_opinion, channel=PerfectChannel()
+        )
+        for summary in result.phases:
+            assert summary.newly_correct == summary.newly_activated
+            if summary.newly_activated:
+                assert summary.bias_of_new == 0.5
+        assert np.all(opinions[activated] == correct_opinion)
+
+    def test_same_seed_reproduces_the_run(self):
+        first, first_opinions, first_activated = run_stage_one(300, 0.25, seed=61)
+        second, second_opinions, second_activated = run_stage_one(300, 0.25, seed=61)
+        assert first == second
+        np.testing.assert_array_equal(first_opinions, second_opinions)
+        np.testing.assert_array_equal(first_activated, second_activated)
+
+
+class TestStageOneStreams:
+    """Delivery draws from the ``"delivery"`` stream, the phase-end choices from ``"protocol"``."""
+
+    @staticmethod
+    def _run(streams):
+        opinions, activated = source_population(300)
+        result = execute_stage_one(
+            opinions, activated, small_stage1_params(), 1,
+            BinarySymmetricChannel(epsilon=0.25), streams,
+        )
+        return result, opinions
+
+    @pytest.mark.parametrize("seed", [71, 72, 73])
+    def test_protocol_stream_moves_choices_not_deliveries(self, seed):
+        reference, reference_opinions = self._run(RandomSource(seed))
+        shifted = RandomSource(seed)
+        shifted.stream("protocol").random(17)
+        result, opinions = self._run(shifted)
+        assert [s.activated_total for s in result.phases] == [
+            s.activated_total for s in reference.phases
+        ]
+        assert result.messages_sent == reference.messages_sent
+        assert not np.array_equal(opinions, reference_opinions)
+
+    @pytest.mark.parametrize("seed", [71, 72, 73])
+    def test_delivery_stream_moves_deliveries(self, seed):
+        reference, _ = self._run(RandomSource(seed))
+        shifted = RandomSource(seed)
+        shifted.stream("delivery").random(17)
+        result, _ = self._run(shifted)
+        assert [s.activated_total for s in result.phases] != [
+            s.activated_total for s in reference.phases
+        ]

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.opinions import NO_OPINION, counts_from_bias
+from repro.core.opinions import NO_OPINION, bias_from_counts, counts_from_bias
 from repro.core.parameters import StageTwoParameters
 from repro.core.stage2 import (
     SampleAccumulator,
@@ -141,3 +141,108 @@ class TestExecuteStageTwo:
         assert population_bias(opinions, 1) == pytest.approx(0.25)
         assert population_bias(opinions, 0) == pytest.approx(-0.25)
         assert population_bias(np.full(3, NO_OPINION, dtype=np.int8), 1) == 0.0
+
+
+#: ``(n, epsilon, seed, bias)`` instances the per-phase invariants are checked on.
+INVARIANT_CASES = [
+    (200, 0.25, 1, 0.15),
+    (400, 0.25, 2, 0.05),
+    (400, 0.4, 3, 0.0),
+    (300, 0.2, 4, -0.1),
+    (600, 0.3, 5, 0.2),
+    (150, 0.45, 6, 0.3),
+]
+
+
+@pytest.fixture(
+    scope="module", params=INVARIANT_CASES, ids=lambda case: "n%d-eps%s-seed%d-bias%s" % case
+)
+def stage_two_run(request):
+    """One Stage-II run per case: the result, the opinions before and after, and the case."""
+    n, epsilon, seed, bias = request.param
+    run = SeededRun(n=n, epsilon=epsilon, seed=seed, bias=bias)
+    before = run.opinions.copy()
+    return run.stage_two(small_stage2_params(), correct_opinion=1), before, run.opinions, request.param
+
+
+class TestStageTwoInvariants:
+    """Per-phase bookkeeping that must hold on every run, whatever the draws."""
+
+    def test_bias_chain_links_the_phases(self, stage_two_run):
+        result, before, _, _ = stage_two_run
+        assert result.phases[0].bias_before == population_bias(before, 1)
+        for earlier, later in zip(result.phases, result.phases[1:]):
+            assert later.bias_before == earlier.bias_after
+        assert result.phases[-1].bias_after == result.final_bias
+
+    def test_every_opinionated_agent_speaks_every_round(self, stage_two_run):
+        result, before, _, _ = stage_two_run
+        for summary in result.phases:
+            assert summary.messages_sent == before.size * summary.rounds
+        assert result.rounds == small_stage2_params().total_rounds
+
+    def test_successful_agents_within_the_population(self, stage_two_run):
+        result, before, _, _ = stage_two_run
+        for summary in result.phases:
+            assert 0 <= summary.successful_agents <= before.size
+
+    def test_aggregates_agree_with_the_opinions(self, stage_two_run):
+        result, _, after, _ = stage_two_run
+        correct_fraction = np.count_nonzero(after == 1) / after.size
+        assert result.final_correct_fraction == correct_fraction
+        assert result.phases[-1].correct_fraction_after == correct_fraction
+        assert result.final_bias == population_bias(after, 1)
+        assert result.consensus_reached == bool(np.all(after == 1))
+
+    def test_opinions_stay_binary(self, stage_two_run):
+        _, _, after, _ = stage_two_run
+        assert set(np.unique(after).tolist()) <= {0, 1}
+
+    def test_same_seed_reproduces_the_run(self, stage_two_run):
+        result, before, after, (n, epsilon, seed, bias) = stage_two_run
+        rerun = SeededRun(n=n, epsilon=epsilon, seed=seed, bias=bias)
+        np.testing.assert_array_equal(rerun.opinions, before)
+        assert rerun.stage_two(small_stage2_params(), correct_opinion=1) == result
+        np.testing.assert_array_equal(rerun.opinions, after)
+
+
+class TestStageTwoPopulations:
+    @pytest.mark.parametrize("opinionated", [10, 50, 100])
+    def test_unopinionated_agents_do_not_speak(self, opinionated):
+        """Phase 1's messages come from the opinionated agents alone."""
+        opinions = np.full(200, NO_OPINION, dtype=np.int8)
+        opinions[:opinionated] = 1
+        result = execute_stage_two(
+            opinions, small_stage2_params(), 1, BinarySymmetricChannel(epsilon=0.3), RandomSource(23)
+        )
+        first = result.phase(1)
+        assert first.messages_sent == opinionated * first.rounds
+
+    @pytest.mark.parametrize("held", [0, 1])
+    def test_unanimity_is_kept_over_a_noiseless_channel(self, held):
+        """A unanimous population stays unanimous, whichever opinion it holds."""
+        opinions = np.full(200, held, dtype=np.int8)
+        result = execute_stage_two(opinions, small_stage2_params(), 1, PerfectChannel(), RandomSource(29))
+        assert np.all(opinions == held)
+        assert result.consensus_reached == (held == 1)
+        assert result.final_bias == (0.5 if held == 1 else -0.5)
+
+
+class TestPopulationBias:
+    @pytest.mark.parametrize(
+        "opinions, correct_opinion, expected",
+        [
+            ([1, 1, 1, 1], 1, 0.5),
+            ([0, 0, 0, 0], 1, -0.5),
+            ([1, 0, 1, 0], 0, 0.0),
+            ([1, 1, 0, NO_OPINION], 1, 1 / 6),
+            ([0, NO_OPINION, NO_OPINION, NO_OPINION], 0, 0.5),
+            ([], 1, 0.0),
+        ],
+    )
+    def test_equals_bias_from_counts(self, opinions, correct_opinion, expected):
+        array = np.asarray(opinions, dtype=np.int8)
+        assert population_bias(array, correct_opinion) == pytest.approx(expected)
+        correct = int(np.count_nonzero(array == correct_opinion))
+        wrong = int(np.count_nonzero(array == 1 - correct_opinion))
+        assert population_bias(array, correct_opinion) == bias_from_counts(correct, wrong)

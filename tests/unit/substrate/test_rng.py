@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.substrate.rng import RandomSource, derive_seed, spawn_generator
+from repro.substrate.rng import RandomSource, derive_seed, derive_seeds, spawn_generator
 
 
 class TestDeriveSeed:
@@ -19,6 +19,18 @@ class TestDeriveSeed:
 
     def test_seed_is_non_negative(self):
         assert derive_seed(123456, "anything") >= 0
+
+
+class TestDeriveSeeds:
+    @pytest.mark.parametrize("count", [0, 1, 5])
+    def test_element_i_is_derive_seed_with_index_i(self, count):
+        seeds = derive_seeds(9, count, "trial")
+        assert seeds.dtype == np.int64
+        assert seeds.tolist() == [derive_seed(9, "trial", index) for index in range(count)]
+
+    def test_negative_count_rejected(self):
+        with pytest.raises(ValueError):
+            derive_seeds(9, -1)
 
 
 class TestSpawnGenerator:
@@ -49,3 +61,22 @@ class TestRandomSource:
     def test_non_integer_seed_rejected(self):
         with pytest.raises(TypeError):
             RandomSource(seed="not-a-seed")
+
+    @pytest.mark.parametrize("seed", [1.5, 2.0, None])
+    def test_non_integral_seed_types_rejected(self, seed):
+        with pytest.raises(TypeError):
+            RandomSource(seed=seed)
+
+    def test_numpy_integer_seed_is_normalised(self):
+        source = RandomSource(seed=np.int64(11))
+        assert type(source.seed) is int
+        np.testing.assert_array_equal(
+            source.stream("delivery").random(5), RandomSource(seed=11).stream("delivery").random(5)
+        )
+
+    @pytest.mark.parametrize("name", ["delivery", "protocol", "seeding"])
+    def test_stream_is_the_spawned_generator_of_its_name(self, name):
+        """``stream(name)`` draws what ``spawn_generator(seed, "stream", name)`` draws."""
+        np.testing.assert_array_equal(
+            RandomSource(seed=31).stream(name).random(8), spawn_generator(31, "stream", name).random(8)
+        )
