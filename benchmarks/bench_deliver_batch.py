@@ -51,7 +51,7 @@ from typing import Any, Callable, Dict
 
 import numpy as np
 
-from repro.substrate.network import BatchDeliveryReport, PushGossipNetwork
+from repro.substrate.network import DeliveryReport, PushGossipNetwork
 from repro.substrate.noise import BinarySymmetricChannel, NoiseChannel
 
 RESULTS_PATH = Path(__file__).parent / "results" / "deliver_batch.json"
@@ -95,27 +95,25 @@ def argsort_deliver_batch(
     bits: np.ndarray,
     channel: NoiseChannel,
     rng: np.random.Generator,
-) -> BatchDeliveryReport:
+) -> DeliveryReport:
     """The sort-based ``deliver_batch``: a priority per message, the lowest
     per bucket found by one combined-key argsort, then the channel on the
     winners.
 
     Kept as the timing reference only; it checks bits like the network does
-    but skips the shape checks and the network's counters, which cost the
-    same on both paths.
+    but skips the shape checks, which cost the same on both paths.  Its
+    report is the network's one-round report: the ``(R, n)`` accepted flags
+    and kept bits.
     """
     num_replicates, size = send_mask.shape
     network._check_bits(bits[send_mask])
     sent = send_mask.sum(axis=1).astype(np.int64)
-    cells = np.empty(0, dtype=np.int64)
-    cell_bits = np.empty(0, dtype=np.int8)
+    heard = np.zeros(num_replicates * size, dtype=bool)
+    ones = np.zeros(num_replicates * size, dtype=np.int8)
     rows, cols = np.nonzero(send_mask)
     if rows.size:
-        if network.allow_self_messages:
-            targets = rng.integers(0, size, size=rows.size)
-        else:
-            draws = rng.integers(0, size - 1, size=rows.size)
-            targets = draws + (draws >= cols)
+        draws = rng.integers(0, size - 1, size=rows.size)
+        targets = draws + (draws >= cols)
         priorities = rng.random(rows.size)
         buckets = rows * size + targets
         order = np.argsort(buckets + priorities)
@@ -123,11 +121,10 @@ def argsort_deliver_batch(
         is_first = np.ones(order.size, dtype=bool)
         is_first[1:] = sorted_buckets[1:] != sorted_buckets[:-1]
         winners = order[is_first]
-        cells = buckets[winners]
-        cell_bits = channel.transmit(bits[rows[winners], cols[winners]], rng).astype(np.int8)
-    return BatchDeliveryReport(
-        shape=(num_replicates, size), cells=cells, cell_bits=cell_bits, messages_sent=sent
-    )
+        heard[buckets[winners]] = True
+        ones[buckets[winners]] = channel.transmit(bits[rows[winners], cols[winners]], rng)
+    shape = (num_replicates, size)
+    return DeliveryReport(heard.reshape(shape), ones.reshape(shape), sent)
 
 
 def build_workloads(toy: bool = False) -> Dict[str, Any]:
@@ -153,7 +150,7 @@ def _measure_family(workload: Dict[str, Any], fraction: float, fresh: bool) -> D
     ]
     inputs = [(send_mask, grids[index % len(grids)]) for index in range(rounds)]
 
-    paths: Dict[str, Callable[..., BatchDeliveryReport]] = {
+    paths: Dict[str, Callable[..., DeliveryReport]] = {
         "deliver_batch": network.deliver_batch,
         "argsort_oracle": lambda m, b, c, r: argsort_deliver_batch(network, m, b, c, r),
     }
@@ -176,7 +173,10 @@ def _measure_family(workload: Dict[str, Any], fraction: float, fresh: bool) -> D
             samples[label].append(per_round_us(label))
     ratios = [old / new for old, new in zip(samples["argsort_oracle"], samples["deliver_batch"])]
     statistics_gap = agreement(
-        {label: [report.cell_bits for report in kept] for label, kept in reports.items()}
+        {
+            label: [report.ones[report.heard] for report in kept]
+            for label, kept in reports.items()
+        }
     )
     for statistic, summary in statistics_gap.items():
         assert summary["gap_se"] <= TOLERANCE_SE, (statistic, summary)

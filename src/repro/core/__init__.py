@@ -6,7 +6,8 @@ Public surface:
 * the serial Stage I / Stage II executors — :func:`execute_stage_one`,
   :func:`execute_stage_two`, which run on plain opinion and activation
   arrays — and the broadcast protocol they make up,
-  :func:`solve_noisy_broadcast`;
+  :func:`solve_noisy_broadcast`; :class:`PhaseCounts`, the per-phase
+  reception counts they and the batch kernels add delivery reports into;
 * Corollary 2.18's majority consensus, :func:`solve_noisy_majority_consensus`,
   and the Section-3 clock-free variants, :func:`run_clock_free_broadcast` and
   :func:`run_with_bounded_skew` (with their guard-dilated schedules
@@ -42,9 +43,9 @@ from .parameters import (
     minimum_epsilon,
 )
 from .schedule import PhaseInterval, PhaseSchedule, build_stage1_schedule, build_stage2_schedule
-from .stage1 import ReceptionAccumulator, StageOnePhaseSummary, StageOneResult, execute_stage_one
+from .reception import PhaseCounts
+from .stage1 import StageOnePhaseSummary, StageOneResult, execute_stage_one
 from .stage2 import (
-    SampleAccumulator,
     StageTwoPhaseSummary,
     StageTwoResult,
     execute_stage_two,
@@ -84,11 +85,10 @@ __all__ = [
     "PhaseSchedule",
     "build_stage1_schedule",
     "build_stage2_schedule",
-    "ReceptionAccumulator",
+    "PhaseCounts",
     "StageOnePhaseSummary",
     "StageOneResult",
     "execute_stage_one",
-    "SampleAccumulator",
     "StageTwoPhaseSummary",
     "StageTwoResult",
     "execute_stage_two",

@@ -39,9 +39,10 @@ from ..substrate.noise import NoiseChannel
 from ..substrate.rng import RandomSource
 from .opinions import NO_OPINION, bias_from_counts, validate_opinion
 from .parameters import StageOneParameters
+from .reception import PhaseCounts
 from .schedule import build_stage1_schedule
 
-__all__ = ["StageOnePhaseSummary", "StageOneResult", "ReceptionAccumulator", "execute_stage_one"]
+__all__ = ["StageOnePhaseSummary", "StageOneResult", "execute_stage_one"]
 
 
 @dataclass(frozen=True)
@@ -83,42 +84,6 @@ class StageOneResult:
         raise KeyError(f"no Stage-I phase {index} in this result")
 
 
-class ReceptionAccumulator:
-    """Per-agent counts of the messages heard during one Stage-I phase.
-
-    For every agent the accumulator keeps how many messages it heard this
-    phase and how many of them were 1s.  A uniformly random one of those
-    messages is a 1 with probability ``ones / heard``, so
-    :meth:`chosen_bits` draws each agent's choice with one uniform at the
-    phase's end.
-    """
-
-    def __init__(self, size: int) -> None:
-        self._counts = np.zeros(size, dtype=np.int64)
-        self._ones = np.zeros(size, dtype=np.int64)
-
-    def observe(self, recipients: np.ndarray, bits: np.ndarray) -> None:
-        """Record one round's accepted messages for ``recipients`` (no repeats)."""
-        self._counts[recipients] += 1
-        self._ones[recipients] += bits
-
-    def heard_anything(self) -> np.ndarray:
-        """Boolean mask of agents that heard at least one message this phase."""
-        return self._counts > 0
-
-    def chosen_bits(self, agents: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        """A uniformly random message of each agent in ``agents``, one draw each."""
-        counts = self._counts[agents]
-        if counts.size and counts.min() == 0:
-            raise SimulationError("requested chosen bit of an agent that heard nothing")
-        return (rng.random(counts.size) < self._ones[agents] / counts).astype(np.int8)
-
-    def reset(self) -> None:
-        """Clear the accumulator for the next phase."""
-        self._counts.fill(0)
-        self._ones.fill(0)
-
-
 def execute_stage_one(
     opinions: np.ndarray,
     activated: np.ndarray,
@@ -154,7 +119,7 @@ def execute_stage_one(
     network = PushGossipNetwork(size=size)
     delivery_rng = streams.stream("delivery")
     protocol_rng = streams.stream("protocol")
-    accumulator = ReceptionAccumulator(size)
+    counts = PhaseCounts(size)
 
     if not np.any(opinions != NO_OPINION):
         raise SimulationError(
@@ -169,13 +134,15 @@ def execute_stage_one(
         senders = np.flatnonzero(activated & (opinions != NO_OPINION))
         sender_bits = opinions[senders]
 
-        accumulator.reset()
+        counts.reset()
         for _ in range(phase.length):
-            report = network.deliver(senders, sender_bits, channel, delivery_rng)
-            accumulator.observe(report.recipients, report.bits)
+            counts.add(network.deliver(senders, sender_bits, channel, delivery_rng))
 
-        newly_heard = np.flatnonzero(accumulator.heard_anything() & ~activated)
-        chosen_bits = accumulator.chosen_bits(newly_heard, protocol_rng)
+        # A newly activated agent adopts a uniformly random one of the
+        # messages it heard, one draw per agent, in agent order.
+        newly_heard = np.flatnonzero((counts.heard > 0) & ~activated)
+        uniforms = protocol_rng.random(newly_heard.size)
+        chosen_bits = counts.choose(newly_heard, uniforms).astype(np.int8)
         activated[newly_heard] = True
         opinions[newly_heard] = chosen_bits
 

@@ -39,12 +39,12 @@ from ..substrate.noise import NoiseChannel
 from ..substrate.rng import RandomSource
 from .opinions import NO_OPINION, bias_from_counts, validate_opinion
 from .parameters import StageTwoParameters
+from .reception import PhaseCounts
 from .schedule import build_stage2_schedule
 
 __all__ = [
     "StageTwoPhaseSummary",
     "StageTwoResult",
-    "SampleAccumulator",
     "majority_of_random_subset",
     "population_bias",
     "execute_stage_two",
@@ -85,36 +85,6 @@ class StageTwoResult:
             if summary.phase == index:
                 return summary
         raise KeyError(f"no Stage-II phase {index} in this result")
-
-
-class SampleAccumulator:
-    """Counts of samples (and of 1-samples) each agent collected in a phase."""
-
-    def __init__(self, size: int) -> None:
-        self._total = np.zeros(size, dtype=np.int64)
-        self._ones = np.zeros(size, dtype=np.int64)
-
-    def observe(self, recipients: np.ndarray, bits: np.ndarray) -> None:
-        """Record one round's accepted messages."""
-        if recipients.size == 0:
-            return
-        self._total[recipients] += 1
-        self._ones[recipients] += bits.astype(np.int64)
-
-    @property
-    def totals(self) -> np.ndarray:
-        """Per-agent number of samples collected this phase."""
-        return self._total
-
-    @property
-    def ones(self) -> np.ndarray:
-        """Per-agent number of 1-valued samples collected this phase."""
-        return self._ones
-
-    def reset(self) -> None:
-        """Clear the accumulator for the next phase."""
-        self._total.fill(0)
-        self._ones.fill(0)
 
 
 def majority_of_random_subset(
@@ -181,7 +151,7 @@ def execute_stage_two(
     network = PushGossipNetwork(size=size)
     delivery_rng = streams.stream("delivery")
     protocol_rng = streams.stream("protocol")
-    accumulator = SampleAccumulator(size)
+    counts = PhaseCounts(size)
 
     summaries = []
     for phase in build_stage2_schedule(parameters):
@@ -193,16 +163,15 @@ def execute_stage_two(
         senders = np.flatnonzero(opinions != NO_OPINION)
         sender_bits = opinions[senders]
 
-        accumulator.reset()
+        counts.reset()
         for _ in range(phase.length):
-            report = network.deliver(senders, sender_bits, channel, delivery_rng)
-            accumulator.observe(report.recipients, report.bits)
+            counts.add(network.deliver(senders, sender_bits, channel, delivery_rng))
 
-        successful = np.flatnonzero(accumulator.totals >= subset_size)
+        successful = np.flatnonzero(counts.heard >= subset_size)
         if successful.size:
             opinions[successful] = majority_of_random_subset(
-                accumulator.totals[successful],
-                accumulator.ones[successful],
+                counts.heard[successful],
+                counts.ones[successful],
                 subset_size,
                 protocol_rng,
             )

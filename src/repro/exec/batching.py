@@ -48,9 +48,9 @@ same code.  Every serial trial of E4–E9, E11 and E12 is such a call; only
 E1–E3's serial trials run the serial executors of :mod:`repro.core`.
 :func:`run_sweep_batched` dispatches whole sweeps point-by-point onto the
 named batch simulator, forwarding *every* recognised point setting
-(``correct_opinion``, ``allow_self_messages``, calibration overrides, the
-baselines' options, ...) and rejecting unrecognised ones — the same
-strictness a serial ``run_sweep`` trial function gets by construction.
+(``correct_opinion``, calibration overrides, the baselines' options, ...)
+and rejecting unrecognised ones — the same strictness a serial
+``run_sweep`` trial function gets by construction.
 Each grid point is one task on the run's execution backend, so a pool
 backend composes batch-level vectorisation with point-level parallelism.
 
@@ -297,7 +297,6 @@ def run_broadcast_batch(
     correct_opinion: int = 1,
     parameters: Optional[ProtocolParameters] = None,
     channel: Optional[NoiseChannel] = None,
-    allow_self_messages: bool = False,
     model: Optional[FaultModel] = None,
     **calibration_overrides: float,
 ) -> BatchBroadcastResult:
@@ -325,8 +324,6 @@ def run_broadcast_batch(
         is used when omitted (``calibration_overrides`` are forwarded).
     channel:
         Override the default :class:`BinarySymmetricChannel`.
-    allow_self_messages:
-        Allow agents to push messages to themselves.
     model:
         Optional :data:`~repro.substrate.faults.FaultModel` (experiment
         E12).  Its decisions draw from a separately spawned
@@ -342,7 +339,7 @@ def run_broadcast_batch(
     injector = build_injector(
         model, n, spawn_generator(base_seed, "batch-faults", n), num_replicates=num_replicates
     )
-    network = PushGossipNetwork(size=n, allow_self_messages=allow_self_messages)
+    network = PushGossipNetwork(size=n)
 
     # Replicate state: opinion grid and activation grid, agent 0 the source.
     state = source_batch_state(n, num_replicates, correct_opinion)
@@ -388,7 +385,6 @@ def run_majority_batch(
     majority_opinion: int = 1,
     parameters: Optional[ProtocolParameters] = None,
     channel: Optional[NoiseChannel] = None,
-    allow_self_messages: bool = False,
     start_phase: Optional[int] = None,
     **calibration_overrides: float,
 ) -> BatchMajorityResult:
@@ -421,8 +417,6 @@ def run_majority_batch(
         is used when omitted (``calibration_overrides`` are forwarded).
     channel:
         Override the default :class:`BinarySymmetricChannel`.
-    allow_self_messages:
-        Allow agents to push messages to themselves.
     start_phase:
         Override Corollary 2.18's computed start phase; it must be a phase
         of Stage I.
@@ -432,7 +426,7 @@ def run_majority_batch(
     )
 
     rng = spawn_generator(base_seed, "batch-majority", n)
-    network = PushGossipNetwork(size=n, allow_self_messages=allow_self_messages)
+    network = PushGossipNetwork(size=n)
 
     # Instance generation: one independent random instance per replicate.
     state = seeded_batch_state(
@@ -507,7 +501,6 @@ def run_baseline_batch(
     base_seed: int = 0,
     correct_opinion: int = 1,
     channel: Optional[NoiseChannel] = None,
-    allow_self_messages: bool = False,
     **options: Any,
 ) -> BatchBaselineResult:
     """Simulate ``num_replicates`` independent runs of a baseline protocol at once.
@@ -533,8 +526,6 @@ def run_baseline_batch(
         The source's (correct) opinion ``B``.
     channel:
         Override the default :class:`BinarySymmetricChannel`.
-    allow_self_messages:
-        Allow agents to push messages to themselves.
     options:
         The protocol's dataclass fields (``max_rounds``/``keep_first_opinion``
         for immediate forwarding, ``max_rounds``/``check_every`` for the
@@ -567,7 +558,7 @@ def run_baseline_batch(
         channel = BinarySymmetricChannel(epsilon=epsilon)
 
     rng = spawn_generator(base_seed, "batch-baseline", protocol, n)
-    network = PushGossipNetwork(size=n, allow_self_messages=allow_self_messages)
+    network = PushGossipNetwork(size=n)
     return rule.simulate(
         n=n,
         num_replicates=num_replicates,
@@ -695,11 +686,11 @@ _CALIBRATION_SETTINGS = frozenset(
 _SWEEP_SETTINGS: Dict[Callable[..., Any], Tuple[Tuple[str, ...], frozenset]] = {
     run_broadcast_batch: (
         ("n", "epsilon"),
-        frozenset({"correct_opinion", "allow_self_messages"}) | _CALIBRATION_SETTINGS,
+        frozenset({"correct_opinion"}) | _CALIBRATION_SETTINGS,
     ),
     run_baseline_batch: (
         ("n", "epsilon", "protocol"),
-        frozenset({"correct_opinion", "allow_self_messages"}).union(
+        frozenset({"correct_opinion"}).union(
             *(_baseline_options(protocol) for protocol in _BASELINES.values())
         ),
     ),
@@ -817,8 +808,8 @@ def run_broadcast_sweep_batched(
 
     Kept as the stable entry point of the broadcast-shaped drivers (E1–E3);
     every point/default setting is forwarded to :func:`run_broadcast_batch`
-    (``correct_opinion``, ``allow_self_messages``, calibration overrides)
-    and unrecognised settings raise :class:`~repro.errors.ExperimentError`.
+    (``correct_opinion``, calibration overrides) and unrecognised settings
+    raise :class:`~repro.errors.ExperimentError`.
     """
     return run_sweep_batched(
         name=name,

@@ -64,6 +64,7 @@ from ..core.parameters import (
     StageTwoParameters,
 )
 from ..core.opinions import NO_OPINION, counts_from_bias, opposite, validate_opinion
+from ..core.reception import PhaseCounts
 from ..core.schedule import PhaseSchedule, build_stage1_schedule, build_stage2_schedule
 from ..core.synchronizer import default_guard, guarded_schedules
 from ..errors import ExperimentError, ParameterError, SimulationError
@@ -402,34 +403,6 @@ def _grid_phases(
 # ----------------------------------------------------------------------
 
 
-class _PhaseCounts:
-    """Per-phase ``(R, n)`` counts of the messages each agent heard.
-
-    Both stage kernels keep, per agent, how many messages it accepted this
-    phase (``heard``) and how many of them were 1s (``ones``), with two
-    dense adds of each delivery report's totals (one report per run of
-    rounds with the same senders).  Allocated once per stage run
-    and wiped with ``fill`` at phase boundaries, never reallocated (the
-    allocation pin in ``tests/unit/exec/test_stage_batching.py`` counts
-    them).
-    """
-
-    def __init__(self, shape: Tuple[int, int]) -> None:
-        # int32 takes the round's bool/int8 grids about twice as fast as
-        # int64; a phase would need 2**31 rounds to overflow it.
-        self.heard = np.zeros(shape, dtype=np.int32)
-        self.ones = np.zeros(shape, dtype=np.int32)
-
-    def observe(self, report) -> None:
-        """Add one delivery call's accepted messages."""
-        self.heard += report.heard
-        self.ones += report.ones
-
-    def reset(self) -> None:
-        self.heard.fill(0)
-        self.ones.fill(0)
-
-
 def run_stage1_batch(
     state: BatchState,
     network: PushGossipNetwork,
@@ -493,7 +466,7 @@ def run_stage1_batch(
     schedule = build_stage1_schedule(parameters, start_phase=start_phase)
     phases = _grid_phases(state, schedule, offsets, schedules)
 
-    counts = _PhaseCounts((R, n))
+    counts = PhaseCounts((R, n))
     summaries: List[StageOnePhaseBatchSummary] = []
     messages_before = state.messages_sent.copy()
     start_round = state.rounds
@@ -512,7 +485,7 @@ def run_stage1_batch(
             report = network.deliver_batch(
                 send_mask, bits, channel, rng, faults=faults, rounds=rounds
             )
-            counts.observe(report)
+            counts.add(report)
             state.messages_sent += report.messages_sent
         state.rounds += len(phase.rounds)
 
@@ -524,7 +497,7 @@ def run_stage1_batch(
         newly = (counts.heard > 0) & dormant
         cells = np.flatnonzero(newly)
         uniforms = rng.random(R * n)[cells] if resilient else rng.random(cells.size)
-        chosen = uniforms < counts.ones.reshape(-1)[cells] / counts.heard.reshape(-1)[cells]
+        chosen = counts.choose(cells, uniforms)
         opinions = state.opinions.copy()
         opinions.reshape(-1)[cells] = chosen
         state.opinions = opinions
@@ -619,7 +592,7 @@ def run_stage2_batch(
     correct_opinion = validate_opinion(correct_opinion)
     R, n = state.shape
     phases = _grid_phases(state, build_stage2_schedule(parameters), offsets, schedules)
-    counts = _PhaseCounts((R, n))
+    counts = PhaseCounts((R, n))
     summaries: List[StageTwoPhaseBatchSummary] = []
     messages_before = state.messages_sent.copy()
     start_round = state.rounds
@@ -640,7 +613,7 @@ def run_stage2_batch(
             report = network.deliver_batch(
                 send_mask, bits, channel, rng, faults=faults, rounds=rounds
             )
-            counts.observe(report)
+            counts.add(report)
             state.messages_sent += report.messages_sent
         state.rounds += len(phase.rounds)
 
@@ -688,7 +661,6 @@ def run_stage1_instrumented(
     parameters: Optional[StageOneParameters] = None,
     start_phase: int = 0,
     channel: Optional[NoiseChannel] = None,
-    allow_self_messages: bool = False,
 ) -> StageOneBatchResult:
     """Run ``R`` independent source-seeded Stage-I executions at once.
 
@@ -705,7 +677,7 @@ def run_stage1_instrumented(
     if channel is None:
         channel = BinarySymmetricChannel(epsilon=epsilon)
     rng = spawn_generator(base_seed, "batch-stage1", n)
-    network = PushGossipNetwork(size=n, allow_self_messages=allow_self_messages)
+    network = PushGossipNetwork(size=n)
     state = source_batch_state(n, num_replicates, correct_opinion)
     return run_stage1_batch(
         state, network, channel, rng, parameters, correct_opinion, start_phase=start_phase
@@ -722,7 +694,6 @@ def run_stage2_instrumented(
     parameters: Optional[StageTwoParameters] = None,
     initial_set_size: Optional[int] = None,
     channel: Optional[NoiseChannel] = None,
-    allow_self_messages: bool = False,
 ) -> StageTwoBatchResult:
     """Run ``R`` independent bias-seeded Stage-II executions at once.
 
@@ -741,7 +712,7 @@ def run_stage2_instrumented(
         channel = BinarySymmetricChannel(epsilon=epsilon)
     size = n if initial_set_size is None else initial_set_size
     rng = spawn_generator(base_seed, "batch-stage2", n)
-    network = PushGossipNetwork(size=n, allow_self_messages=allow_self_messages)
+    network = PushGossipNetwork(size=n)
     state = seeded_batch_state(n, num_replicates, size, initial_bias, correct_opinion, rng)
     return run_stage2_batch(state, network, channel, rng, parameters, correct_opinion)
 
@@ -858,7 +829,7 @@ def _run_activation_phase_batch(
         if not alive.any():
             break
         report = network.deliver_batch(send_mask, zeros_bits, channel, rng)
-        fresh = report.accepted & (informed_at < 0)
+        fresh = report.heard & (informed_at < 0)
         informed_at = np.where(fresh, now + 1, informed_at)
         messages += send_mask.sum(axis=1)
         rounds += alive
@@ -883,7 +854,6 @@ def _run_windowed_broadcast_batch(
     guards: np.ndarray,
     parameters: ProtocolParameters,
     channel: NoiseChannel,
-    allow_self_messages: bool,
     correct_opinion: int,
     activation_rounds: np.ndarray,
     activation_messages: np.ndarray,
@@ -897,7 +867,7 @@ def _run_windowed_broadcast_batch(
     clock leaves the schedule — with the activation rounds already inside that
     span for the clock-free variant (offsets are absolute global rounds).
     """
-    network = PushGossipNetwork(size=n, allow_self_messages=allow_self_messages)
+    network = PushGossipNetwork(size=n)
     state = source_batch_state(n, num_replicates, correct_opinion)
     state.messages_sent += activation_messages
 
@@ -943,7 +913,6 @@ def run_bounded_skew_batch(
     correct_opinion: int = 1,
     parameters: Optional[ProtocolParameters] = None,
     channel: Optional[NoiseChannel] = None,
-    allow_self_messages: bool = False,
     **calibration_overrides: float,
 ) -> BatchWindowedResult:
     """Simulate ``R`` independent bounded-skew broadcasts at once (Section 3.1).
@@ -975,7 +944,6 @@ def run_bounded_skew_batch(
         guards,
         parameters,
         channel,
-        allow_self_messages,
         correct_opinion,
         activation_rounds=np.zeros(R, dtype=np.int64),
         activation_messages=np.zeros(R, dtype=np.int64),
@@ -992,7 +960,6 @@ def run_clock_free_batch(
     parameters: Optional[ProtocolParameters] = None,
     guard: Optional[int] = None,
     channel: Optional[NoiseChannel] = None,
-    allow_self_messages: bool = False,
     **calibration_overrides: float,
 ) -> BatchWindowedResult:
     """Simulate ``R`` independent clock-free broadcasts at once (Section 3.2).
@@ -1009,7 +976,7 @@ def run_clock_free_batch(
 
     rng = spawn_generator(base_seed, "batch-clock-free", n)
     R = num_replicates
-    activation_network = PushGossipNetwork(size=n, allow_self_messages=allow_self_messages)
+    activation_network = PushGossipNetwork(size=n)
     offsets, activation_rounds, activation_messages, all_informed = _run_activation_phase_batch(
         n, R, activation_network, channel, rng
     )
@@ -1028,7 +995,6 @@ def run_clock_free_batch(
         guards,
         parameters,
         channel,
-        allow_self_messages,
         correct_opinion,
         activation_rounds=activation_rounds,
         activation_messages=activation_messages,

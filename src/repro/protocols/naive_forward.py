@@ -91,11 +91,11 @@ class ImmediateForwardingBroadcast(BaselineProtocol):
             bits = np.where(send_mask, opinions, 0).astype(np.int8)
             report = network.deliver_batch(send_mask, bits, channel, rng)
             if self.keep_first_opinion:
-                adopt = report.accepted & ~activated
+                adopt = report.heard & ~activated
             else:
-                adopt = report.accepted
-            opinions = np.where(adopt, report.bits, opinions)
-            activated |= report.accepted
+                adopt = report.heard
+            opinions = np.where(adopt, report.ones, opinions)
+            activated |= report.heard
             messages += send_mask.sum(axis=1)
             newly_informed = activated.all(axis=1) & np.isnan(all_informed_round)
             all_informed_round[newly_informed] = round_index + 1

@@ -89,9 +89,9 @@ class NoisyVoterBroadcast(BaselineProtocol):
             send_mask = (opinions != NO_OPINION) & alive[:, None]
             bits = np.where(send_mask, opinions, 0).astype(np.int8)
             report = network.deliver_batch(send_mask, bits, channel, rng)
-            adopt = report.accepted.copy()
+            adopt = report.heard.copy()
             adopt[:, 0] = False  # the zealot keeps its opinion
-            opinions = np.where(adopt, report.bits, opinions)
+            opinions = np.where(adopt, report.ones, opinions)
             messages += send_mask.sum(axis=1)
             rounds += alive
             if (round_index + 1) % self.check_every == 0:

@@ -122,15 +122,12 @@ class SilentWaitBroadcast(BaselineProtocol):
             if alive_rows.size == 0:
                 break
             # One message per replicate: the source (agent 0) pushes its bit to a
-            # uniformly random (other, unless the network allows self-messages)
-            # agent; no collisions are possible, so the single-accept rule of
-            # PushGossipNetwork.deliver is trivial here — but the target
-            # distribution mirrors PushGossipNetwork._draw_targets exactly.
-            if network.allow_self_messages:
-                targets = rng.integers(0, n, size=alive_rows.size)
-            else:
-                draws = rng.integers(0, n - 1, size=alive_rows.size)
-                targets = draws + 1  # skip over the source's own index
+            # uniformly random other agent; no collisions are possible, so the
+            # single-accept rule of PushGossipNetwork.deliver is trivial here —
+            # but the target distribution mirrors PushGossipNetwork._draw_targets
+            # exactly.
+            draws = rng.integers(0, n - 1, size=alive_rows.size)
+            targets = draws + 1  # skip over the source's own index
             bits = channel.transmit(
                 np.full(alive_rows.size, correct_opinion, dtype=np.int8), rng
             )

@@ -31,7 +31,7 @@ at ``R = 1`` under the trial's seed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -58,7 +58,6 @@ class NoFaults:
     code path (bit-identical outputs, see the module docstring).
     """
 
-    kind: str = field(default="none", init=False)
 
 
 @dataclass(frozen=True)
@@ -81,7 +80,6 @@ class CrashStop:
     crash_probability: float = 0.05
     immune: Tuple[int, ...] = ()
     forced: Optional[Mapping[int, Tuple[int, ...]]] = None
-    kind: str = field(default="crash", init=False)
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.fraction <= 1.0:
@@ -104,7 +102,6 @@ class ByzantineSenders:
 
     fraction: float = 0.1
     immune: Tuple[int, ...] = ()
-    kind: str = field(default="byzantine", init=False)
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.fraction <= 1.0:

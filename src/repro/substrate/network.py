@@ -46,10 +46,10 @@ alone — a crashed or silenced sender cannot shift any other agent's draws in
 later rounds (the fault layer's determinism contract, see
 :mod:`repro.substrate.faults`).
 
-A :class:`BatchDeliveryReport` is sparse: the accepting cells (flat indices
-of the ``(R, n)`` grid, ascending) and their noisy bits.  The ``accepted``
-grid comes with it; the dense ``bits`` grid is built on first read, for the
-callers that want it.
+Every entry point returns one :class:`DeliveryReport`: the per-cell counts
+``heard`` (messages accepted) and ``ones`` (accepted noisy 1s) over the
+call's rounds, and the messages sent.  A serial report holds ``(n,)``
+arrays, a batch report ``(R, n)`` grids.
 
 Within a protocol phase the senders and their bits are fixed, so the
 fault-free :meth:`~PushGossipNetwork.deliver_batch` takes a ``rounds``
@@ -58,21 +58,16 @@ it validates the grids and lays out the messages (those carrying a 1 first,
 so that ``O`` is a count over a prefix) once, then draws each round exactly
 as a one-round call would, in the same order and sizes.  ``L`` rounds in
 one call therefore leave the generator where ``L`` one-round calls do, with
-the same per-cell totals.  A multi-round call returns a
-:class:`PhaseDeliveryReport` of those totals (``heard`` and ``ones`` per
-cell, sent and delivered messages per replicate); a one-round call returns
-the round's :class:`BatchDeliveryReport`, which offers the same four
-fields.  Every round of one grid shape reuses one set of count buffers, so
-a round allocates little beyond what its report keeps and the generator's
-own draws.  Those buffers make a network object single-threaded: each
-batched entry point builds its own network, and one network must not be
-shared between threads.
+the same per-cell totals.  Every round of one grid shape reuses one set of
+count buffers, so a round allocates little beyond what its report keeps
+and the generator's own draws.  Those buffers make a network object
+single-threaded: each batched entry point builds its own network, and one
+network must not be shared between threads.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Optional, Tuple, Union
 
 import numpy as np
@@ -81,153 +76,43 @@ from ..errors import ParameterError, ProtocolError
 from .faults import FaultInjector
 from .noise import NoiseChannel
 
-__all__ = [
-    "DeliveryReport",
-    "BatchDeliveryReport",
-    "PhaseDeliveryReport",
-    "PushGossipNetwork",
-]
+__all__ = ["DeliveryReport", "PushGossipNetwork"]
 
 
 @dataclass(frozen=True)
 class DeliveryReport:
-    """Outcome of one round of push-gossip delivery.
+    """What one delivery call left at each recipient cell.
+
+    A serial call reports on the ``(n,)`` agents of one population, a batch
+    call on the ``(R, n)`` grid of its replicates (row ``r`` is replicate
+    ``r``; messages never cross rows).
 
     Attributes
     ----------
-    recipients:
-        Indices of agents that accepted a message this round, ascending
-        (each appears exactly once).
-    bits:
-        The bit each recipient accepted, *after* channel noise.
-    messages_sent:
-        Total number of messages pushed this round.
-    messages_delivered:
-        Number of messages accepted (= ``len(recipients)``).
-    messages_dropped:
-        Messages lost to collisions (``sent - delivered``).
-    """
-
-    recipients: np.ndarray
-    bits: np.ndarray
-    messages_sent: int
-    messages_delivered: int
-    messages_dropped: int
-
-    @staticmethod
-    def empty() -> "DeliveryReport":
-        """A report for a round in which nobody sent anything."""
-        return DeliveryReport(np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int8), 0, 0, 0)
-
-
-@dataclass(frozen=True)
-class BatchDeliveryReport:
-    """Outcome of one push-gossip round executed for ``R`` replicates at once.
-
-    The report is sparse: it lists the cells of the ``(R, n)`` grid that
-    accepted a message, as flat indices ``r * n + j`` (row ``r`` is replicate
-    ``r``, column ``j`` agent ``j``).  Replicates are fully independent —
-    messages never cross replicate boundaries.  The dense grids a caller may
-    still want are built from the cells on first read and then cached.
-
-    Attributes
-    ----------
-    shape:
-        The grid shape ``(R, n)``.
-    cells:
-        Flat indices of the cells that accepted a message, ascending (so
-        replicate-major, recipient-ascending), ``int64``.
-    cell_bits:
-        The accepted bit of each cell after channel noise, aligned with
-        ``cells``, ``int8``.
-    messages_sent:
-        Per-replicate number of messages pushed, shape ``(R,)``.
-
-    Read on demand (cached): the ``(R, n)`` grids ``accepted`` (bool) and
-    ``bits`` (0 wherever nothing was accepted), and the per-replicate
-    ``messages_delivered`` and ``messages_dropped``.  ``heard`` and ``ones``
-    are ``accepted`` and ``bits`` under the names a
-    :class:`PhaseDeliveryReport` gives its totals.
-    """
-
-    shape: Tuple[int, int]
-    cells: np.ndarray
-    cell_bits: np.ndarray
-    messages_sent: np.ndarray
-
-    def _grid(self, fill, dtype, values) -> np.ndarray:
-        grid = np.full(self.shape, fill, dtype=dtype)
-        grid.reshape(-1)[self.cells] = values
-        return grid
-
-    @cached_property
-    def accepted(self) -> np.ndarray:
-        """``(R, n)`` bool grid: which agents accepted a message."""
-        return self._grid(False, bool, True)
-
-    @cached_property
-    def bits(self) -> np.ndarray:
-        """``(R, n)`` grid of accepted bits, 0 wherever nothing was accepted."""
-        return self._grid(0, self.cell_bits.dtype, self.cell_bits)
-
-    @cached_property
-    def messages_delivered(self) -> np.ndarray:
-        """Per-replicate number of messages accepted, shape ``(R,)``."""
-        num_replicates, size = self.shape
-        bounds = np.searchsorted(self.cells, np.arange(num_replicates + 1) * size)
-        return np.diff(bounds).astype(np.int64, copy=False)
-
-    @property
-    def messages_dropped(self) -> np.ndarray:
-        """Per-replicate messages lost to collisions."""
-        return self.messages_sent - self.messages_delivered
-
-    @property
-    def num_replicates(self) -> int:
-        """Number of replicates ``R`` in the batch."""
-        return int(self.shape[0])
-
-    @property
-    def heard(self) -> np.ndarray:
-        """Per-cell count of accepted messages over the round: ``accepted``."""
-        return self.accepted
-
-    @property
-    def ones(self) -> np.ndarray:
-        """Per-cell count of accepted 1s over the round: ``bits``."""
-        return self.bits
-
-
-@dataclass(frozen=True)
-class PhaseDeliveryReport:
-    """Totals of several push-gossip rounds of one ``(send_mask, bits)``.
-
-    What ``deliver_batch(..., rounds=L)`` returns for ``L > 1``: the sums
-    over its rounds of what ``L`` one-round reports hold.
-
-    Attributes
-    ----------
-    rounds:
-        The number of rounds ``L`` the call ran.
     heard:
-        ``(R, n)`` ``int32`` grid: how many of the rounds each cell accepted
-        a message in.
+        Per cell, how many of the call's rounds it accepted a message in.  A
+        one-round call's is the round's ``bool`` ``N > 0`` flags, a
+        multi-round call's its ``int32`` totals.
     ones:
-        ``(R, n)`` ``int32`` grid: how many of those accepted noisy bits
-        were 1.
-    messages_sent, messages_delivered:
-        Per-replicate totals over the rounds, shape ``(R,)``.
+        Per cell, how many of those accepted noisy bits were 1: the round's
+        ``int8`` bits (0 wherever nothing was accepted), or ``int32`` totals.
+    messages_sent:
+        Messages pushed over the call's rounds: an ``int`` for a serial
+        round, one ``int64`` entry per replicate for a batch call.
     """
 
-    rounds: int
     heard: np.ndarray
     ones: np.ndarray
-    messages_sent: np.ndarray
-    messages_delivered: np.ndarray
+    messages_sent: Union[int, np.ndarray]
 
     @property
-    def messages_dropped(self) -> np.ndarray:
-        """Per-replicate messages lost to collisions over the rounds."""
+    def messages_delivered(self) -> Union[int, np.ndarray]:
+        """Messages accepted (one per heard cell per round), per replicate."""
+        return self.heard.sum(axis=-1)
+
+    @property
+    def messages_dropped(self) -> Union[int, np.ndarray]:
+        """Messages lost to collisions (``sent - delivered``)."""
         return self.messages_sent - self.messages_delivered
 
 
@@ -253,23 +138,11 @@ class _Workspace:
 class PushGossipNetwork:
     """Uniform push-gossip network over ``size`` anonymous agents.
 
-    Parameters
-    ----------
-    size:
-        Number of agents ``n``.
-    allow_self_messages:
-        The paper has agents send to "another agent"; by default an agent
-        never selects itself as the recipient.  Setting this to ``True``
-        allows self-delivery, which simplifies some analytical comparisons
-        (the difference is a ``1/n`` correction).
+    Every message goes to one of the *other* ``size - 1`` agents, uniformly
+    at random: an agent never selects itself as the recipient.
     """
 
     size: int
-    allow_self_messages: bool = False
-    messages_sent_total: int = field(default=0, init=False)
-    messages_delivered_total: int = field(default=0, init=False)
-    messages_dropped_total: int = field(default=0, init=False)
-    rounds_executed: int = field(default=0, init=False)
     _workspace: Optional[_Workspace] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -286,8 +159,9 @@ class PushGossipNetwork:
     ) -> DeliveryReport:
         """Execute one synchronous round of push-gossip delivery.
 
-        Draws one target per sender, then one uniform per recipient against
-        the count rule (see the module docstring).
+        Draws one target per sender, then one uniform per recipient (in
+        ascending order) against the count rule (see the module docstring),
+        and reports on the ``(n,)`` agents.
 
         Parameters
         ----------
@@ -303,28 +177,12 @@ class PushGossipNetwork:
         """
         senders = np.asarray(senders, dtype=np.int64)
         bits = self._validate_round_inputs(senders, bits)
-        self.rounds_executed += 1
-        if senders.size == 0:
-            return DeliveryReport.empty()
-
         targets = self._draw_targets(senders, rng)
         workspace = self._workspace_for((1, self.size))
-        recipients = np.flatnonzero(self._count_messages(targets, targets[bits != 0], workspace))
-        uniforms = rng.random(recipients.size)
-        accepted_bits = self._noisy_bits(recipients, uniforms, workspace, channel)
-
-        sent = int(senders.size)
-        delivered = int(recipients.size)
-        self.messages_sent_total += sent
-        self.messages_delivered_total += delivered
-        self.messages_dropped_total += sent - delivered
-        return DeliveryReport(
-            recipients=recipients,
-            bits=accepted_bits,
-            messages_sent=sent,
-            messages_delivered=delivered,
-            messages_dropped=sent - delivered,
-        )
+        heard = self._count_messages(targets, targets[bits != 0], workspace)
+        cells = np.flatnonzero(heard)
+        cell_bits = self._noisy_bits(cells, rng.random(cells.size), workspace, channel)
+        return DeliveryReport(heard, self._bit_grid(cells, cell_bits, workspace), int(senders.size))
 
     def deliver_batch(
         self,
@@ -334,7 +192,7 @@ class PushGossipNetwork:
         rng: np.random.Generator,
         faults: Optional[FaultInjector] = None,
         rounds: int = 1,
-    ) -> Union[BatchDeliveryReport, PhaseDeliveryReport]:
+    ) -> DeliveryReport:
         """Execute push-gossip rounds for ``R`` independent replicates at once.
 
         This is the batch-aware entry point used by
@@ -357,10 +215,9 @@ class PushGossipNetwork:
         of the same grids, as a protocol phase does, and draws exactly what
         ``L`` one-round calls would, in the same order: per round, one
         ``integers`` call for the targets, then one ``random`` call over the
-        cells that heard a message.  It returns a
-        :class:`PhaseDeliveryReport` of the per-cell and per-replicate totals;
-        ``L`` one-round calls from the same generator state give the same
-        totals and leave the generator in the same state.
+        cells that heard a message.  Its report holds the ``int32`` totals of
+        the rounds; ``L`` one-round calls from the same generator state sum
+        to the same totals and leave the generator in the same state.
 
         Parameters
         ----------
@@ -379,8 +236,7 @@ class PushGossipNetwork:
             module docstring).  It decides round by round, so it takes only
             ``rounds = 1``; any other count raises :class:`ProtocolError`.
         rounds:
-            How many rounds of these grids to run (at least 1).  ``1`` returns
-            the round's :class:`BatchDeliveryReport`.
+            How many rounds of these grids to run (at least 1).
         """
         if rounds < 1:
             raise ParameterError(f"rounds must be at least 1, got {rounds}")
@@ -400,19 +256,13 @@ class PushGossipNetwork:
         cols = positions % self.size
         offsets = positions - cols
         ones = int(np.count_nonzero(carries_one))
-        sent = np.count_nonzero(send_mask, axis=1).astype(np.int64)
+        sent = np.count_nonzero(send_mask, axis=1).astype(np.int64) * rounds
         workspace = self._workspace_for(shape)
-        self.rounds_executed += rounds
-        self.messages_sent_total += cols.size * rounds
 
         if rounds == 1:
-            if not cols.size:
-                empty = np.empty(0, dtype=np.int64)
-                return BatchDeliveryReport(shape, empty, empty.astype(np.int8), sent)
-            accepted, cells, cell_bits = self._round(cols, offsets, ones, workspace, channel, rng)
-            self.messages_delivered_total += int(cells.size)
-            self.messages_dropped_total += int(cols.size - cells.size)
-            return self._report(shape, cells, cell_bits, sent, accepted)
+            heard, cells, cell_bits = self._round(cols, offsets, ones, workspace, channel, rng)
+            one_grid = self._bit_grid(cells, cell_bits, workspace)
+            return DeliveryReport(heard.reshape(shape), one_grid.reshape(shape), sent)
 
         # int32 takes the rounds' bool and int8 results about twice as fast
         # as int64; a call would need 2**31 rounds to overflow it.
@@ -422,11 +272,7 @@ class PushGossipNetwork:
             accepted, cells, cell_bits = self._round(cols, offsets, ones, workspace, channel, rng)
             heard += accepted
             one_totals[cells] += cell_bits
-        heard, one_totals = heard.reshape(shape), one_totals.reshape(shape)
-        delivered = heard.sum(axis=1, dtype=np.int64)
-        self.messages_delivered_total += int(delivered.sum())
-        self.messages_dropped_total += int(cols.size * rounds - delivered.sum())
-        return PhaseDeliveryReport(rounds, heard, one_totals, sent * rounds, delivered)
+        return DeliveryReport(heard.reshape(shape), one_totals.reshape(shape), sent)
 
     def _round(
         self,
@@ -445,12 +291,10 @@ class PushGossipNetwork:
         ``N > 0`` flags, the heard cells and their noisy bits.
         """
         count = cols.size
-        # Message i's flat target cell, formed in place.
-        if self.allow_self_messages:
-            buckets = rng.integers(0, self.size, size=count)
-        else:
-            buckets = rng.integers(0, self.size - 1, size=count)
-            buckets += np.greater_equal(buckets, cols, out=workspace.flags[:count])
+        # Message i's flat target cell, formed in place: a draw over the
+        # n - 1 other agents skips over the sender's own column.
+        buckets = rng.integers(0, self.size - 1, size=count)
+        buckets += np.greater_equal(buckets, cols, out=workspace.flags[:count])
         buckets += offsets
         accepted = self._count_messages(buckets, buckets[:ones], workspace)
         cells = np.flatnonzero(accepted)
@@ -472,7 +316,7 @@ class PushGossipNetwork:
         channel: NoiseChannel,
         rng: np.random.Generator,
         faults: FaultInjector,
-    ) -> BatchDeliveryReport:
+    ) -> DeliveryReport:
         """Single-accept delivery under a fault injector.
 
         The one resilient kernel: :meth:`deliver_batch` runs it on validated
@@ -484,32 +328,25 @@ class PushGossipNetwork:
         """
         shape = send_mask.shape
         num_replicates, size = shape
-        self.rounds_executed += 1
 
         faults.begin_round()
         send_mask = faults.filter_send_mask(send_mask)
         bits = faults.corrupt_outgoing_grid(bits, send_mask)
 
-        if self.allow_self_messages:
-            targets_grid = rng.integers(0, size, size=shape)
-        else:
-            draws = rng.integers(0, size - 1, size=shape)
-            targets_grid = draws + (draws >= np.arange(size, dtype=np.int64))
+        draws = rng.integers(0, size - 1, size=shape)
+        targets_grid = draws + (draws >= np.arange(size, dtype=np.int64))
         uniforms = rng.random(num_replicates * size)
 
         buckets_grid = targets_grid + np.arange(0, num_replicates * size, size)[:, None]
         workspace = self._workspace_for(shape)
-        accepted = self._count_messages(
+        heard = self._count_messages(
             buckets_grid[send_mask], buckets_grid[send_mask & (bits != 0)], workspace
         )
-        cells = np.flatnonzero(accepted)
+        cells = np.flatnonzero(heard)
         cell_bits = self._noisy_bits(cells, uniforms[cells], workspace, channel)
-
+        ones = self._bit_grid(cells, cell_bits, workspace)
         sent = send_mask.sum(axis=1).astype(np.int64)
-        self.messages_sent_total += int(sent.sum())
-        self.messages_delivered_total += int(cells.size)
-        self.messages_dropped_total += int(sent.sum()) - int(cells.size)
-        return self._report(shape, cells, cell_bits, sent, accepted)
+        return DeliveryReport(heard.reshape(shape), ones.reshape(shape), sent)
 
     def deliver_reference(
         self,
@@ -528,43 +365,29 @@ class PushGossipNetwork:
         """
         senders = np.asarray(senders, dtype=np.int64)
         bits = self._validate_round_inputs(senders, bits)
-        self.rounds_executed += 1
+        heard = np.zeros(self.size, dtype=bool)
+        ones = np.zeros(self.size, dtype=np.int8)
         if senders.size == 0:
-            return DeliveryReport.empty()
+            return DeliveryReport(heard, ones, 0)
 
         inboxes: dict[int, list[int]] = {}
         for sender, bit in zip(senders.tolist(), bits.tolist()):
-            if self.allow_self_messages:
-                target = int(rng.integers(0, self.size))
-            else:
-                target = int(rng.integers(0, self.size - 1))
-                if target >= sender:
-                    target += 1
+            target = int(rng.integers(0, self.size - 1))
+            if target >= sender:
+                target += 1
             inboxes.setdefault(target, []).append(bit)
 
         recipients = sorted(inboxes)
         kept = [
             inboxes[target][int(rng.integers(0, len(inboxes[target])))] for target in recipients
         ]
-        noisy = channel.transmit(np.asarray(kept, dtype=np.int8), rng)
-        sent = int(senders.size)
-        delivered = len(recipients)
-        self.messages_sent_total += sent
-        self.messages_delivered_total += delivered
-        self.messages_dropped_total += sent - delivered
-        return DeliveryReport(
-            recipients=np.asarray(recipients, dtype=np.int64),
-            bits=noisy.astype(np.int8),
-            messages_sent=sent,
-            messages_delivered=delivered,
-            messages_dropped=sent - delivered,
-        )
+        heard[recipients] = True
+        ones[recipients] = channel.transmit(np.asarray(kept, dtype=np.int8), rng)
+        return DeliveryReport(heard, ones, int(senders.size))
 
     # ------------------------------------------------------------------
     def _draw_targets(self, senders: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        """Draw a uniformly random recipient for every sender."""
-        if self.allow_self_messages:
-            return rng.integers(0, self.size, size=senders.size)
+        """Draw a uniformly random recipient among the other agents for every sender."""
         draws = rng.integers(0, self.size - 1, size=senders.size)
         # Skip over the sender's own index so the target is uniform over the
         # other n - 1 agents.
@@ -607,19 +430,11 @@ class PushGossipNetwork:
         return np.less(uniforms, one).view(np.int8)
 
     @staticmethod
-    def _report(
-        shape: Tuple[int, int],
-        cells: np.ndarray,
-        cell_bits: np.ndarray,
-        sent: np.ndarray,
-        accepted: np.ndarray,
-    ) -> BatchDeliveryReport:
-        """A batch report that keeps the round's flat ``accepted`` flags as its grid."""
-        report = BatchDeliveryReport(
-            shape=shape, cells=cells, cell_bits=cell_bits, messages_sent=sent
-        )
-        report.__dict__["accepted"] = accepted.reshape(shape)
-        return report
+    def _bit_grid(cells: np.ndarray, cell_bits: np.ndarray, workspace: _Workspace) -> np.ndarray:
+        """The flat ``int8`` grid of the heard cells' bits, 0 wherever nothing was heard."""
+        grid = np.zeros(workspace.counts.size, dtype=np.int8)
+        grid[cells] = cell_bits
+        return grid
 
     @staticmethod
     def _check_bits(bits: np.ndarray) -> None:

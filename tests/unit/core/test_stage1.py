@@ -5,7 +5,7 @@ import pytest
 
 from repro.core.opinions import NO_OPINION, bias_from_counts
 from repro.core.parameters import StageOneParameters
-from repro.core.stage1 import ReceptionAccumulator, execute_stage_one
+from repro.core.stage1 import execute_stage_one
 from repro.errors import ParameterError, SimulationError
 from repro.exec.stage_batching import BatchState, run_stage1_batch, source_batch_state
 from repro.substrate import BinarySymmetricChannel, PushGossipNetwork, RandomSource
@@ -37,39 +37,6 @@ def run_stage_one(n, epsilon, seed, correct_opinion=1, channel=None):
         opinions, activated, small_stage1_params(), correct_opinion, channel, RandomSource(seed)
     )
     return result, opinions, activated
-
-
-class TestReceptionAccumulator:
-    def test_counts_and_choice(self, rng):
-        accumulator = ReceptionAccumulator(size=5)
-        accumulator.observe(np.asarray([1, 2]), np.asarray([1, 0], dtype=np.int8))
-        accumulator.observe(np.asarray([1]), np.asarray([0], dtype=np.int8))
-        heard = accumulator.heard_anything()
-        assert heard[1] and heard[2] and not heard[0]
-        # Agent 2 heard a single 0 message, so its choice is forced.
-        assert accumulator.chosen_bits(np.asarray([2]), rng)[0] == 0
-
-    def test_choice_is_uniform_over_heard_messages(self, rng):
-        """The phase-end draw picks each of k messages with probability 1/k."""
-        picks = []
-        for _ in range(4000):
-            accumulator = ReceptionAccumulator(size=1)
-            accumulator.observe(np.asarray([0]), np.asarray([1], dtype=np.int8))
-            accumulator.observe(np.asarray([0]), np.asarray([0], dtype=np.int8))
-            accumulator.observe(np.asarray([0]), np.asarray([0], dtype=np.int8))
-            picks.append(int(accumulator.chosen_bits(np.asarray([0]), rng)[0]))
-        assert np.mean(picks) == pytest.approx(1 / 3, abs=0.03)
-
-    def test_chosen_bits_for_silent_agent_raises(self, rng):
-        accumulator = ReceptionAccumulator(size=3)
-        with pytest.raises(SimulationError):
-            accumulator.chosen_bits(np.asarray([0]), rng)
-
-    def test_reset(self, rng):
-        accumulator = ReceptionAccumulator(size=2)
-        accumulator.observe(np.asarray([0]), np.asarray([1], dtype=np.int8))
-        accumulator.reset()
-        assert not accumulator.heard_anything().any()
 
 
 class TestExecuteStageOne:

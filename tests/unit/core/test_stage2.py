@@ -6,7 +6,6 @@ import pytest
 from repro.core.opinions import NO_OPINION, bias_from_counts, counts_from_bias
 from repro.core.parameters import StageTwoParameters
 from repro.core.stage2 import (
-    SampleAccumulator,
     execute_stage_two,
     majority_of_random_subset,
     population_bias,
@@ -32,22 +31,6 @@ class SeededRun:
 
     def stage_two(self, parameters, correct_opinion):
         return execute_stage_two(self.opinions, parameters, correct_opinion, self.channel, self.streams)
-
-
-class TestSampleAccumulator:
-    def test_observe_and_reset(self):
-        accumulator = SampleAccumulator(size=4)
-        accumulator.observe(np.asarray([0, 1]), np.asarray([1, 0], dtype=np.int8))
-        accumulator.observe(np.asarray([0]), np.asarray([1], dtype=np.int8))
-        assert accumulator.totals[0] == 2 and accumulator.ones[0] == 2
-        assert accumulator.totals[1] == 1 and accumulator.ones[1] == 0
-        accumulator.reset()
-        assert accumulator.totals.sum() == 0
-
-    def test_empty_observation_is_noop(self):
-        accumulator = SampleAccumulator(size=2)
-        accumulator.observe(np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int8))
-        assert accumulator.totals.sum() == 0
 
 
 class TestMajorityOfRandomSubset:

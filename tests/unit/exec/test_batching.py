@@ -3,7 +3,7 @@
 Pins both halves of the determinism contract in ``repro.exec.batching``'s
 module docstring: exact equality wherever the model is deterministic
 (channel semantics, round schedules, seed bookkeeping) and distributional
-agreement with the per-engine path for the stochastic observables.
+agreement with the serial path for the stochastic observables.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from repro.substrate.noise import BinarySymmetricChannel, PerfectChannel
 
 
 class TestTransmitBatch:
-    def test_equals_per_engine_transmit_seed_for_seed(self):
+    def test_equals_flat_transmit_seed_for_seed(self):
         """transmit_batch is bit-identical to transmit on the masked values."""
         channel = BinarySymmetricChannel(epsilon=0.2)
         rng_batch = np.random.default_rng(13)
@@ -68,27 +68,26 @@ class TestDeliverBatch:
         report = network.deliver_batch(mask, bits, PerfectChannel(), rng)
         assert np.array_equal(report.messages_sent, np.ones(R, dtype=np.int64))
         assert np.array_equal(report.messages_delivered, np.ones(R, dtype=np.int64))
-        rows, cols = np.nonzero(report.accepted)
+        rows, cols = np.nonzero(report.heard)
         assert np.array_equal(rows, np.arange(R)), "exactly one acceptance per replicate"
         assert np.all(cols != 4), "no self-delivery"
-        assert np.all(report.bits[rows, cols] == 1)
-        assert np.all(report.bits[~report.accepted] == 0)
+        assert np.all(report.ones[rows, cols] == 1)
+        assert np.all(report.ones[~report.heard] == 0)
 
-    def test_statistics_match_per_engine_deliver(self):
-        """Delivered fraction and flip rate agree with the per-engine path."""
+    def test_statistics_match_serial_deliver(self):
+        """Delivered fraction and flip rate agree with serial ``deliver``."""
         n, rounds = 400, 30
         channel = BinarySymmetricChannel(epsilon=0.2)
         senders = np.arange(n)
         bits = np.ones(n, dtype=np.int8)
 
-        engine_rng = np.random.default_rng(1)
-        engine_net = PushGossipNetwork(size=n)
-        engine_delivered = engine_flipped = engine_total = 0
+        serial_rng = np.random.default_rng(1)
+        serial_net = PushGossipNetwork(size=n)
+        serial_delivered = serial_flipped = 0
         for _ in range(rounds):
-            report = engine_net.deliver(senders, bits, channel, engine_rng)
-            engine_delivered += report.messages_delivered
-            engine_flipped += int((report.bits == 0).sum())
-            engine_total += report.recipients.size
+            report = serial_net.deliver(senders, bits, channel, serial_rng)
+            serial_delivered += report.messages_delivered
+            serial_flipped += int((report.ones[report.heard] == 0).sum())
 
         batch_rng = np.random.default_rng(2)
         batch_net = PushGossipNetwork(size=n)
@@ -96,14 +95,14 @@ class TestDeliverBatch:
             np.ones((rounds, n), dtype=bool), np.ones((rounds, n), dtype=np.int8), channel, batch_rng
         )
         batch_delivered = int(batch.messages_delivered.sum())
-        batch_flipped = int((batch.bits[batch.accepted] == 0).sum())
+        batch_flipped = int((batch.ones[batch.heard] == 0).sum())
 
-        engine_fraction = engine_delivered / (rounds * n)
+        serial_fraction = serial_delivered / (rounds * n)
         batch_fraction = batch_delivered / (rounds * n)
-        assert engine_fraction == pytest.approx(1 - np.exp(-1), abs=0.02)
-        assert batch_fraction == pytest.approx(engine_fraction, abs=0.02)
+        assert serial_fraction == pytest.approx(1 - np.exp(-1), abs=0.02)
+        assert batch_fraction == pytest.approx(serial_fraction, abs=0.02)
         assert batch_flipped / batch_delivered == pytest.approx(
-            engine_flipped / engine_total, abs=0.02
+            serial_flipped / serial_delivered, abs=0.02
         )
 
     def test_deterministic_for_fixed_seed(self):
@@ -112,8 +111,8 @@ class TestDeliverBatch:
         bits = np.ones((6, 50), dtype=np.int8)
         first = network.deliver_batch(mask, bits, BinarySymmetricChannel(0.25), np.random.default_rng(9))
         second = network.deliver_batch(mask, bits, BinarySymmetricChannel(0.25), np.random.default_rng(9))
-        assert np.array_equal(first.accepted, second.accepted)
-        assert np.array_equal(first.bits, second.bits)
+        assert np.array_equal(first.heard, second.heard)
+        assert np.array_equal(first.ones, second.ones)
 
     def test_validation(self):
         network = PushGossipNetwork(size=10)
@@ -354,7 +353,7 @@ class TestSweepDispatch:
         assert sweep.results[0].mean("rounds") == overridden_serial.rounds
 
     def test_forwards_every_recognised_instance_setting(self, monkeypatch):
-        """correct_opinion / allow_self_messages / overrides all reach the simulator."""
+        """correct_opinion and calibration overrides all reach the simulator."""
         captured = {}
 
         def fake_batch(**kwargs):
@@ -370,10 +369,9 @@ class TestSweepDispatch:
             batch_fn=fake_batch,
             trials_per_point=2,
             base_seed=0,
-            defaults={"epsilon": 0.3, "allow_self_messages": True, "b0": 2.5},
+            defaults={"epsilon": 0.3, "b0": 2.5},
         )
         assert captured["correct_opinion"] == 0
-        assert captured["allow_self_messages"] is True
         assert captured["b0"] == 2.5
 
     def test_coerces_numeric_settings_like_serial_trials(self):
@@ -387,11 +385,13 @@ class TestSweepDispatch:
         )
         assert sweep.results[0].rate("success") >= 0.0  # ran without TypeError
 
-    def test_unrecognised_setting_raises(self):
+    @pytest.mark.parametrize("setting", ["turbo", "allow_self_messages"])
+    def test_unrecognised_setting_raises(self, setting):
+        """A typo'd setting, or the self-message switch agents no longer have."""
         with pytest.raises(ExperimentError, match="unrecognised"):
             run_broadcast_sweep_batched(
                 name="S",
-                points=[{"n": 250, "turbo": True}],
+                points=[{"n": 250, setting: True}],
                 trials_per_point=2,
                 base_seed=0,
                 defaults={"epsilon": 0.3},

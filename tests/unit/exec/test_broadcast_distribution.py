@@ -2,9 +2,9 @@
 
 E1 (rounds versus n, Theorem 2.17) is run through its driver at toy sizes
 where the calibrated protocol sometimes fails, once serially (each trial is
-:func:`~repro.core.broadcast.solve_noisy_broadcast` on one engine) and once
-batched (each sweep point is one :func:`~repro.exec.batching.run_broadcast_batch`
-grid), and every per-trial measurement the driver reports is collected as
+:func:`~repro.core.broadcast.solve_noisy_broadcast` on one ``(n,)``
+population) and once batched (each sweep point is one
+:func:`~repro.exec.batching.run_broadcast_batch` grid), and every per-trial measurement the driver reports is collected as
 each cell's :class:`~repro.analysis.experiments.ExperimentResult` is
 assembled.  :data:`RECORDED` holds the mean and standard error of each of
 them, taken at commit 9f44bc6, where delivery still resolved collisions by

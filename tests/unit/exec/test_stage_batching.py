@@ -24,8 +24,9 @@ from repro.core.majority import compute_start_phase
 from repro.core.opinions import NO_OPINION, counts_from_bias
 from repro.core.parameters import ProtocolParameters, StageOneParameters
 from repro.core.schedule import build_stage1_schedule, build_stage2_schedule
-from repro.core.stage1 import ReceptionAccumulator, execute_stage_one
-from repro.core.stage2 import SampleAccumulator, execute_stage_two, population_bias
+from repro.core import reception
+from repro.core.stage1 import execute_stage_one
+from repro.core.stage2 import execute_stage_two, population_bias
 from repro.core.synchronizer import default_guard, run_with_bounded_skew
 from repro.errors import ParameterError, SimulationError
 from repro.exec.batching import replicate_trial, run_baseline_batch, run_broadcast_batch
@@ -41,7 +42,6 @@ from repro.exec.stage_batching import (
     seeded_batch_state,
     source_batch_state,
 )
-from repro.exec import stage_batching
 from repro.substrate.network import PushGossipNetwork
 from repro.substrate.noise import BinarySymmetricChannel
 from repro.substrate.rng import RandomSource, spawn_generator
@@ -427,28 +427,6 @@ class TestSilentWaitBatch:
         assert np.all(batch.rounds == 10)
         assert not np.any(batch.success)
 
-    def test_allow_self_messages_matches_the_serial_target_distribution(self):
-        """Regression: the batched rule must honour allow_self_messages like
-        PushGossipNetwork._draw_targets — self-addressed pushes are wasted on
-        the already-decided source, so runs are measurably slower, on both
-        paths alike."""
-        def serial_mean(allow_self: bool) -> float:
-            rounds = [
-                self._serial(seed, allow_self_messages=allow_self)["rounds"] for seed in range(5)
-            ]
-            return float(np.mean(rounds))
-
-        def batch_mean(allow_self: bool) -> float:
-            batch = run_baseline_batch(
-                "silent-wait", n=self.N, epsilon=0.45, num_replicates=20,
-                base_seed=11, threshold=self.THRESHOLD,
-                allow_self_messages=allow_self,
-            )
-            return float(batch.rounds.mean())
-
-        assert batch_mean(True) > batch_mean(False), "self-messages must slow the batch path"
-        assert batch_mean(True) == pytest.approx(serial_mean(True), rel=0.3)
-
     def test_measurements_carry_the_serial_extras(self):
         batch = run_baseline_batch(
             "silent-wait", n=self.N, epsilon=0.45, num_replicates=2,
@@ -463,20 +441,19 @@ class TestSilentWaitBatch:
 
 
 class TestScratchBufferHoisting:
-    """The micro-perf pin: per-phase scratch grids are allocated once per
-    batch (reset by fill), and the serial accumulators never reallocate their
-    buffers across phases."""
+    """The micro-perf pin: every stage run, batched or serial, allocates its
+    per-phase counts once and resets them by fill."""
 
     @staticmethod
     def _count_constructions(monkeypatch):
         constructions = []
-        original = stage_batching._PhaseCounts.__init__
+        original = reception.PhaseCounts.__init__
 
         def counting_init(self, shape):
             constructions.append(shape)
             original(self, shape)
 
-        monkeypatch.setattr(stage_batching._PhaseCounts, "__init__", counting_init)
+        monkeypatch.setattr(reception.PhaseCounts, "__init__", counting_init)
         return constructions
 
     def test_batch_stage1_allocates_its_counts_exactly_once(self, monkeypatch):
@@ -493,30 +470,27 @@ class TestScratchBufferHoisting:
         run_stage2_instrumented(N, EPSILON, 4, initial_bias=0.2, base_seed=1, parameters=parameters)
         assert constructions == [(4, N)]
 
+    def test_serial_stage1_allocates_its_counts_exactly_once(self, monkeypatch):
+        parameters = StageOneParameters(beta_s=8, beta=4, beta_f=8, num_intermediate_phases=2)
+        constructions = self._count_constructions(monkeypatch)
+        result = _serial_stage1(0, parameters)
+        assert len(result.phases) >= 3
+        assert constructions == [N]
+
+    def test_serial_stage2_allocates_its_counts_exactly_once(self, monkeypatch):
+        parameters = _parameters().stage2
+        constructions = self._count_constructions(monkeypatch)
+        result = _serial_stage2(0, 0.2, parameters)
+        assert len(result.phases) >= 3
+        assert constructions == [N]
+
     def test_scratch_reset_reuses_the_same_buffers(self):
-        counts = stage_batching._PhaseCounts((3, 7))
+        counts = reception.PhaseCounts((3, 7))
         heard, ones = counts.heard, counts.ones
         heard[1, 2], ones[1, 2] = 5, 2
         counts.reset()
         assert counts.heard is heard and counts.ones is ones
         assert not heard.any() and not ones.any()
-
-    def test_serial_accumulators_never_reallocate_across_phases(self):
-        rng = np.random.default_rng(0)
-        reception = ReceptionAccumulator(16)
-        counts, ones = reception._counts, reception._ones
-        for _ in range(5):  # five "phases"
-            reception.observe(np.array([1, 2, 3]), np.array([1, 0, 1], dtype=np.int8))
-            reception.chosen_bits(np.array([1, 2]), rng)
-            reception.reset()
-            assert reception._counts is counts and reception._ones is ones
-
-        samples = SampleAccumulator(16)
-        totals, ones = samples._total, samples._ones
-        for _ in range(5):
-            samples.observe(np.array([4, 5]), np.array([1, 1], dtype=np.int8))
-            samples.reset()
-            assert samples._total is totals and samples._ones is ones
 
 
 class TestDeliveryCallsPerPhase:

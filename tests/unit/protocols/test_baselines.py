@@ -87,12 +87,10 @@ class TestDirectSourceReference:
 class _WrongBitToTheZealot:
     """Network stand-in that delivers a wrong bit to agent 0 every round."""
 
-    allow_self_messages = False
-
     def deliver_batch(self, send_mask, bits, channel, rng):
-        accepted = np.zeros_like(send_mask)
-        accepted[:, 0] = True
-        return SimpleNamespace(accepted=accepted, bits=np.zeros_like(bits))
+        heard = np.zeros_like(send_mask)
+        heard[:, 0] = True
+        return SimpleNamespace(heard=heard, ones=np.zeros_like(bits))
 
 
 class TestNoisyVoter:

@@ -1,9 +1,9 @@
 """Exact law of one push-gossip round, checked against every delivery path.
 
 Section 1.3.2's rule: every sender pushes its bit to a uniformly random
-other agent (or any agent, with self-messages allowed), each recipient keeps
-one message picked uniformly from those it received, and the channel flips
-the kept bit with probability ``q = 1/2 - epsilon``.  On three and four
+other agent, each recipient keeps one message picked uniformly from those
+it received, and the channel flips the kept bit with probability
+``q = 1/2 - epsilon``.  On three and four
 agents the joint law of a round's outcome — which agents accept a message
 and which noisy bit each keeps — is enumerated here from that literal rule
 (every target assignment, every kept message, every flip), and a
@@ -14,7 +14,10 @@ chi-square test compares it with the outcomes of
   replicates,
 * the resilient kernel (``deliver_batch`` with an injector whose fault-prone
   fraction is zero), and
-* :meth:`PushGossipNetwork.deliver_reference`, the literal transcription.
+* :meth:`PushGossipNetwork.deliver_reference`, the literal transcription,
+
+over a binary symmetric channel (``q = 3/10``) and over the perfect channel
+(``q = 0``, where the count rule skips its noise step).
 
 Every case uses a fixed seed, so the test is deterministic; the threshold
 is a p-value of 1e-4, computed with the standard library alone
@@ -33,11 +36,17 @@ import pytest
 
 from repro.substrate.faults import CrashStop, FaultInjector
 from repro.substrate.network import PushGossipNetwork
-from repro.substrate.noise import BinarySymmetricChannel
+from repro.substrate.noise import BinarySymmetricChannel, PerfectChannel
 
-#: The channel's crossover probability is 1/2 - EPSILON = 3/10.
+#: The noisy channel's crossover probability is 1/2 - EPSILON = 3/10.
 EPSILON = 0.2
 FLIP = Fraction(3, 10)
+
+#: channel label -> (channel, exact crossover probability, seed offset).
+CHANNELS = {
+    "bsc": (BinarySymmetricChannel(epsilon=EPSILON), FLIP, 0),
+    "perfect": (PerfectChannel(), Fraction(0), 10),
+}
 
 #: Sampled rounds per case.
 ROUNDS = 12_000
@@ -52,17 +61,14 @@ CASES = {
 MIN_P_VALUE = 1e-4
 
 
-def exact_law(size, sender_bits, allow_self):
-    """Outcome -> probability under the literal rule.
+def exact_law(size, sender_bits, flip=FLIP):
+    """Outcome -> probability under the literal rule with crossover ``flip``.
 
     An outcome is a tuple with one entry per agent: -1 if it accepted
     nothing, else the noisy bit it kept.
     """
     senders = sorted(sender_bits)
-    choices = [
-        [target for target in range(size) if allow_self or target != sender]
-        for sender in senders
-    ]
+    choices = [[target for target in range(size) if target != sender] for sender in senders]
     law = Counter()
     for targets in itertools.product(*choices):
         weight = Fraction(1)
@@ -73,7 +79,7 @@ def exact_law(size, sender_bits, allow_self):
             inboxes.setdefault(target, []).append(sender_bits[sender])
         recipients = sorted(inboxes)
         # Each recipient keeps one of its N messages, each with probability
-        # 1/N, and the channel flips the kept bit with probability FLIP.
+        # 1/N, and the channel flips the kept bit with probability flip.
         picks = [
             [(kept, flipped) for kept in range(len(inboxes[r])) for flipped in (0, 1)]
             for r in recipients
@@ -83,32 +89,32 @@ def exact_law(size, sender_bits, allow_self):
             outcome = [-1] * size
             for recipient, (kept, flipped) in zip(recipients, choice):
                 inbox = inboxes[recipient]
-                probability *= Fraction(1, len(inbox)) * (FLIP if flipped else 1 - FLIP)
+                probability *= Fraction(1, len(inbox)) * (flip if flipped else 1 - flip)
                 outcome[recipient] = inbox[kept] ^ flipped
             law[tuple(outcome)] += probability
     assert sum(law.values()) == 1
     return law
 
 
-def _serial_outcomes(method, size, sender_bits, allow_self):
-    network = PushGossipNetwork(size=size, allow_self_messages=allow_self)
-    channel = BinarySymmetricChannel(epsilon=EPSILON)
-    rng = np.random.default_rng(size + 10 * allow_self)
+def _outcomes(report):
+    """One outcome tuple per row of a report: -1 where nothing was accepted."""
+    grid = np.where(report.heard, report.ones, -1)
+    return [tuple(row) for row in np.atleast_2d(grid).tolist()]
+
+
+def _serial_outcomes(method, size, sender_bits, channel, seed):
+    network = PushGossipNetwork(size=size)
+    rng = np.random.default_rng(size + seed)
     senders = np.array(sorted(sender_bits))
     bits = np.array([sender_bits[sender] for sender in senders], dtype=np.int8)
     deliver = getattr(network, method)
     for _ in range(ROUNDS):
-        report = deliver(senders, bits, channel, rng)
-        outcome = [-1] * size
-        for recipient, bit in zip(report.recipients.tolist(), report.bits.tolist()):
-            outcome[recipient] = bit
-        yield tuple(outcome)
+        yield from _outcomes(deliver(senders, bits, channel, rng))
 
 
-def _batch_outcomes(size, sender_bits, allow_self, replicates, resilient):
-    network = PushGossipNetwork(size=size, allow_self_messages=allow_self)
-    channel = BinarySymmetricChannel(epsilon=EPSILON)
-    rng = np.random.default_rng(size + 10 * allow_self + 100 * replicates)
+def _batch_outcomes(size, sender_bits, channel, seed, replicates, resilient):
+    network = PushGossipNetwork(size=size)
+    rng = np.random.default_rng(size + seed + 100 * replicates)
     send_mask = np.zeros((replicates, size), dtype=bool)
     bits = np.zeros((replicates, size), dtype=np.int8)
     for sender, bit in sender_bits.items():
@@ -120,10 +126,7 @@ def _batch_outcomes(size, sender_bits, allow_self, replicates, resilient):
             CrashStop(fraction=0.0), size, np.random.default_rng(7), num_replicates=replicates
         )
     for _ in range(ROUNDS // replicates):
-        report = network.deliver_batch(send_mask, bits, channel, rng, faults=faults)
-        grid = np.where(report.accepted, report.bits, -1)
-        for row in grid.tolist():
-            yield tuple(row)
+        yield from _outcomes(network.deliver_batch(send_mask, bits, channel, rng, faults=faults))
 
 
 PATHS = {
@@ -204,19 +207,20 @@ def test_chi_square_survival_matches_closed_forms(statistic):
 def test_the_enumerated_law_is_the_count_rule():
     """A lone message is kept and noised; two colliding messages leave the
     recipient's bit a 1 with probability q + (1 - 2q) O / N."""
-    law = exact_law(3, {0: 1, 1: 0}, allow_self=False)
+    law = exact_law(3, {0: 1, 1: 0})
     # Both senders pick agent 2 with probability 1/4: one 1 among two.
     both_to_two = sum(p for outcome, p in law.items() if outcome[:2] == (-1, -1))
     assert both_to_two == Fraction(1, 4)
     assert law[(-1, -1, 1)] == Fraction(1, 4) * (FLIP + (1 - 2 * FLIP) / 2)
 
 
-@pytest.mark.parametrize("allow_self", [False, True], ids=["no-self", "self"])
+@pytest.mark.parametrize("channel", sorted(CHANNELS))
 @pytest.mark.parametrize("case", sorted(CASES))
 @pytest.mark.parametrize("path", sorted(PATHS))
-def test_round_outcomes_follow_the_exact_law(path, case, allow_self):
+def test_round_outcomes_follow_the_exact_law(path, case, channel):
     size, sender_bits = CASES[case]
-    law = exact_law(size, sender_bits, allow_self)
-    observed = Counter(PATHS[path](size, sender_bits, allow_self))
+    noise, flip, seed = CHANNELS[channel]
+    law = exact_law(size, sender_bits, flip)
+    observed = Counter(PATHS[path](size, sender_bits, noise, seed))
     p_value = chi_square_p_value(law, observed)
-    assert p_value > MIN_P_VALUE, f"{path} on {case}: chi-square p = {p_value:.3g}"
+    assert p_value > MIN_P_VALUE, f"{path} on {case} over {channel}: chi-square p = {p_value:.3g}"

@@ -243,7 +243,8 @@ class TestSerialRngStability:
         reports = []
         for _ in range(rounds):
             report = network.deliver_batch(send_mask, bits, channel, rng, faults=injector)
-            reports.append((report.cells, report.cell_bits))
+            cells = np.flatnonzero(report.heard)
+            reports.append((cells, report.ones.reshape(-1)[cells]))
         return reports, rng.random(8)
 
     def test_crash_does_not_shift_other_agents_draws(self):
@@ -293,4 +294,5 @@ class TestDeliveryIntegration:
         )
         # Only agent 0 is left to speak, and it never reaches itself.
         assert report.messages_sent.tolist() == [1]
-        assert report.cells.size == 1 and report.cells[0] != 0
+        (recipient,) = np.flatnonzero(report.heard[0])
+        assert report.messages_delivered.tolist() == [1] and recipient != 0

@@ -4,13 +4,15 @@ import numpy as np
 import pytest
 
 from repro.errors import ParameterError, ProtocolError
-from repro.substrate.network import (
-    BatchDeliveryReport,
-    DeliveryReport,
-    PushGossipNetwork,
-    _Workspace,
-)
+from repro.substrate.faults import CrashStop, FaultInjector
+from repro.substrate.network import DeliveryReport, PushGossipNetwork, _Workspace
 from repro.substrate.noise import BinarySymmetricChannel, PerfectChannel
+
+#: The channel axis of the oracle tests: a noisy channel and the noiseless
+#: one, whose zero flip probability skips the count rule's noise step.
+CHANNELS = pytest.mark.parametrize(
+    "channel", [BinarySymmetricChannel(epsilon=0.2), PerfectChannel()], ids=["bsc", "perfect"]
+)
 
 
 @pytest.fixture
@@ -21,48 +23,57 @@ def perfect():
 class TestDeliveryBasics:
     def test_empty_round(self, perfect, rng):
         network = PushGossipNetwork(size=10)
+        state = rng.bit_generator.state
         report = network.deliver(np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int8), perfect, rng)
-        assert report.messages_sent == 0
-        assert report.recipients.size == 0
+        assert report.messages_sent == 0 and report.messages_delivered == 0
+        assert report.heard.shape == report.ones.shape == (10,)
+        assert not report.heard.any() and not report.ones.any()
+        assert rng.bit_generator.state == state, "an empty round draws nothing"
 
     def test_single_sender_reaches_someone_else(self, perfect, rng):
         network = PushGossipNetwork(size=10)
         report = network.deliver(np.asarray([4]), np.asarray([1], dtype=np.int8), perfect, rng)
         assert report.messages_sent == 1
         assert report.messages_delivered == 1
-        assert report.recipients[0] != 4
-        assert report.bits[0] == 1
+        (recipient,) = np.flatnonzero(report.heard)
+        assert recipient != 4
+        assert report.ones[recipient] == 1
 
-    def test_no_self_messages_by_default(self, perfect, rng):
+    def test_no_self_messages(self, perfect, rng):
         network = PushGossipNetwork(size=5)
         for sender in range(5):
             for _ in range(40):
                 report = network.deliver(
                     np.asarray([sender]), np.zeros(1, dtype=np.int8), perfect, rng
                 )
-                assert report.recipients.tolist() != [sender]
+                assert not report.heard[sender]
 
-    def test_self_messages_allowed_when_enabled(self, perfect, rng):
-        network = PushGossipNetwork(size=3, allow_self_messages=True)
-        hit_self = False
+    def test_every_other_agent_is_reached(self, perfect, rng):
+        network = PushGossipNetwork(size=3)
+        reached = np.zeros(3, dtype=bool)
         for _ in range(200):
             report = network.deliver(np.asarray([1]), np.zeros(1, dtype=np.int8), perfect, rng)
-            hit_self = hit_self or report.recipients.tolist() == [1]
-        assert hit_self
+            reached |= report.heard
+        assert reached.tolist() == [True, False, True]
 
-    def test_recipients_are_unique(self, perfect, rng):
+    def test_each_recipient_accepts_one_message(self, perfect, rng):
         network = PushGossipNetwork(size=20)
         senders = np.arange(20)
         report = network.deliver(senders, np.ones(20, dtype=np.int8), perfect, rng)
-        assert np.unique(report.recipients).size == report.recipients.size
+        assert report.heard.dtype == bool and report.ones.dtype == np.int8
+        assert np.array_equal(report.ones, report.heard), "a perfect channel keeps every 1"
         assert report.messages_delivered + report.messages_dropped == report.messages_sent
 
-    def test_counters_accumulate(self, perfect, rng):
+    def test_reports_add_up_over_rounds(self, perfect, rng):
         network = PushGossipNetwork(size=20)
-        for _ in range(3):
+        reports = [
             network.deliver(np.arange(10), np.zeros(10, dtype=np.int8), perfect, rng)
-        assert network.messages_sent_total == 30
-        assert network.rounds_executed == 3
+            for _ in range(3)
+        ]
+        assert sum(report.messages_sent for report in reports) == 30
+        assert sum(report.messages_delivered for report in reports) == sum(
+            int(report.heard.sum()) for report in reports
+        )
 
 
 class TestValidation:
@@ -95,7 +106,7 @@ class TestCollisionStatistics:
     def test_collision_rate_matches_balls_in_bins(self, perfect, rng):
         """With n senders and n receivers the delivered fraction is ~1 - 1/e."""
         n = 2000
-        network = PushGossipNetwork(size=n, allow_self_messages=True)
+        network = PushGossipNetwork(size=n)
         report = network.deliver(np.arange(n), np.zeros(n, dtype=np.int8), perfect, rng)
         delivered_fraction = report.messages_delivered / n
         assert delivered_fraction == pytest.approx(1 - np.exp(-1), abs=0.03)
@@ -111,9 +122,9 @@ class TestCollisionStatistics:
             report = network.deliver(
                 np.asarray([0, 1]), np.asarray([0, 1], dtype=np.int8), perfect, rng
             )
-            if report.recipients.size == 1 and report.recipients[0] == 2:
+            if report.heard.tolist() == [False, False, True]:
                 collisions += 1
-                kept_zero += int(report.bits[0] == 0)
+                kept_zero += int(report.ones[2] == 0)
         assert collisions > 500
         assert kept_zero / collisions == pytest.approx(0.5, abs=0.06)
 
@@ -138,10 +149,16 @@ class TestReferenceImplementation:
         slow = delivered_fraction("deliver_reference", 2)
         assert fast == pytest.approx(slow, abs=0.03)
 
-    def test_empty_report_helper(self):
-        report = DeliveryReport.empty()
-        assert report.messages_sent == 0
-        assert report.recipients.size == 0
+    def test_reference_reports_an_empty_round(self, perfect, rng):
+        network = PushGossipNetwork(size=6)
+        state = rng.bit_generator.state
+        report = network.deliver_reference(
+            np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int8), perfect, rng
+        )
+        assert report.messages_sent == 0 and report.messages_dropped == 0
+        assert report.heard.shape == report.ones.shape == (6,)
+        assert not report.heard.any() and not report.ones.any()
+        assert rng.bit_generator.state == state
 
 
 class TestNoDeliveryPathCallsTransmit:
@@ -161,8 +178,6 @@ class TestNoDeliveryPathCallsTransmit:
 
     @pytest.mark.parametrize("faults", [False, True], ids=["fault-free", "resilient"])
     def test_batch_deliver(self, faults):
-        from repro.substrate.faults import CrashStop, FaultInjector
-
         rng = np.random.default_rng(0)
         injector = FaultInjector(CrashStop(), 30, rng, num_replicates=3) if faults else None
         mask = np.ones((3, 30), dtype=bool)
@@ -170,18 +185,22 @@ class TestNoDeliveryPathCallsTransmit:
         report = PushGossipNetwork(size=30).deliver_batch(
             mask, bits, self._Refusing(0.2), rng, faults=injector
         )
-        assert report.cells.size > 0
+        assert report.heard.any()
 
 
-def _unique_count_bits(buckets, one_buckets, channel, rng):
-    """The count rule with ``np.unique`` counts: heard cells and noisy bits."""
+def _unique_count_grids(buckets, one_buckets, cells_total, channel, rng):
+    """The count rule with ``np.unique`` counts: flat heard and noisy-bit grids."""
     cells, counts = np.unique(buckets, return_counts=True)
     one_cells, one_counts = np.unique(one_buckets, return_counts=True)
     ones = np.zeros(cells.size, dtype=np.int64)
     ones[np.searchsorted(cells, one_cells)] = one_counts
     flip = channel.flip_probability
     noisy = rng.random(cells.size) < flip + (1.0 - 2.0 * flip) * (ones / counts)
-    return cells.astype(np.int64), noisy.astype(np.int8)
+    heard = np.zeros(cells_total, dtype=bool)
+    bit_grid = np.zeros(cells_total, dtype=np.int8)
+    heard[cells] = True
+    bit_grid[cells] = noisy
+    return heard, bit_grid
 
 
 def _unique_deliver(network, senders, bits, channel, rng):
@@ -191,26 +210,19 @@ def _unique_deliver(network, senders, bits, channel, rng):
     sender in the given order, then one uniform per recipient in ascending
     order), with the per-recipient message and 1-message counts found by
     ``np.unique(..., return_counts=True)`` instead of the network's
-    ``np.add.at`` into reused buffers.  Counters are left alone.
+    ``np.add.at`` into reused buffers.
     """
     senders = np.asarray(senders, dtype=np.int64)
     bits = np.asarray(bits, dtype=np.int8)
-    if senders.size == 0:
-        return DeliveryReport.empty()
-    if network.allow_self_messages:
-        targets = rng.integers(0, network.size, size=senders.size)
-    else:
+    heard = np.zeros(network.size, dtype=bool)
+    ones = np.zeros(network.size, dtype=np.int8)
+    if senders.size:
         draws = rng.integers(0, network.size - 1, size=senders.size)
         targets = draws + (draws >= senders)
-    recipients, noisy = _unique_count_bits(targets, targets[bits == 1], channel, rng)
-    sent, delivered = int(senders.size), int(recipients.size)
-    return DeliveryReport(
-        recipients=recipients,
-        bits=noisy,
-        messages_sent=sent,
-        messages_delivered=delivered,
-        messages_dropped=sent - delivered,
-    )
+        heard, ones = _unique_count_grids(
+            targets, targets[bits == 1], network.size, channel, rng
+        )
+    return DeliveryReport(heard, ones, int(senders.size))
 
 
 class TestDeliverMatchesUniqueCountOracle:
@@ -221,30 +233,28 @@ class TestDeliverMatchesUniqueCountOracle:
     SEEDS = range(12)
 
     @pytest.mark.parametrize("n", [2, 3, 50, 2000])
-    @pytest.mark.parametrize("allow_self", [False, True])
+    @CHANNELS
     @pytest.mark.parametrize("count", ["zero", "one", "random", "all"])
-    def test_report_is_bit_identical(self, n, allow_self, count):
-        channel = BinarySymmetricChannel(epsilon=0.2)
+    def test_report_is_bit_identical(self, n, channel, count):
         for seed in self.SEEDS:
             picker = np.random.default_rng([seed, n])
             k = {"zero": 0, "one": 1, "random": int(picker.integers(0, n + 1)), "all": n}[count]
             senders = picker.choice(n, size=k, replace=False)
             bits = picker.integers(0, 2, size=k).astype(np.int8)
 
-            network = PushGossipNetwork(size=n, allow_self_messages=allow_self)
+            network = PushGossipNetwork(size=n)
             rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
             report = network.deliver(senders, bits, channel, rng)
             expected = _unique_deliver(network, senders, bits, channel, oracle_rng)
 
-            for name in ("recipients", "bits"):
+            for name in ("heard", "ones"):
                 got, want = getattr(report, name), getattr(expected, name)
                 assert got.dtype == want.dtype, (name, seed)
                 assert np.array_equal(got, want), (name, seed)
+            assert type(report.messages_sent) is int, seed
             for name in ("messages_sent", "messages_delivered", "messages_dropped"):
-                assert type(getattr(report, name)) is int, (name, seed)
                 assert getattr(report, name) == getattr(expected, name), (name, seed)
             assert rng.bit_generator.state == oracle_rng.bit_generator.state, seed
-            assert np.all(np.diff(report.recipients) > 0), "recipients stay ascending"
 
 
 def _unique_deliver_batch(network, send_mask, bits, channel, rng):
@@ -253,7 +263,7 @@ def _unique_deliver_batch(network, send_mask, bits, channel, rng):
     The same ``integers`` / ``random`` draws in the same order: one target
     per message, the messages carrying a 1 first and each group in
     row-major order, then one uniform per heard cell in ascending order.
-    Fault-free rounds only; counters are left alone.
+    Fault-free rounds only.
     """
     num_replicates, size = send_mask.shape
     sent = send_mask.sum(axis=1).astype(np.int64)
@@ -262,20 +272,15 @@ def _unique_deliver_batch(network, send_mask, bits, channel, rng):
         (np.flatnonzero(carries_one), np.flatnonzero(send_mask & ~carries_one))
     )
     rows, cols = np.divmod(positions, size)
-    cells = np.empty(0, dtype=np.int64)
-    cell_bits = np.empty(0, dtype=np.int8)
+    heard = np.zeros(num_replicates * size, dtype=bool)
+    ones = np.zeros(num_replicates * size, dtype=np.int8)
     if rows.size:
-        if network.allow_self_messages:
-            targets = rng.integers(0, size, size=rows.size)
-        else:
-            draws = rng.integers(0, size - 1, size=rows.size)
-            targets = draws + (draws >= cols)
-        buckets = rows * size + targets
-        ones = int(np.count_nonzero(carries_one))
-        cells, cell_bits = _unique_count_bits(buckets, buckets[:ones], channel, rng)
-    return BatchDeliveryReport(
-        shape=(num_replicates, size), cells=cells, cell_bits=cell_bits, messages_sent=sent
-    )
+        draws = rng.integers(0, size - 1, size=rows.size)
+        buckets = rows * size + draws + (draws >= cols)
+        count = int(np.count_nonzero(carries_one))
+        heard, ones = _unique_count_grids(buckets, buckets[:count], heard.size, channel, rng)
+    shape = (num_replicates, size)
+    return DeliveryReport(heard.reshape(shape), ones.reshape(shape), sent)
 
 
 class TestDeliverBatchMatchesUniqueCountOracle:
@@ -288,10 +293,9 @@ class TestDeliverBatchMatchesUniqueCountOracle:
 
     @pytest.mark.parametrize("n", [2, 3, 50, 2000])
     @pytest.mark.parametrize("replicates", [1, 3, 8])
-    @pytest.mark.parametrize("allow_self", [False, True])
+    @CHANNELS
     @pytest.mark.parametrize("density", ["none", "one", "random", "all"])
-    def test_report_is_bit_identical(self, n, replicates, allow_self, density):
-        channel = BinarySymmetricChannel(epsilon=0.2)
+    def test_report_is_bit_identical(self, n, replicates, channel, density):
         for seed in self.SEEDS:
             picker = np.random.default_rng([seed, n, replicates])
             mask = np.zeros((replicates, n), dtype=bool)
@@ -304,17 +308,15 @@ class TestDeliverBatchMatchesUniqueCountOracle:
             dtype = self.BIT_DTYPES[seed % len(self.BIT_DTYPES)]
             bits = picker.integers(0, 2, size=(replicates, n)).astype(dtype)
 
-            network = PushGossipNetwork(size=n, allow_self_messages=allow_self)
+            network = PushGossipNetwork(size=n)
             rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
             report = network.deliver_batch(mask, bits, channel, rng)
             expected = _unique_deliver_batch(network, mask, bits, channel, oracle_rng)
 
-            for name in ("cells", "cell_bits", "accepted", "bits", "messages_sent",
-                         "messages_delivered"):
+            for name in ("heard", "ones", "messages_sent", "messages_delivered"):
                 got, want = getattr(report, name), getattr(expected, name)
                 assert got.dtype == want.dtype, (name, seed)
                 assert np.array_equal(got, want), (name, seed)
-            assert np.array_equal(report.messages_delivered, expected.accepted.sum(axis=1))
             assert rng.bit_generator.state == oracle_rng.bit_generator.state, seed
 
 
@@ -339,8 +341,6 @@ class TestCountStep:
 
     @pytest.mark.parametrize("faults", [False, True], ids=["fault-free", "resilient"])
     def test_rounds_of_one_shape_reuse_the_buffers(self, faults):
-        from repro.substrate.faults import CrashStop, FaultInjector
-
         network, rng = PushGossipNetwork(size=20), np.random.default_rng(1)
         injector = FaultInjector(CrashStop(), 20, rng, num_replicates=2) if faults else None
         mask = np.ones((2, 20), dtype=bool)
@@ -402,55 +402,53 @@ class TestValidationOnEverySerialPath:
     )
     def test_bad_inputs_raise(self, perfect, rng, senders, bits, message):
         network = PushGossipNetwork(size=10)
+        state = rng.bit_generator.state
         for name, entry in self._entry_points(network, perfect, rng).items():
             with pytest.raises(ProtocolError, match=message):
                 entry(np.asarray(senders), np.asarray(bits))
-            assert network.rounds_executed == 0, name
+            assert rng.bit_generator.state == state, name
 
     def test_distinct_senders_pass(self, perfect, rng):
         network = PushGossipNetwork(size=10)
-        entries = self._entry_points(network, perfect, rng)
-        for entry in entries.values():
-            entry(np.asarray([9, 0, 4]), np.asarray([1, 0, 1], dtype=np.int8))
-            entry(np.asarray([2, 3]), np.asarray([True, False]))
-        assert network.rounds_executed == 2 * len(entries)
+        for name, entry in self._entry_points(network, perfect, rng).items():
+            report = entry(np.asarray([9, 0, 4]), np.asarray([1, 0, 1], dtype=np.int8))
+            assert report.messages_sent == 3, name
+            report = entry(np.asarray([2, 3]), np.asarray([True, False]))
+            assert report.messages_sent == 2, name
 
     @pytest.mark.parametrize("faults", [False, True], ids=["fault-free", "resilient"])
     def test_batch_rejects_bits_a_cast_would_change(self, perfect, faults):
-        from repro.substrate.faults import CrashStop, FaultInjector
-
         network = PushGossipNetwork(size=6)
         rng = np.random.default_rng(0)
         injector = FaultInjector(CrashStop(), 6, rng, num_replicates=2) if faults else None
         mask = np.ones((2, 6), dtype=bool)
+        state = rng.bit_generator.state
         with pytest.raises(ProtocolError, match="dtype float64"):
             network.deliver_batch(mask, np.full((2, 6), 0.9), perfect, rng, faults=injector)
         with pytest.raises(ProtocolError, match="0 or 1"):
             network.deliver_batch(mask, np.full((2, 6), 256), perfect, rng, faults=injector)
-        assert network.rounds_executed == 0
+        assert rng.bit_generator.state == state
 
     @pytest.mark.parametrize("faults", [False, True], ids=["fault-free", "resilient"])
     @pytest.mark.parametrize("dtype", [np.int8, np.int64, np.float64])
     def test_batch_rejects_a_non_boolean_send_mask(self, perfect, faults, dtype):
         """An opinion grid (-1 = no opinion) passed as the mask must not be
         cast: that would make the -1 agents speak and the 0 agents silent."""
-        from repro.substrate.faults import CrashStop, FaultInjector
-
         network = PushGossipNetwork(size=6)
         rng = np.random.default_rng(0)
         injector = FaultInjector(CrashStop(), 6, rng, num_replicates=2) if faults else None
         opinions = np.array([[-1, 0, 1, -1, 0, 1], [1, 1, 0, 0, -1, -1]], dtype=dtype)
         bits = np.zeros((2, 6), dtype=np.int8)
+        state = rng.bit_generator.state
         with pytest.raises(ProtocolError, match="send_mask must be a boolean grid"):
             network.deliver_batch(opinions, bits, perfect, rng, faults=injector)
-        assert network.rounds_executed == 0
+        assert rng.bit_generator.state == state
 
 
 class TestDeliverBatchRounds:
     """``deliver_batch(..., rounds=L)`` runs ``L`` rounds of one input, draw
     for draw: one call must equal ``L`` one-round calls from the same
-    generator state in every total, in the network's counters and in the
-    generator's next draw."""
+    generator state in every total and in the generator's next draw."""
 
     N, L = 60, 7
 
@@ -465,45 +463,40 @@ class TestDeliverBatchRounds:
                              ids=["bsc", "perfect"])
     @pytest.mark.parametrize("replicates", [1, 8])
     @pytest.mark.parametrize("fraction", [1.0, 0.1, 0.0], ids=["full", "tenth", "empty"])
-    @pytest.mark.parametrize("allow_self", [False, True])
-    def test_one_call_equals_single_round_calls(self, channel, replicates, fraction, allow_self):
-        mask, bits = self._inputs(replicates, self.N, fraction, seed=3)
-        fused_net = PushGossipNetwork(size=self.N, allow_self_messages=allow_self)
-        loop_net = PushGossipNetwork(size=self.N, allow_self_messages=allow_self)
+    @pytest.mark.parametrize("size", [N, 3])
+    def test_one_call_equals_single_round_calls(self, channel, replicates, fraction, size):
+        mask, bits = self._inputs(replicates, size, fraction, seed=3)
+        fused_net, loop_net = PushGossipNetwork(size=size), PushGossipNetwork(size=size)
         fused_rng, loop_rng = np.random.default_rng(5), np.random.default_rng(5)
 
         fused = fused_net.deliver_batch(mask, bits, channel, fused_rng, rounds=self.L)
 
-        heard = np.zeros((replicates, self.N), dtype=np.int64)
-        ones = np.zeros((replicates, self.N), dtype=np.int64)
+        heard = np.zeros((replicates, size), dtype=np.int64)
+        ones = np.zeros((replicates, size), dtype=np.int64)
         sent = np.zeros(replicates, dtype=np.int64)
         delivered = np.zeros(replicates, dtype=np.int64)
         for _ in range(self.L):
             report = loop_net.deliver_batch(mask, bits, channel, loop_rng)
-            heard += report.accepted
-            ones += report.bits
+            heard += report.heard
+            ones += report.ones
             sent += report.messages_sent
             delivered += report.messages_delivered
 
-        assert fused.rounds == self.L
         assert np.array_equal(fused.heard, heard)
         assert np.array_equal(fused.ones, ones)
         assert np.array_equal(fused.messages_sent, sent)
         assert np.array_equal(fused.messages_delivered, delivered)
         assert np.array_equal(fused.messages_dropped, sent - delivered)
-        for counter in ("rounds_executed", "messages_sent_total", "messages_delivered_total",
-                        "messages_dropped_total"):
-            assert getattr(fused_net, counter) == getattr(loop_net, counter), counter
         assert fused_rng.random() == loop_rng.random()
         assert heard.any() == mask.any(), "the case must exercise delivery when anyone sends"
 
-    def test_one_round_returns_the_round_report(self, perfect):
+    def test_one_round_reports_the_round_flags_and_bits(self, perfect):
         mask, bits = self._inputs(2, self.N, 0.5, seed=1)
         report = PushGossipNetwork(size=self.N).deliver_batch(
             mask, bits, perfect, np.random.default_rng(2), rounds=1
         )
-        assert isinstance(report, BatchDeliveryReport)
-        assert report.heard is report.accepted and report.ones is report.bits
+        assert report.heard.dtype == bool and report.ones.dtype == np.int8
+        assert not report.ones[~report.heard].any(), "no bit where nothing was heard"
 
     @pytest.mark.parametrize("rounds", [1, 5])
     def test_a_report_is_unchanged_by_the_next_call(self, rounds):
@@ -520,21 +513,79 @@ class TestDeliverBatchRounds:
     def test_rounds_with_a_fault_injector_are_refused(self, perfect):
         """An injector decides crashes and corruption round by round, so a
         faulty call runs one round; a longer one raises before any draw."""
-        from repro.substrate.faults import CrashStop, FaultInjector
-
         mask, bits = self._inputs(2, self.N, 1.0, seed=4)
         network, rng = PushGossipNetwork(size=self.N), np.random.default_rng(3)
         injector = FaultInjector(CrashStop(), self.N, np.random.default_rng(1), num_replicates=2)
         state = rng.bit_generator.state
         with pytest.raises(ProtocolError, match="round by round"):
             network.deliver_batch(mask, bits, perfect, rng, faults=injector, rounds=2)
-        assert network.rounds_executed == 0
         assert rng.bit_generator.state == state
 
     @pytest.mark.parametrize("rounds", [0, -1])
     def test_rounds_below_one_are_refused(self, perfect, rounds):
         mask, bits = self._inputs(2, self.N, 1.0, seed=4)
-        network = PushGossipNetwork(size=self.N)
+        network, rng = PushGossipNetwork(size=self.N), np.random.default_rng(0)
+        state = rng.bit_generator.state
         with pytest.raises(ParameterError, match="rounds"):
-            network.deliver_batch(mask, bits, perfect, np.random.default_rng(0), rounds=rounds)
-        assert network.rounds_executed == 0
+            network.deliver_batch(mask, bits, perfect, rng, rounds=rounds)
+        assert rng.bit_generator.state == state
+
+
+
+def _serial_call(method):
+    """Run ``method`` on replicate 0 of the grids, as a serial round."""
+    def call(network, mask, bits, channel, rng):
+        senders = np.flatnonzero(mask[0])
+        return getattr(network, method)(senders, bits[0, senders], channel, rng)
+    return call
+
+
+def _batch_call(rounds=1, faults=False):
+    """Run ``deliver_batch`` for ``rounds`` rounds, under a fault-free injector if ``faults``."""
+    def call(network, mask, bits, channel, rng):
+        injector = None
+        if faults:
+            injector = FaultInjector(
+                CrashStop(fraction=0.0), mask.shape[1], np.random.default_rng(1),
+                num_replicates=mask.shape[0],
+            )
+        return network.deliver_batch(mask, bits, channel, rng, faults=injector, rounds=rounds)
+    return call
+
+
+class TestOneReportContract:
+    """Every entry point returns a :class:`DeliveryReport` of per-cell counts
+    with the same meaning: serial calls over the ``(n,)`` agents, batch calls
+    over the ``(R, n)`` grid, one round or several, with or without faults."""
+
+    N = 40
+
+    #: name -> (replicates, rounds, call); the serial calls report on ``(n,)``.
+    ENTRY_POINTS = {
+        "serial": (1, 1, _serial_call("deliver")),
+        "reference": (1, 1, _serial_call("deliver_reference")),
+        "batch-R1": (1, 1, _batch_call()),
+        "batch-R8": (8, 1, _batch_call()),
+        "batch-R8-rounds40": (8, 40, _batch_call(rounds=40)),
+        "resilient-R8": (8, 1, _batch_call(faults=True)),
+    }
+
+    @CHANNELS
+    @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+    def test_report_contract(self, entry, channel):
+        replicates, rounds, call = self.ENTRY_POINTS[entry]
+        picker = np.random.default_rng(replicates)
+        mask = picker.random((replicates, self.N)) < 0.7
+        bits = picker.integers(0, 2, size=(replicates, self.N)).astype(np.int8)
+        report = call(PushGossipNetwork(size=self.N), mask, bits, channel, np.random.default_rng(9))
+
+        serial = entry in ("serial", "reference")
+        sent = mask.sum(axis=1) * rounds
+        assert isinstance(report, DeliveryReport)
+        assert report.heard.shape == report.ones.shape == ((self.N,) if serial else mask.shape)
+        assert np.all(report.ones >= 0) and np.all(report.ones <= report.heard)
+        assert np.all(report.heard <= rounds)
+        assert np.array_equal(report.messages_delivered, report.heard.sum(axis=-1))
+        assert np.all(report.messages_dropped >= 0)
+        assert np.array_equal(report.messages_sent, sent[0] if serial else sent)
+        assert report.heard.any(), "the contract must not hold vacuously"

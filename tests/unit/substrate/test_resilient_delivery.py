@@ -5,15 +5,17 @@ positional kernel (see :mod:`repro.substrate.network`); a serial faulty
 trial runs it at one replicate.  The pinned digests in
 ``tests/unit/test_serial_resilient_regression.py`` fix its output for two
 one-replicate configurations; the tests here check the rules it must keep
-on every kept fault model, on tiny and moderate networks, with and without
-self-messages:
+on every kept fault model, on tiny and moderate networks, over a binary
+symmetric channel and the perfect one:
 
-* single-accept delivery: unique recipients per replicate, conserved message
-  counts, no self-delivery unless allowed, and only live senders counted;
+* single-accept delivery: at most one accepted message per recipient cell,
+  conserved message counts, no self-delivery, and only live senders
+  counted;
 * the main stream's consumption depends on the grid shape alone, not on who
   speaks or who crashed;
-* over a noiseless channel, a replicate whose live senders are honest and
-  all push one bit delivers only that bit.
+* over a noiseless channel — the perfect one, or a binary symmetric channel
+  at ``epsilon = 1/2`` — a replicate whose live senders are honest and all
+  push one bit delivers only that bit.
 """
 
 from __future__ import annotations
@@ -36,15 +38,23 @@ SIZES = (2, 7, 40)
 
 ROUNDS = 5
 
-parametrize_cases = pytest.mark.parametrize(
-    "model, size, allow_self",
-    [
-        pytest.param(MODELS[name], size, allow_self, id=f"{name}-n{size}-{label}")
-        for name in MODELS
-        for size in SIZES
-        for allow_self, label in ((False, "no-self"), (True, "self"))
-    ],
-)
+CHANNELS = {"bsc": BinarySymmetricChannel(epsilon=0.2), "perfect": PerfectChannel()}
+
+#: Two noiseless channels: the perfect one, and a binary symmetric channel
+#: whose crossover probability 1/2 - epsilon is zero.
+NOISELESS = {"perfect": PerfectChannel(), "bsc-eps0.5": BinarySymmetricChannel(epsilon=0.5)}
+
+
+def _cases(channels):
+    return pytest.mark.parametrize(
+        "model, size, channel",
+        [
+            pytest.param(MODELS[name], size, channels[label], id=f"{name}-n{size}-{label}")
+            for name in MODELS
+            for size in SIZES
+            for label in channels
+        ],
+    )
 
 
 def _send_grids(rng: np.random.Generator, num_replicates: int, size: int, round_index: int):
@@ -57,47 +67,38 @@ def _send_grids(rng: np.random.Generator, num_replicates: int, size: int, round_
     return send_mask, bits
 
 
-@parametrize_cases
-def test_single_accept_invariants_hold_in_every_replicate(model, size, allow_self):
+@_cases(CHANNELS)
+def test_single_accept_invariants_hold_in_every_replicate(model, size, channel):
     num_replicates = 3
-    network = PushGossipNetwork(size=size, allow_self_messages=allow_self)
+    network = PushGossipNetwork(size=size)
     faults = FaultInjector(model, size, np.random.default_rng(3), num_replicates=num_replicates)
     rng, inputs = np.random.default_rng(4), np.random.default_rng(size + 1)
-    sent_total = delivered_total = 0
     for round_index in range(ROUNDS):
         send_mask, bits = _send_grids(inputs, num_replicates, size, round_index)
-        report = network.deliver_batch(
-            send_mask, bits, BinarySymmetricChannel(epsilon=0.3), rng, faults=faults
-        )
+        report = network.deliver_batch(send_mask, bits, channel, rng, faults=faults)
         # The injector crashed agents at the start of this round: only live
         # agents that asked to speak are counted and delivered.
         speaking = send_mask & faults.alive_mask()
         assert report.messages_sent.tolist() == speaking.sum(axis=1).tolist()
         assert (report.messages_delivered <= report.messages_sent).all()
         assert (report.messages_dropped >= 0).all()
-        rows, recipients = np.divmod(report.cells, size)
-        if not allow_self:
-            # A lone live speaker never reaches itself.
-            lone = speaking.sum(axis=1) == 1
-            speaker = speaking.argmax(axis=1)
-            assert not (lone[rows] & (recipients == speaker[rows])).any()
-        # One accepted message per recipient cell, bits stay bits.
-        assert np.unique(report.cells).size == report.cells.size
-        assert set(np.unique(report.cell_bits).tolist()) <= {0, 1}
-        sent_total += int(report.messages_sent.sum())
-        delivered_total += int(report.messages_delivered.sum())
-    assert faults.rounds_started == network.rounds_executed == ROUNDS
-    assert network.messages_sent_total == sent_total
-    assert network.messages_delivered_total == delivered_total
-    assert network.messages_dropped_total == sent_total - delivered_total
+        # A lone live speaker never reaches itself.
+        lone = np.flatnonzero(speaking.sum(axis=1) == 1)
+        assert not report.heard[lone, speaking[lone].argmax(axis=1)].any()
+        # One accepted message per recipient cell, bits stay bits and only
+        # where something was accepted.
+        assert report.heard.dtype == bool and report.ones.dtype == np.int8
+        assert set(np.unique(report.ones).tolist()) <= {0, 1}
+        assert not report.ones[~report.heard].any()
+    assert faults.rounds_started == ROUNDS
 
 
-@parametrize_cases
-def test_main_stream_consumption_depends_only_on_the_grid_shape(model, size, allow_self):
+@_cases(CHANNELS)
+def test_main_stream_consumption_depends_only_on_the_grid_shape(model, size, channel):
     num_replicates = 2
     tails = []
     for pattern in ("silent", "everyone", "random"):
-        network = PushGossipNetwork(size=size, allow_self_messages=allow_self)
+        network = PushGossipNetwork(size=size)
         faults = FaultInjector(model, size, np.random.default_rng(8), num_replicates=num_replicates)
         rng, inputs = np.random.default_rng(21), np.random.default_rng(34)
         for round_index in range(ROUNDS):
@@ -106,18 +107,16 @@ def test_main_stream_consumption_depends_only_on_the_grid_shape(model, size, all
                 send_mask[:] = False
             elif pattern == "everyone":
                 send_mask[:] = True
-            network.deliver_batch(
-                send_mask, bits, BinarySymmetricChannel(epsilon=0.2), rng, faults=faults
-            )
+            network.deliver_batch(send_mask, bits, channel, rng, faults=faults)
         tails.append(rng.random(6))
     assert np.array_equal(tails[0], tails[1])
     assert np.array_equal(tails[0], tails[2])
 
 
-@parametrize_cases
-def test_noiseless_channel_delivers_every_honest_bit_unchanged(model, size, allow_self):
+@_cases(NOISELESS)
+def test_noiseless_channel_delivers_every_honest_bit_unchanged(model, size, channel):
     num_replicates = 4
-    network = PushGossipNetwork(size=size, allow_self_messages=allow_self)
+    network = PushGossipNetwork(size=size)
     faults = FaultInjector(model, size, np.random.default_rng(13), num_replicates=num_replicates)
     rng, inputs = np.random.default_rng(6), np.random.default_rng(size + 2)
     # Replicate r's agents all push the bit r % 2; in the first two only
@@ -128,13 +127,13 @@ def test_noiseless_channel_delivers_every_honest_bit_unchanged(model, size, allo
         send_mask, _ = _send_grids(inputs, num_replicates, size, round_index)
         send_mask[:2] &= ~faults.byzantine[:2]
         bits = np.repeat(row_bits[:, None], size, axis=1).astype(np.int8)
-        report = network.deliver_batch(send_mask, bits, PerfectChannel(), rng, faults=faults)
+        report = network.deliver_batch(send_mask, bits, channel, rng, faults=faults)
         speaking = send_mask & faults.alive_mask()
         honest_rows = ~(speaking & faults.byzantine).any(axis=1)
-        rows = report.cells // size
-        honest = honest_rows[rows]
-        assert np.array_equal(report.cell_bits[honest], row_bits[rows][honest])
-        honest_deliveries += int(honest.sum())
+        heard = report.heard & honest_rows[:, None]
+        expected = np.broadcast_to(row_bits[:, None], heard.shape)
+        assert np.array_equal(report.ones[heard], expected[heard])
+        honest_deliveries += int(heard.sum())
     if isinstance(model, CrashStop):
         # Crashed agents are silent, never corrupted.
         assert not faults.byzantine.any()

@@ -9,14 +9,17 @@ inside string constants — which covers ``__all__`` re-export lists, string
 annotations and doctests), so everything it flags is a genuine dead import.
 
 The symbol check covers every top-level function, class and method under
-``src/``.  A name is used when code or a string constant in ``src/``,
-``benchmarks/``, ``perfbench/`` or ``examples/`` names it (strings count
-because ``service/app.py`` dispatches handlers by name).  Three mentions do
-not count: an import, an entry of an ``__all__`` list (a re-export is not a
-use), and a docstring of the module that defines the name (a module
-describing its own classes does not keep them alive).  A name used nowhere
-else is called only by its tests, and is either deleted or listed in
-:data:`KEPT_TEST_ONLY_SYMBOLS` with the reason it stays.
+``src/``, and every public ``field(init=False)`` of a class there (state a
+dataclass keeps for its readers, such as a running total).  A name is used
+when code or a string constant in ``src/``, ``benchmarks/``, ``perfbench/``
+or ``examples/`` names it (strings count because ``service/app.py``
+dispatches handlers by name).  Four mentions do not count: an import, an
+entry of an ``__all__`` list (a re-export is not a use), a docstring of the
+module that defines the name (a module describing its own classes does not
+keep them alive), and an assignment target — ``self.total += 1`` writes a
+total without reading it.  A name used nowhere else is read only by its
+tests, and is either deleted or listed in :data:`KEPT_TEST_ONLY_SYMBOLS`
+with the reason it stays.
 """
 
 from __future__ import annotations
@@ -132,6 +135,8 @@ REFERENCING_TREES = ("src", "benchmarks", "perfbench", "examples")
 KEPT_TEST_ONLY_SYMBOLS: Dict[str, str] = {
     "RunArtifact.attach_sweep": "its test is the only '../escape' payload-key check at attach time",
     "PushGossipNetwork.deliver_reference": "the literal delivery oracle the differential tests use",
+    "DeliveryReport.messages_dropped": "sent minus delivered, the collision losses the report "
+    "contract and conservation tests check",
     "PerfectChannel": "the noiseless control of the substrate and baseline tests",
     "chernoff_upper_tail": "Eq. 1 of the paper; its test checks it against exact binomial tails",
     "chernoff_lower_tail": "Eq. 2 of the paper; its test checks it against exact binomial tails",
@@ -153,9 +158,26 @@ KEPT_TEST_ONLY_SYMBOLS: Dict[str, str] = {
 _IDENTIFIER = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
 
+def _is_non_init_field(item: ast.AST) -> bool:
+    """Whether a class-body statement declares ``name: T = field(..., init=False)``."""
+    if not (isinstance(item, ast.AnnAssign) and isinstance(item.value, ast.Call)):
+        return False
+    call = item.value
+    named_field = (isinstance(call.func, ast.Name) and call.func.id == "field") or (
+        isinstance(call.func, ast.Attribute) and call.func.attr == "field"
+    )
+    return named_field and any(
+        keyword.arg == "init"
+        and isinstance(keyword.value, ast.Constant)
+        and keyword.value.value is False
+        for keyword in call.keywords
+    )
+
+
 def _top_level_symbols(tree: ast.Module) -> List[Tuple[str, str]]:
-    """``(qualified name, name)`` of every top-level function and class and
-    every non-dunder method of a top-level class."""
+    """``(qualified name, name)`` of every top-level function and class,
+    every non-dunder method of a top-level class and every public
+    ``field(init=False)`` it declares."""
     symbols: List[Tuple[str, str]] = []
     functions = (ast.FunctionDef, ast.AsyncFunctionDef)
     for node in tree.body:
@@ -168,6 +190,13 @@ def _top_level_symbols(tree: ast.Module) -> List[Tuple[str, str]]:
                 for item in node.body
                 if isinstance(item, functions)
                 and not (item.name.startswith("__") and item.name.endswith("__"))
+            )
+            symbols.extend(
+                (f"{node.name}.{item.target.id}", item.target.id)
+                for item in node.body
+                if _is_non_init_field(item)
+                and isinstance(item.target, ast.Name)
+                and not item.target.id.startswith("_")
             )
     return symbols
 
@@ -200,10 +229,10 @@ def _is_all_assignment(node: ast.AST) -> bool:
 def _mentioned_names(tree: ast.AST) -> Tuple[Set[str], Set[str]]:
     """``(uses, docstring mentions)`` of one module.
 
-    ``uses`` are names, attribute names and identifier tokens of the string
-    constants that are not docstrings; ``docstring mentions`` are the
-    identifier tokens of its docstrings.  ``__all__`` lists count as neither:
-    a re-export is not a use.
+    ``uses`` are the names and attribute names read (not assigned) and the
+    identifier tokens of the string constants that are not docstrings;
+    ``docstring mentions`` are the identifier tokens of its docstrings.
+    ``__all__`` lists count as neither: a re-export is not a use.
     """
     docstrings = _docstrings(tree)
     uses: Set[str] = set()
@@ -213,9 +242,9 @@ def _mentioned_names(tree: ast.AST) -> Tuple[Set[str], Set[str]]:
         node = pending.pop()
         if _is_all_assignment(node):
             continue
-        if isinstance(node, ast.Name):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
             uses.add(node.id)
-        elif isinstance(node, ast.Attribute):
+        elif isinstance(node, ast.Attribute) and not isinstance(node.ctx, ast.Store):
             uses.add(node.attr)
         elif isinstance(node, ast.Constant) and isinstance(node.value, str):
             tokens = _IDENTIFIER.findall(node.value)
@@ -309,3 +338,32 @@ def test_symbol_scan_sees_through_reexports_and_own_docstrings(tmp_path):
     (tmp_path / "tests").mkdir()
     (tmp_path / "tests" / "test_pkg.py").write_text("from pkg import Hidden\nHidden()\n")
     assert symbols_only_tests_use(tmp_path) == ["Hidden"]
+
+
+def test_field_scan_flags_a_written_but_unread_total(tmp_path):
+    """Self-test: a public ``field(init=False)`` that ``src`` only writes —
+    a running total no reader looks at — is test-only; one that ``src``
+    reads, a private one and an ``init`` field are not flagged."""
+    (tmp_path / "src").mkdir()
+    (tmp_path / "src" / "net.py").write_text(
+        "from dataclasses import dataclass, field\n"
+        "@dataclass\n"
+        "class Net:\n"
+        "    size: int\n"
+        "    sent_total: int = field(default=0, init=False)\n"
+        "    rounds_read: int = field(default=0, init=False)\n"
+        "    _cache: object = field(default=None, init=False)\n"
+        "    def send(self):\n"
+        "        self.sent_total += self.size\n"
+        "        self.rounds_read = self.rounds_read + 1\n"
+        "        self._cache = None\n"
+        "def run():\n"
+        "    Net(3).send()\n"
+    )
+    (tmp_path / "examples").mkdir()
+    (tmp_path / "examples" / "demo.py").write_text("from net import run\nrun()\n")
+    (tmp_path / "tests").mkdir()
+    (tmp_path / "tests" / "test_net.py").write_text(
+        "from net import Net\nnet = Net(3)\nnet.send()\nassert net.sent_total == 3\n"
+    )
+    assert symbols_only_tests_use(tmp_path) == ["Net.sent_total"]

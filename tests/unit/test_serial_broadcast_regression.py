@@ -1,9 +1,9 @@
-"""Determinism regression: the serial broadcast engine path is pinned in full.
+"""Determinism regression: the serial broadcast path is pinned in full.
 
 :func:`~repro.core.broadcast.solve_noisy_broadcast` runs
 :func:`~repro.core.stage1.execute_stage_one` and
-:func:`~repro.core.stage2.execute_stage_two` on one engine, one
-:meth:`~repro.substrate.network.PushGossipNetwork.deliver` call per round.
+:func:`~repro.core.stage2.execute_stage_two` on one ``(n,)`` population,
+one :meth:`~repro.substrate.network.PushGossipNetwork.deliver` call per round.
 E1's serial golden digest holds only mean rounds and success rates, which
 no changed draw moves.  These pins digest the whole result, every Stage-I
 and Stage-II phase summary included, so a change in what a serial round

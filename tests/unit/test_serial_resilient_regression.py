@@ -11,8 +11,8 @@ levels:
 * ``SUBSTRATE_DIGESTS`` — multi-round one-replicate runs of the kernel
   under each fault model E12 uses, on uniform push gossip over a binary
   symmetric channel, hashing the reports, the end states of the delivery
-  and fault generators, the injector counters, the crash grid, the network
-  counters and the channel flip count;
+  and fault generators, the injector counters, the crash grid and the
+  network's message totals;
 * ``E12_SERIAL_DIGESTS`` — the serial E12 driver (crash and Byzantine),
   digested through ``_golden_grid.grid_digest``; its paper-protocol column
   runs the resilient kernel at ``R = 1``.  Its reports do not move when the
@@ -30,8 +30,11 @@ and 3, when serial E12 trials became the batch rules at ``R = 1`` and when
 delivery became the count rule: this configuration's reports came out the
 same on the new draws.  The substrate pins were re-taken at kernel epoch 3,
 without the sender identities and channel flip count the kernel no longer
-has, and the trial pins were taken then.  None must be edited to make a
-change pass.
+has, and the trial pins were taken then.  The substrate pins were re-taken once
+more when agents lost the option of messaging themselves: the cases now run
+on the one no-self network, and the message totals (once counters of the
+network object) are summed from the reports, in the same payload layout.
+None must be edited to make a change pass.
 """
 
 from __future__ import annotations
@@ -53,8 +56,8 @@ FAULTS = {
     "byz-random": ByzantineSenders(fraction=0.3),
 }
 
-#: ``(size, allow_self_messages)`` networks every case runs on.
-NETWORKS = ((6, True), (41, False))
+#: The network size every case runs on.
+SIZE = 41
 
 ROUNDS = 8
 
@@ -64,10 +67,10 @@ ROUNDS = 8
 CASES = [(fault, "uniform", "bsc") for fault in FAULTS]
 
 
-def _run_case(fault: str, topology: str, channel: str, size: int, allow_self: bool) -> dict:
+def _run_case(fault: str, topology: str, channel: str, size: int) -> dict:
     """Run ``ROUNDS`` one-replicate rounds and collect every observable of the path."""
     seed = sum(map(ord, f"{fault}/{topology}/{channel}/{size}"))
-    network = PushGossipNetwork(size=size, allow_self_messages=allow_self)
+    network = PushGossipNetwork(size=size)
     noise = BinarySymmetricChannel(epsilon=0.2)
     delivery_rng = np.random.default_rng(seed)
     fault_rng = np.random.default_rng(seed + 1)
@@ -89,40 +92,44 @@ def _run_case(fault: str, topology: str, channel: str, size: int, allow_self: bo
         grid[0, senders] = bits
         report = network.deliver_batch(send_mask, grid, noise, delivery_rng, faults=injector)
         sent = int(report.messages_sent[0])
-        delivered = int(report.cells.size)
+        delivered = int(report.messages_delivered[0])
+        cells = np.flatnonzero(report.heard)
+        cell_bits = report.ones.reshape(-1)[cells]
         reports.append(
             {
-                "recipients": report.cells.tolist(),
-                "bits": report.cell_bits.tolist(),
-                "dtypes": [str(report.cells.dtype), str(report.cell_bits.dtype)],
+                "recipients": cells.tolist(),
+                "bits": cell_bits.tolist(),
+                "dtypes": [str(cells.dtype), str(cell_bits.dtype)],
                 "counts": [sent, delivered, sent - delivered],
             }
         )
+    totals = np.sum([report["counts"] for report in reports], axis=0).tolist()
     return {
         "reports": reports,
         "delivery_rng": delivery_rng.bit_generator.state,
         "fault_rng": fault_rng.bit_generator.state,
         "injector_counters": injector.counters,
         "crashed": injector.crashed.tolist(),
-        "network": [network.messages_sent_total, network.messages_delivered_total,
-                    network.messages_dropped_total, network.rounds_executed],
+        "network": totals + [ROUNDS],
     }
 
 
 def substrate_digest(fault: str, topology: str, channel: str) -> str:
-    """First 16 hex chars of the sha256 over both networks' observables."""
-    payload = [_run_case(fault, topology, channel, size, allow) for size, allow in NETWORKS]
+    """First 16 hex chars of the sha256 over the case's observables."""
+    payload = [_run_case(fault, topology, channel, SIZE)]
     canonical = json.dumps(payload, sort_keys=True, default=repr)
     return hashlib.sha256(canonical.encode()).hexdigest()[:16]
 
 
 #: Re-taken at kernel epoch 1 without the ``burst_*`` counter keys (the
-#: ce8fe37 pins were 7d4fa970e3d6209a and 603b1f417f0df3ec) and at kernel
+#: ce8fe37 pins were 7d4fa970e3d6209a and 603b1f417f0df3ec), at kernel
 #: epoch 3 for the count rule (they were 16c0b709e78cb2d0 and
-#: f6a58c6f399a397a).
+#: f6a58c6f399a397a), and without the self-message network (they were
+#: db2e7f07fde1f584 and a6b7f9d3faf6e525; the code before that change gives
+#: the new values on the no-self network alone).
 SUBSTRATE_DIGESTS = {
-    ("crash", "uniform", "bsc"): "db2e7f07fde1f584",
-    ("byz-random", "uniform", "bsc"): "a6b7f9d3faf6e525",
+    ("crash", "uniform", "bsc"): "f3f55ba541c9af63",
+    ("byz-random", "uniform", "bsc"): "c817303f31e56867",
 }
 
 #: Serial E12 on the backend-parity configuration, one per fault kind.
